@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import HOLDER_CONSTANT, legendre_at_zero, legendre_table
+from .legendre import HOLDER_CONSTANT, legendre_defect, legendre_table
 from .repsim import coefficient_decay, invariant_gap
 from .schatten import (
     MixedNormSpace,
@@ -29,7 +29,8 @@ from .schatten import (
 )
 from .sl3 import LambdaPoint, embedding2_solve, j_alpha, kak, solve_delta_for_top
 from .spectral import (
-    diff_power_sums,
+    diff_power_windows,
+    difference_diagonal,
     divergence_probe_p4,
     schatten_tail_bound,
     schatten_tail_estimate,
@@ -69,8 +70,7 @@ def criterion_1() -> CriterionResult:
 
     def body():
         deltas = np.linspace(-1.0, 1.0, 1000)
-        table = legendre_table(2000, deltas)
-        defects = np.abs(table - legendre_at_zero(2000)[:, None])
+        defects = np.abs(legendre_defect(2000, deltas))
         bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))[None, :]
         violations = int(np.sum(defects > bounds + 1e-14))
         worst = float((defects / np.maximum(bounds, 1e-300)).max())
@@ -85,7 +85,9 @@ def criterion_2() -> CriterionResult:
     """Schatten decay: completed norms stable to 1e-6 by N=2^18, fit exponents.
 
     The norm at truncation N is the recurrence's partial sum completed by
-    schatten_tail_estimate.  Completed norms at N and 2N differ only by the
+    schatten_tail_estimate.  One recurrence pass gives the mass of every
+    window between checkpoints, each summed on its own; the partial sums are
+    their running totals.  Completed norms at N and 2N differ only by the
     estimate's error over the window N < n <= 2N, so the 1e-6 stabilization
     clause is a consistency check on the completion; the binding check is
     that the mass the estimate predicts between 2^17 and 2^18 matches the
@@ -99,8 +101,9 @@ def criterion_2() -> CriterionResult:
         deltas = np.array([2.0**-k for k in range(1, 11)])
         checkpoints = [2**k for k in range(10, 19)]
         roots = 1.0 / ps[:, None]
-        partial = diff_power_sums(deltas, ps, checkpoints)[:, :, -2:]
-        sums = partial ** ps[:, None, None]
+        windows = diff_power_windows(deltas, ps, checkpoints)
+        sums = np.cumsum(windows, axis=-1)[..., -2:]
+        partial = sums ** roots[..., None]
         tails = np.array(
             [[[schatten_tail_estimate(d, p, n) for n in checkpoints[-2:]] for d in deltas] for p in ps]
         )
@@ -117,12 +120,7 @@ def criterion_2() -> CriterionResult:
         bounds = np.array([[schatten_tail_bound(d, p, checkpoints[-1]) for d in deltas] for p in ps])
         ceiling = (sums[..., 1] + bounds) ** roots
         bracket_ok = bool(np.all((partial[..., 1] <= completed[..., 1]) & (completed[..., 1] <= ceiling)))
-        # The window's mass is summed on its own: a difference of the cumulative
-        # sums would lose the digits of a small window at large p.
-        lo, hi = checkpoints[-2:]
-        n = np.arange(lo + 1, hi + 1)[:, None]
-        defects = np.abs(legendre_table(hi, deltas) - legendre_at_zero(hi)[:, None])[lo + 1 :]
-        masses = np.array([np.sum((2 * n + 1) * defects**p, axis=0) for p in ps])
+        masses = windows[..., -1]
         window_err = np.abs(tails[..., 0] - tails[..., 1] - masses) / masses
         window_ok = bool(np.all(window_err <= 1e-6))
         detail = (
@@ -221,16 +219,12 @@ def criterion_7() -> CriterionResult:
     """Mixed-norm lower bounds never exceed the interpolation upper bound."""
 
     def body():
-        max_degree = 16
-        zeros = legendre_at_zero(max_degree)
-        mult = 2 * np.arange(max_degree + 1) + 1
         violations = 0
         margin = np.inf
         for p in (4.0, 6.0, 8.0):
             theta = min(2.0 / p, 2.0 - 2.0 / p)
             for i, delta in enumerate((0.025, 0.05, 0.1, 0.2)):
-                diag = np.repeat(zeros - legendre_table(max_degree, delta), mult)
-                T = np.diag(diag)
+                T = np.diag(difference_diagonal(delta, 16))
                 space = MixedNormSpace(T.shape[0], 4, p)
                 res = mixed_norm_lower_bound(T, space, restarts=32, iters=200, seed=10 * i + int(p))
                 upper = interpolation_bound(4.0 * np.sqrt(delta), 2.0, theta)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDegeneracyError
-from .legendre import HOLDER_CONSTANT, legendre_at_zero, legendre_table
+from .legendre import HOLDER_CONSTANT, legendre_defect
 from .repsim import coefficient_decay, invariant_gap, matrix_coefficient
 from .schatten import (
     MixedNormSpace,
@@ -32,7 +32,7 @@ from .schatten import (
     mixed_norm_lower_bound,
 )
 from .sl3 import LambdaPoint, embedding2_solve, kak
-from .spectral import diff_power_sums, divergence_probe_p4, fit_decay
+from .spectral import diff_power_sums, difference_diagonal, divergence_probe_p4, fit_decay
 from .sphere import markov_trace, mixing_profile
 from .zigzag import (
     ExponentProfile,
@@ -103,8 +103,7 @@ def _outdir(args) -> Path:
 def cmd_legendre_bounds(args) -> int:
     out = _outdir(args)
     deltas = np.linspace(-1.0, 1.0, args.grid)
-    table = legendre_table(args.nmax, deltas)
-    defects = np.abs(table - legendre_at_zero(args.nmax)[:, None]).max(axis=0)
+    defects = np.abs(legendre_defect(args.nmax, deltas)).max(axis=0)
     bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
     rows = list(zip(deltas, defects, bounds))
     csv = out / "legendre_bounds.csv"
@@ -165,10 +164,7 @@ def cmd_schatten_probe(args) -> int:
 
 def cmd_mixed_norm(args) -> int:
     out = _outdir(args)
-    max_degree = args.truncation
-    zeros = legendre_at_zero(max_degree)
-    mult = 2 * np.arange(max_degree + 1) + 1
-    diag = np.repeat(zeros - legendre_table(max_degree, args.delta), mult)
+    diag = difference_diagonal(args.delta, args.truncation)
     T = np.diag(diag)
     space = MixedNormSpace(T.shape[0], args.inner_dim, args.p)
     res = mixed_norm_lower_bound(T, space, restarts=args.restarts, iters=args.iters, seed=args.seed)

@@ -14,6 +14,7 @@ __all__ = [
     "legendre_eval",
     "legendre_table",
     "legendre_at_zero",
+    "legendre_defect",
     "holder_defect",
     "bernstein_envelope",
     "HOLDER_CONSTANT",
@@ -23,6 +24,7 @@ __all__ = [
 HOLDER_CONSTANT = 4.0
 
 _ABSCISSA_SLACK = 1e-12
+_BLOCK_VALUES = 2**16  # values in one block of a deep recurrence pass: keeps memory flat
 
 
 def _clamp_abscissa(x):
@@ -34,25 +36,41 @@ def _clamp_abscissa(x):
     return np.clip(x, -1.0, 1.0)
 
 
+def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
+    """Yield P_n(x), n = 0..max_degree, for 1-D clamped x in consecutive blocks of rows.
+
+    The package's one copy of the recurrence n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2);
+    each block continues from the last two rows of the one before.
+    """
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative")
+    block_rows = block_rows or max(1, _BLOCK_VALUES // max(x.size, 1))
+    older = last = 0.0  # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
+    for start in range(0, max_degree + 1, block_rows):
+        block = np.empty((min(block_rows, max_degree + 1 - start), x.size))
+        for n, row in enumerate(block, start):
+            row[:] = ((2 * n - 1) * x * last - (n - 1) * older) / n if n else 1.0
+            older, last = last, row
+        yield block
+
+
+def _defect_blocks(max_degree: int, x, block_rows: int | None = None):
+    """Yield blocks of (P_n(x) - P_n(0), P_n(0)) from one pass with 0.0 as an extra abscissa."""
+    xs = np.append(_clamp_abscissa(x), 0.0)
+    for rows in _row_blocks(max_degree, xs, block_rows):
+        yield rows[:, :-1] - rows[:, -1:], rows[:, -1]
+
+
 def legendre_eval(n: int, x) -> float | np.ndarray:
     """Evaluate P_n(x) by the three-term recurrence, P_n(1) = 1 normalization.
 
     Accepts a scalar or array abscissa in [-1, 1] (values beyond by at most
     1e-12 are clamped).
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
     xc = _clamp_abscissa(x)
-    scalar = xc.ndim == 0
-    xc = np.atleast_1d(xc)
-    p_prev = np.ones_like(xc)
-    if n == 0:
-        return float(p_prev[0]) if scalar else p_prev
-    p_cur = xc.copy()
-    for k in range(1, n):
-        p_next = ((2 * k + 1) * xc * p_cur - k * p_prev) / (k + 1)
-        p_prev, p_cur = p_cur, p_next
-    return float(p_cur[0]) if scalar else p_cur
+    for block in _row_blocks(n, xc.ravel()):
+        pass
+    return float(block[-1, 0]) if xc.ndim == 0 else block[-1].reshape(xc.shape)
 
 
 def legendre_table(max_degree: int, x) -> np.ndarray:
@@ -61,36 +79,25 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     Returns shape (N+1,) for scalar x, (N+1, len(x)) for array x.  The table
     satisfies values[0] = 1, |values[n]| <= 1, and values[:, x=1] = 1.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
     xc = _clamp_abscissa(x)
-    scalar = xc.ndim == 0
-    xc = np.atleast_1d(xc)
-    out = np.empty((max_degree + 1, xc.size))
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = xc
-    for n in range(1, max_degree):
-        out[n + 1] = ((2 * n + 1) * xc * out[n] - n * out[n - 1]) / (n + 1)
-    return out[:, 0] if scalar else out
+    (table,) = _row_blocks(max_degree, np.atleast_1d(xc), max_degree + 1)
+    return table[:, 0] if xc.ndim == 0 else table
 
 
 def legendre_at_zero(max_degree: int) -> np.ndarray:
-    """P_n(0) for n = 0..N via the pure recurrence P_{n+1}(0) = -n P_{n-1}(0)/(n+1).
+    """P_n(0) for n = 0..N: the table at x = 0.  Odd degrees are exactly zero."""
+    return legendre_table(max_degree, 0.0)
 
-    Odd degrees are exactly zero.
-    """
-    out = np.zeros(max_degree + 1)
-    out[0] = 1.0
-    for n in range(1, max_degree):
-        out[n + 1] = -n * out[n - 1] / (n + 1)
-    return out
+
+def legendre_defect(max_degree: int, x) -> np.ndarray:
+    """P_n(x) - P_n(0) for n = 0..N, shaped like legendre_table's output; one pass."""
+    ((defects, _),) = _defect_blocks(max_degree, x, max_degree + 1)
+    return defects[:, 0] if np.ndim(x) == 0 else defects
 
 
 def holder_defect(n: int, delta: float) -> float:
     """|P_n(0) - P_n(delta)|, guaranteed <= 4 * sqrt(|delta|)."""
-    p0 = 0.0 if n % 2 else float(legendre_at_zero(n)[n])
-    return abs(p0 - legendre_eval(n, delta))
+    return abs(float(legendre_defect(n, delta)[n]))
 
 
 def bernstein_envelope(n: int, x) -> float | np.ndarray:

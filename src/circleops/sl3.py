@@ -150,10 +150,16 @@ def j_alpha(alpha: float, delta: float) -> LambdaPoint:
     return kak(da @ x_delta(delta) @ da).a
 
 
+def _bisect(below) -> float:
+    """Bisect [0, 1] for the edge of below(delta); stops when the midpoint hits an endpoint."""
+    lo, hi = 0.0, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return mid
+
+
 def _top_exponent(alpha: float, delta: float) -> float:
-    da = d_alpha(alpha)
-    m = da @ x_delta(delta) @ da
-    return float(np.log(np.linalg.svd(m[:2, :2], compute_uv=False)[0]))
+    return float(np.log(_top_singular(alpha, alpha, delta)))
 
 
 def solve_delta_for_top(alpha: float, target_a1: float, grid: int = 64) -> float:
@@ -172,16 +178,9 @@ def solve_delta_for_top(alpha: float, target_a1: float, grid: int = 64) -> float
         raise NumericalDegeneracyError(
             "jalpha_monotonicity", "top singular exponent not nondecreasing in delta"
         )
-    lo, hi = 0.0, 1.0
     if _top_exponent(alpha, 0.0) >= target_a1:
         return 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _top_exponent(alpha, mid) < target_a1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda delta: _top_exponent(alpha, delta) < target_a1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +210,26 @@ class Embedding2Certificate:
     residual2: float
 
     def diag1(self) -> np.ndarray:
-        return np.diag([np.exp(self.gamma), 1.0, np.exp(-self.gamma)])
+        return _case_diagonals(self.gamma)[0]
 
     def diag2(self) -> np.ndarray:
-        g = self.gamma
-        return np.diag([np.exp(0.75 * g), np.exp(0.25 * g), np.exp(-g)])
+        return _case_diagonals(self.gamma)[1]
+
+
+def _case_diagonals(gamma: float):
+    """Targets of case 1 and case 2; each case matches its top entry."""
+    return (
+        np.diag([np.exp(gamma), 1.0, np.exp(-gamma)]),
+        np.diag([np.exp(0.75 * gamma), np.exp(0.25 * gamma), np.exp(-gamma)]),
+    )
 
 
 def _pair_matrix(gamma: float, alpha: float, delta: float) -> np.ndarray:
     return d_alpha(2.0 * gamma - alpha) @ x_delta(delta) @ d_alpha(alpha)
+
+
+def _top_singular(gamma: float, alpha: float, delta: float) -> float:
+    return float(np.linalg.svd(_pair_matrix(gamma, alpha, delta)[:2, :2], compute_uv=False)[0])
 
 
 def _rotation_svd_2x2(b: np.ndarray):
@@ -246,30 +256,24 @@ def _embed_rotation(r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_case(gamma: float, alpha: float, target_top: float):
-    def top(delta: float) -> float:
-        return float(np.linalg.svd(_pair_matrix(gamma, alpha, delta)[:2, :2], compute_uv=False)[0])
-
-    lo, hi = 0.0, 1.0
+def _solve_case(gamma: float, alpha: float, diag: np.ndarray):
+    """(delta, k, k', relative residual) for the case with this target diagonal."""
+    target_top = diag[0, 0]
     # relative slack: at the tangent edge alpha = 7 gamma / 6 the top singular
     # value meets the target quadratically, so exact comparison is fp-noise
-    if top(0.0) >= target_top * (1.0 - 1e-13):
+    if _top_singular(gamma, alpha, 0.0) >= target_top * (1.0 - 1e-13):
         delta = 0.0
     else:
-        if top(1.0) < target_top:
+        if _top_singular(gamma, alpha, 1.0) < target_top:
             raise NumericalDegeneracyError(
                 "embedding_bisection", "target singular value outside attainable range"
             )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if top(mid) < target_top:
-                lo = mid
-            else:
-                hi = mid
-        delta = 0.5 * (lo + hi)
+        delta = _bisect(lambda d: _top_singular(gamma, alpha, d) < target_top)
     m = _pair_matrix(gamma, alpha, delta)
     u, _, vt = _rotation_svd_2x2(m[:2, :2])
-    return delta, _embed_rotation(u), _embed_rotation(vt), m
+    k, kp = _embed_rotation(u), _embed_rotation(vt)
+    residual = np.linalg.norm(m - k @ diag @ kp, 2) / max(1.0, np.linalg.norm(m, 2))
+    return delta, k, kp, residual
 
 
 def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:
@@ -278,12 +282,9 @@ def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:
         raise ValueError("gamma must be >= 0.5 (degenerate regime excluded)")
     if not gamma - 1e-12 <= alpha <= 7.0 * gamma / 6.0 + 1e-12:
         raise ValueError("alpha must lie in [gamma, 7 gamma / 6]")
-    d1, k1, k1p, m1 = _solve_case(gamma, alpha, np.exp(gamma))
-    d2, k2, k2p, m2 = _solve_case(gamma, alpha, np.exp(0.75 * gamma))
-    diag1 = np.diag([np.exp(gamma), 1.0, np.exp(-gamma)])
-    diag2 = np.diag([np.exp(0.75 * gamma), np.exp(0.25 * gamma), np.exp(-gamma)])
-    res1 = np.linalg.norm(m1 - k1 @ diag1 @ k1p, 2) / max(1.0, np.linalg.norm(m1, 2))
-    res2 = np.linalg.norm(m2 - k2 @ diag2 @ k2p, 2) / max(1.0, np.linalg.norm(m2, 2))
+    (d1, k1, k1p, res1), (d2, k2, k2p, res2) = (
+        _solve_case(gamma, alpha, diag) for diag in _case_diagonals(gamma)
+    )
     return Embedding2Certificate(
         gamma=float(gamma),
         alpha=float(alpha),

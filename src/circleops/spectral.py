@@ -16,9 +16,10 @@ import numpy as np
 from scipy.special import zeta
 
 from .legendre import (
-    HOLDER_CONSTANT,
+    _defect_blocks,
+    _row_blocks,
     bernstein_envelope,
-    legendre_at_zero,
+    legendre_defect,
     legendre_table,
 )
 
@@ -31,6 +32,8 @@ __all__ = [
     "schatten_norm_diff",
     "schatten_tail_bound",
     "schatten_tail_estimate",
+    "difference_diagonal",
+    "diff_power_windows",
     "diff_power_sums",
     "stabilized_norm",
     "fit_decay",
@@ -104,31 +107,27 @@ class OpNormCertificate:
         return max(self.head, self.tail_bound)
 
 
-def _difference_tail_bound(delta: float, truncation: int) -> float:
-    """Upper bound for sup_{n > truncation} |P_n(0) - P_n(delta)|."""
+def _difference_tail_bound(delta: float, truncation: int, zero_part: float) -> float:
+    """Bound on sup_{n>N} |P_n(0) - P_n(delta)|, N = truncation; zero_part is sup_{n>N} |P_n(0)|."""
     if delta == 0.0:
         return 0.0
-    n1 = truncation + 1
-    # sup over n > N of |P_n(0)|: attained at the first even degree past N.
-    m = n1 if n1 % 2 == 0 else n1 + 1
-    zero_part = abs(legendre_at_zero(m)[m])
     if 1.0 - delta * delta < 1e-12:
         delta_part = 1.0
     else:
-        delta_part = float(bernstein_envelope(n1, delta))
+        delta_part = float(bernstein_envelope(truncation + 1, delta))
     return min(zero_part + delta_part, _APRIORI_BOUND)
 
 
 def op_norm_diff_certificate(delta: float, truncation: int) -> OpNormCertificate:
     """Head sup and tail envelope for the eigenvalue defects |P_n(0) - P_n(delta)|."""
-    if abs(delta) > 1.0 + 1e-12:
-        raise ValueError("delta must lie in [-1, 1]")
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    defects = np.abs(legendre_at_zero(truncation) - legendre_table(truncation, delta))
+    # One pass to the first even degree m past N checks delta and gives the head and |P_m(0)|.
+    m = truncation + 1 if truncation % 2 else truncation + 2
+    ((defects, zeros),) = _defect_blocks(m, [delta], m + 1)
     return OpNormCertificate(
-        head=float(defects.max()),
-        tail_bound=_difference_tail_bound(float(np.clip(delta, -1, 1)), truncation),
+        head=float(np.abs(defects[: truncation + 1]).max()),
+        tail_bound=_difference_tail_bound(float(np.clip(delta, -1, 1)), truncation, abs(zeros[m])),
     )
 
 
@@ -140,12 +139,37 @@ def op_norm_diff(delta: float, truncation: int) -> float:
     return op_norm_diff_certificate(delta, truncation).value
 
 
-def diff_power_sums(deltas, ps, checkpoints) -> np.ndarray:
-    """Schatten partial sums (sum (2n+1) |P_n(d) - P_n(0)|^p)^(1/p) at given truncations.
+def difference_diagonal(delta: float, max_degree: int) -> np.ndarray:
+    """Diagonal of T_0 - T_delta on degrees <= max_degree: P_n(0) - P_n(delta), 2n+1 times each."""
+    return np.repeat(-legendre_defect(max_degree, delta), 2 * np.arange(max_degree + 1) + 1)
 
-    Single recurrence pass, vectorized over the delta grid.  Returns an array
-    of shape (len(ps), len(deltas), len(checkpoints)) with checkpoints sorted
-    ascending.  These are raw truncations; schatten_tail_estimate completes them.
+
+def _power_windows(blocks, ps, checkpoints) -> np.ndarray:
+    """Sums of (2n+1)|v_n|^p over each window c_(k-1) < n <= c_k (c_(-1) = -1), each from zero.
+
+    blocks yields the rows v_0 .. v_(c_last); shape (len(ps), columns, len(checkpoints)).
+    """
+    ends, out, first, window = list(checkpoints), [], 0, 0.0  # first: degree of rows[0]
+    for rows in blocks:
+        n = np.arange(first, first + len(rows))
+        terms = (2 * n + 1)[:, None] * np.abs(rows) ** ps[:, None, None]
+        lo = 0
+        while ends and ends[0] < first + len(rows):
+            hi = ends.pop(0) + 1 - first
+            out.append(window + terms[:, lo:hi].sum(axis=1))
+            window, lo = 0.0, hi
+        window = window + terms[:, lo:].sum(axis=1)
+        first += len(rows)
+    return np.stack(out, axis=-1)
+
+
+def diff_power_windows(deltas, ps, checkpoints) -> np.ndarray:
+    """Window masses sum_{c_(k-1) < n <= c_k} (2n+1) |P_n(d) - P_n(0)|^p, c_(-1) = 0.
+
+    One recurrence pass in blocks of rows, vectorized over the delta grid.  Each
+    window is summed on its own: a difference of cumulative sums would lose the
+    digits of a small window at large p.  Shape (len(ps), len(deltas),
+    len(checkpoints)), checkpoints sorted ascending.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
@@ -154,30 +178,24 @@ def diff_power_sums(deltas, ps, checkpoints) -> np.ndarray:
         raise ValueError("checkpoints must be >= 1")
     if np.any(ps <= 0):
         raise ValueError("p must be positive")
-    nmax = checkpoints[-1]
-    sums = np.zeros((ps.size, deltas.size))
-    out = np.empty((ps.size, deltas.size, len(checkpoints)))
-    ck = {c: i for i, c in enumerate(checkpoints)}
+    # the n = 0 term vanishes: both eigenvalues are 1
+    blocks = (defects for defects, _ in _defect_blocks(checkpoints[-1], deltas))
+    return _power_windows(blocks, ps, checkpoints)
 
-    p_prev = np.ones_like(deltas)
-    p_cur = deltas.copy()
-    z_prev, z_cur = 1.0, 0.0
-    # n = 0 term vanishes (both eigenvalues are 1); start accumulating at n = 1.
-    for n in range(1, nmax + 1):
-        sums += (2 * n + 1) * np.abs(p_cur - z_cur)[None, :] ** ps[:, None]
-        if n in ck:
-            out[:, :, ck[n]] = sums
-        p_next = ((2 * n + 1) * deltas * p_cur - n * p_prev) / (n + 1)
-        z_next = -n * z_prev / (n + 1)
-        p_prev, p_cur = p_cur, p_next
-        z_prev, z_cur = z_cur, z_next
-    return out ** (1.0 / ps[:, None, None])
+
+def diff_power_sums(deltas, ps, checkpoints) -> np.ndarray:
+    """Schatten partial sums (sum (2n+1) |P_n(d) - P_n(0)|^p)^(1/p) at given truncations.
+
+    Running totals of diff_power_windows, in its shape.  These are raw
+    truncations; schatten_tail_estimate completes them.
+    """
+    ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    sums = np.cumsum(diff_power_windows(deltas, ps, checkpoints), axis=-1)
+    return sums ** (1.0 / ps[:, None, None])
 
 
 def schatten_norm_diff(delta: float, p: float, truncation: int) -> float:
     """(sum_{n<=N} (2n+1) |P_n(delta) - P_n(0)|^p)^(1/p); p = inf gives op_norm_diff."""
-    if abs(delta) > 1.0 + 1e-12:
-        raise ValueError("delta must lie in [-1, 1]")
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
     if np.isinf(p):
@@ -196,9 +214,8 @@ def schatten_tail_bound(delta: float, p: float, truncation: int) -> float:
         return 0.0
     sin_theta = np.sqrt(max(0.0, 1.0 - delta * delta))
     if sin_theta < 1e-12:
-        amp = 1.0 + np.sqrt(2.0 / np.pi)
-    else:
-        amp = np.sqrt(2.0 / np.pi) * (1.0 + sin_theta**-0.5)
+        return math.inf  # |delta| = 1: the terms (2n+1)|1 - P_n(0)|^p grow like 2n+1
+    amp = np.sqrt(2.0 / np.pi) * (1.0 + sin_theta**-0.5)
     return 3.0 * amp**p * truncation ** (2.0 - p / 2.0) / (p / 2.0 - 2.0)
 
 
@@ -280,9 +297,7 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     last = max(truncation, min(max(_TAIL_START, math.ceil(_TAIL_START / s)), _TAIL_HEAD_CAP))
     head = 0.0
     if last > truncation:
-        n = np.arange(truncation + 1, last + 1)
-        defects = (legendre_table(last, delta) - legendre_at_zero(last))[truncation + 1 :]
-        head = float(np.sum((2 * n + 1) * np.abs(defects) ** p))
+        head = float(diff_power_windows([delta], [p], [truncation, last])[0, 0, 1])
 
     # Phase functions of the leading term and of the linearised correction.
     phase = 2 * np.pi * np.arange(_TAIL_FFT) / _TAIL_FFT
@@ -397,16 +412,5 @@ def divergence_probe_p4(delta: float, n_list) -> np.ndarray:
     checkpoints = sorted(int(n) for n in n_list)
     if checkpoints[0] < 0:
         raise ValueError("degrees must be nonnegative")
-    nmax = checkpoints[-1]
-    ck = {c: i for i, c in enumerate(checkpoints)}
-    out = np.empty(len(checkpoints))
-    s = 1.0  # n = 0 term
-    if 0 in ck:
-        out[ck[0]] = s
-    p_prev, p_cur = 1.0, delta
-    for n in range(1, nmax + 1):
-        s += (2 * n + 1) * p_cur**4
-        if n in ck:
-            out[ck[n]] = s
-        p_prev, p_cur = p_cur, ((2 * n + 1) * delta * p_cur - n * p_prev) / (n + 1)
-    return out
+    blocks = _row_blocks(checkpoints[-1], np.array([float(delta)]))
+    return np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0, 0])

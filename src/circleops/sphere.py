@@ -11,6 +11,7 @@ normalized surface measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -191,6 +192,21 @@ def _check_delta(delta: float) -> float:
     return float(np.clip(delta, -1.0, 1.0))
 
 
+def _circle_mean(grid: SphereGrid, delta: float, quadrature_points, frames, values, acc):
+    """Mean of values(points) over the M-point rule on every node's circle, summed into acc."""
+    delta = _check_delta(delta)
+    B = grid.band_limit
+    M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
+    if M < 2 * B + 1:
+        raise ValueError(f"need at least {2 * B + 1} circle quadrature points at band limit {B}")
+    u, v = tangent_frames(grid.nodes) if frames is None else frames
+    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
+    for j in range(M):
+        phi = 2.0 * np.pi * j / M
+        acc += values(delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v))
+    return acc / M
+
+
 def circle_average_operator(
     grid: SphereGrid, delta: float, quadrature_points: int | None = None
 ) -> np.ndarray:
@@ -199,19 +215,9 @@ def circle_average_operator(
     Column (n, m) holds the average of Y_n^m over the circles at inner product
     delta around each grid node; shape (n_nodes, n_coeff).
     """
-    delta = _check_delta(delta)
-    B = grid.band_limit
-    M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
-    if M < 2 * B + 1:
-        raise ValueError(f"need at least {2 * B + 1} circle quadrature points at band limit {B}")
-    u, v = tangent_frames(grid.nodes)
-    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
+    harmonics = partial(real_sph_harm_matrix, band_limit=grid.band_limit)
     acc = np.zeros((grid.nodes.shape[0], grid.n_coeff))
-    for j in range(M):
-        phi = 2.0 * np.pi * j / M
-        pts = delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v)
-        acc += real_sph_harm_matrix(pts, B)
-    return acc / M
+    return _circle_mean(grid, delta, quadrature_points, None, harmonics, acc)
 
 
 def circle_average(
@@ -228,20 +234,10 @@ def circle_average(
     band-limited integrands when M >= 2 band_limit + 1).  The result does not
     depend on the tangent frames; custom frames may be passed to verify that.
     """
-    delta = _check_delta(delta)
-    B = grid.band_limit
-    M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
-    if M < 2 * B + 1:
-        raise ValueError(f"need at least {2 * B + 1} circle quadrature points at band limit {B}")
     coeffs = grid.analyze(samples)
-    u, v = tangent_frames(grid.nodes) if frames is None else frames
-    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
+    values = partial(grid.synthesize, coeffs)
     acc = np.zeros(grid.nodes.shape[0])
-    for j in range(M):
-        phi = 2.0 * np.pi * j / M
-        pts = delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v)
-        acc += grid.synthesize(coeffs, points=pts)
-    return acc / M
+    return _circle_mean(grid, delta, quadrature_points, frames, values, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from circleops.legendre import (
     HOLDER_CONSTANT,
+    _row_blocks,
     bernstein_envelope,
     holder_defect,
     legendre_at_zero,
+    legendre_defect,
     legendre_eval,
     legendre_table,
 )
@@ -60,6 +62,24 @@ def test_table_matches_single_evaluations():
     assert np.all(np.abs(table) <= 1.0 + 1e-12)
     for n in (3, 11, 25):
         np.testing.assert_allclose(table[n], legendre_eval(n, xs), rtol=1e-13)
+
+
+def test_blocks_continue_the_recurrence():
+    # each block starts from the last two rows of the one before, so any block
+    # size reproduces the one-block table bit for bit
+    xs = np.linspace(-1.0, 1.0, 9)
+    blocks = list(_row_blocks(100, xs, block_rows=7))
+    assert [len(b) for b in blocks] == [7] * 14 + [3]
+    assert np.array_equal(np.concatenate(blocks), legendre_table(100, xs))
+    # one abscissa gives default blocks of 2^16 rows: degree 70000 is in the second
+    assert legendre_eval(70000, 0.3) == legendre_table(70000, 0.3)[-1]
+
+
+def test_defect_is_table_minus_zero_column():
+    xs = np.linspace(-1.0, 1.0, 11)
+    want = legendre_table(300, xs) - legendre_at_zero(300)[:, None]
+    assert np.array_equal(legendre_defect(300, xs), want)
+    assert np.array_equal(legendre_defect(300, xs[7]), want[:, 7])
 
 
 def test_at_zero_values():

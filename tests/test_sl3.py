@@ -6,6 +6,8 @@ import pytest
 from circleops.errors import NumericalDegeneracyError
 from circleops.sl3 import (
     LambdaPoint,
+    _top_exponent,
+    _top_singular,
     d_alpha,
     embedding2_solve,
     in_rotation_group,
@@ -15,6 +17,33 @@ from circleops.sl3 import (
     solve_delta_for_top,
     x_delta,
 )
+
+def _bisect_200(below):
+    """Reference: the fixed 200 halvings the solvers ran before stopping at a collapsed bracket."""
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisection_matches_fixed_200_halvings():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        alpha = rng.uniform(0.5, 5.0)
+        target = rng.uniform(alpha / 2, 2 * alpha)
+        want = _bisect_200(lambda d: _top_exponent(alpha, d) < target)
+        assert solve_delta_for_top(alpha, target) == want
+        gamma = rng.uniform(0.5, 8.0)
+        alpha = rng.uniform(gamma, 7 * gamma / 6)
+        cert = embedding2_solve(gamma, alpha)
+        for delta, top in ((cert.delta1, np.exp(gamma)), (cert.delta2, np.exp(0.75 * gamma))):
+            if delta > 0.0:
+                assert delta == _bisect_200(lambda d: _top_singular(gamma, alpha, d) < top)
+
 
 ROT90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 

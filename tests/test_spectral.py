@@ -9,6 +9,7 @@ from circleops.spectral import (
     SpectralOperator,
     _lerch_abel_plana,
     diff_power_sums,
+    diff_power_windows,
     divergence_probe_p4,
     fit_decay,
     op_norm_diff,
@@ -54,6 +55,16 @@ class TestOpNormDiff:
         # P_2(0) = -1/2, P_2(1) = 1: defect 3/2 dominates every degree
         for n in (2, 5, 50):
             assert op_norm_diff(1.0, n) == pytest.approx(1.5, abs=1e-15)
+
+    def test_rejects_delta_outside_interval(self):
+        # the defect pass checks delta: beyond 1e-12 of rounding it is an error
+        for delta in (1.5, -1.0 - 1e-9):
+            with pytest.raises(ValueError):
+                op_norm_diff_certificate(delta, 10)
+            for p in (5.0, np.inf):
+                with pytest.raises(ValueError):
+                    schatten_norm_diff(delta, p, 10)
+        assert op_norm_diff(1.0 + 5e-13, 10) == op_norm_diff(1.0, 10)
 
     def test_holder_bound_example(self):
         assert op_norm_diff(0.04, 500) <= 4.0 * np.sqrt(0.04)
@@ -112,6 +123,24 @@ class TestSchattenNormDiff:
         delta, p, n = 0.3, 5.0, 2048
         s_n, s_2n = diff_power_sums([delta], [p], [n, 2 * n])[0, 0, :] ** p
         assert s_2n - s_n <= schatten_tail_bound(delta, p, n)
+
+    def test_tail_bound_infinite_at_unit_delta(self):
+        # at |delta| = 1 the terms (2n+1)|P_n(delta) - P_n(0)|^p grow like 2n+1 on odd n
+        for delta in (1.0, -1.0):
+            assert diff_power_windows([delta], [5.0], [1024, 2048])[0, 0, 1] > 3e6
+            assert schatten_tail_bound(delta, 5.0, 1024) == np.inf
+
+    def test_windows_summed_on_their_own_across_blocks(self):
+        # one delta and the 0.0 abscissa make blocks of 2^15 rows: the windows cross
+        # block edges, and a repeated checkpoint closes an empty window
+        delta, p, checkpoints = 0.3, 6.0, [1000, 40000, 40000, 70000]
+        n = np.arange(70001)
+        terms = (2 * n + 1) * np.abs(legendre_table(70000, delta) - legendre_at_zero(70000)) ** p
+        want = [terms[1:1001].sum(), terms[1001:40001].sum(), 0.0, terms[40001:].sum()]
+        windows = diff_power_windows([delta], [p], checkpoints)[0, 0]
+        np.testing.assert_allclose(windows, want, rtol=1e-12, atol=0)
+        sums = diff_power_sums([delta], [p], checkpoints)[0, 0]
+        np.testing.assert_allclose(sums, np.cumsum(want) ** (1 / p), rtol=1e-12, atol=0)
 
 
 class TestSchattenTailEstimate:
