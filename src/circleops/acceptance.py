@@ -146,8 +146,9 @@ def criterion_3() -> CriterionResult:
     def body():
         ok = True
         parts = []
-        for delta, floor in ((0.3, 0.1), (0.99, 4.0)):
-            sums = divergence_probe_p4(delta, [2**k for k in range(10, 17)])
+        deltas = (0.3, 0.99)
+        probes = divergence_probe_p4(deltas, [2**k for k in range(10, 17)])
+        for delta, floor, sums in zip(deltas, (0.1, 4.0), probes):
             inc = np.diff(sums)
             ok &= bool(np.all(inc > floor)) and inc.max() / inc.min() < 1.5
             parts.append(f"delta={delta}: increments in [{inc.min():.4f}, {inc.max():.4f}]")

@@ -8,6 +8,8 @@ double precision, which is stable on the interval.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -17,6 +19,7 @@ __all__ = [
     "legendre_defect",
     "holder_defect",
     "bernstein_envelope",
+    "gauss_rule",
     "HOLDER_CONSTANT",
 ]
 
@@ -98,6 +101,14 @@ def legendre_defect(max_degree: int, x) -> np.ndarray:
 def holder_defect(n: int, delta: float) -> float:
     """|P_n(0) - P_n(delta)|, guaranteed <= 4 * sqrt(|delta|)."""
     return abs(float(legendre_defect(n, delta)[n]))
+
+
+@functools.lru_cache(maxsize=128)
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] (numpy's leggauss), built once per n, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def bernstein_envelope(n: int, x) -> float | np.ndarray:

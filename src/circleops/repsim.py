@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NumericalDegeneracyError
-from .legendre import legendre_table
+from .legendre import gauss_rule, legendre_table
 from .sphere import SphereGrid, real_sph_harm_matrix
 
 __all__ = [
@@ -153,7 +153,7 @@ def k_average_matrix(grid: SphereGrid, k_quadrature: int | None = None) -> np.nd
     if resid > 1e-12:
         raise NumericalDegeneracyError("axis_average", f"azimuthal average residual {resid}")
 
-    xg, wg = np.polynomial.legendre.leggauss(n_beta)
+    xg, wg = gauss_rule(n_beta)
     betas = np.arccos(xg)
     m0 = _m_zero_columns(B)
     y0 = grid.basis[:, m0]
@@ -184,7 +184,7 @@ def k_averaged_operator(
 
 def _inner_profile(z: np.ndarray, nodes: int) -> np.ndarray:
     """F(z) = int_0^z (1+u^2)^(-3/4) du via u = sinh(w), Gauss-Legendre in w."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = gauss_rule(nodes)
     w_upper = np.arcsinh(z)
     half = 0.5 * w_upper
     pts = half[..., None] * (xs + 1.0)

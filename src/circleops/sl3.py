@@ -10,6 +10,7 @@ pins the whole certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,22 +163,28 @@ def _top_exponent(alpha: float, delta: float) -> float:
     return float(np.log(_top_singular(alpha, alpha, delta)))
 
 
-def solve_delta_for_top(alpha: float, target_a1: float, grid: int = 64) -> float:
-    """Bisection for the delta with j_alpha(alpha, delta).a1 = target_a1.
-
-    The top exponent grows from alpha/2 (delta = 0) to 2 alpha (delta = 1);
-    monotonicity is verified on a coarse grid before bisecting and any
-    violation aborts.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not alpha / 2.0 - 1e-12 <= target_a1 <= 2.0 * alpha + 1e-12:
-        raise ValueError("target outside the attainable range [alpha/2, 2 alpha]")
+@functools.lru_cache(maxsize=256)
+def _check_monotone(alpha: float, grid: int) -> None:
+    """Raise unless the top exponent is nondecreasing on grid samples of delta; one check per level."""
     samples = np.array([_top_exponent(alpha, d) for d in np.linspace(0.0, 1.0, grid)])
     if np.any(np.diff(samples) < -1e-12):
         raise NumericalDegeneracyError(
             "jalpha_monotonicity", "top singular exponent not nondecreasing in delta"
         )
+
+
+def solve_delta_for_top(alpha: float, target_a1: float, grid: int = 64) -> float:
+    """Bisection for the delta with j_alpha(alpha, delta).a1 = target_a1.
+
+    The top exponent grows from alpha/2 (delta = 0) to 2 alpha (delta = 1);
+    monotonicity is verified on a coarse grid (once per alpha and grid)
+    before bisecting and any violation aborts.
+    """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if not alpha / 2.0 - 1e-12 <= target_a1 <= 2.0 * alpha + 1e-12:
+        raise ValueError("target outside the attainable range [alpha/2, 2 alpha]")
+    _check_monotone(float(alpha), int(grid))
     if _top_exponent(alpha, 0.0) >= target_a1:
         return 0.0
     return _bisect(lambda delta: _top_exponent(alpha, delta) < target_a1)

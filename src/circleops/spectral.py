@@ -19,6 +19,7 @@ from .legendre import (
     _defect_blocks,
     _row_blocks,
     bernstein_envelope,
+    gauss_rule,
     legendre_defect,
     legendre_table,
 )
@@ -52,7 +53,7 @@ _RESONANCE_TOL = 1e-12
 _TAIL_START = 256  # expansion used from n >= 256 and n sin(theta) >= 256 on
 _TAIL_HEAD_CAP = 2**16  # most degrees summed exactly before the expansion takes over
 _RAY_STEP = 0.2  # Abel-Plana ray integral: trapezoidal step, error ~ e^(-pi^2 / step)
-_PLANA_NODES, _PLANA_WEIGHTS = np.polynomial.legendre.leggauss(16)  # per unit panel
+_PLANA_NODES, _PLANA_WEIGHTS = gauss_rule(16)  # per unit panel
 
 
 @dataclass(frozen=True)
@@ -401,16 +402,19 @@ def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
     )
 
 
-def divergence_probe_p4(delta: float, n_list) -> np.ndarray:
+def divergence_probe_p4(delta, n_list) -> np.ndarray:
     """Partial sums sum_{n<=N} (2n+1) P_n(delta)^4 at each N in n_list.
 
     At p = 4 these grow logarithmically for |delta| < 1; this probe records
-    the growth, it does not assert divergence.
+    the growth, it does not assert divergence.  A 1-D array of deltas shares
+    one recurrence pass and gives shape (len(delta), len(n_list)).
     """
-    if abs(delta) >= 1.0:
+    deltas = np.asarray(delta, dtype=float)
+    if np.any(np.abs(deltas) >= 1.0):
         raise ValueError("probe requires |delta| < 1")
     checkpoints = sorted(int(n) for n in n_list)
     if checkpoints[0] < 0:
         raise ValueError("degrees must be nonnegative")
-    blocks = _row_blocks(checkpoints[-1], np.array([float(delta)]))
-    return np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0, 0])
+    blocks = _row_blocks(checkpoints[-1], np.atleast_1d(deltas))
+    sums = np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0], axis=-1)
+    return sums.reshape(deltas.shape + sums.shape[-1:])

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .legendre import legendre_table
+from .legendre import gauss_rule, legendre_table
 
 __all__ = [
     "real_sph_harm_matrix",
@@ -131,7 +131,7 @@ class SphereGrid:
             raise ValueError("band limit must be nonnegative")
         n_lat = lat_oversample * (band_limit + 1)
         n_lon = lon_oversample * (2 * band_limit + 1)
-        xg, wg = np.polynomial.legendre.leggauss(n_lat)
+        xg, wg = gauss_rule(n_lat)
         phis = 2.0 * np.pi * (np.arange(n_lon) + 0.5) / n_lon
         sin_t = np.sqrt(1.0 - xg * xg)
         nodes = np.empty((n_lat * n_lon, 3))

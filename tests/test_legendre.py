@@ -10,6 +10,7 @@ from circleops.legendre import (
     HOLDER_CONSTANT,
     _row_blocks,
     bernstein_envelope,
+    gauss_rule,
     holder_defect,
     legendre_at_zero,
     legendre_defect,
@@ -141,3 +142,18 @@ def test_bernstein_envelope_dominates():
 def test_bernstein_envelope_rejects_degree_zero():
     with pytest.raises(ValueError):
         bernstein_envelope(0, 0.5)
+
+
+@pytest.mark.parametrize("n", [16, 33, 96, 192])
+def test_gauss_rule_is_leggauss_bit_for_bit(n):
+    nodes, weights = gauss_rule(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    assert gauss_rule(n)[0] is nodes  # computed once, shared afterwards
+
+
+def test_gauss_rule_arrays_are_read_only():
+    for array in gauss_rule(33):
+        with pytest.raises(ValueError):
+            array[0] = 0.0

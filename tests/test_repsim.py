@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.linalg import expm
 
 from circleops.legendre import legendre_at_zero
@@ -134,7 +135,33 @@ class TestOperators:
         assert grid_value == pytest.approx(matrix_coefficient(2), rel=0.05)
 
 
+def _matrix_coefficient_fresh_rule(n: float, inner_nodes: int) -> float:
+    """Reference c(n) that builds its Gauss-Legendre rule afresh on every integrand call."""
+    a2, b2 = np.exp(-2.0 * n), np.exp(2.0 * n)
+
+    def profile(z):
+        xs, ws = np.polynomial.legendre.leggauss(inner_nodes)
+        w_upper = np.arcsinh(z)
+        half = 0.5 * w_upper
+        pts = half[..., None] * (xs + 1.0)
+        return half * np.sum(ws * np.cosh(pts) ** -0.5, axis=-1)
+
+    def inner(phi):
+        c = a2 * np.cos(phi) ** 2 + np.sin(phi) ** 2
+        d = b2 - c
+        return 2.0 * c**-0.25 * d**-0.5 * float(profile(np.array(d / c) ** 0.5))
+
+    val, _ = integrate.quad(inner, 0.0, np.pi / 2.0, limit=400, epsabs=1e-13, epsrel=1e-12)
+    return val / np.pi
+
+
 class TestDecay:
+    @pytest.mark.parametrize("inner_nodes", [96, 192])
+    def test_cached_rule_is_bit_identical(self, inner_nodes):
+        for n in range(1, 7):
+            want = _matrix_coefficient_fresh_rule(n, inner_nodes)
+            assert matrix_coefficient(n, inner_nodes=inner_nodes) == want
+
     def test_unit_at_identity(self):
         assert matrix_coefficient(0) == 1.0
 

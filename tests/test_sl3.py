@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from circleops import sl3
 from circleops.errors import NumericalDegeneracyError
 from circleops.sl3 import (
     LambdaPoint,
@@ -162,6 +163,33 @@ class TestSlideFamily:
     def test_solver_range_guard(self):
         with pytest.raises(ValueError):
             solve_delta_for_top(1.0, 2.5)
+
+
+class TestMonotonicityCheck:
+    def test_samples_the_full_grid_once_per_level(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, delta):
+            calls.append(delta)
+            return _top_exponent(alpha, delta)
+
+        sl3._check_monotone.cache_clear()
+        monkeypatch.setattr(sl3, "_top_exponent", counted)
+        sl3._check_monotone(2.0, 64)
+        assert calls == list(np.linspace(0.0, 1.0, 64))
+        sl3._check_monotone(2.0, 64)
+        assert len(calls) == 64
+        sl3._check_monotone(2.0, 33)
+        assert len(calls) == 64 + 33
+
+    def test_violation_raises_on_every_call(self, monkeypatch):
+        sl3._check_monotone.cache_clear()
+        monkeypatch.setattr(sl3, "_top_exponent", lambda alpha, delta: alpha * (1.0 + np.sin(6.0 * delta)))
+        for _ in range(2):
+            with pytest.raises(NumericalDegeneracyError) as err:
+                solve_delta_for_top(1.3, 1.0)
+            assert err.value.invariant == "jalpha_monotonicity"
+        assert sl3._check_monotone.cache_info().currsize == 0
 
 
 class TestEmbedding:

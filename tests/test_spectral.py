@@ -230,3 +230,13 @@ class TestDivergenceProbe:
     def test_rejects_unit_delta(self):
         with pytest.raises(ValueError):
             divergence_probe_p4(1.0, [16])
+        with pytest.raises(ValueError):
+            divergence_probe_p4([0.3, -1.0], [16])
+
+    def test_delta_grid_in_one_pass(self):
+        ns = [2**k for k in range(8, 13)]
+        sums = divergence_probe_p4([0.3, 0.99], ns)
+        assert sums.shape == (2, len(ns))
+        assert divergence_probe_p4(0.3, ns).shape == (len(ns),)
+        for row, delta in zip(sums, (0.3, 0.99)):
+            np.testing.assert_allclose(row, divergence_probe_p4(delta, ns), rtol=1e-13)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from circleops import sl3
 from circleops.sl3 import LambdaPoint
 from circleops.zigzag import (
     J_ALPHA_SLIDE,
@@ -77,6 +78,15 @@ class TestAnnulus:
         bound, ledger = annulus_diameter_bound(alpha, eps, HILBERT, a, b)
         assert len(ledger.segments) == 3
         assert ledger.total <= bound
+
+    def test_one_monotonicity_check_per_slide_level(self):
+        a, b = slide_point(2.1, 1.4), slide_point(2.8, 2.0)  # slice levels 2.1 and 2.8
+        sl3._check_monotone.cache_clear()
+        _, ledger = annulus_diameter_bound(2.0, 0.5, HILBERT, a, b)
+        info = sl3._check_monotone.cache_info()
+        assert len(ledger.segments) == 3
+        assert info.hits + info.misses == 2 * len(ledger.segments)  # one slide solve per endpoint
+        assert info.misses == 2
 
     def test_same_reflected_side_three_segments(self):
         alpha, eps = 2.0, 0.5
