@@ -11,7 +11,9 @@ import numpy as np
 
 from circleops import sl3
 from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coefficient
+from circleops.legendre import legendre_table
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
+from circleops.sphere import SphereGrid, circle_average_operator, degree_of_column
 from circleops.zigzag import ExponentProfile, annulus_diameter_bound
 
 HILBERT = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
@@ -20,6 +22,13 @@ HILBERT = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.
 def test_matrix_coefficient(benchmark):
     value = benchmark(matrix_coefficient, 6)
     assert 0.0 < value <= DECAY_BOUND_CONSTANT * np.exp(-DECAY_BOUND_RATE * 6)
+
+
+def test_circle_average_operator(benchmark):
+    grid = SphereGrid.build(32)
+    averaged = benchmark(circle_average_operator, grid, 0.3)
+    eigs = legendre_table(32, 0.3)[degree_of_column(32)]
+    assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
 
 
 def test_solve_delta_for_top(benchmark):

@@ -119,17 +119,26 @@ def _difference_tail_bound(delta: float, truncation: int, zero_part: float) -> f
     return min(zero_part + delta_part, _APRIORI_BOUND)
 
 
-def op_norm_diff_certificate(delta: float, truncation: int) -> OpNormCertificate:
-    """Head sup and tail envelope for the eigenvalue defects |P_n(0) - P_n(delta)|."""
+def _op_norm_certificates(deltas, truncation: int) -> list[OpNormCertificate]:
+    """op_norm_diff_certificate at every delta of a grid, all from one blocked defect pass."""
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    # One pass to the first even degree m past N checks delta and gives the head and |P_m(0)|.
+    # One pass to the first even degree m past N checks the deltas, gives the heads and |P_m(0)|.
     m = truncation + 1 if truncation % 2 else truncation + 2
-    ((defects, zeros),) = _defect_blocks(m, [delta], m + 1)
-    return OpNormCertificate(
-        head=float(np.abs(defects[: truncation + 1]).max()),
-        tail_bound=_difference_tail_bound(float(np.clip(delta, -1, 1)), truncation, abs(zeros[m])),
-    )
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    heads, first = 0.0, 0  # first: degree of the block's first row
+    for defects, zeros in _defect_blocks(m, deltas):
+        head_rows = np.abs(defects[: max(truncation + 1 - first, 0)])
+        heads, first = np.maximum(heads, head_rows.max(axis=0, initial=0.0)), first + len(defects)
+    return [
+        OpNormCertificate(float(head), _difference_tail_bound(d, truncation, abs(zeros[-1])))
+        for head, d in zip(heads, np.clip(deltas, -1, 1).tolist())
+    ]
+
+
+def op_norm_diff_certificate(delta: float, truncation: int) -> OpNormCertificate:
+    """Head sup and tail envelope for the eigenvalue defects |P_n(0) - P_n(delta)|."""
+    return _op_norm_certificates([delta], truncation)[0]
 
 
 def op_norm_diff(delta: float, truncation: int) -> float:
@@ -383,7 +392,7 @@ def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
     if np.any(deltas <= 0) or np.any(deltas > 0.5):
         raise ValueError("delta grid must lie in (0, 1/2]")
     if np.isinf(p):
-        vals = np.array([op_norm_diff(d, n_max) for d in deltas])
+        vals = np.array([cert.value for cert in _op_norm_certificates(deltas, n_max)])
         theory = 0.5
     else:
         vals = diff_power_sums(deltas, [p], [n_max])[0, :, 0]

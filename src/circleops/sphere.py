@@ -11,7 +11,6 @@ normalized surface measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -192,19 +191,14 @@ def _check_delta(delta: float) -> float:
     return float(np.clip(delta, -1.0, 1.0))
 
 
-def _circle_mean(grid: SphereGrid, delta: float, quadrature_points, frames, values, acc):
-    """Mean of values(points) over the M-point rule on every node's circle, summed into acc."""
+def _circle_rule(grid: SphereGrid, delta: float, quadrature_points):
+    """Checked delta, circle radius sqrt(1 - delta^2) and point count M >= 2B+1."""
     delta = _check_delta(delta)
     B = grid.band_limit
     M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
     if M < 2 * B + 1:
         raise ValueError(f"need at least {2 * B + 1} circle quadrature points at band limit {B}")
-    u, v = tangent_frames(grid.nodes) if frames is None else frames
-    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
-    for j in range(M):
-        phi = 2.0 * np.pi * j / M
-        acc += values(delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v))
-    return acc / M
+    return delta, np.sqrt(max(0.0, 1.0 - delta * delta)), M
 
 
 def circle_average_operator(
@@ -213,11 +207,28 @@ def circle_average_operator(
     """Matrix of circle averages of every basis harmonic, sampled on the grid.
 
     Column (n, m) holds the average of Y_n^m over the circles at inner product
-    delta around each grid node; shape (n_nodes, n_coeff).
+    delta around each grid node; shape (n_nodes, n_coeff).  Node l of a ring is
+    R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point rule runs
+    on the first nodes' circles only (frame e_phi, e_theta); at node l the order-m pair
+    (cos, sin) = (a, b) becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
     """
-    harmonics = partial(real_sph_harm_matrix, band_limit=grid.band_limit)
-    acc = np.zeros((grid.nodes.shape[0], grid.n_coeff))
-    return _circle_mean(grid, delta, quadrature_points, None, harmonics, acc)
+    delta, radius, M = _circle_rule(grid, delta, quadrature_points)
+    n_lon = np.count_nonzero(grid.nodes[:, 2] == grid.nodes[0, 2])  # a ring shares one height
+    rings = grid.nodes.reshape(-1, n_lon, 3)  # ValueError unless n_lon divides the node count
+    first, beta = rings[:, 0], 2.0 * np.pi * np.arange(n_lon) / n_lon
+    w = rings[..., 0] + 1j * rings[..., 1]  # node l: w_0 exp(i beta_l) at one height
+    if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
+        raise ValueError("circle_average_operator needs the longitude rings of SphereGrid.build")
+    e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
+    psi = 2.0 * np.pi * np.arange(M)[:, None, None] / M
+    circles = delta * first + radius * (np.cos(psi) * e_phi + np.sin(psi) * np.cross(e_phi, first))
+    values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T  # (coeffs, M * rings)
+    means = values.reshape(grid.n_coeff, M, -1).mean(axis=1).T  # (rings, coeffs)
+    offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2  # 2m-1: cos, 2m: sin
+    partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
+    turn = np.outer(beta, (offset + 1) // 2)
+    c, s = np.cos(turn), np.where(offset % 2, -1.0, 1.0) * np.sin(turn)
+    return np.concatenate([a * c + a[partner] * s for a in means])
 
 
 def circle_average(
@@ -230,14 +241,18 @@ def circle_average(
     """Average a band-limited function over circles at inner product delta.
 
     The input is sampled on the grid; it is analyzed to coefficients, then
-    averaged by an M-point trapezoid rule on each circle (exact for
+    averaged by an M-point trapezoid rule on each node's circle (exact for
     band-limited integrands when M >= 2 band_limit + 1).  The result does not
     depend on the tangent frames; custom frames may be passed to verify that.
+    This pointwise rule is the check on circle_average_operator's ring path.
     """
+    delta, radius, M = _circle_rule(grid, delta, quadrature_points)
     coeffs = grid.analyze(samples)
-    values = partial(grid.synthesize, coeffs)
-    acc = np.zeros(grid.nodes.shape[0])
-    return _circle_mean(grid, delta, quadrature_points, frames, values, acc)
+    u, v = tangent_frames(grid.nodes) if frames is None else frames
+    return sum(
+        grid.synthesize(coeffs, delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v))
+        for phi in 2.0 * np.pi * np.arange(M) / M
+    ) / M
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from circleops.legendre import legendre_at_zero, legendre_table
+from circleops.legendre import legendre_at_zero, legendre_defect, legendre_table
 from circleops.spectral import (
     SpectralOperator,
+    _difference_tail_bound,
     _lerch_abel_plana,
     diff_power_sums,
     diff_power_windows,
@@ -210,6 +211,23 @@ class TestFitDecay:
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
             fit_decay(8.0, [0.25, 0.25, 0.25])
+
+    @pytest.mark.parametrize("n_max", [2**13 + 1, 11913])
+    def test_sup_norm_grid_matches_one_pass_per_delta(self, n_max):
+        # one blocked pass over the grid against a one-block pass per delta, bit for bit;
+        # 11 abscissae make blocks of 65536 // 11 = 5957 rows, so at 11913 the head
+        # (rows 0..11913) ends on a block boundary and row m = 11914 is a block of its own
+        m = n_max + 1 if n_max % 2 else n_max + 2
+        zero_part = abs(legendre_at_zero(m)[m])
+        expected = [
+            max(
+                float(np.abs(legendre_defect(m, d)[: n_max + 1]).max()),
+                _difference_tail_bound(d, n_max, zero_part),
+            )
+            for d in self.GRID[::-1]
+        ]
+        fit = fit_decay(np.inf, self.GRID, n_max=n_max)
+        assert [value for _, value in fit.grid] == expected
 
 
 class TestDivergenceProbe:

@@ -82,6 +82,48 @@ def test_quadrature_size_guard(grid):
         circle_average(grid, np.ones(grid.nodes.shape[0]), 0.3, quadrature_points=BAND)
 
 
+def _pointwise_operator(grid, delta, points):
+    """Brute-force operator: the points-point rule on every node's own circle, tangent_frames."""
+    u, v = tangent_frames(grid.nodes)
+    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
+    total = np.zeros((grid.nodes.shape[0], grid.n_coeff))
+    for j in range(points):
+        phi = 2.0 * np.pi * j / points
+        circle = delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v)
+        total += real_sph_harm_matrix(circle, grid.band_limit)
+    return total / points
+
+
+@pytest.mark.parametrize("band", [4, 8, 12])
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("rule", ["2B+1", "4B+3"])
+def test_ring_operator_matches_pointwise_quadrature(band, oversample, rule):
+    g = SphereGrid.build(band, lat_oversample=oversample, lon_oversample=oversample)
+    points = {"2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
+    for delta in (-1.0, 0.0, 0.41, 1.0):
+        ring = circle_average_operator(g, delta, quadrature_points=points)
+        np.testing.assert_allclose(ring, _pointwise_operator(g, delta, points), rtol=1e-12, atol=1e-12)
+
+
+def test_operator_quadrature_size_guard(grid):
+    with pytest.raises(ValueError):
+        circle_average_operator(grid, 0.3, quadrature_points=BAND)
+
+
+def test_operator_rejects_non_ring_grid():
+    g = SphereGrid.build(6)
+    by_hand = circle_average_operator(SphereGrid(6, g.nodes, g.weights), 0.3)
+    np.testing.assert_array_equal(by_hand, circle_average_operator(g, 0.3))
+    flipped = g.nodes.copy()
+    flipped[20, 2] *= -1.0  # a second-ring node: same longitude, other hemisphere
+    turned = g.nodes.copy()
+    turned[15, :2] = turned[15, 1::-1] * [-1.0, 1.0]  # one node turned by a quarter about the axis
+    shuffled = g.nodes[np.random.default_rng(2).permutation(g.nodes.shape[0])]
+    for nodes in (flipped, turned, shuffled, g.nodes[:-1]):  # the last: 90 nodes, rings of 13
+        with pytest.raises(ValueError):
+            circle_average_operator(SphereGrid(6, nodes, g.weights[: len(nodes)]), 0.3)
+
+
 def test_self_adjoint_on_grid():
     g = SphereGrid.build(8)
     op = circle_average_operator(g, 0.41) @ (g.basis.T * g.weights[None, :])
