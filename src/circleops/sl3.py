@@ -2,15 +2,20 @@
 
 The KAK decomposition is an SVD with both orthogonal factors sign-corrected
 into the rotation group; the Weyl-cone point (a1 >= a2 >= a3, sum 0) of the
-log singular values identifies the double coset.  The embedding solver works
-on the 2x2 block that the one-parameter rotation family leaves invariant:
-its determinant is fixed, so matching the top singular value by bisection
-pins the whole certificate.
+log singular values identifies the double coset.
+
+The slide D_a x_d D_a and the embedding D_b x_d D_a (b = 2g - a) act on the
+(1,2)-block [[a11 d, -a12 s], [a21 s, a22 d]], s = sqrt(1 - d^2), with
+a11 = e^(2g), a12 = e^(b - a/2), a21 = e^(a - b/2), a22 = e^(-g).  Its
+determinant e^g is fixed and its squared Frobenius norm is F0 + d^2 (F1 - F0),
+F1 - F0 = e^(-a-b)(e^(3a)-1)(e^(3b)-1) > 0, so the top singular value t grows
+with d and gives d^2 = (t^2 - a12^2)(t^2 - a21^2) / (t^2 (F1 - F0)) exactly.
+A non-finite log(F1 - F0) raises NumericalDegeneracyError("block_frobenius_gap");
+an embedding target needing d > 1 beyond rounding raises ("embedding_range").
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,43 +156,44 @@ def j_alpha(alpha: float, delta: float) -> LambdaPoint:
     return kak(da @ x_delta(delta) @ da).a
 
 
-def _bisect(below) -> float:
-    """Bisect [0, 1] for the edge of below(delta); stops when the midpoint hits an endpoint."""
-    lo, hi = 0.0, 1.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        lo, hi = (mid, hi) if below(mid) else (lo, mid)
-    return mid
+def _solve_delta(gamma: float, alpha: float, log_top: float, slack: float) -> float:
+    """d giving the block top singular value t = e^log_top (module docstring).
 
-
-def _top_exponent(alpha: float, delta: float) -> float:
-    return float(np.log(_top_singular(alpha, alpha, delta)))
-
-
-@functools.lru_cache(maxsize=256)
-def _check_monotone(alpha: float, grid: int) -> None:
-    """Raise unless the top exponent is nondecreasing on grid samples of delta; one check per level."""
-    samples = np.array([_top_exponent(alpha, d) for d in np.linspace(0.0, 1.0, grid)])
-    if np.any(np.diff(samples) < -1e-12):
+    0.0 when the top at d = 0, max(a12, a21), already reaches t (1 - slack);
+    otherwise every factor is positive and is summed in log space, each
+    t^2 - a^2 as t^2 (-expm1(2 (log a - log t))), so nothing overflows or
+    underflows at small or large a.  The result can exceed 1 by rounding.
+    """
+    b = 2.0 * gamma - alpha
+    l12, l21 = b - alpha / 2.0, alpha - b / 2.0
+    if max(l12, l21) >= log_top + np.log1p(-slack):
+        return 0.0
+    # log(F1 - F0) = 2(a + b) + excess; not finite when a or b <= 0 (gap <= 0)
+    excess = np.log(-np.expm1(-3.0 * alpha)) + np.log(-np.expm1(-3.0 * b))
+    if not np.isfinite(2.0 * (alpha + b) + excess):
         raise NumericalDegeneracyError(
-            "jalpha_monotonicity", "top singular exponent not nondecreasing in delta"
+            "block_frobenius_gap", f"log(F1 - F0) not finite at a = {alpha}, b = {b}"
         )
+    # log(t^2 / (F1 - F0)) plus the logs of the two positive factors 1 - a^2 / t^2
+    log_d2 = 2.0 * (log_top - 2.0 * gamma) - excess
+    log_d2 += np.log(-np.expm1(2.0 * (l12 - log_top))) + np.log(-np.expm1(2.0 * (l21 - log_top)))
+    return float(np.exp(0.5 * log_d2))
 
 
-def solve_delta_for_top(alpha: float, target_a1: float, grid: int = 64) -> float:
-    """Bisection for the delta with j_alpha(alpha, delta).a1 = target_a1.
+def solve_delta_for_top(alpha: float, target_a1: float) -> float:
+    """The delta in [0, 1] with j_alpha(alpha, delta).a1 = target_a1, in closed form.
 
-    The top exponent grows from alpha/2 (delta = 0) to 2 alpha (delta = 1);
-    monotonicity is verified on a coarse grid (once per alpha and grid)
-    before bisecting and any violation aborts.
+    The case g = a of the block in the module docstring: delta = 0 when
+    target_a1 <= alpha/2 (no slack, so the zigzag cost 4 delta^(1/2) is never
+    understated), otherwise delta = (e^r - e^(alpha - r)) / (e^(2 alpha) - e^(-alpha))
+    at r = target_a1, evaluated in log space.  A non-finite log(F1 - F0)
+    raises NumericalDegeneracyError.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if not alpha / 2.0 - 1e-12 <= target_a1 <= 2.0 * alpha + 1e-12:
         raise ValueError("target outside the attainable range [alpha/2, 2 alpha]")
-    _check_monotone(float(alpha), int(grid))
-    if _top_exponent(alpha, 0.0) >= target_a1:
-        return 0.0
-    return _bisect(lambda delta: _top_exponent(alpha, delta) < target_a1)
+    return min(1.0, _solve_delta(alpha, alpha, target_a1, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +241,6 @@ def _pair_matrix(gamma: float, alpha: float, delta: float) -> np.ndarray:
     return d_alpha(2.0 * gamma - alpha) @ x_delta(delta) @ d_alpha(alpha)
 
 
-def _top_singular(gamma: float, alpha: float, delta: float) -> float:
-    return float(np.linalg.svd(_pair_matrix(gamma, alpha, delta)[:2, :2], compute_uv=False)[0])
-
-
 def _rotation_svd_2x2(b: np.ndarray):
     """SVD of a positive-determinant 2x2 with both factors rotations.
 
@@ -265,17 +267,14 @@ def _embed_rotation(r2: np.ndarray) -> np.ndarray:
 
 def _solve_case(gamma: float, alpha: float, diag: np.ndarray):
     """(delta, k, k', relative residual) for the case with this target diagonal."""
-    target_top = diag[0, 0]
     # relative slack: at the tangent edge alpha = 7 gamma / 6 the top singular
-    # value meets the target quadratically, so exact comparison is fp-noise
-    if _top_singular(gamma, alpha, 0.0) >= target_top * (1.0 - 1e-13):
-        delta = 0.0
-    else:
-        if _top_singular(gamma, alpha, 1.0) < target_top:
-            raise NumericalDegeneracyError(
-                "embedding_bisection", "target singular value outside attainable range"
-            )
-        delta = _bisect(lambda d: _top_singular(gamma, alpha, d) < target_top)
+    # value at delta = 0 meets the target quadratically, so exact comparison is fp-noise
+    delta = _solve_delta(gamma, alpha, float(np.log(diag[0, 0])), 1e-13)
+    if delta > 1.0 + 1e-12:
+        raise NumericalDegeneracyError(
+            "embedding_range", f"target singular value needs delta = {delta} > 1"
+        )
+    delta = min(1.0, delta)
     m = _pair_matrix(gamma, alpha, delta)
     u, _, vt = _rotation_svd_2x2(m[:2, :2])
     k, kp = _embed_rotation(u), _embed_rotation(vt)

@@ -47,27 +47,27 @@ def _basis_block(z, cphi, sphi, band_limit, out):
     sm = np.zeros(npts)
     q_prev = np.empty(npts)
     q_cur = np.empty(npts)
+
+    def write(n, q):
+        """Degree-n column(s) of the loop's current order m (cos/sin pair if m > 0)."""
+        if m == 0:
+            out[n * n] = q
+        else:
+            out[n * n + 2 * m - 1] = sqrt2 * q * cm
+            out[n * n + 2 * m] = sqrt2 * q * sm
+
     for m in range(band_limit + 1):
         if m > 0:
             qmm *= u
             qmm *= np.sqrt((2 * m + 1) / (2.0 * m))
             cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
         np.copyto(q_prev, qmm)
-        if m == 0:
-            out[m * m] = q_prev
-        else:
-            out[m * m + 2 * m - 1] = sqrt2 * q_prev * cm
-            out[m * m + 2 * m] = sqrt2 * q_prev * sm
+        write(m, q_prev)
         if m == band_limit:
             break
         np.multiply(z, qmm, out=q_cur)
         q_cur *= np.sqrt(2 * m + 3.0)
-        n = m + 1
-        if m == 0:
-            out[n * n] = q_cur
-        else:
-            out[n * n + 2 * m - 1] = sqrt2 * q_cur * cm
-            out[n * n + 2 * m] = sqrt2 * q_cur * sm
+        write(m + 1, q_cur)
         for n in range(m + 2, band_limit + 1):
             a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
             b = np.sqrt(
@@ -77,11 +77,7 @@ def _basis_block(z, cphi, sphi, band_limit, out):
             q_prev *= -b
             q_prev += a * z * q_cur
             q_prev, q_cur = q_cur, q_prev
-            if m == 0:
-                out[n * n] = q_cur
-            else:
-                out[n * n + 2 * m - 1] = sqrt2 * q_cur * cm
-                out[n * n + 2 * m] = sqrt2 * q_cur * sm
+            write(n, q_cur)
 
 
 def real_sph_harm_matrix(points: np.ndarray, band_limit: int, chunk: int = 16384) -> np.ndarray:

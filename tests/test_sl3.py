@@ -1,14 +1,15 @@
 """Tests for the 3x3 geometry: KAK, length, slide family, embedding certificates."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleops import sl3
 from circleops.errors import NumericalDegeneracyError
 from circleops.sl3 import (
     LambdaPoint,
-    _top_exponent,
-    _top_singular,
     d_alpha,
     embedding2_solve,
     in_rotation_group,
@@ -19,8 +20,9 @@ from circleops.sl3 import (
     x_delta,
 )
 
+
 def _bisect_200(below):
-    """Reference: the fixed 200 halvings the solvers ran before stopping at a collapsed bracket."""
+    """Second oracle: 200 halvings of [0, 1] for the edge of below(delta)."""
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -31,19 +33,113 @@ def _bisect_200(below):
     return 0.5 * (lo + hi)
 
 
-def test_bisection_matches_fixed_200_halvings():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        alpha = rng.uniform(0.5, 5.0)
-        target = rng.uniform(alpha / 2, 2 * alpha)
-        want = _bisect_200(lambda d: _top_exponent(alpha, d) < target)
-        assert solve_delta_for_top(alpha, target) == want
-        gamma = rng.uniform(0.5, 8.0)
-        alpha = rng.uniform(gamma, 7 * gamma / 6)
-        cert = embedding2_solve(gamma, alpha)
-        for delta, top in ((cert.delta1, np.exp(gamma)), (cert.delta2, np.exp(0.75 * gamma))):
-            if delta > 0.0:
-                assert delta == _bisect_200(lambda d: _top_singular(gamma, alpha, d) < top)
+def _svd_top(gamma, alpha, delta):
+    """Top singular value of the (1,2)-block of D_(2g-a) x_delta D_a, by SVD."""
+    m = d_alpha(2.0 * gamma - alpha) @ x_delta(delta) @ d_alpha(alpha)
+    return np.linalg.svd(m[:2, :2], compute_uv=False)[0]
+
+
+def _mp_delta(gamma, alpha, top=None, log_top=None):
+    """50-digit delta giving block top singular value top (or e^log_top), from the float inputs.
+
+    Written with expm1 so that 50 digits resolve levels down to 1e-200:
+    delta^2 = expm1(2(l12 - lt)) expm1(2(l21 - lt)) e^(2 lt + a + b) / (expm1(3a) expm1(3b)).
+    """
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(2.0 * gamma - alpha)
+        lt = mpmath.log(mpmath.mpf(top)) if log_top is None else mpmath.mpf(log_top)
+        l12, l21 = b - a / 2, a - b / 2
+        if lt <= max(l12, l21):
+            return 0.0
+        d2 = mpmath.expm1(2 * (l12 - lt)) * mpmath.expm1(2 * (l21 - lt))
+        d2 *= mpmath.exp(2 * lt + a + b) / (mpmath.expm1(3 * a) * mpmath.expm1(3 * b))
+        return float(mpmath.sqrt(d2))
+
+
+class TestClosedFormSolve:
+    def test_slide_matches_mpmath(self):
+        rng = np.random.default_rng(5)
+        for i in range(420):
+            alpha = rng.uniform(0.01, 20.0)
+            # a third of the targets within 1e-6 of the edge a1 = alpha / 2
+            if i % 3 == 0:
+                target = alpha / 2 + rng.uniform(0.0, 1e-6)
+            else:
+                target = rng.uniform(alpha / 2, 2 * alpha)
+            got = solve_delta_for_top(alpha, target)
+            assert abs(got - _mp_delta(alpha, alpha, log_top=target)) <= 2e-15
+            # the float oracle cancels in e^(2 alpha) - e^(-alpha) at small alpha
+            assert abs(got - closed_form_slide_delta(alpha, target)) <= 1e-12
+
+    def test_embedding_matches_mpmath(self):
+        rng = np.random.default_rng(6)
+        for _ in range(120):
+            gamma = rng.uniform(0.5, 40.0)
+            alpha = rng.uniform(gamma, 7 * gamma / 6)
+            cert = embedding2_solve(gamma, alpha)
+            for delta, top in ((cert.delta1, np.exp(gamma)), (cert.delta2, np.exp(0.75 * gamma))):
+                assert abs(delta - _mp_delta(gamma, alpha, top)) <= 2e-15
+
+    def test_agrees_with_200_halvings(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            alpha = rng.uniform(0.5, 5.0)
+            target = rng.uniform(alpha / 2, 2 * alpha)
+            want = _bisect_200(lambda d: np.log(_svd_top(alpha, alpha, d)) < target)
+            assert abs(solve_delta_for_top(alpha, target) - want) <= 1e-14
+            gamma = rng.uniform(0.5, 8.0)
+            alpha = rng.uniform(gamma, 7 * gamma / 6)
+            cert = embedding2_solve(gamma, alpha)
+            for delta, top in ((cert.delta1, np.exp(gamma)), (cert.delta2, np.exp(0.75 * gamma))):
+                assert abs(delta - _bisect_200(lambda d: _svd_top(gamma, alpha, d) < top)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1e-200, 1e-100, 250.0, 1000.0])
+    def test_extreme_levels_stay_finite(self, alpha):
+        # everything is summed in log space, so t^2 / (F1 - F0) ~ 1/alpha^2 at small
+        # alpha and e^(3 alpha), delta^2 ~ e^(-alpha) at large alpha stay in range;
+        # the logs cancel to O(|log alpha| + alpha) eps, hence the relative tolerance
+        for target in (0.6 * alpha, 1.5 * alpha, 2.0 * alpha):
+            want = _mp_delta(alpha, alpha, log_top=target)
+            assert solve_delta_for_top(alpha, target) == pytest.approx(want, rel=1e-12, abs=2e-15)
+
+
+class TestDegeneracyChecks:
+    @pytest.mark.parametrize("b", [0.0, -0.3])
+    def test_nonpositive_gap_raises(self, b):
+        # F1 - F0 = e^(-a-b)(e^(3a)-1)(e^(3b)-1) is 0 at b = 0 and negative for b < 0
+        alpha = 2.0
+        gamma = (alpha + b) / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(NumericalDegeneracyError) as err:
+                sl3._solve_delta(gamma, alpha, 5.0, 0.0)
+        assert err.value.invariant == "block_frobenius_gap"
+
+    def test_unattainable_embedding_target_raises(self):
+        gamma = 2.0
+        top_at_one = np.exp(2 * gamma)  # largest top singular value, at delta = 1
+        delta, *_ = sl3._solve_case(gamma, gamma, np.diag([top_at_one, 1.0, np.exp(-gamma)]))
+        assert delta == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(NumericalDegeneracyError) as err:
+            sl3._solve_case(gamma, gamma, np.diag([1.01 * top_at_one, 1.0, np.exp(-gamma)]))
+        assert err.value.invariant == "embedding_range"
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(min_value=1e-300, max_value=20.0))  # alpha / 2 exact: no subnormals
+def test_slide_edge_is_exact(alpha):
+    assert solve_delta_for_top(alpha, alpha / 2) == 0.0
+    # no slack on the slide: one ulp above the edge the delta is positive and exact
+    above = np.nextafter(alpha / 2, np.inf)
+    got = solve_delta_for_top(alpha, above)
+    assert got > 0.0 and abs(got - _mp_delta(alpha, alpha, log_top=above)) <= 2e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(min_value=0.5, max_value=40.0))
+def test_embedding_tangent_edge_is_exactly_zero(gamma):
+    cert = embedding2_solve(gamma, 7 * gamma / 6)
+    assert cert.delta2 == 0.0
+    assert np.abs(cert.k2 - ROT90).max() <= 1e-9
 
 
 ROT90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -163,33 +259,6 @@ class TestSlideFamily:
     def test_solver_range_guard(self):
         with pytest.raises(ValueError):
             solve_delta_for_top(1.0, 2.5)
-
-
-class TestMonotonicityCheck:
-    def test_samples_the_full_grid_once_per_level(self, monkeypatch):
-        calls = []
-
-        def counted(alpha, delta):
-            calls.append(delta)
-            return _top_exponent(alpha, delta)
-
-        sl3._check_monotone.cache_clear()
-        monkeypatch.setattr(sl3, "_top_exponent", counted)
-        sl3._check_monotone(2.0, 64)
-        assert calls == list(np.linspace(0.0, 1.0, 64))
-        sl3._check_monotone(2.0, 64)
-        assert len(calls) == 64
-        sl3._check_monotone(2.0, 33)
-        assert len(calls) == 64 + 33
-
-    def test_violation_raises_on_every_call(self, monkeypatch):
-        sl3._check_monotone.cache_clear()
-        monkeypatch.setattr(sl3, "_top_exponent", lambda alpha, delta: alpha * (1.0 + np.sin(6.0 * delta)))
-        for _ in range(2):
-            with pytest.raises(NumericalDegeneracyError) as err:
-                solve_delta_for_top(1.3, 1.0)
-            assert err.value.invariant == "jalpha_monotonicity"
-        assert sl3._check_monotone.cache_info().currsize == 0
 
 
 class TestEmbedding:

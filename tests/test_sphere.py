@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from circleops import sphere
 from circleops.legendre import legendre_eval, legendre_table
 from circleops.sphere import (
     SphereGrid,
@@ -208,3 +209,60 @@ def test_basis_matches_scipy_on_zonal():
     for n in range(11):
         expected = np.sqrt(2 * n + 1) * legendre_eval(n, pts[:, 2])
         np.testing.assert_allclose(mat[:, n * n], expected, atol=1e-12)
+
+
+def _three_writer_basis_block(z, cphi, sphi, band_limit, out):
+    """Copy of the harmonic kernel as it was with its three inline column writes."""
+    npts = z.shape[0]
+    u = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    sqrt2 = np.sqrt(2.0)
+    qmm = np.ones(npts)
+    cm = np.ones(npts)
+    sm = np.zeros(npts)
+    q_prev = np.empty(npts)
+    q_cur = np.empty(npts)
+    for m in range(band_limit + 1):
+        if m > 0:
+            qmm *= u
+            qmm *= np.sqrt((2 * m + 1) / (2.0 * m))
+            cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
+        np.copyto(q_prev, qmm)
+        if m == 0:
+            out[m * m] = q_prev
+        else:
+            out[m * m + 2 * m - 1] = sqrt2 * q_prev * cm
+            out[m * m + 2 * m] = sqrt2 * q_prev * sm
+        if m == band_limit:
+            break
+        np.multiply(z, qmm, out=q_cur)
+        q_cur *= np.sqrt(2 * m + 3.0)
+        n = m + 1
+        if m == 0:
+            out[n * n] = q_cur
+        else:
+            out[n * n + 2 * m - 1] = sqrt2 * q_cur * cm
+            out[n * n + 2 * m] = sqrt2 * q_cur * sm
+        for n in range(m + 2, band_limit + 1):
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+            b = np.sqrt(
+                ((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m))
+                / ((2.0 * n - 3.0) * (n * n - m * m))
+            )
+            q_prev *= -b
+            q_prev += a * z * q_cur
+            q_prev, q_cur = q_cur, q_prev
+            if m == 0:
+                out[n * n] = q_cur
+            else:
+                out[n * n + 2 * m - 1] = sqrt2 * q_cur * cm
+                out[n * n + 2 * m] = sqrt2 * q_cur * sm
+
+
+@pytest.mark.parametrize("band_limit", [0, 1, 2, 16, 32])
+def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
+    pts = np.random.default_rng(band_limit).normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] = [0.0, 0.0, 1.0]  # pole: the rho = 0 branch
+    got = real_sph_harm_matrix(pts, band_limit)
+    monkeypatch.setattr(sphere, "_basis_block", _three_writer_basis_block)
+    assert np.array_equal(got, real_sph_harm_matrix(pts, band_limit))

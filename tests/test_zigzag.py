@@ -1,10 +1,10 @@
 """Tests for the cone-combinatorics cost ledgers and tail constants."""
 
+import mpmath
 import numpy as np
 import pytest
 
-from circleops import sl3
-from circleops.sl3 import LambdaPoint
+from circleops.sl3 import LambdaPoint, solve_delta_for_top
 from circleops.zigzag import (
     J_ALPHA_SLIDE,
     THETA_REFLECTED_SLIDE,
@@ -26,6 +26,14 @@ SLOW = ExponentProfile(holder_s=0.5, growth_t=0.2, hoelder_C=4.0, growth_L=1.0)
 def slide_point(alpha, r):
     """Point of the slice a3 = -alpha with top coordinate r."""
     return LambdaPoint(r, alpha - r, -alpha)
+
+
+def mp_slide_delta(alpha, r):
+    """50-digit slide parameter with top exponent r on the slice a3 = -alpha."""
+    with mpmath.workdps(50):
+        a, r = mpmath.mpf(alpha), mpmath.mpf(r)
+        top = max(0, mpmath.exp(r) - mpmath.exp(a - r))
+        return float(top / (mpmath.exp(2 * a) - mpmath.exp(-a)))
 
 
 def reflected_point(alpha, r):
@@ -79,14 +87,31 @@ class TestAnnulus:
         assert len(ledger.segments) == 3
         assert ledger.total <= bound
 
-    def test_one_monotonicity_check_per_slide_level(self):
-        a, b = slide_point(2.1, 1.4), slide_point(2.8, 2.0)  # slice levels 2.1 and 2.8
-        sl3._check_monotone.cache_clear()
+    def test_slide_costs_use_exact_deltas(self):
+        a, b = slide_point(2.1, 1.4), slide_point(2.8, 2.0)
         _, ledger = annulus_diameter_bound(2.0, 0.5, HILBERT, a, b)
-        info = sl3._check_monotone.cache_info()
         assert len(ledger.segments) == 3
-        assert info.hits + info.misses == 2 * len(ledger.segments)  # one slide solve per endpoint
-        assert info.misses == 2
+        for seg in ledger.segments:
+            p, q = seg.start, seg.end
+            if seg.rule == THETA_REFLECTED_SLIDE:
+                p, q = p.reflect(), q.reflect()
+            level = -p.a3
+            want = jump_cost(level, mp_slide_delta(level, p.a1), HILBERT) + jump_cost(
+                level, mp_slide_delta(level, q.a1), HILBERT
+            )
+            assert seg.cost_bound == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+    def test_slice_base_point_costs_nothing(self, alpha):
+        # b sits at a1 = alpha / 2, the delta = 0 end of its slide, so the
+        # slide ending there pays only the jump from its start
+        a = LambdaPoint(1.2 * alpha, -0.5 * alpha, -0.7 * alpha)
+        b = LambdaPoint(0.5 * alpha, 0.5 * alpha, -alpha)
+        _, ledger = annulus_diameter_bound(alpha, 0.5, HILBERT, a, b)
+        slide = ledger.segments[-1]
+        assert slide.rule == J_ALPHA_SLIDE and slide.end == b
+        start_delta = solve_delta_for_top(alpha, slide.start.a1)
+        assert slide.cost_bound == jump_cost(alpha, start_delta, HILBERT)
 
     def test_same_reflected_side_three_segments(self):
         alpha, eps = 2.0, 0.5
