@@ -10,7 +10,9 @@ import numpy as np
 from circleops import sl3
 from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coefficient
 from circleops.legendre import legendre_table
+from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
+from circleops.spectral import difference_diagonal
 from circleops.sphere import SphereGrid, circle_average_operator, degree_of_column
 from circleops.zigzag import ExponentProfile, annulus_diameter_bound
 
@@ -27,6 +29,20 @@ def test_circle_average_operator(benchmark):
     averaged = benchmark(circle_average_operator, grid, 0.3)
     eigs = legendre_table(32, 0.3)[degree_of_column(32)]
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
+
+
+def test_mixed_norm_lower_bound(benchmark):
+    # criterion 7's shape: diagonal to degree 16, inner dimension 4, p = 6
+    diagonal = difference_diagonal(0.1, 16)
+    T = np.diag(diagonal)
+    space = MixedNormSpace(diagonal.size, 4, 6.0)
+    result = benchmark.pedantic(
+        mixed_norm_lower_bound, args=(T, space), kwargs={"restarts": 16, "iters": 200}, rounds=10
+    )
+    top = np.abs(diagonal).max()  # the exact norm of a diagonal T tensor Id
+    assert 0.99 * top <= result.value <= top + 1e-12
+    assert abs(space.norm(result.witness) - 1.0) <= 1e-12
+    assert abs(space.norm(T @ result.witness) - result.value) <= 1e-12 * result.value
 
 
 def test_solve_delta_for_top(benchmark):

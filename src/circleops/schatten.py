@@ -191,7 +191,11 @@ def _conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class MixedNormSpace:
-    """l2 over the outer index of l^p over the inner index, on (n x m) arrays."""
+    """l2 over the outer index of l^p over the inner index, on (n x m) arrays.
+
+    `norm` and `norming_dual` also take an (R, n, m) batch and then work on
+    each of its R arrays.
+    """
 
     outer_dim: int
     inner_dim: int
@@ -203,42 +207,48 @@ class MixedNormSpace:
         if self.inner_exponent < 1:
             raise ValueError("inner exponent must be >= 1")
 
-    def norm(self, x: np.ndarray) -> float:
-        x = x.reshape(self.outer_dim, self.inner_dim)
-        p = self.inner_exponent
-        rows = np.abs(x).max(axis=1) if np.isinf(p) else np.linalg.norm(x, ord=p, axis=1)
-        return float(np.linalg.norm(rows))
-
-    def dual(self) -> "MixedNormSpace":
-        return MixedNormSpace(self.outer_dim, self.inner_dim, _conjugate(self.inner_exponent))
-
-    def norming_dual(self, y: np.ndarray) -> np.ndarray:
-        """Unit vector of the dual space pairing to norm(y) against y.
+    def _duality(self, y: np.ndarray):
+        """Mixed norm of y and the unit dual vector pairing to it, from one set of row norms.
 
         Coordinate-wise duality mapping of l^p rows; at p = inf the
         subgradient is split equally over the maximal coordinates, at p = 1
         it is the sign vector.  Deterministic; zero input maps to zero.
         """
+        shape = (self.outer_dim, self.inner_dim)
+        y = y.reshape(y.shape[:1] + shape if y.ndim == 3 else shape)
         p = self.inner_exponent
-        y = y.reshape(self.outer_dim, self.inner_dim)
+        a = np.abs(y)
+        ones = np.ones(self.inner_dim)
         if np.isinf(p):
-            mx = np.abs(y).max(axis=1, keepdims=True)
-            hits = (np.abs(y) == mx) & (mx > 0)
-            counts = np.maximum(hits.sum(axis=1, keepdims=True), 1)
-            u = np.where(hits, np.sign(y), 0.0) / counts
-            rows = mx[:, 0]
+            rows = a.max(axis=-1)
+            hits = (a == rows[..., None]) & (a > 0)
+            u = np.where(hits, np.sign(y), 0.0)
+            weight = rows / np.maximum(hits.sum(axis=-1), 1)
         elif p == 1.0:
-            u = np.sign(y)
-            rows = np.abs(y).sum(axis=1)
+            rows = a @ ones
+            u, weight = np.sign(y), rows
         else:
-            rows = np.linalg.norm(y, ord=p, axis=1)
-            scale = np.where(rows > 0, rows, 1.0) ** (p - 1.0)
-            u = np.sign(y) * np.abs(y) ** (p - 1.0) / scale[:, None]
-            u[rows == 0] = 0.0
-        outer = np.linalg.norm(rows)
-        if outer == 0:
-            return np.zeros_like(y)
-        return u * (rows / outer)[:, None]
+            u = a ** (p - 1.0)
+            sums = (u * a) @ ones  # |y|^p as |y|^(p-1) |y|
+            rows = sums ** (1.0 / p)
+            u = np.copysign(u, y)
+            # rows / rows^(p-1), with rows^(p-1) = sums / rows
+            weight = np.divide(rows * rows, sums, out=np.zeros_like(sums), where=sums > 0)
+        norm = np.sqrt(np.sum(rows * rows, axis=-1))
+        inverse = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+        return norm, u * (weight * inverse[..., None])[..., None]
+
+    def norm(self, x: np.ndarray):
+        """The mixed norm: a float, or one per array of an (R, n, m) batch."""
+        value = self._duality(x)[0]
+        return value if value.ndim else float(value)
+
+    def dual(self) -> "MixedNormSpace":
+        return MixedNormSpace(self.outer_dim, self.inner_dim, _conjugate(self.inner_exponent))
+
+    def norming_dual(self, y: np.ndarray) -> np.ndarray:
+        """Unit vector of the dual space pairing to norm(y) against y (see `_duality`)."""
+        return self._duality(y)[1]
 
 
 @dataclass
@@ -261,44 +271,41 @@ def mixed_norm_lower_bound(
 
     Each sweep applies T tensor Id, the duality mapping of the mixed norm, the
     adjoint, and the dual duality mapping; the Rayleigh values never decrease.
-    The maximum over random restarts is returned together with its witness,
-    so the value is attained and certifies the lower bound.
+    All restarts run as one (restarts, n, m) batch; a restart whose value or
+    dual norm reaches zero keeps its vector from then on.  The first restart
+    with the largest final value is returned with its witness, so the value is
+    attained and certifies the lower bound.
     """
     T = np.asarray(T, dtype=float)
     n = space.outer_dim
     if T.shape != (n, n):
         raise ValueError("operator must be square of size outer_dim")
+    if restarts < 1 or iters < 0:
+        raise ValueError("need restarts >= 1 and iters >= 0")
     dual = space.dual()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best_value = 0.0
-    best_witness = np.zeros((n, space.inner_dim))
-    best_history = np.zeros(0)
-    for _ in range(max(1, restarts)):
-        x = rng.normal(size=(n, space.inner_dim))
-        nx = space.norm(x)
-        if nx == 0:
-            continue
-        x /= nx
-        history = []
-        for _it in range(iters):
-            y = T @ x
-            history.append(space.norm(y))
-            if history[-1] == 0.0:
-                break
-            z = space.norming_dual(y)
-            w = T.T @ z
-            if dual.norm(w) == 0.0:
-                break
-            x = dual.norming_dual(w)
-        # final evaluation so the reported value is attained by the witness x
-        history.append(space.norm(T @ x))
-        history = np.asarray(history)
-        value = float(history[-1])
-        if value > best_value:
-            best_value = value
-            best_witness = x
-            best_history = history
-    return MixedNormLowerBound(value=best_value, witness=best_witness, history=best_history)
+    x = rng.normal(size=(restarts, n, space.inner_dim))
+    x /= space.norm(x)[:, None, None]
+    history = np.zeros((iters + 1, restarts))
+    steps = np.zeros(restarts, dtype=int)  # sweeps each restart ran before freezing
+    live = np.ones(restarts, dtype=bool)
+    for it in range(iters):
+        history[it], z = space._duality(T @ x)
+        dual_norm, x_next = dual._duality(T.T @ z)
+        steps += live
+        live &= (history[it] > 0) & (dual_norm > 0)
+        np.copyto(x, x_next, where=live[:, None, None])
+        if not live.any():
+            break
+    # final evaluation so the reported value is attained by the witness x
+    final = space.norm(T @ x)
+    best = int(np.argmax(final))
+    if not final[best] > 0:
+        return MixedNormLowerBound(0.0, np.zeros((n, space.inner_dim)), np.zeros(0))
+    history[steps[best], best] = final[best]
+    return MixedNormLowerBound(
+        value=float(final[best]), witness=x[best].copy(), history=history[: steps[best] + 1, best].copy()
+    )
 
 
 def interpolation_bound(op_norm_l2: float, regular_norm: float, theta: float) -> float:

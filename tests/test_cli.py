@@ -73,6 +73,12 @@ def test_mixed_norm(tmp_path):
     assert lower <= interp + 1e-9
 
 
+@pytest.mark.parametrize("flag, value", [("--restarts", "-3"), ("--iters", "-1")])
+def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
+    assert run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", flag, value) == 2
+    assert not (tmp_path / "mixed_norm_manifest.json").exists()
+
+
 def test_embedding2(tmp_path):
     assert run(tmp_path, "embedding2", "--gamma", "2", "--alpha-grid", "5") == 0
     certs = json.loads((tmp_path / "embedding2.json").read_text())

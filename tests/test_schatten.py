@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from circleops.legendre import legendre_at_zero, legendre_table
 from circleops.schatten import (
@@ -15,7 +16,7 @@ from circleops.schatten import (
     interpolation_bound,
     mixed_norm_lower_bound,
 )
-from circleops.spectral import op_norm_diff
+from circleops.spectral import difference_diagonal, op_norm_diff
 
 
 def diagonal_difference_operator(delta: float, max_degree: int) -> np.ndarray:
@@ -24,6 +25,77 @@ def diagonal_difference_operator(delta: float, max_degree: int) -> np.ndarray:
     diffs = legendre_at_zero(max_degree) - legendre_table(max_degree, delta)
     return np.diag(np.repeat(diffs, 2 * np.arange(max_degree + 1) + 1))
 
+
+def reference_norm(x: np.ndarray, p: float) -> float:
+    """The mixed norm as the per-restart loop computed it, one (n, m) array at a time."""
+    rows = np.abs(x).max(axis=1) if np.isinf(p) else np.linalg.norm(x, ord=p, axis=1)
+    return float(np.linalg.norm(rows))
+
+
+def reference_norming_dual(y: np.ndarray, p: float) -> np.ndarray:
+    """The duality map as the per-restart loop computed it, one (n, m) array at a time."""
+    if np.isinf(p):
+        mx = np.abs(y).max(axis=1, keepdims=True)
+        hits = (np.abs(y) == mx) & (mx > 0)
+        counts = np.maximum(hits.sum(axis=1, keepdims=True), 1)
+        u = np.where(hits, np.sign(y), 0.0) / counts
+        rows = mx[:, 0]
+    elif p == 1.0:
+        u = np.sign(y)
+        rows = np.abs(y).sum(axis=1)
+    else:
+        rows = np.linalg.norm(y, ord=p, axis=1)
+        scale = np.where(rows > 0, rows, 1.0) ** (p - 1.0)
+        u = np.sign(y) * np.abs(y) ** (p - 1.0) / scale[:, None]
+        u[rows == 0] = 0.0
+    outer = np.linalg.norm(rows)
+    if outer == 0:
+        return np.zeros_like(y)
+    return u * (rows / outer)[:, None]
+
+
+def reference_lower_bound(T, space, restarts, iters, seed):
+    """One restart at a time, as the estimator ran before its restarts were batched.
+
+    Returns (value, witness, history) of the first best restart, and every
+    restart's final value.
+    """
+    p, q = space.inner_exponent, space.dual().inner_exponent
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    best = (0.0, np.zeros((space.outer_dim, space.inner_dim)), np.zeros(0))
+    finals = []
+    for _ in range(restarts):
+        x = rng.normal(size=(space.outer_dim, space.inner_dim))
+        x /= reference_norm(x, p)
+        history = []
+        for _it in range(iters):
+            y = T @ x
+            history.append(reference_norm(y, p))
+            if history[-1] == 0.0:
+                break
+            w = T.T @ reference_norming_dual(y, p)
+            if reference_norm(w, q) == 0.0:
+                break
+            x = reference_norming_dual(w, q)
+        history.append(reference_norm(T @ x, p))
+        finals.append(history[-1])
+        if history[-1] > best[0]:
+            best = (history[-1], x, np.asarray(history))
+    return best, np.asarray(finals)
+
+
+def zero_rows_operator() -> np.ndarray:
+    T = np.random.default_rng(3).normal(size=(9, 9))
+    T[[1, 4, 5]] = 0.0
+    return T
+
+
+REFERENCE_OPERATORS = {
+    "dense": lambda: np.random.default_rng(3).normal(size=(9, 9)),
+    "criterion-7-diagonal": lambda: np.diag(difference_diagonal(0.1, 16)),
+    "zero-rows": zero_rows_operator,
+    "zero": lambda: np.zeros((9, 9)),
+}
 
 nonincreasing_profiles = st.lists(
     st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=600
@@ -114,6 +186,55 @@ class TestMixedNorm:
             z = space.norming_dual(y)
             assert np.sum(z * y) == pytest.approx(space.norm(y), rel=1e-12)
             assert space.dual().norm(z) == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.sampled_from([1.0, np.inf]),
+        y=hnp.arrays(
+            float,
+            st.sampled_from([(5, 3), (4, 5, 3)]),
+            elements=st.integers(-2, 2).map(float),
+        ),
+        perm=st.permutations(range(3)),
+    )
+    def test_norming_dual_at_ties(self, p, y, perm):
+        # small integers tie often: the dual vector must still pair to the norm
+        # with dual norm 1 (0 for zero input), for one array and for a batch,
+        # and split equally over tied coordinates, so that it commutes with
+        # permuting them
+        space = MixedNormSpace(5, 3, p)
+        z = space.norming_dual(y)
+        norms = np.atleast_1d(space.norm(y))
+        pairing = np.atleast_1d(np.sum(z * y, axis=(-2, -1)))
+        np.testing.assert_allclose(pairing, norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.atleast_1d(space.dual().norm(z)), np.where(norms > 0, 1.0, 0.0), rtol=1e-12)
+        np.testing.assert_array_equal(space.norming_dual(y[..., perm]), z[..., perm])
+        for k, one in enumerate(y.reshape(-1, 5, 3)):
+            assert norms[k] == pytest.approx(reference_norm(one, p), rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(z.reshape(-1, 5, 3)[k], reference_norming_dual(one, p), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
+    @pytest.mark.parametrize("operator", sorted(REFERENCE_OPERATORS))
+    def test_batch_matches_per_restart_reference(self, operator, p):
+        T = REFERENCE_OPERATORS[operator]()
+        space = MixedNormSpace(T.shape[0], 3, p)
+        got = mixed_norm_lower_bound(T, space, restarts=6, iters=8, seed=2)
+        (value, witness, history), finals = reference_lower_bound(T, space, restarts=6, iters=8, seed=2)
+        # eight sweeps leave the restarts apart, so the best one is not a rounding tie
+        top = np.sort(finals)[::-1]
+        assert top[0] - top[1] > 1e-12 * top[0] or top[0] == 0.0
+        assert got.history.shape == history.shape
+        np.testing.assert_allclose(got.value, value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.history, history, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.witness, witness, rtol=1e-12, atol=1e-15)
+        if value > 0.0:
+            assert space.norm(got.witness) == pytest.approx(1.0, rel=1e-12)
+            assert space.norm(T @ got.witness) == pytest.approx(got.value, rel=1e-12)
+
+    @pytest.mark.parametrize("restarts, iters", [(0, 10), (-3, 10), (2, -1)])
+    def test_rejects_bad_restarts_and_iters(self, restarts, iters):
+        with pytest.raises(ValueError):
+            mixed_norm_lower_bound(np.eye(3), MixedNormSpace(3, 2, 3.0), restarts=restarts, iters=iters)
 
     def test_hilbert_case_recovers_sigma_max(self):
         rng = np.random.default_rng(7)
