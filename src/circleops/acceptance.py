@@ -1,8 +1,9 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-Each criterion function returns a CriterionResult and is deliberately
-self-contained so the CLI's check-all and the pytest acceptance module share
-one implementation.  Criterion 2's stabilization clause is asserted at its
+Each criterion is a self-contained check returning (passed, detail),
+declared once with its number, name and wall-clock gate by `_criterion`, so
+the CLI's check-all and the pytest acceptance module run one registry,
+ALL_CRITERIA.  Criterion 2's stabilization clause is asserted at its
 stated 1e-6 on the completed Schatten norms: the raw truncations cannot meet
 it near the boundary exponent (the p-th power tails decay like N^(2 - p/2)),
 so each partial sum is completed by spectral.schatten_tail_estimate, and the
@@ -13,7 +14,9 @@ the estimate's mass over 2^17 < n <= 2^18 against the recurrence's.
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,29 +62,46 @@ class CriterionResult:
         return f"{status} criterion {self.number:2d} [{self.name}] ({self.elapsed:.1f}s): {self.detail}"
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, time.perf_counter() - start
+ALL_CRITERIA: dict[int, Callable[[], CriterionResult]] = {}
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(number: int, name: str, seconds: float | None = None):
+    """Register a check returning (passed, detail) as criterion `number`.
+
+    The registered zero-argument callable times the check, fails it when a
+    wall-clock gate is set and the check takes `seconds` or longer, and
+    returns the CriterionResult; ALL_CRITERIA[number] is that callable.
+    """
+
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = check()
+            elapsed = time.perf_counter() - start
+            if seconds is not None and elapsed >= seconds:
+                passed = False
+            return CriterionResult(number, name, passed, detail, elapsed)
+
+        ALL_CRITERIA[number] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "pointwise defect bound", seconds=10.0)
+def criterion_1():
     """Pointwise defect bound |P_n(0) - P_n(d)| <= 4 sqrt|d|, n <= 2000."""
-
-    def body():
-        deltas = np.linspace(-1.0, 1.0, 1000)
-        defects = np.abs(legendre_defect(2000, deltas))
-        bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))[None, :]
-        violations = int(np.sum(defects > bounds + 1e-14))
-        worst = float((defects / np.maximum(bounds, 1e-300)).max())
-        return violations == 0, f"violations={violations}, max ratio={worst:.6f}"
-
-    passed, detail, elapsed = _timed(body)
-    passed = passed and elapsed < 10.0
-    return CriterionResult(1, "pointwise defect bound", passed, detail, elapsed)
+    deltas = np.linspace(-1.0, 1.0, 1000)
+    defects = np.abs(legendre_defect(2000, deltas))
+    bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))[None, :]
+    violations = int(np.sum(defects > bounds + 1e-14))
+    worst = float((defects / np.maximum(bounds, 1e-300)).max())
+    return violations == 0, f"violations={violations}, max ratio={worst:.6f}"
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "Schatten truncation stability + decay fit", seconds=120.0)
+def criterion_2():
     """Schatten decay: completed norms stable to 1e-6 by N=2^18, fit exponents.
 
     The norm at truncation N is the recurrence's partial sum completed by
@@ -95,297 +115,234 @@ def criterion_2() -> CriterionResult:
     between the partial sum and the partial sum plus schatten_tail_bound.
     The exponents are fitted to the completed norms at 2^18.
     """
-
-    def body():
-        ps = np.array([4.5, 5.0, 6.0, 8.0])
-        deltas = np.array([2.0**-k for k in range(1, 11)])
-        checkpoints = [2**k for k in range(10, 19)]
-        roots = 1.0 / ps[:, None]
-        windows = diff_power_windows(deltas, ps, checkpoints)
-        sums = np.cumsum(windows, axis=-1)[..., -2:]
-        partial = sums ** roots[..., None]
-        tails = np.array(
-            [[[schatten_tail_estimate(d, p, n) for n in checkpoints[-2:]] for d in deltas] for p in ps]
-        )
-        completed = (sums + tails) ** roots[..., None]
-        final_change = np.abs(completed[..., 1] - completed[..., 0]) / completed[..., 1]
-        raw_change = np.abs(partial[..., 1] - partial[..., 0]) / partial[..., 1]
-        stab_ok = bool(np.all(final_change < 1e-6))
-        exps = []
-        exp_ok = True
-        for i, p in enumerate(ps):
-            slope = np.polyfit(np.log(deltas), np.log(completed[i, :, 1]), 1)[0]
-            exps.append(slope)
-            exp_ok &= slope >= 0.5 - 2.0 / p - 0.05
-        bounds = np.array([[schatten_tail_bound(d, p, checkpoints[-1]) for d in deltas] for p in ps])
-        ceiling = (sums[..., 1] + bounds) ** roots
-        bracket_ok = bool(np.all((partial[..., 1] <= completed[..., 1]) & (completed[..., 1] <= ceiling)))
-        masses = windows[..., -1]
-        window_err = np.abs(tails[..., 0] - tails[..., 1] - masses) / masses
-        window_ok = bool(np.all(window_err <= 1e-6))
-        detail = (
-            "max doubling change per p "
-            + np.array2string(final_change.max(axis=1), precision=2)
-            + " (need < 1e-6; raw truncation "
-            + np.array2string(raw_change.max(axis=1), precision=2)
-            + "); fitted exponents "
-            + np.array2string(np.array(exps), precision=3)
-            + f"; tail window error {window_err.max():.1e} (need <= 1e-6); "
-            + f"partial <= completed <= partial + tail bound: {'yes' if bracket_ok else 'NO'}"
-        )
-        return stab_ok and exp_ok and bracket_ok and window_ok, detail
-
-    passed, detail, elapsed = _timed(body)
-    passed = passed and elapsed < 120.0
-    return CriterionResult(2, "Schatten truncation stability + decay fit", passed, detail, elapsed)
+    ps = np.array([4.5, 5.0, 6.0, 8.0])
+    deltas = np.array([2.0**-k for k in range(1, 11)])
+    checkpoints = [2**k for k in range(10, 19)]
+    roots = 1.0 / ps[:, None]
+    windows = diff_power_windows(deltas, ps, checkpoints)
+    sums = np.cumsum(windows, axis=-1)[..., -2:]
+    partial = sums ** roots[..., None]
+    tails = np.array(
+        [[[schatten_tail_estimate(d, p, n) for n in checkpoints[-2:]] for d in deltas] for p in ps]
+    )
+    completed = (sums + tails) ** roots[..., None]
+    final_change = np.abs(completed[..., 1] - completed[..., 0]) / completed[..., 1]
+    raw_change = np.abs(partial[..., 1] - partial[..., 0]) / partial[..., 1]
+    stab_ok = bool(np.all(final_change < 1e-6))
+    exps = []
+    exp_ok = True
+    for i, p in enumerate(ps):
+        slope = np.polyfit(np.log(deltas), np.log(completed[i, :, 1]), 1)[0]
+        exps.append(slope)
+        exp_ok &= slope >= 0.5 - 2.0 / p - 0.05
+    bounds = np.array([[schatten_tail_bound(d, p, checkpoints[-1]) for d in deltas] for p in ps])
+    ceiling = (sums[..., 1] + bounds) ** roots
+    bracket_ok = bool(np.all((partial[..., 1] <= completed[..., 1]) & (completed[..., 1] <= ceiling)))
+    masses = windows[..., -1]
+    window_err = np.abs(tails[..., 0] - tails[..., 1] - masses) / masses
+    window_ok = bool(np.all(window_err <= 1e-6))
+    detail = (
+        "max doubling change per p "
+        + np.array2string(final_change.max(axis=1), precision=2)
+        + " (need < 1e-6; raw truncation "
+        + np.array2string(raw_change.max(axis=1), precision=2)
+        + "); fitted exponents "
+        + np.array2string(np.array(exps), precision=3)
+        + f"; tail window error {window_err.max():.1e} (need <= 1e-6); "
+        + f"partial <= completed <= partial + tail bound: {'yes' if bracket_ok else 'NO'}"
+    )
+    return stab_ok and exp_ok and bracket_ok and window_ok, detail
 
 
-def criterion_3() -> CriterionResult:
+@_criterion(3, "boundary-exponent growth probe")
+def criterion_3():
     """Fourth-power partial sums keep growing with steady dyadic increments."""
-
-    def body():
-        ok = True
-        parts = []
-        deltas = (0.3, 0.99)
-        probes = divergence_probe_p4(deltas, [2**k for k in range(10, 17)])
-        for delta, floor, sums in zip(deltas, (0.1, 4.0), probes):
-            inc = np.diff(sums)
-            ok &= bool(np.all(inc > floor)) and inc.max() / inc.min() < 1.5
-            parts.append(f"delta={delta}: increments in [{inc.min():.4f}, {inc.max():.4f}]")
-        return ok, "; ".join(parts)
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(3, "boundary-exponent growth probe", passed, detail, elapsed)
+    ok = True
+    parts = []
+    deltas = (0.3, 0.99)
+    probes = divergence_probe_p4(deltas, [2**k for k in range(10, 17)])
+    for delta, floor, sums in zip(deltas, (0.1, 4.0), probes):
+        inc = np.diff(sums)
+        ok &= bool(np.all(inc > floor)) and inc.max() / inc.min() < 1.5
+        parts.append(f"delta={delta}: increments in [{inc.min():.4f}, {inc.max():.4f}]")
+    return ok, "; ".join(parts)
 
 
-def criterion_4() -> CriterionResult:
+@_criterion(4, "spectral-quadrature equivalence", seconds=60.0)
+def criterion_4():
     """Quadrature circle averages match the Legendre eigenvalues, band 32."""
-
-    def body():
-        grid = SphereGrid.build(32)
-        degs = degree_of_column(32)
-        worst = 0.0
-        for delta in np.linspace(-0.95, 0.95, 20):
-            averaged = circle_average_operator(grid, delta)
-            eigs = legendre_table(32, delta)[degs]
-            worst = max(worst, float(np.abs(averaged - grid.basis * eigs[None, :]).max()))
-        return worst <= 1e-8, f"sup error {worst:.3e} (tolerance 1e-8)"
-
-    passed, detail, elapsed = _timed(body)
-    passed = passed and elapsed < 60.0
-    return CriterionResult(4, "spectral-quadrature equivalence", passed, detail, elapsed)
+    grid = SphereGrid.build(32)
+    degs = degree_of_column(32)
+    worst = 0.0
+    for delta in np.linspace(-0.95, 0.95, 20):
+        averaged = circle_average_operator(grid, delta)
+        eigs = legendre_table(32, delta)[degs]
+        worst = max(worst, float(np.abs(averaged - grid.basis * eigs[None, :]).max()))
+    return worst <= 1e-8, f"sup error {worst:.3e} (tolerance 1e-8)"
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "Markov mean contraction")
+def criterion_5():
     """Markov mean contraction ||E x_k|| = |delta|^k within 3 MC sigmas."""
-
-    def body():
-        ok = True
-        worst = 0.0
-        for i, delta in enumerate((0.0, 0.3, 0.6, 0.9)):
-            norms, sigmas = mixing_profile(delta, steps=15, replicas=10**5, seed=100 + i)
-            theory = delta ** np.arange(1, 16)
-            pulls = np.abs(norms - theory) / sigmas
-            worst = max(worst, float(pulls.max()))
-            ok &= bool(np.all(pulls <= 3.0))
-        return ok, f"max |deviation|/sigma = {worst:.2f} (3 allowed), 1e5 replicas"
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(5, "Markov mean contraction", passed, detail, elapsed)
+    ok = True
+    worst = 0.0
+    for i, delta in enumerate((0.0, 0.3, 0.6, 0.9)):
+        norms, sigmas = mixing_profile(delta, steps=15, replicas=10**5, seed=100 + i)
+        theory = delta ** np.arange(1, 16)
+        pulls = np.abs(norms - theory) / sigmas
+        worst = max(worst, float(pulls.max()))
+        ok &= bool(np.all(pulls <= 3.0))
+    return ok, f"max |deviation|/sigma = {worst:.2f} (3 allowed), 1e5 replicas"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "dyadic decomposition inequality")
+def criterion_6():
     """Dyadic block inequality on 100 random profiles x 4 exponents."""
-
-    def body():
-        rng = np.random.default_rng(20240601)
-        violations = 0
-        for _ in range(100):
-            size = int(rng.integers(1, 4097))
-            vals = np.sort(rng.uniform(0.0, 5.0, size=size))[::-1]
-            if rng.random() < 0.3:
-                vals[int(0.8 * size):] = 0.0
-            prof = SingularProfile(vals)
-            for r in (1.2, 2.0, 3.0, 5.0):
-                dec = dyadic_decompose(prof, r)
-                if dec.weighted_sum() > 2.0 * prof.schatten_norm(r) ** r + 1e-9:
-                    violations += 1
-        return violations == 0, f"violations={violations} over 100 profiles x 4 exponents"
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(6, "dyadic decomposition inequality", passed, detail, elapsed)
+    rng = np.random.default_rng(20240601)
+    violations = 0
+    for _ in range(100):
+        size = int(rng.integers(1, 4097))
+        vals = np.sort(rng.uniform(0.0, 5.0, size=size))[::-1]
+        if rng.random() < 0.3:
+            vals[int(0.8 * size):] = 0.0
+        prof = SingularProfile(vals)
+        for r in (1.2, 2.0, 3.0, 5.0):
+            dec = dyadic_decompose(prof, r)
+            if dec.weighted_sum() > 2.0 * prof.schatten_norm(r) ** r + 1e-9:
+                violations += 1
+    return violations == 0, f"violations={violations} over 100 profiles x 4 exponents"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "interpolation consistency")
+def criterion_7():
     """Mixed-norm lower bounds never exceed the interpolation upper bound."""
-
-    def body():
-        violations = 0
-        margin = np.inf
-        for p in (4.0, 6.0, 8.0):
-            theta = min(2.0 / p, 2.0 - 2.0 / p)
-            for i, delta in enumerate((0.025, 0.05, 0.1, 0.2)):
-                T = np.diag(difference_diagonal(delta, 16))
-                space = MixedNormSpace(T.shape[0], 4, p)
-                res = mixed_norm_lower_bound(T, space, restarts=32, iters=200, seed=10 * i + int(p))
-                upper = interpolation_bound(4.0 * np.sqrt(delta), 2.0, theta)
-                if res.value > upper + 1e-9:
-                    violations += 1
-                margin = min(margin, upper - res.value)
-        return violations == 0, f"violations={violations}, smallest upper-lower margin {margin:.4f}"
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(7, "interpolation consistency", passed, detail, elapsed)
+    violations = 0
+    margin = np.inf
+    for p in (4.0, 6.0, 8.0):
+        theta = min(2.0 / p, 2.0 - 2.0 / p)
+        for i, delta in enumerate((0.025, 0.05, 0.1, 0.2)):
+            T = np.diag(difference_diagonal(delta, 16))
+            space = MixedNormSpace(T.shape[0], 4, p)
+            res = mixed_norm_lower_bound(T, space, restarts=32, iters=200, seed=10 * i + int(p))
+            upper = interpolation_bound(4.0 * np.sqrt(delta), 2.0, theta)
+            if res.value > upper + 1e-9:
+                violations += 1
+            margin = min(margin, upper - res.value)
+    return violations == 0, f"violations={violations}, smallest upper-lower margin {margin:.4f}"
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "KAK fidelity and slide geometry")
+def criterion_8():
     """KAK reconstruction, slide endpoints, and the solved-parameter contraction."""
-
-    def body():
-        rng = np.random.default_rng(11)
-        worst_res = 0.0
-        for _ in range(1000):
-            g = rng.normal(size=(3, 3))
-            det = np.linalg.det(g)
-            if abs(det) < 0.05:
-                continue
-            if det < 0:
-                g[0] *= -1.0
-                det = -det
-            g /= det ** (1.0 / 3.0)
-            dec = kak(g)
-            worst_res = max(worst_res, dec.residual(g))
-        endpoint_err = 0.0
-        for alpha in (0.5, 1.0, 2.0, 4.0):
-            got0 = j_alpha(alpha, 0.0).as_array()
-            got1 = j_alpha(alpha, 1.0).as_array()
-            endpoint_err = max(
-                endpoint_err,
-                float(np.abs(got0 - [alpha / 2, alpha / 2, -alpha]).max()),
-                float(np.abs(got1 - [2 * alpha, -alpha, -alpha]).max()),
-            )
-        contraction_ok = True
-        for alpha in np.linspace(0.5, 5.0, 10):
-            for eps in np.linspace(0.05, 0.95, 10):
-                delta = solve_delta_for_top(alpha, (1.0 + eps) * alpha)
-                contraction_ok &= delta <= np.exp((eps - 1.0) * alpha) + 1e-12
-        ok = worst_res <= 1e-9 and endpoint_err <= 1e-9 and contraction_ok
-        return ok, (
-            f"max reconstruction residual {worst_res:.2e}, endpoint error {endpoint_err:.2e}, "
-            f"contraction bound {'holds' if contraction_ok else 'violated'} on the 10x10 grid"
+    rng = np.random.default_rng(11)
+    worst_res = 0.0
+    for _ in range(1000):
+        g = rng.normal(size=(3, 3))
+        det = np.linalg.det(g)
+        if abs(det) < 0.05:
+            continue
+        if det < 0:
+            g[0] *= -1.0
+            det = -det
+        g /= det ** (1.0 / 3.0)
+        dec = kak(g)
+        worst_res = max(worst_res, dec.residual(g))
+    endpoint_err = 0.0
+    for alpha in (0.5, 1.0, 2.0, 4.0):
+        got0 = j_alpha(alpha, 0.0).as_array()
+        got1 = j_alpha(alpha, 1.0).as_array()
+        endpoint_err = max(
+            endpoint_err,
+            float(np.abs(got0 - [alpha / 2, alpha / 2, -alpha]).max()),
+            float(np.abs(got1 - [2 * alpha, -alpha, -alpha]).max()),
         )
+    contraction_ok = True
+    for alpha in np.linspace(0.5, 5.0, 10):
+        for eps in np.linspace(0.05, 0.95, 10):
+            delta = solve_delta_for_top(alpha, (1.0 + eps) * alpha)
+            contraction_ok &= delta <= np.exp((eps - 1.0) * alpha) + 1e-12
+    ok = worst_res <= 1e-9 and endpoint_err <= 1e-9 and contraction_ok
+    return ok, (
+        f"max reconstruction residual {worst_res:.2e}, endpoint error {endpoint_err:.2e}, "
+        f"contraction bound {'holds' if contraction_ok else 'violated'} on the 10x10 grid"
+    )
 
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(8, "KAK fidelity and slide geometry", passed, detail, elapsed)
 
-
-def criterion_9() -> CriterionResult:
+@_criterion(9, "embedding certificates")
+def criterion_9():
     """Embedding certificates across gamma in {2,4,8,16} x 20 alphas."""
-
-    def body():
-        rot90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        ok = True
-        worst_res, worst_edge = 0.0, 0.0
-        for gamma in (2.0, 4.0, 8.0, 16.0):
-            for alpha in np.linspace(gamma, 7 * gamma / 6, 20):
-                cert = embedding2_solve(gamma, alpha)
-                ok &= cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9
-                ok &= max(cert.delta1, cert.delta2) <= np.exp(-gamma)
-                two_exp = 2.0 * np.exp(-gamma / 4.0)
-                for k in (cert.k1, cert.k1p, cert.k2p):
-                    ok &= np.linalg.norm(k - np.eye(3), 2) <= two_exp
-                worst_res = max(worst_res, cert.residual1, cert.residual2)
-            edge = embedding2_solve(gamma, 7 * gamma / 6)
-            ok &= edge.delta2 == 0.0
-            worst_edge = max(worst_edge, float(np.abs(edge.k2 - rot90).max()))
-        ok &= worst_edge <= 1e-9
-        return ok, f"max residual {worst_res:.2e}, max edge-rotation error {worst_edge:.2e}"
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(9, "embedding certificates", passed, detail, elapsed)
+    rot90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    ok = True
+    worst_res, worst_edge = 0.0, 0.0
+    for gamma in (2.0, 4.0, 8.0, 16.0):
+        for alpha in np.linspace(gamma, 7 * gamma / 6, 20):
+            cert = embedding2_solve(gamma, alpha)
+            ok &= cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9
+            ok &= max(cert.delta1, cert.delta2) <= np.exp(-gamma)
+            two_exp = 2.0 * np.exp(-gamma / 4.0)
+            for k in (cert.k1, cert.k1p, cert.k2p):
+                ok &= np.linalg.norm(k - np.eye(3), 2) <= two_exp
+            worst_res = max(worst_res, cert.residual1, cert.residual2)
+        edge = embedding2_solve(gamma, 7 * gamma / 6)
+        ok &= edge.delta2 == 0.0
+        worst_edge = max(worst_edge, float(np.abs(edge.k2 - rot90).max()))
+    ok &= worst_edge <= 1e-9
+    return ok, f"max residual {worst_res:.2e}, max edge-rotation error {worst_edge:.2e}"
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "tail constant and ledger bounds")
+def criterion_10():
     """Tail constant vs independent geometric sum; ledger totals within bounds."""
-
-    def body():
-        prof = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
-        closed = cauchy_tail_constant(prof)
-        independent = float(covering_partial_sums(prof, 0.0, 2000)[-1])
-        gap = abs(closed - independent) / closed
-        ok = gap <= 1e-12
-        rng = np.random.default_rng(77)
-        checked = 0
-        for alpha in (1.0, 2.0, 4.0, 8.0):
-            for eps in (0.2, 0.5, 0.8):
-                gamma = prof.holder_s * (1 - eps) - 2 * prof.growth_t
-                seg_cap = 2 * prof.hoelder_C * prof.growth_L**2 * np.exp(-gamma * alpha)
-                for _ in range(5):
-                    pts = []
-                    for _k in range(2):
-                        ell = rng.uniform(alpha, (1 + eps) * alpha)
-                        top = rng.uniform(ell, min(2 * ell, (1 + eps) * alpha))
-                        p = LambdaPoint(top, ell - top, -ell)
-                        pts.append(p if rng.random() < 0.5 else p.reflect())
-                    bound, ledger = annulus_diameter_bound(alpha, eps, prof, pts[0], pts[1])
-                    ok &= ledger.total <= bound
-                    ok &= all(s.cost_bound <= seg_cap + 1e-12 for s in ledger.segments)
-                    checked += 1
-        return ok, f"closed-form vs numeric sum gap {gap:.2e}; {checked} ledgers within bounds"
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(10, "tail constant and ledger bounds", passed, detail, elapsed)
+    prof = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
+    closed = cauchy_tail_constant(prof)
+    independent = float(covering_partial_sums(prof, 0.0, 2000)[-1])
+    gap = abs(closed - independent) / closed
+    ok = gap <= 1e-12
+    rng = np.random.default_rng(77)
+    checked = 0
+    for alpha in (1.0, 2.0, 4.0, 8.0):
+        for eps in (0.2, 0.5, 0.8):
+            gamma = prof.holder_s * (1 - eps) - 2 * prof.growth_t
+            seg_cap = 2 * prof.hoelder_C * prof.growth_L**2 * np.exp(-gamma * alpha)
+            for _ in range(5):
+                pts = []
+                for _k in range(2):
+                    ell = rng.uniform(alpha, (1 + eps) * alpha)
+                    top = rng.uniform(ell, min(2 * ell, (1 + eps) * alpha))
+                    p = LambdaPoint(top, ell - top, -ell)
+                    pts.append(p if rng.random() < 0.5 else p.reflect())
+                bound, ledger = annulus_diameter_bound(alpha, eps, prof, pts[0], pts[1])
+                ok &= ledger.total <= bound
+                ok &= all(s.cost_bound <= seg_cap + 1e-12 for s in ledger.segments)
+                checked += 1
+    return ok, f"closed-form vs numeric sum gap {gap:.2e}; {checked} ledgers within bounds"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "matrix coefficient decay")
+def criterion_11():
     """Coefficient decay: c(n) strictly decreasing, c(n) <= 4 e^(-n/2), leakage < 10%."""
-
-    def body():
-        rows = coefficient_decay(6)
-        values = rows[:, 1]
-        decreasing = bool(np.all(np.diff(values) < 0))
-        bounded = bool(np.all(values[1:] <= rows[1:, 2]))
-        leak_ok = bool(np.all(rows[:, 3] < 0.1))
-        worst_ratio = float(np.max(values[1:] / rows[1:, 2]))
-        return decreasing and bounded and leak_ok, (
-            f"c strictly decreasing={decreasing}, max c/bound={worst_ratio:.3f}, "
-            f"max leakage={rows[:, 3].max():.2e}"
-        )
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(11, "matrix coefficient decay", passed, detail, elapsed)
+    rows = coefficient_decay(6)
+    values = rows[:, 1]
+    decreasing = bool(np.all(np.diff(values) < 0))
+    bounded = bool(np.all(values[1:] <= rows[1:, 2]))
+    leak_ok = bool(np.all(rows[:, 3] < 0.1))
+    worst_ratio = float(np.max(values[1:] / rows[1:, 2]))
+    return decreasing and bounded and leak_ok, (
+        f"c strictly decreasing={decreasing}, max c/bound={worst_ratio:.3f}, "
+        f"max leakage={rows[:, 3].max():.2e}"
+    )
 
 
-def criterion_12() -> CriterionResult:
+@_criterion(12, "invariant gap")
+def criterion_12():
     """Invariant gap >= 1/3 for degrees 1..6, minimizer reported."""
-
-    def body():
-        gaps = []
-        ok = True
-        for degree in range(1, 7):
-            gap, vec = invariant_gap(degree, starts=64, iters=400, seed=degree)
-            gaps.append(gap)
-            ok &= gap >= 1.0 / 3.0 and abs(np.linalg.norm(vec) - 1.0) < 1e-9
-        return ok, "gaps " + np.array2string(np.array(gaps), precision=4)
-
-    passed, detail, elapsed = _timed(body)
-    return CriterionResult(12, "invariant gap", passed, detail, elapsed)
-
-
-ALL_CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-    12: criterion_12,
-}
+    gaps = []
+    ok = True
+    for degree in range(1, 7):
+        gap, vec = invariant_gap(degree, starts=64, iters=400, seed=degree)
+        gaps.append(gap)
+        ok &= gap >= 1.0 / 3.0 and abs(np.linalg.norm(vec) - 1.0) < 1e-9
+    return ok, "gaps " + np.array2string(np.array(gaps), precision=4)
 
 
 def run_criteria(numbers=None, printer=print):

@@ -27,16 +27,23 @@ __all__ = [
 HOLDER_CONSTANT = 4.0
 
 _ABSCISSA_SLACK = 1e-12
+_OUT_OF_RANGE = "delta must lie in [-1, 1]: |delta| = {}"
 _BLOCK_VALUES = 2**16  # values in one block of a deep recurrence pass: keeps memory flat
 
 
 def _clamp_abscissa(x):
-    """Clip abscissae to [-1, 1], allowing <= 1e-12 of rounding overshoot."""
+    """Clip abscissae to [-1, 1], allowing <= 1e-12 of rounding overshoot; NaN is rejected."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + _ABSCISSA_SLACK):
-        bad = float(np.max(np.abs(x)))
-        raise ValueError(f"abscissa out of [-1, 1]: |x| = {bad}")
+    if not np.all(np.abs(x) <= 1.0 + _ABSCISSA_SLACK):
+        raise ValueError(_OUT_OF_RANGE.format(float(np.max(np.abs(x)))))
     return np.clip(x, -1.0, 1.0)
+
+
+def _clamp_delta(delta: float) -> float:
+    """Scalar _clamp_abscissa, kept to Python abs and one np.clip for the solvers' inner loops."""
+    if not abs(delta) <= 1.0 + _ABSCISSA_SLACK:
+        raise ValueError(_OUT_OF_RANGE.format(abs(delta)))
+    return float(np.clip(delta, -1.0, 1.0))
 
 
 def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
+from .legendre import _clamp_delta
 
 __all__ = [
     "LambdaPoint",
@@ -42,9 +43,7 @@ _CONE_TOL = 1e-10
 
 def x_delta(delta: float) -> np.ndarray:
     """Rotation of the (1,2)-plane with (1,1) entry delta; double-coset representative."""
-    if abs(delta) > 1.0 + 1e-12:
-        raise ValueError("delta must lie in [-1, 1]")
-    d = float(np.clip(delta, -1.0, 1.0))
+    d = _clamp_delta(delta)
     s = np.sqrt(max(0.0, 1.0 - d * d))
     return np.array([[d, -s, 0.0], [s, d, 0.0], [0.0, 0.0, 1.0]])
 

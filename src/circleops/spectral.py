@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .legendre import (
+    _clamp_delta,
     _defect_blocks,
     _row_blocks,
     bernstein_envelope,
@@ -64,8 +65,7 @@ class SpectralOperator:
     truncation: int
 
     def __post_init__(self):
-        if abs(self.delta) > 1.0 + 1e-12:
-            raise ValueError("delta must lie in [-1, 1]")
+        _clamp_delta(self.delta)
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
 
@@ -292,11 +292,9 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     """
     if p <= 4:
         raise ValueError("tail estimate requires p > 4")
-    if abs(delta) > 1.0 + 1e-12:
-        raise ValueError("delta must lie in [-1, 1]")
+    delta = _clamp_delta(delta)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    delta = float(np.clip(delta, -1.0, 1.0))
     if delta == 0.0:
         return 0.0
     if abs(delta) == 1.0:
@@ -419,7 +417,7 @@ def divergence_probe_p4(delta, n_list) -> np.ndarray:
     one recurrence pass and gives shape (len(delta), len(n_list)).
     """
     deltas = np.asarray(delta, dtype=float)
-    if np.any(np.abs(deltas) >= 1.0):
+    if not np.all(np.abs(deltas) < 1.0):
         raise ValueError("probe requires |delta| < 1")
     checkpoints = sorted(int(n) for n in n_list)
     if checkpoints[0] < 0:

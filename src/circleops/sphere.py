@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .legendre import gauss_rule, legendre_table
+from .legendre import _clamp_delta, gauss_rule, legendre_table
 
 __all__ = [
     "real_sph_harm_matrix",
@@ -181,15 +181,9 @@ def tangent_frames(points: np.ndarray):
     return u, v
 
 
-def _check_delta(delta: float) -> float:
-    if abs(delta) > 1.0 + 1e-12:
-        raise ValueError("delta must lie in [-1, 1]")
-    return float(np.clip(delta, -1.0, 1.0))
-
-
 def _circle_rule(grid: SphereGrid, delta: float, quadrature_points):
     """Checked delta, circle radius sqrt(1 - delta^2) and point count M >= 2B+1."""
-    delta = _check_delta(delta)
+    delta = _clamp_delta(delta)
     B = grid.band_limit
     M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
     if M < 2 * B + 1:
@@ -263,7 +257,7 @@ def replica_seeds(seed: int, replicas: int):
 
 def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """One chain step for a batch of unit vectors, shape (R, 3)."""
-    delta = _check_delta(delta)
+    delta = _clamp_delta(delta)
     pts = np.atleast_2d(positions)
     u, v = tangent_frames(pts)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[0])

@@ -120,18 +120,12 @@ def _segment(p: LambdaPoint, q: LambdaPoint, rule: str, prof: ExponentProfile) -
     """Certified cost of sliding between two points on a common slice.
 
     Both points are within jump_cost of the slice's base point (parameter 0),
-    so the triangle inequality certifies the sum of their two jump costs.
+    so the triangle inequality certifies the sum of their two jump costs.  A
+    reflected slide costs what the slide between the reflected points costs.
     """
-    if rule == J_ALPHA_SLIDE:
-        level = -p.a3
-        d_p = _slide_delta(level, p.a1)
-        d_q = _slide_delta(level, q.a1)
-    else:
-        level = p.a1
-        rp, rq = p.reflect(), q.reflect()
-        d_p = _slide_delta(level, rp.a1)
-        d_q = _slide_delta(level, rq.a1)
-    cost = jump_cost(level, d_p, prof) + jump_cost(level, d_q, prof)
+    s, t = (p, q) if rule == J_ALPHA_SLIDE else (p.reflect(), q.reflect())
+    level = -s.a3
+    cost = jump_cost(level, _slide_delta(level, s.a1), prof) + jump_cost(level, _slide_delta(level, t.a1), prof)
     return Segment(start=p, end=q, cost_bound=cost, rule=rule)
 
 
@@ -152,7 +146,8 @@ def annulus_diameter_bound(
     The ledger connects the two caller-supplied points of the annulus
     {alpha <= max(a1, -a3) <= (1+eps) alpha} by at most three slide segments
     (two when the points lie on opposite sides of the axis a2 = 0); its total
-    is asserted to stay within the returned bound.
+    is asserted to stay within the returned bound.  Routes are built with a
+    on the slide side (a2 >= 0); the others are their ledger_reflect images.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -166,34 +161,18 @@ def annulus_diameter_bound(
 
     ledger = CostLedger()
     if a.distance(b) > _GEOM_TOL:
-        la, lb = a.ell(), b.ell()
+        routes = []
         if a.a2 >= -_GEOM_TOL and b.a2 <= _GEOM_TOL:
-            routes = [_two_segment_route(a, b, la, lb, prof)]
-            if a.a2 <= _GEOM_TOL and b.a2 >= -_GEOM_TOL:
-                routes.append(_two_segment_route_reflected(a, b, la, lb, prof))
-            ledger = _pick_route(routes, alpha)
-        elif a.a2 <= _GEOM_TOL and b.a2 >= -_GEOM_TOL:
-            ledger = _two_segment_route_reflected(a, b, la, lb, prof)
-        elif a.a2 > 0 and b.a2 > 0:
-            p1 = LambdaPoint(la, 0.0, -la)
-            p2 = LambdaPoint(la, lb - la, -lb)
-            ledger = CostLedger(
-                [
-                    _segment(a, p1, J_ALPHA_SLIDE, prof),
-                    _segment(p1, p2, THETA_REFLECTED_SLIDE, prof),
-                    _segment(p2, b, J_ALPHA_SLIDE, prof),
-                ]
+            routes.append(_two_segment_route(a, b, prof))
+        if a.a2 <= _GEOM_TOL and b.a2 >= -_GEOM_TOL:
+            routes.append(ledger_reflect(_two_segment_route(a.reflect(), b.reflect(), prof)))
+        if not routes:  # both strictly on one side of the axis
+            routes.append(
+                _three_segment_route(a, b, prof)
+                if a.a2 > 0
+                else ledger_reflect(_three_segment_route(a.reflect(), b.reflect(), prof))
             )
-        else:
-            p1 = LambdaPoint(la, 0.0, -la)
-            p2 = LambdaPoint(lb, la - lb, -la)
-            ledger = CostLedger(
-                [
-                    _segment(a, p1, THETA_REFLECTED_SLIDE, prof),
-                    _segment(p1, p2, J_ALPHA_SLIDE, prof),
-                    _segment(p2, b, THETA_REFLECTED_SLIDE, prof),
-                ]
-            )
+        ledger = _pick_route(routes, alpha)
     ledger.validate()
     if ledger.total > bound + 1e-12:
         raise AssertionError(
@@ -202,24 +181,22 @@ def annulus_diameter_bound(
     return bound, ledger
 
 
-def _two_segment_route(a, b, la, lb, prof) -> CostLedger:
-    """a on the slide side (a2 >= 0), b on the reflected side (a2 <= 0)."""
+def _two_segment_route(a: LambdaPoint, b: LambdaPoint, prof: ExponentProfile) -> CostLedger:
+    """a on the slide side (a2 >= 0), b on the reflected side (a2 <= 0): J then theta."""
+    la, lb = a.ell(), b.ell()
     cross = LambdaPoint(lb, la - lb, -la)
-    return CostLedger(
-        [
-            _segment(a, cross, J_ALPHA_SLIDE, prof),
-            _segment(cross, b, THETA_REFLECTED_SLIDE, prof),
-        ]
-    )
+    return CostLedger([_segment(a, cross, J_ALPHA_SLIDE, prof), _segment(cross, b, THETA_REFLECTED_SLIDE, prof)])
 
 
-def _two_segment_route_reflected(a, b, la, lb, prof) -> CostLedger:
-    """a on the reflected side (a2 <= 0), b on the slide side (a2 >= 0)."""
-    cross = LambdaPoint(la, lb - la, -lb)
+def _three_segment_route(a: LambdaPoint, b: LambdaPoint, prof: ExponentProfile) -> CostLedger:
+    """a and b on the slide side (a2 > 0): J to the axis, theta along it, J to b."""
+    la, lb = a.ell(), b.ell()
+    hub, turn = LambdaPoint(la, 0.0, -la), LambdaPoint(la, lb - la, -lb)
     return CostLedger(
         [
-            _segment(a, cross, THETA_REFLECTED_SLIDE, prof),
-            _segment(cross, b, J_ALPHA_SLIDE, prof),
+            _segment(a, hub, J_ALPHA_SLIDE, prof),
+            _segment(hub, turn, THETA_REFLECTED_SLIDE, prof),
+            _segment(turn, b, J_ALPHA_SLIDE, prof),
         ]
     )
 

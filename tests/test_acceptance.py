@@ -8,8 +8,11 @@ the report.  There it checks the completion's consistency; the binding check
 is the estimate's mass over 2^17 < n <= 2^18 against the recurrence's.
 """
 
+import itertools
+
 import pytest
 
+from circleops import acceptance
 from circleops.acceptance import ALL_CRITERIA
 
 
@@ -17,4 +20,18 @@ from circleops.acceptance import ALL_CRITERIA
 def test_criterion(number):
     result = ALL_CRITERIA[number]()
     print(result.line())
+    assert result.number == number
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize(
+    "number, seconds, passed",
+    [(1, 11.0, False), (1, 9.0, True), (1, 10.0, False), (6, 1e6, True)],
+)
+def test_wall_clock_gate(monkeypatch, number, seconds, passed):
+    """Criterion 1 is gated at 10 s; criterion 6 has no gate however long it takes."""
+    clock = itertools.chain([0.0], itertools.repeat(seconds))
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+    result = ALL_CRITERIA[number]()
+    assert result.elapsed == seconds
+    assert result.passed == passed, result.line()

@@ -94,6 +94,24 @@ def test_zigzag_summary_constant(tmp_path, capsys):
     assert all(led["total"] <= led["bound"] for led in ledgers)
 
 
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("mixed-norm", ["--p", "4", "--restarts", "2", "--iters", "5", "--truncation", "4"]),
+        ("markov", ["--steps", "3", "--replicas", "10"]),
+        ("schatten-probe", ["--p4"]),
+    ],
+)
+def test_nan_delta_exits_2_without_manifest(tmp_path, command, argv):
+    assert run(tmp_path, command, "--delta", "nan", *argv) == 2
+    assert not (tmp_path / f"{command.replace('-', '_')}_manifest.json").exists()
+
+
+def test_tdelta_norms_nan_delta_exits_2(tmp_path):
+    assert run(tmp_path, "tdelta-norms", "--p", "8", "--nmax", "64", "--deltas", "nan,0.1,0.2") == 2
+    assert not (tmp_path / "tdelta_norms.csv").exists()
+
+
 def test_markov_deterministic(tmp_path):
     assert run(tmp_path, "markov", "--delta", "0.3", "--steps", "5",
                "--replicas", "200", "--seed", "9") == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from circleops.legendre import (
     HOLDER_CONSTANT,
+    _clamp_delta,
     _row_blocks,
     bernstein_envelope,
     gauss_rule,
@@ -17,6 +18,14 @@ from circleops.legendre import (
     legendre_eval,
     legendre_table,
 )
+from circleops.sl3 import x_delta
+from circleops.spectral import (
+    SpectralOperator,
+    difference_diagonal,
+    divergence_probe_p4,
+    schatten_tail_estimate,
+)
+from circleops.sphere import SphereGrid, circle_average_operator, markov_steps
 
 
 def test_p0_is_one_everywhere():
@@ -157,3 +166,52 @@ def test_gauss_rule_arrays_are_read_only():
     for array in gauss_rule(33):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+# Every public entry point that takes a delta in [-1, 1] (one at a time);
+# legendre decides the range for all of them.
+_GRID = SphereGrid.build(2)
+DELTA_ENTRY_POINTS = {
+    "_clamp_delta": _clamp_delta,
+    "x_delta": x_delta,
+    "circle_average_operator": lambda d: circle_average_operator(_GRID, d),
+    "markov_steps": lambda d: markov_steps(np.array([[0.0, 0.0, 1.0]]), d, np.random.default_rng(0)),
+    "SpectralOperator": lambda d: SpectralOperator(d, 4),
+    "schatten_tail_estimate": lambda d: schatten_tail_estimate(d, 5.0, 8),
+    "legendre_table": lambda d: legendre_table(4, d),
+    "legendre_table[array]": lambda d: legendre_table(4, np.array([0.5, d])),
+    "difference_diagonal": lambda d: difference_diagonal(d, 4),
+}
+RANGE_EDGE = 1.0 + 1e-12  # largest accepted |delta|; it is clipped to 1
+
+
+@pytest.mark.parametrize("entry", [*DELTA_ENTRY_POINTS, "divergence_probe_p4"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.1])
+def test_delta_entry_points_reject_nan_and_out_of_range(entry, bad):
+    call = DELTA_ENTRY_POINTS.get(entry, lambda d: divergence_probe_p4(d, [4, 8]))
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(DELTA_ENTRY_POINTS)),
+    sign=st.sampled_from([-1.0, 1.0]),
+    size=st.one_of(
+        st.sampled_from([RANGE_EDGE, np.nextafter(RANGE_EDGE, 2.0), 1.0, np.nextafter(1.0, 2.0)]),
+        st.floats(min_value=1.0 - 1e-11, max_value=1.0 + 1e-11),
+    ),
+)
+def test_delta_range_edge(entry, sign, size):
+    """|delta| = 1 + 1e-12 is accepted and the next float above it is rejected, at every entry point."""
+    call = DELTA_ENTRY_POINTS[entry]
+    if size <= RANGE_EDGE:
+        call(sign * size)
+    else:
+        with pytest.raises(ValueError):
+            call(sign * size)
+
+
+def test_clamp_delta_clips_to_the_interval():
+    assert _clamp_delta(RANGE_EDGE) == 1.0 and _clamp_delta(-RANGE_EDGE) == -1.0
+    assert _clamp_delta(-0.25) == -0.25

@@ -8,7 +8,9 @@ from circleops.sl3 import LambdaPoint, solve_delta_for_top
 from circleops.zigzag import (
     J_ALPHA_SLIDE,
     THETA_REFLECTED_SLIDE,
+    CostLedger,
     ExponentProfile,
+    Segment,
     annulus_diameter_bound,
     cauchy_tail_constant,
     covering_limit,
@@ -162,6 +164,90 @@ class TestAnnulus:
         for seg, ref in zip(ledger.segments, mirrored.segments):
             assert ref.rule == rules[seg.rule]
             assert ref.cost_bound == seg.cost_bound
+
+
+def _four_branch_segment(p, q, rule, prof):
+    """Slide cost with the reflected slide written out on its own."""
+    if rule == J_ALPHA_SLIDE:
+        level = -p.a3
+        d_p = solve_delta_for_top(level, min(p.a1, 2.0 * level))
+        d_q = solve_delta_for_top(level, min(q.a1, 2.0 * level))
+    else:
+        level = p.a1
+        d_p = solve_delta_for_top(level, min(p.reflect().a1, 2.0 * level))
+        d_q = solve_delta_for_top(level, min(q.reflect().a1, 2.0 * level))
+    return Segment(p, q, jump_cost(level, d_p, prof) + jump_cost(level, d_q, prof), rule)
+
+
+def _four_branch_ledger(alpha, a, b, prof, tol=1e-9):
+    """Routing with every reflected-side route written out by hand, one branch per side pattern."""
+    J, T = J_ALPHA_SLIDE, THETA_REFLECTED_SLIDE
+
+    def chain(points, rules):
+        return CostLedger([_four_branch_segment(p, q, r, prof) for p, q, r in zip(points, points[1:], rules)])
+
+    if a.distance(b) <= tol:
+        return CostLedger()
+    la, lb = a.ell(), b.ell()
+    two = chain([a, LambdaPoint(lb, la - lb, -la), b], [J, T])
+    two_reflected = chain([a, LambdaPoint(la, lb - la, -lb), b], [T, J])
+    if a.a2 >= -tol and b.a2 <= tol:
+        routes = [two]
+        if a.a2 <= tol and b.a2 >= -tol:
+            routes.append(two_reflected)
+        hub = LambdaPoint(alpha, 0.0, -alpha)
+        return min(routes, key=lambda led: led.segments[0].end.distance(hub))
+    if a.a2 <= tol and b.a2 >= -tol:
+        return two_reflected
+    corner = LambdaPoint(la, 0.0, -la)
+    if a.a2 > 0 and b.a2 > 0:
+        return chain([a, corner, LambdaPoint(la, lb - la, -lb), b], [J, T, J])
+    return chain([a, corner, LambdaPoint(lb, la - lb, -la), b], [T, J, T])
+
+
+def _outcome(route):
+    """Segments of a validated ledger, or the ValueError its validation raises.
+
+    A point with |a2| = 1e-9 exactly is routed as lying on the axis, yet its
+    first slide leaves the slice by 1e-9 plus rounding and fails validation;
+    both routings must fail alike there.
+    """
+    try:
+        return route().validate().segments
+    except ValueError as exc:
+        return str(exc)
+
+
+# a2 of a drawn point: well off either side, exactly on the axis, or within 2e-9 of it
+_SIDES = ("below", "near_below", "axis", "near_above", "above")
+
+
+def _sided_point(rng, alpha, eps, side):
+    top = rng.uniform(alpha, (1.0 + eps) * alpha)
+    if side == "axis":
+        gap = 0.0
+    elif side.startswith("near"):
+        gap = rng.choice([rng.uniform(0.0, 1e-9), rng.uniform(1e-9, 2e-9), 1e-9, 5e-324])
+    else:
+        gap = rng.uniform(0.0, top / 2.0)
+    point = LambdaPoint(top, -gap, gap - top)  # ell = top, a2 = -gap <= 0
+    return point.reflect() if side.endswith("above") else point
+
+
+class TestMirroredRoutes:
+    """Routes built once and mirrored equal the hand-written four-branch routing exactly."""
+
+    @pytest.mark.parametrize("side_a", _SIDES)
+    @pytest.mark.parametrize("side_b", _SIDES)
+    def test_matches_four_branch_routing(self, side_a, side_b):
+        rng = np.random.default_rng([_SIDES.index(side_a), _SIDES.index(side_b)])
+        for _ in range(100):
+            alpha, eps = rng.uniform(0.5, 6.0), rng.uniform(0.05, 0.95)
+            prof = SLOW if rng.random() < 0.5 else HILBERT
+            a = _sided_point(rng, alpha, eps, side_a)
+            b = a if rng.random() < 0.05 else _sided_point(rng, alpha, eps, side_b)
+            got = _outcome(lambda: annulus_diameter_bound(alpha, eps, prof, a, b)[1])
+            assert got == _outcome(lambda: _four_branch_ledger(alpha, a, b, prof)), (a, b)
 
 
 class TestTailConstant:
