@@ -1,13 +1,15 @@
 """Command-line surface: reproducible experiment runs with manifests.
 
-Every subcommand writes machine-readable outputs (CSV with #-comment
-metadata, JSON for structured certificates) into the output directory plus a
-run manifest recording command, parameters, seed, and produced files.
-Identical manifests reproduce byte-identical outputs: floats print at 17
-significant digits and all randomness is seeded.
+Every subcommand computes all of its outputs (CSV with #-comment metadata,
+JSON for structured certificates) before `_finish` writes them into the
+output directory together with a run manifest recording the command, every
+flag except --outdir, the seed, and the produced files.  Identical manifests
+reproduce byte-identical outputs: floats print at 17 significant digits and
+all randomness is seeded.
 
-Exit codes: 0 success, 1 assertion failure, 2 flag errors, 3
-numerical-degeneracy aborts.
+Exit codes: 0 success, 1 assertion failure, 2 flag errors (an unknown
+check-all --only number included), 3 numerical-degeneracy aborts.  A run
+that exits 2 or 3 writes no file.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .schatten import (
     MixedNormSpace,
     SingularProfile,
     combined_vector_bound,
-    interpolation_bound,
     mixed_norm_lower_bound,
+    mixed_norm_upper_bound,
 )
 from .sl3 import LambdaPoint, embedding2_solve, kak
 from .spectral import diff_power_sums, difference_diagonal, divergence_probe_p4, fit_decay
@@ -50,11 +52,10 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, claim: str, header, rows):
+def _csv(claim: str, header, rows) -> str:
     lines = [f"# checks: {claim}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _jsonify(obj):
@@ -71,144 +72,125 @@ def _jsonify(obj):
     return obj
 
 
-def _write_json(path: Path, payload):
-    path.write_text(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
+def _json(payload) -> str:
+    return json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _write_manifest(outdir: Path, command: str, params: dict, seed, outputs):
+def _finish(args, files: dict, failure: str | None = None) -> int:
+    """Write a run's files (name -> text), then its manifest; exit 1 if a check failed.
+
+    The manifest's parameters are every parsed flag except --outdir, so the
+    record of a run cannot drift from the flags that produced it.
+    """
+    out = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    skip = ("outdir", "command", "func", "seed")
     manifest = {
-        "command": command,
-        "parameters": _jsonify(params),
-        "seed": seed,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in skip},
+        "seed": getattr(args, "seed", None),
         "artifact_version": __version__,
-        "outputs": [str(p.name) for p in outputs],
+        "outputs": list(files),
     }
-    path = outdir / f"{command.replace('-', '_')}_manifest.json"
-    _write_json(path, manifest)
-    return path
-
-
-def _outdir(args) -> Path:
-    base = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-# ---------------------------------------------------------------------------
-# subcommand implementations
-# ---------------------------------------------------------------------------
-
-
-def cmd_legendre_bounds(args) -> int:
-    out = _outdir(args)
-    deltas = np.linspace(-1.0, 1.0, args.grid)
-    defects = np.abs(legendre_defect(args.nmax, deltas)).max(axis=0)
-    bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
-    rows = list(zip(deltas, defects, bounds))
-    csv = out / "legendre_bounds.csv"
-    _write_csv(csv, "max_n |P_n(0)-P_n(delta)| <= 4*sqrt(|delta|)",
-               ["delta", "max_defect", "bound"], rows)
-    violations = int(np.sum(defects > bounds + 1e-14))
-    _write_manifest(out, "legendre-bounds", {"nmax": args.nmax, "grid": args.grid}, None, [csv])
-    print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")
-    if violations:
-        print("FAIL: pointwise defect bound violated", file=sys.stderr)
+    files = {**files, f"{args.command.replace('-', '_')}_manifest.json": _json(manifest)}
+    for name, text in files.items():
+        (out / name).write_text(text)
+    if failure:
+        print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0
 
 
+def delta_list(text: str) -> list[float]:
+    """The --deltas type: comma-separated floats, sorted ascending."""
+    return sorted(float(tok) for tok in text.split(","))
+
+
+# ---------------------------------------------------------------------------
+# subcommand implementations: compute every output, then hand them to _finish
+# ---------------------------------------------------------------------------
+
+
+def cmd_legendre_bounds(args) -> int:
+    deltas = np.linspace(-1.0, 1.0, args.grid)
+    defects = np.abs(legendre_defect(args.nmax, deltas)).max(axis=0)
+    bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
+    violations = int(np.sum(defects > bounds + 1e-14))
+    print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")
+    csv = _csv("max_n |P_n(0)-P_n(delta)| <= 4*sqrt(|delta|)",
+               ["delta", "max_defect", "bound"], zip(deltas, defects, bounds))
+    return _finish(args, {"legendre_bounds.csv": csv},
+                   "pointwise defect bound violated" if violations else None)
+
+
 def cmd_tdelta_norms(args) -> int:
-    out = _outdir(args)
-    deltas = sorted(float(d) for d in args.deltas.split(","))
-    vals = diff_power_sums(deltas, [args.p], [args.nmax])[0, :, 0]
-    rows = [(d, args.p, args.nmax, v) for d, v in zip(deltas, vals)]
-    csv = out / "tdelta_norms.csv"
-    _write_csv(csv, "Schatten norm of the averaging difference decays like delta^(1/2-2/p)",
-               ["delta", "p", "N", "value"], rows)
-    fit = fit_decay(args.p, deltas, n_max=args.nmax)
-    fit_json = out / "tdelta_decay_fit.json"
-    _write_json(fit_json, {
-        "p": args.p,
-        "exponent": fit.exponent,
-        "constant": fit.constant,
-        "residual": fit.residual,
-        "theory_exponent": fit.theory_exponent,
-        "envelope_constant": fit.envelope_constant,
-        "grid": fit.grid,
-    })
-    _write_manifest(out, "tdelta-norms",
-                    {"p": args.p, "deltas": deltas, "nmax": args.nmax}, None, [csv, fit_json])
+    vals = diff_power_sums(args.deltas, [args.p], [args.nmax])[0, :, 0]
+    fit = fit_decay(args.p, args.deltas, n_max=args.nmax)
     print(f"tdelta-norms: fitted exponent {fit.exponent:.4f} "
           f"(theory {fit.theory_exponent:.4f}), constant {fit.constant:.4f}")
-    return 0
+    return _finish(args, {
+        "tdelta_norms.csv": _csv(
+            "Schatten norm of the averaging difference decays like delta^(1/2-2/p)",
+            ["delta", "p", "N", "value"],
+            [(d, args.p, args.nmax, v) for d, v in zip(args.deltas, vals)]),
+        "tdelta_decay_fit.json": _json({
+            "p": args.p,
+            "exponent": fit.exponent,
+            "constant": fit.constant,
+            "residual": fit.residual,
+            "theory_exponent": fit.theory_exponent,
+            "envelope_constant": fit.envelope_constant,
+            "grid": fit.grid,
+        }),
+    })
 
 
 def cmd_schatten_probe(args) -> int:
-    out = _outdir(args)
     if not args.p4:
         print("only the boundary probe --p4 is implemented", file=sys.stderr)
         return 2
     ns = [2**k for k in range(10, 17)]
     sums = divergence_probe_p4(args.delta, ns)
-    rows = list(zip(ns, sums))
-    csv = out / "schatten_probe_p4.csv"
-    _write_csv(csv, "fourth-power partial sums grow ~log N (boundary exponent p=4)",
-               ["N", "partial_sum"], rows)
-    _write_manifest(out, "schatten-probe", {"p4": True, "delta": args.delta}, None, [csv])
     inc = np.diff(sums)
     print(f"schatten-probe: increments per dyadic window in "
           f"[{inc.min():.6f}, {inc.max():.6f}] at delta={args.delta}")
-    return 0
+    return _finish(args, {"schatten_probe_p4.csv": _csv(
+        "fourth-power partial sums grow ~log N (boundary exponent p=4)",
+        ["N", "partial_sum"], zip(ns, sums))})
 
 
 def cmd_mixed_norm(args) -> int:
-    out = _outdir(args)
     diag = difference_diagonal(args.delta, args.truncation)
     T = np.diag(diag)
     space = MixedNormSpace(T.shape[0], args.inner_dim, args.p)
     res = mixed_norm_lower_bound(T, space, restarts=args.restarts, iters=args.iters, seed=args.seed)
-    theta = min(2.0 / args.p, 2.0 - 2.0 / args.p)
-    interp = interpolation_bound(4.0 * np.sqrt(args.delta), 2.0, theta)
+    interp = mixed_norm_upper_bound(args.delta, args.p)
     prof = SingularProfile(np.sort(np.abs(diag))[::-1])
     dyadic, _ = combined_vector_bound(prof, r=2.0, type_p=2.0, cotype_q=max(args.p, 2.0))
-    csv = out / "mixed_norm.csv"
-    _write_csv(csv, "witnessed lower bound <= interpolation upper bound",
-               ["delta", "p", "lower_bound", "interp_bound", "dyadic_bound"],
-               [(args.delta, args.p, res.value, interp, dyadic)])
-    _write_manifest(out, "mixed-norm",
-                    {"p": args.p, "delta": args.delta, "restarts": args.restarts,
-                     "iters": args.iters, "truncation": args.truncation,
-                     "inner_dim": args.inner_dim}, args.seed, [csv])
     print(f"mixed-norm: lower {res.value:.6f} <= interpolation {interp:.6f} "
           f"(dyadic bound {dyadic:.4f})")
-    if res.value > interp + 1e-9:
-        print("FAIL: lower bound exceeded the interpolation bound", file=sys.stderr)
-        return 1
-    return 0
+    csv = _csv("witnessed lower bound <= interpolation upper bound",
+               ["delta", "p", "lower_bound", "interp_bound", "dyadic_bound"],
+               [(args.delta, args.p, res.value, interp, dyadic)])
+    return _finish(args, {"mixed_norm.csv": csv},  # a NaN bound fails
+                   "lower bound exceeded the interpolation bound" if not res.value <= interp + 1e-9 else None)
 
 
 def cmd_kak(args) -> int:
-    out = _outdir(args)
     g = np.array(args.matrix, dtype=float).reshape(3, 3)
     dec = kak(g)
-    payload = {
+    print(f"kak: exponents {dec.a.as_array()}, residual {dec.residual(g):.3e}")
+    return _finish(args, {"kak.json": _json({
         "input": g,
         "k1": dec.k1,
         "a": dec.a.as_array(),
         "k2": dec.k2,
         "residual": dec.residual(g),
         "length": dec.a.ell(),
-    }
-    path = out / "kak.json"
-    _write_json(path, payload)
-    _write_manifest(out, "kak", {"matrix": list(args.matrix)}, None, [path])
-    print(f"kak: exponents {dec.a.as_array()}, residual {dec.residual(g):.3e}")
-    return 0
+    })})
 
 
 def cmd_embedding2(args) -> int:
-    out = _outdir(args)
     alphas = np.linspace(args.gamma, 7.0 * args.gamma / 6.0, args.alpha_grid)
     certs = []
     for alpha in alphas:
@@ -227,23 +209,16 @@ def cmd_embedding2(args) -> int:
             "delta_bound": float(np.exp(-cert.gamma)),
             "rotation_bound": float(2.0 * np.exp(-cert.gamma / 4.0)),
         })
-    path = out / "embedding2.json"
-    _write_json(path, certs)
-    _write_manifest(out, "embedding2",
-                    {"gamma": args.gamma, "alpha_grid": args.alpha_grid}, None, [path])
     worst = max(max(c["residual1"], c["residual2"]) for c in certs)
     print(f"embedding2: {len(certs)} certificates, max residual {worst:.3e}")
-    return 0
+    return _finish(args, {"embedding2.json": _json(certs)})
 
 
 def cmd_zigzag(args) -> int:
-    out = _outdir(args)
     prof = ExponentProfile(holder_s=args.s, growth_t=args.t, hoelder_C=args.C, growth_L=args.L)
     cprime = cauchy_tail_constant(prof)
     alphas = np.linspace(max(1.0, args.alpha_min), args.alpha_max, args.alpha_grid)
     decay = diameter_decay_profile(alphas, prof)
-    csv = out / "zigzag_decay.csv"
-    _write_csv(csv, "tail-diameter bound C' * e^((2t-s) alpha)", ["alpha", "bound"], decay)
     ledgers = []
     for alpha in alphas:
         a = LambdaPoint(1.2 * alpha, -0.5 * alpha, -0.7 * alpha)
@@ -264,44 +239,31 @@ def cmd_zigzag(args) -> int:
                 for seg in ledger.segments
             ],
         })
-    path = out / "zigzag_ledgers.json"
-    _write_json(path, ledgers)
-    _write_manifest(out, "zigzag",
-                    {"s": args.s, "t": args.t, "C": args.C, "L": args.L,
-                     "alpha_grid": args.alpha_grid, "epsilon": args.epsilon}, None, [csv, path])
     print(f"zigzag: tail constant C' = {cprime:.6f}; {len(ledgers)} ledgers, "
           f"all totals within bounds")
-    return 0
+    return _finish(args, {
+        "zigzag_decay.csv": _csv("tail-diameter bound C' * e^((2t-s) alpha)", ["alpha", "bound"], decay),
+        "zigzag_ledgers.json": _json(ledgers),
+    })
 
 
 def cmd_markov(args) -> int:
-    out = _outdir(args)
     trace = markov_trace(np.array([0.0, 0.0, 1.0]), args.delta, args.steps, args.seed)
-    csv1 = out / "markov_trace.csv"
-    _write_csv(csv1, "consecutive positions have inner product delta",
-               ["step", "x1", "x2", "x3"],
-               [(k, *trace.positions[k]) for k in range(args.steps + 1)])
     norms, sigmas = mixing_profile(args.delta, args.steps, args.replicas, args.seed)
-    csv2 = out / "markov_profile.csv"
-    _write_csv(csv2, "mean-vector norm contracts like |delta|^step",
-               ["step", "mean_norm", "mc_sigma"],
-               [(k + 1, norms[k], sigmas[k]) for k in range(args.steps)])
-    _write_manifest(out, "markov",
-                    {"delta": args.delta, "steps": args.steps, "replicas": args.replicas},
-                    args.seed, [csv1, csv2])
     print(f"markov: {args.steps} steps, chain defect {trace.consecutive_inner_defect():.2e}, "
           f"final mean norm {norms[-1]:.6f} (theory {abs(args.delta) ** args.steps:.6f})")
-    return 0
+    return _finish(args, {
+        "markov_trace.csv": _csv("consecutive positions have inner product delta",
+                                 ["step", "x1", "x2", "x3"],
+                                 [(k, *trace.positions[k]) for k in range(args.steps + 1)]),
+        "markov_profile.csv": _csv("mean-vector norm contracts like |delta|^step",
+                                   ["step", "mean_norm", "mc_sigma"],
+                                   [(k + 1, norms[k], sigmas[k]) for k in range(args.steps)]),
+    })
 
 
 def cmd_howe_moore(args) -> int:
-    out = _outdir(args)
     rows = coefficient_decay(args.nmax)
-    csv = out / "howe_moore_decay.csv"
-    _write_csv(csv, "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
-               ["n", "c_n", "bound", "leakage"], rows)
-    _write_manifest(out, "howe-moore",
-                    {"band_limit": args.band_limit, "nmax": args.nmax}, None, [csv])
     print(f"howe-moore: c(n) for n <= {args.nmax}, "
           f"max c/bound = {np.max(rows[1:, 1] / rows[1:, 2]):.4f}")
     if args.band_limit >= 4:
@@ -312,37 +274,30 @@ def cmd_howe_moore(args) -> int:
         op = assemble_operator(np.diag([np.e, 1.0, 1.0 / np.e]), grid)
         rel = abs(op.matrix[0, 0] - matrix_coefficient(1)) / matrix_coefficient(1)
         print(f"howe-moore: band-{args.band_limit} grid agrees with c(1) to {rel:.2e}")
-    return 0
+    return _finish(args, {"howe_moore_decay.csv": _csv(
+        "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
+        ["n", "c_n", "bound", "leakage"], rows)})
 
 
 def cmd_invariant_gap(args) -> int:
-    out = _outdir(args)
     rows = []
     minimizers = {}
     for degree in range(1, args.jmax + 1):
         gap, vec = invariant_gap(degree, seed=args.seed)
         rows.append((degree, gap, 1.0 / 3.0))
         minimizers[str(degree)] = vec
-    csv = out / "invariant_gap.csv"
-    _write_csv(csv, "summed invariant defect over the two circle subgroups >= 1/3",
-               ["degree", "gap", "threshold"], rows)
-    path = out / "invariant_gap_minimizers.json"
-    _write_json(path, minimizers)
-    _write_manifest(out, "invariant-gap", {"jmax": args.jmax}, args.seed, [csv, path])
     print("invariant-gap: " + ", ".join(f"j={d}: {g:.4f}" for d, g, _ in rows))
-    if any(g < 1.0 / 3.0 for _, g, _ in rows):
-        print("FAIL: gap below 1/3", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(args, {
+        "invariant_gap.csv": _csv("summed invariant defect over the two circle subgroups >= 1/3",
+                                  ["degree", "gap", "threshold"], rows),
+        "invariant_gap_minimizers.json": _json(minimizers),
+    }, "gap below 1/3" if any(g < 1.0 / 3.0 for _, g, _ in rows) else None)
 
 
 def cmd_check_all(args) -> int:
     from .acceptance import run_criteria
 
-    numbers = None
-    if args.only:
-        numbers = sorted({int(tok) for tok in args.only.split(",")})
-    results = run_criteria(numbers)
+    results = run_criteria({int(tok) for tok in args.only.split(",")} if args.only else None)
     failed = [r for r in results if not r.passed]
     print(f"\n{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
@@ -370,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tdelta-norms", help="Schatten norms of the averaging difference")
     p.add_argument("--p", type=float, default=8.0)
-    p.add_argument("--deltas", default=",".join(str(2.0**-k) for k in range(1, 11)))
+    p.add_argument("--deltas", type=delta_list, default=",".join(str(2.0**-k) for k in range(1, 11)))
     p.add_argument("--nmax", type=int, default=2**14)
     p.set_defaults(func=cmd_tdelta_norms)
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .legendre import HOLDER_CONSTANT
+
 __all__ = [
     "SingularProfile",
     "DyadicDecomposition",
@@ -26,6 +28,7 @@ __all__ = [
     "MixedNormLowerBound",
     "mixed_norm_lower_bound",
     "interpolation_bound",
+    "mixed_norm_upper_bound",
 ]
 
 
@@ -315,3 +318,13 @@ def interpolation_bound(op_norm_l2: float, regular_norm: float, theta: float) ->
     if op_norm_l2 < 0 or regular_norm < 0:
         raise ValueError("norms must be nonnegative")
     return regular_norm ** (1.0 - theta) * op_norm_l2**theta
+
+
+def mixed_norm_upper_bound(delta: float, p: float) -> float:
+    """Upper bound 2^(1-theta) (4 sqrt|delta|)^theta for ||(T_0 - T_delta) tensor Id|| on l2(l^p).
+
+    Interpolates the regular norm 2 against the Hoelder bound 4 sqrt|delta| on
+    l2, with theta = min(2/p, 2 - 2/p).
+    """
+    theta = min(2.0 / p, 2.0 - 2.0 / p)
+    return interpolation_bound(HOLDER_CONSTANT * np.sqrt(abs(delta)), 2.0, theta)

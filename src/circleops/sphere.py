@@ -80,7 +80,10 @@ def _basis_block(z, cphi, sphi, band_limit, out):
             write(n, q_cur)
 
 
-def real_sph_harm_matrix(points: np.ndarray, band_limit: int, chunk: int = 16384) -> np.ndarray:
+_CHUNK = 16384  # points per _basis_block call
+
+
+def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     """Real orthonormal spherical harmonics at unit vectors, shape (npts, (B+1)^2).
 
     Normalized against the probability measure on S2: the constant harmonic
@@ -90,8 +93,8 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int, chunk: int = 16384
     npts = pts.shape[0]
     ncoef = (band_limit + 1) ** 2
     out = np.empty((ncoef, npts))
-    for lo in range(0, npts, chunk):
-        hi = min(lo + chunk, npts)
+    for lo in range(0, npts, _CHUNK):
+        hi = min(lo + _CHUNK, npts)
         x, y, z = pts[lo:hi, 0], pts[lo:hi, 1], pts[lo:hi, 2]
         rho = np.hypot(x, y)
         safe = rho > 0

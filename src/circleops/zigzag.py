@@ -162,9 +162,9 @@ def annulus_diameter_bound(
     ledger = CostLedger()
     if a.distance(b) > _GEOM_TOL:
         routes = []
-        if a.a2 >= -_GEOM_TOL and b.a2 <= _GEOM_TOL:
+        if a.a2 >= 0 and b.a2 <= 0:
             routes.append(_two_segment_route(a, b, prof))
-        if a.a2 <= _GEOM_TOL and b.a2 >= -_GEOM_TOL:
+        if a.a2 <= 0 and b.a2 >= 0:
             routes.append(ledger_reflect(_two_segment_route(a.reflect(), b.reflect(), prof)))
         if not routes:  # both strictly on one side of the axis
             routes.append(

@@ -56,6 +56,7 @@ def test_tdelta_norms_and_fit(tmp_path):
 
 def test_tdelta_norms_bad_grid_exits_2(tmp_path):
     assert run(tmp_path, "tdelta-norms", "--p", "8", "--deltas", "0.9,0.8,0.7") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_schatten_probe(tmp_path):
@@ -71,6 +72,17 @@ def test_mixed_norm(tmp_path):
     row = (tmp_path / "mixed_norm.csv").read_text().splitlines()[2].split(",")
     lower, interp = float(row[2]), float(row[3])
     assert lower <= interp + 1e-9
+
+
+def test_mixed_norm_negative_delta_uses_abs_delta(tmp_path):
+    bounds = []
+    for delta in ("-0.1", "0.1"):
+        out = tmp_path / delta
+        assert main(["--outdir", str(out), "mixed-norm", "--delta", delta,
+                     "--restarts", "2", "--iters", "5", "--truncation", "4"]) == 0
+        bounds.append(float((out / "mixed_norm.csv").read_text().splitlines()[2].split(",")[3]))
+    assert np.isfinite(bounds[0])
+    assert bounds[0] == bounds[1]
 
 
 @pytest.mark.parametrize("flag, value", [("--restarts", "-3"), ("--iters", "-1")])
@@ -139,6 +151,14 @@ def test_invariant_gap(tmp_path):
 
 def test_check_all_subset(tmp_path):
     assert run(tmp_path, "check-all", "--only", "3,6") == 0
+
+
+@pytest.mark.parametrize("only", ["99", "0", "3,99"])
+def test_check_all_unknown_criterion_exits_2(tmp_path, capsys, only):
+    assert run(tmp_path, "check-all", "--only", only) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12" in captured.err
 
 
 def test_csv_floats_roundtrip(tmp_path):

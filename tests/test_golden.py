@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleops.cli import main
+from circleops.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 RTOL = 1e-12
@@ -67,16 +67,38 @@ def _compare_csv(got: str, want: str, where: str) -> list:
     ]
 
 
+@pytest.fixture(scope="module")
+def outdir(tmp_path_factory):
+    """Output directory of one default run per subcommand, shared by the tests below."""
+    runs = {}
+
+    def run(command):
+        if command not in runs:
+            out = tmp_path_factory.mktemp(command)
+            assert main(["--outdir", str(out), command, *COMMANDS[command]]) == 0
+            runs[command] = out
+        return runs[command]
+
+    return run
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_golden(command, tmp_path):
-    assert main(["--outdir", str(tmp_path), command, *COMMANDS[command]]) == 0
+def test_golden(command, outdir):
+    got_dir = outdir(command)
     want_dir = GOLDEN / command
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in want_dir.iterdir())
+    assert sorted(p.name for p in got_dir.iterdir()) == sorted(p.name for p in want_dir.iterdir())
     errors = []
     for want in sorted(want_dir.iterdir()):
-        got = (tmp_path / want.name).read_text()
+        got = (got_dir / want.name).read_text()
         if want.suffix == ".json":
             errors += _compare_json(json.loads(got), json.loads(want.read_text()), want.name)
         else:
             errors += _compare_csv(got, want.read_text(), want.name)
     assert not errors, "\n".join(errors[:20])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_records_every_flag(command, outdir):
+    manifest = json.loads((outdir(command) / f"{command.replace('-', '_')}_manifest.json").read_text())
+    flags = vars(build_parser().parse_args([command, *COMMANDS[command]]))
+    assert sorted(manifest["parameters"]) == sorted(set(flags) - {"outdir", "command", "func", "seed"})
