@@ -30,8 +30,8 @@ for n in (1, 3, 5):
     print(f"  n = {n}: top singular value {s[0]:.6f}, second {s[1]:.1e}, "
           f"leakage {op.leakage:.3f}")
 
-print("\ninvariant gaps (closed form sqrt(1 - P_j(0)^2)):")
+print("\ninvariant gaps: exact interval [lower, witness defect] vs sqrt(1 - P_j(0)^2):")
 for j in range(1, 7):
-    gap, _ = invariant_gap(j, starts=16, iters=200, seed=j)
+    lower, upper, _ = invariant_gap(j)
     oracle = np.sqrt(1 - legendre_at_zero(j)[j] ** 2)
-    print(f"  degree {j}: minimized defect sum {gap:.6f} (closed form {oracle:.6f}) >= 1/3")
+    print(f"  degree {j}: [{lower:.15f}, {upper:.15f}] (closed form {oracle:.15f}) >= 1/3")

@@ -27,7 +27,6 @@ from .schatten import (
     MixedNormSpace,
     SingularProfile,
     dyadic_decompose,
-    mixed_norm_lower_bound,
     mixed_norm_upper_bound,
 )
 from .sl3 import LambdaPoint, embedding2_solve, j_alpha, kak, solve_delta_for_top
@@ -213,20 +212,30 @@ def criterion_6():
     return violations == 0, f"violations={violations} over 100 profiles x 4 exponents"
 
 
+def _diagonal_witness(diag: np.ndarray, space: MixedNormSpace):
+    """Witness e_i (x) e_1, i = argmax |t_i|, and its image's norm under diag(t) (x) Id.
+
+    On l2(X) the norm of a diagonal T (x) Id is exactly max |t_i|, so the
+    image's norm is the operator norm, attained.
+    """
+    witness = np.zeros((space.outer_dim, space.inner_dim))
+    witness[np.argmax(np.abs(diag)), 0] = 1.0
+    return witness, space.norm(diag[:, None] * witness)
+
+
 @_criterion(7, "interpolation consistency")
 def criterion_7():
-    """Mixed-norm lower bounds never exceed the interpolation upper bound."""
+    """The exact mixed norm of the diagonal T_0 - T_delta never exceeds the interpolation bound."""
     violations = 0
     margin = np.inf
     for p in (4.0, 6.0, 8.0):
-        for i, delta in enumerate((0.025, 0.05, 0.1, 0.2)):
-            T = np.diag(difference_diagonal(delta, 16))
-            space = MixedNormSpace(T.shape[0], 4, p)
-            res = mixed_norm_lower_bound(T, space, restarts=32, iters=200, seed=10 * i + int(p))
+        for delta in (0.025, 0.05, 0.1, 0.2):
+            diag = difference_diagonal(delta, 16)
+            _, value = _diagonal_witness(diag, MixedNormSpace(diag.size, 4, p))
             upper = mixed_norm_upper_bound(delta, p)
-            if not res.value <= upper + 1e-9:
+            if not value <= upper + 1e-9:
                 violations += 1
-            margin = min(margin, upper - res.value)
+            margin = min(margin, upper - value)
     return violations == 0, f"violations={violations}, smallest upper-lower margin {margin:.4f}"
 
 
@@ -334,14 +343,14 @@ def criterion_11():
 
 @_criterion(12, "invariant gap")
 def criterion_12():
-    """Invariant gap >= 1/3 for degrees 1..6, minimizer reported."""
-    gaps = []
-    ok = True
-    for degree in range(1, 7):
-        gap, vec = invariant_gap(degree, starts=64, iters=400, seed=degree)
-        gaps.append(gap)
-        ok &= gap >= 1.0 / 3.0 and abs(np.linalg.norm(vec) - 1.0) < 1e-9
-    return ok, "gaps " + np.array2string(np.array(gaps), precision=4)
+    """Invariant gap >= 1/3 for degrees 1..6: exact lower end, witnessed upper end."""
+    gaps = [invariant_gap(degree) for degree in range(1, 7)]
+    ok = all(1.0 / 3.0 <= lo <= up and abs(np.linalg.norm(vec) - 1.0) < 1e-9 for lo, up, vec in gaps)
+    lowers, uppers = np.array([gap[:2] for gap in gaps]).T
+    return ok, (
+        f"gaps >= {np.array2string(lowers, precision=4)}, witnessed <= "
+        f"{np.array2string(uppers, precision=4)}, widest interval {(uppers - lowers).max():.1e}"
+    )
 
 
 def run_criteria(numbers=None, printer=print):

@@ -26,13 +26,7 @@ from . import __version__
 from .errors import NumericalDegeneracyError
 from .legendre import HOLDER_CONSTANT, legendre_defect
 from .repsim import coefficient_decay, invariant_gap, matrix_coefficient
-from .schatten import (
-    MixedNormSpace,
-    SingularProfile,
-    combined_vector_bound,
-    mixed_norm_lower_bound,
-    mixed_norm_upper_bound,
-)
+from .schatten import MixedNormSpace, mixed_norm_lower_bound, mixed_norm_upper_bound
 from .sl3 import LambdaPoint, embedding2_solve, kak
 from .spectral import diff_power_sums, difference_diagonal, divergence_probe_p4, fit_decay
 from .sphere import markov_trace, mixing_profile
@@ -61,6 +55,8 @@ def _csv(claim: str, header, rows) -> str:
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
+    if isinstance(obj, bool):  # before int: bool is an int subclass
+        return obj
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -160,18 +156,13 @@ def cmd_schatten_probe(args) -> int:
 
 
 def cmd_mixed_norm(args) -> int:
-    diag = difference_diagonal(args.delta, args.truncation)
-    T = np.diag(diag)
+    T = np.diag(difference_diagonal(args.delta, args.truncation))
     space = MixedNormSpace(T.shape[0], args.inner_dim, args.p)
     res = mixed_norm_lower_bound(T, space, restarts=args.restarts, iters=args.iters, seed=args.seed)
     interp = mixed_norm_upper_bound(args.delta, args.p)
-    prof = SingularProfile(np.sort(np.abs(diag))[::-1])
-    dyadic, _ = combined_vector_bound(prof, r=2.0, type_p=2.0, cotype_q=max(args.p, 2.0))
-    print(f"mixed-norm: lower {res.value:.6f} <= interpolation {interp:.6f} "
-          f"(dyadic bound {dyadic:.4f})")
+    print(f"mixed-norm: lower {res.value:.6f} <= interpolation {interp:.6f}")
     csv = _csv("witnessed lower bound <= interpolation upper bound",
-               ["delta", "p", "lower_bound", "interp_bound", "dyadic_bound"],
-               [(args.delta, args.p, res.value, interp, dyadic)])
+               ["delta", "p", "lower_bound", "interp_bound"], [(args.delta, args.p, res.value, interp)])
     return _finish(args, {"mixed_norm.csv": csv},  # a NaN bound fails
                    "lower bound exceeded the interpolation bound" if not res.value <= interp + 1e-9 else None)
 
@@ -281,17 +272,18 @@ def cmd_howe_moore(args) -> int:
 
 def cmd_invariant_gap(args) -> int:
     rows = []
-    minimizers = {}
+    witnesses = {}
     for degree in range(1, args.jmax + 1):
-        gap, vec = invariant_gap(degree, seed=args.seed)
-        rows.append((degree, gap, 1.0 / 3.0))
-        minimizers[str(degree)] = vec
-    print("invariant-gap: " + ", ".join(f"j={d}: {g:.4f}" for d, g, _ in rows))
+        lower, upper, vec = invariant_gap(degree)
+        rows.append((degree, lower, upper, 1.0 / 3.0))
+        witnesses[str(degree)] = vec
+    print("invariant-gap: " + ", ".join(f"j={d}: [{lo:.4f}, {up:.4f}]" for d, lo, up, _ in rows))
+    bad = any(not 1.0 / 3.0 <= lo <= up for _, lo, up, _ in rows)
     return _finish(args, {
         "invariant_gap.csv": _csv("summed invariant defect over the two circle subgroups >= 1/3",
-                                  ["degree", "gap", "threshold"], rows),
-        "invariant_gap_minimizers.json": _json(minimizers),
-    }, "gap below 1/3" if any(g < 1.0 / 3.0 for _, g, _ in rows) else None)
+                                  ["degree", "lower", "witness_defect", "threshold"], rows),
+        "invariant_gap_witnesses.json": _json(witnesses),
+    }, "gap below 1/3 or above its witness" if bad else None)
 
 
 def cmd_check_all(args) -> int:
@@ -379,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant-gap", help="invariant defect gap per degree")
     p.add_argument("--jmax", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_invariant_gap)
 
     p = sub.add_parser("check-all", help="run the acceptance suite")

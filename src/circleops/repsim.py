@@ -272,55 +272,40 @@ def axis_average_projection(grid: SphereGrid, degree: int, axis: str) -> np.ndar
     return acc / n_ang
 
 
-def invariant_gap(degree: int, starts: int = 64, iters: int = 400, seed: int = 0):
-    """Minimum over unit vectors of the summed invariant defects.
+def invariant_gap(degree: int):
+    """Exact interval for the minimum over unit vectors of the summed invariant defects.
 
-    Minimizes ||a - P a|| + ||a - Q a|| over the unit sphere of the degree-j
-    harmonics, where P and Q average over the rotations about e1 and e3, by
-    projected gradient descent from seeded random starts.  Returns
-    (gap, minimizer).  The gap equals sqrt(1 - P_j(0)^2) in closed form,
-    which the tests use as the oracle; the certified claim is gap >= 1/3.
+    The minimum of ||a - P a|| + ||a - Q a|| over the unit sphere of the
+    degree-j harmonics, where P and Q average over the rotations about e1
+    and e3.  Returns (lower, witness_defect, witness) with
+    lower <= minimum <= witness_defect.
+
+    Proof sketch: for unit a, the angles from a to ran P and to ran Q add up
+    to at least arccos ||PQ||, and sin is subadditive on [0, pi/2], so the
+    defect sum is at least sqrt(1 - ||PQ||^2).  P and Q come from quadrature,
+    so the bound is taken for the exact projections V V^T onto their ranges
+    (eigenvectors with eigenvalue > 1/2), where ||PQ|| is the top singular
+    value s of V_P^T V_Q; the rounding margin ||V_P V_P^T - P|| +
+    ||V_Q V_Q^T - Q|| (spectral norms) is subtracted, since each defect moves
+    by at most that much.  The witness is V_Q v1, v1 the top right singular
+    vector of V_P^T V_Q (largest-magnitude entry positive), and its measured
+    defect is the upper end.  It must come from ran Q: at odd degrees PQ is
+    numerically zero and the singular vectors of PQ itself are noise.  The
+    closed form is sqrt(1 - P_j(0)^2); the certified claim is lower >= 1/3.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     grid = SphereGrid.build(degree, lat_oversample=2, lon_oversample=2)
-    p_u = axis_average_projection(grid, degree, "e1")
-    p_ut = axis_average_projection(grid, degree, "e3")
-    dim = 2 * degree + 1
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def defect(a: np.ndarray) -> float:
-        return float(np.linalg.norm(a - p_u @ a) + np.linalg.norm(a - p_ut @ a))
-
-    def grad(a: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
-        for proj in (p_u, p_ut):
-            res = a - proj @ a
-            nrm = np.linalg.norm(res)
-            if nrm > 1e-14:
-                out += res / nrm
-        return out
-
-    best_val, best_vec = np.inf, None
-    for _ in range(starts):
-        a = rng.normal(size=dim)
-        a /= np.linalg.norm(a)
-        step = 0.2
-        val = defect(a)
-        for _it in range(iters):
-            g = grad(a)
-            g -= np.dot(g, a) * a
-            if np.linalg.norm(g) < 1e-12:
-                break
-            cand = a - step * g
-            cand /= np.linalg.norm(cand)
-            cand_val = defect(cand)
-            if cand_val < val:
-                a, val = cand, cand_val
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        if val < best_val:
-            best_val, best_vec = val, a
-    return best_val, best_vec
+    projs = [axis_average_projection(grid, degree, axis) for axis in ("e1", "e3")]
+    bases, margin = [], 0.0
+    for proj in projs:
+        vals, vecs = np.linalg.eigh(proj)
+        basis = vecs[:, vals > 0.5]
+        bases.append(basis)
+        margin += np.linalg.norm(basis @ basis.T - proj, 2)
+    _, sing, vt = np.linalg.svd(bases[0].T @ bases[1])
+    lower = float(np.sqrt(max(0.0, 1.0 - sing[0] ** 2)) - margin)
+    witness = bases[1] @ vt[0]
+    witness *= np.sign(witness[np.argmax(np.abs(witness))])
+    defect = sum(float(np.linalg.norm(witness - proj @ witness)) for proj in projs)
+    return lower, defect, witness

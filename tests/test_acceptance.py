@@ -10,10 +10,13 @@ is the estimate's mass over 2^17 < n <= 2^18 against the recurrence's.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from circleops import acceptance
 from circleops.acceptance import ALL_CRITERIA
+from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
+from circleops.spectral import difference_diagonal
 
 
 @pytest.mark.parametrize("number", sorted(ALL_CRITERIA))
@@ -35,3 +38,15 @@ def test_wall_clock_gate(monkeypatch, number, seconds, passed):
     result = ALL_CRITERIA[number]()
     assert result.elapsed == seconds
     assert result.passed == passed, result.line()
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0, np.inf])
+def test_criterion_7_witness_attains_the_diagonal_norm(p):
+    """Criterion 7's witness e_i (x) e_1 is a unit vector whose image has norm max |t_i|."""
+    diag = difference_diagonal(0.1, 16)
+    space = MixedNormSpace(diag.size, 4, p)
+    witness, value = acceptance._diagonal_witness(diag, space)
+    assert space.norm(witness) == 1.0
+    assert value == pytest.approx(np.abs(diag).max(), rel=1e-15)
+    # the alternating-duality search can only approach the exact norm from below
+    assert mixed_norm_lower_bound(np.diag(diag), space, restarts=4, iters=50).value <= value * (1 + 1e-12)

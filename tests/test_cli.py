@@ -145,8 +145,16 @@ def test_howe_moore(tmp_path):
 def test_invariant_gap(tmp_path):
     assert run(tmp_path, "invariant-gap", "--jmax", "2") == 0
     lines = (tmp_path / "invariant_gap.csv").read_text().splitlines()
-    gaps = [float(line.split(",")[1]) for line in lines[2:]]
-    assert all(g >= 1.0 / 3.0 for g in gaps)
+    assert lines[1] == "degree,lower,witness_defect,threshold"
+    rows = [[float(v) for v in line.split(",")] for line in lines[2:]]
+    assert all(1.0 / 3.0 <= lower <= upper for _, lower, upper, _ in rows)
+
+
+def test_invariant_gap_has_no_seed_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "invariant-gap", "--seed", "0")
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_check_all_subset(tmp_path):

@@ -46,7 +46,9 @@ def _compare_json(got, want, where: str) -> list:
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{where}: length differs"]
         return [e for i, (g, w) in enumerate(zip(got, want)) for e in _compare_json(g, w, f"{where}[{i}]")]
-    if isinstance(want, (int, float)) and not isinstance(want, bool):
+    if isinstance(want, bool) or isinstance(got, bool):  # 1 == True, so compare by identity
+        return [] if got is want else [f"{where}: {got!r} is not {want!r}"]
+    if isinstance(want, (int, float)):
         ok = isinstance(got, (int, float)) and _same_number(float(got), float(want))
         return [] if ok else [f"{where}: {got!r} != {want!r}"]
     return [] if got == want else [f"{where}: {got!r} != {want!r}"]

@@ -1,5 +1,7 @@
 """Tests for the 3x3 geometry: KAK, length, slide family, embedding certificates."""
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -212,6 +214,40 @@ class TestKak:
             LambdaPoint(0.0, 1.0, -1.0)
         with pytest.raises(ValueError):
             LambdaPoint(1.0, 0.0, -0.5)
+
+
+# cone points with a repeated singular value: top pair, bottom pair, all equal (a rotation)
+REPEATED = st.one_of(
+    st.floats(min_value=0.0, max_value=3.0).map(lambda t: (t, t, -2.0 * t)),
+    st.floats(min_value=0.0, max_value=3.0).map(lambda t: (2.0 * t, -t, -t)),
+    st.just((0.0, 0.0, 0.0)),
+)
+
+
+_SVD = sl3._checked_svd
+
+
+def _flipped_svd(g):
+    """The SVD with the first singular pair negated: same product, det(U) of the other sign."""
+    u, s, vt = _SVD(g)
+    return u * [-1.0, 1.0, 1.0], s, vt * [[-1.0], [1.0], [1.0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=REPEATED, seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
+def test_kak_repeated_singular_values_both_sign_branches(a, seeds):
+    k1, k2 = (random_rotation(np.random.default_rng(seed)) for seed in seeds)
+    g = k1 @ np.diag(np.exp(a)) @ k2
+    decs = [kak(g)]
+    with mock.patch.object(sl3, "_checked_svd", _flipped_svd):
+        decs.append(kak(g))  # det(U) has the other sign, so the other branch runs
+    for dec in decs:
+        assert in_rotation_group(dec.k1, tol=1e-10) and in_rotation_group(dec.k2, tol=1e-10)
+        exps = dec.a.as_array()
+        assert np.all(np.diff(exps) <= 0.0)
+        assert abs(exps.sum()) <= 1e-12
+        np.testing.assert_allclose(exps, a, atol=1e-9)
+        assert dec.residual(g) <= 1e-9
 
 
 class TestSlideFamily:
