@@ -12,7 +12,7 @@ from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coef
 from circleops.legendre import legendre_table
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
-from circleops.spectral import difference_diagonal
+from circleops.spectral import completed_power_sums, difference_diagonal, schatten_tail_bound
 from circleops.sphere import SphereGrid, circle_average_operator, degree_of_column
 from circleops.zigzag import ExponentProfile, annulus_diameter_bound
 
@@ -43,6 +43,15 @@ def test_mixed_norm_lower_bound(benchmark):
     assert 0.99 * top <= result.value <= top + 1e-12
     assert abs(space.norm(result.witness) - 1.0) <= 1e-12
     assert abs(space.norm(T @ result.witness) - result.value) <= 1e-12 * result.value
+
+
+def test_completed_power_sums(benchmark):
+    # the tdelta-norms default shape: ten deltas, p = 8, N = 2^14
+    deltas, p, n = [2.0**-k for k in range(1, 11)], 8.0, 2**14
+    windows, _, norms = benchmark.pedantic(completed_power_sums, args=(deltas, [p], [n]), rounds=5)
+    partial = windows[0, :, 0] ** (1 / p)
+    ceiling = (windows[0, :, 0] + [schatten_tail_bound(d, p, n) for d in deltas]) ** (1 / p)
+    assert np.all((partial <= norms[0, :, 0]) & (norms[0, :, 0] <= ceiling))
 
 
 def test_solve_delta_for_top(benchmark):

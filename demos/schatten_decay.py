@@ -2,12 +2,13 @@
 
 For p > 4 the weighted eigenvalue sums converge and the norms decay like
 delta^(1/2 - 2/p); at p = 4 the partial sums keep growing logarithmically.
-Both behaviours are shown from direct summation of the diagonal model.
+Both behaviours are shown from direct summation of the diagonal model; for
+p > 4 the partial sums are completed by the asymptotic tail estimate.
 """
 
 import numpy as np
 
-from circleops.spectral import divergence_probe_p4, fit_decay, stabilized_norm
+from circleops.spectral import completed_power_sums, divergence_probe_p4, fit_decay
 
 grid = [2.0**-k for k in range(1, 11)]
 print("decay fits of the Schatten norms over delta in [2^-10, 1/2]:")
@@ -19,9 +20,13 @@ for p in (4.5, 5.0, 6.0, 8.0, np.inf):
           f"log-residual {fit.residual:.3f}")
 
 print("\ntruncation doubling at delta = 0.25, p = 5 (slow polynomial tail):")
-value, rel, converged = stabilized_norm(0.25, 5.0, n_start=1024, n_max=2**15)
-print(f"  value {value:.6f}; doubling changes {np.array2string(rel, precision=2)}; "
-      f"converged to 1e-6: {converged}")
+checkpoints = [2**k for k in range(10, 16)]
+windows, _, norms = completed_power_sums([0.25], [5.0], checkpoints)
+partial = np.cumsum(windows[0, 0]) ** (1 / 5.0)
+for label, values in (("raw partial sums", partial), ("completed norms", norms[0, 0])):
+    changes = np.abs(np.diff(values)) / values[1:]
+    print(f"  {label}: value {values[-1]:.10f} at N = {checkpoints[-1]}; "
+          f"doubling changes {' '.join(f'{c:.2e}' for c in changes)}")
 
 print("\nfourth-power partial sums at the boundary exponent (delta = 0.3):")
 ns = [2**k for k in range(10, 17)]

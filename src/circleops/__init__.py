@@ -23,13 +23,13 @@ from .schatten import (
 from .spectral import (
     DecayFit,
     SpectralOperator,
+    completed_power_sums,
     divergence_probe_p4,
     fit_decay,
     op_norm_diff,
     op_norm_diff_certificate,
     schatten_norm_diff,
     schatten_tail_estimate,
-    stabilized_norm,
 )
 from .sl3 import (
     Embedding2Certificate,

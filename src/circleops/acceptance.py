@@ -31,11 +31,11 @@ from .schatten import (
 )
 from .sl3 import LambdaPoint, embedding2_solve, j_alpha, kak, solve_delta_for_top
 from .spectral import (
-    diff_power_windows,
+    DecayFit,
+    completed_power_sums,
     difference_diagonal,
     divergence_probe_p4,
     schatten_tail_bound,
-    schatten_tail_estimate,
 )
 from .sphere import SphereGrid, circle_average_operator, degree_of_column, mixing_profile
 from .zigzag import (
@@ -103,37 +103,28 @@ def criterion_1():
 def criterion_2():
     """Schatten decay: completed norms stable to 1e-6 by N=2^18, fit exponents.
 
-    The norm at truncation N is the recurrence's partial sum completed by
-    schatten_tail_estimate.  One recurrence pass gives the mass of every
-    window between checkpoints, each summed on its own; the partial sums are
-    their running totals.  Completed norms at N and 2N differ only by the
-    estimate's error over the window N < n <= 2N, so the 1e-6 stabilization
-    clause is a consistency check on the completion; the binding check is
-    that the mass the estimate predicts between 2^17 and 2^18 matches the
-    recurrence's own mass there to 1e-6.  The completion must also lie
-    between the partial sum and the partial sum plus schatten_tail_bound.
-    The exponents are fitted to the completed norms at 2^18.
+    completed_power_sums gives the partial sums at N = 2^17 and 2^18 and
+    their completions by schatten_tail_estimate from one recurrence pass.
+    Completed norms at N and 2N differ only by the estimate's error over the
+    window N < n <= 2N, so the 1e-6 stabilization clause is a consistency
+    check on the completion; the binding check is that the mass the estimate
+    predicts between 2^17 and 2^18 matches the recurrence's own mass there to
+    1e-6.  The completion must also lie between the partial sum and the
+    partial sum plus schatten_tail_bound.  The exponents are fitted to the
+    completed norms at 2^18.
     """
     ps = np.array([4.5, 5.0, 6.0, 8.0])
     deltas = np.array([2.0**-k for k in range(1, 11)])
-    checkpoints = [2**k for k in range(10, 19)]
+    checkpoints = [2**17, 2**18]
     roots = 1.0 / ps[:, None]
-    windows = diff_power_windows(deltas, ps, checkpoints)
-    sums = np.cumsum(windows, axis=-1)[..., -2:]
+    windows, tails, completed = completed_power_sums(deltas, ps, checkpoints)
+    sums = np.cumsum(windows, axis=-1)
     partial = sums ** roots[..., None]
-    tails = np.array(
-        [[[schatten_tail_estimate(d, p, n) for n in checkpoints[-2:]] for d in deltas] for p in ps]
-    )
-    completed = (sums + tails) ** roots[..., None]
     final_change = np.abs(completed[..., 1] - completed[..., 0]) / completed[..., 1]
     raw_change = np.abs(partial[..., 1] - partial[..., 0]) / partial[..., 1]
     stab_ok = bool(np.all(final_change < 1e-6))
-    exps = []
-    exp_ok = True
-    for i, p in enumerate(ps):
-        slope = np.polyfit(np.log(deltas), np.log(completed[i, :, 1]), 1)[0]
-        exps.append(slope)
-        exp_ok &= slope >= 0.5 - 2.0 / p - 0.05
+    fits = [DecayFit.from_grid(deltas, completed[i, :, 1], 0.5 - 2.0 / p) for i, p in enumerate(ps)]
+    exp_ok = all(fit.exponent >= fit.theory_exponent - 0.05 for fit in fits)
     bounds = np.array([[schatten_tail_bound(d, p, checkpoints[-1]) for d in deltas] for p in ps])
     ceiling = (sums[..., 1] + bounds) ** roots
     bracket_ok = bool(np.all((partial[..., 1] <= completed[..., 1]) & (completed[..., 1] <= ceiling)))
@@ -146,7 +137,7 @@ def criterion_2():
         + " (need < 1e-6; raw truncation "
         + np.array2string(raw_change.max(axis=1), precision=2)
         + "); fitted exponents "
-        + np.array2string(np.array(exps), precision=3)
+        + np.array2string(np.array([fit.exponent for fit in fits]), precision=3)
         + f"; tail window error {window_err.max():.1e} (need <= 1e-6); "
         + f"partial <= completed <= partial + tail bound: {'yes' if bracket_ok else 'NO'}"
     )

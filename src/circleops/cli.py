@@ -28,7 +28,7 @@ from .legendre import HOLDER_CONSTANT, legendre_defect
 from .repsim import coefficient_decay, invariant_gap, matrix_coefficient
 from .schatten import MixedNormSpace, mixed_norm_lower_bound, mixed_norm_upper_bound
 from .sl3 import LambdaPoint, embedding2_solve, kak
-from .spectral import diff_power_sums, difference_diagonal, divergence_probe_p4, fit_decay
+from .spectral import difference_diagonal, divergence_probe_p4, fit_decay
 from .sphere import markov_trace, mixing_profile
 from .zigzag import (
     ExponentProfile,
@@ -102,6 +102,14 @@ def delta_list(text: str) -> list[float]:
     return sorted(float(tok) for tok in text.split(","))
 
 
+def positive_int(text: str) -> int:
+    """The type of count flags: a run over zero (or fewer) items would certify nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations: compute every output, then hand them to _finish
 # ---------------------------------------------------------------------------
@@ -120,7 +128,6 @@ def cmd_legendre_bounds(args) -> int:
 
 
 def cmd_tdelta_norms(args) -> int:
-    vals = diff_power_sums(args.deltas, [args.p], [args.nmax])[0, :, 0]
     fit = fit_decay(args.p, args.deltas, n_max=args.nmax)
     print(f"tdelta-norms: fitted exponent {fit.exponent:.4f} "
           f"(theory {fit.theory_exponent:.4f}), constant {fit.constant:.4f}")
@@ -128,7 +135,7 @@ def cmd_tdelta_norms(args) -> int:
         "tdelta_norms.csv": _csv(
             "Schatten norm of the averaging difference decays like delta^(1/2-2/p)",
             ["delta", "p", "N", "value"],
-            [(d, args.p, args.nmax, v) for d, v in zip(args.deltas, vals)]),
+            [(d, args.p, args.nmax, v) for d, v in fit.grid]),
         "tdelta_decay_fit.json": _json({
             "p": args.p,
             "exponent": fit.exponent,
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("legendre-bounds", help="pointwise defect bounds vs 4 sqrt(delta)")
     p.add_argument("--nmax", type=int, default=2000)
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--grid", type=positive_int, default=1000)
     p.set_defaults(func=cmd_legendre_bounds)
 
     p = sub.add_parser("tdelta-norms", help="Schatten norms of the averaging difference")
@@ -343,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embedding2", help="two-sided conjugation certificates")
     p.add_argument("--gamma", type=float, default=4.0)
-    p.add_argument("--alpha-grid", type=int, default=20)
+    p.add_argument("--alpha-grid", type=positive_int, default=20)
     p.set_defaults(func=cmd_embedding2)
 
     p = sub.add_parser("zigzag", help="cost ledgers and tail constants")
@@ -351,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--C", type=float, default=4.0)
     p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--alpha-grid", type=int, default=8)
+    p.add_argument("--alpha-grid", type=positive_int, default=8)
     p.add_argument("--alpha-min", type=float, default=1.0)
     p.add_argument("--alpha-max", type=float, default=8.0)
     p.add_argument("--epsilon", type=float, default=0.5)
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_howe_moore)
 
     p = sub.add_parser("invariant-gap", help="invariant defect gap per degree")
-    p.add_argument("--jmax", type=int, default=6)
+    p.add_argument("--jmax", type=positive_int, default=6)
     p.set_defaults(func=cmd_invariant_gap)
 
     p = sub.add_parser("check-all", help="run the acceptance suite")

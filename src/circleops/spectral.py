@@ -37,7 +37,7 @@ __all__ = [
     "difference_diagonal",
     "diff_power_windows",
     "diff_power_sums",
-    "stabilized_norm",
+    "completed_power_sums",
     "fit_decay",
     "divergence_probe_p4",
 ]
@@ -264,8 +264,8 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     """Asymptotic value of the p-th power tail sum_{n>N} (2n+1)|P_n(d)-P_n(0)|^p.
 
     This is an estimate, not a bound: schatten_tail_bound dominates the tail,
-    this approximates it.  (diff_power_sums(...)**p + estimate)**(1/p) is the
-    completed Schatten p-norm of the averaging difference.
+    this approximates it.  completed_power_sums adds it to the partial sums
+    to give the completed Schatten p-norm of the averaging difference.
 
     Both eigenvalues come from the two-term Stieltjes expansion (Szego,
     Orthogonal Polynomials, 8.21.14): with theta = arccos(delta),
@@ -342,28 +342,22 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     return head + (2.0 / np.pi) ** (p / 2) * total
 
 
-def stabilized_norm(
-    delta: float,
-    p: float,
-    n_start: int = 1024,
-    n_max: int = 2**18,
-    rtol: float = 1e-6,
-):
-    """Schatten norm under truncation doubling from n_start up to n_max.
+def completed_power_sums(deltas, ps, checkpoints):
+    """Raw window masses, tail estimates and completed Schatten norms, one recurrence pass.
 
-    Returns (value_at_final_N, relative_changes, converged) where
-    relative_changes[k] compares the values at successive doublings and
-    converged means the last change dropped below rtol before n_max.
+    Returns (windows, tails, norms), each in the shape of diff_power_windows:
+    windows are its window masses, tails[i, j, k] is
+    schatten_tail_estimate(deltas[j], ps[i], checkpoints[k]), and
+    norms = (cumsum(windows) + tails)^(1/p) are the completed Schatten
+    p-norms of the averaging difference.  Every p must exceed 4.
     """
-    checkpoints = []
-    n = n_start
-    while n <= n_max:
-        checkpoints.append(n)
-        n *= 2
-    vals = diff_power_sums([delta], [p], checkpoints)[0, 0, :]
-    rel = np.abs(np.diff(vals)) / vals[1:]
-    converged = bool(rel.size and rel[-1] < rtol)
-    return float(vals[-1]), rel, converged
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    ps = np.atleast_1d(np.asarray(ps, dtype=float))
+    checkpoints = sorted(int(c) for c in checkpoints)
+    windows = diff_power_windows(deltas, ps, checkpoints)
+    tails = np.array([[[schatten_tail_estimate(d, p, n) for n in checkpoints] for d in deltas] for p in ps])
+    norms = (np.cumsum(windows, axis=-1) + tails) ** (1.0 / ps[:, None, None])
+    return windows, tails, norms
 
 
 @dataclass
@@ -381,9 +375,28 @@ class DecayFit:
     theory_exponent: float = 0.0
     envelope_constant: float = 0.0
 
+    @classmethod
+    def from_grid(cls, deltas, values, theory_exponent: float) -> DecayFit:
+        """Fit log(values) against log(deltas) by least squares."""
+        logd, logv = np.log(deltas), np.log(values)
+        slope, intercept = np.polyfit(logd, logv, 1)
+        return cls(
+            exponent=float(slope),
+            constant=float(np.exp(intercept)),
+            grid=list(zip(np.asarray(deltas).tolist(), np.asarray(values).tolist())),
+            residual=float(np.max(np.abs(logv - (slope * logd + intercept)))),
+            theory_exponent=theory_exponent,
+            envelope_constant=float(np.max(np.exp(logv - theory_exponent * logd))),
+        )
+
 
 def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
-    """Fit the delta-decay of the Schatten (or sup) norm of the difference."""
+    """Fit the delta-decay of the completed Schatten norms at n_max (certified sup norms at p = inf).
+
+    For p <= 4 the norm is infinite: ValueError before any recurrence runs.
+    """
+    if not p > 4:
+        raise ValueError("the Schatten p-norm of the difference is infinite for p <= 4")
     deltas = np.asarray(sorted(set(float(d) for d in delta_grid)))
     if deltas.size < 3:
         raise ValueError("need at least 3 distinct deltas to fit")
@@ -391,22 +404,9 @@ def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
         raise ValueError("delta grid must lie in (0, 1/2]")
     if np.isinf(p):
         vals = np.array([cert.value for cert in _op_norm_certificates(deltas, n_max)])
-        theory = 0.5
-    else:
-        vals = diff_power_sums(deltas, [p], [n_max])[0, :, 0]
-        theory = 0.5 - 2.0 / p
-    logd, logv = np.log(deltas), np.log(vals)
-    slope, intercept = np.polyfit(logd, logv, 1)
-    resid = float(np.max(np.abs(logv - (slope * logd + intercept))))
-    env = float(np.max(np.exp(logv - theory * logd)))
-    return DecayFit(
-        exponent=float(slope),
-        constant=float(np.exp(intercept)),
-        grid=list(zip(deltas.tolist(), vals.tolist())),
-        residual=resid,
-        theory_exponent=theory,
-        envelope_constant=env,
-    )
+        return DecayFit.from_grid(deltas, vals, 0.5)
+    _, _, norms = completed_power_sums(deltas, [p], [n_max])
+    return DecayFit.from_grid(deltas, norms[0, :, 0], 0.5 - 2.0 / p)
 
 
 def divergence_probe_p4(delta, n_list) -> np.ndarray:

@@ -59,6 +59,20 @@ def test_tdelta_norms_bad_grid_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("p", ["inf", "8"])
+def test_tdelta_norms_csv_matches_fit_grid(tmp_path, p):
+    assert run(tmp_path, "tdelta-norms", "--p", p, "--nmax", "256") == 0
+    rows = [line.split(",") for line in (tmp_path / "tdelta_norms.csv").read_text().splitlines()[2:]]
+    grid = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())["grid"]
+    assert [(float(row[0]), float(row[3])) for row in rows] == [tuple(pair) for pair in grid]
+
+
+def test_tdelta_norms_p_at_most_four_exits_2(tmp_path):
+    # the Schatten 4-norm of the difference is infinite: no truncation may stand for it
+    assert run(tmp_path, "tdelta-norms", "--p", "4") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_schatten_probe(tmp_path):
     assert run(tmp_path, "schatten-probe", "--p4") == 0
     lines = (tmp_path / "schatten_probe_p4.csv").read_text().splitlines()
@@ -89,6 +103,19 @@ def test_mixed_norm_negative_delta_uses_abs_delta(tmp_path):
 def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
     assert run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", flag, value) == 2
     assert not (tmp_path / "mixed_norm_manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("invariant-gap", "--jmax"), ("legendre-bounds", "--grid"),
+     ("zigzag", "--alpha-grid"), ("embedding2", "--alpha-grid")],
+)
+def test_zero_count_exits_2(tmp_path, command, flag):
+    # a run over no items would write a header-only CSV and certify nothing
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, flag, "0")
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_embedding2(tmp_path):

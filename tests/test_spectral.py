@@ -9,6 +9,7 @@ from circleops.spectral import (
     SpectralOperator,
     _difference_tail_bound,
     _lerch_abel_plana,
+    completed_power_sums,
     diff_power_sums,
     diff_power_windows,
     divergence_probe_p4,
@@ -18,7 +19,6 @@ from circleops.spectral import (
     schatten_norm_diff,
     schatten_tail_bound,
     schatten_tail_estimate,
-    stabilized_norm,
 )
 
 
@@ -112,12 +112,21 @@ class TestSchattenNormDiff:
             vals = [schatten_norm_diff(delta, p, 512) for p in (4.5, 5.0, 6.0, 8.0, 12.0)]
             assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_stabilization_example_p5(self):
-        value, rel, _ = stabilized_norm(0.25, 5.0, n_start=1024, n_max=2**15)
-        # the limit exists (p > 4); successive changes must shrink
-        assert np.all(np.diff(rel) < 0.0)
-        fit = fit_decay(5.0, [2.0**-k for k in range(1, 11)], n_max=2**14)
-        assert value <= fit.envelope_constant * 0.25 ** fit.theory_exponent * (1 + 1e-12)
+    def test_completed_norms_stabilize_p5(self):
+        delta, p = 0.25, 5.0
+        checkpoints = [2**k for k in range(10, 16)]
+        windows, tails, norms = completed_power_sums([delta], [p], checkpoints)
+        sums, norms = np.cumsum(windows[0, 0]), norms[0, 0]
+        partial = sums ** (1 / p)
+        # the limit exists (p > 4): raw doubling changes shrink, completed ones vanish
+        raw_change = np.abs(np.diff(partial)) / partial[1:]
+        assert np.all(np.diff(raw_change) < 0.0)
+        assert np.all(np.abs(np.diff(norms)) / norms[1:] < 1e-6)
+        bounds = np.array([schatten_tail_bound(delta, p, n) for n in checkpoints])
+        assert np.all(partial <= norms) and np.all(norms <= (sums + bounds) ** (1 / p))
+        assert np.array_equal(tails[0, 0], [schatten_tail_estimate(delta, p, n) for n in checkpoints])
+        fit = fit_decay(p, [2.0**-k for k in range(1, 11)], n_max=2**14)
+        assert partial[-1] <= fit.envelope_constant * delta ** fit.theory_exponent * (1 + 1e-12)
 
     def test_tail_bound_dominates_window(self):
         # the closed-form tail bound must dominate the measured window mass
