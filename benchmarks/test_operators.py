@@ -13,7 +13,13 @@ from circleops.legendre import legendre_table
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
 from circleops.spectral import completed_power_sums, difference_diagonal, schatten_tail_bound
-from circleops.sphere import SphereGrid, circle_average_operator, degree_of_column
+from circleops.sphere import (
+    SphereGrid,
+    circle_average,
+    circle_average_operator,
+    degree_of_column,
+    tangent_frames,
+)
 from circleops.zigzag import ExponentProfile, annulus_diameter_bound
 
 HILBERT = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
@@ -29,6 +35,20 @@ def test_circle_average_operator(benchmark):
     averaged = benchmark(circle_average_operator, grid, 0.3)
     eigs = legendre_table(32, 0.3)[degree_of_column(32)]
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
+
+
+def test_circle_average(benchmark):
+    # the pointwise rule on every node's own circle, with twisted tangent frames
+    grid = SphereGrid.build(24)
+    rng = np.random.default_rng(24)
+    coeffs = rng.normal(size=grid.n_coeff)
+    u, v = tangent_frames(grid.nodes)
+    twist = rng.uniform(0.0, 2.0 * np.pi, size=grid.nodes.shape[0])
+    c, s = np.cos(twist)[:, None], np.sin(twist)[:, None]
+    samples = grid.synthesize(coeffs)
+    averaged = benchmark(circle_average, grid, samples, 0.3, frames=(c * u + s * v, c * v - s * u))
+    eigs = legendre_table(24, 0.3)[degree_of_column(24)]
+    assert np.abs(averaged - grid.basis @ (coeffs * eigs)).max() <= 1e-8
 
 
 def test_mixed_norm_lower_bound(benchmark):

@@ -33,41 +33,31 @@ __all__ = [
 ]
 
 
-def _basis_block(z, cphi, sphi, band_limit, out):
-    """Fill out (shape (ncoef, npts)) with real orthonormal harmonics.
+def _harmonic_terms(z, cphi, sphi, band_limit):
+    """Yield (n, m, q, cos m phi, sin m phi) by increasing order m, then degree n = m..B.
 
-    Column layout per degree n (base index n*n): m = 0, then cos/sin pairs for
-    m = 1..n.  Uses the stable normalized associated-Legendre recurrences.
+    q is the stable normalized associated Legendre recurrence; Y_n^0 = q and the
+    order-m pair is sqrt(2) q (cos, sin).  Yielded arrays are reused: read them at once.
     """
     npts = z.shape[0]
     u = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    sqrt2 = np.sqrt(2.0)
     qmm = np.ones(npts)
     cm = np.ones(npts)
     sm = np.zeros(npts)
     q_prev = np.empty(npts)
     q_cur = np.empty(npts)
-
-    def write(n, q):
-        """Degree-n column(s) of the loop's current order m (cos/sin pair if m > 0)."""
-        if m == 0:
-            out[n * n] = q
-        else:
-            out[n * n + 2 * m - 1] = sqrt2 * q * cm
-            out[n * n + 2 * m] = sqrt2 * q * sm
-
     for m in range(band_limit + 1):
         if m > 0:
             qmm *= u
             qmm *= np.sqrt((2 * m + 1) / (2.0 * m))
             cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
         np.copyto(q_prev, qmm)
-        write(m, q_prev)
+        yield m, m, q_prev, cm, sm
         if m == band_limit:
             break
         np.multiply(z, qmm, out=q_cur)
         q_cur *= np.sqrt(2 * m + 3.0)
-        write(m + 1, q_cur)
+        yield m + 1, m, q_cur, cm, sm
         for n in range(m + 2, band_limit + 1):
             a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
             b = np.sqrt(
@@ -77,10 +67,49 @@ def _basis_block(z, cphi, sphi, band_limit, out):
             q_prev *= -b
             q_prev += a * z * q_cur
             q_prev, q_cur = q_cur, q_prev
-            write(n, q_cur)
+            yield n, m, q_cur, cm, sm
 
 
-_CHUNK = 16384  # points per _basis_block call
+def _basis_block(z, cphi, sphi, band_limit, out):
+    """Fill out (ncoef, npts) with real orthonormal harmonics: per degree n, m = 0 at row
+    n*n, then the cos/sin pairs for m = 1..n."""
+    sqrt2 = np.sqrt(2.0)
+    for n, m, q, cm, sm in _harmonic_terms(z, cphi, sphi, band_limit):
+        if m == 0:
+            out[n * n] = q
+        else:
+            out[n * n + 2 * m - 1] = sqrt2 * q * cm
+            out[n * n + 2 * m] = sqrt2 * q * sm
+
+
+def _synthesis_block(z, cphi, sphi, band_limit, coeffs, out):
+    """Add sum_nm c_nm Y_nm to out (npts, k), coeffs (ncoef, k), with no harmonic matrix:
+    each order m sums c_nm q_nm into a cos and a sin part, folded in once by cos/sin m phi."""
+    for n, m, q, cm, sm in _harmonic_terms(z, cphi, sphi, band_limit):
+        if m == 0:
+            out += np.multiply.outer(q, coeffs[n * n])
+            continue
+        if n == m:
+            acc_cos, acc_sin = np.zeros_like(out), np.zeros_like(out)
+        acc_cos += np.multiply.outer(q, coeffs[n * n + 2 * m - 1])
+        acc_sin += np.multiply.outer(q, coeffs[n * n + 2 * m])
+        if n == band_limit:
+            out += np.sqrt(2.0) * (cm[:, None] * acc_cos + sm[:, None] * acc_sin)
+
+
+_CHUNK = 16384  # points per kernel call
+
+
+def _point_blocks(points):
+    """Yield (rows, z, cos phi, sin phi) over _CHUNK-sized blocks of unit vectors."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    for lo in range(0, pts.shape[0], _CHUNK):
+        x, y, z = pts[lo : lo + _CHUNK].T
+        rho = np.hypot(x, y)
+        safe = rho > 0
+        cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
+        sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
+        yield slice(lo, lo + _CHUNK), z, cphi, sphi
 
 
 def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
@@ -89,18 +118,10 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     Normalized against the probability measure on S2: the constant harmonic
     is identically 1 and the degree-n block has 2n+1 columns.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    npts = pts.shape[0]
-    ncoef = (band_limit + 1) ** 2
-    out = np.empty((ncoef, npts))
-    for lo in range(0, npts, _CHUNK):
-        hi = min(lo + _CHUNK, npts)
-        x, y, z = pts[lo:hi, 0], pts[lo:hi, 1], pts[lo:hi, 2]
-        rho = np.hypot(x, y)
-        safe = rho > 0
-        cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
-        sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
-        _basis_block(z, cphi, sphi, band_limit, out[:, lo:hi])
+    npts = np.atleast_2d(points).shape[0]
+    out = np.empty(((band_limit + 1) ** 2, npts))
+    for rows, z, cphi, sphi in _point_blocks(points):
+        _basis_block(z, cphi, sphi, band_limit, out[:, rows])
     return out.T
 
 
@@ -156,9 +177,20 @@ class SphereGrid:
         return coeffs[:, 0] if np.ndim(samples) == 1 else coeffs
 
     def synthesize(self, coeffs: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
-        """Harmonic coefficients -> values on the grid (or at arbitrary points)."""
-        mat = self.basis if points is None else real_sph_harm_matrix(points, self.band_limit)
-        return mat @ coeffs
+        """Coefficients (ncoef,) or (ncoef, k) -> values on the grid (or at arbitrary points).
+
+        Off the grid, one recurrence pass per block of points sums c_nm Y_nm order by
+        order (_synthesis_block); no harmonic matrix is formed.
+        """
+        if points is None:
+            return self.basis @ coeffs
+        c = np.asarray(coeffs, dtype=float)
+        if c.ndim not in (1, 2) or c.shape[0] != self.n_coeff:
+            raise ValueError(f"need coefficients of shape ({self.n_coeff},) or ({self.n_coeff}, k)")
+        out = np.zeros((np.atleast_2d(points).shape[0], c[0].size))
+        for rows, z, cphi, sphi in _point_blocks(points):
+            _synthesis_block(z, cphi, sphi, self.band_limit, c.reshape(self.n_coeff, -1), out[rows])
+        return out.reshape(out.shape[:1] + c.shape[1:])
 
     def inner(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(np.sum(self.weights * f * g))
@@ -184,14 +216,16 @@ def tangent_frames(points: np.ndarray):
     return u, v
 
 
-def _circle_rule(grid: SphereGrid, delta: float, quadrature_points):
-    """Checked delta, circle radius sqrt(1 - delta^2) and point count M >= 2B+1."""
+def _circle_points(grid: SphereGrid, delta: float, quadrature_points, centres, u, v):
+    """(M, len(centres), 3): the M-point rule, M >= 2B+1, on the circles at inner product
+    delta around centres, angle 0 along u and pi/2 along v."""
     delta = _clamp_delta(delta)
     B = grid.band_limit
     M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
     if M < 2 * B + 1:
         raise ValueError(f"need at least {2 * B + 1} circle quadrature points at band limit {B}")
-    return delta, np.sqrt(max(0.0, 1.0 - delta * delta)), M
+    psi, radius = 2.0 * np.pi * np.arange(M)[:, None, None] / M, np.sqrt(max(0.0, 1.0 - delta * delta))
+    return delta * centres + radius * (np.cos(psi) * u + np.sin(psi) * v)
 
 
 def circle_average_operator(
@@ -205,7 +239,6 @@ def circle_average_operator(
     on the first nodes' circles only (frame e_phi, e_theta); at node l the order-m pair
     (cos, sin) = (a, b) becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
     """
-    delta, radius, M = _circle_rule(grid, delta, quadrature_points)
     n_lon = np.count_nonzero(grid.nodes[:, 2] == grid.nodes[0, 2])  # a ring shares one height
     rings = grid.nodes.reshape(-1, n_lon, 3)  # ValueError unless n_lon divides the node count
     first, beta = rings[:, 0], 2.0 * np.pi * np.arange(n_lon) / n_lon
@@ -213,10 +246,9 @@ def circle_average_operator(
     if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
         raise ValueError("circle_average_operator needs the longitude rings of SphereGrid.build")
     e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
-    psi = 2.0 * np.pi * np.arange(M)[:, None, None] / M
-    circles = delta * first + radius * (np.cos(psi) * e_phi + np.sin(psi) * np.cross(e_phi, first))
+    circles = _circle_points(grid, delta, quadrature_points, first, e_phi, np.cross(e_phi, first))
     values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T  # (coeffs, M * rings)
-    means = values.reshape(grid.n_coeff, M, -1).mean(axis=1).T  # (rings, coeffs)
+    means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T  # (rings, coeffs)
     offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2  # 2m-1: cos, 2m: sin
     partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
     turn = np.outer(beta, (offset + 1) // 2)
@@ -235,17 +267,15 @@ def circle_average(
 
     The input is sampled on the grid; it is analyzed to coefficients, then
     averaged by an M-point trapezoid rule on each node's circle (exact for
-    band-limited integrands when M >= 2 band_limit + 1).  The result does not
+    band-limited integrands when M >= 2 band_limit + 1), evaluated at all M x
+    n_nodes circle points by one fused grid.synthesize pass.  The result does not
     depend on the tangent frames; custom frames may be passed to verify that.
     This pointwise rule is the check on circle_average_operator's ring path.
     """
-    delta, radius, M = _circle_rule(grid, delta, quadrature_points)
-    coeffs = grid.analyze(samples)
     u, v = tangent_frames(grid.nodes) if frames is None else frames
-    return sum(
-        grid.synthesize(coeffs, delta * grid.nodes + radius * (np.cos(phi) * u + np.sin(phi) * v))
-        for phi in 2.0 * np.pi * np.arange(M) / M
-    ) / M
+    circles = _circle_points(grid, delta, quadrature_points, grid.nodes, u, v)
+    values = grid.synthesize(grid.analyze(samples), circles.reshape(-1, 3))
+    return values.reshape(circles.shape[:2] + values.shape[1:]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +342,8 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int, x0=None):
     angles per step (deterministic given the seed); use replica_seeds with
     markov_trace for fully separate per-replica streams.
     """
-    if steps < 1 or replicas < 1:
-        raise ValueError("steps and replicas must be >= 1")
+    if steps < 1 or replicas < 2:
+        raise ValueError("need steps >= 1 and replicas >= 2 (one replica has no Monte-Carlo error)")
     x0 = np.array([0.0, 0.0, 1.0]) if x0 is None else np.asarray(x0, float) / np.linalg.norm(x0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = np.tile(x0, (replicas, 1))

@@ -118,6 +118,14 @@ def test_zero_count_exits_2(tmp_path, command, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("replicas", ["1", "0"])
+def test_markov_too_few_replicas_exits_2(tmp_path, replicas):
+    # one replica has zero Monte-Carlo spread, so its profile would claim a mean norm of 1
+    assert run(tmp_path, "markov", "--replicas", replicas, "--steps", "3") == 2
+    assert not (tmp_path / "markov_manifest.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_embedding2(tmp_path):
     assert run(tmp_path, "embedding2", "--gamma", "2", "--alpha-grid", "5") == 0
     certs = json.loads((tmp_path / "embedding2.json").read_text())

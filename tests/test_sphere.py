@@ -106,6 +106,24 @@ def test_ring_operator_matches_pointwise_quadrature(band, oversample, rule):
         np.testing.assert_allclose(ring, _pointwise_operator(g, delta, points), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("band", [4, 8, 12])
+@pytest.mark.parametrize("oversample", [1, 2])
+@pytest.mark.parametrize("rule", ["2B+1", "4B+3"])
+def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
+    g = SphereGrid.build(band, lat_oversample=oversample, lon_oversample=oversample)
+    points = {"2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
+    rng = np.random.default_rng(band + 10 * oversample)
+    coeffs = rng.normal(size=g.n_coeff)
+    u, v = tangent_frames(g.nodes)
+    twist = rng.uniform(0.0, 2.0 * np.pi, size=g.nodes.shape[0])
+    c, s = np.cos(twist)[:, None], np.sin(twist)[:, None]
+    frames = (c * u + s * v, c * v - s * u)
+    for delta in (-1.0, 0.0, 0.41, 1.0):
+        got = circle_average(g, g.synthesize(coeffs), delta, quadrature_points=points, frames=frames)
+        expected = _pointwise_operator(g, delta, points) @ coeffs
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(coeffs).sum())
+
+
 def test_operator_quadrature_size_guard(grid):
     with pytest.raises(ValueError):
         circle_average_operator(grid, 0.3, quadrature_points=BAND)
@@ -180,6 +198,12 @@ class TestMarkov:
     def test_mixing_profile_null_at_zero(self):
         norms, sigmas = mixing_profile(0.0, steps=3, replicas=10**4, seed=6)
         assert np.all(norms <= 4.0 * sigmas)
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_mixing_profile_needs_two_replicas(self, replicas):
+        # a single replica has zero spread: mc_sigma 0 would certify any mean
+        with pytest.raises(ValueError):
+            mixing_profile(0.3, steps=3, replicas=replicas, seed=1)
 
     def test_uniform_measure_chi_square(self):
         # 10^6 steps as 1000 chains x 1000 steps, started from the invariant
@@ -266,3 +290,24 @@ def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
     got = real_sph_harm_matrix(pts, band_limit)
     monkeypatch.setattr(sphere, "_basis_block", _three_writer_basis_block)
     assert np.array_equal(got, real_sph_harm_matrix(pts, band_limit))
+
+
+@pytest.mark.parametrize("band_limit", [0, 1, 2, 16, 32])
+def test_synthesize_matches_harmonic_matrix(band_limit, monkeypatch):
+    # the fused order-by-order sum against the independent matrix product, over
+    # several point blocks (the last one partial) and both coefficient shapes
+    monkeypatch.setattr(sphere, "_CHUNK", 128)
+    g = SphereGrid.build(band_limit)
+    rng = np.random.default_rng(band_limit)
+    pts = rng.normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] = [0.0, 0.0, 1.0]  # pole: the rho = 0 branch
+    pts[200] = [0.0, 0.0, -1.0]
+    basis = real_sph_harm_matrix(pts, band_limit)
+    for coeffs in (rng.normal(size=g.n_coeff), rng.normal(size=(g.n_coeff, 3))):
+        got, expected = g.synthesize(coeffs, pts), basis @ coeffs
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    for wrong in (np.ones(g.n_coeff + 1), np.ones(2 * g.n_coeff), np.ones((g.n_coeff, 2, 2))):
+        with pytest.raises(ValueError):
+            g.synthesize(wrong, pts)
