@@ -12,7 +12,12 @@ from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coef
 from circleops.legendre import legendre_table
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
-from circleops.spectral import completed_power_sums, difference_diagonal, schatten_tail_bound
+from circleops.spectral import (
+    completed_power_sums,
+    diff_power_sums,
+    difference_diagonal,
+    schatten_tail_bound,
+)
 from circleops.sphere import (
     SphereGrid,
     circle_average,
@@ -72,6 +77,28 @@ def test_completed_power_sums(benchmark):
     partial = windows[0, :, 0] ** (1 / p)
     ceiling = (windows[0, :, 0] + [schatten_tail_bound(d, p, n) for d in deltas]) ** (1 / p)
     assert np.all((partial <= norms[0, :, 0]) & (norms[0, :, 0] <= ceiling))
+
+
+def test_diff_power_sums(benchmark):
+    # criterion 2's shape: a deep pass to 2^18, solved as one banded system per abscissa
+    deltas, ps = [2.0**-k for k in range(1, 11)], np.array([4.5, 5.0, 6.0, 8.0])
+    checkpoints = [2**17, 2**18]
+    sums = benchmark.pedantic(diff_power_sums, args=(deltas, ps, checkpoints), rounds=5)
+    window = sums[..., 1] ** ps[:, None] - sums[..., 0] ** ps[:, None]  # degrees 2^17 < n <= 2^18
+    bounds = np.array([[schatten_tail_bound(d, p, checkpoints[0]) for d in deltas] for p in ps])
+    assert np.all((0.0 < window) & (window <= bounds))
+
+
+def test_legendre_table(benchmark):
+    # the row-loop side of the depth test: degree 2000 on 1000 abscissae
+    xs = np.linspace(-1.0, 1.0, 1000)
+    table = benchmark.pedantic(legendre_table, args=(2000, xs), rounds=20)
+    assert table.shape == (2001, 1000) and np.all(table[:, -1] == 1.0)
+    assert np.abs(table).max() <= 1.0 + 1e-12
+    # numpy's Clenshaw sum carries its own error, 4e-12 at degree 2000
+    for n, tol in ((7, 1e-14), (300, 1e-12), (2000, 1e-10)):
+        want = np.polynomial.legendre.legval(xs, np.eye(n + 1)[n])
+        assert np.abs(table[n] - want).max() <= tol
 
 
 def test_solve_delta_for_top(benchmark):

@@ -3,7 +3,10 @@
 Everything downstream (operator norms, Schatten sums, quadrature eigenvalue
 checks) reduces to values of P_n on [-1, 1], normalized by P_n(1) = 1, so the
 evaluation here is deliberately plain: the forward three-term recurrence in
-double precision, which is stable on the interval.
+double precision, which is stable on the interval.  There is one recurrence
+with two solvers, chosen by depth: a shallow pass runs it row by row over all
+abscissae at once, and a deep pass (more than _BLOCK_VALUES rows) solves it
+as a banded lower-triangular system, one compiled BLAS solve per abscissa.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 
 __all__ = [
     "legendre_eval",
@@ -46,22 +50,60 @@ def _clamp_delta(delta: float) -> float:
     return float(np.clip(delta, -1.0, 1.0))
 
 
+def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
+    """Fill rows[2:] with P_first, .. row by row from rows[:2] = P_(first-2), P_(first-1)."""
+    older, last = rows[:2]
+    for n, row in enumerate(rows[2:], first):
+        row[:] = ((2 * n - 1) * x * last - (n - 1) * older) / n if n else 1.0
+        older, last = last, row
+
+
+def _banded_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
+    """Fill rows[2:] like _loop_rows by one banded triangular solve (BLAS dtbsv) per abscissa.
+
+    Unknown k is P_j, j = first - 2 + k.  In LAPACK lower band storage its
+    column holds the diagonal max(j, 1) and its coefficients -(2j+1) x and j+1
+    in the recurrences for degrees j+1 and j+2; the right-hand side is e_0.
+    The first two unknowns are unit rows holding the carried values, with no
+    coupling between them, so every block size gives the same bits.
+    """
+    degrees = np.arange(first - 2, first + len(rows) - 2)
+    band = np.empty((3, len(rows)), order="F")
+    band[0] = np.maximum(degrees, 1)
+    band[0, :2] = 1.0
+    band[2] = degrees + 1
+    coupling = -(2.0 * degrees + 1.0)
+    coupling[0] = 0.0
+    rows[2:] = 0.0
+    if first == 0:
+        rows[2] = 1.0  # P_0 = 1: the right-hand side e_0
+    flat = rows.reshape(-1)
+    for i, xi in enumerate(x.tolist()):
+        np.multiply(coupling, xi, out=band[1])
+        dtbsv(2, band, flat, incx=x.size, offx=i, lower=1, overwrite_x=1)
+
+
 def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     """Yield P_n(x), n = 0..max_degree, for 1-D clamped x in consecutive blocks of rows.
 
-    The package's one copy of the recurrence n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2);
-    each block continues from the last two rows of the one before.
+    The package's one copy of the recurrence n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2),
+    with two solvers chosen by depth: a pass of more than _BLOCK_VALUES rows is
+    solved as a banded system per abscissa (_banded_rows), any other row by
+    row (_loop_rows).  Each block continues from the last two rows of the one
+    before.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
     block_rows = block_rows or max(1, _BLOCK_VALUES // max(x.size, 1))
-    older = last = 0.0  # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
+    solve = _banded_rows if max_degree + 1 > _BLOCK_VALUES else _loop_rows
+    # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
+    carried = np.zeros((2, x.size))
     for start in range(0, max_degree + 1, block_rows):
-        block = np.empty((min(block_rows, max_degree + 1 - start), x.size))
-        for n, row in enumerate(block, start):
-            row[:] = ((2 * n - 1) * x * last - (n - 1) * older) / n if n else 1.0
-            older, last = last, row
-        yield block
+        rows = np.empty((min(block_rows, max_degree + 1 - start) + 2, x.size))
+        rows[:2] = carried
+        solve(start, rows, x)
+        carried = rows[-2:]
+        yield rows[2:]
 
 
 def _defect_blocks(max_degree: int, x, block_rows: int | None = None):
@@ -86,12 +128,13 @@ def legendre_eval(n: int, x) -> float | np.ndarray:
 def legendre_table(max_degree: int, x) -> np.ndarray:
     """Table P_0(x) .. P_N(x) in one recurrence pass.
 
-    Returns shape (N+1,) for scalar x, (N+1, len(x)) for array x.  The table
-    satisfies values[0] = 1, |values[n]| <= 1, and values[:, x=1] = 1.
+    Returns shape (N+1,) + x.shape: (N+1,) for scalar x, (N+1, len(x)) for a
+    1-D x.  The table satisfies values[0] = 1, |values[n]| <= 1, and
+    values[:, x=1] = 1.
     """
     xc = _clamp_abscissa(x)
-    (table,) = _row_blocks(max_degree, np.atleast_1d(xc), max_degree + 1)
-    return table[:, 0] if xc.ndim == 0 else table
+    (table,) = _row_blocks(max_degree, xc.ravel(), max_degree + 1)
+    return table.reshape((max_degree + 1,) + xc.shape)
 
 
 def legendre_at_zero(max_degree: int) -> np.ndarray:
@@ -102,7 +145,7 @@ def legendre_at_zero(max_degree: int) -> np.ndarray:
 def legendre_defect(max_degree: int, x) -> np.ndarray:
     """P_n(x) - P_n(0) for n = 0..N, shaped like legendre_table's output; one pass."""
     ((defects, _),) = _defect_blocks(max_degree, x, max_degree + 1)
-    return defects[:, 0] if np.ndim(x) == 0 else defects
+    return defects.reshape((max_degree + 1,) + np.shape(x))
 
 
 def holder_defect(n: int, delta: float) -> float:

@@ -413,8 +413,8 @@ def divergence_probe_p4(delta, n_list) -> np.ndarray:
     """Partial sums sum_{n<=N} (2n+1) P_n(delta)^4 at each N in n_list.
 
     At p = 4 these grow logarithmically for |delta| < 1; this probe records
-    the growth, it does not assert divergence.  A 1-D array of deltas shares
-    one recurrence pass and gives shape (len(delta), len(n_list)).
+    the growth, it does not assert divergence.  An array of deltas shares one
+    recurrence pass and gives shape delta.shape + (len(n_list),).
     """
     deltas = np.asarray(delta, dtype=float)
     if not np.all(np.abs(deltas) < 1.0):
@@ -422,6 +422,6 @@ def divergence_probe_p4(delta, n_list) -> np.ndarray:
     checkpoints = sorted(int(n) for n in n_list)
     if checkpoints[0] < 0:
         raise ValueError("degrees must be nonnegative")
-    blocks = _row_blocks(checkpoints[-1], np.atleast_1d(deltas))
+    blocks = _row_blocks(checkpoints[-1], deltas.ravel())
     sums = np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0], axis=-1)
     return sums.reshape(deltas.shape + sums.shape[-1:])

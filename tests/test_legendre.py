@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circleops import legendre
 from circleops.legendre import (
     HOLDER_CONSTANT,
     _clamp_delta,
@@ -85,11 +86,85 @@ def test_blocks_continue_the_recurrence():
     assert legendre_eval(70000, 0.3) == legendre_table(70000, 0.3)[-1]
 
 
+def test_nd_abscissae_keep_their_shape():
+    x = np.array([[-0.9, 0.25], [0.6, 1.0]])
+    flat = legendre_table(3, x.ravel())
+    assert np.array_equal(legendre_table(3, x), flat.reshape(4, 2, 2))
+    defects = flat - legendre_at_zero(3)[:, None]
+    assert np.array_equal(legendre_defect(3, x), defects.reshape(4, 2, 2))
+    assert np.array_equal(legendre_eval(3, x), flat[-1].reshape(2, 2))
+    assert legendre_table(3, x[:1, :1]).shape == legendre_defect(3, x[:1, :1]).shape == (4, 1, 1)
+
+
 def test_defect_is_table_minus_zero_column():
     xs = np.linspace(-1.0, 1.0, 11)
     want = legendre_table(300, xs) - legendre_at_zero(300)[:, None]
     assert np.array_equal(legendre_defect(300, xs), want)
     assert np.array_equal(legendre_defect(300, xs[7]), want[:, 7])
+
+
+# Deep passes (more than _BLOCK_VALUES rows) are solved as banded systems;
+# these tests hold them to a 200-bit recurrence and to the row loop.
+DEEP = 70_000
+DEEP_POINTS = np.array([0.3, -0.83, 0.999])
+
+
+@pytest.fixture(scope="module")
+def deep_reference():
+    """P_n at DEEP_POINTS for n <= DEEP by a 200-bit fixed-point recurrence in Python integers.
+
+    mpmath.legendre does not converge at these degrees, so the reference is
+    the recurrence itself, carried with 200 fractional bits (each step rounds
+    by < 2^-200, far below a double's unit in the last place).
+    """
+    scale = 1 << 200
+    table = np.empty((DEEP + 1, DEEP_POINTS.size))
+    for i, x in enumerate(DEEP_POINTS.tolist()):
+        num, den = x.as_integer_ratio()
+        older, last = 0, scale
+        table[0, i] = 1.0
+        for n in range(1, DEEP + 1):
+            older, last = last, ((2 * n - 1) * num * last // den - (n - 1) * older) // n
+            table[n, i] = last / scale
+    return table
+
+
+def test_deep_pass_against_200_bit_recurrence(deep_reference, monkeypatch):
+    banded = np.abs(legendre_table(DEEP, DEEP_POINTS) - deep_reference).max(axis=0)
+    monkeypatch.setattr(legendre, "_BLOCK_VALUES", DEEP + 1)  # the depth test now picks the row loop
+    looped = np.abs(legendre_table(DEEP, DEEP_POINTS) - deep_reference).max(axis=0)
+    # both are rounding-sized; the banded error is no larger than the loop's up to one
+    # epsilon (at x = 0.3 they are 1.9e-16 and 1.7e-16; at 0.999, 8.5e-15 and 1.6e-14)
+    assert np.all(banded <= 1e-13)
+    assert np.all(banded <= looped + np.finfo(float).eps)
+
+
+def test_deep_pass_is_exact_at_integer_points():
+    x = np.array([1.0, -1.0, 0.0])
+    table = np.concatenate(list(_row_blocks(DEEP, x)))  # default blocks: 21845 rows each
+    n = np.arange(DEEP + 1)
+    assert np.all(table[:, 0] == 1.0)
+    assert np.array_equal(table[:, 1], np.where(n % 2, -1.0, 1.0))
+    assert np.all(table[1::2, 2] == 0.0)
+
+
+def test_deep_pass_bits_do_not_depend_on_blocks_or_neighbours():
+    one_block = legendre_table(DEEP, DEEP_POINTS)
+    for block_rows in (7, 7777):
+        blocks = list(_row_blocks(DEEP, DEEP_POINTS, block_rows))
+        assert np.array_equal(np.concatenate(blocks), one_block)
+    xs = np.linspace(-0.95, 0.95, 11)
+    among = legendre_table(DEEP, xs)
+    for k, x in enumerate(xs):
+        assert np.array_equal(among[:, k], legendre_table(DEEP, x))
+
+
+def test_two_sides_of_the_depth_test_agree(deep_reference):
+    # degree 2^16 - 1 is the deepest row-loop pass, 2^16 the shallowest banded one
+    edge = legendre._BLOCK_VALUES
+    shallow, deep = legendre_table(edge - 1, DEEP_POINTS), legendre_table(edge, DEEP_POINTS)
+    looped_error = np.abs(shallow - deep_reference[:edge]).max(axis=0)
+    assert np.all(np.abs(deep[:edge] - shallow).max(axis=0) <= looped_error)
 
 
 def test_at_zero_values():

@@ -267,3 +267,10 @@ class TestDivergenceProbe:
         assert divergence_probe_p4(0.3, ns).shape == (len(ns),)
         for row, delta in zip(sums, (0.3, 0.99)):
             np.testing.assert_allclose(row, divergence_probe_p4(delta, ns), rtol=1e-13)
+
+    def test_delta_array_keeps_its_shape(self):
+        deltas = np.array([[0.3, -0.5], [0.99, 0.0]])
+        ns = [16, 64, 256]
+        sums = divergence_probe_p4(deltas, ns)
+        assert sums.shape == (2, 2, len(ns))
+        assert np.array_equal(sums.reshape(4, -1), divergence_probe_p4(deltas.ravel(), ns))
