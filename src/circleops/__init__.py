@@ -6,17 +6,13 @@ from .errors import NumericalDegeneracyError
 from .legendre import (
     HOLDER_CONSTANT,
     bernstein_envelope,
-    holder_defect,
     legendre_at_zero,
-    legendre_eval,
     legendre_table,
 )
 from .schatten import (
     MixedNormSpace,
     SingularProfile,
-    combined_vector_bound,
     dyadic_decompose,
-    entropy_bound,
     interpolation_bound,
     mixed_norm_lower_bound,
 )
@@ -28,7 +24,6 @@ from .spectral import (
     fit_decay,
     op_norm_diff,
     op_norm_diff_certificate,
-    schatten_norm_diff,
     schatten_tail_estimate,
 )
 from .sl3 import (
@@ -59,12 +54,10 @@ from .zigzag import (
     jump_cost,
 )
 from .repsim import (
-    BandLimitedFunction,
     coefficient_decay,
     invariant_gap,
     k_averaged_operator,
     matrix_coefficient,
-    quasi_regular_apply,
 )
 
 __version__ = "0.1.0"

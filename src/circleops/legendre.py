@@ -17,11 +17,9 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 
 __all__ = [
-    "legendre_eval",
     "legendre_table",
     "legendre_at_zero",
     "legendre_defect",
-    "holder_defect",
     "bernstein_envelope",
     "gauss_rule",
     "HOLDER_CONSTANT",
@@ -113,18 +111,6 @@ def _defect_blocks(max_degree: int, x, block_rows: int | None = None):
         yield rows[:, :-1] - rows[:, -1:], rows[:, -1]
 
 
-def legendre_eval(n: int, x) -> float | np.ndarray:
-    """Evaluate P_n(x) by the three-term recurrence, P_n(1) = 1 normalization.
-
-    Accepts a scalar or array abscissa in [-1, 1] (values beyond by at most
-    1e-12 are clamped).
-    """
-    xc = _clamp_abscissa(x)
-    for block in _row_blocks(n, xc.ravel()):
-        pass
-    return float(block[-1, 0]) if xc.ndim == 0 else block[-1].reshape(xc.shape)
-
-
 def legendre_table(max_degree: int, x) -> np.ndarray:
     """Table P_0(x) .. P_N(x) in one recurrence pass.
 
@@ -146,11 +132,6 @@ def legendre_defect(max_degree: int, x) -> np.ndarray:
     """P_n(x) - P_n(0) for n = 0..N, shaped like legendre_table's output; one pass."""
     ((defects, _),) = _defect_blocks(max_degree, x, max_degree + 1)
     return defects.reshape((max_degree + 1,) + np.shape(x))
-
-
-def holder_defect(n: int, delta: float) -> float:
-    """|P_n(0) - P_n(delta)|, guaranteed <= 4 * sqrt(|delta|)."""
-    return abs(float(legendre_defect(n, delta)[n]))
 
 
 @functools.lru_cache(maxsize=128)

@@ -25,10 +25,8 @@ from .legendre import gauss_rule, legendre_table
 from .sphere import SphereGrid, real_sph_harm_matrix
 
 __all__ = [
-    "BandLimitedFunction",
     "RepOperatorSample",
     "build_grid",
-    "quasi_regular_apply",
     "assemble_operator",
     "k_average_matrix",
     "k_averaged_operator",
@@ -53,30 +51,6 @@ def build_grid(band_limit: int = 32, oversample: int = 2) -> SphereGrid:
 
 
 @dataclass
-class BandLimitedFunction:
-    """A function known through its harmonic coefficients up to the band limit."""
-
-    grid: SphereGrid
-    coeffs: np.ndarray
-
-    @classmethod
-    def from_samples(cls, grid: SphereGrid, samples: np.ndarray) -> "BandLimitedFunction":
-        return cls(grid=grid, coeffs=grid.analyze(samples))
-
-    @classmethod
-    def constant(cls, grid: SphereGrid) -> "BandLimitedFunction":
-        coeffs = np.zeros(grid.n_coeff)
-        coeffs[0] = 1.0
-        return cls(grid=grid, coeffs=coeffs)
-
-    def samples(self) -> np.ndarray:
-        return self.grid.synthesize(self.coeffs)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass
 class RepOperatorSample:
     """Dense compression of pi(g) to the band-limited space, with leakage."""
 
@@ -90,22 +64,6 @@ def _transformed_points(g: np.ndarray, nodes: np.ndarray):
     gx = nodes @ ginv.T
     r = np.linalg.norm(gx, axis=1)
     return gx / r[:, None], r
-
-
-def quasi_regular_apply(g: np.ndarray, f: BandLimitedFunction):
-    """Apply pi(g) and re-project to the band limit.
-
-    Returns (image, leakage) where leakage is the relative L2 mass the
-    projection discarded, estimated on the sampling grid.
-    """
-    grid = f.grid
-    pts, r = _transformed_points(g, grid.nodes)
-    values = r**-1.5 * grid.synthesize(f.coeffs, points=pts)
-    total = float(np.sum(grid.weights * values * values))
-    out = BandLimitedFunction.from_samples(grid, values)
-    inband = float(np.sum(out.coeffs**2))
-    leakage = max(0.0, 1.0 - inband / total) if total > 0 else 0.0
-    return out, leakage
 
 
 def assemble_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:

@@ -1,17 +1,16 @@
 """Finite-dimensional Schatten / mixed-norm machinery.
 
-Three ingredients: the dyadic decomposition of a singular-value profile into
-bounded blocks of rank 2^k, the closed-form entropy-number bound
-Tp * Cq * n^(1/p - 1/q), and their combination into an upper bound for the
-norm of T tensor Id on l2(l^p).  Exact mixed operator norms are NP-hard, so
-the estimator here certifies lower bounds only: every returned value is
-attained by an explicit witness vector, and the upper bounds it is compared
-against come from the interpolation inequality.
+Two ingredients: the dyadic decomposition of a singular-value profile into
+bounded blocks of rank 2^k, and norms of T tensor Id on l2(l^p).  Exact
+mixed operator norms are NP-hard, so the estimator here certifies lower
+bounds only: every returned value is attained by an explicit witness vector,
+and the upper bounds it is compared against come from the interpolation
+inequality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +20,6 @@ __all__ = [
     "SingularProfile",
     "DyadicDecomposition",
     "dyadic_decompose",
-    "entropy_bound",
-    "HoelderSplit",
-    "combined_vector_bound",
     "MixedNormSpace",
     "MixedNormLowerBound",
     "mixed_norm_lower_bound",
@@ -70,16 +66,6 @@ class DyadicDecomposition:
         ks = np.arange(self.alphas.size)
         return float(np.sum(2.0**ks * np.abs(self.alphas) ** self.r))
 
-    def block_operator_norms(self) -> np.ndarray:
-        """||u_k|| for each block (largest ratio lambda_n / alpha_k)."""
-        norms = np.empty(self.alphas.size)
-        for k, (lo, hi) in enumerate(self.blocks):
-            if self.alphas[k] == 0.0:
-                norms[k] = 0.0
-            else:
-                norms[k] = self.profile.values[lo:hi].max() / self.alphas[k]
-        return norms
-
     def reconstruction(self) -> np.ndarray:
         """Concatenated alpha_k * u_k diagonals; equals the profile exactly."""
         out = np.zeros_like(self.profile.values)
@@ -105,78 +91,6 @@ def dyadic_decompose(profile: SingularProfile, r: float) -> DyadicDecomposition:
     return DyadicDecomposition(
         profile=profile, r=float(r), alphas=np.array(alphas), blocks=blocks
     )
-
-
-def entropy_bound(n: int, type_p: float, cotype_q: float, Tp: float = 1.0, Cq: float = 1.0) -> float:
-    """Closed-form entropy-number bound Tp * Cq * n^(1/p - 1/q).
-
-    Evaluated as an imported closed form; the constants Tp, Cq are
-    caller-supplied surrogates (default 1) and bound ratios are reported
-    rather than absolute constants asserted.
-    """
-    if not (1.0 <= type_p <= 2.0 <= cotype_q):
-        raise ValueError("need 1 <= type_p <= 2 <= cotype_q")
-    if Tp < 1.0 or Cq < 1.0:
-        raise ValueError("type/cotype constants are >= 1")
-    expo = 1.0 / type_p - 1.0 / cotype_q
-    if expo < 0:
-        raise ValueError("exponent 1/p - 1/q must be nonnegative")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Tp * Cq * n**expo
-
-
-@dataclass(frozen=True)
-class HoelderSplit:
-    """The three-factor certificate behind the combined bound.
-
-    dyadic_sum = sum_k |alpha_k| 2^(k(1/p-1/q)) is at most
-    schatten_factor * geometric_factor, and geometric_factor is at most its
-    closed-form limit when the summability hypothesis 1/p - 1/q < 1/r holds.
-    """
-
-    dyadic_sum: float
-    schatten_factor: float
-    geometric_factor: float
-    geometric_factor_closed: float
-
-
-def combined_vector_bound(
-    profile: SingularProfile,
-    r: float,
-    type_p: float,
-    cotype_q: float,
-    Tp: float = 1.0,
-    Cq: float = 1.0,
-):
-    """Upper bound sum_k |alpha_k| e_{2^k} for the vector-valued operator norm.
-
-    Requires the summability hypothesis 1/p - 1/q < 1/r.  Returns
-    (bound, HoelderSplit).
-    """
-    expo = 1.0 / type_p - 1.0 / cotype_q
-    if expo >= 1.0 / r:
-        raise ValueError("hypothesis 1/p - 1/q < 1/r violated")
-    dec = dyadic_decompose(profile, r)
-    ks = np.arange(dec.alphas.size)
-    terms = np.abs(dec.alphas) * (2.0**ks) ** expo
-    bound = Tp * Cq * float(terms.sum())
-    if r == 1.0:
-        # conjugate exponent infinity: sup over k of the geometric weights
-        geo = float(np.max((2.0 ** (expo - 1.0 / r)) ** ks))
-        geo_closed = 1.0
-    else:
-        rp = r / (r - 1.0)
-        ratio = 2.0 ** (rp * (expo - 1.0 / r))
-        geo = float(np.sum(ratio**ks) ** (1.0 / rp))
-        geo_closed = float((1.0 / (1.0 - ratio)) ** (1.0 / rp))
-    split = HoelderSplit(
-        dyadic_sum=float(terms.sum()),
-        schatten_factor=dec.weighted_sum() ** (1.0 / r),
-        geometric_factor=geo,
-        geometric_factor_closed=geo_closed,
-    )
-    return bound, split
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "DecayFit",
     "op_norm_diff",
     "op_norm_diff_certificate",
-    "schatten_norm_diff",
     "schatten_tail_bound",
     "schatten_tail_estimate",
     "difference_diagonal",
@@ -72,18 +71,8 @@ class SpectralOperator:
     def eigenvalues(self) -> np.ndarray:
         return legendre_table(self.truncation, self.delta)
 
-    def eigenvalue(self, n: int) -> float:
-        if not 0 <= n <= self.truncation:
-            raise ValueError("degree outside truncation")
-        return float(self.eigenvalues()[n])
-
     def multiplicities(self) -> np.ndarray:
         return 2 * np.arange(self.truncation + 1) + 1
-
-    def multiplicity(self, n: int) -> int:
-        if not 0 <= n <= self.truncation:
-            raise ValueError("degree outside truncation")
-        return 2 * n + 1
 
 
 @dataclass(frozen=True)
@@ -202,15 +191,6 @@ def diff_power_sums(deltas, ps, checkpoints) -> np.ndarray:
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     sums = np.cumsum(diff_power_windows(deltas, ps, checkpoints), axis=-1)
     return sums ** (1.0 / ps[:, None, None])
-
-
-def schatten_norm_diff(delta: float, p: float, truncation: int) -> float:
-    """(sum_{n<=N} (2n+1) |P_n(delta) - P_n(0)|^p)^(1/p); p = inf gives op_norm_diff."""
-    if truncation < 2:
-        raise ValueError("truncation must be >= 2")
-    if np.isinf(p):
-        return op_norm_diff(delta, truncation)
-    return float(diff_power_sums([delta], [p], [truncation])[0, 0, 0])
 
 
 def schatten_tail_bound(delta: float, p: float, truncation: int) -> float:

@@ -28,8 +28,6 @@ __all__ = [
     "markov_trace",
     "mixing_profile",
     "occupancy_counts",
-    "chi_square_statistic",
-    "replica_seeds",
 ]
 
 
@@ -192,9 +190,6 @@ class SphereGrid:
             _synthesis_block(z, cphi, sphi, self.band_limit, c.reshape(self.n_coeff, -1), out[rows])
         return out.reshape(out.shape[:1] + c.shape[1:])
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float(np.sum(self.weights * f * g))
-
     def gram_defect(self) -> float:
         """Max deviation of the discrete Gram matrix of the basis from identity."""
         gram = (self.basis * self.weights[:, None]).T @ self.basis
@@ -283,11 +278,6 @@ def circle_average(
 # ---------------------------------------------------------------------------
 
 
-def replica_seeds(seed: int, replicas: int):
-    """Independent child seeds, one per replica, via SeedSequence spawning."""
-    return np.random.SeedSequence(seed).spawn(replicas)
-
-
 def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """One chain step for a batch of unit vectors, shape (R, 3)."""
     delta = _clamp_delta(delta)
@@ -339,8 +329,7 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int, x0=None):
     sqrt(sum_i Var(x_k,i) / replicas) of the mean estimator.
 
     Replicas are batched under one seeded generator that draws a row of
-    angles per step (deterministic given the seed); use replica_seeds with
-    markov_trace for fully separate per-replica streams.
+    angles per step (deterministic given the seed).
     """
     if steps < 1 or replicas < 2:
         raise ValueError("need steps >= 1 and replicas >= 2 (one replica has no Monte-Carlo error)")
@@ -363,11 +352,3 @@ def occupancy_counts(positions: np.ndarray, n_z: int, n_phi: int) -> np.ndarray:
     ph = np.arctan2(positions[:, 1], positions[:, 0])
     p = np.clip(((ph + np.pi) / (2.0 * np.pi) * n_phi).astype(int), 0, n_phi - 1)
     return np.bincount(z * n_phi + p, minlength=n_z * n_phi)
-
-
-def chi_square_statistic(counts: np.ndarray):
-    """Pearson chi-square statistic against the uniform law; returns (stat, dof)."""
-    counts = np.asarray(counts, dtype=float)
-    expected = counts.sum() / counts.size
-    stat = float(np.sum((counts - expected) ** 2 / expected))
-    return stat, counts.size - 1

@@ -29,7 +29,6 @@ __all__ = [
     "cauchy_tail_constant",
     "covering_partial_sums",
     "covering_limit",
-    "covering_tail_exact",
     "diameter_decay_profile",
 ]
 
@@ -261,11 +260,6 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
 
 def covering_limit(prof: ExponentProfile, alpha: float) -> float:
     return cauchy_tail_constant(prof) * np.exp((2.0 * prof.growth_t - prof.holder_s) * alpha)
-
-
-def covering_tail_exact(prof: ExponentProfile, alpha: float, n_terms: int) -> float:
-    """Exact geometric remainder covering_limit - covering_partial_sums[-1]."""
-    return covering_limit(prof, alpha + n_terms)
 
 
 def diameter_decay_profile(alpha_grid, prof: ExponentProfile) -> np.ndarray:

@@ -13,10 +13,8 @@ from circleops.legendre import (
     _row_blocks,
     bernstein_envelope,
     gauss_rule,
-    holder_defect,
     legendre_at_zero,
     legendre_defect,
-    legendre_eval,
     legendre_table,
 )
 from circleops.sl3 import x_delta
@@ -30,22 +28,22 @@ from circleops.sphere import SphereGrid, circle_average_operator, markov_steps
 
 
 def test_p0_is_one_everywhere():
-    assert legendre_eval(0, 0.37) == 1.0
-    assert np.all(legendre_eval(0, np.linspace(-1, 1, 11)) == 1.0)
+    assert legendre_table(0, 0.37)[0] == 1.0
+    assert np.all(legendre_table(0, np.linspace(-1, 1, 11))[0] == 1.0)
 
 
 def test_normalization_at_one():
     for n in (0, 1, 2, 17, 100, 999):
-        assert legendre_eval(n, 1.0) == pytest.approx(1.0, abs=0.0)
+        assert legendre_table(n, 1.0)[n] == pytest.approx(1.0, abs=0.0)
 
 
 def test_p1_is_identity():
-    assert legendre_eval(1, 0.25) == 0.25
+    assert legendre_table(1, 0.25)[1] == 0.25
 
 
 def test_p2_at_zero():
     # recurrence by hand: P_2 = (3x^2 - 1)/2
-    assert legendre_eval(2, 0.0) == -0.5
+    assert legendre_table(2, 0.0)[2] == -0.5
 
 
 def test_against_numpy_legval():
@@ -54,14 +52,14 @@ def test_against_numpy_legval():
         coeffs = np.zeros(n + 1)
         coeffs[n] = 1.0
         expected = np.polynomial.legendre.legval(xs, coeffs)
-        np.testing.assert_allclose(legendre_eval(n, xs), expected, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(legendre_table(n, xs)[n], expected, rtol=1e-12, atol=1e-14)
 
 
 def test_high_degree_against_mpmath():
     with mpmath.workdps(30):
         for n, x in ((10_000, 0.37), (10_000, -0.83), (4_321, 0.999)):
             exact = float(mpmath.legendre(n, x))
-            got = legendre_eval(n, x)
+            got = legendre_table(n, x)[n]
             assert abs(got - exact) <= 1e-12 * max(abs(exact), 1e-300) + 1e-15
 
 
@@ -72,7 +70,7 @@ def test_table_matches_single_evaluations():
     assert np.all(table[0] == 1.0)
     assert np.all(np.abs(table) <= 1.0 + 1e-12)
     for n in (3, 11, 25):
-        np.testing.assert_allclose(table[n], legendre_eval(n, xs), rtol=1e-13)
+        np.testing.assert_allclose(table[n], legendre_table(n, xs)[n], rtol=1e-13)
 
 
 def test_blocks_continue_the_recurrence():
@@ -83,7 +81,8 @@ def test_blocks_continue_the_recurrence():
     assert [len(b) for b in blocks] == [7] * 14 + [3]
     assert np.array_equal(np.concatenate(blocks), legendre_table(100, xs))
     # one abscissa gives default blocks of 2^16 rows: degree 70000 is in the second
-    assert legendre_eval(70000, 0.3) == legendre_table(70000, 0.3)[-1]
+    *_, last = _row_blocks(70000, np.array([0.3]))
+    assert last[-1, 0] == legendre_table(70000, 0.3)[-1]
 
 
 def test_nd_abscissae_keep_their_shape():
@@ -92,7 +91,7 @@ def test_nd_abscissae_keep_their_shape():
     assert np.array_equal(legendre_table(3, x), flat.reshape(4, 2, 2))
     defects = flat - legendre_at_zero(3)[:, None]
     assert np.array_equal(legendre_defect(3, x), defects.reshape(4, 2, 2))
-    assert np.array_equal(legendre_eval(3, x), flat[-1].reshape(2, 2))
+    assert np.array_equal(legendre_table(3, x)[3], flat[-1].reshape(2, 2))
     assert legendre_table(3, x[:1, :1]).shape == legendre_defect(3, x[:1, :1]).shape == (4, 1, 1)
 
 
@@ -176,17 +175,17 @@ def test_at_zero_values():
 
 def test_domain_error_and_clamp():
     with pytest.raises(ValueError):
-        legendre_eval(3, 1.1)
+        legendre_table(3, 1.1)
     # rounding overshoot within 1e-12 is clamped, not rejected
-    assert legendre_eval(3, 1.0 + 5e-13) == pytest.approx(1.0, abs=1e-12)
+    assert legendre_table(3, 1.0 + 5e-13)[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_holder_defect_examples():
     for n in (0, 1, 5, 42):
-        assert holder_defect(n, 0.0) == 0.0
-    assert holder_defect(1, 0.09) == pytest.approx(0.09, abs=1e-15)
+        assert legendre_defect(n, 0.0)[n] == 0.0
+    assert abs(legendre_defect(1, 0.09)[1]) == pytest.approx(0.09, abs=1e-15)
     assert 0.09 <= HOLDER_CONSTANT * 0.3
-    v = holder_defect(40, 0.2)
+    v = abs(legendre_defect(40, 0.2)[40])
     assert v <= HOLDER_CONSTANT * np.sqrt(0.2)
 
 
@@ -209,8 +208,8 @@ def test_bonnet_recurrence_residual():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=0, max_value=500), x=st.floats(min_value=0.0, max_value=1.0))
 def test_parity(n, x):
-    assert legendre_eval(n, -x) == pytest.approx(
-        (-1.0) ** n * legendre_eval(n, x), abs=1e-12
+    assert legendre_table(n, -x)[n] == pytest.approx(
+        (-1.0) ** n * legendre_table(n, x)[n], abs=1e-12
     )
 
 
@@ -218,7 +217,7 @@ def test_bernstein_envelope_dominates():
     thetas = np.linspace(0.011, np.pi - 0.011, 300)
     xs = np.cos(thetas)
     for n in (1, 2, 5, 17, 50, 337):
-        vals = np.abs(legendre_eval(n, xs))
+        vals = np.abs(legendre_table(n, xs)[n])
         env = bernstein_envelope(n, xs)
         assert np.all(vals <= env + 1e-14)
 

@@ -1,4 +1,4 @@
-"""Tests for dyadic decompositions, entropy bounds, and mixed-norm estimates."""
+"""Tests for dyadic decompositions and mixed-norm estimates."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,10 @@ from circleops.legendre import legendre_at_zero, legendre_table
 from circleops.schatten import (
     MixedNormSpace,
     SingularProfile,
-    combined_vector_bound,
     dyadic_decompose,
-    entropy_bound,
     interpolation_bound,
     mixed_norm_lower_bound,
+    mixed_norm_upper_bound,
 )
 from circleops.spectral import difference_diagonal, op_norm_diff
 
@@ -122,59 +121,14 @@ class TestDyadic:
     def test_decomposition_invariants(self, prof, r):
         dec = dyadic_decompose(prof, r=r)
         assert dec.weighted_sum() <= 2.0 * prof.schatten_norm(r) ** r + 1e-9
-        assert np.all(dec.block_operator_norms() <= 1.0 + 1e-12)
         for k, (lo, hi) in enumerate(dec.blocks):
             assert hi - lo <= 2**k
+            assert prof.values[lo:hi].max() <= dec.alphas[k]  # ||u_k|| <= 1
         np.testing.assert_array_equal(dec.reconstruction(), prof.values)
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
             SingularProfile(np.array([1.0, 2.0]))
-
-
-class TestEntropyBound:
-    def test_trivial_exponent(self):
-        assert entropy_bound(1000, 2.0, 2.0, 3.0, 5.0) == 15.0
-
-    def test_arithmetic(self):
-        assert entropy_bound(16, 2.0, 4.0) == pytest.approx(2.0, abs=1e-14)
-
-    def test_log_linear_slope(self):
-        ns = 2 ** np.arange(1, 12)
-        vals = np.array([entropy_bound(int(n), 2.0, 4.0) for n in ns])
-        slopes = np.diff(np.log(vals)) / np.diff(np.log(ns))
-        np.testing.assert_allclose(slopes, 0.25, atol=1e-12)
-
-    def test_rejects_bad_signature(self):
-        with pytest.raises(ValueError):
-            entropy_bound(4, 2.5, 4.0)
-
-
-class TestCombinedBound:
-    def test_single_value(self):
-        bound, _ = combined_vector_bound(
-            SingularProfile(np.array([1.0])), r=2.0, type_p=2.0, cotype_q=4.0, Tp=2.0, Cq=3.0
-        )
-        assert bound == 6.0
-
-    def test_harmonic_profile_against_direct_sum(self):
-        n = 2**10
-        prof = SingularProfile(1.0 / np.arange(1, n + 1))
-        bound, split = combined_vector_bound(prof, r=2.0, type_p=2.0, cotype_q=4.0)
-        direct = sum(2.0**-k * (2.0**k) ** 0.25 for k in range(11))
-        assert bound == pytest.approx(direct, rel=1e-12)
-        assert split.dyadic_sum <= split.schatten_factor * split.geometric_factor + 1e-12
-        assert split.geometric_factor <= split.geometric_factor_closed + 1e-12
-
-    def test_dominates_operator_norm_at_hilbert_signature(self):
-        prof = SingularProfile(np.array([3.0, 1.0, 0.5, 0.25]))
-        bound, _ = combined_vector_bound(prof, r=2.0, type_p=2.0, cotype_q=2.0)
-        assert bound >= prof.values[0]
-
-    def test_hypothesis_violation_rejected(self):
-        prof = SingularProfile(np.array([1.0, 0.5]))
-        with pytest.raises(ValueError):
-            combined_vector_bound(prof, r=4.0, type_p=1.0, cotype_q=2.0)
 
 
 class TestMixedNorm:
@@ -276,13 +230,13 @@ class TestMixedNorm:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_combined_bound_dominates_lower_bound(self):
-        # the dyadic upper bound (unit surrogate constants) sits above every
-        # witnessed lower bound for the diagonal difference instances
+        # the interpolation upper bound, which combines the regular norm 2 with
+        # the Hoelder bound on l2, sits above every witnessed lower bound for
+        # the diagonal difference instances
         for p in (4.0, 6.0, 8.0):
             for delta in (0.05, 0.2):
                 T = diagonal_difference_operator(delta, 12)
-                prof = SingularProfile(np.sort(np.abs(np.diag(T)))[::-1])
-                upper, _ = combined_vector_bound(prof, r=2.0, type_p=2.0, cotype_q=max(p, 2.0))
+                upper = mixed_norm_upper_bound(delta, p)
                 res = mixed_norm_lower_bound(
                     T, MixedNormSpace(T.shape[0], 4, p), restarts=8, iters=80, seed=1
                 )

@@ -15,7 +15,6 @@ from circleops.zigzag import (
     cauchy_tail_constant,
     covering_limit,
     covering_partial_sums,
-    covering_tail_exact,
     diameter_decay_profile,
     jump_cost,
     ledger_reflect,
@@ -263,7 +262,7 @@ class TestTailConstant:
             assert np.all(np.diff(sums) > 0)
             assert np.all(sums < limit)
             gap = limit - sums[-1]
-            assert gap == pytest.approx(covering_tail_exact(prof, alpha, 60), rel=1e-12)
+            assert gap == pytest.approx(covering_limit(prof, alpha + 60), rel=1e-12)
 
     def test_partial_sum_gap_formula_at_alpha_zero(self):
         # after terms n = 0..50 the remainder is the exact geometric tail
