@@ -8,9 +8,12 @@ estimated on the (oversampled) sampling grid and reported, never dropped.
 
 The bi-rotation-averaged operators collapse onto the constants, so their
 norms reproduce the matrix coefficient c(n) of the unit constant function at
-diag(e^n, 1, e^-n).  c(n) itself is computed by an exact 1D-reduced
-quadrature (the tensor grid cannot resolve the integrand's e^(-2n) ridge for
-larger n); the grid machinery is cross-checked against it at small n.
+diag(e^n, 1, e^-n).  c(n) itself is reduced exactly to a longitude integral
+(the tensor grid cannot resolve the integrand's e^(-2n) ridge for larger n)
+and taken by one fixed trapezoid rule in s, tan(phi) = e^-n sinh(s): there
+the integrand is even, analytic and decays like e^(|n| - s), so the rule
+converges geometrically.  The grid machinery is cross-checked against it at
+small n.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericalDegeneracyError
 from .legendre import gauss_rule, legendre_table
@@ -149,25 +151,39 @@ def _inner_profile(z: np.ndarray, nodes: int) -> np.ndarray:
     return half * np.sum(ws * np.cosh(pts) ** -0.5, axis=-1)
 
 
+# Steps and cutoff of the trapezoid rule in matrix_coefficient: the integrand
+# decays like e^(|n| - s), so the tail beyond s = |n| + 40 is below e^-40.
+_TRAPEZOID_STEPS = 256
+_TRAPEZOID_CUTOFF = 40.0
+
+
 def matrix_coefficient(n: float, inner_nodes: int = 192) -> float:
     """c(n) = integral over the sphere of (e^-2n x1^2 + x2^2 + e^2n x3^2)^(-3/4).
 
-    Reduced to a 1D adaptive integral: for fixed longitude the colatitude
-    integral has the closed form 2 c^(-1/4) d^(-1/2) F(sqrt(d/c)) with
-    c = e^-2n cos^2 + sin^2 and d = e^2n - c.
+    c is even in n (a permutation in K conjugates diag(e^-n, 1, e^n) to
+    diag(e^n, 1, e^-n)), so it is evaluated at |n|.  For fixed longitude phi
+    the colatitude integral has the closed form 2 c^(-1/4) d^(-1/2) F(sqrt(d/c))
+    with c = e^-2n cos^2 + sin^2 and d = e^2n - c.  The longitude integral is
+    taken in s, tan(phi) = e^-n sinh(s), where
+    c = e^-2n cosh^2 s / (1 + e^-2n sinh^2 s) and
+    dphi = e^-n cosh s / (1 + e^-2n sinh^2 s) ds: the integrand is even and
+    analytic in s and decays like e^(|n| - s), so the trapezoid rule on
+    [0, |n| + _TRAPEZOID_CUTOFF] with _TRAPEZOID_STEPS steps (half weight
+    at s = 0) converges geometrically.
     """
+    n = abs(n)
     if n == 0:
         return 1.0
-    a2 = np.exp(-2.0 * n)
-    b2 = np.exp(2.0 * n)
-
-    def inner(phi: float) -> float:
-        c = a2 * np.cos(phi) ** 2 + np.sin(phi) ** 2
-        d = b2 - c
-        return 2.0 * c**-0.25 * d**-0.5 * float(_inner_profile(np.array(d / c) ** 0.5, inner_nodes))
-
-    val, _ = integrate.quad(inner, 0.0, np.pi / 2.0, limit=400, epsabs=1e-13, epsrel=1e-12)
-    return val / np.pi
+    a = np.exp(-n)
+    s, h = np.linspace(0.0, n + _TRAPEZOID_CUTOFF, _TRAPEZOID_STEPS + 1, retstep=True)
+    cosh = np.cosh(s)
+    stretch = 1.0 + (a * np.sinh(s)) ** 2
+    c = (a * cosh) ** 2 / stretch
+    d = np.exp(2.0 * n) - c
+    inner = 2.0 * c**-0.25 * d**-0.5 * _inner_profile(np.sqrt(d / c), inner_nodes)
+    integrand = inner * a * cosh / stretch
+    integrand[0] *= 0.5
+    return float(h * np.sum(integrand) / np.pi)
 
 
 def coefficient_decay(n_max: int, leakage_fraction: float = 0.1) -> np.ndarray:

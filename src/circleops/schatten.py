@@ -66,13 +66,6 @@ class DyadicDecomposition:
         ks = np.arange(self.alphas.size)
         return float(np.sum(2.0**ks * np.abs(self.alphas) ** self.r))
 
-    def reconstruction(self) -> np.ndarray:
-        """Concatenated alpha_k * u_k diagonals; equals the profile exactly."""
-        out = np.zeros_like(self.profile.values)
-        for lo, hi in self.blocks:
-            out[lo:hi] = self.profile.values[lo:hi]
-        return out
-
 
 def dyadic_decompose(profile: SingularProfile, r: float) -> DyadicDecomposition:
     """Split a profile into dyadic blocks, alpha_k = lambda_{2^k}."""

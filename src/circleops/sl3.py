@@ -221,12 +221,6 @@ class Embedding2Certificate:
     residual1: float
     residual2: float
 
-    def diag1(self) -> np.ndarray:
-        return _case_diagonals(self.gamma)[0]
-
-    def diag2(self) -> np.ndarray:
-        return _case_diagonals(self.gamma)[1]
-
 
 def _case_diagonals(gamma: float):
     """Targets of case 1 and case 2; each case matches its top entry."""

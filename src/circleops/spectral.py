@@ -89,10 +89,6 @@ class OpNormCertificate:
     tail_bound: float
 
     @property
-    def head_dominates(self) -> bool:
-        return self.head >= self.tail_bound
-
-    @property
     def value(self) -> float:
         return max(self.head, self.tail_bound)
 

@@ -1,8 +1,16 @@
-"""Export consistency: each module's __all__ resolves, and the package re-exports only exported names."""
+"""Export consistency: each module's __all__ resolves, and the package re-exports only exported names.
+
+Also an import-cost guard: importing the package or its CLI must not load the
+heavy scipy subpackages that nothing in it needs.
+"""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +42,12 @@ def test_package_reexports_only_exported_names():
         if name not in importlib.import_module(f"circleops.{module}").__all__
     ]
     assert stray == []
+
+
+@pytest.mark.parametrize("module", ["circleops", "circleops.cli"])
+def test_import_leaves_out_scipy_integrate_and_optimize(module):
+    src = str(Path(circleops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"import sys, {module}; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

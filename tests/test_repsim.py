@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from circleops import repsim
 from circleops.legendre import legendre_at_zero
 from circleops.repsim import (
     assemble_operator,
@@ -144,23 +145,35 @@ class TestOperators:
 
 
 def _matrix_coefficient_fresh_rule(n: float, inner_nodes: int) -> float:
-    """Reference c(n) that builds its Gauss-Legendre rule afresh on every integrand call."""
-    a2, b2 = np.exp(-2.0 * n), np.exp(2.0 * n)
+    """Reference c(n): the same trapezoid rule in s, with a Gauss-Legendre rule built afresh."""
+    xs, ws = np.polynomial.legendre.leggauss(inner_nodes)
+    a = np.exp(-n)
+    s, h = np.linspace(0.0, n + repsim._TRAPEZOID_CUTOFF, repsim._TRAPEZOID_STEPS + 1, retstep=True)
+    cosh = np.cosh(s)
+    stretch = 1.0 + (a * np.sinh(s)) ** 2
+    c = (a * cosh) ** 2 / stretch
+    d = np.exp(2.0 * n) - c
+    half = 0.5 * np.arcsinh(np.sqrt(d / c))
+    profile = half * np.sum(ws * np.cosh(half[..., None] * (xs + 1.0)) ** -0.5, axis=-1)
+    integrand = 2.0 * c**-0.25 * d**-0.5 * profile * a * cosh / stretch
+    integrand[0] *= 0.5
+    return float(h * np.sum(integrand) / np.pi)
 
-    def profile(z):
-        xs, ws = np.polynomial.legendre.leggauss(inner_nodes)
-        w_upper = np.arcsinh(z)
-        half = 0.5 * w_upper
-        pts = half[..., None] * (xs + 1.0)
-        return half * np.sum(ws * np.cosh(pts) ** -0.5, axis=-1)
+
+def _matrix_coefficient_adaptive(n: float, inner_nodes: int) -> float:
+    """Accuracy oracle: adaptive quadrature over the longitude phi in [0, pi/2]."""
+    a2, b2 = np.exp(-2.0 * n), np.exp(2.0 * n)
 
     def inner(phi):
         c = a2 * np.cos(phi) ** 2 + np.sin(phi) ** 2
         d = b2 - c
-        return 2.0 * c**-0.25 * d**-0.5 * float(profile(np.array(d / c) ** 0.5))
+        return 2.0 * c**-0.25 * d**-0.5 * float(repsim._inner_profile(np.array(d / c) ** 0.5, inner_nodes))
 
     val, _ = integrate.quad(inner, 0.0, np.pi / 2.0, limit=400, epsabs=1e-13, epsrel=1e-12)
     return val / np.pi
+
+
+ORACLE_GRID = (0.01, 0.1, 0.5, 1.3, 2.7, 4.4, 6.6, 7.9, 8.0)
 
 
 class TestDecay:
@@ -169,6 +182,24 @@ class TestDecay:
         for n in range(1, 7):
             want = _matrix_coefficient_fresh_rule(n, inner_nodes)
             assert matrix_coefficient(n, inner_nodes=inner_nodes) == want
+
+    @pytest.mark.parametrize("inner_nodes", [96, 192])
+    def test_matches_adaptive_quadrature(self, inner_nodes):
+        for n in ORACLE_GRID:
+            want = _matrix_coefficient_adaptive(n, inner_nodes)
+            assert matrix_coefficient(n, inner_nodes=inner_nodes) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_doubling_the_steps_changes_nothing(self, monkeypatch):
+        base = {(n, k): matrix_coefficient(n, inner_nodes=k) for n in ORACLE_GRID for k in (96, 192)}
+        monkeypatch.setattr(repsim, "_TRAPEZOID_STEPS", 2 * repsim._TRAPEZOID_STEPS)
+        for (n, k), value in base.items():
+            assert matrix_coefficient(n, inner_nodes=k) == pytest.approx(value, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [0.5, 3.0, 8.0])
+    def test_even_in_n(self, n):
+        value = matrix_coefficient(-n)
+        assert np.isfinite(value)
+        assert value == matrix_coefficient(n)
 
     def test_unit_at_identity(self):
         assert matrix_coefficient(0) == 1.0

@@ -300,12 +300,15 @@ class TestSlideFamily:
 class TestEmbedding:
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 4.0])
     def test_certificate_invariants(self, gamma):
+        # the two case targets, built here rather than read back from the solver
+        diag1 = np.diag([np.exp(gamma), 1.0, np.exp(-gamma)])
+        diag2 = np.diag([np.exp(0.75 * gamma), np.exp(0.25 * gamma), np.exp(-gamma)])
         for alpha in np.linspace(gamma, 7 * gamma / 6, 7):
             cert = embedding2_solve(gamma, alpha)
             m1 = d_alpha(2 * gamma - alpha) @ x_delta(cert.delta1) @ d_alpha(alpha)
             m2 = d_alpha(2 * gamma - alpha) @ x_delta(cert.delta2) @ d_alpha(alpha)
-            r1 = np.linalg.norm(m1 - cert.k1 @ cert.diag1() @ cert.k1p, 2)
-            r2 = np.linalg.norm(m2 - cert.k2 @ cert.diag2() @ cert.k2p, 2)
+            r1 = np.linalg.norm(m1 - cert.k1 @ diag1 @ cert.k1p, 2)
+            r2 = np.linalg.norm(m2 - cert.k2 @ diag2 @ cert.k2p, 2)
             assert r1 / max(1.0, np.linalg.norm(m1, 2)) <= 1e-9
             assert r2 / max(1.0, np.linalg.norm(m2, 2)) <= 1e-9
             assert cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9
