@@ -38,6 +38,7 @@ from .zigzag import (
 )
 
 OUTDIR_ENV = "CIRCLEOPS_OUTDIR"
+_DEFECT_CHUNK_VALUES = 2**22  # legendre-bounds defect values held at once
 
 
 def _fmt(x) -> str:
@@ -117,7 +118,13 @@ def positive_int(text: str) -> int:
 
 def cmd_legendre_bounds(args) -> int:
     deltas = np.linspace(-1.0, 1.0, args.grid)
-    defects = np.abs(legendre_defect(args.nmax, deltas)).max(axis=0)
+    # whole columns of at most _DEFECT_CHUNK_VALUES defects at a time keep memory flat; neither
+    # recurrence solver's bits depend on the neighbouring abscissae, so chunks change no value
+    width = max(1, _DEFECT_CHUNK_VALUES // (args.nmax + 1))
+    defects = np.concatenate([
+        np.abs(legendre_defect(args.nmax, deltas[start : start + width])).max(axis=0)
+        for start in range(0, args.grid, width)
+    ])
     bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
     violations = int(np.sum(defects > bounds + 1e-14))
     print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")

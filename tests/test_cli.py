@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from circleops.cli import main
+from circleops.legendre import legendre_defect
 
 
 def run(tmp_path, *argv):
@@ -46,6 +47,15 @@ def test_legendre_bounds(tmp_path):
     assert lines[0].startswith("# checks:")
     assert lines[1] == "delta,max_defect,bound"
     assert len(lines) == 103
+
+
+def test_legendre_bounds_column_chunks_match_one_block(tmp_path):
+    # 65537 rows take the banded solver and 2^22 // 65537 = 63 deltas per chunk, so 64 need two
+    assert run(tmp_path, "legendre-bounds", "--nmax", "65536", "--grid", "64") == 0
+    lines = (tmp_path / "legendre_bounds.csv").read_text().splitlines()[2:]
+    got = np.array([float(line.split(",")[1]) for line in lines])
+    want = np.abs(legendre_defect(65536, np.linspace(-1.0, 1.0, 64))).max(axis=0)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_tdelta_norms_and_fit(tmp_path):

@@ -83,17 +83,60 @@ def reference_lower_bound(T, space, restarts, iters, seed):
     return best, np.asarray(finals)
 
 
+def dense_batched_lower_bound(T, space, restarts, iters, seed):
+    """The estimator's batched sweep with the dense products T @ x and T.T @ z for every T.
+
+    Returns (value, witness, history) as mixed_norm_lower_bound does.
+    """
+    dual = space.dual()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = rng.normal(size=(restarts, space.outer_dim, space.inner_dim))
+    x /= space.norm(x)[:, None, None]
+    history = np.zeros((iters + 1, restarts))
+    steps = np.zeros(restarts, dtype=int)
+    live = np.ones(restarts, dtype=bool)
+    for it in range(iters):
+        history[it], z = space._duality(T @ x)
+        dual_norm, x_next = dual._duality(T.T @ z)
+        steps += live
+        live &= (history[it] > 0) & (dual_norm > 0)
+        np.copyto(x, x_next, where=live[:, None, None])
+        if not live.any():
+            break
+    final = space.norm(T @ x)
+    best = int(np.argmax(final))
+    if not final[best] > 0:
+        return 0.0, np.zeros((space.outer_dim, space.inner_dim)), np.zeros(0)
+    history[steps[best], best] = final[best]
+    return float(final[best]), x[best], history[: steps[best] + 1, best]
+
+
 def zero_rows_operator() -> np.ndarray:
     T = np.random.default_rng(3).normal(size=(9, 9))
     T[[1, 4, 5]] = 0.0
     return T
 
 
+def one_off_diagonal_operator() -> np.ndarray:
+    # one coupling entry: a row scaling would miss it, so the estimator must take the dense product
+    T = np.diag(np.linspace(-0.6, 0.9, 9))
+    T[2, 7] = 0.8
+    return T
+
+
 REFERENCE_OPERATORS = {
     "dense": lambda: np.random.default_rng(3).normal(size=(9, 9)),
     "criterion-7-diagonal": lambda: np.diag(difference_diagonal(0.1, 16)),
+    "one-off-diagonal": one_off_diagonal_operator,
     "zero-rows": zero_rows_operator,
     "zero": lambda: np.zeros((9, 9)),
+}
+
+# diagonals that mixed_norm_lower_bound applies as a row scaling; the first has a zero entry
+ROW_SCALED_DIAGONALS = {
+    "criterion-7": lambda: difference_diagonal(0.1, 16),
+    "one-by-one": lambda: np.array([-0.7]),
+    "zero": lambda: np.zeros(9),
 }
 
 nonincreasing_profiles = st.lists(
@@ -185,6 +228,17 @@ class TestMixedNorm:
         if value > 0.0:
             assert space.norm(got.witness) == pytest.approx(1.0, rel=1e-12)
             assert space.norm(T @ got.witness) == pytest.approx(got.value, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
+    @pytest.mark.parametrize("diagonal", sorted(ROW_SCALED_DIAGONALS))
+    def test_row_scaling_matches_dense_product_exactly(self, diagonal, p):
+        T = np.diag(ROW_SCALED_DIAGONALS[diagonal]())
+        space = MixedNormSpace(T.shape[0], 3, p)
+        got = mixed_norm_lower_bound(T, space, restarts=6, iters=40, seed=2)
+        value, witness, history = dense_batched_lower_bound(T, space, restarts=6, iters=40, seed=2)
+        assert got.value == value
+        np.testing.assert_array_equal(got.history, history)
+        np.testing.assert_array_equal(got.witness, witness)
 
     @pytest.mark.parametrize("restarts, iters", [(0, 10), (-3, 10), (2, -1)])
     def test_rejects_bad_restarts_and_iters(self, restarts, iters):
