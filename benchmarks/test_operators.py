@@ -6,6 +6,7 @@ Each benchmark also checks its result, so a fast wrong answer fails.
 """
 
 import numpy as np
+import pytest
 
 from circleops import sl3
 from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coefficient
@@ -42,17 +43,18 @@ def test_circle_average_operator(benchmark):
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
 
 
-def test_circle_average(benchmark):
+@pytest.mark.parametrize("band", [24, 32])  # 32: the sphere-averaging workload's largest frames job
+def test_circle_average(benchmark, band):
     # the pointwise rule on every node's own circle, with twisted tangent frames
-    grid = SphereGrid.build(24)
-    rng = np.random.default_rng(24)
+    grid = SphereGrid.build(band)
+    rng = np.random.default_rng(band)
     coeffs = rng.normal(size=grid.n_coeff)
     u, v = tangent_frames(grid.nodes)
     twist = rng.uniform(0.0, 2.0 * np.pi, size=grid.nodes.shape[0])
     c, s = np.cos(twist)[:, None], np.sin(twist)[:, None]
     samples = grid.synthesize(coeffs)
     averaged = benchmark(circle_average, grid, samples, 0.3, frames=(c * u + s * v, c * v - s * u))
-    eigs = legendre_table(24, 0.3)[degree_of_column(24)]
+    eigs = legendre_table(band, 0.3)[degree_of_column(band)]
     assert np.abs(averaged - grid.basis @ (coeffs * eigs)).max() <= 1e-8
 
 

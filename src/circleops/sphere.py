@@ -10,6 +10,7 @@ normalized surface measure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,9 @@ class SphereGrid:
     def build(cls, band_limit: int, lat_oversample: int = 1, lon_oversample: int = 1):
         if band_limit < 0:
             raise ValueError("band limit must be nonnegative")
+        factors = (lat_oversample, lon_oversample)
+        if not all(isinstance(k, numbers.Integral) and k >= 1 for k in factors):
+            raise ValueError("oversample factors must be integers >= 1")
         n_lat = lat_oversample * (band_limit + 1)
         n_lon = lon_oversample * (2 * band_limit + 1)
         xg, wg = gauss_rule(n_lat)
@@ -212,13 +216,20 @@ def tangent_frames(points: np.ndarray):
 
 
 def _circle_points(grid: SphereGrid, delta: float, quadrature_points, centres, u, v):
-    """(M, len(centres), 3): the M-point rule, M >= 2B+1, on the circles at inner product
-    delta around centres, angle 0 along u and pi/2 along v."""
+    """(M, len(centres), 3): the M-point rule, M >= B+1, on the circles at inner product
+    delta around centres, angle 0 along u and pi/2 along v.
+
+    A harmonic of degree <= B restricted to the circle delta x + r (cos psi u + sin psi v)
+    is a trigonometric polynomial of degree <= B in psi, so the M-point trapezoid mean is
+    exact once M >= B+1; at M = B the frequency-B terms in psi alias onto the constant.
+    """
     delta = _clamp_delta(delta)
     B = grid.band_limit
-    M = 2 * B + 1 if quadrature_points is None else int(quadrature_points)
-    if M < 2 * B + 1:
-        raise ValueError(f"need at least {2 * B + 1} circle quadrature points at band limit {B}")
+    M = B + 1 if quadrature_points is None else quadrature_points
+    if not isinstance(M, numbers.Integral):
+        raise ValueError(f"circle quadrature points must be an integer, got {M!r}")
+    if M < B + 1:
+        raise ValueError(f"need at least {B + 1} circle quadrature points at band limit {B}")
     psi, radius = 2.0 * np.pi * np.arange(M)[:, None, None] / M, np.sqrt(max(0.0, 1.0 - delta * delta))
     return delta * centres + radius * (np.cos(psi) * u + np.sin(psi) * v)
 
@@ -261,10 +272,12 @@ def circle_average(
     """Average a band-limited function over circles at inner product delta.
 
     The input is sampled on the grid; it is analyzed to coefficients, then
-    averaged by an M-point trapezoid rule on each node's circle (exact for
-    band-limited integrands when M >= 2 band_limit + 1), evaluated at all M x
-    n_nodes circle points by one fused grid.synthesize pass.  The result does not
-    depend on the tangent frames; custom frames may be passed to verify that.
+    averaged by an M-point trapezoid rule on each node's circle, evaluated at all
+    M x n_nodes circle points by one fused grid.synthesize pass.  The rule is exact
+    for band-limited integrands once M >= band_limit + 1, the default: on a circle
+    a harmonic of degree <= B is a trigonometric polynomial of degree <= B in the
+    circle angle.  The result does not depend on the tangent frames; custom frames
+    may be passed to verify that.
     This pointwise rule is the check on circle_average_operator's ring path.
     """
     u, v = tangent_frames(grid.nodes) if frames is None else frames

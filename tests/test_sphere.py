@@ -76,9 +76,44 @@ def test_frame_independence(grid):
     assert np.abs(out1 - out2).max() <= 1e-10
 
 
+def test_grid_invariants_oversampled():
+    g = SphereGrid.build(BAND, lat_oversample=np.int64(2), lon_oversample=3)
+    assert g.nodes.shape[0] == 2 * (BAND + 1) * 3 * (2 * BAND + 1)
+    assert g.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor", [0, -1, 1.5, 2.0])
+@pytest.mark.parametrize("which", ["lat_oversample", "lon_oversample"])
+def test_build_rejects_bad_oversample(which, factor):
+    with pytest.raises(ValueError, match="oversample factors must be integers >= 1"):
+        SphereGrid.build(BAND, **{which: factor})
+
+
 def test_quadrature_size_guard(grid):
-    with pytest.raises(ValueError):
-        circle_average(grid, np.ones(grid.nodes.shape[0]), 0.3, quadrature_points=BAND)
+    ones = np.ones(grid.nodes.shape[0])
+    with pytest.raises(ValueError, match=f"at least {BAND + 1} "):
+        circle_average(grid, ones, 0.3, quadrature_points=BAND)
+    out = circle_average(grid, ones, 0.3, quadrature_points=BAND + 1)
+    np.testing.assert_allclose(out, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [BAND + 1.0, 2 * BAND + 1.7, "25", np.float64(25.0)])
+def test_fractional_quadrature_count_rejected(grid, points):
+    ones = np.ones(grid.nodes.shape[0])
+    with pytest.raises(ValueError, match="must be an integer"):
+        circle_average(grid, ones, 0.3, quadrature_points=points)
+    with pytest.raises(ValueError, match="must be an integer"):
+        circle_average_operator(grid, 0.3, quadrature_points=points)
+
+
+def test_default_rule_matches_2b_plus_1(grid):
+    rng = np.random.default_rng(7)
+    f = grid.synthesize(rng.normal(size=grid.n_coeff))
+    for delta in (-0.6, 0.3, 0.97):
+        wide = circle_average_operator(grid, delta, quadrature_points=2 * BAND + 1)
+        np.testing.assert_allclose(circle_average_operator(grid, delta), wide, rtol=0, atol=1e-12)
+        wide = circle_average(grid, f, delta, quadrature_points=2 * BAND + 1)
+        np.testing.assert_allclose(circle_average(grid, f, delta), wide, rtol=0, atol=1e-12)
 
 
 def _pointwise_operator(grid, delta, points):
@@ -94,11 +129,22 @@ def _pointwise_operator(grid, delta, points):
 
 
 @pytest.mark.parametrize("band", [4, 8, 12])
+def test_b_plus_1_rule_is_exact_and_b_is_not(band):
+    # on a circle a degree-<= B harmonic is a trigonometric polynomial of degree <= B
+    g = SphereGrid.build(band)
+    for delta in (-1.0, 0.0, 0.41, 1.0):
+        exact = g.basis * legendre_table(band, delta)[degree_of_column(band)][None, :]
+        assert np.abs(_pointwise_operator(g, delta, band + 1) - exact).max() <= 1e-12
+        if abs(delta) < 1.0:  # at delta = +-1 the circle is a point and every rule is exact
+            assert np.abs(_pointwise_operator(g, delta, band) - exact).max() > 0.1
+
+
+@pytest.mark.parametrize("band", [4, 8, 12])
 @pytest.mark.parametrize("oversample", [1, 2])
-@pytest.mark.parametrize("rule", ["2B+1", "4B+3"])
+@pytest.mark.parametrize("rule", ["B+1", "2B+1", "4B+3"])
 def test_ring_operator_matches_pointwise_quadrature(band, oversample, rule):
     g = SphereGrid.build(band, lat_oversample=oversample, lon_oversample=oversample)
-    points = {"2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
+    points = {"B+1": band + 1, "2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
     for delta in (-1.0, 0.0, 0.41, 1.0):
         ring = circle_average_operator(g, delta, quadrature_points=points)
         np.testing.assert_allclose(ring, _pointwise_operator(g, delta, points), rtol=1e-12, atol=1e-12)
@@ -106,10 +152,10 @@ def test_ring_operator_matches_pointwise_quadrature(band, oversample, rule):
 
 @pytest.mark.parametrize("band", [4, 8, 12])
 @pytest.mark.parametrize("oversample", [1, 2])
-@pytest.mark.parametrize("rule", ["2B+1", "4B+3"])
+@pytest.mark.parametrize("rule", ["B+1", "2B+1", "4B+3"])
 def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
     g = SphereGrid.build(band, lat_oversample=oversample, lon_oversample=oversample)
-    points = {"2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
+    points = {"B+1": band + 1, "2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
     rng = np.random.default_rng(band + 10 * oversample)
     coeffs = rng.normal(size=g.n_coeff)
     u, v = tangent_frames(g.nodes)
@@ -123,8 +169,11 @@ def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
 
 
 def test_operator_quadrature_size_guard(grid):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"at least {BAND + 1} "):
         circle_average_operator(grid, 0.3, quadrature_points=BAND)
+    expected = circle_average_operator(grid, 0.3, quadrature_points=BAND + 1)
+    got = circle_average_operator(grid, 0.3, quadrature_points=np.int32(BAND + 1))  # numpy integers too
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_operator_rejects_non_ring_grid():
