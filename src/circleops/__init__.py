@@ -41,7 +41,6 @@ from .sphere import (
     SphereGrid,
     circle_average,
     circle_average_operator,
-    markov_step,
     markov_trace,
     mixing_profile,
 )

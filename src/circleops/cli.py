@@ -15,6 +15,7 @@ that exits 2 or 3 writes no file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -201,16 +202,7 @@ def cmd_embedding2(args) -> int:
     for alpha in alphas:
         cert = embedding2_solve(args.gamma, float(alpha))
         certs.append({
-            "gamma": cert.gamma,
-            "alpha": cert.alpha,
-            "delta1": cert.delta1,
-            "delta2": cert.delta2,
-            "k1": cert.k1,
-            "k1p": cert.k1p,
-            "k2": cert.k2,
-            "k2p": cert.k2p,
-            "residual1": cert.residual1,
-            "residual2": cert.residual2,
+            **dataclasses.asdict(cert),
             "delta_bound": float(np.exp(-cert.gamma)),
             "rotation_bound": float(2.0 * np.exp(-cert.gamma / 4.0)),
         })
@@ -275,7 +267,7 @@ def cmd_howe_moore(args) -> int:
         # cross-check the grid machinery against the exact value at n = 1
         from .repsim import assemble_operator, build_grid
 
-        grid = build_grid(args.band_limit, oversample=2)
+        grid = build_grid(args.band_limit)
         op = assemble_operator(np.diag([np.e, 1.0, 1.0 / np.e]), grid)
         rel = abs(op.matrix[0, 0] - matrix_coefficient(1)) / matrix_coefficient(1)
         print(f"howe-moore: band-{args.band_limit} grid agrees with c(1) to {rel:.2e}")

@@ -6,14 +6,14 @@ the normalized surface measure.  Rotations preserve band limits exactly;
 everything else leaks mass above the band limit, and that leakage is
 estimated on the (oversampled) sampling grid and reported, never dropped.
 
-The bi-rotation-averaged operators collapse onto the constants, so their
-norms reproduce the matrix coefficient c(n) of the unit constant function at
-diag(e^n, 1, e^-n).  c(n) itself is reduced exactly to a longitude integral
-(the tensor grid cannot resolve the integrand's e^(-2n) ridge for larger n)
-and taken by one fixed trapezoid rule in s, tan(phi) = e^-n sinh(s): there
-the integrand is even, analytic and decays like e^(|n| - s), so the rule
-converges geometrically.  The grid machinery is cross-checked against it at
-small n.
+The bi-rotation average is the projection onto the constants, so the
+averaged operators keep one entry, <pi(g) 1, 1>: at diag(e^n, 1, e^-n) the
+matrix coefficient c(n) of the unit constant function.  c(n) itself is
+reduced exactly to a longitude integral (the tensor grid cannot resolve the
+integrand's e^(-2n) ridge for larger n) and taken by one fixed trapezoid rule
+in s, tan(phi) = e^-n sinh(s): there the integrand is even, analytic and
+decays like e^(|n| - s), so the rule converges geometrically.  The grid
+machinery is cross-checked against it at small n.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .legendre import gauss_rule, legendre_table
+from .legendre import gauss_rule, legendre_table  # noqa: F401  perfbench/selftest.py checks its traced re-export
 from .sphere import SphereGrid, real_sph_harm_matrix
 
 __all__ = [
     "RepOperatorSample",
     "build_grid",
     "assemble_operator",
-    "k_average_matrix",
     "k_averaged_operator",
     "matrix_coefficient",
     "coefficient_decay",
@@ -46,10 +45,10 @@ DECAY_BOUND_CONSTANT = 4.0
 DECAY_BOUND_RATE = 0.5
 
 
-def build_grid(band_limit: int = 32, oversample: int = 2) -> SphereGrid:
-    """Sampling grid for the representation: oversampled so that analysis of
+def build_grid(band_limit: int = 32) -> SphereGrid:
+    """Sampling grid for the representation: oversampled twice so that analysis of
     mildly out-of-band images stays accurate."""
-    return SphereGrid.build(band_limit, lat_oversample=oversample, lon_oversample=oversample)
+    return SphereGrid.build(band_limit, oversample=2)
 
 
 @dataclass
@@ -84,57 +83,17 @@ def assemble_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
     return RepOperatorSample(g=np.asarray(g, float), matrix=matrix, leakage=float(np.max(leaks)))
 
 
-def _m_zero_columns(band_limit: int) -> np.ndarray:
-    return np.arange(band_limit + 1) ** 2
+def k_averaged_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
+    """Bi-rotation average P_K pi(g) P_K of pi(g), P_K the average over the rotations.
 
-
-def k_average_matrix(grid: SphereGrid, k_quadrature: int | None = None) -> np.ndarray:
-    """Quadrature average of the rotation operators over the whole rotation group.
-
-    Euler product rule: the uniform averages over the first and last angles
-    vanish identically on every nonzero azimuthal order (checked, not
-    assumed), so only the zero-order block of the middle-angle average
-    survives; that block is integrated by Gauss-Legendre in cos(beta) with
-    k_quadrature nodes (exact for the band limit when
-    k_quadrature >= (band_limit + 2) // 2).  The result is numerically the
-    projection onto constants; rank is asserted by tests, not here.
+    P_K is the projection onto the constants, e0 e0^T, exactly: each degree-n >= 1
+    harmonic space is an irreducible, nontrivial rotation representation, so its
+    rotation average is zero.  Only the [0, 0] entry, <pi(g) 1, 1>, survives.
     """
-    B = grid.band_limit
-    need = (B + 2) // 2
-    n_beta = B + 1 if k_quadrature is None else int(k_quadrature)
-    if n_beta < need:
-        raise ValueError(f"k_quadrature must be >= {need} at band limit {B}")
-    # uniform averages over the azimuthal angles: exactly zero for 0 < m <= B
-    n_alpha = 2 * B + 1
-    ang = 2.0 * np.pi * np.arange(n_alpha) / n_alpha
-    ms = np.arange(1, B + 1)
-    resid = np.abs(np.cos(ms[:, None] * ang[None, :]).mean(axis=1)).max()
-    resid = max(resid, np.abs(np.sin(ms[:, None] * ang[None, :]).mean(axis=1)).max())
-    if resid > 1e-12:
-        raise NumericalDegeneracyError("axis_average", f"azimuthal average residual {resid}")
-
-    xg, wg = gauss_rule(n_beta)
-    betas = np.arccos(xg)
-    m0 = _m_zero_columns(B)
-    y0 = grid.basis[:, m0]
-    block = np.zeros((B + 1, B + 1))
-    scale = np.sqrt(2.0 * np.arange(B + 1) + 1.0)
-    for beta, w in zip(betas, wg / 2.0):
-        zrot = np.sin(beta) * grid.nodes[:, 0] + np.cos(beta) * grid.nodes[:, 2]
-        rotated = scale[:, None] * legendre_table(B, zrot)
-        block += w * (y0.T @ (grid.weights[:, None] * rotated.T))
-    out = np.zeros((grid.n_coeff, grid.n_coeff))
-    out[np.ix_(m0, m0)] = block
-    return out
-
-
-def k_averaged_operator(
-    g: np.ndarray, grid: SphereGrid, k_quadrature: int | None = None
-) -> RepOperatorSample:
-    """Bi-rotation average of pi(g): sends everything into the constants."""
     sample = assemble_operator(g, grid)
-    avg = k_average_matrix(grid, k_quadrature)
-    return RepOperatorSample(g=sample.g, matrix=avg @ sample.matrix @ avg, leakage=sample.leakage)
+    matrix = np.zeros_like(sample.matrix)
+    matrix[0, 0] = sample.matrix[0, 0]
+    return RepOperatorSample(g=sample.g, matrix=matrix, leakage=sample.leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +145,15 @@ def matrix_coefficient(n: float, inner_nodes: int = 192) -> float:
     return float(h * np.sum(integrand) / np.pi)
 
 
-def coefficient_decay(n_max: int, leakage_fraction: float = 0.1) -> np.ndarray:
+_LEAKAGE_FRACTION = 0.1  # largest relative quadrature defect coefficient_decay accepts
+
+
+def coefficient_decay(n_max: int) -> np.ndarray:
     """Rows (n, c_n, bound, leakage) for n = 0..n_max.
 
     The leakage column is the convergence defect of the quadrature (relative
     change under refinement of the inner rule); the run aborts if it exceeds
-    the stated fraction of c(n).  Asserts c positive, strictly decreasing and
+    _LEAKAGE_FRACTION of c(n).  Asserts c positive, strictly decreasing and
     c(n) <= 4 e^(-n/2) for n >= 1.
     """
     if not 0 <= n_max <= 8:
@@ -201,7 +163,7 @@ def coefficient_decay(n_max: int, leakage_fraction: float = 0.1) -> np.ndarray:
         coarse = matrix_coefficient(n, inner_nodes=96)
         fine = matrix_coefficient(n, inner_nodes=192)
         defect = abs(fine - coarse)
-        if defect > leakage_fraction * fine:
+        if defect > _LEAKAGE_FRACTION * fine:
             raise NumericalDegeneracyError(
                 "coefficient_leakage", f"quadrature defect {defect} vs c({n}) = {fine}"
             )
@@ -269,7 +231,7 @@ def invariant_gap(degree: int):
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    grid = SphereGrid.build(degree, lat_oversample=2, lon_oversample=2)
+    grid = build_grid(degree)
     projs = [axis_average_projection(grid, degree, axis) for axis in ("e1", "e3")]
     bases, margin = [], 0.0
     for proj in projs:

@@ -23,7 +23,6 @@ __all__ = [
     "tangent_frames",
     "circle_average",
     "circle_average_operator",
-    "markov_step",
     "markov_steps",
     "MarkovTrace",
     "markov_trace",
@@ -134,8 +133,9 @@ class SphereGrid:
     """Gauss-Legendre x uniform-longitude product grid with unit total weight.
 
     Quadrature of Y_n^m * Y_n'^m' is exact for degrees up to band_limit
-    (Gauss-Legendre with lat_oversample*(B+1) colatitude nodes integrates
-    polynomials of degree 2B+1; 2B+1 offset longitudes kill all aliases).
+    (Gauss-Legendre with oversample*(B+1) colatitude nodes integrates
+    polynomials of degree 2B+1; oversample*(2B+1) offset longitudes kill all
+    aliases).
     """
 
     band_limit: int
@@ -144,14 +144,13 @@ class SphereGrid:
     _basis: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, band_limit: int, lat_oversample: int = 1, lon_oversample: int = 1):
+    def build(cls, band_limit: int, oversample: int = 1):
         if band_limit < 0:
             raise ValueError("band limit must be nonnegative")
-        factors = (lat_oversample, lon_oversample)
-        if not all(isinstance(k, numbers.Integral) and k >= 1 for k in factors):
-            raise ValueError("oversample factors must be integers >= 1")
-        n_lat = lat_oversample * (band_limit + 1)
-        n_lon = lon_oversample * (2 * band_limit + 1)
+        if not (isinstance(oversample, numbers.Integral) and oversample >= 1):
+            raise ValueError("oversample factor must be an integer >= 1")
+        n_lat = oversample * (band_limit + 1)
+        n_lon = oversample * (2 * band_limit + 1)
         xg, wg = gauss_rule(n_lat)
         phis = 2.0 * np.pi * (np.arange(n_lon) + 0.5) / n_lon
         sin_t = np.sqrt(1.0 - xg * xg)
@@ -215,8 +214,8 @@ def tangent_frames(points: np.ndarray):
     return u, v
 
 
-def _circle_points(grid: SphereGrid, delta: float, quadrature_points, centres, u, v):
-    """(M, len(centres), 3): the M-point rule, M >= B+1, on the circles at inner product
+def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
+    """(M, len(centres), 3): the M = B+1 point rule on the circles at inner product
     delta around centres, angle 0 along u and pi/2 along v.
 
     A harmonic of degree <= B restricted to the circle delta x + r (cos psi u + sin psi v)
@@ -224,19 +223,12 @@ def _circle_points(grid: SphereGrid, delta: float, quadrature_points, centres, u
     exact once M >= B+1; at M = B the frequency-B terms in psi alias onto the constant.
     """
     delta = _clamp_delta(delta)
-    B = grid.band_limit
-    M = B + 1 if quadrature_points is None else quadrature_points
-    if not isinstance(M, numbers.Integral):
-        raise ValueError(f"circle quadrature points must be an integer, got {M!r}")
-    if M < B + 1:
-        raise ValueError(f"need at least {B + 1} circle quadrature points at band limit {B}")
+    M = grid.band_limit + 1
     psi, radius = 2.0 * np.pi * np.arange(M)[:, None, None] / M, np.sqrt(max(0.0, 1.0 - delta * delta))
     return delta * centres + radius * (np.cos(psi) * u + np.sin(psi) * v)
 
 
-def circle_average_operator(
-    grid: SphereGrid, delta: float, quadrature_points: int | None = None
-) -> np.ndarray:
+def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
     """Matrix of circle averages of every basis harmonic, sampled on the grid.
 
     Column (n, m) holds the average of Y_n^m over the circles at inner product
@@ -252,36 +244,34 @@ def circle_average_operator(
     if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
         raise ValueError("circle_average_operator needs the longitude rings of SphereGrid.build")
     e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
-    circles = _circle_points(grid, delta, quadrature_points, first, e_phi, np.cross(e_phi, first))
+    circles = _circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
     values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T  # (coeffs, M * rings)
     means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T  # (rings, coeffs)
     offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2  # 2m-1: cos, 2m: sin
     partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
     turn = np.outer(beta, (offset + 1) // 2)
     c, s = np.cos(turn), np.where(offset % 2, -1.0, 1.0) * np.sin(turn)
-    return np.concatenate([a * c + a[partner] * s for a in means])
+    out = np.empty((len(means), n_lon, grid.n_coeff))
+    for a, ring in zip(means, out):
+        np.multiply(a, c, out=ring)
+        ring += a[partner] * s
+    return out.reshape(-1, grid.n_coeff)
 
 
-def circle_average(
-    grid: SphereGrid,
-    samples: np.ndarray,
-    delta: float,
-    quadrature_points: int | None = None,
-    frames=None,
-) -> np.ndarray:
+def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=None) -> np.ndarray:
     """Average a band-limited function over circles at inner product delta.
 
     The input is sampled on the grid; it is analyzed to coefficients, then
-    averaged by an M-point trapezoid rule on each node's circle, evaluated at all
-    M x n_nodes circle points by one fused grid.synthesize pass.  The rule is exact
-    for band-limited integrands once M >= band_limit + 1, the default: on a circle
-    a harmonic of degree <= B is a trigonometric polynomial of degree <= B in the
-    circle angle.  The result does not depend on the tangent frames; custom frames
-    may be passed to verify that.
+    averaged by the M = band_limit + 1 point trapezoid rule on each node's circle,
+    evaluated at all M x n_nodes circle points by one fused grid.synthesize pass.
+    The rule is exact for band-limited integrands: on a circle a harmonic of
+    degree <= B is a trigonometric polynomial of degree <= B in the circle angle.
+    The result does not depend on the tangent frames; custom frames may be
+    passed to verify that.
     This pointwise rule is the check on circle_average_operator's ring path.
     """
     u, v = tangent_frames(grid.nodes) if frames is None else frames
-    circles = _circle_points(grid, delta, quadrature_points, grid.nodes, u, v)
+    circles = _circle_points(grid, delta, grid.nodes, u, v)
     values = grid.synthesize(grid.analyze(samples), circles.reshape(-1, 3))
     return values.reshape(circles.shape[:2] + values.shape[1:]).mean(axis=0)
 
@@ -300,11 +290,6 @@ def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) 
     radius = np.sqrt(max(0.0, 1.0 - delta * delta))
     out = delta * pts + radius * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v)
     return out
-
-
-def markov_step(x: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """One chain step from a single unit vector."""
-    return markov_steps(x[None, :], delta, rng)[0]
 
 
 @dataclass
@@ -329,7 +314,7 @@ def markov_trace(x0: np.ndarray, delta: float, steps: int, seed: int) -> MarkovT
     pos = np.empty((steps + 1, 3))
     pos[0] = np.asarray(x0, dtype=float) / np.linalg.norm(x0)
     for k in range(steps):
-        pos[k + 1] = markov_step(pos[k], delta, rng)
+        pos[k + 1] = markov_steps(pos[k][None], delta, rng)[0]
     return MarkovTrace(delta=float(delta), seed=int(seed), steps=int(steps), positions=pos)
 
 

@@ -1,11 +1,14 @@
 """Export consistency: each module's __all__ resolves, and the package re-exports only exported names.
 
 Also an import-cost guard: importing the package or its CLI must not load the
-heavy scipy subpackages that nothing in it needs.
+heavy scipy subpackages that nothing in it needs.  And a signature guard:
+the parameter names of callables whose settings are fixed constants are
+pinned, so a setting cannot come back without a visible test change.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import circleops
+from circleops import repsim, sphere
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -51,3 +55,18 @@ def test_import_leaves_out_scipy_integrate_and_optimize(module):
     probe = f"import sys, {module}; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+SIGNATURES = {
+    sphere.circle_average_operator: ["grid", "delta"],
+    sphere.circle_average: ["grid", "samples", "delta", "frames"],
+    sphere.SphereGrid.build: ["band_limit", "oversample"],
+    repsim.build_grid: ["band_limit"],
+    repsim.k_averaged_operator: ["g", "grid"],
+    repsim.coefficient_decay: ["n_max"],
+}
+
+
+@pytest.mark.parametrize("func", SIGNATURES, ids=lambda func: func.__qualname__)
+def test_public_signatures(func):
+    assert list(inspect.signature(func).parameters) == SIGNATURES[func]

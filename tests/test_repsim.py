@@ -6,13 +6,12 @@ from scipy import integrate
 from scipy.linalg import expm
 
 from circleops import repsim
-from circleops.legendre import legendre_at_zero
+from circleops.legendre import gauss_rule, legendre_at_zero, legendre_table
 from circleops.repsim import (
     assemble_operator,
     build_grid,
     coefficient_decay,
     invariant_gap,
-    k_average_matrix,
     k_averaged_operator,
     matrix_coefficient,
 )
@@ -22,7 +21,7 @@ from circleops.sphere import SphereGrid, degree_of_column
 
 @pytest.fixture(scope="module")
 def grid16():
-    return build_grid(16, oversample=2)
+    return build_grid(16)
 
 
 def random_rotation(rng):
@@ -64,7 +63,7 @@ class TestQuasiRegular:
         np.testing.assert_allclose(grid16.synthesize(out), direct, atol=1e-8)
 
     def test_degree_one_norm_at_band_32(self):
-        grid = build_grid(32, oversample=2)
+        grid = build_grid(32)
         sample = assemble_operator(np.diag([np.e, 1.0, 1.0 / np.e]), grid)
         e1 = np.zeros(grid.n_coeff)
         e1[1] = 1.0  # the z-zonal degree-1 harmonic
@@ -96,6 +95,28 @@ class TestQuasiRegular:
             checked += 1
 
 
+def _euler_k_average(grid):
+    """Oracle for P_K: the average of the rotation operators by an Euler-angle product rule.
+
+    The equispaced averages over the first and last angles remove every nonzero
+    azimuthal order, so only the m = 0 block of the middle-angle average remains;
+    Gauss-Legendre in cos(beta) with B + 1 nodes integrates it exactly.
+    """
+    B = grid.band_limit
+    xg, wg = gauss_rule(B + 1)
+    m0 = np.arange(B + 1) ** 2
+    y0 = grid.basis[:, m0]
+    block = np.zeros((B + 1, B + 1))
+    scale = np.sqrt(2.0 * np.arange(B + 1) + 1.0)
+    for beta, w in zip(np.arccos(xg), wg / 2.0):
+        zrot = np.sin(beta) * grid.nodes[:, 0] + np.cos(beta) * grid.nodes[:, 2]
+        rotated = scale[:, None] * legendre_table(B, zrot)
+        block += w * (y0.T @ (grid.weights[:, None] * rotated.T))
+    out = np.zeros((grid.n_coeff, grid.n_coeff))
+    out[np.ix_(m0, m0)] = block
+    return out
+
+
 class TestOperators:
     def test_rotation_operator_is_orthogonal(self, grid16):
         rot = random_rotation(np.random.default_rng(3))
@@ -104,15 +125,16 @@ class TestOperators:
         assert np.abs(m.T @ m - np.eye(grid16.n_coeff)).max() <= 1e-6
         assert sample.leakage <= 1e-10
 
-    def test_k_average_is_projection_onto_constants(self, grid16):
-        avg = k_average_matrix(grid16)
-        e0 = np.zeros(grid16.n_coeff)
-        e0[0] = 1.0
-        assert np.abs(avg - np.outer(e0, e0)).max() <= 1e-6
-
-    def test_k_average_quadrature_guard(self, grid16):
-        with pytest.raises(ValueError):
-            k_average_matrix(grid16, k_quadrature=4)
+    def test_k_average_is_projection_onto_constants(self):
+        g = np.diag([np.e, 1.0, 1.0 / np.e])
+        for band in (8, 16, 32):
+            grid = build_grid(band)
+            e0 = np.zeros(grid.n_coeff)
+            e0[0] = 1.0
+            assert np.abs(_euler_k_average(grid) - np.outer(e0, e0)).max() <= 1e-13
+            op = k_averaged_operator(g, grid)
+            assert op.matrix[0, 0] == assemble_operator(g, grid).matrix[0, 0]
+            assert np.count_nonzero(op.matrix) == 1
 
     def test_averaged_identity_projects(self, grid16):
         op = k_averaged_operator(np.eye(3), grid16)
@@ -138,7 +160,7 @@ class TestOperators:
             assert grid_value == pytest.approx(matrix_coefficient(n), rel=tol)
 
     def test_grid_value_at_n2_with_oversampling(self):
-        grid = build_grid(16, oversample=4)
+        grid = SphereGrid.build(16, oversample=4)
         op = assemble_operator(np.diag([np.exp(2), 1.0, np.exp(-2)]), grid)
         grid_value = float(op.matrix[0, 0])
         assert grid_value == pytest.approx(matrix_coefficient(2), rel=0.05)
@@ -206,7 +228,7 @@ class TestDecay:
 
     def test_independent_fine_grid_oracle(self):
         # plain tensor quadrature resolves the integrand for n <= 2
-        grid = SphereGrid.build(32, lat_oversample=8, lon_oversample=8)
+        grid = SphereGrid.build(32, oversample=8)
         for n, tol in ((1, 1e-6), (2, 1e-4)):
             q = (
                 np.exp(-2.0 * n) * grid.nodes[:, 0] ** 2
@@ -251,7 +273,7 @@ class TestInvariantGap:
         from circleops.repsim import axis_average_projection
 
         degree = 2
-        grid = SphereGrid.build(degree, lat_oversample=2, lon_oversample=2)
+        grid = build_grid(degree)
         p_u = axis_average_projection(grid, degree, "e1")
         p_ut = axis_average_projection(grid, degree, "e3")
         eigvals, eigvecs = np.linalg.eigh(p_u)

@@ -11,7 +11,6 @@ from circleops.sphere import (
     circle_average,
     circle_average_operator,
     degree_of_column,
-    markov_step,
     markov_steps,
     markov_trace,
     mixing_profile,
@@ -77,43 +76,17 @@ def test_frame_independence(grid):
 
 
 def test_grid_invariants_oversampled():
-    g = SphereGrid.build(BAND, lat_oversample=np.int64(2), lon_oversample=3)
-    assert g.nodes.shape[0] == 2 * (BAND + 1) * 3 * (2 * BAND + 1)
-    assert g.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    for factor in (np.int64(2), 3):  # numpy integers too
+        g = SphereGrid.build(BAND, oversample=factor)
+        assert g.nodes.shape[0] == factor * (BAND + 1) * factor * (2 * BAND + 1)
+        assert g.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert g.gram_defect() <= 1e-8
 
 
 @pytest.mark.parametrize("factor", [0, -1, 1.5, 2.0])
-@pytest.mark.parametrize("which", ["lat_oversample", "lon_oversample"])
-def test_build_rejects_bad_oversample(which, factor):
-    with pytest.raises(ValueError, match="oversample factors must be integers >= 1"):
-        SphereGrid.build(BAND, **{which: factor})
-
-
-def test_quadrature_size_guard(grid):
-    ones = np.ones(grid.nodes.shape[0])
-    with pytest.raises(ValueError, match=f"at least {BAND + 1} "):
-        circle_average(grid, ones, 0.3, quadrature_points=BAND)
-    out = circle_average(grid, ones, 0.3, quadrature_points=BAND + 1)
-    np.testing.assert_allclose(out, 1.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("points", [BAND + 1.0, 2 * BAND + 1.7, "25", np.float64(25.0)])
-def test_fractional_quadrature_count_rejected(grid, points):
-    ones = np.ones(grid.nodes.shape[0])
-    with pytest.raises(ValueError, match="must be an integer"):
-        circle_average(grid, ones, 0.3, quadrature_points=points)
-    with pytest.raises(ValueError, match="must be an integer"):
-        circle_average_operator(grid, 0.3, quadrature_points=points)
-
-
-def test_default_rule_matches_2b_plus_1(grid):
-    rng = np.random.default_rng(7)
-    f = grid.synthesize(rng.normal(size=grid.n_coeff))
-    for delta in (-0.6, 0.3, 0.97):
-        wide = circle_average_operator(grid, delta, quadrature_points=2 * BAND + 1)
-        np.testing.assert_allclose(circle_average_operator(grid, delta), wide, rtol=0, atol=1e-12)
-        wide = circle_average(grid, f, delta, quadrature_points=2 * BAND + 1)
-        np.testing.assert_allclose(circle_average(grid, f, delta), wide, rtol=0, atol=1e-12)
+def test_build_rejects_bad_oversample(factor):
+    with pytest.raises(ValueError, match="oversample factor must be an integer >= 1"):
+        SphereGrid.build(BAND, oversample=factor)
 
 
 def _pointwise_operator(grid, delta, points):
@@ -143,10 +116,11 @@ def test_b_plus_1_rule_is_exact_and_b_is_not(band):
 @pytest.mark.parametrize("oversample", [1, 2])
 @pytest.mark.parametrize("rule", ["B+1", "2B+1", "4B+3"])
 def test_ring_operator_matches_pointwise_quadrature(band, oversample, rule):
-    g = SphereGrid.build(band, lat_oversample=oversample, lon_oversample=oversample)
+    # the library's B+1 rule against the brute-force rule with as many or more points
+    g = SphereGrid.build(band, oversample=oversample)
     points = {"B+1": band + 1, "2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
     for delta in (-1.0, 0.0, 0.41, 1.0):
-        ring = circle_average_operator(g, delta, quadrature_points=points)
+        ring = circle_average_operator(g, delta)
         np.testing.assert_allclose(ring, _pointwise_operator(g, delta, points), rtol=1e-12, atol=1e-12)
 
 
@@ -154,7 +128,7 @@ def test_ring_operator_matches_pointwise_quadrature(band, oversample, rule):
 @pytest.mark.parametrize("oversample", [1, 2])
 @pytest.mark.parametrize("rule", ["B+1", "2B+1", "4B+3"])
 def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
-    g = SphereGrid.build(band, lat_oversample=oversample, lon_oversample=oversample)
+    g = SphereGrid.build(band, oversample=oversample)
     points = {"B+1": band + 1, "2B+1": 2 * band + 1, "4B+3": 4 * band + 3}[rule]
     rng = np.random.default_rng(band + 10 * oversample)
     coeffs = rng.normal(size=g.n_coeff)
@@ -163,17 +137,35 @@ def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
     c, s = np.cos(twist)[:, None], np.sin(twist)[:, None]
     frames = (c * u + s * v, c * v - s * u)
     for delta in (-1.0, 0.0, 0.41, 1.0):
-        got = circle_average(g, g.synthesize(coeffs), delta, quadrature_points=points, frames=frames)
+        got = circle_average(g, g.synthesize(coeffs), delta, frames=frames)
         expected = _pointwise_operator(g, delta, points) @ coeffs
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(coeffs).sum())
 
 
-def test_operator_quadrature_size_guard(grid):
-    with pytest.raises(ValueError, match=f"at least {BAND + 1} "):
-        circle_average_operator(grid, 0.3, quadrature_points=BAND)
-    expected = circle_average_operator(grid, 0.3, quadrature_points=BAND + 1)
-    got = circle_average_operator(grid, 0.3, quadrature_points=np.int32(BAND + 1))  # numpy integers too
-    np.testing.assert_array_equal(got, expected)
+def _concatenated_ring_operator(grid, delta):
+    """circle_average_operator with its rings joined by np.concatenate, not filled in place."""
+    n_lon = np.count_nonzero(grid.nodes[:, 2] == grid.nodes[0, 2])
+    first = grid.nodes.reshape(-1, n_lon, 3)[:, 0]
+    beta = 2.0 * np.pi * np.arange(n_lon) / n_lon
+    e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
+    circles = sphere._circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
+    values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T
+    means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T
+    offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2
+    partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
+    turn = np.outer(beta, (offset + 1) // 2)
+    c, s = np.cos(turn), np.where(offset % 2, -1.0, 1.0) * np.sin(turn)
+    return np.concatenate([a * c + a[partner] * s for a in means])
+
+
+@pytest.mark.parametrize("band", [0, 1, 4, 12, 16])
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_in_place_rings_are_bit_identical(band, oversample):
+    g = SphereGrid.build(band, oversample=oversample)
+    for delta in (-1.0, -0.3, 0.0, 0.41, 0.97):
+        got = circle_average_operator(g, delta)
+        assert got.shape == (g.nodes.shape[0], g.n_coeff)
+        assert np.array_equal(got, _concatenated_ring_operator(g, delta))
 
 
 def test_operator_rejects_non_ring_grid():
@@ -208,16 +200,16 @@ def test_commutation_on_grid():
 class TestMarkov:
     def test_delta_one_freezes(self):
         rng = np.random.default_rng(0)
-        x = np.array([0.3, -0.5, np.sqrt(1 - 0.09 - 0.25)])
-        y = markov_step(x, 1.0, rng)
+        x = np.array([[0.3, -0.5, np.sqrt(1 - 0.09 - 0.25)], [0.0, 0.0, -1.0]])
+        y = markov_steps(x, 1.0, rng)
         np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_delta_zero_orthogonal(self):
         rng = np.random.default_rng(1)
-        x = np.array([0.0, 0.0, 1.0])
-        y = markov_step(x, 0.0, rng)
-        assert abs(np.dot(x, y)) <= 1e-12
-        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        x = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, -0.8]])
+        y = markov_steps(x, 0.0, rng)
+        np.testing.assert_allclose(np.sum(x * y, axis=1), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
 
     def test_trace_invariant(self):
         trace = markov_trace(np.array([1.0, 0.0, 0.0]), 0.45, steps=200, seed=99)
