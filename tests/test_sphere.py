@@ -84,9 +84,13 @@ def test_grid_invariants_oversampled():
 
 
 @pytest.mark.parametrize("factor", [0, -1, 1.5, 2.0])
-def test_build_rejects_bad_oversample(factor):
+@pytest.mark.parametrize("which", ["lat_oversample", "lon_oversample"])
+def test_build_rejects_bad_oversample(which, factor):
+    """One factor scales both axes; the retired per-axis keywords are refused."""
     with pytest.raises(ValueError, match="oversample factor must be an integer >= 1"):
         SphereGrid.build(BAND, oversample=factor)
+    with pytest.raises(TypeError, match=which):
+        SphereGrid.build(BAND, **{which: factor})
 
 
 def _pointwise_operator(grid, delta, points):
