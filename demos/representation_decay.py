@@ -3,20 +3,21 @@
 The coefficient c(n) of the constant function at diag(e^n, 1, e^-n) is a
 plain surface integral; the certified one-sided bound is 4 e^(-n/2), while
 the true decay is ~4.37 e^-n.  The bi-rotation average projects onto the
-constants, so the averaged operator keeps only <pi(a_n)1, 1>; its grid value
-matches c(n) at n = 1 and falls below it as the e^(-2n) ridge outgrows the
-band-16 grid.  No nonzero vector is invariant under both circle subgroups:
-the summed defect stays above 1/3 in every degree.
+constants, so P_K pi(a_n) P_K is <pi(a_n)1, 1> e0 e0^T, the [0, 0] entry of the
+band-compressed pi(a_n); that grid value matches c(n) at n = 1 and falls below
+it as the e^(-2n) ridge outgrows the band-16 grid.  No nonzero vector is
+invariant under both circle subgroups: the summed defect stays above 1/3 in
+every degree.
 """
 
 import numpy as np
 
 from circleops.legendre import legendre_at_zero
 from circleops.repsim import (
+    assemble_operator,
     build_grid,
     coefficient_decay,
     invariant_gap,
-    k_averaged_operator,
     matrix_coefficient,
 )
 
@@ -25,10 +26,10 @@ rows = coefficient_decay(6)
 for n, c, bound, leak in rows:
     print(f"  n = {int(n)}: c = {c:.6f} <= {bound:.6f}   c * e^n = {c * np.exp(n):.4f}")
 
-print("\nbi-rotation averaged operators at band limit 16: P_K pi(a_n) P_K = <pi(a_n)1, 1> e0 e0^T")
+print("\n[0, 0] entry of the band-16 compressed pi(a_n), the one entry of P_K pi(a_n) P_K:")
 grid = build_grid(16)
 for n in (1, 3, 5):
-    op = k_averaged_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid)
+    op = assemble_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid)
     print(f"  n = {n}: grid <pi(a_n)1, 1> = {op.matrix[0, 0]:.6f}, "
           f"c(n) = {matrix_coefficient(n):.6f}, leakage {op.leakage:.3f}")
 

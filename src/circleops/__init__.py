@@ -22,8 +22,7 @@ from .spectral import (
     completed_power_sums,
     divergence_probe_p4,
     fit_decay,
-    op_norm_diff,
-    op_norm_diff_certificate,
+    op_norm_diff_certificates,
     schatten_tail_estimate,
 )
 from .sl3 import (
@@ -55,7 +54,6 @@ from .zigzag import (
 from .repsim import (
     coefficient_decay,
     invariant_gap,
-    k_averaged_operator,
     matrix_coefficient,
 )
 

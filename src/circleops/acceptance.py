@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalDegeneracyError
 from .legendre import HOLDER_CONSTANT, legendre_defect, legendre_table
 from .repsim import coefficient_decay, invariant_gap
 from .schatten import (
@@ -69,14 +70,19 @@ def _criterion(number: int, name: str, seconds: float | None = None):
 
     The registered zero-argument callable times the check, fails it when a
     wall-clock gate is set and the check takes `seconds` or longer, and
-    returns the CriterionResult; ALL_CRITERIA[number] is that callable.
+    returns the CriterionResult; ALL_CRITERIA[number] is that callable.  A
+    check that raises AssertionError or NumericalDegeneracyError fails with
+    the detail "raised <Type>: <message>", so the criteria after it still run.
     """
 
     def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
         @functools.wraps(check)
         def run() -> CriterionResult:
             start = time.perf_counter()
-            passed, detail = check()
+            try:
+                passed, detail = check()
+            except (AssertionError, NumericalDegeneracyError) as exc:
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - start
             if seconds is not None and elapsed >= seconds:
                 passed = False

@@ -9,7 +9,8 @@ all randomness is seeded.
 
 Exit codes: 0 success, 1 assertion failure, 2 flag errors (an unknown
 check-all --only number included), 3 numerical-degeneracy aborts.  A run
-that exits 2 or 3 writes no file.
+that exits 2 or 3 writes no file.  check-all records a criterion that raises
+an assertion failure or a degeneracy as FAIL and exits 1 after the rest.
 """
 
 from __future__ import annotations
@@ -54,24 +55,9 @@ def _csv(claim: str, header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, bool):  # before int: bool is an int subclass
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def _json(payload) -> str:
-    return json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n"
+    """numpy arrays, integers and bools go through .tolist(); numpy floats already are floats."""
+    return json.dumps(payload, default=lambda obj: obj.tolist(), indent=2, sort_keys=True) + "\n"
 
 
 def _finish(args, files: dict, failure: str | None = None) -> int:

@@ -29,7 +29,6 @@ __all__ = [
 HOLDER_CONSTANT = 4.0
 
 _ABSCISSA_SLACK = 1e-12
-_OUT_OF_RANGE = "delta must lie in [-1, 1]: |delta| = {}"
 _BLOCK_VALUES = 2**16  # values in one block of a deep recurrence pass: keeps memory flat
 
 
@@ -37,15 +36,13 @@ def _clamp_abscissa(x):
     """Clip abscissae to [-1, 1], allowing <= 1e-12 of rounding overshoot; NaN is rejected."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.abs(x) <= 1.0 + _ABSCISSA_SLACK):
-        raise ValueError(_OUT_OF_RANGE.format(float(np.max(np.abs(x)))))
+        raise ValueError(f"delta must lie in [-1, 1]: |delta| = {float(np.max(np.abs(x)))}")
     return np.clip(x, -1.0, 1.0)
 
 
 def _clamp_delta(delta: float) -> float:
-    """Scalar _clamp_abscissa, kept to Python abs and one np.clip for the solvers' inner loops."""
-    if not abs(delta) <= 1.0 + _ABSCISSA_SLACK:
-        raise ValueError(_OUT_OF_RANGE.format(abs(delta)))
-    return float(np.clip(delta, -1.0, 1.0))
+    """_clamp_abscissa of one delta, as a float."""
+    return float(_clamp_abscissa(delta))
 
 
 def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:

@@ -6,9 +6,11 @@ the normalized surface measure.  Rotations preserve band limits exactly;
 everything else leaks mass above the band limit, and that leakage is
 estimated on the (oversampled) sampling grid and reported, never dropped.
 
-The bi-rotation average is the projection onto the constants, so the
-averaged operators keep one entry, <pi(g) 1, 1>: at diag(e^n, 1, e^-n) the
-matrix coefficient c(n) of the unit constant function.  c(n) itself is
+The bi-rotation average is the projection onto the constants (each degree
+n >= 1 harmonic space is an irreducible, nontrivial rotation representation),
+so P_K pi(g) P_K keeps one entry, assemble_operator(g, grid).matrix[0, 0] =
+<pi(g) 1, 1>: at diag(e^n, 1, e^-n) the matrix coefficient c(n) of the unit
+constant function.  c(n) itself is
 reduced exactly to a longitude integral (the tensor grid cannot resolve the
 integrand's e^(-2n) ridge for larger n) and taken by one fixed trapezoid rule
 in s, tan(phi) = e^-n sinh(s): there the integrand is even, analytic and
@@ -30,7 +32,6 @@ __all__ = [
     "RepOperatorSample",
     "build_grid",
     "assemble_operator",
-    "k_averaged_operator",
     "matrix_coefficient",
     "coefficient_decay",
     "rotation_block",
@@ -81,19 +82,6 @@ def assemble_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
     with np.errstate(invalid="ignore", divide="ignore"):
         leaks = np.where(totals > 0, 1.0 - inband / totals, 0.0)
     return RepOperatorSample(g=np.asarray(g, float), matrix=matrix, leakage=float(np.max(leaks)))
-
-
-def k_averaged_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
-    """Bi-rotation average P_K pi(g) P_K of pi(g), P_K the average over the rotations.
-
-    P_K is the projection onto the constants, e0 e0^T, exactly: each degree-n >= 1
-    harmonic space is an irreducible, nontrivial rotation representation, so its
-    rotation average is zero.  Only the [0, 0] entry, <pi(g) 1, 1>, survives.
-    """
-    sample = assemble_operator(g, grid)
-    matrix = np.zeros_like(sample.matrix)
-    matrix[0, 0] = sample.matrix[0, 0]
-    return RepOperatorSample(g=sample.g, matrix=matrix, leakage=sample.leakage)
 
 
 # ---------------------------------------------------------------------------

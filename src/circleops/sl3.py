@@ -30,7 +30,6 @@ __all__ = [
     "x_delta",
     "d_alpha",
     "in_special_linear",
-    "in_rotation_group",
     "length",
     "kak",
     "j_alpha",
@@ -53,15 +52,9 @@ def d_alpha(alpha: float) -> np.ndarray:
     return np.diag([np.exp(alpha), np.exp(-alpha / 2.0), np.exp(-alpha / 2.0)])
 
 
-def in_special_linear(g: np.ndarray, tol: float = 1e-10) -> bool:
-    return abs(np.linalg.det(g) - 1.0) <= tol
-
-
-def in_rotation_group(k: np.ndarray, tol: float = 1e-10) -> bool:
-    return (
-        np.linalg.norm(k.T @ k - np.eye(3), 2) <= tol
-        and abs(np.linalg.det(k) - 1.0) <= tol
-    )
+def in_special_linear(g: np.ndarray) -> bool:
+    """det g = 1 within 1e-8: the determinant guard of kak and length."""
+    return abs(np.linalg.det(g) - 1.0) <= 1e-8
 
 
 @dataclass(frozen=True)
@@ -108,13 +101,28 @@ class KAKDecomposition:
         return float(np.linalg.norm(g - self.reconstruct(), 2))
 
 
+def _rotation_svd(m: np.ndarray):
+    """SVD of a positive-determinant matrix with both factors rotations.
+
+    det m > 0 forces det(U) = det(V^T), so when both are -1 a simultaneous
+    sign flip of the last singular pair repairs them without changing the
+    product.
+    """
+    u, s, vt = np.linalg.svd(m)
+    if np.linalg.det(u) < 0:
+        u[:, -1] *= -1.0
+        vt[-1, :] *= -1.0
+    return u, s, vt
+
+
 def _checked_svd(g: np.ndarray):
+    """_rotation_svd of a 3x3 unimodular g; a singular value below 1e-14 is a degeneracy."""
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if not in_special_linear(g, tol=1e-8):
+    if not in_special_linear(g):
         raise ValueError(f"determinant {np.linalg.det(g)} too far from 1")
-    u, s, vt = np.linalg.svd(g)
+    u, s, vt = _rotation_svd(g)
     if s[-1] < 1e-14:
         raise NumericalDegeneracyError(
             "kak_singularity", f"smallest singular value {s[-1]} below 1e-14"
@@ -129,18 +137,8 @@ def length(g: np.ndarray) -> float:
 
 
 def kak(g: np.ndarray) -> KAKDecomposition:
-    """SVD-based decomposition with both orthogonal factors in the rotation group.
-
-    det g = 1 forces det(U) = det(V^T), so when both are -1 a simultaneous
-    sign flip of the last singular pair repairs them without changing the
-    product.
-    """
+    """SVD-based decomposition with both orthogonal factors in the rotation group."""
     u, s, vt = _checked_svd(g)
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        vt = vt.copy()
-        u[:, 2] *= -1.0
-        vt[2, :] *= -1.0
     logs = np.log(s)
     logs -= logs.sum() / 3.0  # exact unimodularity for the reported exponents
     a = LambdaPoint(*logs)
@@ -240,12 +238,7 @@ def _rotation_svd_2x2(b: np.ndarray):
     Sign convention: the right factor has nonnegative (1,1) entry (flip both
     factors together otherwise).
     """
-    u, s, vt = np.linalg.svd(b)
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        vt = vt.copy()
-        u[:, 1] *= -1.0
-        vt[1, :] *= -1.0
+    u, s, vt = _rotation_svd(b)
     if vt[0, 0] < 0:
         u = -u
         vt = -vt

@@ -29,8 +29,7 @@ __all__ = [
     "SpectralOperator",
     "OpNormCertificate",
     "DecayFit",
-    "op_norm_diff",
-    "op_norm_diff_certificate",
+    "op_norm_diff_certificates",
     "schatten_tail_bound",
     "schatten_tail_estimate",
     "difference_diagonal",
@@ -104,8 +103,11 @@ def _difference_tail_bound(delta: float, truncation: int, zero_part: float) -> f
     return min(zero_part + delta_part, _APRIORI_BOUND)
 
 
-def _op_norm_certificates(deltas, truncation: int) -> list[OpNormCertificate]:
-    """op_norm_diff_certificate at every delta of a grid, all from one blocked defect pass."""
+def op_norm_diff_certificates(deltas, truncation: int) -> list[OpNormCertificate]:
+    """Certified operator norms of T_0 - T_delta, one per delta, from one blocked defect pass.
+
+    Each value is the sup of |P_n(0) - P_n(delta)|, <= 4 sqrt(|delta|) and <= 2.
+    """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
     # One pass to the first even degree m past N checks the deltas, gives the heads and |P_m(0)|.
@@ -119,19 +121,6 @@ def _op_norm_certificates(deltas, truncation: int) -> list[OpNormCertificate]:
         OpNormCertificate(float(head), _difference_tail_bound(d, truncation, abs(zeros[-1])))
         for head, d in zip(heads, np.clip(deltas, -1, 1).tolist())
     ]
-
-
-def op_norm_diff_certificate(delta: float, truncation: int) -> OpNormCertificate:
-    """Head sup and tail envelope for the eigenvalue defects |P_n(0) - P_n(delta)|."""
-    return _op_norm_certificates([delta], truncation)[0]
-
-
-def op_norm_diff(delta: float, truncation: int) -> float:
-    """Certified operator norm of the averaging-operator difference at delta.
-
-    Guaranteed <= 4 sqrt(|delta|) (and <= 2 always).
-    """
-    return op_norm_diff_certificate(delta, truncation).value
 
 
 def difference_diagonal(delta: float, max_degree: int) -> np.ndarray:
@@ -391,7 +380,7 @@ def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
     if np.any(deltas <= 0) or np.any(deltas > 0.5):
         raise ValueError("delta grid must lie in (0, 1/2]")
     if np.isinf(p):
-        vals = np.array([cert.value for cert in _op_norm_certificates(deltas, n_max)])
+        vals = np.array([cert.value for cert in op_norm_diff_certificates(deltas, n_max)])
         return DecayFit.from_grid(deltas, vals, 0.5)
     _, _, norms = completed_power_sums(deltas, [p], [n_max])
     return DecayFit.from_grid(deltas, norms[0, :, 0], 0.5 - 2.0 / p)

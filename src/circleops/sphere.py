@@ -27,7 +27,6 @@ __all__ = [
     "MarkovTrace",
     "markov_trace",
     "mixing_profile",
-    "occupancy_counts",
 ]
 
 
@@ -214,6 +213,14 @@ def tangent_frames(points: np.ndarray):
     return u, v
 
 
+def _circle_step(delta: float, centres, u, v, psi):
+    """delta centres + r (cos psi u + sin psi v), r = sqrt(1 - delta^2): the points at
+    inner product delta from centres at angles psi (broadcast against u) from u towards v."""
+    delta = _clamp_delta(delta)
+    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
+    return delta * centres + radius * (np.cos(psi) * u + np.sin(psi) * v)
+
+
 def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
     """(M, len(centres), 3): the M = B+1 point rule on the circles at inner product
     delta around centres, angle 0 along u and pi/2 along v.
@@ -222,10 +229,8 @@ def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
     is a trigonometric polynomial of degree <= B in psi, so the M-point trapezoid mean is
     exact once M >= B+1; at M = B the frequency-B terms in psi alias onto the constant.
     """
-    delta = _clamp_delta(delta)
     M = grid.band_limit + 1
-    psi, radius = 2.0 * np.pi * np.arange(M)[:, None, None] / M, np.sqrt(max(0.0, 1.0 - delta * delta))
-    return delta * centres + radius * (np.cos(psi) * u + np.sin(psi) * v)
+    return _circle_step(delta, centres, u, v, 2.0 * np.pi * np.arange(M)[:, None, None] / M)
 
 
 def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
@@ -283,13 +288,10 @@ def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=N
 
 def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """One chain step for a batch of unit vectors, shape (R, 3)."""
-    delta = _clamp_delta(delta)
     pts = np.atleast_2d(positions)
     u, v = tangent_frames(pts)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[0])
-    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
-    out = delta * pts + radius * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * v)
-    return out
+    return _circle_step(delta, pts, u, v, phi[:, None])
 
 
 @dataclass
@@ -318,12 +320,12 @@ def markov_trace(x0: np.ndarray, delta: float, steps: int, seed: int) -> MarkovT
     return MarkovTrace(delta=float(delta), seed=int(seed), steps=int(steps), positions=pos)
 
 
-def mixing_profile(delta: float, steps: int, replicas: int, seed: int, x0=None):
+def mixing_profile(delta: float, steps: int, replicas: int, seed: int):
     """Per-step estimates of || E[x_k] || with Monte-Carlo sigmas.
 
-    All replicas start at x0 (default e3) and evolve independently; the
-    degree-1 contraction gives || E[x_k] || = |delta|^k.  Returns
-    (norms, sigmas), arrays of length steps, where sigmas[k] is the RMS radius
+    All replicas start at e3 and evolve independently; the degree-1
+    contraction gives || E[x_k] || = |delta|^k.  Returns (norms, sigmas),
+    arrays of length steps, where sigmas[k] is the RMS radius
     sqrt(sum_i Var(x_k,i) / replicas) of the mean estimator.
 
     Replicas are batched under one seeded generator that draws a row of
@@ -331,9 +333,8 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int, x0=None):
     """
     if steps < 1 or replicas < 2:
         raise ValueError("need steps >= 1 and replicas >= 2 (one replica has no Monte-Carlo error)")
-    x0 = np.array([0.0, 0.0, 1.0]) if x0 is None else np.asarray(x0, float) / np.linalg.norm(x0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    X = np.tile(x0, (replicas, 1))
+    X = np.tile([0.0, 0.0, 1.0], (replicas, 1))
     norms = np.empty(steps)
     sigmas = np.empty(steps)
     for k in range(steps):
@@ -342,11 +343,3 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int, x0=None):
         norms[k] = np.linalg.norm(mean)
         sigmas[k] = np.sqrt(np.sum(X.var(axis=0)) / replicas)
     return norms, sigmas
-
-
-def occupancy_counts(positions: np.ndarray, n_z: int, n_phi: int) -> np.ndarray:
-    """Counts over the equal-area partition (uniform z-slabs x longitude sectors)."""
-    z = np.clip(((positions[:, 2] + 1.0) / 2.0 * n_z).astype(int), 0, n_z - 1)
-    ph = np.arctan2(positions[:, 1], positions[:, 0])
-    p = np.clip(((ph + np.pi) / (2.0 * np.pi) * n_phi).astype(int), 0, n_phi - 1)
-    return np.bincount(z * n_phi + p, minlength=n_z * n_phi)

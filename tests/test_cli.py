@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from circleops import acceptance
 from circleops.cli import main
+from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import legendre_defect
 
 
@@ -204,6 +206,33 @@ def test_invariant_gap_has_no_seed_flag(tmp_path):
 
 def test_check_all_subset(tmp_path):
     assert run(tmp_path, "check-all", "--only", "3,6") == 0
+
+
+@pytest.mark.parametrize(
+    "error, text",
+    [
+        (AssertionError("tail too heavy"), "raised AssertionError: tail too heavy"),
+        (
+            NumericalDegeneracyError("coefficient_leakage", "leak 0.5"),
+            "raised NumericalDegeneracyError: coefficient_leakage: leak 0.5",
+        ),
+    ],
+    ids=["assertion", "degeneracy"],
+)
+def test_check_all_raising_criterion_fails_and_the_rest_run(tmp_path, capsys, monkeypatch, error, text):
+    def raise_error(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(acceptance, "coefficient_decay", raise_error)
+    assert run(tmp_path, "check-all", "--only", "6,11,12") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" [")[0] for line in lines[:3]] == [
+        "PASS criterion  6",
+        "FAIL criterion 11",
+        "PASS criterion 12",
+    ]
+    assert lines[1].endswith(f": {text}")
+    assert lines[-1] == "2/3 criteria passed"
 
 
 @pytest.mark.parametrize("only", ["99", "0", "3,99"])

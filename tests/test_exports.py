@@ -1,9 +1,10 @@
 """Export consistency: each module's __all__ resolves, and the package re-exports only exported names.
 
 Also an import-cost guard: importing the package or its CLI must not load the
-heavy scipy subpackages that nothing in it needs.  And a signature guard:
-the parameter names of callables whose settings are fixed constants are
-pinned, so a setting cannot come back without a visible test change.
+heavy scipy subpackages that nothing in it needs.  A signature guard pins the
+parameter names of callables whose settings are fixed constants, so a setting
+cannot come back without a visible test change.  And a caller census: every
+exported name is used by the library, a demo or a benchmark, not only by tests.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import circleops
-from circleops import repsim, sphere
+from circleops import repsim, sl3, sphere
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -62,11 +63,34 @@ SIGNATURES = {
     sphere.circle_average: ["grid", "samples", "delta", "frames"],
     sphere.SphereGrid.build: ["band_limit", "oversample"],
     repsim.build_grid: ["band_limit"],
-    repsim.k_averaged_operator: ["g", "grid"],
     repsim.coefficient_decay: ["n_max"],
+    sphere.mixing_profile: ["delta", "steps", "replicas", "seed"],
+    sl3.in_special_linear: ["g"],
 }
 
 
 @pytest.mark.parametrize("func", SIGNATURES, ids=lambda func: func.__qualname__)
 def test_public_signatures(func):
     assert list(inspect.signature(func).parameters) == SIGNATURES[func]
+
+
+REPO = Path(__file__).resolve().parents[1]
+CALLER_TREES = [REPO / "src" / "circleops", REPO / "demos", REPO / "perfbench", REPO / "benchmarks"]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    used = set()
+    for tree in CALLER_TREES:
+        for path in sorted(tree.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    unused = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in getattr(importlib.import_module(f"circleops.{module}"), "__all__", [])
+        if name not in used
+    ]
+    assert unused == []

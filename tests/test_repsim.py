@@ -12,7 +12,6 @@ from circleops.repsim import (
     build_grid,
     coefficient_decay,
     invariant_gap,
-    k_averaged_operator,
     matrix_coefficient,
 )
 from circleops.sl3 import length
@@ -131,23 +130,26 @@ class TestOperators:
             grid = build_grid(band)
             e0 = np.zeros(grid.n_coeff)
             e0[0] = 1.0
-            assert np.abs(_euler_k_average(grid) - np.outer(e0, e0)).max() <= 1e-13
-            op = k_averaged_operator(g, grid)
-            assert op.matrix[0, 0] == assemble_operator(g, grid).matrix[0, 0]
-            assert np.count_nonzero(op.matrix) == 1
+            proj = _euler_k_average(grid)
+            assert np.abs(proj - np.outer(e0, e0)).max() <= 1e-13
+            op = assemble_operator(g, grid).matrix
+            assert np.abs(proj @ op @ proj - op[0, 0] * np.outer(e0, e0)).max() <= 1e-12
 
     def test_averaged_identity_projects(self, grid16):
-        op = k_averaged_operator(np.eye(3), grid16)
-        svals = np.linalg.svd(op.matrix, compute_uv=False)
+        proj = _euler_k_average(grid16)
+        op = assemble_operator(np.eye(3), grid16).matrix
+        svals = np.linalg.svd(proj @ op @ proj, compute_uv=False)
         assert svals[0] == pytest.approx(1.0, abs=1e-6)
         assert svals[1] <= 1e-6
 
     def test_averaged_operators_rank_one_and_decreasing(self, grid16):
+        proj = _euler_k_average(grid16)
         norms = []
         for n in range(1, 7):
-            op = k_averaged_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid16)
-            svals = np.linalg.svd(op.matrix, compute_uv=False)
+            op = assemble_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid16).matrix
+            svals = np.linalg.svd(proj @ op @ proj, compute_uv=False)
             assert svals[1] <= 1e-6  # K-invariants on the sphere are the constants
+            assert svals[0] == pytest.approx(op[0, 0], rel=1e-12)
             norms.append(svals[0])
         assert np.all(np.diff(norms) < 0.0)
 

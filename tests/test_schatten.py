@@ -15,7 +15,7 @@ from circleops.schatten import (
     mixed_norm_lower_bound,
     mixed_norm_upper_bound,
 )
-from circleops.spectral import difference_diagonal, op_norm_diff
+from circleops.spectral import difference_diagonal
 
 
 def diagonal_difference_operator(delta: float, max_degree: int) -> np.ndarray:

@@ -14,13 +14,16 @@ from circleops.sl3 import (
     LambdaPoint,
     d_alpha,
     embedding2_solve,
-    in_rotation_group,
     j_alpha,
     kak,
     length,
     solve_delta_for_top,
     x_delta,
 )
+
+
+def in_rotation_group(k):
+    return np.linalg.norm(k.T @ k - np.eye(3), 2) <= 1e-10 and abs(np.linalg.det(k) - 1.0) <= 1e-10
 
 
 def _bisect_200(below):
@@ -206,8 +209,8 @@ class TestKak:
             dec = kak(g)
             assert dec.residual(g) <= 1e-9
             np.testing.assert_allclose(dec.a.as_array(), raw, atol=1e-9)
-            assert in_rotation_group(dec.k1, tol=1e-10)
-            assert in_rotation_group(dec.k2, tol=1e-10)
+            assert in_rotation_group(dec.k1)
+            assert in_rotation_group(dec.k2)
 
     def test_cone_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -224,7 +227,7 @@ REPEATED = st.one_of(
 )
 
 
-_SVD = sl3._checked_svd
+_SVD = np.linalg.svd
 
 
 def _flipped_svd(g):
@@ -239,10 +242,10 @@ def test_kak_repeated_singular_values_both_sign_branches(a, seeds):
     k1, k2 = (random_rotation(np.random.default_rng(seed)) for seed in seeds)
     g = k1 @ np.diag(np.exp(a)) @ k2
     decs = [kak(g)]
-    with mock.patch.object(sl3, "_checked_svd", _flipped_svd):
-        decs.append(kak(g))  # det(U) has the other sign, so the other branch runs
+    with mock.patch.object(sl3.np.linalg, "svd", _flipped_svd):
+        decs.append(kak(g))  # det(U) has the other sign, so the other branch of _rotation_svd runs
     for dec in decs:
-        assert in_rotation_group(dec.k1, tol=1e-10) and in_rotation_group(dec.k2, tol=1e-10)
+        assert in_rotation_group(dec.k1) and in_rotation_group(dec.k2)
         exps = dec.a.as_array()
         assert np.all(np.diff(exps) <= 0.0)
         assert abs(exps.sum()) <= 1e-12
@@ -318,7 +321,7 @@ class TestEmbedding:
             assert np.linalg.norm(cert.k1p - np.eye(3), 2) <= two_exp
             assert np.linalg.norm(cert.k2p - np.eye(3), 2) <= two_exp
             for k in (cert.k1, cert.k1p, cert.k2, cert.k2p):
-                assert in_rotation_group(k, tol=1e-10)
+                assert in_rotation_group(k)
                 assert abs(k[2, 2] - 1.0) <= 1e-12  # block form: fixes e3
 
     def test_quarter_rotation_at_right_edge(self):

@@ -14,8 +14,7 @@ from circleops.spectral import (
     diff_power_windows,
     divergence_probe_p4,
     fit_decay,
-    op_norm_diff,
-    op_norm_diff_certificate,
+    op_norm_diff_certificates,
     schatten_tail_bound,
     schatten_tail_estimate,
 )
@@ -46,6 +45,10 @@ class TestSpectralOperator:
             SpectralOperator(delta=1.5, truncation=10)
 
 
+def op_norm_diff(delta, truncation):
+    return op_norm_diff_certificates([delta], truncation)[0].value
+
+
 class TestOpNormDiff:
     def test_zero_delta(self):
         assert op_norm_diff(0.0, 100) == 0.0
@@ -59,7 +62,7 @@ class TestOpNormDiff:
         # the defect pass checks delta: beyond 1e-12 of rounding it is an error
         for delta in (1.5, -1.0 - 1e-9):
             with pytest.raises(ValueError):
-                op_norm_diff_certificate(delta, 10)
+                op_norm_diff_certificates([0.5, delta], 10)
             with pytest.raises(ValueError):
                 diff_power_sums([delta], [5.0], [10])
         assert op_norm_diff(1.0 + 5e-13, 10) == op_norm_diff(1.0, 10)
@@ -69,19 +72,26 @@ class TestOpNormDiff:
 
     def test_head_nondecreasing_and_capped(self):
         for delta in (0.03, 0.2, 0.77, -0.5):
-            heads = [op_norm_diff_certificate(delta, n).head for n in (2, 4, 8, 64, 256)]
+            heads = [op_norm_diff_certificates([delta], n)[0].head for n in (2, 4, 8, 64, 256)]
             assert np.all(np.diff(heads) >= -1e-15)
             assert all(op_norm_diff(delta, n) <= 2.0 for n in (2, 8, 256))
 
     def test_certified_value_monotone_once_head_dominates(self):
         delta = 0.3
-        certs = [op_norm_diff_certificate(delta, n) for n in (64, 128, 256, 512)]
+        certs = [op_norm_diff_certificates([delta], n)[0] for n in (64, 128, 256, 512)]
         assert all(c.head >= c.tail_bound for c in certs)
         vals = [c.value for c in certs]
         assert np.all(np.diff(vals) >= -1e-15)
 
+    def test_grid_matches_one_delta_at_a_time(self):
+        deltas = [-1.0, -0.5, 0.0, 1e-6, 0.04, 0.3, 0.77, 1.0]
+        for n in (2, 3, 64, 257):
+            assert op_norm_diff_certificates(deltas, n) == [
+                op_norm_diff_certificates([d], n)[0] for d in deltas
+            ]
+
     def test_tail_reported_when_dominating(self):
-        cert = op_norm_diff_certificate(1e-6, 2)
+        cert = op_norm_diff_certificates([1e-6], 2)[0]
         assert cert.head < cert.tail_bound
         assert cert.value == cert.tail_bound
 

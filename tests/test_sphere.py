@@ -14,7 +14,6 @@ from circleops.sphere import (
     markov_steps,
     markov_trace,
     mixing_profile,
-    occupancy_counts,
     real_sph_harm_matrix,
     tangent_frames,
 )
@@ -199,6 +198,14 @@ def test_commutation_on_grid():
     a = circle_average_operator(g, 0.41) @ analysis
     b = circle_average_operator(g, -0.15) @ analysis
     assert np.abs(a @ b - b @ a).max() <= 1e-8
+
+
+def occupancy_counts(positions, n_z, n_phi):
+    """Counts over the equal-area partition (uniform z-slabs x longitude sectors)."""
+    z = np.clip(((positions[:, 2] + 1.0) / 2.0 * n_z).astype(int), 0, n_z - 1)
+    ph = np.arctan2(positions[:, 1], positions[:, 0])
+    p = np.clip(((ph + np.pi) / (2.0 * np.pi) * n_phi).astype(int), 0, n_phi - 1)
+    return np.bincount(z * n_phi + p, minlength=n_z * n_phi)
 
 
 class TestMarkov:
