@@ -10,13 +10,14 @@ import pytest
 
 from circleops import sl3
 from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coefficient
-from circleops.legendre import legendre_table
+from circleops.legendre import HOLDER_CONSTANT, legendre_table
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
 from circleops.spectral import (
     completed_power_sums,
     diff_power_sums,
     difference_diagonal,
+    op_norm_diff_certificates,
     schatten_tail_bound,
 )
 from circleops.sphere import (
@@ -103,7 +104,7 @@ def test_diff_power_sums(benchmark):
 
 
 def test_legendre_table(benchmark):
-    # the row-loop side of the depth test: degree 2000 on 1000 abscissae
+    # a shallow pass, so the row loop: degree 2000 on 1000 abscissae
     xs = np.linspace(-1.0, 1.0, 1000)
     table = benchmark.pedantic(legendre_table, args=(2000, xs), rounds=20)
     assert table.shape == (2001, 1000) and np.all(table[:, -1] == 1.0)
@@ -112,6 +113,16 @@ def test_legendre_table(benchmark):
     for n, tol in ((7, 1e-14), (300, 1e-12), (2000, 1e-10)):
         want = np.polynomial.legendre.legval(xs, np.eye(n + 1)[n])
         assert np.abs(table[n] - want).max() <= tol
+
+
+def test_op_norm_heads_deep_wide(benchmark):
+    # legendre-bounds --nmax 70000 --grid 1000: deep, but 1001 abscissae with the zero
+    # column are too wide for the banded solver, so the streaming pass runs the row loop
+    deltas = np.linspace(-1.0, 1.0, 1000)
+    certs = benchmark.pedantic(op_norm_diff_certificates, args=(deltas, 70000), rounds=3)
+    heads = np.array([cert.head for cert in certs])
+    assert np.all(heads <= HOLDER_CONSTANT * np.sqrt(np.abs(deltas)) + 1e-14)
+    assert heads[0] == heads[-1] == 1.5  # |P_2(+-1) - P_2(0)|
 
 
 def test_solve_delta_for_top(benchmark):

@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDegeneracyError
-from .legendre import HOLDER_CONSTANT, legendre_defect
+from .legendre import HOLDER_CONSTANT
 from .repsim import coefficient_decay, invariant_gap, matrix_coefficient
 from .schatten import MixedNormSpace, mixed_norm_lower_bound, mixed_norm_upper_bound
 from .sl3 import LambdaPoint, embedding2_solve, kak
-from .spectral import difference_diagonal, divergence_probe_p4, fit_decay
+from .spectral import difference_diagonal, divergence_probe_p4, fit_decay, op_norm_diff_certificates
 from .sphere import markov_trace, mixing_profile
 from .zigzag import (
     ExponentProfile,
@@ -40,7 +40,6 @@ from .zigzag import (
 )
 
 OUTDIR_ENV = "CIRCLEOPS_OUTDIR"
-_DEFECT_CHUNK_VALUES = 2**22  # legendre-bounds defect values held at once
 
 
 def _fmt(x) -> str:
@@ -105,13 +104,7 @@ def positive_int(text: str) -> int:
 
 def cmd_legendre_bounds(args) -> int:
     deltas = np.linspace(-1.0, 1.0, args.grid)
-    # whole columns of at most _DEFECT_CHUNK_VALUES defects at a time keep memory flat; neither
-    # recurrence solver's bits depend on the neighbouring abscissae, so chunks change no value
-    width = max(1, _DEFECT_CHUNK_VALUES // (args.nmax + 1))
-    defects = np.concatenate([
-        np.abs(legendre_defect(args.nmax, deltas[start : start + width])).max(axis=0)
-        for start in range(0, args.grid, width)
-    ])
+    defects = np.array([cert.head for cert in op_norm_diff_certificates(deltas, args.nmax)])
     bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
     violations = int(np.sum(defects > bounds + 1e-14))
     print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")

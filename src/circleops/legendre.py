@@ -4,9 +4,10 @@ Everything downstream (operator norms, Schatten sums, quadrature eigenvalue
 checks) reduces to values of P_n on [-1, 1], normalized by P_n(1) = 1, so the
 evaluation here is deliberately plain: the forward three-term recurrence in
 double precision, which is stable on the interval.  There is one recurrence
-with two solvers, chosen by depth: a shallow pass runs it row by row over all
-abscissae at once, and a deep pass (more than _BLOCK_VALUES rows) solves it
-as a banded lower-triangular system, one compiled BLAS solve per abscissa.
+with two solvers, chosen by depth and width: a deep and narrow pass (more
+than _BLOCK_VALUES rows, at most _BANDED_WIDTH abscissae) solves it as a
+banded lower-triangular system, one compiled BLAS solve per abscissa, and
+every other pass runs it row by row over all abscissae at once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ __all__ = [
 HOLDER_CONSTANT = 4.0
 
 _ABSCISSA_SLACK = 1e-12
-_BLOCK_VALUES = 2**16  # values in one block of a deep recurrence pass: keeps memory flat
+_BLOCK_VALUES = 2**16  # values in one block of a recurrence pass: keeps memory flat
+# Most abscissae a deep pass solves as banded systems: a block holds 2^16 / width rows, so
+# the solves per row grow like width^2 / 2^16; past about 200 abscissae the row loop is faster.
+_BANDED_WIDTH = 192
 
 
 def _clamp_abscissa(x):
@@ -82,15 +86,19 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     """Yield P_n(x), n = 0..max_degree, for 1-D clamped x in consecutive blocks of rows.
 
     The package's one copy of the recurrence n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2),
-    with two solvers chosen by depth: a pass of more than _BLOCK_VALUES rows is
-    solved as a banded system per abscissa (_banded_rows), any other row by
-    row (_loop_rows).  Each block continues from the last two rows of the one
-    before.
+    with two solvers chosen by depth and width: a pass of more than
+    _BLOCK_VALUES rows over at most _BANDED_WIDTH abscissae is solved as a
+    banded system per abscissa (_banded_rows), any other row by row
+    (_loop_rows).  Neither solver's bits depend on the block size or on the
+    other abscissae, but the two solvers round differently, so a column's bits
+    can change when the width crosses _BANDED_WIDTH.  Each block continues
+    from the last two rows of the one before.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
     block_rows = block_rows or max(1, _BLOCK_VALUES // max(x.size, 1))
-    solve = _banded_rows if max_degree + 1 > _BLOCK_VALUES else _loop_rows
+    deep_and_narrow = max_degree + 1 > _BLOCK_VALUES and x.size <= _BANDED_WIDTH
+    solve = _banded_rows if deep_and_narrow else _loop_rows
     # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
     carried = np.zeros((2, x.size))
     for start in range(0, max_degree + 1, block_rows):

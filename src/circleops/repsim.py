@@ -56,7 +56,6 @@ def build_grid(band_limit: int = 32) -> SphereGrid:
 class RepOperatorSample:
     """Dense compression of pi(g) to the band-limited space, with leakage."""
 
-    g: np.ndarray
     matrix: np.ndarray
     leakage: float
 
@@ -81,7 +80,7 @@ def assemble_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
     inband = np.sum(matrix * matrix, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         leaks = np.where(totals > 0, 1.0 - inband / totals, 0.0)
-    return RepOperatorSample(g=np.asarray(g, float), matrix=matrix, leakage=float(np.max(leaks)))
+    return RepOperatorSample(matrix=matrix, leakage=float(np.max(leaks)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +150,15 @@ def coefficient_decay(n_max: int) -> np.ndarray:
         coarse = matrix_coefficient(n, inner_nodes=96)
         fine = matrix_coefficient(n, inner_nodes=192)
         defect = abs(fine - coarse)
-        if defect > _LEAKAGE_FRACTION * fine:
+        if not defect <= _LEAKAGE_FRACTION * fine:  # NaN fails too
             raise NumericalDegeneracyError(
                 "coefficient_leakage", f"quadrature defect {defect} vs c({n}) = {fine}"
             )
         rows[n] = (n, fine, DECAY_BOUND_CONSTANT * np.exp(-DECAY_BOUND_RATE * n), defect / fine)
     values = rows[:, 1]
-    if np.any(values <= 0) or np.any(np.diff(values) >= 0):
+    if not (np.all(values > 0) and np.all(np.diff(values) < 0)):
         raise AssertionError("matrix coefficients must be positive and strictly decreasing")
-    if np.any(values[1:] > rows[1:, 2]):
+    if not np.all(values[1:] <= rows[1:, 2]):
         raise AssertionError("matrix coefficient exceeds the one-sided decay bound")
     return rows
 

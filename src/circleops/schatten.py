@@ -57,7 +57,6 @@ class DyadicDecomposition:
     profile.  The weighted sum obeys sum_k 2^k alpha_k^r <= 2 ||T||_{S^r}^r.
     """
 
-    profile: SingularProfile
     r: float
     alphas: np.ndarray
     blocks: list
@@ -81,9 +80,7 @@ def dyadic_decompose(profile: SingularProfile, r: float) -> DyadicDecomposition:
         alphas.append(profile.values[lo])
         blocks.append((lo, hi))
         k += 1
-    return DyadicDecomposition(
-        profile=profile, r=float(r), alphas=np.array(alphas), blocks=blocks
-    )
+    return DyadicDecomposition(r=float(r), alphas=np.array(alphas), blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -92,35 +92,27 @@ class OpNormCertificate:
         return max(self.head, self.tail_bound)
 
 
-def _difference_tail_bound(delta: float, truncation: int, zero_part: float) -> float:
-    """Bound on sup_{n>N} |P_n(0) - P_n(delta)|, N = truncation; zero_part is sup_{n>N} |P_n(0)|."""
-    if delta == 0.0:
-        return 0.0
-    if 1.0 - delta * delta < 1e-12:
-        delta_part = 1.0
-    else:
-        delta_part = float(bernstein_envelope(truncation + 1, delta))
-    return min(zero_part + delta_part, _APRIORI_BOUND)
-
-
 def op_norm_diff_certificates(deltas, truncation: int) -> list[OpNormCertificate]:
-    """Certified operator norms of T_0 - T_delta, one per delta, from one blocked defect pass.
+    """Certified operator norms of T_0 - T_delta, one per delta, from one streaming defect pass.
 
-    Each value is the sup of |P_n(0) - P_n(delta)|, <= 4 sqrt(|delta|) and <= 2.
+    The heads are the package's one computation of sup_{n<=N} |P_n(delta) - P_n(0)|.
+    Each value is <= 4 sqrt(|delta|) and <= 2.
     """
-    if truncation < 2:
-        raise ValueError("truncation must be >= 2")
-    # One pass to the first even degree m past N checks the deltas, gives the heads and |P_m(0)|.
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    # One pass to the first even degree m past N checks the deltas, gives the heads and
+    # |P_m(0)|, which bounds |P_n(0)| for every n > N.
     m = truncation + 1 if truncation % 2 else truncation + 2
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     heads, first = 0.0, 0  # first: degree of the block's first row
     for defects, zeros in _defect_blocks(m, deltas):
         head_rows = np.abs(defects[: max(truncation + 1 - first, 0)])
         heads, first = np.maximum(heads, head_rows.max(axis=0, initial=0.0)), first + len(defects)
-    return [
-        OpNormCertificate(float(head), _difference_tail_bound(d, truncation, abs(zeros[-1])))
-        for head, d in zip(heads, np.clip(deltas, -1, 1).tolist())
-    ]
+    # sup_{n>N} |P_n(delta)| <= Bernstein's envelope at N + 1, or 1 at |delta| = 1
+    d = np.clip(deltas, -1, 1)
+    envelope = np.where(1.0 - d * d < 1e-12, 1.0, bernstein_envelope(truncation + 1, d))
+    tails = np.where(d == 0.0, 0.0, np.minimum(abs(zeros[-1]) + envelope, _APRIORI_BOUND))
+    return [OpNormCertificate(float(head), float(tail)) for head, tail in zip(heads, tails)]
 
 
 def difference_diagonal(delta: float, max_degree: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 
 from circleops import acceptance
 from circleops.acceptance import ALL_CRITERIA
+from circleops.legendre import legendre_defect
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.spectral import difference_diagonal
 
@@ -38,6 +39,19 @@ def test_wall_clock_gate(monkeypatch, number, seconds, passed):
     result = ALL_CRITERIA[number]()
     assert result.elapsed == seconds
     assert result.passed == passed, result.line()
+
+
+def test_criterion_1_counts_violating_deltas(monkeypatch):
+    """With the constant lowered to 1, criterion 1 counts each violating delta once, not each degree."""
+    monkeypatch.setattr(acceptance, "HOLDER_CONSTANT", 1.0)
+    deltas = np.linspace(-1.0, 1.0, 1000)
+    defects = np.abs(legendre_defect(2000, deltas))
+    over = defects > np.sqrt(np.abs(deltas)) + 1e-14
+    per_delta = int(np.sum(over.any(axis=0)))
+    assert 0 < per_delta < int(np.sum(over))  # 316 deltas, 1336 (degree, delta) pairs
+    result = ALL_CRITERIA[1]()
+    assert not result.passed
+    assert result.detail.startswith(f"violations={per_delta},")
 
 
 @pytest.mark.parametrize("p", [4.0, 6.0, 8.0, np.inf])

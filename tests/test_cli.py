@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from circleops import acceptance
+from circleops import acceptance, repsim
 from circleops.cli import main
 from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import legendre_defect
@@ -51,13 +51,26 @@ def test_legendre_bounds(tmp_path):
     assert len(lines) == 103
 
 
-def test_legendre_bounds_column_chunks_match_one_block(tmp_path):
-    # 65537 rows take the banded solver and 2^22 // 65537 = 63 deltas per chunk, so 64 need two
-    assert run(tmp_path, "legendre-bounds", "--nmax", "65536", "--grid", "64") == 0
+@pytest.mark.parametrize("grid", [64, 200], ids=["banded", "row-loop"])
+def test_legendre_bounds_match_the_defect_table(tmp_path, grid):
+    # 65537 rows are deep: with the zero column, 65 abscissae take the banded solver and
+    # 201 the row loop, in the streaming pass and in the one-block table alike
+    assert run(tmp_path, "legendre-bounds", "--nmax", "65536", "--grid", str(grid)) == 0
     lines = (tmp_path / "legendre_bounds.csv").read_text().splitlines()[2:]
     got = np.array([float(line.split(",")[1]) for line in lines])
-    want = np.abs(legendre_defect(65536, np.linspace(-1.0, 1.0, 64))).max(axis=0)
+    want = np.abs(legendre_defect(65536, np.linspace(-1.0, 1.0, grid))).max(axis=0)
     np.testing.assert_array_equal(got, want)
+
+
+def test_legendre_bounds_at_degrees_zero_and_one(tmp_path):
+    for nmax in (0, 1):
+        assert run(tmp_path, "legendre-bounds", "--nmax", str(nmax), "--grid", "11") == 0
+        rows = [line.split(",") for line in (tmp_path / "legendre_bounds.csv").read_text().splitlines()[2:]]
+        # the sup over n <= 0 of |P_n(d) - P_n(0)| is 0, over n <= 1 it is |P_1(d)| = |d|
+        assert all(float(defect) == nmax * abs(float(delta)) for delta, defect, _ in rows)
+    empty = tmp_path / "negative"
+    assert run(empty, "legendre-bounds", "--nmax", "-1", "--grid", "11") == 2
+    assert not empty.exists()
 
 
 def test_tdelta_norms_and_fit(tmp_path):
@@ -187,6 +200,15 @@ def test_howe_moore(tmp_path):
     lines = (tmp_path / "howe_moore_decay.csv").read_text().splitlines()
     values = [float(line.split(",")[1]) for line in lines[2:]]
     assert np.all(np.diff(values) < 0)
+
+
+def test_howe_moore_nan_coefficient_exits_3(tmp_path, monkeypatch):
+    exact = repsim.matrix_coefficient
+    monkeypatch.setattr(
+        repsim, "matrix_coefficient", lambda n, inner_nodes: np.nan if n == 3 else exact(n, inner_nodes)
+    )
+    assert run(tmp_path, "howe-moore", "--band-limit", "0") == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invariant_gap(tmp_path):

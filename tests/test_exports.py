@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import circleops
-from circleops import repsim, sl3, sphere
+from circleops import acceptance, repsim, sl3, sphere
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -66,6 +66,7 @@ SIGNATURES = {
     repsim.coefficient_decay: ["n_max"],
     sphere.mixing_profile: ["delta", "steps", "replicas", "seed"],
     sl3.in_special_linear: ["g"],
+    acceptance.run_criteria: ["numbers"],
 }
 
 

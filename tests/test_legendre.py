@@ -102,8 +102,9 @@ def test_defect_is_table_minus_zero_column():
     assert np.array_equal(legendre_defect(300, xs[7]), want[:, 7])
 
 
-# Deep passes (more than _BLOCK_VALUES rows) are solved as banded systems;
-# these tests hold them to a 200-bit recurrence and to the row loop.
+# Deep and narrow passes (more than _BLOCK_VALUES rows, at most _BANDED_WIDTH
+# abscissae) are solved as banded systems; these tests hold them to a 200-bit
+# recurrence and to the row loop.
 DEEP = 70_000
 DEEP_POINTS = np.array([0.3, -0.83, 0.999])
 
@@ -164,6 +165,42 @@ def test_two_sides_of_the_depth_test_agree(deep_reference):
     shallow, deep = legendre_table(edge - 1, DEEP_POINTS), legendre_table(edge, DEEP_POINTS)
     looped_error = np.abs(shallow - deep_reference[:edge]).max(axis=0)
     assert np.all(np.abs(deep[:edge] - shallow).max(axis=0) <= looped_error)
+
+
+EDGE_ROWS, EDGE_WIDTH = legendre._BLOCK_VALUES, legendre._BANDED_WIDTH
+
+
+@pytest.mark.parametrize(
+    "rows, width, solver",
+    [
+        (EDGE_ROWS, 3, "_loop_rows"),
+        (EDGE_ROWS + 1, 3, "_banded_rows"),
+        (EDGE_ROWS + 1, EDGE_WIDTH, "_banded_rows"),
+        (EDGE_ROWS + 1, EDGE_WIDTH + 1, "_loop_rows"),
+        (EDGE_ROWS, EDGE_WIDTH + 1, "_loop_rows"),
+    ],
+)
+def test_solver_follows_depth_and_width(monkeypatch, rows, width, solver):
+    used = []
+    for name in ("_loop_rows", "_banded_rows"):
+        def spy(*args, name=name, solve=getattr(legendre, name)):
+            used.append(name)
+            solve(*args)
+        monkeypatch.setattr(legendre, name, spy)
+    next(_row_blocks(rows - 1, np.linspace(-1.0, 1.0, width)))  # the first block only
+    assert used == [solver]
+
+
+def test_two_sides_of_the_width_test_agree(deep_reference):
+    # DEEP_POINTS among EDGE_WIDTH abscissae take the banded solver, among one more the row loop
+    def deep_columns(width):
+        xs = np.concatenate([DEEP_POINTS, np.linspace(-0.9, 0.9, width - DEEP_POINTS.size)])
+        return np.concatenate([rows[:, : DEEP_POINTS.size] for rows in _row_blocks(DEEP, xs)])
+
+    banded, looped = deep_columns(EDGE_WIDTH), deep_columns(EDGE_WIDTH + 1)
+    assert np.array_equal(banded, legendre_table(DEEP, DEEP_POINTS))
+    looped_error = np.abs(looped - deep_reference).max(axis=0)
+    assert np.all(np.abs(banded - looped).max(axis=0) <= looped_error)
 
 
 def test_at_zero_values():

@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.linalg import expm
 
 from circleops import repsim
+from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import gauss_rule, legendre_at_zero, legendre_table
 from circleops.repsim import (
     assemble_operator,
@@ -257,6 +258,15 @@ class TestDecay:
     def test_band_limit_guard(self):
         with pytest.raises(ValueError):
             coefficient_decay(9)
+
+    def test_nan_coefficient_aborts(self, monkeypatch):
+        # every comparison with NaN is false, so each check must fail unless its condition holds
+        exact = repsim.matrix_coefficient
+        monkeypatch.setattr(
+            repsim, "matrix_coefficient", lambda n, inner_nodes: np.nan if n == 3 else exact(n, inner_nodes)
+        )
+        with pytest.raises(NumericalDegeneracyError, match="coefficient_leakage"):
+            coefficient_decay(6)
 
 
 class TestInvariantGap:

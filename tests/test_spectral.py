@@ -4,10 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from circleops.legendre import legendre_at_zero, legendre_defect, legendre_table
+from circleops.legendre import bernstein_envelope, legendre_at_zero, legendre_defect, legendre_table
 from circleops.spectral import (
     SpectralOperator,
-    _difference_tail_bound,
     _lerch_abel_plana,
     completed_power_sums,
     diff_power_sums,
@@ -47,6 +46,17 @@ class TestSpectralOperator:
 
 def op_norm_diff(delta, truncation):
     return op_norm_diff_certificates([delta], truncation)[0].value
+
+
+def scalar_tail_bound(delta, truncation):
+    """One delta's tail bound: sup_{n>N} |P_n(0)| plus Bernstein's envelope at N + 1
+    (1 at |delta| = 1), capped at 2."""
+    if delta == 0.0:
+        return 0.0
+    m = truncation + 1 if truncation % 2 else truncation + 2  # |P_m(0)| bounds |P_n(0)|, n > N
+    zero_part = abs(float(legendre_at_zero(m)[m]))
+    delta_part = 1.0 if 1.0 - delta * delta < 1e-12 else float(bernstein_envelope(truncation + 1, delta))
+    return min(zero_part + delta_part, 2.0)
 
 
 class TestOpNormDiff:
@@ -89,6 +99,23 @@ class TestOpNormDiff:
             assert op_norm_diff_certificates(deltas, n) == [
                 op_norm_diff_certificates([d], n)[0] for d in deltas
             ]
+
+    @pytest.mark.parametrize("truncation", [0, 1, 2, 3, 64, 257])
+    def test_tail_bounds_match_the_scalar_oracle(self, truncation):
+        deltas = [-1.0, -1.0 + 1e-13, -0.5, -1e-300, 0.0, 1e-300, 1e-6, 0.3, 1.0 - 1e-13, 1.0]
+        tails = [cert.tail_bound for cert in op_norm_diff_certificates(deltas, truncation)]
+        assert tails == [scalar_tail_bound(d, truncation) for d in deltas]
+
+    @pytest.mark.parametrize("truncation", [0, 1])
+    def test_lowest_truncations_bound_the_exact_sup(self, truncation):
+        deltas = np.linspace(-1.0, 1.0, 41)
+        exact = np.abs(legendre_defect(4000, deltas)).max(axis=0)  # sup over n <= 4000
+        certs = op_norm_diff_certificates(deltas, truncation)
+        # the head is sup_{n<=N}: 0 at N = 0, |P_1(delta)| = |delta| at N = 1
+        assert [cert.head for cert in certs] == (truncation * np.abs(deltas)).tolist()
+        assert all(cert.value >= sup for cert, sup in zip(certs, exact))
+        with pytest.raises(ValueError):
+            op_norm_diff_certificates(deltas, -1)
 
     def test_tail_reported_when_dominating(self):
         cert = op_norm_diff_certificates([1e-6], 2)[0]
@@ -231,12 +258,8 @@ class TestFitDecay:
         # 11 abscissae make blocks of 65536 // 11 = 5957 rows, so at 11913 the head
         # (rows 0..11913) ends on a block boundary and row m = 11914 is a block of its own
         m = n_max + 1 if n_max % 2 else n_max + 2
-        zero_part = abs(legendre_at_zero(m)[m])
         expected = [
-            max(
-                float(np.abs(legendre_defect(m, d)[: n_max + 1]).max()),
-                _difference_tail_bound(d, n_max, zero_part),
-            )
+            max(float(np.abs(legendre_defect(m, d)[: n_max + 1]).max()), scalar_tail_bound(d, n_max))
             for d in self.GRID[::-1]
         ]
         fit = fit_decay(np.inf, self.GRID, n_max=n_max)
