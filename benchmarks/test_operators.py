@@ -44,7 +44,7 @@ def test_circle_average_operator(benchmark):
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
 
 
-@pytest.mark.parametrize("band", [24, 32])  # 32: the sphere-averaging workload's largest frames job
+@pytest.mark.parametrize("band", [12, 16, 24, 32])  # every band of the sphere-averaging frames jobs
 def test_circle_average(benchmark, band):
     # the pointwise rule on every node's own circle, with twisted tangent frames
     grid = SphereGrid.build(band)

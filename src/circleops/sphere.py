@@ -10,6 +10,7 @@ normalized surface measure.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -30,83 +31,87 @@ __all__ = [
 ]
 
 
-def _harmonic_terms(z, cphi, sphi, band_limit):
-    """Yield (n, m, q, cos m phi, sin m phi) by increasing order m, then degree n = m..B.
+def _basis_block(z, cphi, sphi, band_limit, out):
+    """Fill out (ncoef, npts) with real orthonormal harmonics: per degree n, m = 0 at row
+    n*n, then the cos/sin pairs for m = 1..n.
 
-    q is the stable normalized associated Legendre recurrence; Y_n^0 = q and the
-    order-m pair is sqrt(2) q (cos, sin).  Yielded arrays are reused: read them at once.
+    By increasing order m, then degree n = m..B: q is the stable normalized associated
+    Legendre recurrence; Y_n^0 = q and the order-m pair is sqrt(2) q (cos m phi, sin m phi).
     """
     npts = z.shape[0]
     u = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    qmm = np.ones(npts)
-    cm = np.ones(npts)
-    sm = np.zeros(npts)
-    q_prev = np.empty(npts)
-    q_cur = np.empty(npts)
+    sqrt2 = math.sqrt(2.0)
+    qmm, cm, sm = np.ones(npts), np.ones(npts), np.zeros(npts)
+    q_prev, q_cur, scaled = np.empty(npts), np.empty(npts), np.empty(npts)
     for m in range(band_limit + 1):
         if m > 0:
             qmm *= u
-            qmm *= np.sqrt((2 * m + 1) / (2.0 * m))
+            qmm *= math.sqrt((2 * m + 1) / (2.0 * m))
             cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
-        np.copyto(q_prev, qmm)
-        yield m, m, q_prev, cm, sm
-        if m == band_limit:
-            break
-        np.multiply(z, qmm, out=q_cur)
-        q_cur *= np.sqrt(2 * m + 3.0)
-        yield m + 1, m, q_cur, cm, sm
-        for n in range(m + 2, band_limit + 1):
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            b = np.sqrt(
-                ((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m))
-                / ((2.0 * n - 3.0) * (n * n - m * m))
-            )
-            q_prev *= -b
-            q_prev += a * z * q_cur
-            q_prev, q_cur = q_cur, q_prev
-            yield n, m, q_cur, cm, sm
+        for n in range(m, band_limit + 1):
+            if n == m:
+                np.copyto(q_prev, qmm)
+                q = q_prev
+            elif n == m + 1:
+                q = np.multiply(z, qmm, out=q_cur)
+                q *= math.sqrt(2 * m + 3.0)
+            else:  # q_n = -b q_{n-2} + a z q_{n-1}
+                a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+                b = math.sqrt(
+                    ((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)) / ((2.0 * n - 3.0) * (n * n - m * m))
+                )
+                np.multiply(z, a, out=scaled)
+                scaled *= q_cur
+                q_prev *= -b
+                q_prev += scaled
+                q_prev, q_cur = q_cur, q_prev
+                q = q_cur
+            if m == 0:
+                out[n * n] = q
+            else:
+                np.multiply(q, sqrt2, out=scaled)
+                np.multiply(scaled, cm, out=out[n * n + 2 * m - 1])
+                np.multiply(scaled, sm, out=out[n * n + 2 * m])
 
 
-def _basis_block(z, cphi, sphi, band_limit, out):
-    """Fill out (ncoef, npts) with real orthonormal harmonics: per degree n, m = 0 at row
-    n*n, then the cos/sin pairs for m = 1..n."""
-    sqrt2 = np.sqrt(2.0)
-    for n, m, q, cm, sm in _harmonic_terms(z, cphi, sphi, band_limit):
-        if m == 0:
-            out[n * n] = q
-        else:
-            out[n * n + 2 * m - 1] = sqrt2 * q * cm
-            out[n * n + 2 * m] = sqrt2 * q * sm
+def _powers(w):
+    """Fill rows 0 and 2.. of the complex w (h, npts) with the powers of row 1: row j = w_1^j.
+
+    Doubling, w^(s+j) = w^s w^j for j = 1..s, takes O(log h) numpy calls, and each power
+    is a product of O(log j) factors.
+    """
+    w[0] = 1.0
+    s = 1
+    while s + 1 < len(w):
+        t = min(s, len(w) - 1 - s)
+        np.multiply(w[1 : t + 1], w[s], out=w[s + 1 : s + t + 1])
+        s += t
 
 
-def _synthesis_block(z, cphi, sphi, band_limit, coeffs, out):
-    """Add sum_nm c_nm Y_nm to out (npts, k), coeffs (ncoef, k), with no harmonic matrix:
-    each order m sums c_nm q_nm into a cos and a sin part, folded in once by cos/sin m phi."""
-    for n, m, q, cm, sm in _harmonic_terms(z, cphi, sphi, band_limit):
-        if m == 0:
-            out += np.multiply.outer(q, coeffs[n * n])
-            continue
-        if n == m:
-            acc_cos, acc_sin = np.zeros_like(out), np.zeros_like(out)
-        acc_cos += np.multiply.outer(q, coeffs[n * n + 2 * m - 1])
-        acc_sin += np.multiply.outer(q, coeffs[n * n + 2 * m])
-        if n == band_limit:
-            out += np.sqrt(2.0) * (cm[:, None] * acc_cos + sm[:, None] * acc_sin)
+# Points per block.  The harmonic recurrence keeps a few point rows live and is fastest at
+# 16384.  The synthesis allocates about 48 (B + 2) bytes per point of a block once per call,
+# and fresh pages fault.  At the frames circle points (B = 12..32; fresh processes on a
+# 2-core VM) 1024 took 6-35 % less time than 2048 at B <= 24 and tied at B = 32, with
+# fewer page faults; 512 tied at B = 12 and 16 and was 3-10 % slower at B = 24 and 32.
+_CHUNK = 16384
+_SYNTH_CHUNK = 1024
 
 
-_CHUNK = 16384  # points per kernel call
-
-
-def _point_blocks(points):
-    """Yield (rows, z, cos phi, sin phi) over _CHUNK-sized blocks of unit vectors."""
+def _point_blocks(points, size):
+    """Yield (rows, z, cos phi, sin phi) over blocks of `size` unit vectors."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    for lo in range(0, pts.shape[0], _CHUNK):
-        x, y, z = pts[lo : lo + _CHUNK].T
+    for lo in range(0, pts.shape[0], size):
+        x, y, z = pts[lo : lo + size].T
         rho = np.hypot(x, y)
         safe = rho > 0
         cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
         sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
-        yield slice(lo, lo + _CHUNK), z, cphi, sphi
+        yield slice(lo, lo + size), z, cphi, sphi
+
+
+def _check_band_limit(band_limit) -> None:
+    if not (isinstance(band_limit, numbers.Integral) and band_limit >= 0):
+        raise ValueError("band limit must be an integer >= 0")
 
 
 def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
@@ -115,9 +120,10 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     Normalized against the probability measure on S2: the constant harmonic
     is identically 1 and the degree-n block has 2n+1 columns.
     """
+    _check_band_limit(band_limit)
     npts = np.atleast_2d(points).shape[0]
     out = np.empty(((band_limit + 1) ** 2, npts))
-    for rows, z, cphi, sphi in _point_blocks(points):
+    for rows, z, cphi, sphi in _point_blocks(points, _CHUNK):
         _basis_block(z, cphi, sphi, band_limit, out[:, rows])
     return out.T
 
@@ -125,6 +131,34 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
 def degree_of_column(band_limit: int) -> np.ndarray:
     """Degree n of each basis column in the layout of real_sph_harm_matrix."""
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+
+
+def _theta_table(band_limit: int) -> np.ndarray:
+    """(2(B+1), (B+1)^2): the theta-Fourier coefficients of every basis column's colatitude profile.
+
+    Rows are cos j theta for j = 0..B, then sin (j+1) theta.  For even m, sqrt(2) q_nm(cos theta)
+    is a cosine polynomial of degree <= B; for odd m it is sin theta times a polynomial of degree
+    <= B - 1 in cos theta, a sine polynomial of degree <= B.  A sin m phi column holds its cos
+    partner's profile.  Both halves are solved exactly from the harmonics at the B + 1
+    colatitudes theta_l = pi (l + 1/2) / (B + 1), where the cosine and sine sample matrices
+    (DCT-II and DST-II) are orthogonal up to column scaling.  The sin (B+1) theta row, zero up
+    to roundoff, keeps the sine sample matrix square.
+    """
+    size = band_limit + 1
+    theta = np.pi * (np.arange(size) + 0.5) / size
+    columns = np.arange(size * size)
+    offset = columns - degree_of_column(band_limit) ** 2  # 0: m = 0; 2m - 1: cos m phi; 2m: sin
+    meridian = np.stack([np.sin(theta), np.zeros(size), np.cos(theta)], axis=1)
+    partner = columns - ((offset > 0) & (offset % 2 == 0))  # at phi = 0 sin m phi vanishes
+    profiles = real_sph_harm_matrix(meridian, band_limit)[:, partner]
+    j = np.arange(size)
+    samples = np.concatenate([np.cos(np.outer(j, theta)), np.sin(np.outer(j + 1, theta))])
+    scale = np.full(2 * size, 2.0 / size)
+    scale[[0, -1]] = 1.0 / size
+    odd = (offset + 1) // 2 % 2 == 1  # order m odd: the sine half
+    table = scale[:, None] * (samples @ profiles)
+    table *= np.repeat([~odd, odd], size, axis=0)
+    return table
 
 
 @dataclass
@@ -144,8 +178,7 @@ class SphereGrid:
 
     @classmethod
     def build(cls, band_limit: int, oversample: int = 1):
-        if band_limit < 0:
-            raise ValueError("band limit must be nonnegative")
+        _check_band_limit(band_limit)
         if not (isinstance(oversample, numbers.Integral) and oversample >= 1):
             raise ValueError("oversample factor must be an integer >= 1")
         n_lat = oversample * (band_limit + 1)
@@ -179,17 +212,48 @@ class SphereGrid:
     def synthesize(self, coeffs: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
         """Coefficients (ncoef,) or (ncoef, k) -> values on the grid (or at arbitrary points).
 
-        Off the grid, one recurrence pass per block of points sums c_nm Y_nm order by
-        order (_synthesis_block); no harmonic matrix is formed.
+        Off the grid no harmonic matrix is formed (double Fourier sphere): the coefficients
+        contract with _theta_table into F, whose rows are cos j theta / sin (j+1) theta and
+        whose columns are cos m phi, then sin m phi.  Per block of points, complex powers of
+        e^(i theta) and e^(i phi) give the theta and phi rows, one BLAS product per order
+        parity takes F^T times the theta rows, and the phi rows weight its sum.
         """
         if points is None:
             return self.basis @ coeffs
         c = np.asarray(coeffs, dtype=float)
         if c.ndim not in (1, 2) or c.shape[0] != self.n_coeff:
             raise ValueError(f"need coefficients of shape ({self.n_coeff},) or ({self.n_coeff}, k)")
-        out = np.zeros((np.atleast_2d(points).shape[0], c[0].size))
-        for rows, z, cphi, sphi in _point_blocks(points):
-            _synthesis_block(z, cphi, sphi, self.band_limit, c.reshape(self.n_coeff, -1), out[rows])
+        size, k = self.band_limit + 1, c[0].size
+        half = (self.band_limit | 1) + 1  # phi rows per half: even, so a row's parity is m's
+        offset = np.arange(self.n_coeff) - degree_of_column(self.band_limit) ** 2
+        phi_row = (offset + 1) // 2 + half * ((offset > 0) & (offset % 2 == 0))
+        spread = np.zeros((self.n_coeff, 2 * half, k))  # each coefficient in its phi row
+        spread[np.arange(self.n_coeff), phi_row] = c.reshape(self.n_coeff, k)
+        fourier = _theta_table(self.band_limit) @ spread.reshape(self.n_coeff, -1)
+        fourier = fourier.reshape(2 * size, 2 * half, k)
+        even = fourier[:size, 0::2].transpose(2, 1, 0).copy()  # even orders on cos j theta
+        odd = fourier[size:, 1::2].transpose(2, 1, 0).copy()  # odd orders on sin (j+1) theta
+        npts = np.atleast_2d(points).shape[0]
+        out = np.empty((npts, k))
+        block = min(_SYNTH_CHUNK, npts)
+        powers = np.empty((size + 1, block), complex)  # e^(i j theta), then e^(i m phi)
+        theta_rows, terms = np.empty((2 * size, block)), np.empty((2 * half, block))
+        for rows, z, cphi, sphi in _point_blocks(points, _SYNTH_CHUNK):
+            n = z.shape[0]
+            theta, phi, g = theta_rows[:, :n], powers[:half, :n], terms[:, :n]
+            tw = powers[:, :n]  # the theta powers are copied out before phi reuses the rows
+            tw[1].real, tw[1].imag = z, np.sqrt(np.maximum(0.0, 1.0 - z * z))
+            _powers(tw)
+            np.copyto(theta[:size], tw[:size].real)
+            np.copyto(theta[size:], tw[1:].imag)
+            phi[1].real, phi[1].imag = cphi, sphi
+            _powers(phi)
+            for col in range(k):
+                np.matmul(even[col], theta[:size], out=g[0::2])
+                np.matmul(odd[col], theta[size:], out=g[1::2])
+                g[:half] *= phi.real
+                g[half:] *= phi.imag
+                g.sum(axis=0, out=out[rows, col])
         return out.reshape(out.shape[:1] + c.shape[1:])
 
     def gram_defect(self) -> float:
@@ -268,7 +332,8 @@ def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=N
 
     The input is sampled on the grid; it is analyzed to coefficients, then
     averaged by the M = band_limit + 1 point trapezoid rule on each node's circle,
-    evaluated at all M x n_nodes circle points by one fused grid.synthesize pass.
+    evaluated at all M x n_nodes circle points by one grid.synthesize call (the
+    double-Fourier synthesis: one BLAS product per order parity and block of points).
     The rule is exact for band-limited integrands: on a circle a harmonic of
     degree <= B is a trigonometric polynomial of degree <= B in the circle angle.
     The result does not depend on the tangent frames; custom frames may be

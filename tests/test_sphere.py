@@ -92,6 +92,21 @@ def test_build_rejects_bad_oversample(which, factor):
         SphereGrid.build(BAND, **{which: factor})
 
 
+@pytest.mark.parametrize("band", [-1, 2.5, 3.0, None])
+def test_rejects_bad_band_limit(band):
+    """The grid and the harmonic matrix take only integer band limits >= 0."""
+    with pytest.raises(ValueError, match="band limit must be an integer >= 0"):
+        SphereGrid.build(band)
+    with pytest.raises(ValueError, match="band limit must be an integer >= 0"):
+        real_sph_harm_matrix(np.array([[0.0, 0.0, 1.0]]), band)
+
+
+def test_numpy_integer_band_limit():
+    g = SphereGrid.build(np.int64(3))
+    assert g.n_coeff == 16 and g.gram_defect() <= 1e-12
+    assert real_sph_harm_matrix(g.nodes, np.int32(3)).shape == (g.nodes.shape[0], 16)
+
+
 def _pointwise_operator(grid, delta, points):
     """Brute-force operator: the points-point rule on every node's own circle, tangent_frames."""
     u, v = tangent_frames(grid.nodes)
@@ -339,9 +354,10 @@ def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
 
 @pytest.mark.parametrize("band_limit", [0, 1, 2, 16, 32])
 def test_synthesize_matches_harmonic_matrix(band_limit, monkeypatch):
-    # the fused order-by-order sum against the independent matrix product, over
+    # the double-Fourier synthesis against the independent matrix product, over
     # several point blocks (the last one partial) and both coefficient shapes
     monkeypatch.setattr(sphere, "_CHUNK", 128)
+    monkeypatch.setattr(sphere, "_SYNTH_CHUNK", 128)
     g = SphereGrid.build(band_limit)
     rng = np.random.default_rng(band_limit)
     pts = rng.normal(size=(300, 3))
@@ -356,3 +372,37 @@ def test_synthesize_matches_harmonic_matrix(band_limit, monkeypatch):
     for wrong in (np.ones(g.n_coeff + 1), np.ones(2 * g.n_coeff), np.ones((g.n_coeff, 2, 2))):
         with pytest.raises(ValueError):
             g.synthesize(wrong, pts)
+
+
+@pytest.mark.parametrize("band_limit", [0, 1, 2, 7, 16, 32])
+def test_theta_table_reproduces_the_meridian(band_limit):
+    # rows cos j theta (j = 0..B), then sin (j+1) theta, against the harmonics at phi = 0
+    size = band_limit + 1
+    table = sphere._theta_table(band_limit)
+    assert table.shape == (2 * size, size * size)
+    theta = np.random.default_rng(band_limit).uniform(0.0, np.pi, 64)
+    j = np.arange(size)
+    rows = np.concatenate([np.cos(np.outer(j, theta)), np.sin(np.outer(j + 1, theta))])
+    meridian = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+    expected = real_sph_harm_matrix(meridian, band_limit)
+    offset = np.arange(size * size) - degree_of_column(band_limit) ** 2
+    sin_cols = np.flatnonzero((offset > 0) & (offset % 2 == 0))
+    cos_cols = np.setdiff1d(np.arange(size * size), sin_cols)
+    err = np.abs(rows.T @ table - expected)[:, cos_cols].max(axis=0)
+    assert np.all(err <= 1e-13 * np.abs(expected[:, cos_cols]).max(axis=0))
+    # a sin m phi column vanishes at phi = 0, so it holds its cos partner's profile
+    partner_gap = np.abs(table[:, sin_cols] - table[:, sin_cols - 1]).max(initial=0.0)
+    assert partner_gap <= 1e-14 * np.abs(table).max()
+    # odd-m profiles are sine polynomials of degree <= B: sin (B+1) theta is roundoff
+    assert np.abs(table[-1]).max() <= 1e-14 * np.abs(table).max()
+
+
+def test_synthesize_columns_over_a_partial_last_block():
+    g = SphereGrid.build(24)
+    rng = np.random.default_rng(24)
+    pts = rng.normal(size=(2 * sphere._SYNTH_CHUNK + 777, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    coeffs = rng.normal(size=(g.n_coeff, 3))
+    got, expected = g.synthesize(coeffs, pts), real_sph_harm_matrix(pts, 24) @ coeffs
+    assert got.shape == expected.shape == (pts.shape[0], 3)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
