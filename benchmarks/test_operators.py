@@ -25,6 +25,7 @@ from circleops.sphere import (
     circle_average,
     circle_average_operator,
     degree_of_column,
+    real_sph_harm_matrix,
     tangent_frames,
 )
 from circleops.zigzag import ExponentProfile, annulus_diameter_bound
@@ -42,6 +43,15 @@ def test_circle_average_operator(benchmark):
     averaged = benchmark(circle_average_operator, grid, 0.3)
     eigs = legendre_table(32, 0.3)[degree_of_column(32)]
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("band", [12, 16, 24, 32])
+def test_real_sph_harm_matrix(benchmark, band):
+    # the grid basis kernel, called directly: SphereGrid.build caches grid.basis
+    grid = SphereGrid.build(band)
+    basis = benchmark(real_sph_harm_matrix, grid.nodes, band)
+    assert np.abs(basis[:, 0] - 1.0).max() <= 1e-10
+    assert np.abs(grid.weights @ basis**2 - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("band", [12, 16, 24, 32])  # every band of the sphere-averaging frames jobs

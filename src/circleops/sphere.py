@@ -10,6 +10,7 @@ normalized surface measure.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -109,8 +110,13 @@ def _point_blocks(points, size):
         yield slice(lo, lo + size), z, cphi, sphi
 
 
+def _is_count(value, least: int) -> bool:
+    """An integer (numpy's too, but not a bool) that is at least `least`."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 def _check_band_limit(band_limit) -> None:
-    if not (isinstance(band_limit, numbers.Integral) and band_limit >= 0):
+    if not _is_count(band_limit, 0):
         raise ValueError("band limit must be an integer >= 0")
 
 
@@ -133,6 +139,7 @@ def degree_of_column(band_limit: int) -> np.ndarray:
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
 
 
+@functools.lru_cache(maxsize=8)
 def _theta_table(band_limit: int) -> np.ndarray:
     """(2(B+1), (B+1)^2): the theta-Fourier coefficients of every basis column's colatitude profile.
 
@@ -143,6 +150,9 @@ def _theta_table(band_limit: int) -> np.ndarray:
     colatitudes theta_l = pi (l + 1/2) / (B + 1), where the cosine and sine sample matrices
     (DCT-II and DST-II) are orthogonal up to column scaling.  The sin (B+1) theta row, zero up
     to roundoff, keeps the sine sample matrix square.
+
+    Built once per band limit and read-only, since every caller shares it; the 8 cached
+    tables hold 16 (B+1)^3 bytes each, 575 kB at B = 32.
     """
     size = band_limit + 1
     theta = np.pi * (np.arange(size) + 0.5) / size
@@ -158,17 +168,18 @@ def _theta_table(band_limit: int) -> np.ndarray:
     odd = (offset + 1) // 2 % 2 == 1  # order m odd: the sine half
     table = scale[:, None] * (samples @ profiles)
     table *= np.repeat([~odd, odd], size, axis=0)
+    table.flags.writeable = False
     return table
 
 
-@dataclass
+@dataclass(frozen=True)
 class SphereGrid:
     """Gauss-Legendre x uniform-longitude product grid with unit total weight.
 
     Quadrature of Y_n^m * Y_n'^m' is exact for degrees up to band_limit
     (Gauss-Legendre with oversample*(B+1) colatitude nodes integrates
     polynomials of degree 2B+1; oversample*(2B+1) offset longitudes kill all
-    aliases).
+    aliases).  Frozen: build hands one grid to every caller of a band limit.
     """
 
     band_limit: int
@@ -178,20 +189,17 @@ class SphereGrid:
 
     @classmethod
     def build(cls, band_limit: int, oversample: int = 1):
+        """The grid of band_limit with oversample * (B+1) colatitudes and oversample * (2B+1)
+        longitudes, built once per (band_limit, oversample) after the checks.
+
+        Every caller of a key shares one grid, so its nodes, weights and basis are read-only.
+        The cache keeps the 8 most recently used grids, with any basis built on them; a basis
+        takes 8 (B+1)^2 bytes per node, 75 MB for repsim.build_grid's B = 32, oversample 2 grid.
+        """
         _check_band_limit(band_limit)
-        if not (isinstance(oversample, numbers.Integral) and oversample >= 1):
+        if not _is_count(oversample, 1):
             raise ValueError("oversample factor must be an integer >= 1")
-        n_lat = oversample * (band_limit + 1)
-        n_lon = oversample * (2 * band_limit + 1)
-        xg, wg = gauss_rule(n_lat)
-        phis = 2.0 * np.pi * (np.arange(n_lon) + 0.5) / n_lon
-        sin_t = np.sqrt(1.0 - xg * xg)
-        nodes = np.empty((n_lat * n_lon, 3))
-        nodes[:, 0] = np.repeat(sin_t, n_lon) * np.tile(np.cos(phis), n_lat)
-        nodes[:, 1] = np.repeat(sin_t, n_lon) * np.tile(np.sin(phis), n_lat)
-        nodes[:, 2] = np.repeat(xg, n_lon)
-        weights = np.repeat(wg / 2.0, n_lon) / n_lon
-        return cls(band_limit=band_limit, nodes=nodes, weights=weights)
+        return _built_grid(int(band_limit), int(oversample))
 
     @property
     def n_coeff(self) -> int:
@@ -199,8 +207,12 @@ class SphereGrid:
 
     @property
     def basis(self) -> np.ndarray:
+        """real_sph_harm_matrix at the nodes, (n_nodes, (B+1)^2): built on first use, then
+        kept read-only on the grid (so a cached grid builds it once)."""
         if self._basis is None:
-            self._basis = real_sph_harm_matrix(self.nodes, self.band_limit)
+            basis = real_sph_harm_matrix(self.nodes, self.band_limit)
+            basis.flags.writeable = False
+            object.__setattr__(self, "_basis", basis)
         return self._basis
 
     def analyze(self, samples: np.ndarray) -> np.ndarray:
@@ -262,6 +274,24 @@ class SphereGrid:
         return float(np.abs(gram - np.eye(self.n_coeff)).max())
 
 
+# The sphere-averaging jobs use four band limits, so 8 grids cover them.  Worst case held by
+# the library's own grids: 8 bases of repsim.build_grid's default size (75 MB each), 600 MB.
+@functools.lru_cache(maxsize=8)
+def _built_grid(band_limit: int, oversample: int) -> SphereGrid:
+    n_lat = oversample * (band_limit + 1)
+    n_lon = oversample * (2 * band_limit + 1)
+    xg, wg = gauss_rule(n_lat)
+    phis = 2.0 * np.pi * (np.arange(n_lon) + 0.5) / n_lon
+    sin_t = np.sqrt(1.0 - xg * xg)
+    nodes = np.empty((n_lat * n_lon, 3))
+    nodes[:, 0] = np.repeat(sin_t, n_lon) * np.tile(np.cos(phis), n_lat)
+    nodes[:, 1] = np.repeat(sin_t, n_lon) * np.tile(np.sin(phis), n_lat)
+    nodes[:, 2] = np.repeat(xg, n_lon)
+    weights = np.repeat(wg / 2.0, n_lon) / n_lon
+    nodes.flags.writeable = weights.flags.writeable = False
+    return SphereGrid(band_limit=band_limit, nodes=nodes, weights=weights)
+
+
 def tangent_frames(points: np.ndarray):
     """Deterministic orthonormal frames (u, v) with u, v perpendicular to each point.
 
@@ -316,6 +346,7 @@ def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
     circles = _circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
     values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T  # (coeffs, M * rings)
     means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T  # (rings, coeffs)
+    del values  # free the (coeffs, M * rings) block before the output: cached bases stay live
     offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2  # 2m-1: cos, 2m: sin
     partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
     turn = np.outer(beta, (offset + 1) // 2)

@@ -1,5 +1,7 @@
 """Tests for the sphere grid, circle averaging, and the Markov chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -82,7 +84,7 @@ def test_grid_invariants_oversampled():
         assert g.gram_defect() <= 1e-8
 
 
-@pytest.mark.parametrize("factor", [0, -1, 1.5, 2.0])
+@pytest.mark.parametrize("factor", [0, -1, 1.5, 2.0, True])
 @pytest.mark.parametrize("which", ["lat_oversample", "lon_oversample"])
 def test_build_rejects_bad_oversample(which, factor):
     """One factor scales both axes; the retired per-axis keywords are refused."""
@@ -92,7 +94,7 @@ def test_build_rejects_bad_oversample(which, factor):
         SphereGrid.build(BAND, **{which: factor})
 
 
-@pytest.mark.parametrize("band", [-1, 2.5, 3.0, None])
+@pytest.mark.parametrize("band", [-1, 2.5, 3.0, None, True])
 def test_rejects_bad_band_limit(band):
     """The grid and the harmonic matrix take only integer band limits >= 0."""
     with pytest.raises(ValueError, match="band limit must be an integer >= 0"):
@@ -105,6 +107,36 @@ def test_numpy_integer_band_limit():
     g = SphereGrid.build(np.int64(3))
     assert g.n_coeff == 16 and g.gram_defect() <= 1e-12
     assert real_sph_harm_matrix(g.nodes, np.int32(3)).shape == (g.nodes.shape[0], 16)
+
+
+def test_grid_and_theta_table_are_built_once_per_band_limit():
+    g = SphereGrid.build(5)
+    assert SphereGrid.build(5) is g and SphereGrid.build(np.int64(5)) is g
+    assert SphereGrid.build(5, oversample=2) is SphereGrid.build(5, np.int64(2)) is not g
+    assert g.basis is SphereGrid.build(5).basis
+    assert sphere._theta_table(5) is sphere._theta_table(5)
+    # the cached basis has the bits of a fresh harmonic matrix at the nodes
+    assert np.array_equal(g.basis, real_sph_harm_matrix(g.nodes, 5))
+
+
+def test_shared_grid_and_table_are_read_only():
+    g = SphereGrid.build(4)
+    for shared in (g.nodes, g.weights, g.basis, sphere._theta_table(4)):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] *= 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.nodes = g.nodes.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g._basis = None
+
+
+def test_bad_arguments_are_refused_after_their_key_is_cached():
+    # 2.0 == 2 and True == 1 hash like the integers, so the checks must come before the lookup
+    for band, oversample in ((3, 2), (3, 1), (1, 1)):
+        SphereGrid.build(band, oversample)
+    for band, oversample in ((3, 2.0), (3, True), (3.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SphereGrid.build(band, oversample)
 
 
 def _pointwise_operator(grid, delta, points):
