@@ -69,22 +69,20 @@ def test_circle_average(benchmark, band):
     assert np.abs(averaged - grid.basis @ (coeffs * eigs)).max() <= 1e-8
 
 
-def test_mixed_norm_lower_bound(benchmark):
-    # criterion 7's shape: diagonal to degree 16, inner dimension 4, p = 6
+def test_mixed_norm_diagonal_exact(benchmark):
+    # criterion 7's shape: diagonal to degree 16, inner dimension 4, p = 6; solved without a search
     diagonal = difference_diagonal(0.1, 16)
     T = np.diag(diagonal)
     space = MixedNormSpace(diagonal.size, 4, 6.0)
-    result = benchmark.pedantic(
-        mixed_norm_lower_bound, args=(T, space), kwargs={"restarts": 16, "iters": 200}, rounds=10
-    )
+    result = benchmark(mixed_norm_lower_bound, T, space)
     top = np.abs(diagonal).max()  # the exact norm of a diagonal T tensor Id
-    assert 0.99 * top <= result.value <= top + 1e-12
-    assert abs(space.norm(result.witness) - 1.0) <= 1e-12
-    assert abs(space.norm(T @ result.witness) - result.value) <= 1e-12 * result.value
+    assert abs(result.value - top) <= 1e-15 * top
+    assert space.norm(result.witness) == 1.0
+    assert result.value == space.norm(T @ result.witness)
 
 
 def test_mixed_norm_lower_bound_dense(benchmark):
-    # the same shape with a general T, which keeps the dense products
+    # the same shape with a general T, which runs the power iteration
     T = np.random.default_rng(289).normal(size=(289, 289))
     space = MixedNormSpace(289, 4, 6.0)
     result = benchmark.pedantic(

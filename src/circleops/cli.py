@@ -152,7 +152,7 @@ def cmd_schatten_probe(args) -> int:
 def cmd_mixed_norm(args) -> int:
     T = np.diag(difference_diagonal(args.delta, args.truncation))
     space = MixedNormSpace(T.shape[0], args.inner_dim, args.p)
-    res = mixed_norm_lower_bound(T, space, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    res = mixed_norm_lower_bound(T, space)
     interp = mixed_norm_upper_bound(args.delta, args.p)
     print(f"mixed-norm: lower {res.value:.6f} <= interpolation {interp:.6f}")
     csv = _csv("witnessed lower bound <= interpolation upper bound",
@@ -314,11 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed-norm", help="witnessed lower bound vs interpolation bound")
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--iters", type=int, default=200)
     p.add_argument("--truncation", type=int, default=16)
     p.add_argument("--inner-dim", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_mixed_norm)
 
     p = sub.add_parser("kak", help="decompose a unimodular 3x3 matrix")

@@ -1,11 +1,11 @@
 """Finite-dimensional Schatten / mixed-norm machinery.
 
 Two ingredients: the dyadic decomposition of a singular-value profile into
-bounded blocks of rank 2^k, and norms of T tensor Id on l2(l^p).  Exact
-mixed operator norms are NP-hard, so the estimator here certifies lower
-bounds only: every returned value is attained by an explicit witness vector,
-and the upper bounds it is compared against come from the interpolation
-inequality.
+bounded blocks of rank 2^k, and norms of T tensor Id on l2(l^p).  Every
+returned value is attained by an explicit witness vector, and the upper
+bounds it is compared against come from the interpolation inequality.  For
+a diagonal T the value is the exact norm max |t_i|; for a general T exact
+mixed operator norms are NP-hard, and the estimator certifies a lower bound.
 """
 
 from __future__ import annotations
@@ -174,18 +174,21 @@ def mixed_norm_lower_bound(
     iters: int = 200,
     seed: int = 0,
 ) -> MixedNormLowerBound:
-    """Lower-bound the norm of T tensor Id on l2(l^p) by alternating duality maps.
+    """Lower-bound the norm of T tensor Id on l2(l^p); exact for a diagonal T.
 
-    Each sweep applies T tensor Id, the duality mapping of the mixed norm, the
-    adjoint, and the dual duality mapping; the Rayleigh values never decrease.
-    All restarts run as one (restarts, n, m) batch; a restart whose value or
-    dual norm reaches zero keeps its vector from then on.  The first restart
-    with the largest final value is returned with its witness, so the value is
-    attained and certifies the lower bound.
+    A diagonal T (every off-diagonal entry zero) has norm exactly max |t_i|,
+    attained at e_i tensor e_1 for the first maximiser i: that witness is
+    returned with value norm(T x witness) and history [value]; no search runs,
+    so restarts and iters are only checked and seed is unused.
 
-    A diagonal T (every off-diagonal entry zero) is its own adjoint and is
-    applied as a row scaling; the dense product would only add exact zeros,
-    so value, history and witness are the same.
+    Any other T runs alternating duality maps.  Each sweep applies T tensor Id,
+    the duality mapping of the mixed norm, the adjoint, and the dual duality
+    mapping; the Rayleigh values never decrease.  All restarts run as one
+    (restarts, n, m) batch; a restart whose value or dual norm reaches zero
+    keeps its vector from then on.  The first restart with the largest final
+    value is returned with its witness, so the value is attained and
+    certifies the lower bound.  A zero T gives value 0, a zero witness and an
+    empty history.
     """
     T = np.asarray(T, dtype=float)
     n = space.outer_dim
@@ -193,11 +196,14 @@ def mixed_norm_lower_bound(
         raise ValueError("operator must be square of size outer_dim")
     if restarts < 1 or iters < 0:
         raise ValueError("need restarts >= 1 and iters >= 0")
+    witness = np.zeros((n, space.inner_dim))
     diagonal = np.diagonal(T)
     if np.count_nonzero(T) == np.count_nonzero(diagonal):
-        apply = adjoint = lambda v: diagonal[:, None] * v
-    else:
-        apply, adjoint = (lambda v: T @ v), (lambda v: T.T @ v)
+        if not diagonal.any():
+            return MixedNormLowerBound(0.0, witness, np.zeros(0))
+        witness[np.argmax(np.abs(diagonal)), 0] = 1.0
+        value = space.norm(diagonal[:, None] * witness)
+        return MixedNormLowerBound(value, witness, np.array([value]))
     dual = space.dual()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.normal(size=(restarts, n, space.inner_dim))
@@ -206,18 +212,18 @@ def mixed_norm_lower_bound(
     steps = np.zeros(restarts, dtype=int)  # sweeps each restart ran before freezing
     live = np.ones(restarts, dtype=bool)
     for it in range(iters):
-        history[it], z = space._duality(apply(x))
-        dual_norm, x_next = dual._duality(adjoint(z))
+        history[it], z = space._duality(T @ x)
+        dual_norm, x_next = dual._duality(T.T @ z)
         steps += live
         live &= (history[it] > 0) & (dual_norm > 0)
         np.copyto(x, x_next, where=live[:, None, None])
         if not live.any():
             break
     # final evaluation so the reported value is attained by the witness x
-    final = space.norm(apply(x))
+    final = space.norm(T @ x)
     best = int(np.argmax(final))
     if not final[best] > 0:
-        return MixedNormLowerBound(0.0, np.zeros((n, space.inner_dim)), np.zeros(0))
+        return MixedNormLowerBound(0.0, witness, np.zeros(0))
     history[steps[best], best] = final[best]
     return MixedNormLowerBound(
         value=float(final[best]), witness=x[best].copy(), history=history[: steps[best] + 1, best].copy()

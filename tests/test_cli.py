@@ -106,8 +106,7 @@ def test_schatten_probe(tmp_path):
 
 
 def test_mixed_norm(tmp_path):
-    assert run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1",
-               "--restarts", "4", "--iters", "50", "--truncation", "8") == 0
+    assert run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", "--truncation", "8") == 0
     row = (tmp_path / "mixed_norm.csv").read_text().splitlines()[2].split(",")
     lower, interp = float(row[2]), float(row[3])
     assert lower <= interp + 1e-9
@@ -117,17 +116,20 @@ def test_mixed_norm_negative_delta_uses_abs_delta(tmp_path):
     bounds = []
     for delta in ("-0.1", "0.1"):
         out = tmp_path / delta
-        assert main(["--outdir", str(out), "mixed-norm", "--delta", delta,
-                     "--restarts", "2", "--iters", "5", "--truncation", "4"]) == 0
+        assert main(["--outdir", str(out), "mixed-norm", "--delta", delta, "--truncation", "4"]) == 0
         bounds.append(float((out / "mixed_norm.csv").read_text().splitlines()[2].split(",")[3]))
     assert np.isfinite(bounds[0])
     assert bounds[0] == bounds[1]
 
 
-@pytest.mark.parametrize("flag, value", [("--restarts", "-3"), ("--iters", "-1")])
-def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
-    assert run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", flag, value) == 2
-    assert not (tmp_path / "mixed_norm_manifest.json").exists()
+@pytest.mark.parametrize("flag, value", [("--restarts", "32"), ("--iters", "200"), ("--seed", "0")],
+                         ids=["--restarts", "--iters", "--seed"])
+def test_mixed_norm_retired_flag_exits_2(tmp_path, flag, value):
+    # the diagonal operator is solved exactly, so no search flag is left to set
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", flag, value)
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -169,7 +171,7 @@ def test_zigzag_summary_constant(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, argv",
     [
-        ("mixed-norm", ["--p", "4", "--restarts", "2", "--iters", "5", "--truncation", "4"]),
+        ("mixed-norm", ["--p", "4", "--truncation", "4"]),
         ("markov", ["--steps", "3", "--replicas", "10"]),
         ("schatten-probe", ["--p4"]),
     ],

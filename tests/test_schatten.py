@@ -83,34 +83,6 @@ def reference_lower_bound(T, space, restarts, iters, seed):
     return best, np.asarray(finals)
 
 
-def dense_batched_lower_bound(T, space, restarts, iters, seed):
-    """The estimator's batched sweep with the dense products T @ x and T.T @ z for every T.
-
-    Returns (value, witness, history) as mixed_norm_lower_bound does.
-    """
-    dual = space.dual()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = rng.normal(size=(restarts, space.outer_dim, space.inner_dim))
-    x /= space.norm(x)[:, None, None]
-    history = np.zeros((iters + 1, restarts))
-    steps = np.zeros(restarts, dtype=int)
-    live = np.ones(restarts, dtype=bool)
-    for it in range(iters):
-        history[it], z = space._duality(T @ x)
-        dual_norm, x_next = dual._duality(T.T @ z)
-        steps += live
-        live &= (history[it] > 0) & (dual_norm > 0)
-        np.copyto(x, x_next, where=live[:, None, None])
-        if not live.any():
-            break
-    final = space.norm(T @ x)
-    best = int(np.argmax(final))
-    if not final[best] > 0:
-        return 0.0, np.zeros((space.outer_dim, space.inner_dim)), np.zeros(0)
-    history[steps[best], best] = final[best]
-    return float(final[best]), x[best], history[: steps[best] + 1, best]
-
-
 def zero_rows_operator() -> np.ndarray:
     T = np.random.default_rng(3).normal(size=(9, 9))
     T[[1, 4, 5]] = 0.0
@@ -118,25 +90,27 @@ def zero_rows_operator() -> np.ndarray:
 
 
 def one_off_diagonal_operator() -> np.ndarray:
-    # one coupling entry: a row scaling would miss it, so the estimator must take the dense product
+    # one coupling entry makes T non-diagonal, so the estimator must search with the dense product
     T = np.diag(np.linspace(-0.6, 0.9, 9))
     T[2, 7] = 0.8
     return T
 
 
+# operators that take the search: a diagonal T is solved exactly, so one
+# off-diagonal entry must be enough to leave that branch
 REFERENCE_OPERATORS = {
     "dense": lambda: np.random.default_rng(3).normal(size=(9, 9)),
-    "criterion-7-diagonal": lambda: np.diag(difference_diagonal(0.1, 16)),
     "one-off-diagonal": one_off_diagonal_operator,
     "zero-rows": zero_rows_operator,
-    "zero": lambda: np.zeros((9, 9)),
 }
 
-# diagonals that mixed_norm_lower_bound applies as a row scaling; the first has a zero entry
-ROW_SCALED_DIAGONALS = {
+# diagonals solved exactly; the first has a zero entry, the last two a negative or tied maximum |t_i|
+EXACT_DIAGONALS = {
     "criterion-7": lambda: difference_diagonal(0.1, 16),
     "one-by-one": lambda: np.array([-0.7]),
     "zero": lambda: np.zeros(9),
+    "negative-max": lambda: np.array([0.2, -0.9, 0.0, 0.4]),
+    "tied-max": lambda: np.array([0.3, -0.5, 0.5, 0.1, -0.5]),
 }
 
 nonincreasing_profiles = st.lists(
@@ -230,15 +204,34 @@ class TestMixedNorm:
             assert space.norm(T @ got.witness) == pytest.approx(got.value, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
-    @pytest.mark.parametrize("diagonal", sorted(ROW_SCALED_DIAGONALS))
-    def test_row_scaling_matches_dense_product_exactly(self, diagonal, p):
-        T = np.diag(ROW_SCALED_DIAGONALS[diagonal]())
-        space = MixedNormSpace(T.shape[0], 3, p)
-        got = mixed_norm_lower_bound(T, space, restarts=6, iters=40, seed=2)
-        value, witness, history = dense_batched_lower_bound(T, space, restarts=6, iters=40, seed=2)
-        assert got.value == value
-        np.testing.assert_array_equal(got.history, history)
-        np.testing.assert_array_equal(got.witness, witness)
+    @pytest.mark.parametrize("diagonal", sorted(EXACT_DIAGONALS))
+    def test_diagonal_is_solved_exactly(self, diagonal, p):
+        t = EXACT_DIAGONALS[diagonal]()
+        T = np.diag(t)
+        space = MixedNormSpace(t.size, 3, p)
+        got = mixed_norm_lower_bound(T, space)
+        top = np.abs(t).max()
+        assert abs(got.value - top) <= 1e-15 * top
+        assert space.norm(T @ got.witness) == got.value
+        (searched, _, _), _ = reference_lower_bound(T, space, restarts=4, iters=50, seed=2)
+        assert searched <= got.value * (1 + 1e-12)  # rounding aside, the search only approaches the norm
+        if top == 0.0:
+            assert not got.witness.any() and got.history.size == 0
+            return
+        assert space.norm(got.witness) == 1.0
+        np.testing.assert_array_equal(got.history, [got.value])
+        # e_i tensor e_1 at the first maximiser of |t_i|
+        assert got.witness[np.argmax(np.abs(t)), 0] == 1.0
+
+    @pytest.mark.parametrize("p", [4.0, 6.0, 8.0, np.inf])
+    def test_criterion_7_witness_attains_the_diagonal_norm(self, p):
+        """Criterion 7's witness e_i (x) e_1 is a unit vector whose image has norm max |t_i|."""
+        diag = difference_diagonal(0.1, 16)
+        space = MixedNormSpace(diag.size, 4, p)
+        res = mixed_norm_lower_bound(np.diag(diag), space)
+        assert space.norm(res.witness) == 1.0
+        assert res.value == pytest.approx(np.abs(diag).max(), rel=1e-15)
+        assert res.value == space.norm(diag[:, None] * res.witness)
 
     @pytest.mark.parametrize("restarts, iters", [(0, 10), (-3, 10), (2, -1)])
     def test_rejects_bad_restarts_and_iters(self, restarts, iters):
@@ -305,11 +298,8 @@ class TestMixedNorm:
         upper = interpolation_bound(4.0 * np.sqrt(delta), 2.0, theta)
         res = mixed_norm_lower_bound(T, space, restarts=8, iters=100, seed=2)
         assert res.value <= upper + 1e-9
-        # for a diagonal operator the true mixed norm is the sup defect and the
-        # iteration approaches it from below
-        sup_defect = np.abs(np.diag(T)).max()
-        assert res.value <= sup_defect + 1e-12
-        assert res.value >= 0.99 * sup_defect
+        # for a diagonal operator the mixed norm is the sup defect, returned exactly
+        assert res.value == pytest.approx(np.abs(np.diag(T)).max(), rel=1e-15)
 
 
 class TestInterpolationBound:
