@@ -16,6 +16,8 @@ import pytest
 from circleops import acceptance
 from circleops.acceptance import ALL_CRITERIA
 from circleops.legendre import legendre_defect
+from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
+from circleops.spectral import difference_diagonal
 
 
 @pytest.mark.parametrize("number", sorted(ALL_CRITERIA))
@@ -50,3 +52,14 @@ def test_criterion_1_counts_violating_deltas(monkeypatch):
     result = ALL_CRITERIA[1]()
     assert not result.passed
     assert result.detail.startswith(f"violations={per_delta},")
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0, 8.0, np.inf])
+def test_criterion_7_witness_attains_the_diagonal_norm(p):
+    """Criterion 7's witness e_i (x) e_1 is a unit vector whose image has norm max |t_i|."""
+    diag = difference_diagonal(0.1, 16)
+    space = MixedNormSpace(diag.size, 4, p)
+    res = mixed_norm_lower_bound(np.diag(diag), space)
+    assert space.norm(res.witness) == 1.0
+    assert res.value == pytest.approx(np.abs(diag).max(), rel=1e-15)
+    assert res.value == space.norm(np.diag(diag) @ res.witness)

@@ -122,10 +122,12 @@ def test_mixed_norm_negative_delta_uses_abs_delta(tmp_path):
     assert bounds[0] == bounds[1]
 
 
-@pytest.mark.parametrize("flag, value", [("--restarts", "32"), ("--iters", "200"), ("--seed", "0")],
-                         ids=["--restarts", "--iters", "--seed"])
-def test_mixed_norm_retired_flag_exits_2(tmp_path, flag, value):
-    # the diagonal operator is solved exactly, so no search flag is left to set
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--restarts", "-3"), ("--iters", "-1"), ("--restarts", "32"), ("--iters", "200"), ("--seed", "0")],
+)
+def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
+    # the diagonal operator is solved exactly, so mixed-norm takes no search count at all
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", flag, value)
     assert exc.value.code == 2
