@@ -35,7 +35,6 @@ __all__ = [
     "matrix_coefficient",
     "coefficient_decay",
     "rotation_block",
-    "axis_average_projection",
     "invariant_gap",
     "DECAY_BOUND_CONSTANT",
     "DECAY_BOUND_RATE",
@@ -168,15 +167,6 @@ def coefficient_decay(n_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _axis_rotation(axis: str, theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    if axis == "e1":
-        return np.array([[1.0, 0, 0], [0, c, -s], [0, s, c]])
-    if axis == "e3":
-        return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-    raise ValueError("axis must be 'e1' or 'e3'")
-
-
 def rotation_block(grid: SphereGrid, degree: int, rot: np.ndarray) -> np.ndarray:
     """Matrix of the rotation action on the degree-j harmonics (2j+1 square)."""
     cols = np.arange(degree * degree, (degree + 1) ** 2)
@@ -184,15 +174,8 @@ def rotation_block(grid: SphereGrid, degree: int, rot: np.ndarray) -> np.ndarray
     return grid.basis[:, cols].T @ (grid.weights[:, None] * rotated)
 
 
-def axis_average_projection(grid: SphereGrid, degree: int, axis: str) -> np.ndarray:
-    """Averaging projection over the circle subgroup fixing the given axis,
-    by uniform angle quadrature (exact once the angle count exceeds 2*degree)."""
-    n_ang = 2 * degree + 2
-    acc = np.zeros((2 * degree + 1, 2 * degree + 1))
-    for a in range(n_ang):
-        rot = _axis_rotation(axis, 2.0 * np.pi * a / n_ang)
-        acc += rotation_block(grid, degree, rot)
-    return acc / n_ang
+# The quarter turn about e2, taking e3 to e1: a signed permutation, so no trigonometry.
+_QUARTER_TURN_E2 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
 
 
 def invariant_gap(degree: int):
@@ -203,32 +186,35 @@ def invariant_gap(degree: int):
     and e3.  Returns (lower, witness_defect, witness) with
     lower <= minimum <= witness_defect.
 
-    Proof sketch: for unit a, the angles from a to ran P and to ran Q add up
-    to at least arccos ||PQ||, and sin is subadditive on [0, pi/2], so the
-    defect sum is at least sqrt(1 - ||PQ||^2).  P and Q come from quadrature,
-    so the bound is taken for the exact projections V V^T onto their ranges
-    (eigenvectors with eigenvalue > 1/2), where ||PQ|| is the top singular
-    value s of V_P^T V_Q; the rounding margin ||V_P V_P^T - P|| +
-    ||V_Q V_Q^T - Q|| (spectral norms) is subtracted, since each defect moves
-    by at most that much.  The witness is V_Q v1, v1 the top right singular
-    vector of V_P^T V_Q (largest-magnitude entry positive), and its measured
-    defect is the upper end.  It must come from ran Q: at odd degrees PQ is
-    numerically zero and the singular vectors of PQ itself are noise.  The
-    closed form is sqrt(1 - P_j(0)^2); the certified claim is lower >= 1/3.
+    Proof: each circle subgroup fixes exactly one line of the degree-j space,
+    its zonal harmonic, so P and Q are rank one.  Q's range is u, the m = 0
+    basis vector (a rotation about e3 only turns the order-m pairs, so Q is
+    exactly the m = 0 mask).  P's range is w = R u for the quarter turn R
+    about e2, which takes e3 to e1: one rotation_block column.  For unit a
+    the angles from a to the two lines add up to at least the angle between
+    them; sin is subadditive on [0, pi] and increasing on [0, pi/2], so the
+    defect sum is at least sqrt(1 - c^2), c = <u, w> / ||w||, and a = u
+    attains it.  The addition theorem gives c = P_j(0), so the closed form
+    is sqrt(1 - P_j(0)^2).
+
+    The allowance A = | ||w|| - 1 | + grid.gram_defect() covers the rounding
+    of the computed w: an exact rotation block is orthogonal, so ||w|| - 1 is
+    rounding, and the Gram defect is how far the grid's discrete inner
+    product, which forms the block, is from the exact one.  As |P_j(0)| <= 1/2
+    for j >= 1, c -> sqrt(1 - c^2) has slope at most 1/sqrt(3) there, so an
+    error of A in c moves the gap by less than A.  lower = sqrt(1 - c^2) - A;
+    the upper end is the measured defect ||u - c w / ||w|| || of the witness
+    u, plus A.  The certified claim is lower >= 1/3.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     grid = build_grid(degree)
-    projs = [axis_average_projection(grid, degree, axis) for axis in ("e1", "e3")]
-    bases, margin = [], 0.0
-    for proj in projs:
-        vals, vecs = np.linalg.eigh(proj)
-        basis = vecs[:, vals > 0.5]
-        bases.append(basis)
-        margin += np.linalg.norm(basis @ basis.T - proj, 2)
-    _, sing, vt = np.linalg.svd(bases[0].T @ bases[1])
-    lower = float(np.sqrt(max(0.0, 1.0 - sing[0] ** 2)) - margin)
-    witness = bases[1] @ vt[0]
-    witness *= np.sign(witness[np.argmax(np.abs(witness))])
-    defect = sum(float(np.linalg.norm(witness - proj @ witness)) for proj in projs)
-    return lower, defect, witness
+    w = rotation_block(grid, degree, _QUARTER_TURN_E2)[:, 0]
+    norm = float(np.linalg.norm(w))
+    c = w[0] / norm
+    allowance = abs(norm - 1.0) + grid.gram_defect()
+    witness = np.zeros(2 * degree + 1)
+    witness[0] = 1.0
+    lower = float(np.sqrt(1.0 - c * c)) - allowance
+    upper = float(np.linalg.norm(witness - c * w / norm)) + allowance
+    return lower, upper, witness

@@ -188,12 +188,14 @@ def mixed_norm_lower_bound(
     keeps its vector from then on.  The first restart with the largest final
     value is returned with its witness, so the value is attained and
     certifies the lower bound.  A zero T gives value 0, a zero witness and an
-    empty history.
+    empty history; a non-finite T raises ValueError before either branch.
     """
     T = np.asarray(T, dtype=float)
     n = space.outer_dim
     if T.shape != (n, n):
         raise ValueError("operator must be square of size outer_dim")
+    if not np.isfinite(T).all():
+        raise ValueError("operator must be finite")
     if restarts < 1 or iters < 0:
         raise ValueError("need restarts >= 1 and iters >= 0")
     witness = np.zeros((n, space.inner_dim))

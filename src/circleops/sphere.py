@@ -32,21 +32,21 @@ __all__ = [
 ]
 
 
-def _basis_block(z, cphi, sphi, band_limit, out):
+def _basis_block(z, rho, cphi, sphi, band_limit, out):
     """Fill out (ncoef, npts) with real orthonormal harmonics: per degree n, m = 0 at row
     n*n, then the cos/sin pairs for m = 1..n.
 
     By increasing order m, then degree n = m..B: q is the stable normalized associated
     Legendre recurrence; Y_n^0 = q and the order-m pair is sqrt(2) q (cos m phi, sin m phi).
+    rho = hypot(x, y) is sin theta, accurate near the poles where 1 - z^2 loses its digits.
     """
     npts = z.shape[0]
-    u = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     sqrt2 = math.sqrt(2.0)
     qmm, cm, sm = np.ones(npts), np.ones(npts), np.zeros(npts)
     q_prev, q_cur, scaled = np.empty(npts), np.empty(npts), np.empty(npts)
     for m in range(band_limit + 1):
         if m > 0:
-            qmm *= u
+            qmm *= rho
             qmm *= math.sqrt((2 * m + 1) / (2.0 * m))
             cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
         for n in range(m, band_limit + 1):
@@ -99,7 +99,7 @@ _SYNTH_CHUNK = 1024
 
 
 def _point_blocks(points, size):
-    """Yield (rows, z, cos phi, sin phi) over blocks of `size` unit vectors."""
+    """Yield (rows, z, rho = sin theta, cos phi, sin phi) over blocks of `size` unit vectors."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     for lo in range(0, pts.shape[0], size):
         x, y, z = pts[lo : lo + size].T
@@ -107,7 +107,7 @@ def _point_blocks(points, size):
         safe = rho > 0
         cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
         sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
-        yield slice(lo, lo + size), z, cphi, sphi
+        yield slice(lo, lo + size), z, rho, cphi, sphi
 
 
 def _is_count(value, least: int) -> bool:
@@ -129,8 +129,8 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     _check_band_limit(band_limit)
     npts = np.atleast_2d(points).shape[0]
     out = np.empty(((band_limit + 1) ** 2, npts))
-    for rows, z, cphi, sphi in _point_blocks(points, _CHUNK):
-        _basis_block(z, cphi, sphi, band_limit, out[:, rows])
+    for rows, z, rho, cphi, sphi in _point_blocks(points, _CHUNK):
+        _basis_block(z, rho, cphi, sphi, band_limit, out[:, rows])
     return out.T
 
 
@@ -250,11 +250,11 @@ class SphereGrid:
         block = min(_SYNTH_CHUNK, npts)
         powers = np.empty((size + 1, block), complex)  # e^(i j theta), then e^(i m phi)
         theta_rows, terms = np.empty((2 * size, block)), np.empty((2 * half, block))
-        for rows, z, cphi, sphi in _point_blocks(points, _SYNTH_CHUNK):
+        for rows, z, rho, cphi, sphi in _point_blocks(points, _SYNTH_CHUNK):
             n = z.shape[0]
             theta, phi, g = theta_rows[:, :n], powers[:half, :n], terms[:, :n]
             tw = powers[:, :n]  # the theta powers are copied out before phi reuses the rows
-            tw[1].real, tw[1].imag = z, np.sqrt(np.maximum(0.0, 1.0 - z * z))
+            tw[1].real, tw[1].imag = z, rho
             _powers(tw)
             np.copyto(theta[:size], tw[:size].real)
             np.copyto(theta[size:], tw[1:].imag)

@@ -64,6 +64,7 @@ SIGNATURES = {
     sphere.SphereGrid.build: ["band_limit", "oversample"],
     repsim.build_grid: ["band_limit"],
     repsim.coefficient_decay: ["n_max"],
+    repsim.invariant_gap: ["degree"],
     sphere.mixing_profile: ["delta", "steps", "replicas", "seed"],
     sl3.in_special_linear: ["g"],
     acceptance.run_criteria: ["numbers"],

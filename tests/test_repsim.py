@@ -14,6 +14,7 @@ from circleops.repsim import (
     coefficient_decay,
     invariant_gap,
     matrix_coefficient,
+    rotation_block,
 )
 from circleops.sl3 import length
 from circleops.sphere import SphereGrid, degree_of_column
@@ -282,16 +283,18 @@ class TestInvariantGap:
     def test_zonal_vector_defect(self):
         # a vector already invariant under one circle subgroup pays the full
         # defect against the other one
-        from circleops.repsim import axis_average_projection
-
         degree = 2
         grid = build_grid(degree)
-        p_u = axis_average_projection(grid, degree, "e1")
-        p_ut = axis_average_projection(grid, degree, "e3")
-        eigvals, eigvecs = np.linalg.eigh(p_u)
-        zonal = eigvecs[:, np.argmax(eigvals)]
-        assert np.linalg.norm(zonal - p_u @ zonal) <= 1e-10
-        defect = np.linalg.norm(zonal - p_ut @ zonal)
+        zonal = np.zeros(2 * degree + 1)
+        zonal[0] = 1.0
+        for angle in (0.3, 1.0, 2.5):
+            c, s = np.cos(angle), np.sin(angle)
+            about_e3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            assert np.abs(rotation_block(grid, degree, about_e3) @ zonal - zonal).max() <= 1e-12
+        # the e1 line: the zonal harmonic turned by the quarter turn about e2
+        w = rotation_block(grid, degree, np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))[:, 0]
+        w /= np.linalg.norm(w)
+        defect = np.linalg.norm(zonal - (w @ zonal) * w)
         assert defect >= 1.0 / 3.0
         oracle = np.sqrt(1.0 - legendre_at_zero(degree)[degree] ** 2)
         assert defect == pytest.approx(oracle, abs=1e-10)

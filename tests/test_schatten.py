@@ -239,6 +239,17 @@ class TestMixedNorm:
         with pytest.raises(ValueError):
             mixed_norm_lower_bound(np.eye(3), MixedNormSpace(3, 2, 3.0), restarts=restarts, iters=iters)
 
+    def test_nonfinite_dense_operator_raises(self):
+        # every Rayleigh value would be NaN, which the search read as the zero operator
+        T = np.random.default_rng(4).normal(size=(4, 4))
+        T[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mixed_norm_lower_bound(T, MixedNormSpace(4, 3, 3.0))
+
+    def test_nonfinite_diagonal_operator_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            mixed_norm_lower_bound(np.diag([0.5, np.nan, 0.25]), MixedNormSpace(3, 3, 3.0))
+
     def test_hilbert_case_recovers_sigma_max(self):
         rng = np.random.default_rng(7)
         T = rng.normal(size=(12, 12))

@@ -327,10 +327,20 @@ def test_basis_matches_scipy_on_zonal():
         np.testing.assert_allclose(mat[:, n * n], expected, atol=1e-12)
 
 
-def _three_writer_basis_block(z, cphi, sphi, band_limit, out):
-    """Copy of the harmonic kernel as it was with its three inline column writes."""
+@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+def test_sin_theta_is_accurate_near_the_pole(t):
+    # Y_1^1 = sqrt(3) sin theta cos phi; at t = 1e-8, cos t rounds to 1 and 1 - z^2 to 0
+    point = np.array([[np.sin(t), 0.0, np.cos(t)]])
+    expected = np.sqrt(3.0) * np.sin(t)
+    assert real_sph_harm_matrix(point, 1)[0, 2] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    coeffs = np.zeros(4)
+    coeffs[2] = 1.0
+    assert SphereGrid.build(1).synthesize(coeffs, point)[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def _three_writer_basis_block(z, u, cphi, sphi, band_limit, out):
+    """Copy of the harmonic kernel as it was with its three inline column writes (u = sin theta)."""
     npts = z.shape[0]
-    u = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     sqrt2 = np.sqrt(2.0)
     qmm = np.ones(npts)
     cm = np.ones(npts)
