@@ -18,7 +18,6 @@ from .schatten import (
 )
 from .spectral import (
     DecayFit,
-    SpectralOperator,
     completed_power_sums,
     divergence_probe_p4,
     fit_decay,
@@ -36,7 +35,6 @@ from .sl3 import (
     solve_delta_for_top,
 )
 from .sphere import (
-    MarkovTrace,
     SphereGrid,
     circle_average,
     circle_average_operator,

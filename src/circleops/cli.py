@@ -5,7 +5,7 @@ JSON for structured certificates) before `_finish` writes them into the
 output directory together with a run manifest recording the command, every
 flag except --outdir, the seed, and the produced files.  Identical manifests
 reproduce byte-identical outputs: floats print at 17 significant digits and
-all randomness is seeded.
+all randomness is seeded.  howe-moore runs the closed-form c(n) alone.
 
 Exit codes: 0 success, 1 assertion failure, 2 flag errors (an unknown
 check-all --only number included), 3 numerical-degeneracy aborts.  A run
@@ -27,9 +27,9 @@ import numpy as np
 from . import __version__
 from .errors import NumericalDegeneracyError
 from .legendre import HOLDER_CONSTANT
-from .repsim import coefficient_decay, invariant_gap, matrix_coefficient
+from .repsim import coefficient_decay, invariant_gap
 from .schatten import MixedNormSpace, mixed_norm_lower_bound, mixed_norm_upper_bound
-from .sl3 import LambdaPoint, embedding2_solve, kak
+from .sl3 import LambdaPoint, _certificate_bounds, embedding2_solve, kak
 from .spectral import difference_diagonal, divergence_probe_p4, fit_decay, op_norm_diff_certificates
 from .sphere import markov_trace, mixing_profile
 from .zigzag import (
@@ -104,7 +104,7 @@ def positive_int(text: str) -> int:
 
 def cmd_legendre_bounds(args) -> int:
     deltas = np.linspace(-1.0, 1.0, args.grid)
-    defects = np.array([cert.head for cert in op_norm_diff_certificates(deltas, args.nmax)])
+    defects, _ = op_norm_diff_certificates(deltas, args.nmax)
     bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
     violations = int(np.sum(defects > bounds + 1e-14))
     print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")
@@ -136,9 +136,6 @@ def cmd_tdelta_norms(args) -> int:
 
 
 def cmd_schatten_probe(args) -> int:
-    if not args.p4:
-        print("only the boundary probe --p4 is implemented", file=sys.stderr)
-        return 2
     ns = [2**k for k in range(10, 17)]
     sums = divergence_probe_p4(args.delta, ns)
     inc = np.diff(sums)
@@ -177,17 +174,16 @@ def cmd_kak(args) -> int:
 
 def cmd_embedding2(args) -> int:
     alphas = np.linspace(args.gamma, 7.0 * args.gamma / 6.0, args.alpha_grid)
-    certs = []
+    certs, held = [], True
     for alpha in alphas:
         cert = embedding2_solve(args.gamma, float(alpha))
-        certs.append({
-            **dataclasses.asdict(cert),
-            "delta_bound": float(np.exp(-cert.gamma)),
-            "rotation_bound": float(2.0 * np.exp(-cert.gamma / 4.0)),
-        })
+        delta_bound, rotation_bound, ok = _certificate_bounds(cert)
+        certs.append({**dataclasses.asdict(cert), "delta_bound": delta_bound, "rotation_bound": rotation_bound})
+        held &= ok
     worst = max(max(c["residual1"], c["residual2"]) for c in certs)
     print(f"embedding2: {len(certs)} certificates, max residual {worst:.3e}")
-    return _finish(args, {"embedding2.json": _json(certs)})
+    return _finish(args, {"embedding2.json": _json(certs)},
+                   None if held else "a certificate exceeds its delta or rotation bound")
 
 
 def cmd_zigzag(args) -> int:
@@ -224,14 +220,15 @@ def cmd_zigzag(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    trace = markov_trace(np.array([0.0, 0.0, 1.0]), args.delta, args.steps, args.seed)
+    trace = markov_trace(args.delta, args.steps, args.seed)
     norms, sigmas = mixing_profile(args.delta, args.steps, args.replicas, args.seed)
-    print(f"markov: {args.steps} steps, chain defect {trace.consecutive_inner_defect():.2e}, "
+    defect = np.abs(np.sum(trace[:-1] * trace[1:], axis=1) - args.delta).max(initial=0.0)
+    print(f"markov: {args.steps} steps, chain defect {defect:.2e}, "
           f"final mean norm {norms[-1]:.6f} (theory {abs(args.delta) ** args.steps:.6f})")
     return _finish(args, {
         "markov_trace.csv": _csv("consecutive positions have inner product delta",
                                  ["step", "x1", "x2", "x3"],
-                                 [(k, *trace.positions[k]) for k in range(args.steps + 1)]),
+                                 [(k, *trace[k]) for k in range(args.steps + 1)]),
         "markov_profile.csv": _csv("mean-vector norm contracts like |delta|^step",
                                    ["step", "mean_norm", "mc_sigma"],
                                    [(k + 1, norms[k], sigmas[k]) for k in range(args.steps)]),
@@ -242,14 +239,6 @@ def cmd_howe_moore(args) -> int:
     rows = coefficient_decay(args.nmax)
     print(f"howe-moore: c(n) for n <= {args.nmax}, "
           f"max c/bound = {np.max(rows[1:, 1] / rows[1:, 2]):.4f}")
-    if args.band_limit >= 4:
-        # cross-check the grid machinery against the exact value at n = 1
-        from .repsim import assemble_operator, build_grid
-
-        grid = build_grid(args.band_limit)
-        op = assemble_operator(np.diag([np.e, 1.0, 1.0 / np.e]), grid)
-        rel = abs(op.matrix[0, 0] - matrix_coefficient(1)) / matrix_coefficient(1)
-        print(f"howe-moore: band-{args.band_limit} grid agrees with c(1) to {rel:.2e}")
     return _finish(args, {"howe_moore_decay.csv": _csv(
         "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
         ["n", "c_n", "bound", "leakage"], rows)})
@@ -307,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tdelta_norms)
 
     p = sub.add_parser("schatten-probe", help="fourth-power boundary divergence probe")
-    p.add_argument("--p4", action="store_true")
     p.add_argument("--delta", type=float, default=0.3)
     p.set_defaults(func=cmd_schatten_probe)
 
@@ -347,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("howe-moore", help="matrix-coefficient decay table")
-    p.add_argument("--band-limit", type=int, default=32)
     p.add_argument("--nmax", type=int, default=6)
     p.set_defaults(func=cmd_howe_moore)
 

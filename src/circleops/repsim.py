@@ -14,8 +14,8 @@ constant function.  c(n) itself is
 reduced exactly to a longitude integral (the tensor grid cannot resolve the
 integrand's e^(-2n) ridge for larger n) and taken by one fixed trapezoid rule
 in s, tan(phi) = e^-n sinh(s): there the integrand is even, analytic and
-decays like e^(|n| - s), so the rule converges geometrically.  The grid
-machinery is cross-checked against it at small n.
+decays like e^(|n| - s), so the rule converges geometrically.  Only
+tests/test_repsim.py cross-checks the grid machinery against it at small n.
 """
 
 from __future__ import annotations
@@ -197,10 +197,11 @@ def invariant_gap(degree: int):
     attains it.  The addition theorem gives c = P_j(0), so the closed form
     is sqrt(1 - P_j(0)^2).
 
-    The allowance A = | ||w|| - 1 | + grid.gram_defect() covers the rounding
-    of the computed w: an exact rotation block is orthogonal, so ||w|| - 1 is
-    rounding, and the Gram defect is how far the grid's discrete inner
-    product, which forms the block, is from the exact one.  As |P_j(0)| <= 1/2
+    The allowance A = | ||w|| - 1 | + G covers the rounding of the computed w:
+    an exact rotation block is orthogonal, so ||w|| - 1 is rounding, and G is
+    how far the grid's discrete inner product is from the exact one on the
+    degree-j columns that form w (a diagonal block of the grid's gram_defect,
+    so never larger).  As |P_j(0)| <= 1/2
     for j >= 1, c -> sqrt(1 - c^2) has slope at most 1/sqrt(3) there, so an
     error of A in c moves the gap by less than A.  lower = sqrt(1 - c^2) - A;
     the upper end is the measured defect ||u - c w / ||w|| || of the witness
@@ -212,7 +213,9 @@ def invariant_gap(degree: int):
     w = rotation_block(grid, degree, _QUARTER_TURN_E2)[:, 0]
     norm = float(np.linalg.norm(w))
     c = w[0] / norm
-    allowance = abs(norm - 1.0) + grid.gram_defect()
+    block = grid.basis[:, degree * degree : (degree + 1) ** 2]
+    gram = (block * grid.weights[:, None]).T @ block
+    allowance = abs(norm - 1.0) + float(np.abs(gram - np.eye(2 * degree + 1)).max())
     witness = np.zeros(2 * degree + 1)
     witness[0] = 1.0
     lower = float(np.sqrt(1.0 - c * c)) - allowance

@@ -205,7 +205,7 @@ class Embedding2Certificate:
     Case 1 targets diag(e^g, 1, e^-g), case 2 targets
     diag(e^(3g/4), e^(g/4), e^-g).  Residuals are relative spectral norms
     ||M - k diag k'|| / max(1, ||M||); the bounds delta_i <= e^-gamma and
-    ||k - 1|| <= 2 e^(-gamma/4) are checked by the test suite.
+    ||k - 1|| <= 2 e^(-gamma/4) are checked by _certificate_bounds.
     """
 
     gamma: float
@@ -266,6 +266,17 @@ def _solve_case(gamma: float, alpha: float, diag: np.ndarray):
     k, kp = _embed_rotation(u), _embed_rotation(vt)
     residual = np.linalg.norm(m - k @ diag @ kp, 2) / max(1.0, np.linalg.norm(m, 2))
     return delta, k, kp, residual
+
+
+def _certificate_bounds(cert: Embedding2Certificate) -> tuple[float, float, bool]:
+    """(e^-gamma, 2 e^(-gamma/4), whether delta1, delta2 and ||k - 1||_2 for k1, k1p, k2p are
+    within them); apart from embedding2_solve, so that timing the solve times it alone."""
+    delta_bound = float(np.exp(-cert.gamma))
+    rotation_bound = float(2.0 * np.exp(-cert.gamma / 4.0))
+    held = max(cert.delta1, cert.delta2) <= delta_bound and all(
+        np.linalg.norm(k - np.eye(3), 2) <= rotation_bound for k in (cert.k1, cert.k1p, cert.k2p)
+    )
+    return delta_bound, rotation_bound, bool(held)
 
 
 def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:

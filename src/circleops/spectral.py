@@ -27,7 +27,6 @@ from .legendre import (
 
 __all__ = [
     "SpectralOperator",
-    "OpNormCertificate",
     "DecayFit",
     "op_norm_diff_certificates",
     "schatten_tail_bound",
@@ -74,29 +73,12 @@ class SpectralOperator:
         return 2 * np.arange(self.truncation + 1) + 1
 
 
-@dataclass(frozen=True)
-class OpNormCertificate:
-    """Certified sup-norm value for the eigenvalue defects of a difference.
+def op_norm_diff_certificates(deltas, truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Certified operator norms of T_0 - T_delta as arrays (heads, tails), one streaming defect pass.
 
-    head is the exact sup over degrees <= truncation; tail_bound dominates the
-    sup over all higher degrees (Bernstein envelope, capped at the a-priori
-    bound 2).  value = max(head, tail_bound), so the true operator norm of the
-    difference is <= value, with equality whenever the head dominates.
-    """
-
-    head: float
-    tail_bound: float
-
-    @property
-    def value(self) -> float:
-        return max(self.head, self.tail_bound)
-
-
-def op_norm_diff_certificates(deltas, truncation: int) -> list[OpNormCertificate]:
-    """Certified operator norms of T_0 - T_delta, one per delta, from one streaming defect pass.
-
-    The heads are the package's one computation of sup_{n<=N} |P_n(delta) - P_n(0)|.
-    Each value is <= 4 sqrt(|delta|) and <= 2.
+    heads: the exact sup_{n<=N} |P_n(delta) - P_n(0)| (<= 4 sqrt|delta|), the package's one
+    computation of it.  tails: a bound on the sup over n > N (Bernstein envelope, capped at the
+    a-priori bound 2).  The norm is <= max(heads, tails), with equality where the head dominates.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
@@ -112,7 +94,7 @@ def op_norm_diff_certificates(deltas, truncation: int) -> list[OpNormCertificate
     d = np.clip(deltas, -1, 1)
     envelope = np.where(1.0 - d * d < 1e-12, 1.0, bernstein_envelope(truncation + 1, d))
     tails = np.where(d == 0.0, 0.0, np.minimum(abs(zeros[-1]) + envelope, _APRIORI_BOUND))
-    return [OpNormCertificate(float(head), float(tail)) for head, tail in zip(heads, tails)]
+    return heads, tails
 
 
 def difference_diagonal(delta: float, max_degree: int) -> np.ndarray:
@@ -173,16 +155,14 @@ def diff_power_sums(deltas, ps, checkpoints) -> np.ndarray:
 def schatten_tail_bound(delta: float, p: float, truncation: int) -> float:
     """Closed-form bound on the p-th power tail sum_{n>N} (2n+1)|P_n(d)-P_n(0)|^p.
 
-    Valid for p > 4 via the Bernstein envelope: terms are <= 3 amp^p n^(1-p/2).
+    Valid for p > 4 via the Bernstein envelope: terms are <= 3 amp^p n^(1-p/2).  Infinite at
+    |delta| = 1, where they grow like 2n+1; NaN or |delta| > 1 + 1e-12 raises ValueError.
     """
     if p <= 4:
         raise ValueError("tail bound requires p > 4")
     if delta == 0.0:
         return 0.0
-    sin_theta = np.sqrt(max(0.0, 1.0 - delta * delta))
-    if sin_theta < 1e-12:
-        return math.inf  # |delta| = 1: the terms (2n+1)|1 - P_n(0)|^p grow like 2n+1
-    amp = np.sqrt(2.0 / np.pi) * (1.0 + sin_theta**-0.5)
+    amp = bernstein_envelope(1, delta) + bernstein_envelope(1, 0.0)  # sqrt(2/pi) (sin^-1/2 + 1)
     return 3.0 * amp**p * truncation ** (2.0 - p / 2.0) / (p / 2.0 - 2.0)
 
 
@@ -372,8 +352,7 @@ def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
     if np.any(deltas <= 0) or np.any(deltas > 0.5):
         raise ValueError("delta grid must lie in (0, 1/2]")
     if np.isinf(p):
-        vals = np.array([cert.value for cert in op_norm_diff_certificates(deltas, n_max)])
-        return DecayFit.from_grid(deltas, vals, 0.5)
+        return DecayFit.from_grid(deltas, np.maximum(*op_norm_diff_certificates(deltas, n_max)), 0.5)
     _, _, norms = completed_power_sums(deltas, [p], [n_max])
     return DecayFit.from_grid(deltas, norms[0, :, 0], 0.5 - 2.0 / p)
 

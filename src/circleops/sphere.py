@@ -26,7 +26,6 @@ __all__ = [
     "circle_average",
     "circle_average_operator",
     "markov_steps",
-    "MarkovTrace",
     "markov_trace",
     "mixing_profile",
 ]
@@ -390,30 +389,16 @@ def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) 
     return _circle_step(delta, pts, u, v, phi[:, None])
 
 
-@dataclass
-class MarkovTrace:
-    """A simulated chain path; consecutive positions have inner product delta."""
-
-    delta: float
-    seed: int
-    steps: int
-    positions: np.ndarray
-
-    def consecutive_inner_defect(self) -> float:
-        inn = np.sum(self.positions[:-1] * self.positions[1:], axis=1)
-        return float(np.abs(inn - self.delta).max()) if inn.size else 0.0
-
-
-def markov_trace(x0: np.ndarray, delta: float, steps: int, seed: int) -> MarkovTrace:
-    """Simulate a single chain of the given length from x0."""
+def markov_trace(delta: float, steps: int, seed: int) -> np.ndarray:
+    """One chain's (steps + 1, 3) path from e3; consecutive positions have inner product delta."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pos = np.empty((steps + 1, 3))
-    pos[0] = np.asarray(x0, dtype=float) / np.linalg.norm(x0)
+    pos[0] = (0.0, 0.0, 1.0)
     for k in range(steps):
         pos[k + 1] = markov_steps(pos[k][None], delta, rng)[0]
-    return MarkovTrace(delta=float(delta), seed=int(seed), steps=int(steps), positions=pos)
+    return pos
 
 
 def mixing_profile(delta: float, steps: int, replicas: int, seed: int):

@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line surface."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from circleops import acceptance, repsim
+from circleops import acceptance, cli, repsim, sl3
 from circleops.cli import main
 from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import legendre_defect
@@ -99,7 +100,7 @@ def test_tdelta_norms_p_at_most_four_exits_2(tmp_path):
 
 
 def test_schatten_probe(tmp_path):
-    assert run(tmp_path, "schatten-probe", "--p4") == 0
+    assert run(tmp_path, "schatten-probe") == 0
     lines = (tmp_path / "schatten_probe_p4.csv").read_text().splitlines()
     sums = [float(line.split(",")[1]) for line in lines[2:]]
     assert np.all(np.diff(sums) > 0)
@@ -162,6 +163,22 @@ def test_embedding2(tmp_path):
     assert all(c["residual1"] <= 1e-9 for c in certs)
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [{"delta2": 0.2}, {"k1p": np.diag([1.0, 1.0, -1.0])}],  # e^-2 = 0.135; ||k - 1|| = 2 > 2 e^-0.5
+    ids=["delta", "rotation"],
+)
+def test_embedding2_past_its_bound_writes_then_exits_1(tmp_path, monkeypatch, fault):
+    def faulty(gamma, alpha):
+        return dataclasses.replace(sl3.embedding2_solve(gamma, alpha), **fault)
+
+    monkeypatch.setattr(cli, "embedding2_solve", faulty)
+    monkeypatch.setattr(acceptance, "embedding2_solve", faulty)
+    assert run(tmp_path, "embedding2", "--gamma", "2", "--alpha-grid", "3") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding2.json", "embedding2_manifest.json"]
+    assert not acceptance.ALL_CRITERIA[9]().passed
+
+
 def test_zigzag_summary_constant(tmp_path, capsys):
     assert run(tmp_path, "zigzag", "--s", "0.5", "--t", "0", "--C", "4", "--L", "1") == 0
     out = capsys.readouterr().out
@@ -175,7 +192,7 @@ def test_zigzag_summary_constant(tmp_path, capsys):
     [
         ("mixed-norm", ["--p", "4", "--truncation", "4"]),
         ("markov", ["--steps", "3", "--replicas", "10"]),
-        ("schatten-probe", ["--p4"]),
+        ("schatten-probe", []),
     ],
 )
 def test_nan_delta_exits_2_without_manifest(tmp_path, command, argv):
@@ -200,7 +217,7 @@ def test_markov_deterministic(tmp_path):
 
 
 def test_howe_moore(tmp_path):
-    assert run(tmp_path, "howe-moore", "--band-limit", "8", "--nmax", "4") == 0
+    assert run(tmp_path, "howe-moore", "--nmax", "4") == 0
     lines = (tmp_path / "howe_moore_decay.csv").read_text().splitlines()
     values = [float(line.split(",")[1]) for line in lines[2:]]
     assert np.all(np.diff(values) < 0)
@@ -211,7 +228,7 @@ def test_howe_moore_nan_coefficient_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(
         repsim, "matrix_coefficient", lambda n, inner_nodes: np.nan if n == 3 else exact(n, inner_nodes)
     )
-    assert run(tmp_path, "howe-moore", "--band-limit", "0") == 3
+    assert run(tmp_path, "howe-moore") == 3
     assert list(tmp_path.iterdir()) == []
 
 
@@ -226,6 +243,18 @@ def test_invariant_gap(tmp_path):
 def test_invariant_gap_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "invariant-gap", "--seed", "0")
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [("schatten-probe", ["--p4"]), ("howe-moore", ["--band-limit", "8"])],
+)
+def test_retired_flags_exit_2(tmp_path, command, argv):
+    # schatten-probe always runs the p = 4 probe; howe-moore runs only the closed form
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, *argv)
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
 

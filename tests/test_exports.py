@@ -66,6 +66,7 @@ SIGNATURES = {
     repsim.coefficient_decay: ["n_max"],
     repsim.invariant_gap: ["degree"],
     sphere.mixing_profile: ["delta", "steps", "replicas", "seed"],
+    sphere.markov_trace: ["delta", "steps", "seed"],
     sl3.in_special_linear: ["g"],
     acceptance.run_criteria: ["numbers"],
 }

@@ -1,7 +1,7 @@
 """Behaviour lock: every CLI subcommand reproduces its recorded outputs.
 
 tests/golden/<command>/ holds the files one run of the subcommand wrote at its
-default flags (schatten-probe needs --p4 to run at all, kak needs a matrix).
+default flags (kak needs a matrix).
 Numbers are compared at rtol 1e-12 rather than byte for byte, so that a
 rewrite may reorder floating-point operations but may not change a result;
 text (headers, claims, rule names, manifest fields) must match exactly.
@@ -22,7 +22,7 @@ RTOL = 1e-12
 COMMANDS = {
     "legendre-bounds": [],
     "tdelta-norms": [],
-    "schatten-probe": ["--p4"],
+    "schatten-probe": [],
     "mixed-norm": [],
     "kak": ["--matrix", "2", "1", "0", "1", "1", "0", "0", "0", "1"],
     "embedding2": [],

@@ -1,5 +1,6 @@
 """Tests for the half-density sphere action and its decay quantities."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -298,6 +299,22 @@ class TestInvariantGap:
         assert defect >= 1.0 / 3.0
         oracle = np.sqrt(1.0 - legendre_at_zero(degree)[degree] ** 2)
         assert defect == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("degree", range(1, 25))
+    def test_block_allowance_encloses_50_digits_within_the_full_gram_allowance(self, degree):
+        # the allowance takes the Gram defect of the degree-j columns only, a diagonal block
+        # of grid.gram_defect(): the interval may only shrink against the full-Gram one
+        lower, upper, _ = invariant_gap(degree)
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(1 - mpmath.legendre(degree, 0) ** 2)
+            assert mpmath.mpf(lower) <= exact <= mpmath.mpf(upper)
+        grid = build_grid(degree)
+        w = rotation_block(grid, degree, np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))[:, 0]
+        norm = np.linalg.norm(w)
+        c = w[0] / norm
+        full = abs(norm - 1.0) + grid.gram_defect()
+        assert lower >= np.sqrt(1.0 - c * c) - full
+        assert upper <= np.linalg.norm(np.eye(2 * degree + 1)[0] - c * w / norm) + full
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):

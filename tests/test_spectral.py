@@ -45,7 +45,8 @@ class TestSpectralOperator:
 
 
 def op_norm_diff(delta, truncation):
-    return op_norm_diff_certificates([delta], truncation)[0].value
+    heads, tails = op_norm_diff_certificates([delta], truncation)
+    return max(heads[0], tails[0])
 
 
 def scalar_tail_bound(delta, truncation):
@@ -82,45 +83,46 @@ class TestOpNormDiff:
 
     def test_head_nondecreasing_and_capped(self):
         for delta in (0.03, 0.2, 0.77, -0.5):
-            heads = [op_norm_diff_certificates([delta], n)[0].head for n in (2, 4, 8, 64, 256)]
+            heads = [op_norm_diff_certificates([delta], n)[0][0] for n in (2, 4, 8, 64, 256)]
             assert np.all(np.diff(heads) >= -1e-15)
             assert all(op_norm_diff(delta, n) <= 2.0 for n in (2, 8, 256))
 
     def test_certified_value_monotone_once_head_dominates(self):
         delta = 0.3
-        certs = [op_norm_diff_certificates([delta], n)[0] for n in (64, 128, 256, 512)]
-        assert all(c.head >= c.tail_bound for c in certs)
-        vals = [c.value for c in certs]
+        certs = [op_norm_diff_certificates([delta], n) for n in (64, 128, 256, 512)]
+        assert all(head[0] >= tail[0] for head, tail in certs)
+        vals = [max(head[0], tail[0]) for head, tail in certs]
         assert np.all(np.diff(vals) >= -1e-15)
 
     def test_grid_matches_one_delta_at_a_time(self):
         deltas = [-1.0, -0.5, 0.0, 1e-6, 0.04, 0.3, 0.77, 1.0]
         for n in (2, 3, 64, 257):
-            assert op_norm_diff_certificates(deltas, n) == [
-                op_norm_diff_certificates([d], n)[0] for d in deltas
-            ]
+            heads, tails = op_norm_diff_certificates(deltas, n)
+            one_at_a_time = [op_norm_diff_certificates([d], n) for d in deltas]
+            assert heads.tolist() == [head[0] for head, _ in one_at_a_time]
+            assert tails.tolist() == [tail[0] for _, tail in one_at_a_time]
 
     @pytest.mark.parametrize("truncation", [0, 1, 2, 3, 64, 257])
     def test_tail_bounds_match_the_scalar_oracle(self, truncation):
         deltas = [-1.0, -1.0 + 1e-13, -0.5, -1e-300, 0.0, 1e-300, 1e-6, 0.3, 1.0 - 1e-13, 1.0]
-        tails = [cert.tail_bound for cert in op_norm_diff_certificates(deltas, truncation)]
-        assert tails == [scalar_tail_bound(d, truncation) for d in deltas]
+        _, tails = op_norm_diff_certificates(deltas, truncation)
+        assert tails.tolist() == [scalar_tail_bound(d, truncation) for d in deltas]
 
     @pytest.mark.parametrize("truncation", [0, 1])
     def test_lowest_truncations_bound_the_exact_sup(self, truncation):
         deltas = np.linspace(-1.0, 1.0, 41)
         exact = np.abs(legendre_defect(4000, deltas)).max(axis=0)  # sup over n <= 4000
-        certs = op_norm_diff_certificates(deltas, truncation)
+        heads, tails = op_norm_diff_certificates(deltas, truncation)
         # the head is sup_{n<=N}: 0 at N = 0, |P_1(delta)| = |delta| at N = 1
-        assert [cert.head for cert in certs] == (truncation * np.abs(deltas)).tolist()
-        assert all(cert.value >= sup for cert, sup in zip(certs, exact))
+        assert heads.tolist() == (truncation * np.abs(deltas)).tolist()
+        assert np.all(np.maximum(heads, tails) >= exact)
         with pytest.raises(ValueError):
             op_norm_diff_certificates(deltas, -1)
 
     def test_tail_reported_when_dominating(self):
-        cert = op_norm_diff_certificates([1e-6], 2)[0]
-        assert cert.head < cert.tail_bound
-        assert cert.value == cert.tail_bound
+        (head,), (tail,) = op_norm_diff_certificates([1e-6], 2)
+        assert head < tail
+        assert op_norm_diff(1e-6, 2) == tail
 
 
 class TestSchattenNormDiff:
@@ -170,6 +172,19 @@ class TestSchattenNormDiff:
         for delta in (1.0, -1.0):
             assert diff_power_windows([delta], [5.0], [1024, 2048])[0, 0, 1] > 3e6
             assert schatten_tail_bound(delta, 5.0, 1024) == np.inf
+
+    @pytest.mark.parametrize("delta", [np.nan, 1.5, -3.0, 1.0 + 1e-9])
+    def test_tail_bound_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError):
+            schatten_tail_bound(delta, 5.0, 1024)
+
+    def test_tail_bound_matches_its_closed_form(self):
+        # amp = sqrt(2/pi) (1 + sin(theta)^(-1/2)), summed in another order: a few ulps apart
+        for delta in (0.5, -0.3, 2.0**-10, 0.99, 1.0 - 1e-13):
+            for p, n in ((4.5, 2**18), (5.0, 1024), (8.0, 64)):
+                amp = np.sqrt(2.0 / np.pi) * (1.0 + np.sqrt(1.0 - delta * delta) ** -0.5)
+                want = 3.0 * amp**p * n ** (2.0 - p / 2.0) / (p / 2.0 - 2.0)
+                assert schatten_tail_bound(delta, p, n) == pytest.approx(want, rel=8 * p * 2.0**-52)
 
     def test_windows_summed_on_their_own_across_blocks(self):
         # one delta and the 0.0 abscissa make blocks of 2^15 rows: the windows cross

@@ -270,9 +270,10 @@ class TestMarkov:
         np.testing.assert_allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-12)
 
     def test_trace_invariant(self):
-        trace = markov_trace(np.array([1.0, 0.0, 0.0]), 0.45, steps=200, seed=99)
-        assert trace.consecutive_inner_defect() <= 1e-10
-        assert np.allclose(np.linalg.norm(trace.positions, axis=1), 1.0, atol=1e-12)
+        trace = markov_trace(0.45, steps=200, seed=99)
+        assert trace.shape == (201, 3) and trace[0].tolist() == [0.0, 0.0, 1.0]
+        assert np.abs(np.sum(trace[:-1] * trace[1:], axis=1) - 0.45).max() <= 1e-10
+        assert np.allclose(np.linalg.norm(trace, axis=1), 1.0, atol=1e-12)
 
     def test_one_step_conditional_mean(self):
         # Monte-Carlo oracle: the conditional mean over the circle is delta * x
