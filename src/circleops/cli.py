@@ -123,15 +123,7 @@ def cmd_tdelta_norms(args) -> int:
             "Schatten norm of the averaging difference decays like delta^(1/2-2/p)",
             ["delta", "p", "N", "value"],
             [(d, args.p, args.nmax, v) for d, v in fit.grid]),
-        "tdelta_decay_fit.json": _json({
-            "p": args.p,
-            "exponent": fit.exponent,
-            "constant": fit.constant,
-            "residual": fit.residual,
-            "theory_exponent": fit.theory_exponent,
-            "envelope_constant": fit.envelope_constant,
-            "grid": fit.grid,
-        }),
+        "tdelta_decay_fit.json": _json({"p": args.p, **dataclasses.asdict(fit)}),
     })
 
 
@@ -189,7 +181,7 @@ def cmd_embedding2(args) -> int:
 def cmd_zigzag(args) -> int:
     prof = ExponentProfile(holder_s=args.s, growth_t=args.t, hoelder_C=args.C, growth_L=args.L)
     cprime = cauchy_tail_constant(prof)
-    alphas = np.linspace(max(1.0, args.alpha_min), args.alpha_max, args.alpha_grid)
+    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_grid)
     decay = diameter_decay_profile(alphas, prof)
     ledgers = []
     for alpha in alphas:
@@ -335,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_markov)
 
     p = sub.add_parser("howe-moore", help="matrix-coefficient decay table")
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=positive_int, default=6)
     p.set_defaults(func=cmd_howe_moore)
 
     p = sub.add_parser("invariant-gap", help="invariant defect gap per degree")

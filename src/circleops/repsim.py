@@ -8,7 +8,7 @@ estimated on the (oversampled) sampling grid and reported, never dropped.
 
 The bi-rotation average is the projection onto the constants (each degree
 n >= 1 harmonic space is an irreducible, nontrivial rotation representation),
-so P_K pi(g) P_K keeps one entry, assemble_operator(g, grid).matrix[0, 0] =
+so P_K pi(g) P_K keeps one entry, assemble_operator(g, grid)[0][0, 0] =
 <pi(g) 1, 1>: at diag(e^n, 1, e^-n) the matrix coefficient c(n) of the unit
 constant function.  c(n) itself is
 reduced exactly to a longitude integral (the tensor grid cannot resolve the
@@ -20,21 +20,17 @@ tests/test_repsim.py cross-checks the grid machinery against it at small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .legendre import gauss_rule, legendre_table  # noqa: F401  perfbench/selftest.py checks its traced re-export
+from .legendre import gauss_rule, legendre_table
 from .sphere import SphereGrid, real_sph_harm_matrix
 
 __all__ = [
-    "RepOperatorSample",
     "build_grid",
     "assemble_operator",
     "matrix_coefficient",
     "coefficient_decay",
-    "rotation_block",
     "invariant_gap",
     "DECAY_BOUND_CONSTANT",
     "DECAY_BOUND_RATE",
@@ -51,14 +47,6 @@ def build_grid(band_limit: int = 32) -> SphereGrid:
     return SphereGrid.build(band_limit, oversample=2)
 
 
-@dataclass
-class RepOperatorSample:
-    """Dense compression of pi(g) to the band-limited space, with leakage."""
-
-    matrix: np.ndarray
-    leakage: float
-
-
 def _transformed_points(g: np.ndarray, nodes: np.ndarray):
     ginv = np.linalg.inv(g)
     gx = nodes @ ginv.T
@@ -66,11 +54,10 @@ def _transformed_points(g: np.ndarray, nodes: np.ndarray):
     return gx / r[:, None], r
 
 
-def assemble_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
-    """Dense matrix of the band-compressed pi(g) in the harmonic basis.
+def assemble_operator(g: np.ndarray, grid: SphereGrid) -> tuple[np.ndarray, float]:
+    """(matrix, leakage): the dense band-compressed pi(g) in the harmonic basis.
 
-    The reported leakage is the worst relative out-of-band mass over all
-    basis images.
+    The leakage is the worst relative out-of-band mass over all basis images.
     """
     pts, r = _transformed_points(g, grid.nodes)
     images = r[:, None] ** -1.5 * real_sph_harm_matrix(pts, grid.band_limit)
@@ -79,7 +66,7 @@ def assemble_operator(g: np.ndarray, grid: SphereGrid) -> RepOperatorSample:
     inband = np.sum(matrix * matrix, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         leaks = np.where(totals > 0, 1.0 - inband / totals, 0.0)
-    return RepOperatorSample(matrix=matrix, leakage=float(np.max(leaks)))
+    return matrix, float(np.max(leaks))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +154,6 @@ def coefficient_decay(n_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rotation_block(grid: SphereGrid, degree: int, rot: np.ndarray) -> np.ndarray:
-    """Matrix of the rotation action on the degree-j harmonics (2j+1 square)."""
-    cols = np.arange(degree * degree, (degree + 1) ** 2)
-    rotated = real_sph_harm_matrix(grid.nodes @ rot, grid.band_limit)[:, cols]
-    return grid.basis[:, cols].T @ (grid.weights[:, None] * rotated)
-
-
-# The quarter turn about e2, taking e3 to e1: a signed permutation, so no trigonometry.
-_QUARTER_TURN_E2 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
-
-
 def invariant_gap(degree: int):
     """Exact interval for the minimum over unit vectors of the summed invariant defects.
 
@@ -190,15 +166,17 @@ def invariant_gap(degree: int):
     its zonal harmonic, so P and Q are rank one.  Q's range is u, the m = 0
     basis vector (a rotation about e3 only turns the order-m pairs, so Q is
     exactly the m = 0 mask).  P's range is w = R u for the quarter turn R
-    about e2, which takes e3 to e1: one rotation_block column.  For unit a
-    the angles from a to the two lines add up to at least the angle between
-    them; sin is subadditive on [0, pi] and increasing on [0, pi/2], so the
-    defect sum is at least sqrt(1 - c^2), c = <u, w> / ||w||, and a = u
-    attains it.  The addition theorem gives c = P_j(0), so the closed form
-    is sqrt(1 - P_j(0)^2).
+    about e2, which takes e3 to e1.  As u(x) = sqrt(2j+1) P_j(x3) in this
+    basis's normalization, R u(x) = u(R^-1 x) = sqrt(2j+1) P_j(x1), the zonal
+    harmonic about e1, and w is its grid projection onto the degree-j
+    columns.  For unit a the angles from a to the two lines add up to at
+    least the angle between them; sin is subadditive on [0, pi] and
+    increasing on [0, pi/2], so the defect sum is at least sqrt(1 - c^2),
+    c = <u, w> / ||w||, and a = u attains it.  The addition theorem gives
+    c = P_j(0), so the closed form is sqrt(1 - P_j(0)^2).
 
     The allowance A = | ||w|| - 1 | + G covers the rounding of the computed w:
-    an exact rotation block is orthogonal, so ||w|| - 1 is rounding, and G is
+    R u is a unit vector, so ||w|| - 1 is rounding, and G is
     how far the grid's discrete inner product is from the exact one on the
     degree-j columns that form w (a diagonal block of the grid's gram_defect,
     so never larger).  As |P_j(0)| <= 1/2
@@ -210,10 +188,11 @@ def invariant_gap(degree: int):
     if degree < 1:
         raise ValueError("degree must be >= 1")
     grid = build_grid(degree)
-    w = rotation_block(grid, degree, _QUARTER_TURN_E2)[:, 0]
+    block = grid.basis[:, degree * degree : (degree + 1) ** 2]
+    zonal = np.sqrt(2 * degree + 1) * legendre_table(degree, grid.nodes[:, 0])[degree]
+    w = block.T @ (grid.weights * zonal)
     norm = float(np.linalg.norm(w))
     c = w[0] / norm
-    block = grid.basis[:, degree * degree : (degree + 1) ** 2]
     gram = (block * grid.weights[:, None]).T @ block
     allowance = abs(norm - 1.0) + float(np.abs(gram - np.eye(2 * degree + 1)).max())
     witness = np.zeros(2 * degree + 1)

@@ -5,8 +5,11 @@ family) or its reflection a1 = alpha cost at most C L^2 e^(2 alpha t) delta^s;
 chaining at most three such slides crosses the annulus
 {alpha <= max(a1, -a3) <= (1+eps) alpha} at total cost 6 C L^2 e^(-gamma alpha)
 with gamma = s - eps*s - 2t, and summing the unit-step covering over annuli
-yields the tail constant 6 C L^2 e^s / (1 - e^(2t - s)).  Costs here are
-certified upper bounds; no operator distance is ever computed in this module.
+yields the tail constant 6 C L^2 e^s / (1 - e^(2t - s)).  Each crossing
+builds one route: with the pair mirrored so that the first point lies on the
+slide side, two segments when the second lies on the other side of the axis
+a2 = 0 (or on it), three otherwise.  Costs here are certified upper bounds;
+no operator distance is ever computed in this module.
 """
 
 from __future__ import annotations
@@ -147,6 +150,8 @@ def annulus_diameter_bound(
     (two when the points lie on opposite sides of the axis a2 = 0); its total
     is asserted to stay within the returned bound.  Routes are built with a
     on the slide side (a2 >= 0); the others are their ledger_reflect images.
+    A pair with both points on the axis takes the two-segment route, J slide
+    first; its mirror image, the other valid route, costs the same.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -160,18 +165,11 @@ def annulus_diameter_bound(
 
     ledger = CostLedger()
     if a.distance(b) > _GEOM_TOL:
-        routes = []
-        if a.a2 >= 0 and b.a2 <= 0:
-            routes.append(_two_segment_route(a, b, prof))
-        if a.a2 <= 0 and b.a2 >= 0:
-            routes.append(ledger_reflect(_two_segment_route(a.reflect(), b.reflect(), prof)))
-        if not routes:  # both strictly on one side of the axis
-            routes.append(
-                _three_segment_route(a, b, prof)
-                if a.a2 > 0
-                else ledger_reflect(_three_segment_route(a.reflect(), b.reflect(), prof))
-            )
-        ledger = _pick_route(routes, alpha)
+        flip = a.a2 < 0 or (a.a2 == 0 and b.a2 > 0)
+        p, q = (a.reflect(), b.reflect()) if flip else (a, b)
+        ledger = (_two_segment_route if q.a2 <= 0 else _three_segment_route)(p, q, prof)
+        if flip:
+            ledger = ledger_reflect(ledger)
     ledger.validate()
     if ledger.total > bound + 1e-12:
         raise AssertionError(
@@ -198,14 +196,6 @@ def _three_segment_route(a: LambdaPoint, b: LambdaPoint, prof: ExponentProfile) 
             _segment(turn, b, J_ALPHA_SLIDE, prof),
         ]
     )
-
-
-def _pick_route(routes, alpha: float) -> CostLedger:
-    """Tie-break between valid routes: prefer the crossing nearest (a, 0, -a)."""
-    if len(routes) == 1:
-        return routes[0]
-    hub = LambdaPoint(alpha, 0.0, -alpha)
-    return min(routes, key=lambda led: led.segments[0].end.distance(hub))
 
 
 def ledger_reflect(ledger: CostLedger) -> CostLedger:

@@ -138,7 +138,7 @@ def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
 @pytest.mark.parametrize(
     "command, flag",
     [("invariant-gap", "--jmax"), ("legendre-bounds", "--grid"),
-     ("zigzag", "--alpha-grid"), ("embedding2", "--alpha-grid")],
+     ("zigzag", "--alpha-grid"), ("embedding2", "--alpha-grid"), ("howe-moore", "--nmax")],
 )
 def test_zero_count_exits_2(tmp_path, command, flag):
     # a run over no items would write a header-only CSV and certify nothing
@@ -185,6 +185,12 @@ def test_zigzag_summary_constant(tmp_path, capsys):
     assert "100.56" in out
     ledgers = json.loads((tmp_path / "zigzag_ledgers.json").read_text())
     assert all(led["total"] <= led["bound"] for led in ledgers)
+
+
+def test_zigzag_alpha_below_one_exits_2(tmp_path):
+    # the covering argument needs alpha >= 1: the run is refused, not clamped to alpha = 1
+    assert run(tmp_path, "zigzag", "--alpha-min", "0.5") == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from circleops.repsim import (
     coefficient_decay,
     invariant_gap,
     matrix_coefficient,
-    rotation_block,
 )
 from circleops.sl3 import length
 from circleops.sphere import SphereGrid, degree_of_column
@@ -48,17 +47,17 @@ class TestQuasiRegular:
     def test_identity_fixes_everything(self, grid16):
         rng = np.random.default_rng(1)
         f = rng.normal(size=grid16.n_coeff)
-        sample = assemble_operator(np.eye(3), grid16)
-        np.testing.assert_allclose(sample.matrix @ f, f, atol=1e-10)
-        assert sample.leakage <= 1e-12
+        matrix, leakage = assemble_operator(np.eye(3), grid16)
+        np.testing.assert_allclose(matrix @ f, f, atol=1e-10)
+        assert leakage <= 1e-12
 
     def test_rotations_act_exactly(self, grid16):
         rng = np.random.default_rng(2)
         rot = random_rotation(rng)
         f = rng.normal(size=grid16.n_coeff)
-        sample = assemble_operator(rot, grid16)
-        out = sample.matrix @ f
-        assert sample.leakage <= 1e-10
+        matrix, leakage = assemble_operator(rot, grid16)
+        out = matrix @ f
+        assert leakage <= 1e-10
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(f), abs=1e-8)
         # compare with direct rotation of samples
         direct = grid16.synthesize(f, points=grid16.nodes @ rot)
@@ -66,10 +65,10 @@ class TestQuasiRegular:
 
     def test_degree_one_norm_at_band_32(self):
         grid = build_grid(32)
-        sample = assemble_operator(np.diag([np.e, 1.0, 1.0 / np.e]), grid)
+        matrix, _ = assemble_operator(np.diag([np.e, 1.0, 1.0 / np.e]), grid)
         e1 = np.zeros(grid.n_coeff)
         e1[1] = 1.0  # the z-zonal degree-1 harmonic
-        out = sample.matrix @ e1
+        out = matrix @ e1
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-4  # leakage-dominated at this band limit
         assert per_vector_leakage(e1, out) <= 1e-3
 
@@ -85,12 +84,12 @@ class TestQuasiRegular:
             coeffs = rng.normal(size=grid16.n_coeff)
             coeffs[deg > 8] = 0.0
             f = coeffs / np.linalg.norm(coeffs)
-            m_g, m_h, m_gh = (assemble_operator(a, grid16).matrix for a in (g, h, g @ h))
+            m_g, m_h, m_gh = (assemble_operator(a, grid16)[0] for a in (g, h, g @ h))
             hf = m_h @ f
             ghf = m_g @ hf
             direct = m_gh @ f
             err = np.linalg.norm(ghf - direct)
-            # each image's own leakage: the sample's leakage is the worst over all columns
+            # each image's own leakage: assemble_operator's leakage is the worst over all columns
             leaks = (per_vector_leakage(f, hf), per_vector_leakage(hf, ghf), per_vector_leakage(f, direct))
             budget = sum(np.sqrt(max(v, 0.0)) for v in leaks)
             assert err <= budget + 1e-8
@@ -122,10 +121,9 @@ def _euler_k_average(grid):
 class TestOperators:
     def test_rotation_operator_is_orthogonal(self, grid16):
         rot = random_rotation(np.random.default_rng(3))
-        sample = assemble_operator(rot, grid16)
-        m = sample.matrix
+        m, leakage = assemble_operator(rot, grid16)
         assert np.abs(m.T @ m - np.eye(grid16.n_coeff)).max() <= 1e-6
-        assert sample.leakage <= 1e-10
+        assert leakage <= 1e-10
 
     def test_k_average_is_projection_onto_constants(self):
         g = np.diag([np.e, 1.0, 1.0 / np.e])
@@ -135,12 +133,12 @@ class TestOperators:
             e0[0] = 1.0
             proj = _euler_k_average(grid)
             assert np.abs(proj - np.outer(e0, e0)).max() <= 1e-13
-            op = assemble_operator(g, grid).matrix
+            op, _ = assemble_operator(g, grid)
             assert np.abs(proj @ op @ proj - op[0, 0] * np.outer(e0, e0)).max() <= 1e-12
 
     def test_averaged_identity_projects(self, grid16):
         proj = _euler_k_average(grid16)
-        op = assemble_operator(np.eye(3), grid16).matrix
+        op, _ = assemble_operator(np.eye(3), grid16)
         svals = np.linalg.svd(proj @ op @ proj, compute_uv=False)
         assert svals[0] == pytest.approx(1.0, abs=1e-6)
         assert svals[1] <= 1e-6
@@ -149,7 +147,7 @@ class TestOperators:
         proj = _euler_k_average(grid16)
         norms = []
         for n in range(1, 7):
-            op = assemble_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid16).matrix
+            op, _ = assemble_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid16)
             svals = np.linalg.svd(proj @ op @ proj, compute_uv=False)
             assert svals[1] <= 1e-6  # K-invariants on the sphere are the constants
             assert svals[0] == pytest.approx(op[0, 0], rel=1e-12)
@@ -160,14 +158,14 @@ class TestOperators:
         e0 = np.zeros(grid16.n_coeff)
         e0[0] = 1.0
         for n, tol in ((0, 1e-10), (1, 1e-3)):
-            op = assemble_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid16)
-            grid_value = float(e0 @ op.matrix @ e0)
+            op, _ = assemble_operator(np.diag([np.exp(n), 1.0, np.exp(-n)]), grid16)
+            grid_value = float(e0 @ op @ e0)
             assert grid_value == pytest.approx(matrix_coefficient(n), rel=tol)
 
     def test_grid_value_at_n2_with_oversampling(self):
         grid = SphereGrid.build(16, oversample=4)
-        op = assemble_operator(np.diag([np.exp(2), 1.0, np.exp(-2)]), grid)
-        grid_value = float(op.matrix[0, 0])
+        op, _ = assemble_operator(np.diag([np.exp(2), 1.0, np.exp(-2)]), grid)
+        grid_value = float(op[0, 0])
         assert grid_value == pytest.approx(matrix_coefficient(2), rel=0.05)
 
 
@@ -271,6 +269,16 @@ class TestDecay:
             coefficient_decay(6)
 
 
+# The quarter turn about e2, taking e3 to e1.
+QUARTER_TURN_E2 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+
+
+def rotation_block(grid, degree, rot):
+    """The rotation action on the degree-j harmonics: the degree-j block of assemble_operator."""
+    cols = slice(degree * degree, (degree + 1) ** 2)
+    return assemble_operator(rot, grid)[0][cols, cols]
+
+
 class TestInvariantGap:
     @pytest.mark.parametrize("degree", range(1, 13))
     def test_gap_at_least_third_and_matches_oracle(self, degree):
@@ -293,7 +301,7 @@ class TestInvariantGap:
             about_e3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             assert np.abs(rotation_block(grid, degree, about_e3) @ zonal - zonal).max() <= 1e-12
         # the e1 line: the zonal harmonic turned by the quarter turn about e2
-        w = rotation_block(grid, degree, np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))[:, 0]
+        w = rotation_block(grid, degree, QUARTER_TURN_E2)[:, 0]
         w /= np.linalg.norm(w)
         defect = np.linalg.norm(zonal - (w @ zonal) * w)
         assert defect >= 1.0 / 3.0
@@ -309,7 +317,7 @@ class TestInvariantGap:
             exact = mpmath.sqrt(1 - mpmath.legendre(degree, 0) ** 2)
             assert mpmath.mpf(lower) <= exact <= mpmath.mpf(upper)
         grid = build_grid(degree)
-        w = rotation_block(grid, degree, np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))[:, 0]
+        w = rotation_block(grid, degree, QUARTER_TURN_E2)[:, 0]
         norm = np.linalg.norm(w)
         c = w[0] / norm
         full = abs(norm - 1.0) + grid.gram_defect()

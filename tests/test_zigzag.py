@@ -135,6 +135,19 @@ class TestAnnulus:
         _, ledger = annulus_diameter_bound(alpha, eps, HILBERT, a, b)
         assert len(ledger.segments) == 2
 
+    @pytest.mark.parametrize("zero_a, zero_b", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    def test_axis_pair_takes_the_j_first_route(self, zero_a, zero_b):
+        # both routes across the axis are valid; the J-first one is taken, and its
+        # mirror image, the other route, has the same total bit for bit
+        alpha, eps = 2.0, 0.5
+        a = LambdaPoint(2.8, zero_a, -2.8)
+        b = LambdaPoint(2.1, zero_b, -2.1)
+        _, ledger = annulus_diameter_bound(alpha, eps, SLOW, a, b)
+        assert [seg.rule for seg in ledger.segments] == [J_ALPHA_SLIDE, THETA_REFLECTED_SLIDE]
+        mirrored = ledger_reflect(ledger).validate()
+        assert (mirrored.segments[0].start, mirrored.segments[-1].end) == (a, b)
+        assert mirrored.total == ledger.total
+
     def test_outside_annulus_rejected(self):
         with pytest.raises(ValueError):
             annulus_diameter_bound(2.0, 0.5, HILBERT, slide_point(1.0, 0.7), slide_point(2.2, 1.6))
@@ -190,12 +203,8 @@ def _four_branch_ledger(alpha, a, b, prof, tol=1e-9):
     la, lb = a.ell(), b.ell()
     two = chain([a, LambdaPoint(lb, la - lb, -la), b], [J, T])
     two_reflected = chain([a, LambdaPoint(la, lb - la, -lb), b], [T, J])
-    if a.a2 >= 0 and b.a2 <= 0:
-        routes = [two]
-        if a.a2 <= 0 and b.a2 >= 0:
-            routes.append(two_reflected)
-        hub = LambdaPoint(alpha, 0.0, -alpha)
-        return min(routes, key=lambda led: led.segments[0].end.distance(hub))
+    if a.a2 >= 0 and b.a2 <= 0:  # both on the axis included: J first
+        return two
     if a.a2 <= 0 and b.a2 >= 0:
         return two_reflected
     corner = LambdaPoint(la, 0.0, -la)
