@@ -105,7 +105,7 @@ def test_diff_power_sums(benchmark):
     # criterion 2's shape: a deep pass to 2^18, solved as one banded system per abscissa
     deltas, ps = [2.0**-k for k in range(1, 11)], np.array([4.5, 5.0, 6.0, 8.0])
     checkpoints = [2**17, 2**18]
-    sums = benchmark.pedantic(diff_power_sums, args=(deltas, ps, checkpoints), rounds=5)
+    sums = benchmark.pedantic(diff_power_sums, args=(deltas, ps, checkpoints), rounds=5, warmup_rounds=1)
     window = sums[..., 1] ** ps[:, None] - sums[..., 0] ** ps[:, None]  # degrees 2^17 < n <= 2^18
     bounds = np.array([[schatten_tail_bound(d, p, checkpoints[0]) for d in deltas] for p in ps])
     assert np.all((0.0 < window) & (window <= bounds))
@@ -114,7 +114,7 @@ def test_diff_power_sums(benchmark):
 def test_legendre_table(benchmark):
     # a shallow pass, so the row loop: degree 2000 on 1000 abscissae
     xs = np.linspace(-1.0, 1.0, 1000)
-    table = benchmark.pedantic(legendre_table, args=(2000, xs), rounds=20)
+    table = benchmark.pedantic(legendre_table, args=(2000, xs), rounds=20, warmup_rounds=1)
     assert table.shape == (2001, 1000) and np.all(table[:, -1] == 1.0)
     assert np.abs(table).max() <= 1.0 + 1e-12
     # numpy's Clenshaw sum carries its own error, 4e-12 at degree 2000

@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("legendre-bounds", help="pointwise defect bounds vs 4 sqrt(delta)")
-    p.add_argument("--nmax", type=int, default=2000)
+    p.add_argument("--nmax", type=positive_int, default=2000)
     p.add_argument("--grid", type=positive_int, default=1000)
     p.set_defaults(func=cmd_legendre_bounds)
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed-norm", help="witnessed lower bound vs interpolation bound")
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--truncation", type=int, default=16)
+    p.add_argument("--truncation", type=positive_int, default=16)
     p.add_argument("--inner-dim", type=int, default=4)
     p.set_defaults(func=cmd_mixed_norm)
 

@@ -7,7 +7,9 @@ double precision, which is stable on the interval.  There is one recurrence
 with two solvers, chosen by depth and width: a deep and narrow pass (more
 than _BLOCK_VALUES rows, at most _BANDED_WIDTH abscissae) solves it as a
 banded lower-triangular system, one compiled BLAS solve per abscissa, and
-every other pass runs it row by row over all abscissae at once.
+every other pass runs it row by row over all abscissae at once, in place in
+the output rows.  The row loop keeps the plain expression's operations in
+their order, so its bits are those of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n.
 """
 
 from __future__ import annotations
@@ -50,10 +52,24 @@ def _clamp_delta(delta: float) -> float:
 
 
 def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
-    """Fill rows[2:] with P_first, .. row by row from rows[:2] = P_(first-2), P_(first-1)."""
+    """Fill rows[2:] with P_first, .. row by row from rows[:2] = P_(first-2), P_(first-1).
+
+    Works in place, with no temporary per row: each row takes the five steps
+    (2n-1) x, *= P_(n-1), -= (n-1) P_(n-2) (one scratch row), /= n.  These are
+    the operations of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n in their order, so
+    the bits are those of the plain expression.
+    """
+    if first == 0:  # P_0 = 1; the recurrence runs from P_1
+        rows[2] = 1.0
+        first, rows = 1, rows[1:]
+    scratch = np.empty_like(x)
     older, last = rows[:2]
-    for n, row in enumerate(rows[2:], first):
-        row[:] = ((2 * n - 1) * x * last - (n - 1) * older) / n if n else 1.0
+    # the degrees as Python floats, which numpy takes by a faster scalar path than ints
+    for n, row in zip(np.arange(first, first + len(rows) - 2, dtype=float).tolist(), rows[2:]):
+        np.multiply(x, 2.0 * n - 1.0, out=row)
+        row *= last
+        row -= np.multiply(older, n - 1.0, out=scratch)
+        row /= n
         older, last = last, row
 
 
@@ -88,11 +104,12 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     The package's one copy of the recurrence n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2),
     with two solvers chosen by depth and width: a pass of more than
     _BLOCK_VALUES rows over at most _BANDED_WIDTH abscissae is solved as a
-    banded system per abscissa (_banded_rows), any other row by row
-    (_loop_rows).  Neither solver's bits depend on the block size or on the
-    other abscissae, but the two solvers round differently, so a column's bits
-    can change when the width crosses _BANDED_WIDTH.  Each block continues
-    from the last two rows of the one before.
+    banded system per abscissa (_banded_rows), any other row by row, in place
+    (_loop_rows, with the bits of the recurrence evaluated as written).  Neither
+    solver's bits depend on the block size or on the other abscissae, but the
+    two solvers round differently, so a column's bits can change when the
+    width crosses _BANDED_WIDTH.  Each block continues from the last two rows
+    of the one before.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")

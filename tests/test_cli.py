@@ -63,14 +63,15 @@ def test_legendre_bounds_match_the_defect_table(tmp_path, grid):
     np.testing.assert_array_equal(got, want)
 
 
-def test_legendre_bounds_at_degrees_zero_and_one(tmp_path):
-    for nmax in (0, 1):
-        assert run(tmp_path, "legendre-bounds", "--nmax", str(nmax), "--grid", "11") == 0
-        rows = [line.split(",") for line in (tmp_path / "legendre_bounds.csv").read_text().splitlines()[2:]]
-        # the sup over n <= 0 of |P_n(d) - P_n(0)| is 0, over n <= 1 it is |P_1(d)| = |d|
-        assert all(float(defect) == nmax * abs(float(delta)) for delta, defect, _ in rows)
+def test_legendre_bounds_at_degree_one(tmp_path):
+    assert run(tmp_path, "legendre-bounds", "--nmax", "1", "--grid", "11") == 0
+    rows = [line.split(",") for line in (tmp_path / "legendre_bounds.csv").read_text().splitlines()[2:]]
+    # the sup over n <= 1 of |P_n(d) - P_n(0)| is |P_1(d)| = |d|
+    assert all(float(defect) == abs(float(delta)) for delta, defect, _ in rows)
     empty = tmp_path / "negative"
-    assert run(empty, "legendre-bounds", "--nmax", "-1", "--grid", "11") == 2
+    with pytest.raises(SystemExit) as exc:
+        run(empty, "legendre-bounds", "--nmax", "-1", "--grid", "11")
+    assert exc.value.code == 2
     assert not empty.exists()
 
 
@@ -138,10 +139,11 @@ def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
 @pytest.mark.parametrize(
     "command, flag",
     [("invariant-gap", "--jmax"), ("legendre-bounds", "--grid"),
-     ("zigzag", "--alpha-grid"), ("embedding2", "--alpha-grid"), ("howe-moore", "--nmax")],
+     ("zigzag", "--alpha-grid"), ("embedding2", "--alpha-grid"), ("howe-moore", "--nmax"),
+     ("legendre-bounds", "--nmax"), ("mixed-norm", "--truncation")],
 )
 def test_zero_count_exits_2(tmp_path, command, flag):
-    # a run over no items would write a header-only CSV and certify nothing
+    # a run over no items, or over degree 0 alone, would certify nothing
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, command, flag, "0")
     assert exc.value.code == 2

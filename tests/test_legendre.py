@@ -85,6 +85,26 @@ def test_blocks_continue_the_recurrence():
     assert last[-1, 0] == legendre_table(70000, 0.3)[-1]
 
 
+def _plain_recurrence(max_degree, x):
+    """P_0 .. P_N by the plain expression ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n, one row at a time."""
+    table = np.empty((max_degree + 1, x.size))
+    older, last = np.zeros(x.size), np.ones(x.size)
+    table[0] = last
+    for n in range(1, max_degree + 1):
+        older, last = last, ((2 * n - 1) * x * last - (n - 1) * older) / n
+        table[n] = last
+    return table
+
+
+@pytest.mark.parametrize("width", [1, 11, 1000, 1001])
+def test_row_loop_bits_match_the_plain_recurrence(width):
+    # the row loop works in place but keeps the plain expression's operations and order
+    xs = np.random.default_rng(width).uniform(-1.0, 1.0, width)
+    want = _plain_recurrence(2000, xs)
+    assert np.array_equal(legendre_table(2000, xs), want)
+    assert np.array_equal(np.concatenate(list(_row_blocks(2000, xs, block_rows=7))), want)
+
+
 def test_nd_abscissae_keep_their_shape():
     x = np.array([[-0.9, 0.25], [0.6, 1.0]])
     flat = legendre_table(3, x.ravel())

@@ -1,5 +1,7 @@
 """Tests for the diagonal spectral model and its norm/decay estimates."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from circleops.legendre import bernstein_envelope, legendre_at_zero, legendre_de
 from circleops.spectral import (
     SpectralOperator,
     _lerch_abel_plana,
+    _power_windows,
     completed_power_sums,
     diff_power_sums,
     diff_power_windows,
@@ -197,6 +200,24 @@ class TestSchattenNormDiff:
         np.testing.assert_allclose(windows, want, rtol=1e-12, atol=0)
         sums = diff_power_sums([delta], [p], checkpoints)[0, 0]
         np.testing.assert_allclose(sums, np.cumsum(want) ** (1 / p), rtol=1e-12, atol=0)
+
+    def test_windows_of_hand_split_blocks_match_fsum(self):
+        # uneven blocks; checkpoint 12 ends inside a block, 19 on a block's last row
+        # (then again, an empty window), 20 closes a one-row block
+        deltas, ps, checkpoints = [-0.7, 0.05, 0.9], np.array([4.5, 6.0]), [12, 19, 19, 20, 60]
+        table = legendre_table(60, np.array(deltas))
+        blocks = [table[:7], table[7:20], table[20:21], table[21:]]
+        windows = _power_windows(iter(blocks), ps, checkpoints)
+        assert windows.shape == (2, 3, 5)
+        edges = [-1, *checkpoints]
+        for i, p in enumerate(ps):
+            for j in range(len(deltas)):
+                want = [
+                    math.fsum((2 * n + 1) * abs(table[n, j]) ** p for n in range(lo + 1, hi + 1))
+                    for lo, hi in zip(edges, edges[1:])
+                ]
+                np.testing.assert_allclose(windows[i, j], want, rtol=1e-13, atol=0)
+        assert np.all(windows[..., 2] == 0.0)
 
 
 class TestSchattenTailEstimate:
