@@ -40,7 +40,7 @@ def test_matrix_coefficient(benchmark):
 
 def test_circle_average_operator(benchmark):
     grid = SphereGrid.build(32)
-    averaged = benchmark(circle_average_operator, grid, 0.3)
+    averaged = benchmark.pedantic(circle_average_operator, args=(grid, 0.3), rounds=20, warmup_rounds=1)
     eigs = legendre_table(32, 0.3)[degree_of_column(32)]
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
 
@@ -64,7 +64,8 @@ def test_circle_average(benchmark, band):
     twist = rng.uniform(0.0, 2.0 * np.pi, size=grid.nodes.shape[0])
     c, s = np.cos(twist)[:, None], np.sin(twist)[:, None]
     samples = grid.synthesize(coeffs)
-    averaged = benchmark(circle_average, grid, samples, 0.3, frames=(c * u + s * v, c * v - s * u))
+    frames = (c * u + s * v, c * v - s * u)
+    averaged = benchmark.pedantic(circle_average, args=(grid, samples, 0.3, frames), rounds=20, warmup_rounds=1)
     eigs = legendre_table(band, 0.3)[degree_of_column(band)]
     assert np.abs(averaged - grid.basis @ (coeffs * eigs)).max() <= 1e-8
 

@@ -41,7 +41,7 @@ DECAY_BOUND_CONSTANT = 4.0
 DECAY_BOUND_RATE = 0.5
 
 
-def build_grid(band_limit: int = 32) -> SphereGrid:
+def build_grid(band_limit: int) -> SphereGrid:
     """Sampling grid for the representation: oversampled twice so that analysis of
     mildly out-of-band images stays accurate."""
     return SphereGrid.build(band_limit, oversample=2)

@@ -178,22 +178,23 @@ class SphereGrid:
     Quadrature of Y_n^m * Y_n'^m' is exact for degrees up to band_limit
     (Gauss-Legendre with oversample*(B+1) colatitude nodes integrates
     polynomials of degree 2B+1; oversample*(2B+1) offset longitudes kill all
-    aliases).  Frozen: build hands one grid to every caller of a band limit.
+    aliases).  basis is real_sph_harm_matrix at the nodes, (n_nodes, (B+1)^2).
+    Frozen: build hands one grid to every caller of a band limit.
     """
 
     band_limit: int
     nodes: np.ndarray
     weights: np.ndarray
-    _basis: np.ndarray | None = field(default=None, repr=False)
+    basis: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, band_limit: int, oversample: int = 1):
         """The grid of band_limit with oversample * (B+1) colatitudes and oversample * (2B+1)
-        longitudes, built once per (band_limit, oversample) after the checks.
+        longitudes, built with its basis once per (band_limit, oversample) after the checks.
 
         Every caller of a key shares one grid, so its nodes, weights and basis are read-only.
-        The cache keeps the 8 most recently used grids, with any basis built on them; a basis
-        takes 8 (B+1)^2 bytes per node, 75 MB for repsim.build_grid's B = 32, oversample 2 grid.
+        The cache keeps the 8 most recently used grids; a basis takes 8 (B+1)^2 bytes per
+        node, 75 MB for the B = 32, oversample 2 grid of repsim.build_grid(32).
         """
         _check_band_limit(band_limit)
         if not _is_count(oversample, 1):
@@ -204,24 +205,15 @@ class SphereGrid:
     def n_coeff(self) -> int:
         return (self.band_limit + 1) ** 2
 
-    @property
-    def basis(self) -> np.ndarray:
-        """real_sph_harm_matrix at the nodes, (n_nodes, (B+1)^2): built on first use, then
-        kept read-only on the grid (so a cached grid builds it once)."""
-        if self._basis is None:
-            basis = real_sph_harm_matrix(self.nodes, self.band_limit)
-            basis.flags.writeable = False
-            object.__setattr__(self, "_basis", basis)
-        return self._basis
-
     def analyze(self, samples: np.ndarray) -> np.ndarray:
-        """Samples on the grid -> harmonic coefficients up to the band limit."""
-        arr = np.asarray(samples, dtype=float).reshape(self.nodes.shape[0], -1)
-        coeffs = self.basis.T @ (self.weights[:, None] * arr)
-        return coeffs[:, 0] if np.ndim(samples) == 1 else coeffs
+        """Samples (n_nodes,) on the grid -> harmonic coefficients (n_coeff,) up to the band limit."""
+        f = np.asarray(samples, dtype=float)
+        if f.shape != self.weights.shape:
+            raise ValueError(f"need samples of shape {self.weights.shape}")
+        return self.basis.T @ (self.weights * f)
 
     def synthesize(self, coeffs: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients (ncoef,) or (ncoef, k) -> values on the grid (or at arbitrary points).
+        """Coefficients (n_coeff,) -> values on the grid (or at arbitrary points).
 
         Off the grid no harmonic matrix is formed (double Fourier sphere): the coefficients
         contract with _theta_table into F, whose rows are cos j theta / sin (j+1) theta and
@@ -229,23 +221,22 @@ class SphereGrid:
         e^(i theta) and e^(i phi) give the theta and phi rows, one BLAS product per order
         parity takes F^T times the theta rows, and the phi rows weight its sum.
         """
-        if points is None:
-            return self.basis @ coeffs
         c = np.asarray(coeffs, dtype=float)
-        if c.ndim not in (1, 2) or c.shape[0] != self.n_coeff:
-            raise ValueError(f"need coefficients of shape ({self.n_coeff},) or ({self.n_coeff}, k)")
-        size, k = self.band_limit + 1, c[0].size
+        if c.shape != (self.n_coeff,):
+            raise ValueError(f"need coefficients of shape ({self.n_coeff},)")
+        if points is None:
+            return self.basis @ c
+        size = self.band_limit + 1
         half = (self.band_limit | 1) + 1  # phi rows per half: even, so a row's parity is m's
         offset = np.arange(self.n_coeff) - degree_of_column(self.band_limit) ** 2
         phi_row = (offset + 1) // 2 + half * ((offset > 0) & (offset % 2 == 0))
-        spread = np.zeros((self.n_coeff, 2 * half, k))  # each coefficient in its phi row
-        spread[np.arange(self.n_coeff), phi_row] = c.reshape(self.n_coeff, k)
-        fourier = _theta_table(self.band_limit) @ spread.reshape(self.n_coeff, -1)
-        fourier = fourier.reshape(2 * size, 2 * half, k)
-        even = fourier[:size, 0::2].transpose(2, 1, 0).copy()  # even orders on cos j theta
-        odd = fourier[size:, 1::2].transpose(2, 1, 0).copy()  # odd orders on sin (j+1) theta
+        spread = np.zeros((self.n_coeff, 2 * half))  # each coefficient in its phi row
+        spread[np.arange(self.n_coeff), phi_row] = c
+        fourier = _theta_table(self.band_limit) @ spread
+        even = fourier[:size, 0::2].T.copy()  # even orders on cos j theta
+        odd = fourier[size:, 1::2].T.copy()  # odd orders on sin (j+1) theta
         npts = np.atleast_2d(points).shape[0]
-        out = np.empty((npts, k))
+        out = np.empty(npts)
         block = min(_SYNTH_CHUNK, npts)
         powers = np.empty((size + 1, block), complex)  # e^(i j theta), then e^(i m phi)
         theta_rows, terms = np.empty((2 * size, block)), np.empty((2 * half, block))
@@ -259,13 +250,12 @@ class SphereGrid:
             np.copyto(theta[size:], tw[1:].imag)
             phi[1].real, phi[1].imag = cphi, sphi
             _powers(phi)
-            for col in range(k):
-                np.matmul(even[col], theta[:size], out=g[0::2])
-                np.matmul(odd[col], theta[size:], out=g[1::2])
-                g[:half] *= phi.real
-                g[half:] *= phi.imag
-                g.sum(axis=0, out=out[rows, col])
-        return out.reshape(out.shape[:1] + c.shape[1:])
+            np.matmul(even, theta[:size], out=g[0::2])
+            np.matmul(odd, theta[size:], out=g[1::2])
+            g[:half] *= phi.real
+            g[half:] *= phi.imag
+            g.sum(axis=0, out=out[rows])
+        return out
 
     def gram_defect(self) -> float:
         """Max deviation of the discrete Gram matrix of the basis from identity."""
@@ -274,7 +264,7 @@ class SphereGrid:
 
 
 # The sphere-averaging jobs use four band limits, so 8 grids cover them.  Worst case held by
-# the library's own grids: 8 bases of repsim.build_grid's default size (75 MB each), 600 MB.
+# the cache: 8 bases the size of repsim.build_grid(32)'s (75 MB each), 600 MB.
 @functools.lru_cache(maxsize=8)
 def _built_grid(band_limit: int, oversample: int) -> SphereGrid:
     n_lat = oversample * (band_limit + 1)
@@ -287,8 +277,9 @@ def _built_grid(band_limit: int, oversample: int) -> SphereGrid:
     nodes[:, 1] = np.repeat(sin_t, n_lon) * np.tile(np.sin(phis), n_lat)
     nodes[:, 2] = np.repeat(xg, n_lon)
     weights = np.repeat(wg / 2.0, n_lon) / n_lon
-    nodes.flags.writeable = weights.flags.writeable = False
-    return SphereGrid(band_limit=band_limit, nodes=nodes, weights=weights)
+    basis = real_sph_harm_matrix(nodes, band_limit)
+    nodes.flags.writeable = weights.flags.writeable = basis.flags.writeable = False
+    return SphereGrid(band_limit=band_limit, nodes=nodes, weights=weights, basis=basis)
 
 
 def tangent_frames(points: np.ndarray):
@@ -360,7 +351,7 @@ def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
 def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=None) -> np.ndarray:
     """Average a band-limited function over circles at inner product delta.
 
-    The input is sampled on the grid; it is analyzed to coefficients, then
+    The input (n_nodes,) is sampled on the grid; it is analyzed to coefficients, then
     averaged by the M = band_limit + 1 point trapezoid rule on each node's circle,
     evaluated at all M x n_nodes circle points by one grid.synthesize call (the
     double-Fourier synthesis: one BLAS product per order parity and block of points).
@@ -373,7 +364,7 @@ def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=N
     u, v = tangent_frames(grid.nodes) if frames is None else frames
     circles = _circle_points(grid, delta, grid.nodes, u, v)
     values = grid.synthesize(grid.analyze(samples), circles.reshape(-1, 3))
-    return values.reshape(circles.shape[:2] + values.shape[1:]).mean(axis=0)
+    return values.reshape(circles.shape[:2]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

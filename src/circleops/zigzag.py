@@ -51,16 +51,17 @@ class ExponentProfile:
     growth_L: float
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if not 0.0 < self.holder_s <= 0.5:
             raise ValueError("holder exponent must lie in (0, 1/2]")
-        if self.growth_t < 0.0:
+        if not self.growth_t >= 0.0:
             raise ValueError("growth exponent must be nonnegative")
-        if self.growth_t >= self.holder_s / 2.0:
+        if not self.growth_t < self.holder_s / 2.0:
             raise ValueError("need growth_t < holder_s / 2")
-        if self.hoelder_C <= 0.0:
-            raise ValueError("Hoelder constant must be positive")
-        if self.growth_L < 1.0:
-            raise ValueError("growth constant must be >= 1")
+        if not 0.0 < self.hoelder_C < np.inf:
+            raise ValueError("Hoelder constant must be positive and finite")
+        if not 1.0 <= self.growth_L < np.inf:
+            raise ValueError("growth constant must be finite and >= 1")
 
 
 def jump_cost(alpha: float, delta: float, prof: ExponentProfile) -> float:
@@ -171,7 +172,7 @@ def annulus_diameter_bound(
         if flip:
             ledger = ledger_reflect(ledger)
     ledger.validate()
-    if ledger.total > bound + 1e-12:
+    if not ledger.total <= bound + 1e-12:  # NaN fails too
         raise AssertionError(
             f"ledger total {ledger.total} exceeds certified bound {bound}"
         )
@@ -258,7 +259,7 @@ def diameter_decay_profile(alpha_grid, prof: ExponentProfile) -> np.ndarray:
     Returns an array of rows (alpha, bound).
     """
     alphas = np.asarray(alpha_grid, dtype=float)
-    if np.any(alphas < 1.0):
+    if not np.all(alphas >= 1.0):  # NaN fails too
         raise ValueError("covering argument needs alpha >= 1")
     bounds = np.array([covering_limit(prof, a) for a in alphas])
     return np.column_stack([alphas, bounds])

@@ -196,6 +196,15 @@ def test_zigzag_alpha_below_one_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["--C", "nan"], ["--t", "nan"], ["--L", "nan"], ["--C", "inf"], ["--L", "inf"], ["--alpha-max", "nan"]],
+)
+def test_zigzag_nan_or_inf_exits_2_and_writes_nothing(tmp_path, argv):
+    assert run(tmp_path, "zigzag", *argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "command, argv",
     [
         ("mixed-norm", ["--p", "4", "--truncation", "4"]),
@@ -211,6 +220,22 @@ def test_nan_delta_exits_2_without_manifest(tmp_path, command, argv):
 def test_tdelta_norms_nan_delta_exits_2(tmp_path):
     assert run(tmp_path, "tdelta-norms", "--p", "8", "--nmax", "64", "--deltas", "nan,0.1,0.2") == 2
     assert not (tmp_path / "tdelta_norms.csv").exists()
+
+
+def test_outdir_env_is_the_default_directory(tmp_path, monkeypatch):
+    target = tmp_path / "from-env"
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(target))
+    monkeypatch.chdir(tmp_path)
+    assert main(["howe-moore", "--nmax", "1"]) == 0
+    assert sorted(p.name for p in target.iterdir()) == ["howe_moore_decay.csv", "howe_moore_manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from-env"]
+
+
+def test_outdir_flag_wins_over_env(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "from-env"))
+    assert run(tmp_path / "from-flag", "howe-moore", "--nmax", "1") == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from-flag"]
+    assert (tmp_path / "from-flag" / "howe_moore_decay.csv").exists()
 
 
 def test_markov_deterministic(tmp_path):

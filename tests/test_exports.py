@@ -1,10 +1,12 @@
-"""Export consistency: each module's __all__ resolves, and the package re-exports only exported names.
+"""Export consistency: each module's __all__ resolves, and the package itself re-exports nothing.
 
-Also an import-cost guard: importing the package or its CLI must not load the
-heavy scipy subpackages that nothing in it needs.  A signature guard pins the
-parameter names of callables whose settings are fixed constants, so a setting
-cannot come back without a visible test change.  And a caller census: every
-exported name is used by the library, a demo or a benchmark, not only by tests.
+Callers import names from their modules, so importing the bare package loads
+no submodule.  Also an import-cost guard: importing the package or its CLI
+must not load the heavy scipy subpackages that nothing in it needs.  A
+signature guard pins the parameter names of callables whose settings are fixed
+constants, so a setting cannot come back without a visible test change.  And
+a caller census: every exported name is used by the library, a demo or a
+benchmark, not only by tests.
 """
 
 import ast
@@ -31,31 +33,25 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-def test_package_reexports_only_exported_names():
-    with open(circleops.__file__) as source:
-        tree = ast.parse(source.read())
-    imports = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imports, "circleops/__init__.py imports nothing from its submodules"
-    stray = [
-        f"{module}.{name}"
-        for module, name in imports
-        if name not in importlib.import_module(f"circleops.{module}").__all__
-    ]
-    assert stray == []
+def _fresh_import(module: str, probe: str) -> str:
+    """stdout of `probe` run in a new interpreter right after `import sys, module`."""
+    src = str(Path(circleops.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"import sys, {module}; {probe}"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 @pytest.mark.parametrize("module", ["circleops", "circleops.cli"])
 def test_import_leaves_out_scipy_integrate_and_optimize(module):
-    src = str(Path(circleops.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = f"import sys, {module}; print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    probe = "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    assert _fresh_import(module, probe).strip() == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    probe = "print(sorted(m for m in sys.modules if m.startswith('circleops.')))"
+    assert _fresh_import("circleops", probe).strip() == "[]"
+    # besides dunders, the namespace holds only the submodules this process imported
+    assert [name for name in vars(circleops) if not name.startswith("__") and name not in MODULES] == []
 
 
 SIGNATURES = {

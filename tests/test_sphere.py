@@ -127,7 +127,7 @@ def test_shared_grid_and_table_are_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.nodes = g.nodes.copy()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        g._basis = None
+        g.basis = g.basis.copy()
 
 
 def test_bad_arguments_are_refused_after_their_key_is_cached():
@@ -218,9 +218,13 @@ def test_in_place_rings_are_bit_identical(band, oversample):
         assert np.array_equal(got, _concatenated_ring_operator(g, delta))
 
 
+def _grid_by_hand(nodes, weights):
+    return SphereGrid(6, nodes, weights, real_sph_harm_matrix(nodes, 6))
+
+
 def test_operator_rejects_non_ring_grid():
     g = SphereGrid.build(6)
-    by_hand = circle_average_operator(SphereGrid(6, g.nodes, g.weights), 0.3)
+    by_hand = circle_average_operator(_grid_by_hand(g.nodes, g.weights), 0.3)
     np.testing.assert_array_equal(by_hand, circle_average_operator(g, 0.3))
     flipped = g.nodes.copy()
     flipped[20, 2] *= -1.0  # a second-ring node: same longitude, other hemisphere
@@ -229,7 +233,7 @@ def test_operator_rejects_non_ring_grid():
     shuffled = g.nodes[np.random.default_rng(2).permutation(g.nodes.shape[0])]
     for nodes in (flipped, turned, shuffled, g.nodes[:-1]):  # the last: 90 nodes, rings of 13
         with pytest.raises(ValueError):
-            circle_average_operator(SphereGrid(6, nodes, g.weights[: len(nodes)]), 0.3)
+            circle_average_operator(_grid_by_hand(nodes, g.weights[: len(nodes)]), 0.3)
 
 
 def test_self_adjoint_on_grid():
@@ -398,7 +402,7 @@ def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
 @pytest.mark.parametrize("band_limit", [0, 1, 2, 16, 32])
 def test_synthesize_matches_harmonic_matrix(band_limit, monkeypatch):
     # the double-Fourier synthesis against the independent matrix product, over
-    # several point blocks (the last one partial) and both coefficient shapes
+    # several point blocks (the last one partial)
     monkeypatch.setattr(sphere, "_CHUNK", 128)
     monkeypatch.setattr(sphere, "_SYNTH_CHUNK", 128)
     g = SphereGrid.build(band_limit)
@@ -407,14 +411,33 @@ def test_synthesize_matches_harmonic_matrix(band_limit, monkeypatch):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts[0] = [0.0, 0.0, 1.0]  # pole: the rho = 0 branch
     pts[200] = [0.0, 0.0, -1.0]
-    basis = real_sph_harm_matrix(pts, band_limit)
-    for coeffs in (rng.normal(size=g.n_coeff), rng.normal(size=(g.n_coeff, 3))):
-        got, expected = g.synthesize(coeffs, pts), basis @ coeffs
-        assert got.shape == expected.shape
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-    for wrong in (np.ones(g.n_coeff + 1), np.ones(2 * g.n_coeff), np.ones((g.n_coeff, 2, 2))):
-        with pytest.raises(ValueError):
-            g.synthesize(wrong, pts)
+    coeffs = rng.normal(size=g.n_coeff)
+    got, expected = g.synthesize(coeffs, pts), real_sph_harm_matrix(pts, band_limit) @ coeffs
+    assert got.shape == expected.shape == (300,)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("band_limit", [0, 3])
+def test_synthesis_and_analysis_take_one_vector(band_limit):
+    # both synthesis paths take only (n_coeff,), analysis only (n_nodes,): no column stacks
+    g = SphereGrid.build(band_limit)
+    pts = g.nodes[:5]
+    for wrong in (
+        np.ones(g.n_coeff + 1),
+        np.ones(2 * g.n_coeff),
+        np.ones((g.n_coeff, 1)),
+        np.ones((g.n_coeff, 2)),
+        np.ones((g.n_coeff, 2, 2)),
+    ):
+        for where in (None, pts):
+            with pytest.raises(ValueError, match="need coefficients of shape"):
+                g.synthesize(wrong, where)
+    n_nodes = g.nodes.shape[0]
+    for wrong in (np.ones(n_nodes + 1), np.ones((n_nodes, 1)), np.ones((n_nodes, 2))):
+        with pytest.raises(ValueError, match="need samples of shape"):
+            g.analyze(wrong)
+        with pytest.raises(ValueError, match="need samples of shape"):
+            circle_average(g, wrong, 0.3)
 
 
 @pytest.mark.parametrize("band_limit", [0, 1, 2, 7, 16, 32])
@@ -440,12 +463,13 @@ def test_theta_table_reproduces_the_meridian(band_limit):
     assert np.abs(table[-1]).max() <= 1e-14 * np.abs(table).max()
 
 
-def test_synthesize_columns_over_a_partial_last_block():
+def test_synthesize_over_a_partial_last_block():
     g = SphereGrid.build(24)
     rng = np.random.default_rng(24)
     pts = rng.normal(size=(2 * sphere._SYNTH_CHUNK + 777, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    coeffs = rng.normal(size=(g.n_coeff, 3))
+    pts[-1] = [0.0, 0.0, -1.0]  # a pole in the partial block
+    coeffs = rng.normal(size=g.n_coeff)
     got, expected = g.synthesize(coeffs, pts), real_sph_harm_matrix(pts, 24) @ coeffs
-    assert got.shape == expected.shape == (pts.shape[0], 3)
+    assert got.shape == expected.shape == (pts.shape[0],)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from circleops import zigzag
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
 from circleops.zigzag import (
     J_ALPHA_SLIDE,
@@ -48,6 +49,28 @@ class TestProfile:
         with pytest.raises(ValueError):
             ExponentProfile(holder_s=0.6, growth_t=0.0, hoelder_C=1.0, growth_L=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("holder_s", np.nan, "holder exponent"),
+            ("holder_s", np.inf, "holder exponent"),
+            ("growth_t", np.nan, "nonnegative"),
+            ("growth_t", -np.inf, "nonnegative"),
+            ("growth_t", np.inf, "growth_t < holder_s / 2"),
+            ("hoelder_C", np.nan, "Hoelder constant"),
+            ("hoelder_C", np.inf, "Hoelder constant"),
+            ("hoelder_C", 0.0, "Hoelder constant"),
+            ("growth_L", np.nan, "growth constant"),
+            ("growth_L", np.inf, "growth constant"),
+            ("growth_L", 0.5, "growth constant"),
+        ],
+    )
+    def test_nan_and_inf_are_refused(self, field, value, text):
+        # NaN fails every comparison, so each check must be one that NaN fails
+        params = {"holder_s": 0.5, "growth_t": 0.0, "hoelder_C": 4.0, "growth_L": 1.0, field: value}
+        with pytest.raises(ValueError, match=text):
+            ExponentProfile(**params)
+
 
 class TestJumpCost:
     def test_zero_delta(self):
@@ -87,6 +110,12 @@ class TestAnnulus:
         bound, ledger = annulus_diameter_bound(alpha, eps, HILBERT, a, b)
         assert len(ledger.segments) == 3
         assert ledger.total <= bound
+
+    def test_nan_ledger_total_fails_the_bound(self, monkeypatch):
+        # a NaN total never exceeds the bound, so the check must be "total <= bound"
+        monkeypatch.setattr(zigzag, "jump_cost", lambda alpha, delta, prof: np.nan)
+        with pytest.raises(AssertionError, match="exceeds certified bound"):
+            annulus_diameter_bound(2.0, 0.5, HILBERT, slide_point(2.1, 1.4), slide_point(2.8, 2.0))
 
     def test_slide_costs_use_exact_deltas(self):
         a, b = slide_point(2.1, 1.4), slide_point(2.8, 2.0)
@@ -299,3 +328,5 @@ class TestDecayProfile:
     def test_covering_needs_alpha_at_least_one(self):
         with pytest.raises(ValueError):
             diameter_decay_profile([0.5], HILBERT)
+        with pytest.raises(ValueError, match="alpha >= 1"):
+            diameter_decay_profile([1.0, np.nan, 2.0], HILBERT)
