@@ -3,13 +3,12 @@
 Each criterion is a self-contained check returning (passed, detail),
 declared once with its number, name and wall-clock gate by `_criterion`, so
 the CLI's check-all and the pytest acceptance module run one registry,
-ALL_CRITERIA.  Criterion 2's stabilization clause is asserted at its
-stated 1e-6 on the completed Schatten norms: the raw truncations cannot meet
-it near the boundary exponent (the p-th power tails decay like N^(2 - p/2)),
-so each partial sum is completed by spectral.schatten_tail_estimate, and the
-raw doubling changes are reported beside the completed ones.  On completed
-norms that clause checks the completion's consistency; the binding check is
-the estimate's mass over 2^17 < n <= 2^18 against the recurrence's.
+ALL_CRITERIA.  A certificate that a CLI subcommand also checks has its
+bound, slack and verdict in the library, and both call it:
+spectral.holder_check (criterion 1), schatten.interpolation_check (7),
+sl3.embedding2_verdict (9), repsim.decay_ratio (11) and repsim.certified_gaps
+(12).  Criterion 10 takes gamma and the per-slide cap from ExponentProfile.
+Criterion 2 checks completed Schatten norms, not raw truncations (criterion_2).
 """
 
 from __future__ import annotations
@@ -22,24 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .legendre import HOLDER_CONSTANT, legendre_table
-from .repsim import coefficient_decay, invariant_gap
-from .schatten import (
-    MixedNormSpace,
-    SingularProfile,
-    dyadic_decompose,
-    mixed_norm_lower_bound,
-    mixed_norm_upper_bound,
-)
-from .sl3 import LambdaPoint, _certificate_bounds, embedding2_solve, j_alpha, kak, solve_delta_for_top
-from .spectral import (
-    DecayFit,
-    completed_power_sums,
-    difference_diagonal,
-    divergence_probe_p4,
-    op_norm_diff_certificates,
-    schatten_tail_bound,
-)
+from .legendre import legendre_table
+from .repsim import certified_gaps, coefficient_decay, decay_ratio
+from .schatten import SingularProfile, dyadic_decompose, interpolation_check
+from .sl3 import LambdaPoint, embedding2_solve, embedding2_verdict, j_alpha, kak, solve_delta_for_top
+from .spectral import DecayFit, completed_power_sums, divergence_probe_p4, holder_check, schatten_tail_bound
 from .sphere import SphereGrid, circle_average_operator, degree_of_column, mixing_profile
 from .zigzag import (
     ExponentProfile,
@@ -99,10 +85,8 @@ def _criterion(number: int, name: str, seconds: float | None = None):
 @_criterion(1, "pointwise defect bound", seconds=10.0)
 def criterion_1():
     """Pointwise defect bound |P_n(0) - P_n(d)| <= 4 sqrt|d|, n <= 2000; violations count deltas."""
-    deltas = np.linspace(-1.0, 1.0, 1000)
-    heads, _ = op_norm_diff_certificates(deltas, 2000)
-    bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
-    violations = int(np.sum(heads > bounds + 1e-14))
+    heads, bounds, violating = holder_check(np.linspace(-1.0, 1.0, 1000), 2000)
+    violations = int(np.sum(violating))
     worst = float((heads / np.maximum(bounds, 1e-300)).max())
     return violations == 0, f"violations={violations}, max ratio={worst:.6f}"
 
@@ -218,11 +202,8 @@ def criterion_7():
     margin = np.inf
     for p in (4.0, 6.0, 8.0):
         for delta in (0.025, 0.05, 0.1, 0.2):
-            diag = difference_diagonal(delta, 16)
-            value = mixed_norm_lower_bound(np.diag(diag), MixedNormSpace(diag.size, 4, p)).value
-            upper = mixed_norm_upper_bound(delta, p)
-            if not value <= upper + 1e-9:
-                violations += 1
+            value, upper, held = interpolation_check(delta, p, 16, 4)
+            violations += not held
             margin = min(margin, upper - value)
     return violations == 0, f"violations={violations}, smallest upper-lower margin {margin:.4f}"
 
@@ -273,12 +254,10 @@ def criterion_9():
     for gamma in (2.0, 4.0, 8.0, 16.0):
         for alpha in np.linspace(gamma, 7 * gamma / 6, 20):
             cert = embedding2_solve(gamma, alpha)
-            ok &= cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9
-            ok &= _certificate_bounds(cert)[2]
+            ok &= embedding2_verdict(cert)[2]
             worst_res = max(worst_res, cert.residual1, cert.residual2)
-        edge = embedding2_solve(gamma, 7 * gamma / 6)
-        ok &= edge.delta2 == 0.0
-        worst_edge = max(worst_edge, float(np.abs(edge.k2 - rot90).max()))
+        ok &= cert.delta2 == 0.0  # the last alpha is the tangent edge 7 gamma / 6
+        worst_edge = max(worst_edge, float(np.abs(cert.k2 - rot90).max()))
     ok &= worst_edge <= 1e-9
     return ok, f"max residual {worst_res:.2e}, max edge-rotation error {worst_edge:.2e}"
 
@@ -295,8 +274,7 @@ def criterion_10():
     checked = 0
     for alpha in (1.0, 2.0, 4.0, 8.0):
         for eps in (0.2, 0.5, 0.8):
-            gamma = prof.holder_s * (1 - eps) - 2 * prof.growth_t
-            seg_cap = 2 * prof.hoelder_C * prof.growth_L**2 * np.exp(-gamma * alpha)
+            seg_cap = prof.slide_cap(alpha, eps)
             for _ in range(5):
                 pts = []
                 for _k in range(2):
@@ -315,15 +293,13 @@ def criterion_10():
 def criterion_11():
     """Coefficient decay: c(n) strictly decreasing, c(n) <= 4 e^(-n/2), leakage < 10%."""
     rows = coefficient_decay(6)  # raises unless all three hold
-    worst_ratio = float(np.max(rows[1:, 1] / rows[1:, 2]))
-    return True, f"c strictly decreasing, max c/bound={worst_ratio:.3f}, max leakage={rows[:, 3].max():.2e}"
+    return True, f"c strictly decreasing, max c/bound={decay_ratio(rows):.3f}, max leakage={rows[:, 3].max():.2e}"
 
 
 @_criterion(12, "invariant gap")
 def criterion_12():
     """Invariant gap >= 1/3 for degrees 1..6: exact lower end, witnessed upper end."""
-    gaps = [invariant_gap(degree) for degree in range(1, 7)]
-    ok = all(1.0 / 3.0 <= lo <= up and abs(np.linalg.norm(vec) - 1.0) < 1e-9 for lo, up, vec in gaps)
+    gaps, ok = certified_gaps(6)
     lowers, uppers = np.array([gap[:2] for gap in gaps]).T
     return ok, (
         f"gaps >= {np.array2string(lowers, precision=4)}, witnessed <= "

@@ -5,7 +5,9 @@ JSON for structured certificates) before `_finish` writes them into the
 output directory together with a run manifest recording the command, every
 flag except --outdir, the seed, and the produced files.  Identical manifests
 reproduce byte-identical outputs: floats print at 17 significant digits and
-all randomness is seeded.  howe-moore runs the closed-form c(n) alone.
+all randomness is seeded.  howe-moore runs the closed-form c(n) alone.  No
+subcommand types a pass rule: each exits 1 on the library verdict that the
+matching check-all criterion also reads (listed in the acceptance docstring).
 
 Exit codes: 0 success, 1 assertion failure, 2 flag errors (an unknown
 check-all --only number included), 3 numerical-degeneracy aborts.  A run
@@ -26,11 +28,10 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalDegeneracyError
-from .legendre import HOLDER_CONSTANT
-from .repsim import coefficient_decay, invariant_gap
-from .schatten import MixedNormSpace, mixed_norm_lower_bound, mixed_norm_upper_bound
-from .sl3 import LambdaPoint, _certificate_bounds, embedding2_solve, kak
-from .spectral import difference_diagonal, divergence_probe_p4, fit_decay, op_norm_diff_certificates
+from .repsim import GAP_FLOOR, certified_gaps, coefficient_decay, decay_ratio
+from .schatten import interpolation_check
+from .sl3 import LambdaPoint, embedding2_solve, embedding2_verdict, kak
+from .spectral import divergence_probe_p4, fit_decay, holder_check
 from .sphere import markov_trace, mixing_profile
 from .zigzag import (
     ExponentProfile,
@@ -104,9 +105,8 @@ def positive_int(text: str) -> int:
 
 def cmd_legendre_bounds(args) -> int:
     deltas = np.linspace(-1.0, 1.0, args.grid)
-    defects, _ = op_norm_diff_certificates(deltas, args.nmax)
-    bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
-    violations = int(np.sum(defects > bounds + 1e-14))
+    defects, bounds, violating = holder_check(deltas, args.nmax)
+    violations = int(np.sum(violating))
     print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")
     csv = _csv("max_n |P_n(0)-P_n(delta)| <= 4*sqrt(|delta|)",
                ["delta", "max_defect", "bound"], zip(deltas, defects, bounds))
@@ -139,15 +139,11 @@ def cmd_schatten_probe(args) -> int:
 
 
 def cmd_mixed_norm(args) -> int:
-    T = np.diag(difference_diagonal(args.delta, args.truncation))
-    space = MixedNormSpace(T.shape[0], args.inner_dim, args.p)
-    res = mixed_norm_lower_bound(T, space)
-    interp = mixed_norm_upper_bound(args.delta, args.p)
-    print(f"mixed-norm: lower {res.value:.6f} <= interpolation {interp:.6f}")
+    value, interp, held = interpolation_check(args.delta, args.p, args.truncation, args.inner_dim)
+    print(f"mixed-norm: lower {value:.6f} <= interpolation {interp:.6f}")
     csv = _csv("witnessed lower bound <= interpolation upper bound",
-               ["delta", "p", "lower_bound", "interp_bound"], [(args.delta, args.p, res.value, interp)])
-    return _finish(args, {"mixed_norm.csv": csv},  # a NaN bound fails
-                   "lower bound exceeded the interpolation bound" if not res.value <= interp + 1e-9 else None)
+               ["delta", "p", "lower_bound", "interp_bound"], [(args.delta, args.p, value, interp)])
+    return _finish(args, {"mixed_norm.csv": csv}, None if held else "lower bound exceeded the interpolation bound")
 
 
 def cmd_kak(args) -> int:
@@ -169,13 +165,13 @@ def cmd_embedding2(args) -> int:
     certs, held = [], True
     for alpha in alphas:
         cert = embedding2_solve(args.gamma, float(alpha))
-        delta_bound, rotation_bound, ok = _certificate_bounds(cert)
+        delta_bound, rotation_bound, ok = embedding2_verdict(cert)
         certs.append({**dataclasses.asdict(cert), "delta_bound": delta_bound, "rotation_bound": rotation_bound})
         held &= ok
     worst = max(max(c["residual1"], c["residual2"]) for c in certs)
     print(f"embedding2: {len(certs)} certificates, max residual {worst:.3e}")
     return _finish(args, {"embedding2.json": _json(certs)},
-                   None if held else "a certificate exceeds its delta or rotation bound")
+                   None if held else "a certificate exceeds its residual, delta or rotation bound")
 
 
 def cmd_zigzag(args) -> int:
@@ -230,26 +226,21 @@ def cmd_markov(args) -> int:
 def cmd_howe_moore(args) -> int:
     rows = coefficient_decay(args.nmax)
     print(f"howe-moore: c(n) for n <= {args.nmax}, "
-          f"max c/bound = {np.max(rows[1:, 1] / rows[1:, 2]):.4f}")
+          f"max c/bound = {decay_ratio(rows):.4f}")
     return _finish(args, {"howe_moore_decay.csv": _csv(
         "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
         ["n", "c_n", "bound", "leakage"], rows)})
 
 
 def cmd_invariant_gap(args) -> int:
-    rows = []
-    witnesses = {}
-    for degree in range(1, args.jmax + 1):
-        lower, upper, vec = invariant_gap(degree)
-        rows.append((degree, lower, upper, 1.0 / 3.0))
-        witnesses[str(degree)] = vec
+    gaps, held = certified_gaps(args.jmax)
+    rows = [(degree, lower, upper, GAP_FLOOR) for degree, (lower, upper, _) in enumerate(gaps, 1)]
     print("invariant-gap: " + ", ".join(f"j={d}: [{lo:.4f}, {up:.4f}]" for d, lo, up, _ in rows))
-    bad = any(not 1.0 / 3.0 <= lo <= up for _, lo, up, _ in rows)
     return _finish(args, {
         "invariant_gap.csv": _csv("summed invariant defect over the two circle subgroups >= 1/3",
                                   ["degree", "lower", "witness_defect", "threshold"], rows),
-        "invariant_gap_witnesses.json": _json(witnesses),
-    }, "gap below 1/3 or above its witness" if bad else None)
+        "invariant_gap_witnesses.json": _json({str(degree): vec for degree, (_, _, vec) in enumerate(gaps, 1)}),
+    }, None if held else "gap below 1/3 or above its witness")
 
 
 def cmd_check_all(args) -> int:

@@ -32,6 +32,9 @@ __all__ = [
     "matrix_coefficient",
     "coefficient_decay",
     "invariant_gap",
+    "certified_gaps",
+    "decay_ratio",
+    "GAP_FLOOR",
     "DECAY_BOUND_CONSTANT",
     "DECAY_BOUND_RATE",
 ]
@@ -39,6 +42,7 @@ __all__ = [
 # One-sided decay check: c(n) <= 4 e^(-n/2) (absorbed constants, Hilbert exponents).
 DECAY_BOUND_CONSTANT = 4.0
 DECAY_BOUND_RATE = 0.5
+GAP_FLOOR = 1.0 / 3.0  # the certified lower end of the invariant gap at every degree
 
 
 def build_grid(band_limit: int) -> SphereGrid:
@@ -149,6 +153,11 @@ def coefficient_decay(n_max: int) -> np.ndarray:
     return rows
 
 
+def decay_ratio(rows: np.ndarray) -> float:
+    """Largest c(n) / bound over n >= 1 in coefficient_decay's rows."""
+    return float(np.max(rows[1:, 1] / rows[1:, 2]))
+
+
 # ---------------------------------------------------------------------------
 # Invariant gap for the two perpendicular circle subgroups.
 # ---------------------------------------------------------------------------
@@ -200,3 +209,11 @@ def invariant_gap(degree: int):
     lower = float(np.sqrt(1.0 - c * c)) - allowance
     upper = float(np.linalg.norm(witness - c * w / norm)) + allowance
     return lower, upper, witness
+
+
+def certified_gaps(j_max: int):
+    """(gaps, held): invariant_gap(j) for j = 1..j_max, and whether every gap has
+    GAP_FLOOR <= lower <= witness_defect and a witness of norm 1 within 1e-9."""
+    gaps = [invariant_gap(degree) for degree in range(1, j_max + 1)]
+    held = all(GAP_FLOOR <= lo <= up and abs(np.linalg.norm(vec) - 1.0) < 1e-9 for lo, up, vec in gaps)
+    return gaps, held

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import HOLDER_CONSTANT
+from .spectral import difference_diagonal
 
 __all__ = [
     "SingularProfile",
@@ -25,6 +26,7 @@ __all__ = [
     "mixed_norm_lower_bound",
     "interpolation_bound",
     "mixed_norm_upper_bound",
+    "interpolation_check",
 ]
 
 
@@ -249,3 +251,12 @@ def mixed_norm_upper_bound(delta: float, p: float) -> float:
     """
     theta = min(2.0 / p, 2.0 - 2.0 / p)
     return interpolation_bound(HOLDER_CONSTANT * np.sqrt(abs(delta)), 2.0, theta)
+
+
+def interpolation_check(delta: float, p: float, truncation: int, inner_dim: int) -> tuple[float, float, bool]:
+    """(value, upper, held): the exact, witnessed l2(l^p) norm of the diagonal T_0 - T_delta on
+    degrees <= truncation, mixed_norm_upper_bound(delta, p), and value <= upper + 1e-9 (NaN fails)."""
+    diag = difference_diagonal(delta, truncation)
+    value = mixed_norm_lower_bound(np.diag(diag), MixedNormSpace(diag.size, inner_dim, p)).value
+    upper = mixed_norm_upper_bound(delta, p)
+    return value, upper, bool(value <= upper + 1e-9)

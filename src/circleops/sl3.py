@@ -35,6 +35,7 @@ __all__ = [
     "j_alpha",
     "solve_delta_for_top",
     "embedding2_solve",
+    "embedding2_verdict",
 ]
 
 _CONE_TOL = 1e-10
@@ -59,7 +60,7 @@ def in_special_linear(g: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class LambdaPoint:
-    """Point of the Weyl cone: a1 >= a2 >= a3 within 1e-10, a1 + a2 + a3 = 0."""
+    """Point of the Weyl cone: a1 >= a2 >= a3 within 1e-10, a1 + a2 + a3 = 0 within 1e-10 max(1, |a1|, |a3|)."""
 
     a1: float
     a2: float
@@ -68,7 +69,7 @@ class LambdaPoint:
     def __post_init__(self):
         if self.a1 < self.a2 - _CONE_TOL or self.a2 < self.a3 - _CONE_TOL:
             raise ValueError(f"cone ordering violated: {(self.a1, self.a2, self.a3)}")
-        if abs(self.a1 + self.a2 + self.a3) > _CONE_TOL:
+        if not abs(self.a1 + self.a2 + self.a3) <= _CONE_TOL * max(1.0, abs(self.a1), abs(self.a3)):  # NaN fails
             raise ValueError(f"coordinates must sum to 0: {(self.a1, self.a2, self.a3)}")
 
     def as_array(self) -> np.ndarray:
@@ -204,8 +205,8 @@ class Embedding2Certificate:
 
     Case 1 targets diag(e^g, 1, e^-g), case 2 targets
     diag(e^(3g/4), e^(g/4), e^-g).  Residuals are relative spectral norms
-    ||M - k diag k'|| / max(1, ||M||); the bounds delta_i <= e^-gamma and
-    ||k - 1|| <= 2 e^(-gamma/4) are checked by _certificate_bounds.
+    ||M - k diag k'|| / max(1, ||M||).  embedding2_verdict checks them against
+    1e-9, and checks the bounds delta_i <= e^-gamma and ||k - 1|| <= 2 e^(-gamma/4).
     """
 
     gamma: float
@@ -268,12 +269,14 @@ def _solve_case(gamma: float, alpha: float, diag: np.ndarray):
     return delta, k, kp, residual
 
 
-def _certificate_bounds(cert: Embedding2Certificate) -> tuple[float, float, bool]:
-    """(e^-gamma, 2 e^(-gamma/4), whether delta1, delta2 and ||k - 1||_2 for k1, k1p, k2p are
-    within them); apart from embedding2_solve, so that timing the solve times it alone."""
+def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, bool]:
+    """(e^-gamma, 2 e^(-gamma/4), held): held when both residuals are <= 1e-9 and delta1,
+    delta2 and ||k - 1||_2 for k1, k1p, k2p are within the two bounds.  Kept apart from
+    embedding2_solve, so that timing the solve times it alone."""
     delta_bound = float(np.exp(-cert.gamma))
     rotation_bound = float(2.0 * np.exp(-cert.gamma / 4.0))
-    held = max(cert.delta1, cert.delta2) <= delta_bound and all(
+    held = cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9  # a NaN residual fails
+    held = held and max(cert.delta1, cert.delta2) <= delta_bound and all(
         np.linalg.norm(k - np.eye(3), 2) <= rotation_bound for k in (cert.k1, cert.k1p, cert.k2p)
     )
     return delta_bound, rotation_bound, bool(held)

@@ -10,12 +10,13 @@ and the fourth-power divergence probe at the boundary exponent p = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import zeta
 
 from .legendre import (
+    HOLDER_CONSTANT,
     _clamp_delta,
     _defect_blocks,
     _row_blocks,
@@ -29,6 +30,7 @@ __all__ = [
     "SpectralOperator",
     "DecayFit",
     "op_norm_diff_certificates",
+    "holder_check",
     "schatten_tail_bound",
     "schatten_tail_estimate",
     "difference_diagonal",
@@ -95,6 +97,14 @@ def op_norm_diff_certificates(deltas, truncation: int) -> tuple[np.ndarray, np.n
     envelope = np.where(1.0 - d * d < 1e-12, 1.0, bernstein_envelope(truncation + 1, d))
     tails = np.where(d == 0.0, 0.0, np.minimum(abs(zeros[-1]) + envelope, _APRIORI_BOUND))
     return heads, tails
+
+
+def holder_check(deltas, truncation: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(heads, bounds, violating): op_norm_diff_certificates' heads, the Hoelder bounds
+    HOLDER_CONSTANT sqrt|delta|, and whether each head exceeds its bound by more than 1e-14."""
+    heads, _ = op_norm_diff_certificates(deltas, truncation)
+    bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
+    return heads, bounds, heads > bounds + 1e-14
 
 
 def difference_diagonal(delta: float, max_degree: int) -> np.ndarray:
@@ -328,10 +338,10 @@ class DecayFit:
 
     exponent: float
     constant: float
-    grid: list = field(default_factory=list)
-    residual: float = 0.0
-    theory_exponent: float = 0.0
-    envelope_constant: float = 0.0
+    grid: list
+    residual: float
+    theory_exponent: float
+    envelope_constant: float
 
     @classmethod
     def from_grid(cls, deltas, values, theory_exponent: float) -> DecayFit:

@@ -63,6 +63,14 @@ class ExponentProfile:
         if not 1.0 <= self.growth_L < np.inf:
             raise ValueError("growth constant must be finite and >= 1")
 
+    def annulus_rate(self, epsilon: float) -> float:
+        """gamma = s - eps s - 2t, the decay rate in alpha of every cost across the annulus."""
+        return self.holder_s - epsilon * self.holder_s - 2.0 * self.growth_t
+
+    def slide_cap(self, alpha: float, epsilon: float) -> float:
+        """2 C L^2 e^(-gamma alpha): the cap on one slide's cost across the annulus at alpha."""
+        return 2.0 * self.hoelder_C * self.growth_L**2 * np.exp(-self.annulus_rate(epsilon) * alpha)
+
 
 def jump_cost(alpha: float, delta: float, prof: ExponentProfile) -> float:
     """Cost bound C L^2 e^(2 alpha t) delta^s for one slide jump."""
@@ -161,8 +169,7 @@ def annulus_diameter_bound(
     for point in (a, b):
         if not _in_annulus(point, alpha, epsilon):
             raise ValueError(f"point {point} outside the annulus at alpha={alpha}, eps={epsilon}")
-    gamma = prof.holder_s - epsilon * prof.holder_s - 2.0 * prof.growth_t
-    bound = 6.0 * prof.hoelder_C * prof.growth_L**2 * np.exp(-gamma * alpha)
+    bound = 6.0 * prof.hoelder_C * prof.growth_L**2 * np.exp(-prof.annulus_rate(epsilon) * alpha)
 
     ledger = CostLedger()
     if a.distance(b) > _GEOM_TOL:

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from circleops import acceptance
+from circleops import acceptance, spectral
 from circleops.acceptance import ALL_CRITERIA
 from circleops.legendre import legendre_defect
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
@@ -43,7 +43,7 @@ def test_wall_clock_gate(monkeypatch, number, seconds, passed):
 
 def test_criterion_1_counts_violating_deltas(monkeypatch):
     """With the constant lowered to 1, criterion 1 counts each violating delta once, not each degree."""
-    monkeypatch.setattr(acceptance, "HOLDER_CONSTANT", 1.0)
+    monkeypatch.setattr(spectral, "HOLDER_CONSTANT", 1.0)  # holder_check is the one site that reads it
     deltas = np.linspace(-1.0, 1.0, 1000)
     defects = np.abs(legendre_defect(2000, deltas))
     over = defects > np.sqrt(np.abs(deltas)) + 1e-14

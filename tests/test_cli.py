@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from circleops import acceptance, cli, repsim, sl3
+from circleops import acceptance, cli, repsim, schatten, sl3, spectral
 from circleops.cli import main
 from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import legendre_defect
@@ -14,6 +14,10 @@ from circleops.legendre import legendre_defect
 
 def run(tmp_path, *argv):
     return main(["--outdir", str(tmp_path), *argv])
+
+
+def csv_rows(path):
+    return [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[2:]]
 
 
 def test_kak_identity(tmp_path):
@@ -167,8 +171,9 @@ def test_embedding2(tmp_path):
 
 @pytest.mark.parametrize(
     "fault",
-    [{"delta2": 0.2}, {"k1p": np.diag([1.0, 1.0, -1.0])}],  # e^-2 = 0.135; ||k - 1|| = 2 > 2 e^-0.5
-    ids=["delta", "rotation"],
+    # e^-2 = 0.135; ||k - 1|| = 2 > 2 e^-0.5; a residual above 1e-9
+    [{"delta2": 0.2}, {"k1p": np.diag([1.0, 1.0, -1.0])}, {"residual1": 1.0}],
+    ids=["delta", "rotation", "residual"],
 )
 def test_embedding2_past_its_bound_writes_then_exits_1(tmp_path, monkeypatch, fault):
     def faulty(gamma, alpha):
@@ -185,6 +190,13 @@ def test_zigzag_summary_constant(tmp_path, capsys):
     assert run(tmp_path, "zigzag", "--s", "0.5", "--t", "0", "--C", "4", "--L", "1") == 0
     out = capsys.readouterr().out
     assert "100.56" in out
+    ledgers = json.loads((tmp_path / "zigzag_ledgers.json").read_text())
+    assert all(led["total"] <= led["bound"] for led in ledgers)
+
+
+def test_zigzag_large_alpha_exits_0(tmp_path):
+    # route points near alpha = 5.7e5 carry coordinate-sum rounding above 1e-10
+    assert run(tmp_path, "zigzag", "--alpha-max", "1e6") == 0
     ledgers = json.loads((tmp_path / "zigzag_ledgers.json").read_text())
     assert all(led["total"] <= led["bound"] for led in ledgers)
 
@@ -290,6 +302,76 @@ def test_retired_flags_exit_2(tmp_path, command, argv):
         run(tmp_path, command, *argv)
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# check-all and the subcommands read one verdict from the library
+# ---------------------------------------------------------------------------
+
+
+def test_legendre_bounds_reports_criterion_1(tmp_path, capsys):
+    assert run(tmp_path, "legendre-bounds", "--nmax", "2000", "--grid", "1000") == 0
+    _, defects, bounds = np.array(csv_rows(tmp_path / "legendre_bounds.csv")).T
+    violations = int(np.sum(defects > bounds + 1e-14))
+    ratio = float((defects / np.maximum(bounds, 1e-300)).max())
+    assert f"violations={violations}\n" in capsys.readouterr().out
+    assert acceptance.ALL_CRITERIA[1]().detail == f"violations={violations}, max ratio={ratio:.6f}"
+
+
+def record_calls(monkeypatch, name, real):
+    """Wrap acceptance's `name` so that each call's (args, result) is recorded."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(acceptance, name, recording)
+    return calls
+
+
+def test_mixed_norm_gives_criterion_7_values(tmp_path, monkeypatch):
+    calls = record_calls(monkeypatch, "interpolation_check", schatten.interpolation_check)
+    assert acceptance.ALL_CRITERIA[7]().passed
+    assert len(calls) == 12
+    for (delta, p, truncation, inner_dim), (value, upper, _) in calls:
+        out = tmp_path / f"{p}-{delta}"
+        argv = ["mixed-norm", "--p", str(p), "--delta", str(delta), "--truncation", str(truncation)]
+        assert main(["--outdir", str(out), *argv, "--inner-dim", str(inner_dim)]) == 0
+        assert csv_rows(out / "mixed_norm.csv") == [[delta, p, value, upper]]
+
+
+def test_invariant_gap_writes_criterion_12_intervals(tmp_path, monkeypatch):
+    calls = record_calls(monkeypatch, "certified_gaps", repsim.certified_gaps)
+    assert acceptance.ALL_CRITERIA[12]().passed
+    (((j_max,), (gaps, _)),) = calls
+    assert run(tmp_path, "invariant-gap", "--jmax", str(j_max)) == 0
+    want = [[j, lower, upper, 1.0 / 3.0] for j, (lower, upper, _) in enumerate(gaps, 1)]
+    assert j_max == 6 and csv_rows(tmp_path / "invariant_gap.csv") == want
+
+
+def _swapped_gap(degree, exact=repsim.invariant_gap):
+    lower, upper, witness = exact(degree)
+    return upper, lower, witness
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, argv, criterion",
+    [
+        (spectral, "HOLDER_CONSTANT", 1.0, ["legendre-bounds", "--nmax", "200", "--grid", "101"], 1),
+        (schatten, "mixed_norm_upper_bound", lambda delta, p: 0.0, ["mixed-norm"], 7),
+        (repsim, "GAP_FLOOR", 0.9, ["invariant-gap", "--jmax", "2"], 12),
+        (repsim, "invariant_gap", _swapped_gap, ["invariant-gap", "--jmax", "2"], 12),
+    ],
+    ids=["holder", "interpolation", "gap-floor", "gap-above-witness"],
+)
+def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):
+    monkeypatch.setattr(module, name, fake)
+    assert not acceptance.ALL_CRITERIA[criterion]().passed
+    assert run(tmp_path, *argv) == 1
+    manifest_name = f"{argv[0].replace('-', '_')}_manifest.json"
+    outputs = json.loads((tmp_path / manifest_name).read_text())["outputs"]
+    assert outputs and sorted(p.name for p in tmp_path.iterdir()) == sorted([*outputs, manifest_name])
 
 
 def test_check_all_subset(tmp_path):

@@ -77,6 +77,20 @@ REPO = Path(__file__).resolve().parents[1]
 CALLER_TREES = [REPO / "src" / "circleops", REPO / "demos", REPO / "perfbench", REPO / "benchmarks"]
 
 
+@pytest.mark.parametrize("module", ["acceptance", "cli"])
+def test_front_ends_import_no_private_name(module):
+    """check-all and the CLI read each pass rule through a public name, never a module's private helper."""
+    tree = ast.parse((REPO / "src" / "circleops" / f"{module}.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     used = set()
     for tree in CALLER_TREES:

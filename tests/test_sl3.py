@@ -218,6 +218,17 @@ class TestKak:
         with pytest.raises(ValueError):
             LambdaPoint(1.0, 0.0, -0.5)
 
+    def test_sum_tolerance_scales_with_the_coordinates(self):
+        # a route point that zigzag builds at alpha near 5.7e5, with rounding of 1.2e-10 in its sum
+        LambdaPoint(400000.3, 285714.5, -685714.7999999999)
+        with pytest.raises(ValueError):  # unchanged for coordinates of size <= 1
+            LambdaPoint(1.0, 0.0, -1.0 + 2e-10)
+        with pytest.raises(ValueError):
+            LambdaPoint(1e6, 0.0, -1e6 + 1.0)
+        for bad in [(np.nan, 0.0, 0.0), (np.inf, 0.0, -np.inf)]:
+            with pytest.raises(ValueError):
+                LambdaPoint(*bad)
+
 
 # cone points with a repeated singular value: top pair, bottom pair, all equal (a rotation)
 REPEATED = st.one_of(
