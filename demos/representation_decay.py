@@ -22,9 +22,10 @@ from circleops.repsim import (
 )
 
 print("coefficient decay (exact quadrature):")
-rows = coefficient_decay(6)
+rows, held = coefficient_decay(6)
 for n, c, bound, leak in rows:
     print(f"  n = {int(n)}: c = {c:.6f} <= {bound:.6f}   c * e^n = {c * np.exp(n):.4f}")
+print(f"verdict: c positive, strictly decreasing and under 4 e^(-n/2): {'holds' if held else 'FAILS'}")
 
 print("\n[0, 0] entry of the band-16 compressed pi(a_n), the one entry of P_K pi(a_n) P_K:")
 grid = build_grid(16)

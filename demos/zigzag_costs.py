@@ -16,6 +16,7 @@ from circleops.zigzag import (
     covering_limit,
     covering_partial_sums,
     diameter_decay_profile,
+    ledger_verdict,
 )
 
 prof = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
@@ -28,12 +29,14 @@ print(f"annulus alpha = {alpha}, eps = {eps}: bound {bound:.4f}")
 for seg in ledger.segments:
     print(f"  {seg.rule:22s} {seg.start.as_array()} -> {seg.end.as_array()} "
           f"cost <= {seg.cost_bound:.4f}")
-print(f"  total {ledger.total:.4f} <= {bound:.4f}")
+print(f"  total {ledger.total:.4f} <= {bound:.4f}; verdict (total and per-slide cap "
+      f"{prof.slide_cap(alpha, eps):.4f}): {'holds' if ledger_verdict(alpha, eps, prof, bound, ledger) else 'FAILS'}")
 
 c = LambdaPoint(1.5, 0.8, -2.3)
-_, same_side = annulus_diameter_bound(alpha, eps, prof, b, c)
+bound, same_side = annulus_diameter_bound(alpha, eps, prof, b, c)
 print(f"same-side pair needs {len(same_side.segments)} segments, "
-      f"total {same_side.total:.4f}")
+      f"total {same_side.total:.4f}; verdict: "
+      f"{'holds' if ledger_verdict(alpha, eps, prof, bound, same_side) else 'FAILS'}")
 
 print(f"\ntail constant C' = {cauchy_tail_constant(prof):.6f}")
 sums = covering_partial_sums(prof, 0.0, 8)

@@ -6,8 +6,8 @@ the CLI's check-all and the pytest acceptance module run one registry,
 ALL_CRITERIA.  A certificate that a CLI subcommand also checks has its
 bound, slack and verdict in the library, and both call it:
 spectral.holder_check (criterion 1), schatten.interpolation_check (7),
-sl3.embedding2_verdict (9), repsim.decay_ratio (11) and repsim.certified_gaps
-(12).  Criterion 10 takes gamma and the per-slide cap from ExponentProfile.
+sl3.embedding2_verdict (9), zigzag.ledger_verdict (10),
+repsim.coefficient_decay (11) and repsim.certified_gaps (12).
 Criterion 2 checks completed Schatten norms, not raw truncations (criterion_2).
 """
 
@@ -32,6 +32,7 @@ from .zigzag import (
     annulus_diameter_bound,
     cauchy_tail_constant,
     covering_partial_sums,
+    ledger_verdict,
 )
 
 __all__ = ["CriterionResult", "ALL_CRITERIA", "run_criteria"]
@@ -59,8 +60,8 @@ def _criterion(number: int, name: str, seconds: float | None = None):
     The registered zero-argument callable times the check, fails it when a
     wall-clock gate is set and the check takes `seconds` or longer, and
     returns the CriterionResult; ALL_CRITERIA[number] is that callable.  A
-    check that raises AssertionError or NumericalDegeneracyError fails with
-    the detail "raised <Type>: <message>", so the criteria after it still run.
+    check that raises NumericalDegeneracyError fails with the detail
+    "raised NumericalDegeneracyError: <message>", so the criteria after it still run.
     """
 
     def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
@@ -69,7 +70,7 @@ def _criterion(number: int, name: str, seconds: float | None = None):
             start = time.perf_counter()
             try:
                 passed, detail = check()
-            except (AssertionError, NumericalDegeneracyError) as exc:
+            except NumericalDegeneracyError as exc:
                 passed, detail = False, f"raised {type(exc).__name__}: {exc}"
             elapsed = time.perf_counter() - start
             if seconds is not None and elapsed >= seconds:
@@ -271,10 +272,9 @@ def criterion_10():
     gap = abs(closed - independent) / closed
     ok = gap <= 1e-12
     rng = np.random.default_rng(77)
-    checked = 0
+    checked = held = 0
     for alpha in (1.0, 2.0, 4.0, 8.0):
         for eps in (0.2, 0.5, 0.8):
-            seg_cap = prof.slide_cap(alpha, eps)
             for _ in range(5):
                 pts = []
                 for _k in range(2):
@@ -283,17 +283,17 @@ def criterion_10():
                     p = LambdaPoint(top, ell - top, -ell)
                     pts.append(p if rng.random() < 0.5 else p.reflect())
                 bound, ledger = annulus_diameter_bound(alpha, eps, prof, pts[0], pts[1])
-                ok &= ledger.total <= bound
-                ok &= all(s.cost_bound <= seg_cap + 1e-12 for s in ledger.segments)
+                held += ledger_verdict(alpha, eps, prof, bound, ledger)
                 checked += 1
-    return ok, f"closed-form vs numeric sum gap {gap:.2e}; {checked} ledgers within bounds"
+    return ok and held == checked, f"closed-form vs numeric sum gap {gap:.2e}; {held}/{checked} ledgers within bounds"
 
 
 @_criterion(11, "matrix coefficient decay")
 def criterion_11():
     """Coefficient decay: c(n) strictly decreasing, c(n) <= 4 e^(-n/2), leakage < 10%."""
-    rows = coefficient_decay(6)  # raises unless all three hold
-    return True, f"c strictly decreasing, max c/bound={decay_ratio(rows):.3f}, max leakage={rows[:, 3].max():.2e}"
+    rows, held = coefficient_decay(6)
+    shape = "c strictly decreasing" if held else "c NOT positive, decreasing and within 4 e^(-n/2)"
+    return held, f"{shape}, max c/bound={decay_ratio(rows):.3f}, max leakage={rows[:, 3].max():.2e}"
 
 
 @_criterion(12, "invariant gap")

@@ -9,10 +9,10 @@ all randomness is seeded.  howe-moore runs the closed-form c(n) alone.  No
 subcommand types a pass rule: each exits 1 on the library verdict that the
 matching check-all criterion also reads (listed in the acceptance docstring).
 
-Exit codes: 0 success, 1 assertion failure, 2 flag errors (an unknown
-check-all --only number included), 3 numerical-degeneracy aborts.  A run
-that exits 2 or 3 writes no file.  check-all records a criterion that raises
-an assertion failure or a degeneracy as FAIL and exits 1 after the rest.
+Exit codes: 0 success, 1 a certificate failed its check (files still written),
+2 flag errors (an unknown check-all --only number or an unusable --outdir
+included), 3 numerical-degeneracy aborts.  A run that exits 2 or 3 writes no
+file.  check-all records a criterion that raises a degeneracy as FAIL.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .zigzag import (
     annulus_diameter_bound,
     cauchy_tail_constant,
     diameter_decay_profile,
+    ledger_verdict,
 )
 
 OUTDIR_ENV = "CIRCLEOPS_OUTDIR"
@@ -67,7 +68,10 @@ def _finish(args, files: dict, failure: str | None = None) -> int:
     record of a run cannot drift from the flags that produced it.
     """
     out = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place, say; main reports it as exit 2
+        raise ValueError(f"cannot use {out} as the output directory: {exc.strerror}") from exc
     skip = ("outdir", "command", "func", "seed")
     manifest = {
         "command": args.command,
@@ -179,11 +183,12 @@ def cmd_zigzag(args) -> int:
     cprime = cauchy_tail_constant(prof)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_grid)
     decay = diameter_decay_profile(alphas, prof)
-    ledgers = []
+    ledgers, held = [], True
     for alpha in alphas:
         a = LambdaPoint(1.2 * alpha, -0.5 * alpha, -0.7 * alpha)
         b = LambdaPoint(0.5 * alpha, 0.5 * alpha, -alpha)
         bound, ledger = annulus_diameter_bound(float(alpha), args.epsilon, prof, a, b)
+        held &= ledger_verdict(float(alpha), args.epsilon, prof, bound, ledger)
         ledgers.append({
             "alpha": float(alpha),
             "epsilon": args.epsilon,
@@ -200,11 +205,11 @@ def cmd_zigzag(args) -> int:
             ],
         })
     print(f"zigzag: tail constant C' = {cprime:.6f}; {len(ledgers)} ledgers, "
-          f"all totals within bounds")
+          f"{'all totals within bounds' if held else 'NOT all within their bounds'}")
     return _finish(args, {
         "zigzag_decay.csv": _csv("tail-diameter bound C' * e^((2t-s) alpha)", ["alpha", "bound"], decay),
         "zigzag_ledgers.json": _json(ledgers),
-    })
+    }, None if held else "a ledger total or segment exceeds its bound")
 
 
 def cmd_markov(args) -> int:
@@ -224,12 +229,13 @@ def cmd_markov(args) -> int:
 
 
 def cmd_howe_moore(args) -> int:
-    rows = coefficient_decay(args.nmax)
+    rows, held = coefficient_decay(args.nmax)
     print(f"howe-moore: c(n) for n <= {args.nmax}, "
           f"max c/bound = {decay_ratio(rows):.4f}")
     return _finish(args, {"howe_moore_decay.csv": _csv(
         "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
-        ["n", "c_n", "bound", "leakage"], rows)})
+        ["n", "c_n", "bound", "leakage"], rows)},
+        None if held else "c(n) not positive, strictly decreasing and within 4 e^(-n/2)")
 
 
 def cmd_invariant_gap(args) -> int:
@@ -340,9 +346,6 @@ def main(argv=None) -> int:
     except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy [{exc.invariant}]: {exc.detail}", file=sys.stderr)
         return 3
-    except AssertionError as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2

@@ -40,9 +40,9 @@ class SingularProfile:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("profile must be a nonempty 1-d array")
-        if np.any(vals < 0):
+        if not np.all(vals >= 0):  # NaN fails this check and the next
             raise ValueError("singular values must be nonnegative")
-        if np.any(np.diff(vals) > 1e-12):
+        if not np.all(np.diff(vals) <= 1e-12):
             raise ValueError("singular values must be nonincreasing")
         object.__setattr__(self, "values", vals)
 
@@ -70,7 +70,7 @@ class DyadicDecomposition:
 
 def dyadic_decompose(profile: SingularProfile, r: float) -> DyadicDecomposition:
     """Split a profile into dyadic blocks, alpha_k = lambda_{2^k}."""
-    if r < 1:
+    if not r >= 1:  # NaN fails too
         raise ValueError("r must be >= 1")
     n = profile.values.size
     alphas = []
@@ -113,7 +113,7 @@ class MixedNormSpace:
     def __post_init__(self):
         if self.outer_dim < 1 or self.inner_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.inner_exponent < 1:
+        if not self.inner_exponent >= 1:  # NaN fails too
             raise ValueError("inner exponent must be >= 1")
 
     def _duality(self, y: np.ndarray):

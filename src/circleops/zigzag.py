@@ -28,6 +28,7 @@ __all__ = [
     "THETA_REFLECTED_SLIDE",
     "jump_cost",
     "annulus_diameter_bound",
+    "ledger_verdict",
     "ledger_reflect",
     "cauchy_tail_constant",
     "covering_partial_sums",
@@ -63,13 +64,10 @@ class ExponentProfile:
         if not 1.0 <= self.growth_L < np.inf:
             raise ValueError("growth constant must be finite and >= 1")
 
-    def annulus_rate(self, epsilon: float) -> float:
-        """gamma = s - eps s - 2t, the decay rate in alpha of every cost across the annulus."""
-        return self.holder_s - epsilon * self.holder_s - 2.0 * self.growth_t
-
     def slide_cap(self, alpha: float, epsilon: float) -> float:
-        """2 C L^2 e^(-gamma alpha): the cap on one slide's cost across the annulus at alpha."""
-        return 2.0 * self.hoelder_C * self.growth_L**2 * np.exp(-self.annulus_rate(epsilon) * alpha)
+        """2 C L^2 e^(-gamma alpha), gamma = s - eps s - 2t: the cap on one slide's cost across the annulus."""
+        gamma = self.holder_s - epsilon * self.holder_s - 2.0 * self.growth_t
+        return 2.0 * self.hoelder_C * self.growth_L**2 * np.exp(-gamma * alpha)
 
 
 def jump_cost(alpha: float, delta: float, prof: ExponentProfile) -> float:
@@ -140,11 +138,6 @@ def _segment(p: LambdaPoint, q: LambdaPoint, rule: str, prof: ExponentProfile) -
     return Segment(start=p, end=q, cost_bound=cost, rule=rule)
 
 
-def _in_annulus(p: LambdaPoint, alpha: float, epsilon: float) -> bool:
-    ell = p.ell()
-    return alpha - _GEOM_TOL <= ell <= (1.0 + epsilon) * alpha + _GEOM_TOL
-
-
 def annulus_diameter_bound(
     alpha: float,
     epsilon: float,
@@ -152,12 +145,12 @@ def annulus_diameter_bound(
     a: LambdaPoint,
     b: LambdaPoint,
 ):
-    """Closed-form annulus bound 6 C L^2 e^(-gamma alpha) plus a witnessing ledger.
+    """Closed-form annulus bound 3 slide_cap = 6 C L^2 e^(-gamma alpha) plus a witnessing ledger.
 
     The ledger connects the two caller-supplied points of the annulus
     {alpha <= max(a1, -a3) <= (1+eps) alpha} by at most three slide segments
-    (two when the points lie on opposite sides of the axis a2 = 0); its total
-    is asserted to stay within the returned bound.  Routes are built with a
+    (two when the points lie on opposite sides of the axis a2 = 0), and
+    ledger_verdict says whether it certifies the bound.  Routes are built with a
     on the slide side (a2 >= 0); the others are their ledger_reflect images.
     A pair with both points on the axis takes the two-segment route, J slide
     first; its mirror image, the other valid route, costs the same.
@@ -167,9 +160,9 @@ def annulus_diameter_bound(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     for point in (a, b):
-        if not _in_annulus(point, alpha, epsilon):
+        if not alpha - _GEOM_TOL <= point.ell() <= (1.0 + epsilon) * alpha + _GEOM_TOL:
             raise ValueError(f"point {point} outside the annulus at alpha={alpha}, eps={epsilon}")
-    bound = 6.0 * prof.hoelder_C * prof.growth_L**2 * np.exp(-prof.annulus_rate(epsilon) * alpha)
+    bound = 3.0 * prof.slide_cap(alpha, epsilon)
 
     ledger = CostLedger()
     if a.distance(b) > _GEOM_TOL:
@@ -179,11 +172,13 @@ def annulus_diameter_bound(
         if flip:
             ledger = ledger_reflect(ledger)
     ledger.validate()
-    if not ledger.total <= bound + 1e-12:  # NaN fails too
-        raise AssertionError(
-            f"ledger total {ledger.total} exceeds certified bound {bound}"
-        )
     return bound, ledger
+
+
+def ledger_verdict(alpha: float, epsilon: float, prof: ExponentProfile, bound: float, ledger: CostLedger) -> bool:
+    """Total <= bound, no slack, and each segment <= slide_cap(alpha, epsilon) + 1e-12 (NaN fails)."""
+    cap = prof.slide_cap(alpha, epsilon) + 1e-12
+    return bool(ledger.total <= bound and all(seg.cost_bound <= cap for seg in ledger.segments))
 
 
 def _two_segment_route(a: LambdaPoint, b: LambdaPoint, prof: ExponentProfile) -> CostLedger:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from circleops import acceptance, cli, repsim, schatten, sl3, spectral
+from circleops import acceptance, cli, repsim, schatten, sl3, spectral, zigzag
 from circleops.cli import main
 from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import legendre_defect
@@ -229,6 +229,12 @@ def test_nan_delta_exits_2_without_manifest(tmp_path, command, argv):
     assert not (tmp_path / f"{command.replace('-', '_')}_manifest.json").exists()
 
 
+def test_mixed_norm_nan_p_exits_2_naming_the_exponent(tmp_path, capsys):
+    assert run(tmp_path, "mixed-norm", "--p", "nan") == 2
+    assert "inner exponent must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tdelta_norms_nan_delta_exits_2(tmp_path):
     assert run(tmp_path, "tdelta-norms", "--p", "8", "--nmax", "64", "--deltas", "nan,0.1,0.2") == 2
     assert not (tmp_path / "tdelta_norms.csv").exists()
@@ -241,6 +247,21 @@ def test_outdir_env_is_the_default_directory(tmp_path, monkeypatch):
     assert main(["howe-moore", "--nmax", "1"]) == 0
     assert sorted(p.name for p in target.iterdir()) == ["howe_moore_decay.csv", "howe_moore_manifest.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["from-env"]
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_outdir_naming_a_file_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, via_env):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
+    if via_env:
+        monkeypatch.setenv(cli.OUTDIR_ENV, str(taken))
+        assert main(["howe-moore", "--nmax", "1"]) == 2
+    else:
+        assert run(taken, "howe-moore", "--nmax", "1") == 2
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameters: ") and err.count("\n") == 1
 
 
 def test_outdir_flag_wins_over_env(tmp_path, monkeypatch):
@@ -355,6 +376,13 @@ def _swapped_gap(degree, exact=repsim.invariant_gap):
     return upper, lower, witness
 
 
+def _lopsided_segment(p, q, rule, prof, exact=zigzag._segment):
+    """J slides at 3 times their cost, theta slides free: at alpha = 1 a J segment of the
+    zigzag route passes its slide cap while every total stays far below its bound."""
+    seg = exact(p, q, rule, prof)
+    return dataclasses.replace(seg, cost_bound=3.0 * seg.cost_bound if rule == zigzag.J_ALPHA_SLIDE else 0.0)
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv, criterion",
     [
@@ -362,8 +390,10 @@ def _swapped_gap(degree, exact=repsim.invariant_gap):
         (schatten, "mixed_norm_upper_bound", lambda delta, p: 0.0, ["mixed-norm"], 7),
         (repsim, "GAP_FLOOR", 0.9, ["invariant-gap", "--jmax", "2"], 12),
         (repsim, "invariant_gap", _swapped_gap, ["invariant-gap", "--jmax", "2"], 12),
+        (zigzag, "_segment", _lopsided_segment, ["zigzag", "--alpha-grid", "2"], 10),
+        (repsim, "DECAY_BOUND_CONSTANT", 0.1, ["howe-moore", "--nmax", "2"], 11),
     ],
-    ids=["holder", "interpolation", "gap-floor", "gap-above-witness"],
+    ids=["holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound"],
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):
     monkeypatch.setattr(module, name, fake)
@@ -378,20 +408,9 @@ def test_check_all_subset(tmp_path):
     assert run(tmp_path, "check-all", "--only", "3,6") == 0
 
 
-@pytest.mark.parametrize(
-    "error, text",
-    [
-        (AssertionError("tail too heavy"), "raised AssertionError: tail too heavy"),
-        (
-            NumericalDegeneracyError("coefficient_leakage", "leak 0.5"),
-            "raised NumericalDegeneracyError: coefficient_leakage: leak 0.5",
-        ),
-    ],
-    ids=["assertion", "degeneracy"],
-)
-def test_check_all_raising_criterion_fails_and_the_rest_run(tmp_path, capsys, monkeypatch, error, text):
+def test_check_all_degenerate_criterion_fails_and_the_rest_run(tmp_path, capsys, monkeypatch):
     def raise_error(*args, **kwargs):
-        raise error
+        raise NumericalDegeneracyError("coefficient_leakage", "leak 0.5")
 
     monkeypatch.setattr(acceptance, "coefficient_decay", raise_error)
     assert run(tmp_path, "check-all", "--only", "6,11,12") == 1
@@ -401,7 +420,7 @@ def test_check_all_raising_criterion_fails_and_the_rest_run(tmp_path, capsys, mo
         "FAIL criterion 11",
         "PASS criterion 12",
     ]
-    assert lines[1].endswith(f": {text}")
+    assert lines[1].endswith(": raised NumericalDegeneracyError: coefficient_leakage: leak 0.5")
     assert lines[-1] == "2/3 criteria passed"
 
 

@@ -107,3 +107,14 @@ def test_every_public_name_has_a_caller_outside_tests():
         if name not in used
     ]
     assert unused == []
+
+
+def test_no_module_fails_by_assertion():
+    """A certificate fails by returning its verdict; no module asserts, raises or catches AssertionError."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((REPO / "src" / "circleops").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    ]
+    assert found == []

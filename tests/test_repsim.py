@@ -242,8 +242,8 @@ class TestDecay:
             assert matrix_coefficient(n) == pytest.approx(brute, rel=tol)
 
     def test_decay_table(self):
-        rows = coefficient_decay(6)
-        assert rows.shape == (7, 4)
+        rows, held = coefficient_decay(6)
+        assert held and rows.shape == (7, 4)
         values = rows[:, 1]
         assert np.all(np.diff(values) < 0.0)
         assert np.all(values[1:] <= rows[1:, 2])
@@ -255,9 +255,12 @@ class TestDecay:
         assert np.all(ratios[1:] < np.exp(-0.5))
         assert ratios[-1] < 0.42
 
-    def test_band_limit_guard(self):
-        with pytest.raises(ValueError):
-            coefficient_decay(9)
+    def test_measured_range_edges(self):
+        # the quadrature was measured for n <= 36: 36 runs and holds, 37 is refused
+        rows, held = coefficient_decay(36)
+        assert held and rows.shape == (37, 4) and rows[:, 3].max() <= 1e-13
+        with pytest.raises(ValueError, match="36"):
+            coefficient_decay(37)
 
     def test_nan_coefficient_aborts(self, monkeypatch):
         # every comparison with NaN is false, so each check must fail unless its condition holds

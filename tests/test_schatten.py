@@ -334,3 +334,19 @@ class TestInterpolationBound:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             interpolation_bound(1.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SingularProfile([np.nan, 1.0]),
+        lambda: SingularProfile([1.0, np.nan]),
+        lambda: dyadic_decompose(SingularProfile([1.0, 0.5]), np.nan),
+        lambda: MixedNormSpace(3, 2, np.nan),
+    ],
+    ids=["profile-head", "profile-tail", "dyadic-exponent", "inner-exponent"],
+)
+def test_nan_fails_the_range_checks(build):
+    # every comparison with NaN is false, so each check is written "not x >= bound"
+    with pytest.raises(ValueError):
+        build()

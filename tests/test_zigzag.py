@@ -19,6 +19,7 @@ from circleops.zigzag import (
     diameter_decay_profile,
     jump_cost,
     ledger_reflect,
+    ledger_verdict,
 )
 
 HILBERT = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
@@ -111,11 +112,29 @@ class TestAnnulus:
         assert len(ledger.segments) == 3
         assert ledger.total <= bound
 
-    def test_nan_ledger_total_fails_the_bound(self, monkeypatch):
-        # a NaN total never exceeds the bound, so the check must be "total <= bound"
+    def test_nan_ledger_total_fails_the_verdict(self, monkeypatch):
+        # a NaN total never exceeds the bound, so the verdict must be "total <= bound"
         monkeypatch.setattr(zigzag, "jump_cost", lambda alpha, delta, prof: np.nan)
-        with pytest.raises(AssertionError, match="exceeds certified bound"):
-            annulus_diameter_bound(2.0, 0.5, HILBERT, slide_point(2.1, 1.4), slide_point(2.8, 2.0))
+        bound, ledger = annulus_diameter_bound(2.0, 0.5, HILBERT, slide_point(2.1, 1.4), slide_point(2.8, 2.0))
+        assert np.isnan(ledger.total) and np.isfinite(bound)
+        assert not ledger_verdict(2.0, 0.5, HILBERT, bound, ledger)
+
+    def test_verdict_edges(self):
+        """The total may equal the bound but not pass it; a segment may pass the cap by 1e-12, not more."""
+        alpha, eps = 2.0, 0.5
+        a, b = slide_point(2.1, 1.4), slide_point(2.8, 2.0)
+        bound, ledger = annulus_diameter_bound(alpha, eps, HILBERT, a, b)
+        assert ledger_verdict(alpha, eps, HILBERT, bound, ledger)
+        assert bound == 6.0 * HILBERT.hoelder_C * HILBERT.growth_L**2 * np.exp(-(0.5 - eps * 0.5) * alpha)
+        cap = HILBERT.slide_cap(alpha, eps)
+
+        def one_segment(cost):
+            return CostLedger([Segment(a, b, cost, J_ALPHA_SLIDE)])
+
+        assert ledger_verdict(alpha, eps, HILBERT, cap, one_segment(cap))
+        assert not ledger_verdict(alpha, eps, HILBERT, cap, one_segment(np.nextafter(cap, np.inf)))
+        assert ledger_verdict(alpha, eps, HILBERT, bound, one_segment(cap + 1e-12))
+        assert not ledger_verdict(alpha, eps, HILBERT, bound, one_segment(cap + 2e-12))
 
     def test_slide_costs_use_exact_deltas(self):
         a, b = slide_point(2.1, 1.4), slide_point(2.8, 2.0)
