@@ -71,7 +71,7 @@ def test_circle_average(benchmark, band):
 
 
 def test_mixed_norm_diagonal_exact(benchmark):
-    # criterion 7's shape: diagonal to degree 16, inner dimension 4, p = 6; solved without a search
+    # perfbench's mixed-norm shape: diagonal to degree 16, inner dimension 4, p = 6; solved without a search
     diagonal = difference_diagonal(0.1, 16)
     T = np.diag(diagonal)
     space = MixedNormSpace(diagonal.size, 4, 6.0)

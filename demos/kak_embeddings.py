@@ -9,7 +9,7 @@ certificates whose rotation factors stay within 2 e^(-g/4) of the identity.
 
 import numpy as np
 
-from circleops.sl3 import embedding2_solve, j_alpha, kak, length, solve_delta_for_top
+from circleops.sl3 import embedding2_solve, embedding2_verdict, j_alpha, kak, length, solve_delta_for_top
 
 rng = np.random.default_rng(0)
 g = rng.normal(size=(3, 3))
@@ -32,9 +32,11 @@ gamma = 4.0
 print(f"\nembedding certificates at gamma = {gamma}:")
 for alpha in (gamma, 1.1 * gamma, 7 * gamma / 6):
     cert = embedding2_solve(gamma, alpha)
+    delta_bound, rotation_bound, held = embedding2_verdict(cert)
     k1_gap = np.linalg.norm(cert.k1 - np.eye(3), 2)
     print(f"  alpha = {alpha:.3f}: d1 = {cert.delta1:.2e}, d2 = {cert.delta2:.2e} "
-          f"(<= e^-gamma = {np.exp(-gamma):.2e}), ||k1 - 1|| = {k1_gap:.3f} "
-          f"(<= {2 * np.exp(-gamma / 4):.3f}), residuals {cert.residual1:.1e}/{cert.residual2:.1e}")
+          f"(<= e^-gamma = {delta_bound:.2e}), ||k1 - 1|| = {k1_gap:.3f} "
+          f"(<= 2 e^(-gamma/4) = {rotation_bound:.3f}), residuals {cert.residual1:.1e}/{cert.residual2:.1e}; "
+          f"verdict: {'holds' if held else 'FAILS'}")
 print("  at alpha = 7 gamma / 6 the second factor is the quarter rotation:")
 print(embedding2_solve(gamma, 7 * gamma / 6).k2.round(12))

@@ -8,20 +8,19 @@ certified constant.
 
 import numpy as np
 
-from circleops.legendre import HOLDER_CONSTANT, legendre_at_zero, legendre_table
+from circleops.legendre import legendre_defect
+from circleops.spectral import holder_check
 
 deltas = np.linspace(-1.0, 1.0, 2001)
-table = legendre_table(2000, deltas)
-defects = np.abs(table - legendre_at_zero(2000)[:, None])
-bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))[None, :]
+heads, bounds, violating = holder_check(deltas, 2000)  # heads: max defect over degrees <= 2000
 
-ratios = defects / np.maximum(bounds, 1e-300)
-n_star, d_star = np.unravel_index(np.argmax(ratios), ratios.shape)
-print(f"degrees <= 2000, {deltas.size} abscissae: zero violations "
-      f"({int(np.sum(defects > bounds + 1e-14))} found)")
+ratios = heads / np.maximum(bounds, 1e-300)
+d_star = int(np.argmax(ratios))
+n_star = int(np.argmax(np.abs(legendre_defect(2000, deltas[d_star]))))
+print(f"degrees <= 2000, {deltas.size} abscissae: {int(violating.sum())} abscissae violate the bound")
 print(f"largest ratio {ratios.max():.6f} at degree {n_star}, delta {deltas[d_star]:+.4f}")
 
 # the defect scales like sqrt(delta): halving delta halves the squared defect
 for d in (0.4, 0.1, 0.025):
-    worst = defects[:, np.argmin(np.abs(deltas - d))].max()
+    worst = heads[np.argmin(np.abs(deltas - d))]
     print(f"delta = {d:5.3f}: max defect {worst:.6f} = {worst / np.sqrt(d):.6f} * sqrt(delta)")

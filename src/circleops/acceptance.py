@@ -203,7 +203,7 @@ def criterion_7():
     margin = np.inf
     for p in (4.0, 6.0, 8.0):
         for delta in (0.025, 0.05, 0.1, 0.2):
-            value, upper, held = interpolation_check(delta, p, 16, 4)
+            value, upper, held = interpolation_check(delta, p, 16)
             violations += not held
             margin = min(margin, upper - value)
     return violations == 0, f"violations={violations}, smallest upper-lower margin {margin:.4f}"

@@ -143,7 +143,7 @@ def cmd_schatten_probe(args) -> int:
 
 
 def cmd_mixed_norm(args) -> int:
-    value, interp, held = interpolation_check(args.delta, args.p, args.truncation, args.inner_dim)
+    value, interp, held = interpolation_check(args.delta, args.p, args.truncation)
     print(f"mixed-norm: lower {value:.6f} <= interpolation {interp:.6f}")
     csv = _csv("witnessed lower bound <= interpolation upper bound",
                ["delta", "p", "lower_bound", "interp_bound"], [(args.delta, args.p, value, interp)])
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--truncation", type=positive_int, default=16)
-    p.add_argument("--inner-dim", type=int, default=4)
     p.set_defaults(func=cmd_mixed_norm)
 
     p = sub.add_parser("kak", help="decompose a unimodular 3x3 matrix")

@@ -2,7 +2,7 @@
 
 Two ingredients: the dyadic decomposition of a singular-value profile into
 bounded blocks of rank 2^k, and norms of T tensor Id on l2(l^p).  Every
-returned value is attained by an explicit witness vector, and the upper
+lower bound is attained by an explicit witness vector, and the upper
 bounds it is compared against come from the interpolation inequality.  For
 a diagonal T the value is the exact norm max |t_i|; for a general T exact
 mixed operator norms are NP-hard, and the estimator certifies a lower bound.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import HOLDER_CONSTANT
-from .spectral import difference_diagonal
+from .spectral import op_norm_diff_certificates
 
 __all__ = [
     "SingularProfile",
@@ -247,16 +247,18 @@ def mixed_norm_upper_bound(delta: float, p: float) -> float:
     """Upper bound 2^(1-theta) (4 sqrt|delta|)^theta for ||(T_0 - T_delta) tensor Id|| on l2(l^p).
 
     Interpolates the regular norm 2 against the Hoelder bound 4 sqrt|delta| on
-    l2, with theta = min(2/p, 2 - 2/p).
+    l2, with theta = min(2/p, 2 - 2/p); p must be >= 1.
     """
+    if not p >= 1:  # NaN fails too
+        raise ValueError("inner exponent must be >= 1")
     theta = min(2.0 / p, 2.0 - 2.0 / p)
     return interpolation_bound(HOLDER_CONSTANT * np.sqrt(abs(delta)), 2.0, theta)
 
 
-def interpolation_check(delta: float, p: float, truncation: int, inner_dim: int) -> tuple[float, float, bool]:
-    """(value, upper, held): the exact, witnessed l2(l^p) norm of the diagonal T_0 - T_delta on
-    degrees <= truncation, mixed_norm_upper_bound(delta, p), and value <= upper + 1e-9 (NaN fails)."""
-    diag = difference_diagonal(delta, truncation)
-    value = mixed_norm_lower_bound(np.diag(diag), MixedNormSpace(diag.size, inner_dim, p)).value
-    upper = mixed_norm_upper_bound(delta, p)
+def interpolation_check(delta: float, p: float, truncation: int) -> tuple[float, float, bool]:
+    """(value, upper, held): value is op_norm_diff_certificates' head max_{n<=N} |d_n|, d_n = P_n(0) - P_n(delta);
+    upper is mixed_norm_upper_bound(delta, p); held is value <= upper + 1e-9 (NaN fails).  The value is exactly
+    ||D (x) Id_X|| for the diagonal D = T_0 - T_delta and every Banach X, l^p among them: ||sum_n d_n e_n (x) x_n||^2
+    = sum_n d_n^2 ||x_n||^2 <= max_n d_n^2 sum_n ||x_n||^2, with equality at e_n (x) x for a maximising n and unit x."""
+    value, upper = float(op_norm_diff_certificates([delta], truncation)[0][0]), mixed_norm_upper_bound(delta, p)
     return value, upper, bool(value <= upper + 1e-9)

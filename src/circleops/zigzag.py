@@ -72,7 +72,7 @@ class ExponentProfile:
 
 def jump_cost(alpha: float, delta: float, prof: ExponentProfile) -> float:
     """Cost bound C L^2 e^(2 alpha t) delta^s for one slide jump."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ValueError("alpha must be nonnegative")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
@@ -239,6 +239,8 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
 
     They increase to covering_limit(prof, alpha) from below.
     """
+    if not alpha >= 0:  # NaN fails too
+        raise ValueError("alpha must be nonnegative")
     if n_terms < 1:
         raise ValueError("need at least one term")
     n = np.arange(n_terms)
@@ -252,6 +254,8 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
 
 
 def covering_limit(prof: ExponentProfile, alpha: float) -> float:
+    if not alpha >= 0:  # NaN fails too
+        raise ValueError("alpha must be nonnegative")
     return cauchy_tail_constant(prof) * np.exp((2.0 * prof.growth_t - prof.holder_s) * alpha)
 
 

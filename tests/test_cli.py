@@ -130,10 +130,12 @@ def test_mixed_norm_negative_delta_uses_abs_delta(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--restarts", "-3"), ("--iters", "-1"), ("--restarts", "32"), ("--iters", "200"), ("--seed", "0")],
+    [("--restarts", "-3"), ("--iters", "-1"), ("--restarts", "32"), ("--iters", "200"), ("--seed", "0"),
+     ("--inner-dim", "4")],
 )
 def test_mixed_norm_bad_count_exits_2(tmp_path, flag, value):
-    # the diagonal operator is solved exactly, so mixed-norm takes no search count at all
+    # the diagonal operator's norm is its largest entry for every inner space, so mixed-norm
+    # takes no search count and no inner dimension at all
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", flag, value)
     assert exc.value.code == 2
@@ -229,8 +231,9 @@ def test_nan_delta_exits_2_without_manifest(tmp_path, command, argv):
     assert not (tmp_path / f"{command.replace('-', '_')}_manifest.json").exists()
 
 
-def test_mixed_norm_nan_p_exits_2_naming_the_exponent(tmp_path, capsys):
-    assert run(tmp_path, "mixed-norm", "--p", "nan") == 2
+@pytest.mark.parametrize("p", ["nan", "0", "0.5"])
+def test_mixed_norm_p_below_one_exits_2_naming_the_exponent(tmp_path, capsys, p):
+    assert run(tmp_path, "mixed-norm", "--p", p) == 2
     assert "inner exponent must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -355,10 +358,10 @@ def test_mixed_norm_gives_criterion_7_values(tmp_path, monkeypatch):
     calls = record_calls(monkeypatch, "interpolation_check", schatten.interpolation_check)
     assert acceptance.ALL_CRITERIA[7]().passed
     assert len(calls) == 12
-    for (delta, p, truncation, inner_dim), (value, upper, _) in calls:
+    for (delta, p, truncation), (value, upper, _) in calls:
         out = tmp_path / f"{p}-{delta}"
         argv = ["mixed-norm", "--p", str(p), "--delta", str(delta), "--truncation", str(truncation)]
-        assert main(["--outdir", str(out), *argv, "--inner-dim", str(inner_dim)]) == 0
+        assert main(["--outdir", str(out), *argv]) == 0
         assert csv_rows(out / "mixed_norm.csv") == [[delta, p, value, upper]]
 
 

@@ -315,6 +315,12 @@ class TestMixedNorm:
 
 
 class TestInterpolationBound:
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_upper_bound_needs_p_at_least_one(self, p):
+        # below p = 1, l^p is no Banach space and theta leaves [0, 1]; at p = 0, 2/p divides by zero
+        with pytest.raises(ValueError, match="inner exponent must be >= 1"):
+            mixed_norm_upper_bound(0.1, p)
+
     def test_endpoints(self):
         assert interpolation_bound(7.0, 2.0, 1.0) == 7.0
         assert interpolation_bound(7.0, 2.0, 0.0) == 2.0

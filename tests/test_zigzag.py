@@ -90,6 +90,22 @@ class TestJumpCost:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, -0.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda alpha: jump_cost(alpha, 0.5, HILBERT),
+        lambda alpha: covering_partial_sums(HILBERT, alpha, 4),
+        lambda alpha: covering_limit(HILBERT, alpha),
+    ],
+    ids=["jump_cost", "covering_partial_sums", "covering_limit"],
+)
+def test_alpha_outside_the_cone_raises(call, alpha):
+    # each guard is written so that NaN fails it, as a negative alpha does
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        call(alpha)
+
+
 class TestAnnulus:
     def test_opposite_sides_two_segments(self):
         alpha, eps = 2.0, 0.5
