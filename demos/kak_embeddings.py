@@ -9,7 +9,7 @@ certificates whose rotation factors stay within 2 e^(-g/4) of the identity.
 
 import numpy as np
 
-from circleops.sl3 import embedding2_solve, embedding2_verdict, j_alpha, kak, length, solve_delta_for_top
+from circleops.sl3 import embedding2_solve, embedding2_verdict, j_alpha, kak, solve_delta_for_top
 
 rng = np.random.default_rng(0)
 g = rng.normal(size=(3, 3))
@@ -17,7 +17,7 @@ g /= np.linalg.det(g) ** (1.0 / 3.0)
 dec = kak(g)
 print("random unimodular matrix:")
 print(f"  cone point ({dec.a.a1:+.4f}, {dec.a.a2:+.4f}, {dec.a.a3:+.4f}), "
-      f"length {length(g):.4f}, reconstruction residual {dec.residual(g):.2e}")
+      f"length {dec.a.ell():.4f}, reconstruction residual {dec.residual(g):.2e}")
 
 alpha = 2.0
 print(f"\nslide family at alpha = {alpha}: endpoints and the solved contraction")

@@ -13,7 +13,6 @@ from circleops.zigzag import (
     ExponentProfile,
     annulus_diameter_bound,
     cauchy_tail_constant,
-    covering_limit,
     covering_partial_sums,
     diameter_decay_profile,
     ledger_verdict,
@@ -41,7 +40,7 @@ print(f"same-side pair needs {len(same_side.segments)} segments, "
 print(f"\ntail constant C' = {cauchy_tail_constant(prof):.6f}")
 sums = covering_partial_sums(prof, 0.0, 8)
 print("unit-annulus covering sums ->", np.array2string(sums, precision=3),
-      f"-> limit {covering_limit(prof, 0.0):.3f}")
+      f"-> limit {cauchy_tail_constant(prof):.3f}")
 
 print("\ndecay profile (the certified bound halves every 2 ln 2 in alpha):")
 for alpha, bound in diameter_decay_profile([1.0, 2.0, 4.0, 8.0], prof):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericalDegeneracyError
 from .legendre import legendre_table
 from .repsim import certified_gaps, coefficient_decay, decay_ratio
-from .schatten import SingularProfile, dyadic_decompose, interpolation_check
+from .schatten import SingularProfile, dyadic_sum, interpolation_check
 from .sl3 import LambdaPoint, embedding2_solve, embedding2_verdict, j_alpha, kak, solve_delta_for_top
 from .spectral import DecayFit, completed_power_sums, divergence_probe_p4, holder_check, schatten_tail_bound
 from .sphere import SphereGrid, circle_average_operator, degree_of_column, mixing_profile
@@ -190,8 +190,7 @@ def criterion_6():
             vals[int(0.8 * size):] = 0.0
         prof = SingularProfile(vals)
         for r in (1.2, 2.0, 3.0, 5.0):
-            dec = dyadic_decompose(prof, r)
-            if dec.weighted_sum() > 2.0 * prof.schatten_norm(r) ** r + 1e-9:
+            if dyadic_sum(prof, r) > 2.0 * prof.schatten_norm(r) ** r + 1e-9:
                 violations += 1
     return violations == 0, f"violations={violations} over 100 profiles x 4 exponents"
 

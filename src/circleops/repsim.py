@@ -97,9 +97,10 @@ def matrix_coefficient(n: float, inner_nodes: int = 192) -> float:
     """c(n) = integral over the sphere of (e^-2n x1^2 + x2^2 + e^2n x3^2)^(-3/4).
 
     c is even in n (a permutation in K conjugates diag(e^-n, 1, e^n) to
-    diag(e^n, 1, e^-n)), so it is evaluated at |n|.  For fixed longitude phi
-    the colatitude integral has the closed form 2 c^(-1/4) d^(-1/2) F(sqrt(d/c))
-    with c = e^-2n cos^2 + sin^2 and d = e^2n - c.  The longitude integral is
+    diag(e^n, 1, e^-n)), so it is evaluated at |n|; a non-finite n raises
+    ValueError.  For fixed longitude phi the colatitude integral has the closed
+    form 2 c^(-1/4) d^(-1/2) F(sqrt(d/c)) with c = e^-2n cos^2 + sin^2 and
+    d = e^2n - c.  The longitude integral is
     taken in s, tan(phi) = e^-n sinh(s), where
     c = e^-2n cosh^2 s / (1 + e^-2n sinh^2 s) and
     dphi = e^-n cosh s / (1 + e^-2n sinh^2 s) ds: the integrand is even and
@@ -108,6 +109,8 @@ def matrix_coefficient(n: float, inner_nodes: int = 192) -> float:
     at s = 0) converges geometrically.
     """
     n = abs(n)
+    if not n < np.inf:  # NaN fails too
+        raise ValueError("n must be finite")
     if n == 0:
         return 1.0
     a = np.exp(-n)

@@ -1,11 +1,12 @@
 """Finite-dimensional Schatten / mixed-norm machinery.
 
-Two ingredients: the dyadic decomposition of a singular-value profile into
-bounded blocks of rank 2^k, and norms of T tensor Id on l2(l^p).  Every
-lower bound is attained by an explicit witness vector, and the upper
-bounds it is compared against come from the interpolation inequality.  For
-a diagonal T the value is the exact norm max |t_i|; for a general T exact
-mixed operator norms are NP-hard, and the estimator certifies a lower bound.
+Two ingredients: the weighted sum of a singular-value profile's dyadic
+decomposition into bounded blocks of rank 2^k, and norms of T tensor Id on
+l2(l^p).  Every lower bound is attained by an explicit witness vector, and
+the upper bounds it is compared against come from the interpolation
+inequality.  For a diagonal T the value is the exact norm max |t_i|; for a
+general T exact mixed operator norms are NP-hard, and the estimator
+certifies a lower bound.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .spectral import op_norm_diff_certificates
 
 __all__ = [
     "SingularProfile",
-    "DyadicDecomposition",
-    "dyadic_decompose",
+    "dyadic_sum",
     "MixedNormSpace",
     "MixedNormLowerBound",
     "mixed_norm_lower_bound",
@@ -50,39 +50,18 @@ class SingularProfile:
         return float(np.sum(self.values**r) ** (1.0 / r))
 
 
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Blocks alpha_k u_k with rank(u_k) <= 2^k, ||u_k|| <= 1.
+def dyadic_sum(profile: SingularProfile, r: float) -> float:
+    """sum_k 2^k lambda_(2^k)^r over 2^k <= n: the weighted sum of the dyadic decomposition.
 
-    alpha_k is the singular value at (1-indexed) position 2^k; block k covers
-    positions 2^k .. 2^(k+1)-1, stored as half-open 0-indexed ranges into the
-    profile.  The weighted sum obeys sum_k 2^k alpha_k^r <= 2 ||T||_{S^r}^r.
+    T = sum_k alpha_k u_k with alpha_k = lambda_(2^k) (1-indexed) and u_k the
+    part of T on positions 2^k .. 2^(k+1) - 1 divided by alpha_k (zero when
+    alpha_k is), so rank(u_k) <= 2^k and ||u_k|| <= 1; the sum is at most
+    2 ||T||_{S^r}^r.
     """
-
-    r: float
-    alphas: np.ndarray
-    blocks: list
-
-    def weighted_sum(self) -> float:
-        ks = np.arange(self.alphas.size)
-        return float(np.sum(2.0**ks * np.abs(self.alphas) ** self.r))
-
-
-def dyadic_decompose(profile: SingularProfile, r: float) -> DyadicDecomposition:
-    """Split a profile into dyadic blocks, alpha_k = lambda_{2^k}."""
     if not r >= 1:  # NaN fails too
         raise ValueError("r must be >= 1")
-    n = profile.values.size
-    alphas = []
-    blocks = []
-    k = 0
-    while 2**k <= n:
-        lo = 2**k - 1
-        hi = min(2 ** (k + 1) - 1, n)
-        alphas.append(profile.values[lo])
-        blocks.append((lo, hi))
-        k += 1
-    return DyadicDecomposition(r=float(r), alphas=np.array(alphas), blocks=blocks)
+    ks = np.arange(profile.values.size.bit_length())
+    return float(np.sum(2.0**ks * np.abs(profile.values[2**ks - 1]) ** float(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +217,7 @@ def interpolation_bound(op_norm_l2: float, regular_norm: float, theta: float) ->
     """Two-sided interpolation bound regular_norm^(1-theta) * op_norm_l2^theta."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if op_norm_l2 < 0 or regular_norm < 0:
+    if not (op_norm_l2 >= 0 and regular_norm >= 0):  # NaN fails too
         raise ValueError("norms must be nonnegative")
     return regular_norm ** (1.0 - theta) * op_norm_l2**theta
 

@@ -1,4 +1,4 @@
-"""Exact 3x3 geometry of the special linear group: KAK, length, embeddings.
+"""Exact 3x3 geometry of the special linear group: KAK, slide family, embeddings.
 
 The KAK decomposition is an SVD with both orthogonal factors sign-corrected
 into the rotation group; the Weyl-cone point (a1 >= a2 >= a3, sum 0) of the
@@ -29,8 +29,6 @@ __all__ = [
     "Embedding2Certificate",
     "x_delta",
     "d_alpha",
-    "in_special_linear",
-    "length",
     "kak",
     "j_alpha",
     "solve_delta_for_top",
@@ -51,11 +49,6 @@ def x_delta(delta: float) -> np.ndarray:
 def d_alpha(alpha: float) -> np.ndarray:
     """diag(e^alpha, e^(-alpha/2), e^(-alpha/2)); commutes with rotations about e1."""
     return np.diag([np.exp(alpha), np.exp(-alpha / 2.0), np.exp(-alpha / 2.0)])
-
-
-def in_special_linear(g: np.ndarray) -> bool:
-    """det g = 1 within 1e-8: the determinant guard of kak and length."""
-    return abs(np.linalg.det(g) - 1.0) <= 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,11 +88,9 @@ class KAKDecomposition:
     a: LambdaPoint
     k2: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.k1 @ np.diag(np.exp(self.a.as_array())) @ self.k2
-
     def residual(self, g: np.ndarray) -> float:
-        return float(np.linalg.norm(g - self.reconstruct(), 2))
+        """Spectral norm of g - k1 diag(e^a) k2."""
+        return float(np.linalg.norm(g - self.k1 @ np.diag(np.exp(self.a.as_array())) @ self.k2, 2))
 
 
 def _rotation_svd(m: np.ndarray):
@@ -116,30 +107,21 @@ def _rotation_svd(m: np.ndarray):
     return u, s, vt
 
 
-def _checked_svd(g: np.ndarray):
-    """_rotation_svd of a 3x3 unimodular g; a singular value below 1e-14 is a degeneracy."""
+def kak(g: np.ndarray) -> KAKDecomposition:
+    """SVD-based decomposition with both orthogonal factors in the rotation group.
+
+    g must be 3x3 with det g = 1 within 1e-8; a singular value below 1e-14 is a degeneracy.
+    """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if not in_special_linear(g):
+    if not abs(np.linalg.det(g) - 1.0) <= 1e-8:
         raise ValueError(f"determinant {np.linalg.det(g)} too far from 1")
     u, s, vt = _rotation_svd(g)
     if s[-1] < 1e-14:
         raise NumericalDegeneracyError(
             "kak_singularity", f"smallest singular value {s[-1]} below 1e-14"
         )
-    return u, s, vt
-
-
-def length(g: np.ndarray) -> float:
-    """Bi-invariant length max(log ||g||, log ||g^-1||) = max(a1, -a3)."""
-    _, s, _ = _checked_svd(g)
-    return float(max(np.log(s[0]), -np.log(s[-1])))
-
-
-def kak(g: np.ndarray) -> KAKDecomposition:
-    """SVD-based decomposition with both orthogonal factors in the rotation group."""
-    u, s, vt = _checked_svd(g)
     logs = np.log(s)
     logs -= logs.sum() / 3.0  # exact unimodularity for the reported exponents
     a = LambdaPoint(*logs)

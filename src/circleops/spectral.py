@@ -151,9 +151,9 @@ def diff_power_windows(deltas, ps, checkpoints) -> np.ndarray:
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     checkpoints = sorted(int(c) for c in checkpoints)
-    if checkpoints[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
-    if np.any(ps <= 0):
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("need at least one checkpoint, each >= 1")
+    if not np.all(ps > 0):  # NaN fails too
         raise ValueError("p must be positive")
     # the n = 0 term vanishes: both eigenvalues are 1
     blocks = (defects for defects, _ in _defect_blocks(checkpoints[-1], deltas))
@@ -174,11 +174,13 @@ def diff_power_sums(deltas, ps, checkpoints) -> np.ndarray:
 def schatten_tail_bound(delta: float, p: float, truncation: int) -> float:
     """Closed-form bound on the p-th power tail sum_{n>N} (2n+1)|P_n(d)-P_n(0)|^p.
 
-    Valid for p > 4 via the Bernstein envelope: terms are <= 3 amp^p n^(1-p/2).  Infinite at
-    |delta| = 1, where they grow like 2n+1; NaN or |delta| > 1 + 1e-12 raises ValueError.
+    Valid for p > 4 and N >= 1 via the Bernstein envelope: terms are <= 3 amp^p n^(1-p/2).  Infinite
+    at |delta| = 1, where they grow like 2n+1; NaN or |delta| > 1 + 1e-12 raises ValueError.
     """
-    if p <= 4:
+    if not p > 4:  # NaN fails too
         raise ValueError("tail bound requires p > 4")
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
     if delta == 0.0:
         return 0.0
     amp = bernstein_envelope(1, delta) + bernstein_envelope(1, 0.0)  # sqrt(2/pi) (sin^-1/2 + 1)
@@ -258,7 +260,7 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     start early and lose accuracy.  At |delta| = 1 the tail diverges and inf
     is returned.
     """
-    if p <= 4:
+    if not p > 4:  # NaN fails too
         raise ValueError("tail estimate requires p > 4")
     delta = _clamp_delta(delta)
     if truncation < 1:
@@ -311,13 +313,17 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
 
 
 def completed_power_sums(deltas, ps, checkpoints):
-    """Raw window masses, tail estimates and completed Schatten norms, one recurrence pass.
+    """Raw window masses, tail estimates and completed Schatten norms.
 
     Returns (windows, tails, norms), each in the shape of diff_power_windows:
     windows are its window masses, tails[i, j, k] is
     schatten_tail_estimate(deltas[j], ps[i], checkpoints[k]), and
     norms = (cumsum(windows) + tails)^(1/p) are the completed Schatten
     p-norms of the averaging difference.  Every p must exceed 4.
+
+    The windows take one recurrence pass, but not the whole run: a tail
+    estimate at N < min(max(256, ceil(256 / sin theta)), 2^16) sums its exact
+    head past N in a diff_power_windows pass of its own, from degree 0.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
@@ -387,8 +393,8 @@ def divergence_probe_p4(delta, n_list) -> np.ndarray:
     if not np.all(np.abs(deltas) < 1.0):
         raise ValueError("probe requires |delta| < 1")
     checkpoints = sorted(int(n) for n in n_list)
-    if checkpoints[0] < 0:
-        raise ValueError("degrees must be nonnegative")
+    if not checkpoints or checkpoints[0] < 0:
+        raise ValueError("need at least one degree, each nonnegative")
     blocks = _row_blocks(checkpoints[-1], deltas.ravel())
     sums = np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0], axis=-1)
     return sums.reshape(deltas.shape + sums.shape[-1:])

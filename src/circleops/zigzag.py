@@ -32,7 +32,6 @@ __all__ = [
     "ledger_reflect",
     "cauchy_tail_constant",
     "covering_partial_sums",
-    "covering_limit",
     "diameter_decay_profile",
 ]
 
@@ -237,7 +236,7 @@ def cauchy_tail_constant(prof: ExponentProfile) -> float:
 def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> np.ndarray:
     """Partial sums sum_{n=0}^{N} 6 C L^2 e^((2t-s)(alpha+n)+s), N < n_terms.
 
-    They increase to covering_limit(prof, alpha) from below.
+    They increase to cauchy_tail_constant(prof) e^((2t-s) alpha) from below.
     """
     if not alpha >= 0:  # NaN fails too
         raise ValueError("alpha must be nonnegative")
@@ -253,12 +252,6 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
     return np.cumsum(terms)
 
 
-def covering_limit(prof: ExponentProfile, alpha: float) -> float:
-    if not alpha >= 0:  # NaN fails too
-        raise ValueError("alpha must be nonnegative")
-    return cauchy_tail_constant(prof) * np.exp((2.0 * prof.growth_t - prof.holder_s) * alpha)
-
-
 def diameter_decay_profile(alpha_grid, prof: ExponentProfile) -> np.ndarray:
     """Certified decay bounds C' e^((2t-s) alpha) on a grid of alphas >= 1.
 
@@ -267,5 +260,5 @@ def diameter_decay_profile(alpha_grid, prof: ExponentProfile) -> np.ndarray:
     alphas = np.asarray(alpha_grid, dtype=float)
     if not np.all(alphas >= 1.0):  # NaN fails too
         raise ValueError("covering argument needs alpha >= 1")
-    bounds = np.array([covering_limit(prof, a) for a in alphas])
+    bounds = cauchy_tail_constant(prof) * np.exp((2.0 * prof.growth_t - prof.holder_s) * alphas)
     return np.column_stack([alphas, bounds])

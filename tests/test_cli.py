@@ -114,8 +114,8 @@ def test_schatten_probe(tmp_path):
 def test_mixed_norm(tmp_path):
     assert run(tmp_path, "mixed-norm", "--p", "4", "--delta", "0.1", "--truncation", "8") == 0
     row = (tmp_path / "mixed_norm.csv").read_text().splitlines()[2].split(",")
-    lower, interp = float(row[2]), float(row[3])
-    assert lower <= interp + 1e-9
+    exact, interp = float(row[2]), float(row[3])
+    assert exact <= interp + 1e-9
 
 
 def test_mixed_norm_negative_delta_uses_abs_delta(tmp_path):

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import circleops
-from circleops import acceptance, repsim, schatten, sl3, sphere
+from circleops import acceptance, repsim, schatten, sphere
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -63,8 +63,8 @@ SIGNATURES = {
     repsim.invariant_gap: ["degree"],
     sphere.mixing_profile: ["delta", "steps", "replicas", "seed"],
     sphere.markov_trace: ["delta", "steps", "seed"],
-    sl3.in_special_linear: ["g"],
     schatten.interpolation_check: ["delta", "p", "truncation"],
+    schatten.dyadic_sum: ["profile", "r"],
     acceptance.run_criteria: ["numbers"],
 }
 

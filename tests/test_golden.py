@@ -104,3 +104,16 @@ def test_manifest_records_every_flag(command, outdir):
     manifest = json.loads((outdir(command) / f"{command.replace('-', '_')}_manifest.json").read_text())
     flags = vars(build_parser().parse_args([command, *COMMANDS[command]]))
     assert sorted(manifest["parameters"]) == sorted(set(flags) - {"outdir", "command", "func", "seed"})
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py OUTDIR writes each run above into OUTDIR/<command>
+    # and its stdout, stderr and exit code into OUTDIR/<command>.log, for a diff -r of two trees' runs
+    import contextlib
+    import sys
+
+    Path(sys.argv[1]).mkdir(parents=True, exist_ok=True)
+    for command, flags in COMMANDS.items():
+        out = Path(sys.argv[1]) / command
+        with open(f"{out}.log", "w") as log, contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+            print("exit", main(["--outdir", str(out), command, *flags]))

@@ -16,7 +16,7 @@ from circleops.repsim import (
     invariant_gap,
     matrix_coefficient,
 )
-from circleops.sl3 import length
+from circleops.sl3 import kak
 from circleops.sphere import SphereGrid, degree_of_column
 
 
@@ -79,7 +79,7 @@ class TestQuasiRegular:
         while checked < 20:
             g = random_unimodular(rng, 0.2)
             h = random_unimodular(rng, 0.2)
-            if max(length(g), length(h)) > 0.5:
+            if max(kak(g).a.ell(), kak(h).a.ell()) > 0.5:
                 continue
             coeffs = rng.normal(size=grid16.n_coeff)
             coeffs[deg > 8] = 0.0
@@ -228,6 +228,11 @@ class TestDecay:
 
     def test_unit_at_identity(self):
         assert matrix_coefficient(0) == 1.0
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_n(self, n):
+        with pytest.raises(ValueError, match="n must be finite"):
+            matrix_coefficient(n)
 
     def test_independent_fine_grid_oracle(self):
         # plain tensor quadrature resolves the integrand for n <= 2

@@ -1,4 +1,4 @@
-"""Tests for dyadic decompositions and mixed-norm estimates."""
+"""Tests for dyadic sums and mixed-norm estimates."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from circleops.legendre import legendre_at_zero, legendre_table
 from circleops.schatten import (
     MixedNormSpace,
     SingularProfile,
-    dyadic_decompose,
+    dyadic_sum,
     interpolation_bound,
     mixed_norm_lower_bound,
     mixed_norm_upper_bound,
@@ -120,29 +120,30 @@ nonincreasing_profiles = st.lists(
 
 class TestDyadic:
     def test_single_value(self):
-        dec = dyadic_decompose(SingularProfile(np.array([1.0])), r=2.0)
-        assert dec.alphas.tolist() == [1.0]
-        assert dec.weighted_sum() == 1.0 <= 2.0
+        assert dyadic_sum(SingularProfile(np.array([1.0])), r=2.0) == 1.0 <= 2.0
 
     def test_harmonic_profile_closed_form(self):
         n = 2**10
         prof = SingularProfile(1.0 / np.arange(1, n + 1))
-        dec = dyadic_decompose(prof, r=2.0)
         # alpha_k = 2^-k so the weighted sum telescopes to sum 2^-k < 2
         expected = sum(2.0**k * (2.0**-k) ** 2 for k in range(11))
-        assert dec.weighted_sum() == pytest.approx(expected, rel=1e-12)
-        assert dec.weighted_sum() <= 2.0 * prof.schatten_norm(2.0) ** 2
+        assert dyadic_sum(prof, r=2.0) == pytest.approx(expected, rel=1e-12)
+        assert dyadic_sum(prof, r=2.0) <= 2.0 * prof.schatten_norm(2.0) ** 2
 
     @settings(max_examples=100, deadline=None)
     @given(prof=nonincreasing_profiles, r=st.sampled_from([1.2, 1.5, 2.0, 3.0, 5.0]))
     def test_decomposition_invariants(self, prof, r):
-        dec = dyadic_decompose(prof, r=r)
-        assert dec.weighted_sum() <= 2.0 * prof.schatten_norm(r) ** r + 1e-9
-        for k, (lo, hi) in enumerate(dec.blocks):
+        # block k: alpha_k = lambda_(2^k) times u_k on positions 2^k .. 2^(k+1) - 1 (1-indexed)
+        n = prof.values.size
+        blocks = [(2**k - 1, min(2 ** (k + 1) - 1, n)) for k in range(n.bit_length())]
+        alphas = np.array([prof.values[lo] for lo, _ in blocks])
+        for k, (lo, hi) in enumerate(blocks):
             assert hi - lo <= 2**k
-            assert prof.values[lo:hi].max() <= dec.alphas[k]  # ||u_k|| <= 1
+            assert prof.values[lo:hi].max() <= alphas[k]  # ||u_k|| <= 1
         # the blocks tile the profile: concatenated alpha_k u_k diagonals give it back exactly
-        np.testing.assert_array_equal(np.concatenate([prof.values[lo:hi] for lo, hi in dec.blocks]), prof.values)
+        np.testing.assert_array_equal(np.concatenate([prof.values[lo:hi] for lo, hi in blocks]), prof.values)
+        weighted = float(np.sum(2.0 ** np.arange(len(blocks)) * alphas**r))
+        assert dyadic_sum(prof, r) == weighted <= 2.0 * prof.schatten_norm(r) ** r + 1e-9
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):
@@ -347,10 +348,14 @@ class TestInterpolationBound:
     [
         lambda: SingularProfile([np.nan, 1.0]),
         lambda: SingularProfile([1.0, np.nan]),
-        lambda: dyadic_decompose(SingularProfile([1.0, 0.5]), np.nan),
+        lambda: dyadic_sum(SingularProfile([1.0, 0.5]), np.nan),
         lambda: MixedNormSpace(3, 2, np.nan),
+        lambda: interpolation_bound(np.nan, 2.0, 0.5),
+        lambda: mixed_norm_upper_bound(np.nan, 4.0),
     ],
-    ids=["profile-head", "profile-tail", "dyadic-exponent", "inner-exponent"],
+    ids=[
+        "profile-head", "profile-tail", "dyadic-exponent", "inner-exponent", "interpolation-norm", "upper-delta",
+    ],
 )
 def test_nan_fails_the_range_checks(build):
     # every comparison with NaN is false, so each check is written "not x >= bound"

@@ -16,7 +16,6 @@ from circleops.sl3 import (
     embedding2_solve,
     j_alpha,
     kak,
-    length,
     solve_delta_for_top,
     x_delta,
 )
@@ -166,27 +165,27 @@ def closed_form_slide_delta(alpha: float, r: float) -> float:
 
 class TestLength:
     def test_identity(self):
-        assert length(np.eye(3)) == 0.0
+        assert kak(np.eye(3)).a.ell() == 0.0
 
     def test_diagonal(self):
-        assert length(np.diag([np.exp(2.0), 1.0, np.exp(-2.0)])) == pytest.approx(2.0, abs=1e-12)
+        assert kak(np.diag([np.exp(2.0), 1.0, np.exp(-2.0)])).a.ell() == pytest.approx(2.0, abs=1e-12)
 
     def test_d_alpha(self):
         for alpha in (0.3, 1.0, 4.2):
-            assert length(d_alpha(alpha)) == pytest.approx(alpha, abs=1e-12)
+            assert kak(d_alpha(alpha)).a.ell() == pytest.approx(alpha, abs=1e-12)
 
     def test_bi_invariance_and_inverse(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             g = random_rotation(rng) @ np.diag(np.exp([1.2, 0.3, -1.5])) @ random_rotation(rng)
             k1, k2 = random_rotation(rng), random_rotation(rng)
-            l0 = length(g)
-            assert length(k1 @ g @ k2) == pytest.approx(l0, abs=1e-9)
-            assert length(np.linalg.inv(g)) == pytest.approx(l0, abs=1e-9)
+            l0 = kak(g).a.ell()
+            assert kak(k1 @ g @ k2).a.ell() == pytest.approx(l0, abs=1e-9)
+            assert kak(np.linalg.inv(g)).a.ell() == pytest.approx(l0, abs=1e-9)
 
     def test_singularity_guard(self):
         with pytest.raises(ValueError):
-            length(2.0 * np.eye(3))
+            kak(2.0 * np.eye(3))
 
 
 class TestKak:
@@ -374,4 +373,4 @@ def test_kak_rejects_non_unimodular():
 def test_length_degenerate_matrix_aborts():
     tiny = np.diag([1e20, 1.0, 1e-20])
     with pytest.raises(NumericalDegeneracyError):
-        length(tiny)
+        kak(tiny)

@@ -337,3 +337,34 @@ class TestDivergenceProbe:
         sums = divergence_probe_p4(deltas, ns)
         assert sums.shape == (2, 2, len(ns))
         assert np.array_equal(sums.reshape(4, -1), divergence_probe_p4(deltas.ravel(), ns))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schatten_tail_bound(0.1, 6.0, -5),
+        lambda: schatten_tail_bound(0.1, 6.0, 0),
+        lambda: schatten_tail_bound(0.1, np.nan, 10),
+        lambda: schatten_tail_estimate(0.1, np.nan, 10),
+        lambda: diff_power_windows([0.1], [np.nan], [10]),
+        lambda: diff_power_sums([0.1], [np.nan], [10]),
+        lambda: completed_power_sums([0.1], [np.nan], [10]),
+        lambda: diff_power_windows([0.1], [6.0], []),
+        lambda: divergence_probe_p4(0.3, []),
+    ],
+    ids=[
+        "tail-bound-negative-truncation",
+        "tail-bound-zero-truncation",
+        "tail-bound-nan-p",
+        "tail-estimate-nan-p",
+        "windows-nan-p",
+        "sums-nan-p",
+        "completed-nan-p",
+        "windows-no-checkpoint",
+        "probe-no-degree",
+    ],
+)
+def test_bad_input_raises_value_error(call):
+    # a NaN exponent fails every check written "not p > bound", as p <= bound does
+    with pytest.raises(ValueError):
+        call()

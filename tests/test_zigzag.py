@@ -14,7 +14,6 @@ from circleops.zigzag import (
     Segment,
     annulus_diameter_bound,
     cauchy_tail_constant,
-    covering_limit,
     covering_partial_sums,
     diameter_decay_profile,
     jump_cost,
@@ -96,9 +95,8 @@ class TestJumpCost:
     [
         lambda alpha: jump_cost(alpha, 0.5, HILBERT),
         lambda alpha: covering_partial_sums(HILBERT, alpha, 4),
-        lambda alpha: covering_limit(HILBERT, alpha),
     ],
-    ids=["jump_cost", "covering_partial_sums", "covering_limit"],
+    ids=["jump_cost", "covering_partial_sums"],
 )
 def test_alpha_outside_the_cone_raises(call, alpha):
     # each guard is written so that NaN fails it, as a negative alpha does
@@ -329,18 +327,18 @@ class TestTailConstant:
         assert vals[-1] > 1e3
 
     def test_partial_sums_converge_from_below(self):
-        for prof, alpha in ((HILBERT, 0.0), (SLOW, 2.0)):
+        for prof, alpha, limit in ((HILBERT, 0.0, cauchy_tail_constant(HILBERT)),
+                                   (SLOW, 2.0, diameter_decay_profile([2.0], SLOW)[0, 1])):
             sums = covering_partial_sums(prof, alpha, 60)
-            limit = covering_limit(prof, alpha)
             assert np.all(np.diff(sums) > 0)
             assert np.all(sums < limit)
             gap = limit - sums[-1]
-            assert gap == pytest.approx(covering_limit(prof, alpha + 60), rel=1e-12)
+            assert gap == pytest.approx(diameter_decay_profile([alpha + 60], prof)[0, 1], rel=1e-12)
 
     def test_partial_sum_gap_formula_at_alpha_zero(self):
         # after terms n = 0..50 the remainder is the exact geometric tail
         sums = covering_partial_sums(HILBERT, 0.0, 51)
-        limit = covering_limit(HILBERT, 0.0)
+        limit = cauchy_tail_constant(HILBERT)
         ratio = np.exp(2 * HILBERT.growth_t - HILBERT.holder_s)
         rel_gap = (limit - sums[-1]) / limit
         assert rel_gap == pytest.approx(ratio**51, rel=1e-9)
