@@ -82,17 +82,6 @@ def test_mixed_norm_diagonal_exact(benchmark):
     assert result.value == space.norm(T @ result.witness)
 
 
-def test_mixed_norm_lower_bound_dense(benchmark):
-    # the same shape with a general T, which runs the power iteration
-    T = np.random.default_rng(289).normal(size=(289, 289))
-    space = MixedNormSpace(289, 4, 6.0)
-    result = benchmark.pedantic(
-        mixed_norm_lower_bound, args=(T, space), kwargs={"restarts": 16, "iters": 200}, rounds=10
-    )
-    assert abs(space.norm(result.witness) - 1.0) <= 1e-12
-    assert abs(space.norm(T @ result.witness) - result.value) <= 1e-12 * result.value
-
-
 def test_completed_power_sums(benchmark):
     # the tdelta-norms default shape: ten deltas, p = 8, N = 2^14
     deltas, p, n = [2.0**-k for k in range(1, 11)], 8.0, 2**14

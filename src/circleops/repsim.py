@@ -91,14 +91,17 @@ def _inner_profile(z: np.ndarray, nodes: int) -> np.ndarray:
 # decays like e^(|n| - s), so the tail beyond s = |n| + 40 is below e^-40.
 _TRAPEZOID_STEPS = 256
 _TRAPEZOID_CUTOFF = 40.0
+# Largest |n| that matrix_coefficient accepts (see its docstring).
+_N_MAX = float(np.log(np.finfo(float).max) / 4.0)
 
 
 def matrix_coefficient(n: float, inner_nodes: int = 192) -> float:
     """c(n) = integral over the sphere of (e^-2n x1^2 + x2^2 + e^2n x3^2)^(-3/4).
 
     c is even in n (a permutation in K conjugates diag(e^-n, 1, e^n) to
-    diag(e^n, 1, e^-n)), so it is evaluated at |n|; a non-finite n raises
-    ValueError.  For fixed longitude phi the colatitude integral has the closed
+    diag(e^n, 1, e^-n)), so it is evaluated at |n|.  |n| must not exceed
+    _N_MAX = log(DBL_MAX) / 4 ~ 177.4457, where d / c = e^(4n) - 1 at s = 0
+    overflows; a larger or non-finite n raises ValueError.  For fixed longitude phi the colatitude integral has the closed
     form 2 c^(-1/4) d^(-1/2) F(sqrt(d/c)) with c = e^-2n cos^2 + sin^2 and
     d = e^2n - c.  The longitude integral is
     taken in s, tan(phi) = e^-n sinh(s), where
@@ -109,8 +112,8 @@ def matrix_coefficient(n: float, inner_nodes: int = 192) -> float:
     at s = 0) converges geometrically.
     """
     n = abs(n)
-    if not n < np.inf:  # NaN fails too
-        raise ValueError("n must be finite")
+    if not n <= _N_MAX:  # NaN and inf fail too
+        raise ValueError(f"n must be finite with |n| <= log(DBL_MAX) / 4 = {_N_MAX:.4f}")
     if n == 0:
         return 1.0
     a = np.exp(-n)

@@ -234,6 +234,18 @@ class TestDecay:
         with pytest.raises(ValueError, match="n must be finite"):
             matrix_coefficient(n)
 
+    @pytest.mark.parametrize("n", [177.4, repsim._N_MAX, -repsim._N_MAX])
+    def test_finite_up_to_the_overflow_limit(self, n):
+        # filterwarnings = error turns any overflow into a failure
+        value = matrix_coefficient(n)
+        assert 0.0 < value < np.exp(-abs(n) / 2.0)
+
+    @pytest.mark.parametrize("n", [np.nextafter(repsim._N_MAX, np.inf), 177.45, -177.45, 400.0])
+    def test_rejects_n_past_the_overflow_limit(self, n):
+        # beyond log(DBL_MAX) / 4 the ratio d / c = e^(4n) - 1 at s = 0 overflows to inf
+        with pytest.raises(ValueError, match="177.4457"):
+            matrix_coefficient(n)
+
     def test_independent_fine_grid_oracle(self):
         # plain tensor quadrature resolves the integrand for n <= 2
         grid = SphereGrid.build(32, oversample=8)

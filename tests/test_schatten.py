@@ -1,4 +1,4 @@
-"""Tests for dyadic sums and mixed-norm estimates."""
+"""Tests for dyadic sums and mixed norms."""
 
 import numpy as np
 import pytest
@@ -26,13 +26,13 @@ def diagonal_difference_operator(delta: float, max_degree: int) -> np.ndarray:
 
 
 def reference_norm(x: np.ndarray, p: float) -> float:
-    """The mixed norm as the per-restart loop computed it, one (n, m) array at a time."""
+    """The mixed norm from numpy's row norms."""
     rows = np.abs(x).max(axis=1) if np.isinf(p) else np.linalg.norm(x, ord=p, axis=1)
     return float(np.linalg.norm(rows))
 
 
 def reference_norming_dual(y: np.ndarray, p: float) -> np.ndarray:
-    """The duality map as the per-restart loop computed it, one (n, m) array at a time."""
+    """The duality map written out branch by branch."""
     if np.isinf(p):
         mx = np.abs(y).max(axis=1, keepdims=True)
         hits = (np.abs(y) == mx) & (mx > 0)
@@ -52,57 +52,6 @@ def reference_norming_dual(y: np.ndarray, p: float) -> np.ndarray:
         return np.zeros_like(y)
     return u * (rows / outer)[:, None]
 
-
-def reference_lower_bound(T, space, restarts, iters, seed):
-    """One restart at a time, as the estimator ran before its restarts were batched.
-
-    Returns (value, witness, history) of the first best restart, and every
-    restart's final value.
-    """
-    p, q = space.inner_exponent, space.dual().inner_exponent
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    best = (0.0, np.zeros((space.outer_dim, space.inner_dim)), np.zeros(0))
-    finals = []
-    for _ in range(restarts):
-        x = rng.normal(size=(space.outer_dim, space.inner_dim))
-        x /= reference_norm(x, p)
-        history = []
-        for _it in range(iters):
-            y = T @ x
-            history.append(reference_norm(y, p))
-            if history[-1] == 0.0:
-                break
-            w = T.T @ reference_norming_dual(y, p)
-            if reference_norm(w, q) == 0.0:
-                break
-            x = reference_norming_dual(w, q)
-        history.append(reference_norm(T @ x, p))
-        finals.append(history[-1])
-        if history[-1] > best[0]:
-            best = (history[-1], x, np.asarray(history))
-    return best, np.asarray(finals)
-
-
-def zero_rows_operator() -> np.ndarray:
-    T = np.random.default_rng(3).normal(size=(9, 9))
-    T[[1, 4, 5]] = 0.0
-    return T
-
-
-def one_off_diagonal_operator() -> np.ndarray:
-    # one coupling entry makes T non-diagonal, so the estimator must search with the dense product
-    T = np.diag(np.linspace(-0.6, 0.9, 9))
-    T[2, 7] = 0.8
-    return T
-
-
-# operators that take the search: a diagonal T is solved exactly, so one
-# off-diagonal entry must be enough to leave that branch
-REFERENCE_OPERATORS = {
-    "dense": lambda: np.random.default_rng(3).normal(size=(9, 9)),
-    "one-off-diagonal": one_off_diagonal_operator,
-    "zero-rows": zero_rows_operator,
-}
 
 # diagonals solved exactly; the first has a zero entry, the last two a negative or tied maximum |t_i|
 EXACT_DIAGONALS = {
@@ -149,65 +98,55 @@ class TestDyadic:
         with pytest.raises(ValueError):
             SingularProfile(np.array([1.0, 2.0]))
 
+    def test_schatten_norm_at_infinity_is_the_largest_value(self):
+        assert SingularProfile([3.0, 2.0, 1.0]).schatten_norm(np.inf) == 3.0
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan])
+    def test_schatten_norm_rejects_nonpositive_exponent(self, r):
+        # 1/r is undefined at r = 0, and r < 0 gives no norm
+        with pytest.raises(ValueError, match="r must be > 0"):
+            SingularProfile([3.0, 2.0, 1.0]).schatten_norm(r)
+
+    def test_dyadic_sum_rejects_infinite_exponent(self):
+        # lambda^r is 0 or inf at r = inf, so the sum bounds no S^r norm
+        with pytest.raises(ValueError, match=r"r must lie in \[1, inf\)"):
+            dyadic_sum(SingularProfile([3.0, 2.0, 1.0]), np.inf)
+
 
 class TestMixedNorm:
     def test_norming_dual_pairs_to_norm(self):
         rng = np.random.default_rng(5)
-        for p in (1.0, 4.0 / 3.0, 2.0, 3.0, np.inf):
+        for p, q in ((1.0, np.inf), (4.0 / 3.0, 4.0), (2.0, 2.0), (3.0, 1.5), (np.inf, 1.0)):
             space = MixedNormSpace(6, 4, p)
             y = rng.normal(size=(6, 4))
             z = space.norming_dual(y)
             assert np.sum(z * y) == pytest.approx(space.norm(y), rel=1e-12)
-            assert space.dual().norm(z) == pytest.approx(1.0, rel=1e-12)
+            assert MixedNormSpace(6, 4, q).norm(z) == pytest.approx(1.0, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(
-        p=st.sampled_from([1.0, np.inf]),
-        y=hnp.arrays(
-            float,
-            st.sampled_from([(5, 3), (4, 5, 3)]),
-            elements=st.integers(-2, 2).map(float),
-        ),
+        exponents=st.sampled_from([(1.0, np.inf), (np.inf, 1.0)]),
+        y=hnp.arrays(float, (5, 3), elements=st.integers(-2, 2).map(float)),
         perm=st.permutations(range(3)),
     )
-    def test_norming_dual_at_ties(self, p, y, perm):
+    def test_norming_dual_at_ties(self, exponents, y, perm):
         # small integers tie often: the dual vector must still pair to the norm
-        # with dual norm 1 (0 for zero input), for one array and for a batch,
-        # and split equally over tied coordinates, so that it commutes with
-        # permuting them
+        # with dual norm 1 (0 for zero input), and split equally over tied
+        # coordinates, so that it commutes with permuting them
+        p, q = exponents
         space = MixedNormSpace(5, 3, p)
         z = space.norming_dual(y)
-        norms = np.atleast_1d(space.norm(y))
-        pairing = np.atleast_1d(np.sum(z * y, axis=(-2, -1)))
-        np.testing.assert_allclose(pairing, norms, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(np.atleast_1d(space.dual().norm(z)), np.where(norms > 0, 1.0, 0.0), rtol=1e-12)
+        norm = space.norm(y)
+        assert np.sum(z * y) == pytest.approx(norm, rel=1e-12, abs=0.0)
+        assert MixedNormSpace(5, 3, q).norm(z) == pytest.approx(1.0 if norm > 0 else 0.0, rel=1e-12)
         np.testing.assert_array_equal(space.norming_dual(y[..., perm]), z[..., perm])
-        for k, one in enumerate(y.reshape(-1, 5, 3)):
-            assert norms[k] == pytest.approx(reference_norm(one, p), rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(z.reshape(-1, 5, 3)[k], reference_norming_dual(one, p), rtol=1e-12, atol=1e-15)
-
-    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
-    @pytest.mark.parametrize("operator", sorted(REFERENCE_OPERATORS))
-    def test_batch_matches_per_restart_reference(self, operator, p):
-        T = REFERENCE_OPERATORS[operator]()
-        space = MixedNormSpace(T.shape[0], 3, p)
-        got = mixed_norm_lower_bound(T, space, restarts=6, iters=8, seed=2)
-        (value, witness, history), finals = reference_lower_bound(T, space, restarts=6, iters=8, seed=2)
-        # eight sweeps leave the restarts apart, so the best one is not a rounding tie
-        top = np.sort(finals)[::-1]
-        assert top[0] - top[1] > 1e-12 * top[0] or top[0] == 0.0
-        assert got.history.shape == history.shape
-        np.testing.assert_allclose(got.value, value, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got.history, history, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got.witness, witness, rtol=1e-12, atol=1e-15)
-        if value > 0.0:
-            assert space.norm(got.witness) == pytest.approx(1.0, rel=1e-12)
-            assert space.norm(T @ got.witness) == pytest.approx(got.value, rel=1e-12)
+        assert norm == pytest.approx(reference_norm(y, p), rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(z, reference_norming_dual(y, p), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
     @pytest.mark.parametrize("diagonal", sorted(EXACT_DIAGONALS))
     def test_row_scaling_matches_dense_product_exactly(self, diagonal, p):
-        # the exact branch reads its value off the row scaling t[:, None] * witness
+        # the value is read off the row scaling t[:, None] * witness
         t = EXACT_DIAGONALS[diagonal]()
         T = np.diag(t)
         space = MixedNormSpace(t.size, 3, p)
@@ -224,12 +163,9 @@ class TestMixedNorm:
         got = mixed_norm_lower_bound(T, space)
         top = np.abs(t).max()
         assert abs(got.value - top) <= 1e-15 * top
-        (searched, _, _), _ = reference_lower_bound(T, space, restarts=4, iters=50, seed=2)
-        assert searched <= got.value * (1 + 1e-12)  # rounding aside, the search only approaches the norm
         if top == 0.0:
-            assert not got.witness.any() and got.history.size == 0
+            assert not got.witness.any()
             return
-        np.testing.assert_array_equal(got.history, [got.value])
         # e_i tensor e_1 at the first maximiser of |t_i|
         expected = np.zeros_like(got.witness)
         expected[np.argmax(np.abs(t)), 0] = 1.0
@@ -240,23 +176,16 @@ class TestMixedNorm:
         with pytest.raises(ValueError):
             mixed_norm_lower_bound(np.eye(3), MixedNormSpace(3, 2, 3.0), restarts=restarts, iters=iters)
 
-    def test_nonfinite_dense_operator_raises(self):
-        # every Rayleigh value would be NaN, which the search read as the zero operator
-        T = np.random.default_rng(4).normal(size=(4, 4))
-        T[1, 2] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            mixed_norm_lower_bound(T, MixedNormSpace(4, 3, 3.0))
-
     def test_nonfinite_diagonal_operator_raises(self):
         with pytest.raises(ValueError, match="finite"):
             mixed_norm_lower_bound(np.diag([0.5, np.nan, 0.25]), MixedNormSpace(3, 3, 3.0))
 
-    def test_hilbert_case_recovers_sigma_max(self):
-        rng = np.random.default_rng(7)
-        T = rng.normal(size=(12, 12))
-        smax = np.linalg.svd(T, compute_uv=False)[0]
-        res = mixed_norm_lower_bound(T, MixedNormSpace(12, 5, 2.0), restarts=8, iters=500, seed=1)
-        assert abs(res.value - smax) <= 1e-8
+    def test_non_diagonal_operator_raises(self):
+        # one coupling entry is enough to leave the exact diagonal answer
+        T = np.diag(np.linspace(-0.6, 0.9, 9))
+        T[2, 7] = 0.8
+        with pytest.raises(ValueError, match="search for a general T was retired"):
+            mixed_norm_lower_bound(T, MixedNormSpace(T.shape[0], 3, 3.0))
 
     def test_identity(self):
         res = mixed_norm_lower_bound(np.eye(9), MixedNormSpace(9, 3, 4.0), restarts=4, iters=50)
@@ -265,30 +194,6 @@ class TestMixedNorm:
     def test_zero_operator(self):
         res = mixed_norm_lower_bound(np.zeros((5, 5)), MixedNormSpace(5, 2, 3.0), restarts=2, iters=10)
         assert res.value == 0.0
-
-    def test_rayleigh_history_nondecreasing(self):
-        rng = np.random.default_rng(9)
-        T = rng.normal(size=(10, 10))
-        res = mixed_norm_lower_bound(T, MixedNormSpace(10, 4, 3.0), restarts=1, iters=60, seed=3)
-        assert np.all(np.diff(res.history) >= -1e-11)
-
-    def test_witness_attains_value(self):
-        rng = np.random.default_rng(13)
-        T = rng.normal(size=(8, 8))
-        space = MixedNormSpace(8, 3, 5.0)
-        res = mixed_norm_lower_bound(T, space, restarts=4, iters=80, seed=4)
-        assert space.norm(res.witness) == pytest.approx(1.0, rel=1e-12)
-        assert space.norm(T @ res.witness) == pytest.approx(res.value, rel=1e-12)
-
-    def test_signed_permutation_invariance_at_p2(self):
-        rng = np.random.default_rng(21)
-        T = rng.normal(size=(7, 7))
-        perm = np.eye(7)[rng.permutation(7)] * rng.choice([-1.0, 1.0], size=7)
-        perm2 = np.eye(7)[rng.permutation(7)] * rng.choice([-1.0, 1.0], size=7)
-        space = MixedNormSpace(7, 3, 2.0)
-        a = mixed_norm_lower_bound(T, space, restarts=6, iters=400, seed=5).value
-        b = mixed_norm_lower_bound(perm @ T @ perm2, space, restarts=6, iters=400, seed=6).value
-        assert a == pytest.approx(b, rel=1e-9)
 
     def test_combined_bound_dominates_lower_bound(self):
         # the interpolation upper bound, which combines the regular norm 2 with
