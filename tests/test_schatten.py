@@ -53,6 +53,26 @@ def reference_norming_dual(y: np.ndarray, p: float) -> np.ndarray:
     return u * (rows / outer)[:, None]
 
 
+def zero_rows_operator() -> np.ndarray:
+    T = np.random.default_rng(3).normal(size=(9, 9))
+    T[[1, 4, 5]] = 0.0
+    return T
+
+
+def one_off_diagonal_operator() -> np.ndarray:
+    # one coupling entry is enough to leave the exact diagonal answer
+    T = np.diag(np.linspace(-0.6, 0.9, 9))
+    T[2, 7] = 0.8
+    return T
+
+
+# operators that are not diagonal, so mixed_norm_lower_bound refuses them
+NON_DIAGONAL_OPERATORS = {
+    "dense": lambda: np.random.default_rng(3).normal(size=(9, 9)),
+    "one-off-diagonal": one_off_diagonal_operator,
+    "zero-rows": zero_rows_operator,
+}
+
 # diagonals solved exactly; the first has a zero entry, the last two a negative or tied maximum |t_i|
 EXACT_DIAGONALS = {
     "criterion-7": lambda: difference_diagonal(0.1, 16),
@@ -144,6 +164,15 @@ class TestMixedNorm:
         np.testing.assert_allclose(z, reference_norming_dual(y, p), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
+    def test_norm_and_norming_dual_match_reference(self, p):
+        # every branch of _duality, with zero rows and an all-zero input among the arrays
+        space = MixedNormSpace(9, 3, p)
+        y = zero_rows_operator()[:, :3]
+        for x in (y, np.zeros_like(y), y[::-1] * 3.0):
+            assert space.norm(x) == pytest.approx(reference_norm(x, p), rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(space.norming_dual(x), reference_norming_dual(x, p), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
     @pytest.mark.parametrize("diagonal", sorted(EXACT_DIAGONALS))
     def test_row_scaling_matches_dense_product_exactly(self, diagonal, p):
         # the value is read off the row scaling t[:, None] * witness
@@ -180,12 +209,29 @@ class TestMixedNorm:
         with pytest.raises(ValueError, match="finite"):
             mixed_norm_lower_bound(np.diag([0.5, np.nan, 0.25]), MixedNormSpace(3, 3, 3.0))
 
-    def test_non_diagonal_operator_raises(self):
-        # one coupling entry is enough to leave the exact diagonal answer
-        T = np.diag(np.linspace(-0.6, 0.9, 9))
-        T[2, 7] = 0.8
+    def test_nonfinite_dense_operator_raises(self):
+        # finiteness is checked before the diagonal test, so the message names the NaN
+        T = np.random.default_rng(4).normal(size=(4, 4))
+        T[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mixed_norm_lower_bound(T, MixedNormSpace(4, 3, 3.0))
+
+    @pytest.mark.parametrize("operator", sorted(NON_DIAGONAL_OPERATORS))
+    def test_non_diagonal_operator_raises(self, operator):
+        T = NON_DIAGONAL_OPERATORS[operator]()
         with pytest.raises(ValueError, match="search for a general T was retired"):
             mixed_norm_lower_bound(T, MixedNormSpace(T.shape[0], 3, 3.0))
+
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_signed_permutation_invariance(self, p):
+        # P D P^T for a signed permutation P is diagonal with the entries of D permuted and signed
+        rng = np.random.default_rng(21)
+        t = rng.normal(size=7)
+        P = np.eye(7)[rng.permutation(7)] * rng.choice([-1.0, 1.0], size=7)
+        space = MixedNormSpace(7, 3, p)
+        a = mixed_norm_lower_bound(np.diag(t), space).value
+        b = mixed_norm_lower_bound(P @ np.diag(t) @ P.T, space).value
+        assert a == b == np.abs(t).max()
 
     def test_identity(self):
         res = mixed_norm_lower_bound(np.eye(9), MixedNormSpace(9, 3, 4.0), restarts=4, iters=50)
