@@ -34,7 +34,7 @@ HILBERT = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.
 
 
 def test_matrix_coefficient(benchmark):
-    value = benchmark(matrix_coefficient, 6)
+    value = benchmark.pedantic(matrix_coefficient, args=(6,), rounds=50, warmup_rounds=1)
     assert 0.0 < value <= DECAY_BOUND_CONSTANT * np.exp(-DECAY_BOUND_RATE * 6)
 
 
@@ -49,7 +49,7 @@ def test_circle_average_operator(benchmark):
 def test_real_sph_harm_matrix(benchmark, band):
     # the grid basis kernel, called directly: SphereGrid.build caches grid.basis
     grid = SphereGrid.build(band)
-    basis = benchmark(real_sph_harm_matrix, grid.nodes, band)
+    basis = benchmark.pedantic(real_sph_harm_matrix, args=(grid.nodes, band), rounds=20, warmup_rounds=1)
     assert np.abs(basis[:, 0] - 1.0).max() <= 1e-10
     assert np.abs(grid.weights @ basis**2 - 1.0).max() <= 1e-10
 
@@ -75,7 +75,7 @@ def test_mixed_norm_diagonal_exact(benchmark):
     diagonal = difference_diagonal(0.1, 16)
     T = np.diag(diagonal)
     space = MixedNormSpace(diagonal.size, 4, 6.0)
-    result = benchmark(mixed_norm_lower_bound, T, space)
+    result = benchmark.pedantic(mixed_norm_lower_bound, args=(T, space), rounds=200, warmup_rounds=1)
     top = np.abs(diagonal).max()  # the exact norm of a diagonal T tensor Id
     assert abs(result.value - top) <= 1e-15 * top
     assert space.norm(result.witness) == 1.0
@@ -128,12 +128,26 @@ def test_solve_delta_for_top(benchmark):
     assert abs(sl3.j_alpha(alpha, delta).a1 - target) <= 1e-9
 
 
-def test_annulus_diameter_bound_three_segments(benchmark):
-    a = LambdaPoint(1.4, 0.7, -2.1)  # a2 > 0, slice level 2.1
-    b = LambdaPoint(2.0, 0.8, -2.8)  # a2 > 0, slice level 2.8
+SLIDE_A = LambdaPoint(1.4, 0.7, -2.1)  # a2 > 0, slice level 2.1
+SLIDE_B = LambdaPoint(2.0, 0.8, -2.8)  # a2 > 0, slice level 2.8
+
+
+# every side pattern: the pairs with a on the reflected side take the mirrored routes
+@pytest.mark.parametrize(
+    "a, b, segments",
+    [
+        (SLIDE_A, SLIDE_B, 3),
+        (SLIDE_A.reflect(), SLIDE_B.reflect(), 3),
+        (SLIDE_A, SLIDE_B.reflect(), 2),
+        (SLIDE_A.reflect(), SLIDE_B, 2),
+    ],
+    ids=["slide-slide", "reflected-reflected", "slide-reflected", "reflected-slide"],
+)
+def test_annulus_diameter_bound(benchmark, a, b, segments):
     bound, ledger = benchmark.pedantic(
         annulus_diameter_bound,
         args=(2.0, 0.5, HILBERT, a, b),
         rounds=30,
+        warmup_rounds=1,
     )
-    assert len(ledger.segments) == 3 and ledger.total <= bound
+    assert len(ledger.segments) == segments and ledger.total <= bound

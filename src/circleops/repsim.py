@@ -219,7 +219,10 @@ def invariant_gap(degree: int):
 
 def certified_gaps(j_max: int):
     """(gaps, held): invariant_gap(j) for j = 1..j_max, and whether every gap has
-    GAP_FLOOR <= lower <= witness_defect and a witness of norm 1 within 1e-9."""
+    GAP_FLOOR <= lower <= witness_defect and a witness of norm 1 within 1e-9; j_max >= 1,
+    since an empty run certifies nothing."""
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
     gaps = [invariant_gap(degree) for degree in range(1, j_max + 1)]
     held = all(GAP_FLOOR <= lo <= up and abs(np.linalg.norm(vec) - 1.0) < 1e-9 for lo, up, vec in gaps)
     return gaps, held

@@ -92,11 +92,17 @@ class MixedNormSpace:
 
         Coordinate-wise duality mapping of l^p rows; at p = inf the
         subgradient is split equally over the maximal coordinates, at p = 1
-        it is the sign vector.  Deterministic; zero input maps to zero.
+        it is the sign vector.  Deterministic; zero input maps to zero.  The
+        norm is homogeneous and the dual vector does not depend on the scale,
+        so |y| is divided by its largest entry before the powers, which then
+        neither underflow nor overflow, and the norm is multiplied back.
         """
         y = y.reshape(self.outer_dim, self.inner_dim)
         p = self.inner_exponent
         a = np.abs(y)
+        scale = a.max()
+        scale = scale if 0.0 < scale < np.inf else 1.0  # zero or non-finite input: nothing to rescale
+        a = a / scale
         ones = np.ones(self.inner_dim)
         if np.isinf(p):
             rows = a.max(axis=1)
@@ -114,7 +120,7 @@ class MixedNormSpace:
             # rows / rows^(p-1), with rows^(p-1) = sums / rows
             weight = np.divide(rows * rows, sums, out=np.zeros_like(sums), where=sums > 0)
         norm = float(np.sqrt(np.sum(rows * rows)))
-        return norm, u * (weight * (1.0 / norm if norm > 0 else 0.0))[:, None]
+        return scale * norm, u * (weight * (1.0 / norm if norm > 0 else 0.0))[:, None]
 
     def norm(self, x: np.ndarray) -> float:
         """The mixed norm of an (n x m) array."""

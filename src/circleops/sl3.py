@@ -130,8 +130,8 @@ def kak(g: np.ndarray) -> KAKDecomposition:
 
 def j_alpha(alpha: float, delta: float) -> LambdaPoint:
     """Cone point of D_alpha x_delta D_alpha; even in delta, a3 = -alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:  # NaN fails too
+        raise ValueError("alpha must be nonnegative and finite")
     da = d_alpha(alpha)
     return kak(da @ x_delta(delta) @ da).a
 
@@ -169,8 +169,8 @@ def solve_delta_for_top(alpha: float, target_a1: float) -> float:
     at r = target_a1, evaluated in log space.  A non-finite log(F1 - F0)
     raises NumericalDegeneracyError.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # NaN fails too
+        raise ValueError("alpha must be positive and finite")
     if not alpha / 2.0 - 1e-12 <= target_a1 <= 2.0 * alpha + 1e-12:
         raise ValueError("target outside the attainable range [alpha/2, 2 alpha]")
     return min(1.0, _solve_delta(alpha, alpha, target_a1, 0.0))
@@ -266,8 +266,8 @@ def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, bool]
 
 def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:
     """Solve both embedding cases for gamma >= 0.5, alpha in [gamma, 7 gamma/6]."""
-    if gamma < 0.5:
-        raise ValueError("gamma must be >= 0.5 (degenerate regime excluded)")
+    if not 0.5 <= gamma < np.inf:  # NaN fails too
+        raise ValueError("gamma must be finite and >= 0.5 (degenerate regime excluded)")
     if not gamma - 1e-12 <= alpha <= 7.0 * gamma / 6.0 + 1e-12:
         raise ValueError("alpha must lie in [gamma, 7 gamma / 6]")
     (d1, k1, k1p, res1), (d2, k2, k2p, res2) = (

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .legendre import (
     HOLDER_CONSTANT,
@@ -260,6 +259,8 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     start early and lose accuracy.  At |delta| = 1 the tail diverges and inf
     is returned.
     """
+    from scipy.special import zeta  # imported on first use, like legendre's dtbsv
+
     if not p > 4:  # NaN fails too
         raise ValueError("tail estimate requires p > 4")
     delta = _clamp_delta(delta)

@@ -6,10 +6,12 @@ chaining at most three such slides crosses the annulus
 {alpha <= max(a1, -a3) <= (1+eps) alpha} at total cost 6 C L^2 e^(-gamma alpha)
 with gamma = s - eps*s - 2t, and summing the unit-step covering over annuli
 yields the tail constant 6 C L^2 e^s / (1 - e^(2t - s)).  Each crossing
-builds one route: with the pair mirrored so that the first point lies on the
+builds one route through at most two waypoints: with the first point on the
 slide side, two segments when the second lies on the other side of the axis
-a2 = 0 (or on it), three otherwise.  Costs here are certified upper bounds;
-no operator distance is ever computed in this module.
+a2 = 0 (or on it), three otherwise; the symmetry (a1, a2, a3) -> (-a3, -a2, -a1)
+reflects these waypoints and swaps the two slide rules for the other pairs.
+Costs here are certified upper bounds; no operator distance is ever computed
+in this module.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "jump_cost",
     "annulus_diameter_bound",
     "ledger_verdict",
-    "ledger_reflect",
     "cauchy_tail_constant",
     "covering_partial_sums",
     "diameter_decay_profile",
@@ -147,15 +148,18 @@ def annulus_diameter_bound(
     """Closed-form annulus bound 3 slide_cap = 6 C L^2 e^(-gamma alpha) plus a witnessing ledger.
 
     The ledger connects the two caller-supplied points of the annulus
-    {alpha <= max(a1, -a3) <= (1+eps) alpha} by at most three slide segments
-    (two when the points lie on opposite sides of the axis a2 = 0), and
-    ledger_verdict says whether it certifies the bound.  Routes are built with a
-    on the slide side (a2 >= 0); the others are their ledger_reflect images.
-    A pair with both points on the axis takes the two-segment route, J slide
-    first; its mirror image, the other valid route, costs the same.
+    {alpha <= max(a1, -a3) <= (1+eps) alpha} by at most three slide segments,
+    through waypoints at la = a.ell() and lb = b.ell().  With a on the slide
+    side (a2 >= 0), a second point with a2 <= 0 takes J to (lb, la - lb, -la)
+    and theta to b; one with a2 > 0 takes J to the axis point (la, 0, -la),
+    theta to (la, lb - la, -lb) and J to b.  Any other pair is a mirror image
+    of these: its waypoints are reflected and J and theta trade places.  A
+    pair with both points on the axis takes the two-segment route, J first;
+    the mirror route costs the same.  ledger_verdict says whether the ledger
+    certifies the bound.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # NaN fails too
+        raise ValueError("alpha must be positive and finite")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     for point in (a, b):
@@ -165,11 +169,16 @@ def annulus_diameter_bound(
 
     ledger = CostLedger()
     if a.distance(b) > _GEOM_TOL:
+        # a flipped pair takes the mirror image of the route of its reflection
         flip = a.a2 < 0 or (a.a2 == 0 and b.a2 > 0)
-        p, q = (a.reflect(), b.reflect()) if flip else (a, b)
-        ledger = (_two_segment_route if q.a2 <= 0 else _three_segment_route)(p, q, prof)
-        if flip:
-            ledger = ledger_reflect(ledger)
+        j, theta = (THETA_REFLECTED_SLIDE, J_ALPHA_SLIDE) if flip else (J_ALPHA_SLIDE, THETA_REFLECTED_SLIDE)
+        la, lb = a.ell(), b.ell()
+        if (b.reflect() if flip else b).a2 <= 0:
+            stops, rules = [LambdaPoint(lb, la - lb, -la)], [j, theta]
+        else:
+            stops, rules = [LambdaPoint(la, 0.0, -la), LambdaPoint(la, lb - la, -lb)], [j, theta, j]
+        points = [a, *(stop.reflect() if flip else stop for stop in stops), b]
+        ledger = CostLedger([_segment(p, q, rule, prof) for p, q, rule in zip(points, points[1:], rules)])
     ledger.validate()
     return bound, ledger
 
@@ -178,46 +187,6 @@ def ledger_verdict(alpha: float, epsilon: float, prof: ExponentProfile, bound: f
     """Total <= bound, no slack, and each segment <= slide_cap(alpha, epsilon) + 1e-12 (NaN fails)."""
     cap = prof.slide_cap(alpha, epsilon) + 1e-12
     return bool(ledger.total <= bound and all(seg.cost_bound <= cap for seg in ledger.segments))
-
-
-def _two_segment_route(a: LambdaPoint, b: LambdaPoint, prof: ExponentProfile) -> CostLedger:
-    """a on the slide side (a2 >= 0), b on the reflected side (a2 <= 0): J then theta."""
-    la, lb = a.ell(), b.ell()
-    cross = LambdaPoint(lb, la - lb, -la)
-    return CostLedger([_segment(a, cross, J_ALPHA_SLIDE, prof), _segment(cross, b, THETA_REFLECTED_SLIDE, prof)])
-
-
-def _three_segment_route(a: LambdaPoint, b: LambdaPoint, prof: ExponentProfile) -> CostLedger:
-    """a and b on the slide side (a2 > 0): J to the axis, theta along it, J to b."""
-    la, lb = a.ell(), b.ell()
-    hub, turn = LambdaPoint(la, 0.0, -la), LambdaPoint(la, lb - la, -lb)
-    return CostLedger(
-        [
-            _segment(a, hub, J_ALPHA_SLIDE, prof),
-            _segment(hub, turn, THETA_REFLECTED_SLIDE, prof),
-            _segment(turn, b, J_ALPHA_SLIDE, prof),
-        ]
-    )
-
-
-def ledger_reflect(ledger: CostLedger) -> CostLedger:
-    """Apply the cone symmetry (a1,a2,a3) -> (-a3,-a2,-a1) to a whole ledger.
-
-    Slide rules swap and every cost bound is preserved (the slice level and
-    the solved slide parameters are symmetric).
-    """
-    swap = {J_ALPHA_SLIDE: THETA_REFLECTED_SLIDE, THETA_REFLECTED_SLIDE: J_ALPHA_SLIDE}
-    return CostLedger(
-        [
-            Segment(
-                start=seg.start.reflect(),
-                end=seg.end.reflect(),
-                cost_bound=seg.cost_bound,
-                rule=swap[seg.rule],
-            )
-            for seg in ledger.segments
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,12 @@ def test_zigzag_nan_or_inf_exits_2_and_writes_nothing(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_embedding2_nan_gamma_exits_2_naming_gamma(tmp_path, capsys):
+    assert run(tmp_path, "embedding2", "--gamma", "nan") == 2
+    assert "gamma must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, argv",
     [

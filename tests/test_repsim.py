@@ -12,6 +12,7 @@ from circleops.legendre import gauss_rule, legendre_at_zero, legendre_table
 from circleops.repsim import (
     assemble_operator,
     build_grid,
+    certified_gaps,
     coefficient_decay,
     invariant_gap,
     matrix_coefficient,
@@ -347,3 +348,9 @@ class TestInvariantGap:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             invariant_gap(0)
+
+    @pytest.mark.parametrize("j_max", [0, -1])
+    def test_empty_run_is_refused(self, j_max):
+        # no degree would be checked, so ([], True) would certify nothing
+        with pytest.raises(ValueError, match="j_max must be >= 1"):
+            certified_gaps(j_max)

@@ -173,6 +173,16 @@ class TestMixedNorm:
             np.testing.assert_allclose(space.norming_dual(x), reference_norming_dual(x, p), rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
+    @pytest.mark.parametrize("c", [1e-300, 1e-150, 1e150, 1e300])
+    def test_norm_is_homogeneous_at_extreme_scales(self, c, p):
+        # entries of size 1e-150 used to underflow in the powers |y|^p, and of size 1e-200
+        # in the outer sum of squares; the dual vector does not depend on the scale
+        space = MixedNormSpace(9, 3, p)
+        y = zero_rows_operator()[:, :3]
+        assert space.norm(c * y) == pytest.approx(c * space.norm(y), rel=1e-15, abs=0.0)
+        np.testing.assert_allclose(space.norming_dual(c * y), space.norming_dual(y), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
     @pytest.mark.parametrize("diagonal", sorted(EXACT_DIAGONALS))
     def test_row_scaling_matches_dense_product_exactly(self, diagonal, p):
         # the value is read off the row scaling t[:, None] * witness

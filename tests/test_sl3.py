@@ -365,6 +365,23 @@ class TestEmbedding:
             embedding2_solve(2.0, 2.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda bad: j_alpha(bad, 0.3), "alpha must be nonnegative and finite"),
+        (lambda bad: solve_delta_for_top(bad, 1.0), "alpha must be positive and finite"),
+        (lambda bad: embedding2_solve(bad, bad), "gamma must be finite"),
+    ],
+    ids=["j_alpha", "solve_delta_for_top", "embedding2_solve"],
+)
+def test_nan_and_inf_parameters_are_named(call, text, bad):
+    # each guard is written so that NaN fails it; inf is refused as input, not
+    # reported later as a degenerate computation
+    with pytest.raises(ValueError, match=text):
+        call(bad)
+
+
 def test_kak_rejects_non_unimodular():
     with pytest.raises(ValueError):
         kak(np.diag([2.0, 1.0, 1.0]))

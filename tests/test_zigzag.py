@@ -17,7 +17,6 @@ from circleops.zigzag import (
     covering_partial_sums,
     diameter_decay_profile,
     jump_cost,
-    ledger_reflect,
     ledger_verdict,
 )
 
@@ -197,18 +196,11 @@ class TestAnnulus:
         _, ledger = annulus_diameter_bound(alpha, eps, HILBERT, a, b)
         assert len(ledger.segments) == 2
 
-    @pytest.mark.parametrize("zero_a, zero_b", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
-    def test_axis_pair_takes_the_j_first_route(self, zero_a, zero_b):
-        # both routes across the axis are valid; the J-first one is taken, and its
-        # mirror image, the other route, has the same total bit for bit
-        alpha, eps = 2.0, 0.5
-        a = LambdaPoint(2.8, zero_a, -2.8)
-        b = LambdaPoint(2.1, zero_b, -2.1)
-        _, ledger = annulus_diameter_bound(alpha, eps, SLOW, a, b)
-        assert [seg.rule for seg in ledger.segments] == [J_ALPHA_SLIDE, THETA_REFLECTED_SLIDE]
-        mirrored = ledger_reflect(ledger).validate()
-        assert (mirrored.segments[0].start, mirrored.segments[-1].end) == (a, b)
-        assert mirrored.total == ledger.total
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
+    def test_alpha_guard_names_alpha(self, alpha):
+        a = slide_point(2.0, 1.4)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            annulus_diameter_bound(alpha, 0.5, HILBERT, a, a)
 
     def test_outside_annulus_rejected(self):
         with pytest.raises(ValueError):
@@ -226,18 +218,6 @@ class TestAnnulus:
             bound, ledger = annulus_diameter_bound(alpha, eps, SLOW, a, b)
             ledger.validate()
             assert ledger.total <= bound
-
-    def test_reflection_preserves_totals(self):
-        alpha, eps = 2.0, 0.5
-        a = slide_point(2.1, 1.4)
-        b = slide_point(2.8, 2.0)
-        _, ledger = annulus_diameter_bound(alpha, eps, SLOW, a, b)
-        mirrored = ledger_reflect(ledger).validate()
-        assert mirrored.total == ledger.total
-        rules = {J_ALPHA_SLIDE: THETA_REFLECTED_SLIDE, THETA_REFLECTED_SLIDE: J_ALPHA_SLIDE}
-        for seg, ref in zip(ledger.segments, mirrored.segments):
-            assert ref.rule == rules[seg.rule]
-            assert ref.cost_bound == seg.cost_bound
 
 
 def _four_branch_segment(p, q, rule, prof):
@@ -310,6 +290,49 @@ class TestMirroredRoutes:
             got = annulus_diameter_bound(alpha, eps, prof, a, b)[1]  # validates its ledger
             want = _four_branch_ledger(alpha, a, b, prof).validate()
             assert got.segments == want.segments, (a, b)
+
+
+_SWAP = {J_ALPHA_SLIDE: THETA_REFLECTED_SLIDE, THETA_REFLECTED_SLIDE: J_ALPHA_SLIDE}
+
+
+def _bits(point):
+    return np.array([point.a1, point.a2, point.a3]).tobytes()
+
+
+class TestMirrorSymmetry:
+    """The cone symmetry (a1, a2, a3) -> (-a3, -a2, -a1) maps routes to routes.
+
+    The reflected pair's ledger has the reflected waypoints, the swapped rules
+    and the same cost bits.  A pair with both points on the axis is its own
+    reflection (up to the sign of a2 = 0): it keeps the J-first route, and the
+    mirror route, priced on its own, costs the same bits.
+    """
+
+    @pytest.mark.parametrize("side_a", _SIDES)
+    @pytest.mark.parametrize("side_b", _SIDES)
+    def test_reflected_pair_takes_the_mirrored_route(self, side_a, side_b):
+        rng = np.random.default_rng([7, _SIDES.index(side_a), _SIDES.index(side_b)])
+        for _ in range(40):
+            alpha, eps = rng.uniform(0.5, 6.0), rng.uniform(0.05, 0.95)
+            prof = SLOW if rng.random() < 0.5 else HILBERT
+            a, b = _sided_point(rng, alpha, eps, side_a), _sided_point(rng, alpha, eps, side_b)
+            # an axis point is drawn with a2 = -0.0; its reflection is the same point with a2 = 0.0
+            a, b = (point.reflect() if point.a2 == 0 and rng.random() < 0.5 else point for point in (a, b))
+            _, ledger = annulus_diameter_bound(alpha, eps, prof, a, b)
+            _, mirrored = annulus_diameter_bound(alpha, eps, prof, a.reflect(), b.reflect())
+            if a.a2 == 0 and b.a2 == 0:
+                assert [seg.rule for seg in ledger.segments] == [J_ALPHA_SLIDE, THETA_REFLECTED_SLIDE]
+                assert [seg.rule for seg in mirrored.segments] == [J_ALPHA_SLIDE, THETA_REFLECTED_SLIDE]
+                mirrored = CostLedger(
+                    [zigzag._segment(seg.start.reflect(), seg.end.reflect(), _SWAP[seg.rule], prof)
+                     for seg in ledger.segments]
+                ).validate()
+            assert len(mirrored.segments) == len(ledger.segments) in (2, 3)
+            for seg, ref in zip(ledger.segments, mirrored.segments):
+                assert _bits(ref.start) == _bits(seg.start.reflect()), (a, b)
+                assert _bits(ref.end) == _bits(seg.end.reflect()), (a, b)
+                assert ref.rule == _SWAP[seg.rule]
+                assert ref.cost_bound.hex() == seg.cost_bound.hex()
 
 
 class TestTailConstant:
