@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.linalg.blas import dtbsv
 
 __all__ = [
     "legendre_table",
@@ -81,8 +82,6 @@ def _banded_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     The first two unknowns are unit rows holding the carried values, with no
     coupling between them, so every block size gives the same bits.
     """
-    from scipy.linalg.blas import dtbsv  # imported on first use: scipy.linalg is most of the CLI's start-up
-
     degrees = np.arange(first - 2, first + len(rows) - 2)
     band = np.empty((3, len(rows)), order="F")
     band[0] = np.maximum(degrees, 1)

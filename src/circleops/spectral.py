@@ -259,7 +259,7 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     start early and lose accuracy.  At |delta| = 1 the tail diverges and inf
     is returned.
     """
-    from scipy.special import zeta  # imported on first use, like legendre's dtbsv
+    from scipy.special import zeta  # imported on first use: only this estimate needs scipy.special
 
     if not p > 4:  # NaN fails too
         raise ValueError("tail estimate requires p > 4")

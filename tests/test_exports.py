@@ -2,7 +2,9 @@
 
 Callers import names from their modules, so importing the bare package loads
 no submodule.  Also an import-cost guard: importing the package or its CLI
-loads no scipy module; the two functions that call scipy import it themselves.  A
+loads no `scipy.special`, `scipy.integrate` or `scipy.optimize` (the CLI does
+load `scipy.linalg`, for legendre's `dtbsv`; `zeta` is imported by the one
+estimate that calls it).  A
 signature guard pins the parameter names of callables whose settings are fixed
 constants, so a setting cannot come back without a visible test change.  A
 guard keeps the names the frozen perfbench harness calls.  And a caller census: every exported name is used by the library, a demo or a
@@ -43,8 +45,9 @@ def _fresh_import(module: str, probe: str) -> str:
 
 
 @pytest.mark.parametrize("module", ["circleops", "circleops.cli"])
-def test_import_loads_no_scipy(module):
-    probe = "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+def test_import_loads_no_scipy_special(module):
+    heavy = ("scipy.special", "scipy.integrate", "scipy.optimize")
+    probe = f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
     assert _fresh_import(module, probe).strip() == "[]"
 
 
