@@ -10,13 +10,12 @@ import pytest
 
 from circleops import sl3
 from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coefficient
-from circleops.legendre import HOLDER_CONSTANT, legendre_table
+from circleops.legendre import HOLDER_CONSTANT, legendre_at_zero, legendre_table
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
 from circleops.sl3 import LambdaPoint, solve_delta_for_top
 from circleops.spectral import (
     completed_power_sums,
     diff_power_sums,
-    difference_diagonal,
     op_norm_diff_certificates,
     schatten_tail_bound,
 )
@@ -72,7 +71,7 @@ def test_circle_average(benchmark, band):
 
 def test_mixed_norm_diagonal_exact(benchmark):
     # perfbench's mixed-norm shape: diagonal to degree 16, inner dimension 4, p = 6; solved without a search
-    diagonal = difference_diagonal(0.1, 16)
+    diagonal = np.repeat(legendre_at_zero(16) - legendre_table(16, 0.1), 2 * np.arange(17) + 1)
     T = np.diag(diagonal)
     space = MixedNormSpace(diagonal.size, 4, 6.0)
     result = benchmark.pedantic(mixed_norm_lower_bound, args=(T, space), rounds=200, warmup_rounds=1)

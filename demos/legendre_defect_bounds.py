@@ -8,7 +8,7 @@ certified constant.
 
 import numpy as np
 
-from circleops.legendre import legendre_defect
+from circleops.legendre import legendre_at_zero, legendre_table
 from circleops.spectral import holder_check
 
 deltas = np.linspace(-1.0, 1.0, 2001)
@@ -16,7 +16,7 @@ heads, bounds, violating = holder_check(deltas, 2000)  # heads: max defect over 
 
 ratios = heads / np.maximum(bounds, 1e-300)
 d_star = int(np.argmax(ratios))
-n_star = int(np.argmax(np.abs(legendre_defect(2000, deltas[d_star]))))
+n_star = int(np.argmax(np.abs(legendre_table(2000, deltas[d_star]) - legendre_at_zero(2000))))
 print(f"degrees <= 2000, {deltas.size} abscissae: {int(violating.sum())} abscissae violate the bound")
 print(f"largest ratio {ratios.max():.6f} at degree {n_star}, delta {deltas[d_star]:+.4f}")
 

@@ -165,6 +165,7 @@ def cmd_kak(args) -> int:
 
 
 def cmd_embedding2(args) -> int:
+    embedding2_solve(args.gamma, args.gamma)  # the library refuses a bad gamma before numpy builds a grid from it
     alphas = np.linspace(args.gamma, 7.0 * args.gamma / 6.0, args.alpha_grid)
     certs, held = [], True
     for alpha in alphas:
@@ -181,6 +182,7 @@ def cmd_embedding2(args) -> int:
 def cmd_zigzag(args) -> int:
     prof = ExponentProfile(holder_s=args.s, growth_t=args.t, hoelder_C=args.C, growth_L=args.L)
     cprime = cauchy_tail_constant(prof)
+    diameter_decay_profile([args.alpha_min, args.alpha_max], prof)  # refuses a bad end before numpy builds the grid
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_grid)
     decay = diameter_decay_profile(alphas, prof)
     ledgers, held = [], True

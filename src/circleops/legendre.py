@@ -22,7 +22,6 @@ from scipy.linalg.blas import dtbsv
 __all__ = [
     "legendre_table",
     "legendre_at_zero",
-    "legendre_defect",
     "bernstein_envelope",
     "gauss_rule",
     "HOLDER_CONSTANT",
@@ -126,10 +125,10 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
         yield rows[2:]
 
 
-def _defect_blocks(max_degree: int, x, block_rows: int | None = None):
+def _defect_blocks(max_degree: int, x):
     """Yield blocks of (P_n(x) - P_n(0), P_n(0)) from one pass with 0.0 as an extra abscissa."""
     xs = np.append(_clamp_abscissa(x), 0.0)
-    for rows in _row_blocks(max_degree, xs, block_rows):
+    for rows in _row_blocks(max_degree, xs):
         yield rows[:, :-1] - rows[:, -1:], rows[:, -1]
 
 
@@ -148,12 +147,6 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
 def legendre_at_zero(max_degree: int) -> np.ndarray:
     """P_n(0) for n = 0..N: the table at x = 0.  Odd degrees are exactly zero."""
     return legendre_table(max_degree, 0.0)
-
-
-def legendre_defect(max_degree: int, x) -> np.ndarray:
-    """P_n(x) - P_n(0) for n = 0..N, shaped like legendre_table's output; one pass."""
-    ((defects, _),) = _defect_blocks(max_degree, x, max_degree + 1)
-    return defects.reshape((max_degree + 1,) + np.shape(x))
 
 
 @functools.lru_cache(maxsize=128)

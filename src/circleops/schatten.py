@@ -95,13 +95,16 @@ class MixedNormSpace:
         it is the sign vector.  Deterministic; zero input maps to zero.  The
         norm is homogeneous and the dual vector does not depend on the scale,
         so |y| is divided by its largest entry before the powers, which then
-        neither underflow nor overflow, and the norm is multiplied back.
+        neither underflow nor overflow, and the norm is multiplied back.  A
+        non-finite entry raises ValueError.
         """
         y = y.reshape(self.outer_dim, self.inner_dim)
         p = self.inner_exponent
         a = np.abs(y)
         scale = a.max()
-        scale = scale if 0.0 < scale < np.inf else 1.0  # zero or non-finite input: nothing to rescale
+        if not scale < np.inf:  # NaN fails too
+            raise ValueError("array must be finite")
+        scale = scale if scale > 0.0 else 1.0  # zero input: nothing to rescale
         a = a / scale
         ones = np.ones(self.inner_dim)
         if np.isinf(p):

@@ -265,9 +265,9 @@ def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, bool]
 
 
 def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:
-    """Solve both embedding cases for gamma >= 0.5, alpha in [gamma, 7 gamma/6]."""
-    if not 0.5 <= gamma < np.inf:  # NaN fails too
-        raise ValueError("gamma must be finite and >= 0.5 (degenerate regime excluded)")
+    """Solve both embedding cases for gamma in [0.5, 600], alpha in [gamma, 7 gamma/6]."""
+    if not 0.5 <= gamma <= 600.0:  # NaN fails too; e^alpha overflows past alpha = 7 * 608.4 / 6
+        raise ValueError(f"gamma must be finite and lie in [0.5, 600] (degenerate regime excluded): gamma = {gamma}")
     if not gamma - 1e-12 <= alpha <= 7.0 * gamma / 6.0 + 1e-12:
         raise ValueError("alpha must lie in [gamma, 7 gamma / 6]")
     (d1, k1, k1p, res1), (d2, k2, k2p, res2) = (

@@ -21,7 +21,6 @@ from .legendre import (
     _row_blocks,
     bernstein_envelope,
     gauss_rule,
-    legendre_defect,
     legendre_table,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "holder_check",
     "schatten_tail_bound",
     "schatten_tail_estimate",
-    "difference_diagonal",
     "diff_power_windows",
     "diff_power_sums",
     "completed_power_sums",
@@ -104,11 +102,6 @@ def holder_check(deltas, truncation: int) -> tuple[np.ndarray, np.ndarray, np.nd
     heads, _ = op_norm_diff_certificates(deltas, truncation)
     bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
     return heads, bounds, heads > bounds + 1e-14
-
-
-def difference_diagonal(delta: float, max_degree: int) -> np.ndarray:
-    """Diagonal of T_0 - T_delta on degrees <= max_degree: P_n(0) - P_n(delta), 2n+1 times each."""
-    return np.repeat(-legendre_defect(max_degree, delta), 2 * np.arange(max_degree + 1) + 1)
 
 
 def _power_windows(blocks, ps, checkpoints) -> np.ndarray:

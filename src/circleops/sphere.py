@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# nothing here calls legendre_table: the import stays because perfbench's selftest reads it from this module
 from .legendre import _clamp_delta, gauss_rule, legendre_table
 
 __all__ = [

@@ -222,12 +222,13 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
 
 
 def diameter_decay_profile(alpha_grid, prof: ExponentProfile) -> np.ndarray:
-    """Certified decay bounds C' e^((2t-s) alpha) on a grid of alphas >= 1.
+    """Certified decay bounds C' e^((2t-s) alpha) on a grid of finite alphas >= 1.
 
     Returns an array of rows (alpha, bound).
     """
     alphas = np.asarray(alpha_grid, dtype=float)
-    if not np.all(alphas >= 1.0):  # NaN fails too
-        raise ValueError("covering argument needs alpha >= 1")
+    covered = (alphas >= 1.0) & (alphas < np.inf)  # NaN fails too
+    if not covered.all():
+        raise ValueError(f"covering argument needs finite alpha >= 1: alpha = {alphas[~covered][0]}")
     bounds = cauchy_tail_constant(prof) * np.exp((2.0 * prof.growth_t - prof.holder_s) * alphas)
     return np.column_stack([alphas, bounds])

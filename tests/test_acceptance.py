@@ -16,9 +16,9 @@ import pytest
 
 from circleops import acceptance, spectral
 from circleops.acceptance import ALL_CRITERIA
-from circleops.legendre import legendre_defect
+from circleops.legendre import legendre_at_zero, legendre_table
 from circleops.schatten import MixedNormSpace, interpolation_check, mixed_norm_lower_bound
-from circleops.spectral import difference_diagonal, holder_check
+from circleops.spectral import holder_check
 
 
 @pytest.mark.parametrize("number", sorted(ALL_CRITERIA))
@@ -46,7 +46,7 @@ def test_criterion_1_counts_violating_deltas(monkeypatch):
     """With the constant lowered to 1, criterion 1 counts each violating delta once, not each degree."""
     monkeypatch.setattr(spectral, "HOLDER_CONSTANT", 1.0)  # holder_check is the one site that reads it
     deltas = np.linspace(-1.0, 1.0, 1000)
-    defects = np.abs(legendre_defect(2000, deltas))
+    defects = np.abs(legendre_table(2000, deltas) - legendre_at_zero(2000)[:, None])
     over = defects > np.sqrt(np.abs(deltas)) + 1e-14
     per_delta = int(np.sum(over.any(axis=0)))
     assert 0 < per_delta < int(np.sum(over))  # 316 deltas, 1336 (degree, delta) pairs
@@ -63,7 +63,7 @@ def test_criterion_7_value_is_the_holder_head(delta, p):
     value, upper, held = interpolation_check(delta, p, 16)
     (head,), _, _ = holder_check([delta], 16)
     assert value == head and held
-    diag = difference_diagonal(delta, 16)
+    diag = np.repeat(legendre_at_zero(16) - legendre_table(16, delta), 2 * np.arange(17) + 1)
     dense = mixed_norm_lower_bound(np.diag(diag), MixedNormSpace(diag.size, 4, p)).value
     assert abs(dense - value) <= 2e-16 * value
 

@@ -9,7 +9,7 @@ import pytest
 from circleops import acceptance, cli, repsim, schatten, sl3, spectral, zigzag
 from circleops.cli import main
 from circleops.errors import NumericalDegeneracyError
-from circleops.legendre import legendre_defect
+from circleops.legendre import legendre_table
 
 
 def run(tmp_path, *argv):
@@ -59,11 +59,13 @@ def test_legendre_bounds(tmp_path):
 @pytest.mark.parametrize("grid", [64, 200], ids=["banded", "row-loop"])
 def test_legendre_bounds_match_the_defect_table(tmp_path, grid):
     # 65537 rows are deep: with the zero column, 65 abscissae take the banded solver and
-    # 201 the row loop, in the streaming pass and in the one-block table alike
+    # 201 the row loop, in the streaming pass and in the one-block table alike; so the
+    # oracle carries the zero column too, where a width-1 pass would take the banded solver
     assert run(tmp_path, "legendre-bounds", "--nmax", "65536", "--grid", str(grid)) == 0
     lines = (tmp_path / "legendre_bounds.csv").read_text().splitlines()[2:]
     got = np.array([float(line.split(",")[1]) for line in lines])
-    want = np.abs(legendre_defect(65536, np.linspace(-1.0, 1.0, grid))).max(axis=0)
+    table = legendre_table(65536, np.append(np.linspace(-1.0, 1.0, grid), 0.0))
+    want = np.abs(table[:, :-1] - table[:, -1:]).max(axis=0)
     np.testing.assert_array_equal(got, want)
 
 
@@ -215,6 +217,24 @@ def test_zigzag_alpha_below_one_exits_2(tmp_path):
 )
 def test_zigzag_nan_or_inf_exits_2_and_writes_nothing(tmp_path, argv):
     assert run(tmp_path, "zigzag", *argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["embedding2", "--gamma", "inf"], "gamma = inf"),
+        (["embedding2", "--gamma", "1e308"], "gamma = 1e+308"),  # 7 gamma / 6 overflows
+        (["zigzag", "--alpha-max", "inf"], "alpha = inf"),
+    ],
+    ids=["gamma-inf", "gamma-1e308", "alpha-max-inf"],
+)
+def test_flags_are_refused_before_a_grid_is_built(tmp_path, capsys, argv, refused):
+    # the library's check runs before np.linspace, so no numpy warning (an error under
+    # this suite's filter) escapes main, and the one stderr line names the refused value
+    assert run(tmp_path, *argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid parameters:") and line.endswith(refused)
     assert list(tmp_path.iterdir()) == []
 
 

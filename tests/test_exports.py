@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import circleops
-from circleops import acceptance, repsim, schatten, sphere, zigzag
+from circleops import acceptance, repsim, schatten, spectral, sphere, zigzag
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -81,10 +81,14 @@ def test_public_signatures(func):
 
 
 # perfbench is frozen with the benchmark: its tracer patches these two methods out of
-# MixedNormSpace.__dict__ at install, and its _run_mixed passes restarts, iters and seed
+# MixedNormSpace.__dict__ at install, its selftest reads the re-exported names below from
+# the modules that import them, and its _run_mixed passes restarts, iters and seed
 # to mixed_norm_lower_bound on a diagonal T and reads value and witness.
 def test_what_the_frozen_benchmark_calls_is_kept():
     assert {"norming_dual", "norm"} <= set(schatten.MixedNormSpace.__dict__)
+    reexported = [(spectral, "legendre_table"), (sphere, "legendre_table"), (repsim, "legendre_table"),
+                  (repsim, "real_sph_harm_matrix"), (zigzag, "solve_delta_for_top")]
+    assert [f"{module.__name__}.{name}" for module, name in reexported if not hasattr(module, name)] == []
     d = np.array([0.25, -0.5, 0.0])
     space = schatten.MixedNormSpace(d.size, 4, 6.0)
     for seed in (0, 7):

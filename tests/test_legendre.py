@@ -14,13 +14,11 @@ from circleops.legendre import (
     bernstein_envelope,
     gauss_rule,
     legendre_at_zero,
-    legendre_defect,
     legendre_table,
 )
 from circleops.sl3 import x_delta
 from circleops.spectral import (
     SpectralOperator,
-    difference_diagonal,
     divergence_probe_p4,
     schatten_tail_estimate,
 )
@@ -109,17 +107,8 @@ def test_nd_abscissae_keep_their_shape():
     x = np.array([[-0.9, 0.25], [0.6, 1.0]])
     flat = legendre_table(3, x.ravel())
     assert np.array_equal(legendre_table(3, x), flat.reshape(4, 2, 2))
-    defects = flat - legendre_at_zero(3)[:, None]
-    assert np.array_equal(legendre_defect(3, x), defects.reshape(4, 2, 2))
     assert np.array_equal(legendre_table(3, x)[3], flat[-1].reshape(2, 2))
-    assert legendre_table(3, x[:1, :1]).shape == legendre_defect(3, x[:1, :1]).shape == (4, 1, 1)
-
-
-def test_defect_is_table_minus_zero_column():
-    xs = np.linspace(-1.0, 1.0, 11)
-    want = legendre_table(300, xs) - legendre_at_zero(300)[:, None]
-    assert np.array_equal(legendre_defect(300, xs), want)
-    assert np.array_equal(legendre_defect(300, xs[7]), want[:, 7])
+    assert legendre_table(3, x[:1, :1]).shape == (4, 1, 1)
 
 
 # Deep and narrow passes (more than _BLOCK_VALUES rows, at most _BANDED_WIDTH
@@ -238,12 +227,14 @@ def test_domain_error_and_clamp():
 
 
 def test_holder_defect_examples():
+    def defect(n, x):  # P_n(x) - P_n(0)
+        return legendre_table(n, x)[n] - legendre_at_zero(n)[n]
+
     for n in (0, 1, 5, 42):
-        assert legendre_defect(n, 0.0)[n] == 0.0
-    assert abs(legendre_defect(1, 0.09)[1]) == pytest.approx(0.09, abs=1e-15)
+        assert defect(n, 0.0) == 0.0
+    assert abs(defect(1, 0.09)) == pytest.approx(0.09, abs=1e-15)
     assert 0.09 <= HOLDER_CONSTANT * 0.3
-    v = abs(legendre_defect(40, 0.2)[40])
-    assert v <= HOLDER_CONSTANT * np.sqrt(0.2)
+    assert abs(defect(40, 0.2)) <= HOLDER_CONSTANT * np.sqrt(0.2)
 
 
 def test_holder_bound_on_grid():
@@ -311,7 +302,6 @@ DELTA_ENTRY_POINTS = {
     "schatten_tail_estimate": lambda d: schatten_tail_estimate(d, 5.0, 8),
     "legendre_table": lambda d: legendre_table(4, d),
     "legendre_table[array]": lambda d: legendre_table(4, np.array([0.5, d])),
-    "difference_diagonal": lambda d: difference_diagonal(d, 4),
 }
 RANGE_EDGE = 1.0 + 1e-12  # largest accepted |delta|; it is clipped to 1
 

@@ -15,14 +15,13 @@ from circleops.schatten import (
     mixed_norm_lower_bound,
     mixed_norm_upper_bound,
 )
-from circleops.spectral import difference_diagonal
 
 
-def diagonal_difference_operator(delta: float, max_degree: int) -> np.ndarray:
-    """Degree-truncated diagonal model of the averaging difference, with
-    eigenvalues repeated by multiplicity 2n+1."""
+def difference_eigenvalues(delta: float, max_degree: int) -> np.ndarray:
+    """Eigenvalues P_n(0) - P_n(delta) of the averaging difference on degrees <= max_degree,
+    each repeated by its multiplicity 2n+1."""
     diffs = legendre_at_zero(max_degree) - legendre_table(max_degree, delta)
-    return np.diag(np.repeat(diffs, 2 * np.arange(max_degree + 1) + 1))
+    return np.repeat(diffs, 2 * np.arange(max_degree + 1) + 1)
 
 
 def reference_norm(x: np.ndarray, p: float) -> float:
@@ -75,7 +74,7 @@ NON_DIAGONAL_OPERATORS = {
 
 # diagonals solved exactly; the first has a zero entry, the last two a negative or tied maximum |t_i|
 EXACT_DIAGONALS = {
-    "criterion-7": lambda: difference_diagonal(0.1, 16),
+    "criterion-7": lambda: difference_eigenvalues(0.1, 16),
     "one-by-one": lambda: np.array([-0.7]),
     "zero": lambda: np.zeros(9),
     "negative-max": lambda: np.array([0.2, -0.9, 0.0, 0.4]),
@@ -182,6 +181,16 @@ class TestMixedNorm:
         assert space.norm(c * y) == pytest.approx(c * space.norm(y), rel=1e-15, abs=0.0)
         np.testing.assert_allclose(space.norming_dual(c * y), space.norming_dual(y), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_array_raises(self, bad, p):
+        # refused like a non-finite operator, not returned as an inf norm and a NaN dual vector
+        space = MixedNormSpace(2, 2, p)
+        y = np.array([[bad, 1.0], [0.0, 0.0]])
+        for method in (space.norm, space.norming_dual):
+            with pytest.raises(ValueError, match="finite"):
+                method(y)
+
     @pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 6.0, np.inf])
     @pytest.mark.parametrize("diagonal", sorted(EXACT_DIAGONALS))
     def test_row_scaling_matches_dense_product_exactly(self, diagonal, p):
@@ -257,7 +266,7 @@ class TestMixedNorm:
         # the diagonal difference instances
         for p in (4.0, 6.0, 8.0):
             for delta in (0.05, 0.2):
-                T = diagonal_difference_operator(delta, 12)
+                T = np.diag(difference_eigenvalues(delta, 12))
                 upper = mixed_norm_upper_bound(delta, p)
                 res = mixed_norm_lower_bound(
                     T, MixedNormSpace(T.shape[0], 4, p), restarts=8, iters=80, seed=1
@@ -266,7 +275,7 @@ class TestMixedNorm:
 
     def test_diagonal_difference_respects_interpolation_bound(self):
         delta, p = 0.1, 4.0
-        T = diagonal_difference_operator(delta, 16)
+        T = np.diag(difference_eigenvalues(delta, 16))
         space = MixedNormSpace(T.shape[0], 4, p)
         theta = min(2.0 / p, 2.0 - 2.0 / p)
         upper = interpolation_bound(4.0 * np.sqrt(delta), 2.0, theta)

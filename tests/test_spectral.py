@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from circleops.legendre import bernstein_envelope, legendre_at_zero, legendre_defect, legendre_table
+from circleops.legendre import bernstein_envelope, legendre_at_zero, legendre_table
 from circleops.spectral import (
     SpectralOperator,
     _lerch_abel_plana,
@@ -114,7 +114,8 @@ class TestOpNormDiff:
     @pytest.mark.parametrize("truncation", [0, 1])
     def test_lowest_truncations_bound_the_exact_sup(self, truncation):
         deltas = np.linspace(-1.0, 1.0, 41)
-        exact = np.abs(legendre_defect(4000, deltas)).max(axis=0)  # sup over n <= 4000
+        defects = legendre_table(4000, deltas) - legendre_at_zero(4000)[:, None]
+        exact = np.abs(defects).max(axis=0)  # sup over n <= 4000
         heads, tails = op_norm_diff_certificates(deltas, truncation)
         # the head is sup_{n<=N}: 0 at N = 0, |P_1(delta)| = |delta| at N = 1
         assert heads.tolist() == (truncation * np.abs(deltas)).tolist()
@@ -292,10 +293,11 @@ class TestFitDecay:
     def test_sup_norm_grid_matches_one_pass_per_delta(self, n_max):
         # one blocked pass over the grid against a one-block pass per delta, bit for bit;
         # 11 abscissae make blocks of 65536 // 11 = 5957 rows, so at 11913 the head
-        # (rows 0..11913) ends on a block boundary and row m = 11914 is a block of its own
-        m = n_max + 1 if n_max % 2 else n_max + 2
+        # (rows 0..11913) ends on a block boundary and row 11914, the first even degree
+        # past the head, is a block of its own
+        zeros = legendre_at_zero(n_max)
         expected = [
-            max(float(np.abs(legendre_defect(m, d)[: n_max + 1]).max()), scalar_tail_bound(d, n_max))
+            max(float(np.abs(legendre_table(n_max, d) - zeros).max()), scalar_tail_bound(d, n_max))
             for d in self.GRID[::-1]
         ]
         fit = fit_decay(np.inf, self.GRID, n_max=n_max)
