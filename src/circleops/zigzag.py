@@ -157,11 +157,24 @@ def annulus_diameter_bound(
     pair with both points on the axis takes the two-segment route, J first;
     the mirror route costs the same.  ledger_verdict says whether the ledger
     certifies the bound.
+
+    Before any exp or norm, two limits refuse alpha (NaN fails both).  The bound 3 (2 C) L^2
+    e^(-gamma alpha) and its partial products are finite while 2 log L, log(6 C L^2), -gamma
+    alpha and their sum stay <= 709 < log(max float); for gamma < 0 the sum grows with alpha.
+    In the annulus a1 lies in [0, ell], a2 in [-ell/2, ell/2] and a3 in [-ell, 0], ell <= (1 + eps)
+    alpha, so the squared norm that distance sums over a difference of two points stays
+    finite while (1 + eps) alpha < sqrt(max float / 3), about 7.7e153.
     """
     if not 0.0 < alpha < np.inf:  # NaN fails too
         raise ValueError("alpha must be positive and finite")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    gamma = prof.holder_s - epsilon * prof.holder_s - 2.0 * prof.growth_t
+    log_l2, log_c = 2.0 * np.log(prof.growth_L), np.log(6.0) + np.log(prof.hoelder_C)
+    if not all(x <= 709.0 for x in (log_l2, log_c + log_l2, -gamma * alpha, log_c + log_l2 - gamma * alpha)):
+        raise ValueError(f"the bound 6 C L^2 e^(-gamma alpha) is not a finite float at alpha = {alpha}")
+    if not (1.0 + epsilon) * alpha < np.sqrt(np.finfo(float).max / 3.0):
+        raise ValueError(f"annulus coordinates overflow a squared norm at alpha = {alpha}")
     for point in (a, b):
         if not alpha - _GEOM_TOL <= point.ell() <= (1.0 + epsilon) * alpha + _GEOM_TOL:
             raise ValueError(f"point {point} outside the annulus at alpha={alpha}, eps={epsilon}")

@@ -223,6 +223,23 @@ def test_zigzag_nan_or_inf_exits_2_and_writes_nothing(tmp_path, argv):
 @pytest.mark.parametrize(
     "argv, refused",
     [
+        # gamma = -0.15: the bound 24 e^(0.15 alpha) would overflow at alpha = 5000
+        (["--t", "0.2", "--epsilon", "0.5", "--alpha-max", "5000"], "not a finite float at alpha = 5000.0"),
+        (["--alpha-max", "1e308"], "overflow a squared norm at alpha = 1.4285714285714286e+307"),
+    ],
+    ids=["bound", "norm"],
+)
+def test_zigzag_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, argv, refused):
+    # refused by the ledgers' library check before any exp or norm overflows: no warning escapes
+    assert run(tmp_path, "zigzag", *argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid parameters:") and line.endswith(refused)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
         (["embedding2", "--gamma", "inf"], "gamma = inf"),
         (["embedding2", "--gamma", "1e308"], "gamma = 1e+308"),  # 7 gamma / 6 overflows
         (["zigzag", "--alpha-max", "inf"], "alpha = inf"),
@@ -291,6 +308,22 @@ def test_outdir_naming_a_file_exits_2_and_writes_nothing(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
     err = capsys.readouterr().err
     assert err.startswith("invalid parameters: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "taken, argv",
+    [
+        ("legendre_bounds.csv", ["legendre-bounds", "--nmax", "200", "--grid", "11"]),
+        ("markov_profile.csv", ["markov", "--steps", "3", "--replicas", "10"]),  # the second output
+        ("markov_manifest.json", ["markov", "--steps", "3", "--replicas", "10"]),
+    ],
+)
+def test_output_name_taken_by_a_directory_exits_2_and_writes_nothing(tmp_path, capsys, taken, argv):
+    (tmp_path / taken).mkdir()
+    assert run(tmp_path, *argv) == 2
+    assert list(tmp_path.iterdir()) == [tmp_path / taken] and not any((tmp_path / taken).iterdir())
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid parameters: ") and taken in line
 
 
 def test_outdir_flag_wins_over_env(tmp_path, monkeypatch):

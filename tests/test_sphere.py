@@ -71,9 +71,10 @@ def test_frame_independence(grid):
     ang = 1.234
     u2 = np.cos(ang) * u + np.sin(ang) * v
     v2 = -np.sin(ang) * u + np.cos(ang) * v
-    out1 = circle_average(grid, f, 0.3)
-    out2 = circle_average(grid, f, 0.3, frames=(u2, v2))
-    assert np.abs(out1 - out2).max() <= 1e-10
+    # the rule is exact on every circle, so circle_average is the ring operator for any frames
+    expected = circle_average_operator(grid, 0.3) @ grid.analyze(f)
+    assert np.array_equal(circle_average(grid, f, 0.3), expected)
+    assert np.array_equal(circle_average(grid, f, 0.3, frames=(u2, v2)), expected)
 
 
 def test_grid_invariants_oversampled():
@@ -109,19 +110,18 @@ def test_numpy_integer_band_limit():
     assert real_sph_harm_matrix(g.nodes, np.int32(3)).shape == (g.nodes.shape[0], 16)
 
 
-def test_grid_and_theta_table_are_built_once_per_band_limit():
+def test_grid_is_built_once_per_band_limit():
     g = SphereGrid.build(5)
     assert SphereGrid.build(5) is g and SphereGrid.build(np.int64(5)) is g
     assert SphereGrid.build(5, oversample=2) is SphereGrid.build(5, np.int64(2)) is not g
     assert g.basis is SphereGrid.build(5).basis
-    assert sphere._theta_table(5) is sphere._theta_table(5)
     # the cached basis has the bits of a fresh harmonic matrix at the nodes
     assert np.array_equal(g.basis, real_sph_harm_matrix(g.nodes, 5))
 
 
-def test_shared_grid_and_table_are_read_only():
+def test_shared_grid_is_read_only():
     g = SphereGrid.build(4)
-    for shared in (g.nodes, g.weights, g.basis, sphere._theta_table(4)):
+    for shared in (g.nodes, g.weights, g.basis):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] *= 2.0
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -338,9 +338,6 @@ def test_sin_theta_is_accurate_near_the_pole(t):
     point = np.array([[np.sin(t), 0.0, np.cos(t)]])
     expected = np.sqrt(3.0) * np.sin(t)
     assert real_sph_harm_matrix(point, 1)[0, 2] == pytest.approx(expected, rel=1e-14, abs=0.0)
-    coeffs = np.zeros(4)
-    coeffs[2] = 1.0
-    assert SphereGrid.build(1).synthesize(coeffs, point)[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def _three_writer_basis_block(z, u, cphi, sphi, band_limit, out):
@@ -399,29 +396,22 @@ def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
     assert np.array_equal(got, real_sph_harm_matrix(pts, band_limit))
 
 
-@pytest.mark.parametrize("band_limit", [0, 1, 2, 16, 32])
-def test_synthesize_matches_harmonic_matrix(band_limit, monkeypatch):
-    # the double-Fourier synthesis against the independent matrix product, over
-    # several point blocks (the last one partial)
-    monkeypatch.setattr(sphere, "_CHUNK", 128)
-    monkeypatch.setattr(sphere, "_SYNTH_CHUNK", 128)
-    g = SphereGrid.build(band_limit)
-    rng = np.random.default_rng(band_limit)
-    pts = rng.normal(size=(300, 3))
+@pytest.mark.parametrize("band_limit", [0, 1, 16, 32])
+def test_blocked_harmonics_are_bit_identical(band_limit, monkeypatch):
+    # 300 points in blocks of 128: a pole in the first block and in the partial last one
+    pts = np.random.default_rng(band_limit).normal(size=(300, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts[0] = [0.0, 0.0, 1.0]  # pole: the rho = 0 branch
-    pts[200] = [0.0, 0.0, -1.0]
-    coeffs = rng.normal(size=g.n_coeff)
-    got, expected = g.synthesize(coeffs, pts), real_sph_harm_matrix(pts, band_limit) @ coeffs
-    assert got.shape == expected.shape == (300,)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    pts[0] = [0.0, 0.0, 1.0]
+    pts[290] = [0.0, 0.0, -1.0]
+    whole = real_sph_harm_matrix(pts, band_limit)
+    monkeypatch.setattr(sphere, "_CHUNK", 128)
+    assert np.array_equal(real_sph_harm_matrix(pts, band_limit), whole)
 
 
 @pytest.mark.parametrize("band_limit", [0, 3])
 def test_synthesis_and_analysis_take_one_vector(band_limit):
-    # both synthesis paths take only (n_coeff,), analysis only (n_nodes,): no column stacks
+    # synthesis takes only (n_coeff,), analysis only (n_nodes,): no column stacks
     g = SphereGrid.build(band_limit)
-    pts = g.nodes[:5]
     for wrong in (
         np.ones(g.n_coeff + 1),
         np.ones(2 * g.n_coeff),
@@ -429,47 +419,11 @@ def test_synthesis_and_analysis_take_one_vector(band_limit):
         np.ones((g.n_coeff, 2)),
         np.ones((g.n_coeff, 2, 2)),
     ):
-        for where in (None, pts):
-            with pytest.raises(ValueError, match="need coefficients of shape"):
-                g.synthesize(wrong, where)
+        with pytest.raises(ValueError, match="need coefficients of shape"):
+            g.synthesize(wrong)
     n_nodes = g.nodes.shape[0]
     for wrong in (np.ones(n_nodes + 1), np.ones((n_nodes, 1)), np.ones((n_nodes, 2))):
         with pytest.raises(ValueError, match="need samples of shape"):
             g.analyze(wrong)
         with pytest.raises(ValueError, match="need samples of shape"):
             circle_average(g, wrong, 0.3)
-
-
-@pytest.mark.parametrize("band_limit", [0, 1, 2, 7, 16, 32])
-def test_theta_table_reproduces_the_meridian(band_limit):
-    # rows cos j theta (j = 0..B), then sin (j+1) theta, against the harmonics at phi = 0
-    size = band_limit + 1
-    table = sphere._theta_table(band_limit)
-    assert table.shape == (2 * size, size * size)
-    theta = np.random.default_rng(band_limit).uniform(0.0, np.pi, 64)
-    j = np.arange(size)
-    rows = np.concatenate([np.cos(np.outer(j, theta)), np.sin(np.outer(j + 1, theta))])
-    meridian = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
-    expected = real_sph_harm_matrix(meridian, band_limit)
-    offset = np.arange(size * size) - degree_of_column(band_limit) ** 2
-    sin_cols = np.flatnonzero((offset > 0) & (offset % 2 == 0))
-    cos_cols = np.setdiff1d(np.arange(size * size), sin_cols)
-    err = np.abs(rows.T @ table - expected)[:, cos_cols].max(axis=0)
-    assert np.all(err <= 1e-13 * np.abs(expected[:, cos_cols]).max(axis=0))
-    # a sin m phi column vanishes at phi = 0, so it holds its cos partner's profile
-    partner_gap = np.abs(table[:, sin_cols] - table[:, sin_cols - 1]).max(initial=0.0)
-    assert partner_gap <= 1e-14 * np.abs(table).max()
-    # odd-m profiles are sine polynomials of degree <= B: sin (B+1) theta is roundoff
-    assert np.abs(table[-1]).max() <= 1e-14 * np.abs(table).max()
-
-
-def test_synthesize_over_a_partial_last_block():
-    g = SphereGrid.build(24)
-    rng = np.random.default_rng(24)
-    pts = rng.normal(size=(2 * sphere._SYNTH_CHUNK + 777, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts[-1] = [0.0, 0.0, -1.0]  # a pole in the partial block
-    coeffs = rng.normal(size=g.n_coeff)
-    got, expected = g.synthesize(coeffs, pts), real_sph_harm_matrix(pts, 24) @ coeffs
-    assert got.shape == expected.shape == (pts.shape[0],)
-    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -202,6 +202,38 @@ class TestAnnulus:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             annulus_diameter_bound(alpha, 0.5, HILBERT, a, a)
 
+    def test_bound_must_be_a_finite_float(self):
+        # gamma = 0.5 (1 - 0.5) - 0.4 = -0.15: the log of the bound 24 e^(0.15 alpha) is 709 at 4705.5
+        for alpha in (4705.0, 4705.4):
+            a = slide_point(alpha, alpha)
+            bound, ledger = annulus_diameter_bound(alpha, 0.5, SLOW, a, a)
+            assert np.isfinite(bound) and ledger_verdict(alpha, 0.5, SLOW, bound, ledger)
+        for alpha in (4705.6, 5000.0, 1e300):  # at 5000 the exp itself overflows: the check comes first
+            a = slide_point(alpha, alpha)
+            with pytest.raises(ValueError, match="not a finite float"):
+                annulus_diameter_bound(alpha, 0.5, SLOW, a, a)
+
+    @pytest.mark.parametrize("prof", [
+        ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=1e308, growth_L=1.0),  # 6 C overflows
+        ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=1e-10, growth_L=1.5e154),  # L^2 overflows
+    ], ids=["C", "L"])
+    def test_constant_must_be_a_finite_float(self, prof):
+        a = slide_point(2.0, 2.0)
+        with pytest.raises(ValueError, match="not a finite float"):
+            annulus_diameter_bound(2.0, 0.5, prof, a, a)
+
+    def test_coordinates_must_keep_a_finite_squared_norm(self):
+        # ell <= 1.5 alpha < sqrt(max / 3) keeps each squared coordinate difference below max / 3
+        limit = np.sqrt(np.finfo(float).max / 3.0) / 1.5
+        alpha = limit * (1.0 - 1e-12)
+        a, b = LambdaPoint(1.4 * alpha, -0.7 * alpha, -0.7 * alpha), slide_point(1.4 * alpha, 0.7 * alpha)
+        bound, ledger = annulus_diameter_bound(alpha, 0.5, HILBERT, a, b)
+        assert np.isfinite(a.distance(b)) and ledger_verdict(alpha, 0.5, HILBERT, bound, ledger)
+        for alpha in (limit * (1.0 + 1e-12), 1e308):
+            a = slide_point(alpha, alpha)
+            with pytest.raises(ValueError, match="overflow a squared norm"):
+                annulus_diameter_bound(alpha, 0.5, HILBERT, a, a)
+
     def test_outside_annulus_rejected(self):
         with pytest.raises(ValueError):
             annulus_diameter_bound(2.0, 0.5, HILBERT, slide_point(1.0, 0.7), slide_point(2.2, 1.6))
