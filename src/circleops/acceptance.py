@@ -289,10 +289,10 @@ def criterion_10():
 
 @_criterion(11, "matrix coefficient decay")
 def criterion_11():
-    """Coefficient decay: c(n) strictly decreasing, c(n) <= 4 e^(-n/2), leakage < 10%."""
+    """Coefficient decay: c(n) strictly decreasing, c(n) <= 4 e^(-n/2), quadrature defect < 10%."""
     rows, held = coefficient_decay(6)
     shape = "c strictly decreasing" if held else "c NOT positive, decreasing and within 4 e^(-n/2)"
-    return held, f"{shape}, max c/bound={decay_ratio(rows):.3f}, max leakage={rows[:, 3].max():.2e}"
+    return held, f"{shape}, max c/bound={decay_ratio(rows):.3f}, max quadrature defect={rows[:, 3].max():.2e}"
 
 
 @_criterion(12, "invariant gap")

@@ -239,7 +239,7 @@ def cmd_howe_moore(args) -> int:
           f"max c/bound = {decay_ratio(rows):.4f}")
     return _finish(args, {"howe_moore_decay.csv": _csv(
         "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
-        ["n", "c_n", "bound", "leakage"], rows)},
+        ["n", "c_n", "bound", "quadrature_defect"], rows)},
         None if held else "c(n) not positive, strictly decreasing and within 4 e^(-n/2)")
 
 

@@ -252,7 +252,7 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     start early and lose accuracy.  At |delta| = 1 the tail diverges and inf
     is returned.
     """
-    from scipy.special import zeta  # imported on first use: only this estimate needs scipy.special
+    from scipy.special import zeta  # imported on first use, so the CLI's import loads no scipy.special
 
     if not p > 4:  # NaN fails too
         raise ValueError("tail estimate requires p > 4")

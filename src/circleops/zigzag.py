@@ -63,6 +63,9 @@ class ExponentProfile:
             raise ValueError("Hoelder constant must be positive and finite")
         if not 1.0 <= self.growth_L < np.inf:
             raise ValueError("growth constant must be finite and >= 1")
+        log_l2 = 2.0 * np.log(self.growth_L)
+        if not all(x <= 709.0 for x in (log_l2, np.log(6.0) + np.log(self.hoelder_C) + log_l2)):
+            raise ValueError(f"L^2 and 6 C L^2 must stay below e^709: C = {self.hoelder_C}, L = {self.growth_L}")
 
     def slide_cap(self, alpha: float, epsilon: float) -> float:
         """2 C L^2 e^(-gamma alpha), gamma = s - eps s - 2t: the cap on one slide's cost across the annulus."""
@@ -158,9 +161,9 @@ def annulus_diameter_bound(
     the mirror route costs the same.  ledger_verdict says whether the ledger
     certifies the bound.
 
-    Before any exp or norm, two limits refuse alpha (NaN fails both).  The bound 3 (2 C) L^2
-    e^(-gamma alpha) and its partial products are finite while 2 log L, log(6 C L^2), -gamma
-    alpha and their sum stay <= 709 < log(max float); for gamma < 0 the sum grows with alpha.
+    Before any exp or norm, two limits refuse alpha (NaN fails both).  ExponentProfile keeps 2 log L
+    and log(6 C L^2) <= 709 < log(max float) (decided in log space), so the bound 3 (2 C) L^2
+    e^(-gamma alpha) and its partial products are finite while -gamma alpha and their sum do too.
     In the annulus a1 lies in [0, ell], a2 in [-ell/2, ell/2] and a3 in [-ell, 0], ell <= (1 + eps)
     alpha, so the squared norm that distance sums over a difference of two points stays
     finite while (1 + eps) alpha < sqrt(max float / 3), about 7.7e153.
@@ -170,8 +173,8 @@ def annulus_diameter_bound(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     gamma = prof.holder_s - epsilon * prof.holder_s - 2.0 * prof.growth_t
-    log_l2, log_c = 2.0 * np.log(prof.growth_L), np.log(6.0) + np.log(prof.hoelder_C)
-    if not all(x <= 709.0 for x in (log_l2, log_c + log_l2, -gamma * alpha, log_c + log_l2 - gamma * alpha)):
+    log_bound = np.log(6.0) + np.log(prof.hoelder_C) + 2.0 * np.log(prof.growth_L) - gamma * alpha
+    if not all(x <= 709.0 for x in (-gamma * alpha, log_bound)):
         raise ValueError(f"the bound 6 C L^2 e^(-gamma alpha) is not a finite float at alpha = {alpha}")
     if not (1.0 + epsilon) * alpha < np.sqrt(np.finfo(float).max / 3.0):
         raise ValueError(f"annulus coordinates overflow a squared norm at alpha = {alpha}")

@@ -237,6 +237,22 @@ def test_zigzag_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+def test_zigzag_growth_constant_below_the_float_limit_runs(tmp_path):
+    # log(6 C L^2) = 707.8 at C = 4, L = 1e153, just under the profile's limit of 709
+    assert run(tmp_path, "zigzag", "--L", "1e153") == 0
+    ledgers = json.loads((tmp_path / "zigzag_ledgers.json").read_text())
+    assert all(np.isfinite(led["bound"]) and led["total"] <= led["bound"] for led in ledgers)
+
+
+@pytest.mark.parametrize("growth_L", ["2e153", "1e160"])
+def test_zigzag_growth_constant_past_the_float_limit_exits_2(tmp_path, capsys, growth_L):
+    # L^2 or 6 C L^2 past e^709 is refused as a flag error, before any product can overflow
+    assert run(tmp_path, "zigzag", "--L", growth_L) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid parameters:") and line.endswith(f"L = {float(growth_L)}")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv, refused",
     [
@@ -352,10 +368,8 @@ def test_howe_moore(tmp_path):
 
 
 def test_howe_moore_nan_coefficient_exits_3(tmp_path, monkeypatch):
-    exact = repsim.matrix_coefficient
-    monkeypatch.setattr(
-        repsim, "matrix_coefficient", lambda n, inner_nodes: np.nan if n == 3 else exact(n, inner_nodes)
-    )
+    exact = repsim._trapezoid_sums
+    monkeypatch.setattr(repsim, "_trapezoid_sums", lambda n: (np.nan, np.nan) if n == 3 else exact(n))
     assert run(tmp_path, "howe-moore") == 3
     assert list(tmp_path.iterdir()) == []
 

@@ -3,8 +3,8 @@
 Callers import names from their modules, so importing the bare package loads
 no submodule.  Also an import-cost guard: importing the package or its CLI
 loads no `scipy.special`, `scipy.integrate` or `scipy.optimize` (the CLI does
-load `scipy.linalg`, for legendre's `dtbsv`; `zeta` is imported by the one
-estimate that calls it).  A
+load `scipy.linalg`, for legendre's `dtbsv`; `zeta` and `hyp2f1` are imported
+inside the two functions that call them).  A
 signature guard pins the parameter names of callables whose settings are fixed
 constants, so a setting cannot come back without a visible test change.  A
 guard keeps the names the frozen perfbench harness calls.  And a caller census: every exported name is used by the library, a demo or a

@@ -170,32 +170,24 @@ class TestOperators:
         assert grid_value == pytest.approx(matrix_coefficient(2), rel=0.05)
 
 
-def _matrix_coefficient_fresh_rule(n: float, inner_nodes: int) -> float:
-    """Reference c(n): the same trapezoid rule in s, with a Gauss-Legendre rule built afresh."""
-    xs, ws = np.polynomial.legendre.leggauss(inner_nodes)
-    a = np.exp(-n)
-    s, h = np.linspace(0.0, n + repsim._TRAPEZOID_CUTOFF, repsim._TRAPEZOID_STEPS + 1, retstep=True)
-    cosh = np.cosh(s)
-    stretch = 1.0 + (a * np.sinh(s)) ** 2
-    c = (a * cosh) ** 2 / stretch
-    d = np.exp(2.0 * n) - c
-    half = 0.5 * np.arcsinh(np.sqrt(d / c))
-    profile = half * np.sum(ws * np.cosh(half[..., None] * (xs + 1.0)) ** -0.5, axis=-1)
-    integrand = 2.0 * c**-0.25 * d**-0.5 * profile * a * cosh / stretch
-    integrand[0] *= 0.5
-    return float(h * np.sum(integrand) / np.pi)
+def _matrix_coefficient_adaptive(n: float) -> float:
+    """Accuracy oracle: adaptive quadrature over the longitude phi in [0, pi/2] of the
+    colatitude integral 2 c^(-1/4) d^(-1/2) F(sqrt(d/c)), c = e^-2n cos^2 + sin^2,
+    d = e^2n - c, with F(z) = z 2F1(1/2, 3/4; 3/2; -z^2) taken in 40-digit mpmath.
+    The breaks e^-n 4^k follow the integrand's ridge of width e^-n at phi = 0."""
+    with mpmath.workdps(40):
+        a2, b2 = mpmath.exp(-2 * mpmath.mpf(n)), mpmath.exp(2 * mpmath.mpf(n))
 
+        def inner(phi):
+            c = a2 * mpmath.cos(phi) ** 2 + mpmath.sin(phi) ** 2
+            d = b2 - c
+            profile = mpmath.sqrt(d / c) * mpmath.hyp2f1(0.5, 0.75, 1.5, -d / c)
+            return float(2 * c**-0.25 / mpmath.sqrt(d) * profile)
 
-def _matrix_coefficient_adaptive(n: float, inner_nodes: int) -> float:
-    """Accuracy oracle: adaptive quadrature over the longitude phi in [0, pi/2]."""
-    a2, b2 = np.exp(-2.0 * n), np.exp(2.0 * n)
-
-    def inner(phi):
-        c = a2 * np.cos(phi) ** 2 + np.sin(phi) ** 2
-        d = b2 - c
-        return 2.0 * c**-0.25 * d**-0.5 * float(repsim._inner_profile(np.array(d / c) ** 0.5, inner_nodes))
-
-    val, _ = integrate.quad(inner, 0.0, np.pi / 2.0, limit=400, epsabs=1e-13, epsrel=1e-12)
+        breaks = np.exp(-n) * 4.0 ** np.arange(n + 2)
+        val, _ = integrate.quad(
+            inner, 0.0, np.pi / 2.0, points=breaks[breaks < np.pi / 2.0], limit=400, epsabs=0.0, epsrel=1e-13
+        )
     return val / np.pi
 
 
@@ -203,23 +195,16 @@ ORACLE_GRID = (0.01, 0.1, 0.5, 1.3, 2.7, 4.4, 6.6, 7.9, 8.0)
 
 
 class TestDecay:
-    @pytest.mark.parametrize("inner_nodes", [96, 192])
-    def test_cached_rule_is_bit_identical(self, inner_nodes):
-        for n in range(1, 7):
-            want = _matrix_coefficient_fresh_rule(n, inner_nodes)
-            assert matrix_coefficient(n, inner_nodes=inner_nodes) == want
-
-    @pytest.mark.parametrize("inner_nodes", [96, 192])
-    def test_matches_adaptive_quadrature(self, inner_nodes):
+    def test_matches_adaptive_quadrature(self):
         for n in ORACLE_GRID:
-            want = _matrix_coefficient_adaptive(n, inner_nodes)
-            assert matrix_coefficient(n, inner_nodes=inner_nodes) == pytest.approx(want, rel=1e-14, abs=0.0)
+            want = _matrix_coefficient_adaptive(n)
+            assert matrix_coefficient(n) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_doubling_the_steps_changes_nothing(self, monkeypatch):
-        base = {(n, k): matrix_coefficient(n, inner_nodes=k) for n in ORACLE_GRID for k in (96, 192)}
+        base = {n: matrix_coefficient(n) for n in ORACLE_GRID}
         monkeypatch.setattr(repsim, "_TRAPEZOID_STEPS", 2 * repsim._TRAPEZOID_STEPS)
-        for (n, k), value in base.items():
-            assert matrix_coefficient(n, inner_nodes=k) == pytest.approx(value, rel=1e-15, abs=0.0)
+        for n, value in base.items():
+            assert matrix_coefficient(n) == pytest.approx(value, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [0.5, 3.0, 8.0])
     def test_even_in_n(self, n):
@@ -276,16 +261,31 @@ class TestDecay:
     def test_measured_range_edges(self):
         # the quadrature was measured for n <= 36: 36 runs and holds, 37 is refused
         rows, held = coefficient_decay(36)
-        assert held and rows.shape == (37, 4) and rows[:, 3].max() <= 1e-13
+        assert held and rows.shape == (37, 4) and rows[:, 3].max() <= 1e-7
+        for n in (30, 36):
+            assert rows[n, 1] == pytest.approx(_matrix_coefficient_adaptive(n), rel=1e-14, abs=0.0)
         with pytest.raises(ValueError, match="36"):
             coefficient_decay(37)
 
+    def test_decay_evaluates_the_integrand_once_per_degree(self, monkeypatch):
+        # each hyp2f1 call is one evaluation of the integrand at every trapezoid node
+        import scipy.special
+
+        sizes, exact = [], scipy.special.hyp2f1
+
+        def counted(a, b, c, z):
+            sizes.append(np.size(z))
+            return exact(a, b, c, z)
+
+        monkeypatch.setattr(scipy.special, "hyp2f1", counted)
+        rows, held = coefficient_decay(6)
+        assert held and sizes == [repsim._TRAPEZOID_STEPS + 1] * 6  # c(0) = 1 needs no integrand
+        assert rows[1:, 1].tolist() == [matrix_coefficient(n) for n in range(1, 7)]
+
     def test_nan_coefficient_aborts(self, monkeypatch):
         # every comparison with NaN is false, so each check must fail unless its condition holds
-        exact = repsim.matrix_coefficient
-        monkeypatch.setattr(
-            repsim, "matrix_coefficient", lambda n, inner_nodes: np.nan if n == 3 else exact(n, inner_nodes)
-        )
+        exact = repsim._trapezoid_sums
+        monkeypatch.setattr(repsim, "_trapezoid_sums", lambda n: (np.nan, np.nan) if n == 3 else exact(n))
         with pytest.raises(NumericalDegeneracyError, match="coefficient_leakage"):
             coefficient_decay(6)
 

@@ -70,6 +70,17 @@ class TestProfile:
         with pytest.raises(ValueError, match=text):
             ExponentProfile(**params)
 
+    @pytest.mark.parametrize("hoelder_C", [4.0, 1e-10, 1e300])
+    def test_six_c_l_squared_must_be_a_finite_float(self, hoelder_C):
+        # L^2 and 6 C L^2 may reach e^709 < max float, decided in log space before any product
+        limit = np.exp((709.0 - max(0.0, np.log(6.0 * hoelder_C))) / 2.0)
+        below = ExponentProfile(0.5, 0.0, hoelder_C, limit * (1.0 - 1e-12))
+        # filterwarnings = error turns any overflow into a failure
+        assert np.isfinite(6.0 * hoelder_C * below.growth_L**2) and np.isfinite(below.slide_cap(1.0, 0.5))
+        for growth_L in (limit * (1.0 + 1e-12), 1e160, 1e300):
+            with pytest.raises(ValueError, match="must stay below e\\^709"):
+                ExponentProfile(0.5, 0.0, hoelder_C, growth_L)
+
 
 class TestJumpCost:
     def test_zero_delta(self):
@@ -213,14 +224,14 @@ class TestAnnulus:
             with pytest.raises(ValueError, match="not a finite float"):
                 annulus_diameter_bound(alpha, 0.5, SLOW, a, a)
 
-    @pytest.mark.parametrize("prof", [
-        ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=1e308, growth_L=1.0),  # 6 C overflows
-        ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=1e-10, growth_L=1.5e154),  # L^2 overflows
+    @pytest.mark.parametrize("constants", [
+        {"hoelder_C": 1e308, "growth_L": 1.0},  # 6 C overflows
+        {"hoelder_C": 1e-10, "growth_L": 1.5e154},  # L^2 overflows
     ], ids=["C", "L"])
-    def test_constant_must_be_a_finite_float(self, prof):
-        a = slide_point(2.0, 2.0)
-        with pytest.raises(ValueError, match="not a finite float"):
-            annulus_diameter_bound(2.0, 0.5, prof, a, a)
+    def test_constant_must_be_a_finite_float(self, constants):
+        # the profile refuses such constants, so the annulus bound never sees them
+        with pytest.raises(ValueError, match="6 C L\\^2 must stay below e\\^709"):
+            ExponentProfile(holder_s=0.5, growth_t=0.0, **constants)
 
     def test_coordinates_must_keep_a_finite_squared_norm(self):
         # ell <= 1.5 alpha < sqrt(max / 3) keeps each squared coordinate difference below max / 3
