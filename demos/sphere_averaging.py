@@ -1,6 +1,7 @@
 """Circle averaging on the sphere: quadrature vs the Legendre spectral model.
 
-Builds an exact band-limited grid, averages every harmonic over circles at
+Builds an exact band-limited grid, checks that the harmonic basis is
+orthonormal under its quadrature, averages every harmonic over circles at
 inner product delta by honest trapezoid quadrature, and compares with the
 predicted eigenvalues P_n(delta).  Then runs the Markov chain whose one-step
 kernel is the same averaging operator and watches the mean contract.
@@ -18,7 +19,8 @@ from circleops.sphere import (
 
 band = 16
 grid = SphereGrid.build(band)
-print(f"grid: {grid.nodes.shape[0]} nodes, basis orthonormal to {grid.gram_defect():.2e}")
+gram = (grid.basis * grid.weights[:, None]).T @ grid.basis
+print(f"grid: {grid.nodes.shape[0]} nodes, basis orthonormal to {np.abs(gram - np.eye(grid.n_coeff)).max():.2e}")
 
 for delta in (-0.6, 0.2, 0.85):
     averaged = circle_average_operator(grid, delta)

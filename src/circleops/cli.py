@@ -209,7 +209,7 @@ def cmd_zigzag(args) -> int:
                 for seg in ledger.segments
             ],
         })
-    print(f"zigzag: tail constant C' = {cprime:.6f}; {len(ledgers)} ledgers, "
+    print(f"zigzag: tail constant C' = {cprime:.6g}; {len(ledgers)} ledgers, "
           f"{'all totals within bounds' if held else 'NOT all within their bounds'}")
     return _finish(args, {
         "zigzag_decay.csv": _csv("tail-diameter bound C' * e^((2t-s) alpha)", ["alpha", "bound"], decay),

@@ -2,20 +2,19 @@
 
 The action is the projective one twisted by the half-density cocycle,
 (pi(g) f)(x) = ||g^-1 x||^(-3/2) f(g^-1 x / ||g^-1 x||), which is unitary for
-the normalized surface measure.  Rotations preserve band limits exactly;
-everything else leaks mass above the band limit, and that leakage is
-estimated on the (oversampled) sampling grid and reported, never dropped.
+the normalized surface measure.
 
 The bi-rotation average is the projection onto the constants (each degree
 n >= 1 harmonic space is an irreducible, nontrivial rotation representation),
-so P_K pi(g) P_K keeps one entry, assemble_operator(g, grid)[0][0, 0] =
-<pi(g) 1, 1>: at diag(e^n, 1, e^-n) the matrix coefficient c(n) of the unit
-constant function.  c(n) itself is reduced exactly, through a closed-form
-colatitude integral, to a longitude integral (the tensor grid cannot resolve
-the integrand's e^(-2n) ridge for larger n) and taken by one fixed trapezoid
-rule in s, tan(phi) = e^-n sinh(s): there the integrand is even, analytic and
-decays like e^(|n| - s), so the rule converges geometrically.  Only
-tests/test_repsim.py cross-checks the grid machinery against it at small n.
+so P_K pi(g) P_K keeps one entry, <pi(g) 1, 1>: at diag(e^n, 1, e^-n) the
+matrix coefficient c(n) of the unit constant function.  c(n) is reduced
+exactly, through a closed-form colatitude integral, to a longitude integral
+(the tensor grid cannot resolve the integrand's e^(-2n) ridge for larger n)
+and taken by one fixed trapezoid rule in s, tan(phi) = e^-n sinh(s): there the
+integrand is even, analytic and decays like e^(|n| - s), so the rule converges
+geometrically.  The grid oracles live in tests/test_repsim.py: grid_coefficient
+takes <pi(a_n) 1, 1> by the grid's quadrature at small n, and rotation_block
+gives the rotation action on one degree for the invariant-gap checks.
 """
 
 from __future__ import annotations
@@ -24,11 +23,12 @@ import numpy as np
 
 from .errors import NumericalDegeneracyError
 from .legendre import legendre_table
+# nothing here calls real_sph_harm_matrix: the import stays because perfbench's selftest and the
+# frozen-benchmark guard in tests/test_exports.py read it from this module
 from .sphere import SphereGrid, real_sph_harm_matrix
 
 __all__ = [
     "build_grid",
-    "assemble_operator",
     "matrix_coefficient",
     "coefficient_decay",
     "invariant_gap",
@@ -46,31 +46,8 @@ GAP_FLOOR = 1.0 / 3.0  # the certified lower end of the invariant gap at every d
 
 
 def build_grid(band_limit: int) -> SphereGrid:
-    """Sampling grid for the representation: oversampled twice so that analysis of
-    mildly out-of-band images stays accurate."""
+    """Sampling grid of invariant_gap: the product rule of band_limit, oversampled twice."""
     return SphereGrid.build(band_limit, oversample=2)
-
-
-def _transformed_points(g: np.ndarray, nodes: np.ndarray):
-    ginv = np.linalg.inv(g)
-    gx = nodes @ ginv.T
-    r = np.linalg.norm(gx, axis=1)
-    return gx / r[:, None], r
-
-
-def assemble_operator(g: np.ndarray, grid: SphereGrid) -> tuple[np.ndarray, float]:
-    """(matrix, leakage): the dense band-compressed pi(g) in the harmonic basis.
-
-    The leakage is the worst relative out-of-band mass over all basis images.
-    """
-    pts, r = _transformed_points(g, grid.nodes)
-    images = r[:, None] ** -1.5 * real_sph_harm_matrix(pts, grid.band_limit)
-    totals = grid.weights @ (images * images)
-    matrix = grid.basis.T @ (grid.weights[:, None] * images)
-    inband = np.sum(matrix * matrix, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        leaks = np.where(totals > 0, 1.0 - inband / totals, 0.0)
-    return matrix, float(np.max(leaks))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +166,8 @@ def invariant_gap(degree: int):
     The allowance A = | ||w|| - 1 | + G covers the rounding of the computed w:
     R u is a unit vector, so ||w|| - 1 is rounding, and G is
     how far the grid's discrete inner product is from the exact one on the
-    degree-j columns that form w (a diagonal block of the grid's gram_defect,
-    so never larger).  As |P_j(0)| <= 1/2
+    degree-j columns that form w (a diagonal block of the full Gram matrix's
+    defect from the identity, so never larger).  As |P_j(0)| <= 1/2
     for j >= 1, c -> sqrt(1 - c^2) has slope at most 1/sqrt(3) there, so an
     error of A in c moves the gap by less than A.  lower = sqrt(1 - c^2) - A;
     the upper end is the measured defect ||u - c w / ||w|| || of the witness

@@ -169,11 +169,6 @@ class SphereGrid:
             raise ValueError(f"need coefficients of shape ({self.n_coeff},)")
         return self.basis @ c
 
-    def gram_defect(self) -> float:
-        """Max deviation of the discrete Gram matrix of the basis from identity."""
-        gram = (self.basis * self.weights[:, None]).T @ self.basis
-        return float(np.abs(gram - np.eye(self.n_coeff)).max())
-
 
 # The sphere-averaging jobs use four band limits, so 8 grids cover them.  Worst case held by
 # the cache: 8 bases the size of repsim.build_grid(32)'s (75 MB each), 600 MB.

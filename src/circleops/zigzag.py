@@ -63,9 +63,16 @@ class ExponentProfile:
             raise ValueError("Hoelder constant must be positive and finite")
         if not 1.0 <= self.growth_L < np.inf:
             raise ValueError("growth constant must be finite and >= 1")
+        # L^2 and C' = 6 C L^2 e^s / (1 - e^(2t - s)) stay below e^709 < max float, decided in log
+        # space; C' >= 4.19 * 6 C L^2 for every accepted s and t, so 6 C L^2 stays finite too
         log_l2 = 2.0 * np.log(self.growth_L)
-        if not all(x <= 709.0 for x in (log_l2, np.log(6.0) + np.log(self.hoelder_C) + log_l2)):
-            raise ValueError(f"L^2 and 6 C L^2 must stay below e^709: C = {self.hoelder_C}, L = {self.growth_L}")
+        log_six_c_l2 = np.log(6.0) + np.log(self.hoelder_C) + log_l2
+        log_tail = log_six_c_l2 + self.holder_s - np.log(-np.expm1(2.0 * self.growth_t - self.holder_s))
+        if not all(x <= 709.0 for x in (log_l2, log_tail)):
+            raise ValueError(
+                f"L^2 and C' = 6 C L^2 e^s / (1 - e^(2t - s)) must stay below e^709: s = {self.holder_s}, "
+                f"t = {self.growth_t}, C = {self.hoelder_C}, L = {self.growth_L}"
+            )
 
     def slide_cap(self, alpha: float, epsilon: float) -> float:
         """2 C L^2 e^(-gamma alpha), gamma = s - eps s - 2t: the cap on one slide's cost across the annulus."""
@@ -162,8 +169,9 @@ def annulus_diameter_bound(
     certifies the bound.
 
     Before any exp or norm, two limits refuse alpha (NaN fails both).  ExponentProfile keeps 2 log L
-    and log(6 C L^2) <= 709 < log(max float) (decided in log space), so the bound 3 (2 C) L^2
-    e^(-gamma alpha) and its partial products are finite while -gamma alpha and their sum do too.
+    and log C' <= 709 < log(max float) (decided in log space), and 6 C L^2 <= C' / 4.19, so the bound
+    3 (2 C) L^2 e^(-gamma alpha) and its partial products are finite while -gamma alpha and their
+    sum do too.
     In the annulus a1 lies in [0, ell], a2 in [-ell/2, ell/2] and a3 in [-ell, 0], ell <= (1 + eps)
     alpha, so the squared norm that distance sums over a difference of two points stays
     finite while (1 + eps) alpha < sqrt(max float / 3), about 7.7e153.
@@ -211,11 +219,12 @@ def ledger_verdict(alpha: float, epsilon: float, prof: ExponentProfile, bound: f
 
 
 def cauchy_tail_constant(prof: ExponentProfile) -> float:
-    """C' = 6 C L^2 e^s / (1 - e^(2t - s))."""
-    ratio = np.exp(2.0 * prof.growth_t - prof.holder_s)
-    if ratio >= 1.0:
-        raise ValueError("diverges: need 2t < s")
-    return 6.0 * prof.hoelder_C * prof.growth_L**2 * np.exp(prof.holder_s) / (1.0 - ratio)
+    """C' = 6 C L^2 e^s / (1 - e^(2t - s)), finite for every profile ExponentProfile accepts.
+
+    The denominator is -expm1(2t - s), which is positive as 2t < s and keeps its digits as 2t nears s.
+    """
+    denominator = -np.expm1(2.0 * prof.growth_t - prof.holder_s)
+    return 6.0 * prof.hoelder_C * prof.growth_L**2 * np.exp(prof.holder_s) / denominator
 
 
 def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> np.ndarray:

@@ -238,8 +238,8 @@ def test_zigzag_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys
 
 
 def test_zigzag_growth_constant_below_the_float_limit_runs(tmp_path):
-    # log(6 C L^2) = 707.8 at C = 4, L = 1e153, just under the profile's limit of 709
-    assert run(tmp_path, "zigzag", "--L", "1e153") == 0
+    # log C' = log(6 C L^2 e^s / (1 - e^(2t - s))) = 708.99 at C = 4, L = 9e152, under the limit of 709
+    assert run(tmp_path, "zigzag", "--L", "9e152") == 0
     ledgers = json.loads((tmp_path / "zigzag_ledgers.json").read_text())
     assert all(np.isfinite(led["bound"]) and led["total"] <= led["bound"] for led in ledgers)
 
@@ -251,6 +251,24 @@ def test_zigzag_growth_constant_past_the_float_limit_exits_2(tmp_path, capsys, g
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("invalid parameters:") and line.endswith(f"L = {float(growth_L)}")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["--L", "1.8e153"], ["--t", "0.24999999999999", "--L", "1e150"], ["--s", "1e-310"]]
+)
+def test_zigzag_tail_constant_past_the_float_limit_exits_2(tmp_path, capsys, argv):
+    # C' = 6 C L^2 e^s / (1 - e^(2t - s)) past e^709 is refused before it can overflow to inf
+    assert run(tmp_path, "zigzag", *argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invalid parameters: L^2 and C' = 6 C L^2 e^s / (1 - e^(2t - s)) must stay below e^709")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, printed", [(["--s", "1e-300"], "2.4e+301"), (["--C", "1e-300"], "2.51413e-299")])
+def test_zigzag_prints_the_tail_constant_in_six_digits(tmp_path, capsys, argv, printed):
+    # -expm1(-1e-300) = 1e-300, where 1 - exp(-1e-300) rounds to 0; .6g keeps both ends of the range short
+    assert run(tmp_path, "zigzag", *argv) == 0
+    assert f"tail constant C' = {printed};" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,8 @@ load `scipy.linalg`, for legendre's `dtbsv`; `zeta` and `hyp2f1` are imported
 inside the two functions that call them).  A
 signature guard pins the parameter names of callables whose settings are fixed
 constants, so a setting cannot come back without a visible test change.  A
-guard keeps the names the frozen perfbench harness calls.  And a caller census: every exported name is used by the library, a demo or a
-benchmark, not only by tests.
+guard keeps the names the frozen perfbench harness calls.  And a caller census: every exported
+name is used by the library or a benchmark, not only by tests or demos.
 """
 
 import ast
@@ -90,7 +90,7 @@ def test_what_the_frozen_benchmark_calls_is_kept():
 
 
 REPO = Path(__file__).resolve().parents[1]
-CALLER_TREES = [REPO / "src" / "circleops", REPO / "demos", REPO / "perfbench", REPO / "benchmarks"]
+CALLER_TREES = [REPO / "src" / "circleops", REPO / "perfbench", REPO / "benchmarks"]
 
 
 @pytest.mark.parametrize("module", ["acceptance", "cli"])
@@ -108,6 +108,8 @@ def test_front_ends_import_no_private_name(module):
 
 
 def test_every_public_name_has_a_caller_outside_tests():
+    """Callers are the library, perfbench and benchmarks/: a name that only tests or demos
+    use is not public API, so it leaves __all__ or leaves the library."""
     used = set()
     for tree in CALLER_TREES:
         for path in sorted(tree.rglob("*.py")):

@@ -72,11 +72,14 @@ class TestProfile:
 
     @pytest.mark.parametrize("hoelder_C", [4.0, 1e-10, 1e300])
     def test_six_c_l_squared_must_be_a_finite_float(self, hoelder_C):
-        # L^2 and 6 C L^2 may reach e^709 < max float, decided in log space before any product
-        limit = np.exp((709.0 - max(0.0, np.log(6.0 * hoelder_C))) / 2.0)
+        # L^2 and C' = 6 C L^2 e^s / (1 - e^(2t - s)) may reach e^709 < max float, decided in log
+        # space before any product; C' = 4.19 * 6 C L^2 at s = 1/2, t = 0, so 6 C L^2 stays finite
+        log_factor = 0.5 - np.log(-np.expm1(-0.5))
+        limit = np.exp(min(709.0, 709.0 - np.log(6.0 * hoelder_C) - log_factor) / 2.0)
         below = ExponentProfile(0.5, 0.0, hoelder_C, limit * (1.0 - 1e-12))
         # filterwarnings = error turns any overflow into a failure
         assert np.isfinite(6.0 * hoelder_C * below.growth_L**2) and np.isfinite(below.slide_cap(1.0, 0.5))
+        assert np.isfinite(cauchy_tail_constant(below))
         for growth_L in (limit * (1.0 + 1e-12), 1e160, 1e300):
             with pytest.raises(ValueError, match="must stay below e\\^709"):
                 ExponentProfile(0.5, 0.0, hoelder_C, growth_L)
@@ -225,12 +228,12 @@ class TestAnnulus:
                 annulus_diameter_bound(alpha, 0.5, SLOW, a, a)
 
     @pytest.mark.parametrize("constants", [
-        {"hoelder_C": 1e308, "growth_L": 1.0},  # 6 C overflows
+        {"hoelder_C": 1e307, "growth_L": 1.0},  # 6 C = 6e307 is finite, C' = 4.19 * 6 C is not
         {"hoelder_C": 1e-10, "growth_L": 1.5e154},  # L^2 overflows
     ], ids=["C", "L"])
     def test_constant_must_be_a_finite_float(self, constants):
         # the profile refuses such constants, so the annulus bound never sees them
-        with pytest.raises(ValueError, match="6 C L\\^2 must stay below e\\^709"):
+        with pytest.raises(ValueError, match="must stay below e\\^709"):
             ExponentProfile(holder_s=0.5, growth_t=0.0, **constants)
 
     def test_coordinates_must_keep_a_finite_squared_norm(self):
@@ -383,6 +386,13 @@ class TestTailConstant:
         expected = 24.0 * np.exp(0.5) / (1.0 - np.exp(-0.5))
         assert cauchy_tail_constant(HILBERT) == pytest.approx(expected, rel=1e-15)
         assert cauchy_tail_constant(HILBERT) == pytest.approx(100.565, abs=5e-3)
+
+    def test_matches_50_digits_near_critical_growth(self):
+        # 1 - e^(2t - s) = 4e-6 at s = 1/2, t = 1/4 - 1e-6: 1 - exp(2t - s) loses 6 digits there
+        t = 0.25 - 1e-6
+        with mpmath.workdps(50):
+            want = float(24 * mpmath.exp(mpmath.mpf(0.5)) / -mpmath.expm1(2 * mpmath.mpf(t) - mpmath.mpf(0.5)))
+        assert cauchy_tail_constant(ExponentProfile(0.5, t, 4.0, 1.0)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_blowup_towards_critical_growth(self):
         vals = [
