@@ -2,7 +2,9 @@
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
-Each benchmark also checks its result, so a fast wrong answer fails.
+Each benchmark also checks its result, so a fast wrong answer fails.  The sphere rows
+time the circle-average operator, the ring contraction of circle_average and the Markov
+step, the last at a perfbench Markov job's shape and at one step of criterion 5.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from circleops.sphere import (
     circle_average,
     circle_average_operator,
     degree_of_column,
+    markov_steps,
     real_sph_harm_matrix,
     tangent_frames,
 )
@@ -67,6 +70,25 @@ def test_circle_average(benchmark, band):
     averaged = benchmark.pedantic(circle_average, args=(grid, samples, 0.3, frames), rounds=20, warmup_rounds=1)
     eigs = legendre_table(band, 0.3)[degree_of_column(band)]
     assert np.abs(averaged - grid.basis @ (coeffs * eigs)).max() <= 1e-8
+
+
+def _markov_path(start, steps, delta, seed):
+    rng = np.random.default_rng(seed)
+    path = [start]
+    for _ in range(steps):
+        path.append(markov_steps(path[-1], delta, rng))
+    return np.stack(path)
+
+
+# a perfbench Markov job (2000 replicas x 16 steps) and one step of criterion 5 (10^5 replicas)
+@pytest.mark.parametrize("replicas, steps", [(2000, 16), (10**5, 1)], ids=["perfbench-job", "criterion-5-step"])
+def test_markov_steps(benchmark, replicas, steps):
+    start = np.random.default_rng(replicas).normal(size=(replicas, 3))
+    start /= np.linalg.norm(start, axis=1, keepdims=True)
+    path = benchmark.pedantic(_markov_path, args=(start, steps, 0.6, 7), rounds=20, warmup_rounds=1)
+    assert path.shape == (steps + 1, replicas, 3)
+    assert np.abs(np.linalg.norm(path, axis=2) - 1.0).max() <= 1e-12
+    assert np.abs(np.sum(path[:-1] * path[1:], axis=2) - 0.6).max() <= 1e-12
 
 
 def test_mixed_norm_diagonal_exact(benchmark):

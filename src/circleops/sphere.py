@@ -5,8 +5,8 @@ products of functions band-limited at the grid's band limit, so the
 eigenfunction identity  average_over_circle(Y_nm, delta) = P_n(delta) Y_nm
 can be checked against the Legendre spectral model with no quadrature error
 beyond roundoff.  Real spherical harmonics throughout, orthonormal for the
-normalized surface measure.  circle_average applies circle_average_operator to
-a function's coefficients, and SphereGrid.synthesize works on the grid only.
+normalized surface measure.  circle_average contracts ring means with a function's
+coefficients, never forming circle_average_operator; SphereGrid.synthesize works on the grid only.
 """
 
 from __future__ import annotations
@@ -189,19 +189,24 @@ def _built_grid(band_limit: int, oversample: int) -> SphereGrid:
     return SphereGrid(band_limit=band_limit, nodes=nodes, weights=weights, basis=basis)
 
 
+def _frame_rows(p):
+    """tangent_frames on (3, R) rows, with np.cross's operations written out in its order."""
+    a = np.abs(p)
+    first = (a[0] <= a[1]) & (a[0] <= a[2])  # e = (argmin |p| == axis): ties go to the first axis
+    e = (first, ~first & (a[1] <= a[2]), ~first & (a[1] > a[2]))
+    u = np.array([e[j] * p[k] - e[k] * p[j] for j, k in ((1, 2), (2, 0), (0, 1))])
+    u /= np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    v = np.array([p[j] * u[k] - p[k] * u[j] for j, k in ((1, 2), (2, 0), (0, 1))])
+    return u, v
+
+
 def tangent_frames(points: np.ndarray):
     """Deterministic orthonormal frames (u, v) with u, v perpendicular to each point.
 
     u = normalize(e_k x point) where e_k is the coordinate axis least aligned
     with the point; v = point x u.  Fixed so that runs are reproducible.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    k = np.argmin(np.abs(pts), axis=1)
-    e = np.eye(3)[k]
-    u = np.cross(e, pts)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(pts, u)
-    return u, v
+    return tuple(w.T for w in _frame_rows(np.atleast_2d(np.asarray(points, dtype=float)).T))
 
 
 def _circle_step(delta: float, centres, u, v, psi):
@@ -209,7 +214,8 @@ def _circle_step(delta: float, centres, u, v, psi):
     inner product delta from centres at angles psi (broadcast against u) from u towards v."""
     delta = _clamp_delta(delta)
     radius = np.sqrt(max(0.0, 1.0 - delta * delta))
-    return delta * centres + radius * (np.cos(psi) * u + np.sin(psi) * v)
+    # the frame term first: the sum takes its layout, so markov_steps' (3, R) rows stay rows
+    return radius * (np.cos(psi) * u + np.sin(psi) * v) + delta * centres
 
 
 def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
@@ -224,14 +230,13 @@ def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
     return _circle_step(delta, centres, u, v, 2.0 * np.pi * np.arange(M)[:, None, None] / M)
 
 
-def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
-    """Matrix of circle averages of every basis harmonic, sampled on the grid.
+def _ring_tables(grid: SphereGrid, delta: float):
+    """(means, partner, c, s): the circle average of harmonic k at node l of ring r is
+    means[r, k] c[l, k] + means[r, partner[k]] s[l, k]; means is (rings, n_coeff), c, s (n_lon, n_coeff).
 
-    Column (n, m) holds the average of Y_n^m over the circles at inner product
-    delta around each grid node; shape (n_nodes, n_coeff).  Node l of a ring is
-    R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point rule runs
-    on the first nodes' circles only (frame e_phi, e_theta); at node l the order-m pair
-    (cos, sin) = (a, b) becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
+    Node l of a ring is R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point
+    rule runs on the first nodes' circles only (frame e_phi, e_theta); at node l the order-m
+    pair (cos, sin) = (a, b) becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
     """
     n_lon = np.count_nonzero(grid.nodes[:, 2] == grid.nodes[0, 2])  # a ring shares one height
     rings = grid.nodes.reshape(-1, n_lon, 3)  # ValueError unless n_lon divides the node count
@@ -243,27 +248,36 @@ def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
     circles = _circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
     values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T  # (coeffs, M * rings)
     means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T  # (rings, coeffs)
-    del values  # free the (coeffs, M * rings) block before the output: cached bases stay live
     offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2  # 2m-1: cos, 2m: sin
     partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
-    turn = np.outer(beta, (offset + 1) // 2)
-    c, s = np.cos(turn), np.where(offset % 2, -1.0, 1.0) * np.sin(turn)
-    out = np.empty((len(means), n_lon, grid.n_coeff))
+    turn, order = np.outer(beta, np.arange(grid.band_limit + 1)), (offset + 1) // 2  # B + 1 orders
+    c, s = np.cos(turn).take(order, 1), np.where(offset % 2, -1.0, 1.0) * np.sin(turn).take(order, 1)
+    return means, partner, c, s
+
+
+def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
+    """Matrix (n_nodes, n_coeff) whose column (n, m) holds the average of Y_n^m over the
+    circles at inner product delta around each grid node, filled ring by ring."""
+    means, partner, c, s = _ring_tables(grid, delta)
+    out = np.empty((len(means), len(c), grid.n_coeff))
+    turned = np.empty_like(c)  # the partner term, reused by every ring
     for a, ring in zip(means, out):
         np.multiply(a, c, out=ring)
-        ring += a[partner] * s
+        ring += np.multiply(a[partner], s, out=turned)
     return out.reshape(-1, grid.n_coeff)
 
 
 def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=None) -> np.ndarray:
     """Average band-limited samples (n_nodes,) on the grid over the circles at inner product
-    delta around each node: circle_average_operator applied to their coefficients.
+    delta around each node: the ring means are contracted with the samples' coefficients,
+    and the (n_nodes, n_coeff) circle_average_operator is never formed.
     The B + 1 point rule is exact on every circle, so the average never depended on where a
     circle's points start.  frames is accepted and unused until the next benchmark change
     drops it from perfbench's frames jobs.
     """
     coeffs = grid.analyze(samples)
-    return circle_average_operator(grid, delta) @ coeffs
+    means, partner, c, s = _ring_tables(grid, delta)
+    return ((means * coeffs) @ c.T + (means[:, partner] * coeffs) @ s.T).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +286,11 @@ def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=N
 
 
 def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """One chain step for a batch of unit vectors, shape (R, 3)."""
-    pts = np.atleast_2d(positions)
-    u, v = tangent_frames(pts)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[0])
-    return _circle_step(delta, pts, u, v, phi[:, None])
+    """One chain step for a batch of unit vectors, shape (R, 3): the transpose of a (3, R)
+    result, so a chain fed its own output stays in row layout from step to step."""
+    pts = np.atleast_2d(np.asarray(positions, dtype=float)).T
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[1])
+    return _circle_step(delta, pts, *_frame_rows(pts), phi).T
 
 
 def markov_trace(delta: float, steps: int, seed: int) -> np.ndarray:

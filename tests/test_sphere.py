@@ -77,10 +77,13 @@ def test_frame_independence(grid):
     ang = 1.234
     u2 = np.cos(ang) * u + np.sin(ang) * v
     v2 = -np.sin(ang) * u + np.cos(ang) * v
-    # the rule is exact on every circle, so circle_average is the ring operator for any frames
-    expected = circle_average_operator(grid, 0.3) @ grid.analyze(f)
-    assert np.array_equal(circle_average(grid, f, 0.3), expected)
-    assert np.array_equal(circle_average(grid, f, 0.3, frames=(u2, v2)), expected)
+    # the rule is exact on every circle, so circle_average is the ring operator for any frames;
+    # it contracts the ring means with the coefficients, so it matches the operator to roundoff
+    coeffs = grid.analyze(f)
+    averaged = circle_average(grid, f, 0.3)
+    assert np.array_equal(circle_average(grid, f, 0.3, frames=(u2, v2)), averaged)
+    expected = circle_average_operator(grid, 0.3) @ coeffs
+    np.testing.assert_allclose(averaged, expected, rtol=1e-13, atol=1e-13 * np.abs(coeffs).sum())
 
 
 def test_grid_invariants_oversampled():
@@ -198,8 +201,9 @@ def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(coeffs).sum())
 
 
-def _concatenated_ring_operator(grid, delta):
-    """circle_average_operator with its rings joined by np.concatenate, not filled in place."""
+def _full_table_ring_terms(grid, delta):
+    """The ring means, partners and trig tables, with cos and sin evaluated over all
+    n_lon x n_coeff entries rather than over the B + 1 distinct orders."""
     n_lon = np.count_nonzero(grid.nodes[:, 2] == grid.nodes[0, 2])
     first = grid.nodes.reshape(-1, n_lon, 3)[:, 0]
     beta = 2.0 * np.pi * np.arange(n_lon) / n_lon
@@ -211,7 +215,23 @@ def _concatenated_ring_operator(grid, delta):
     partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
     turn = np.outer(beta, (offset + 1) // 2)
     c, s = np.cos(turn), np.where(offset % 2, -1.0, 1.0) * np.sin(turn)
+    return means, partner, c, s
+
+
+def _concatenated_ring_operator(grid, delta):
+    """circle_average_operator with its rings joined by np.concatenate, not filled in place."""
+    means, partner, c, s = _full_table_ring_terms(grid, delta)
     return np.concatenate([a * c + a[partner] * s for a in means])
+
+
+def _fresh_temporary_ring_operator(grid, delta):
+    """circle_average_operator's per-ring fill with a new temporary for every ring's partner term."""
+    means, partner, c, s = _full_table_ring_terms(grid, delta)
+    out = np.empty((len(means), len(c), grid.n_coeff))
+    for a, ring in zip(means, out):
+        np.multiply(a, c, out=ring)
+        ring += a[partner] * s
+    return out.reshape(-1, grid.n_coeff)
 
 
 @pytest.mark.parametrize("band", [0, 1, 4, 12, 16])
@@ -222,6 +242,14 @@ def test_in_place_rings_are_bit_identical(band, oversample):
         got = circle_average_operator(g, delta)
         assert got.shape == (g.nodes.shape[0], g.n_coeff)
         assert np.array_equal(got, _concatenated_ring_operator(g, delta))
+
+
+@pytest.mark.parametrize("band", [4, 12, 32])
+def test_order_tables_and_reused_scratch_are_bit_identical(band):
+    # trig tables from the B + 1 distinct orders, one scratch buffer for every ring
+    g = SphereGrid.build(band)
+    for delta in (-0.95, 0.0, 0.3, 0.97):
+        assert np.array_equal(circle_average_operator(g, delta), _fresh_temporary_ring_operator(g, delta))
 
 
 def _grid_by_hand(nodes, weights):
@@ -265,7 +293,65 @@ def occupancy_counts(positions, n_z, n_phi):
     return np.bincount(z * n_phi + p, minlength=n_z * n_phi)
 
 
+def _cross_tangent_frames(points):
+    """tangent_frames as it was in the (R, 3) layout: e_k from np.eye(3), two np.cross."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    e = np.eye(3)[np.argmin(np.abs(pts), axis=1)]
+    u = np.cross(e, pts)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u, np.cross(pts, u)
+
+
+def _cross_markov_steps(positions, delta, rng):
+    """markov_steps as it was in the (R, 3) layout, on _cross_tangent_frames."""
+    pts = np.atleast_2d(positions)
+    u, v = _cross_tangent_frames(pts)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[0])[:, None]
+    return delta * pts + np.sqrt(1.0 - delta * delta) * (np.cos(phi) * u + np.sin(phi) * v)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _oracle_points():
+    """Random points (R = 1, 7, 2000), the six axis points, and ties of |x|, |y| and |z|."""
+    rng = np.random.default_rng(31)
+    sets = [rng.normal(size=(r, 3)) for r in (1, 7, 2000)]
+    sets.append(np.vstack([np.eye(3), -np.eye(3)]))
+    ties = [(a, b, c) for a in (0.5, -0.5) for b in (0.5, -0.5) for c in (0.8, -0.8)]  # |x| = |y| < |z|
+    ties += [(0.5, 0.8, 0.5), (-0.8, 0.5, -0.5), (1.0, 1.0, 1.0), (-1.0, 1.0, -1.0)]
+    ties += [(0.3, 0.3, 0.0), (0.0, 0.6, 0.0), (0.8, 0.6, 0.0)]  # a zero coordinate: signed zeros
+    sets.append(np.array(ties, dtype=float))
+    return [x / np.linalg.norm(x, axis=1, keepdims=True) for x in sets]
+
+
 class TestMarkov:
+    @pytest.mark.parametrize("which", range(5))
+    def test_frames_and_steps_keep_the_bits_of_the_cross_product_layout(self, which):
+        x = _oracle_points()[which]
+        for got, want in zip(tangent_frames(x), _cross_tangent_frames(x)):
+            assert _same_bits(got, want)
+        for delta in (0.0, 0.3, -0.6, 1.0):
+            y = markov_steps(x, delta, np.random.default_rng(which))
+            assert _same_bits(y, _cross_markov_steps(x, delta, np.random.default_rng(which)))
+
+    def test_chain_fed_its_own_output_keeps_the_bits(self):
+        # from the second step on, markov_steps is fed its own (3, R) result's transposed view;
+        # at 2 x 10^4 replicas numpy lays a sum out like its first term, so a column-layout
+        # first term would drop the chain out of row layout
+        x = np.random.default_rng(9).normal(size=(20000, 3))
+        x = y = x / np.linalg.norm(x, axis=1, keepdims=True)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(16):
+            x, y = markov_steps(x, 0.6, rng), _cross_markov_steps(y, 0.6, ref_rng)
+            assert x.T.flags.c_contiguous and _same_bits(x, y)
+
+    def test_integer_positions_step_as_floats(self):
+        x = np.array([[0, 0, 1], [-1, 0, 0]])
+        got = markov_steps(x, 0.3, np.random.default_rng(2))
+        assert _same_bits(got, _cross_markov_steps(x, 0.3, np.random.default_rng(2)))
+
     def test_delta_one_freezes(self):
         rng = np.random.default_rng(0)
         x = np.array([[0.3, -0.5, np.sqrt(1 - 0.09 - 0.25)], [0.0, 0.0, -1.0]])
