@@ -58,7 +58,7 @@ def test_real_sph_harm_matrix(benchmark, band):
 
 @pytest.mark.parametrize("band", [12, 16, 24, 32])  # every band of the sphere-averaging frames jobs
 def test_circle_average(benchmark, band):
-    # the pointwise rule on every node's own circle, with twisted tangent frames
+    # the ring means contracted with the samples' coefficients; the twisted frames are passed and ignored
     grid = SphereGrid.build(band)
     rng = np.random.default_rng(band)
     coeffs = rng.normal(size=grid.n_coeff)

@@ -156,15 +156,16 @@ def cmd_mixed_norm(args) -> int:
 def cmd_kak(args) -> int:
     g = np.array(args.matrix, dtype=float).reshape(3, 3)
     dec = kak(g)
-    print(f"kak: exponents {dec.a.as_array()}, residual {dec.residual(g):.3e}")
+    residual, held = dec.verdict(g)
+    print(f"kak: exponents {dec.a.as_array()}, residual {residual:.3e}")
     return _finish(args, {"kak.json": _json({
         "input": g,
         "k1": dec.k1,
         "a": dec.a.as_array(),
         "k2": dec.k2,
-        "residual": dec.residual(g),
+        "residual": residual,
         "length": dec.a.ell(),
-    })})
+    })}, None if held else "reconstruction residual above 1e-9")
 
 
 def cmd_embedding2(args) -> int:

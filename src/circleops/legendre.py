@@ -10,11 +10,10 @@ banded lower-triangular system, one compiled BLAS solve per abscissa, and
 every other pass runs it row by row over all abscissae at once, in place in
 the output rows.  The row loop keeps the plain expression's operations in
 their order, so its bits are those of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n.
+Gauss-Legendre rules are not built here: their callers take numpy's leggauss.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -23,7 +22,6 @@ __all__ = [
     "legendre_table",
     "legendre_at_zero",
     "bernstein_envelope",
-    "gauss_rule",
     "HOLDER_CONSTANT",
 ]
 
@@ -147,14 +145,6 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
 def legendre_at_zero(max_degree: int) -> np.ndarray:
     """P_n(0) for n = 0..N: the table at x = 0.  Odd degrees are exactly zero."""
     return legendre_table(max_degree, 0.0)
-
-
-@functools.lru_cache(maxsize=128)
-def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] (numpy's leggauss), built once per n, read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def bernstein_envelope(n: int, x) -> float | np.ndarray:

@@ -92,6 +92,11 @@ class KAKDecomposition:
         """Spectral norm of g - k1 diag(e^a) k2."""
         return float(np.linalg.norm(g - self.k1 @ np.diag(np.exp(self.a.as_array())) @ self.k2, 2))
 
+    def verdict(self, g: np.ndarray) -> tuple[float, bool]:
+        """(residual, held): criterion 8's and circleops kak's rule, residual <= 1e-9 (NaN fails)."""
+        residual = self.residual(g)
+        return residual, residual <= 1e-9
+
 
 def _rotation_svd(m: np.ndarray):
     """SVD of a positive-determinant matrix with both factors rotations.

@@ -20,7 +20,6 @@ from .legendre import (
     _defect_blocks,
     _row_blocks,
     bernstein_envelope,
-    gauss_rule,
     legendre_table,
 )
 
@@ -50,7 +49,7 @@ _RESONANCE_TOL = 1e-12
 _TAIL_START = 256  # expansion used from n >= 256 and n sin(theta) >= 256 on
 _TAIL_HEAD_CAP = 2**16  # most degrees summed exactly before the expansion takes over
 _RAY_STEP = 0.2  # Abel-Plana ray integral: trapezoidal step, error ~ e^(-pi^2 / step)
-_PLANA_NODES, _PLANA_WEIGHTS = gauss_rule(16)  # per unit panel
+_PLANA_NODES, _PLANA_WEIGHTS = np.polynomial.legendre.leggauss(16)  # per unit panel
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Quadrature realization of circle averaging on S2 and the sphere Markov chain.
 
-The grid is a Gauss-Legendre x uniform-longitude product rule, exact for
-products of functions band-limited at the grid's band limit, so the
-eigenfunction identity  average_over_circle(Y_nm, delta) = P_n(delta) Y_nm
-can be checked against the Legendre spectral model with no quadrature error
-beyond roundoff.  Real spherical harmonics throughout, orthonormal for the
-normalized surface measure.  circle_average contracts ring means with a function's
-coefficients, never forming circle_average_operator; SphereGrid.synthesize works on the grid only.
+The grid is a Gauss-Legendre (numpy's leggauss) x uniform-longitude product rule, exact for
+products of functions band-limited at the grid's band limit, so the eigenfunction identity
+average_over_circle(Y_nm, delta) = P_n(delta) Y_nm can be checked against the Legendre spectral
+model with no quadrature error beyond roundoff.  Real spherical harmonics throughout, orthonormal
+for the normalized surface measure, from one recurrence pass over all the points of a call.
+circle_average contracts ring means with a function's coefficients, never forming
+circle_average_operator; SphereGrid.synthesize works on the grid only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # nothing here calls legendre_table: the import stays because perfbench's selftest reads it from this module
-from .legendre import _clamp_delta, gauss_rule, legendre_table
+from .legendre import _clamp_delta, legendre_table
 
 __all__ = [
     "real_sph_harm_matrix",
@@ -76,22 +76,6 @@ def _basis_block(z, rho, cphi, sphi, band_limit, out):
                 np.multiply(scaled, sm, out=out[n * n + 2 * m])
 
 
-# Points per block: the harmonic recurrence keeps a few point rows live and is fastest at 16384.
-_CHUNK = 16384
-
-
-def _point_blocks(points):
-    """Yield (rows, z, rho = sin theta, cos phi, sin phi) over blocks of _CHUNK unit vectors."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    for lo in range(0, pts.shape[0], _CHUNK):
-        x, y, z = pts[lo : lo + _CHUNK].T
-        rho = np.hypot(x, y)
-        safe = rho > 0
-        cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
-        sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
-        yield slice(lo, lo + _CHUNK), z, rho, cphi, sphi
-
-
 def _is_count(value, least: int) -> bool:
     """An integer (numpy's too, but not a bool) that is at least `least`."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
@@ -109,10 +93,13 @@ def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     is identically 1 and the degree-n block has 2n+1 columns.
     """
     _check_band_limit(band_limit)
-    npts = np.atleast_2d(points).shape[0]
-    out = np.empty(((band_limit + 1) ** 2, npts))
-    for rows, z, rho, cphi, sphi in _point_blocks(points):
-        _basis_block(z, rho, cphi, sphi, band_limit, out[:, rows])
+    x, y, z = np.atleast_2d(np.asarray(points, dtype=float)).T
+    rho = np.hypot(x, y)
+    safe = rho > 0
+    cphi = np.where(safe, x / np.where(safe, rho, 1.0), 1.0)
+    sphi = np.where(safe, y / np.where(safe, rho, 1.0), 0.0)
+    out = np.empty(((band_limit + 1) ** 2, z.shape[0]))
+    _basis_block(z, rho, cphi, sphi, band_limit, out)
     return out.T
 
 
@@ -176,7 +163,7 @@ class SphereGrid:
 def _built_grid(band_limit: int, oversample: int) -> SphereGrid:
     n_lat = oversample * (band_limit + 1)
     n_lon = oversample * (2 * band_limit + 1)
-    xg, wg = gauss_rule(n_lat)
+    xg, wg = np.polynomial.legendre.leggauss(n_lat)
     phis = 2.0 * np.pi * (np.arange(n_lon) + 0.5) / n_lon
     sin_t = np.sqrt(1.0 - xg * xg)
     nodes = np.empty((n_lat * n_lon, 3))

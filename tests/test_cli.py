@@ -477,6 +477,12 @@ def _lopsided_segment(p, q, rule, prof, exact=zigzag._segment):
     return dataclasses.replace(seg, cost_bound=3.0 * seg.cost_bound if rule == zigzag.J_ALPHA_SLIDE else 0.0)
 
 
+def _turned_rotation_svd(m, exact=sl3._rotation_svd):
+    """The rotation SVD with k1 turned by x_delta(0.999): a decomposition that no longer rebuilds g."""
+    u, s, vt = exact(m)
+    return u @ sl3.x_delta(0.999), s, vt
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv, criterion",
     [
@@ -486,8 +492,11 @@ def _lopsided_segment(p, q, rule, prof, exact=zigzag._segment):
         (repsim, "invariant_gap", _swapped_gap, ["invariant-gap", "--jmax", "2"], 12),
         (zigzag, "_segment", _lopsided_segment, ["zigzag", "--alpha-grid", "2"], 10),
         (repsim, "DECAY_BOUND_CONSTANT", 0.1, ["howe-moore", "--nmax", "2"], 11),
+        (sl3, "_rotation_svd", _turned_rotation_svd, ["kak", "--matrix", *"2 1 0 1 1 0 0 0 1".split()], 8),
     ],
-    ids=["holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound"],
+    ids=[
+        "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound", "kak-residual"
+    ],
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):
     monkeypatch.setattr(module, name, fake)

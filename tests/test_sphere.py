@@ -482,22 +482,11 @@ def _three_writer_basis_block(z, u, cphi, sphi, band_limit, out):
 def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
     pts = np.random.default_rng(band_limit).normal(size=(300, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts[0] = [0.0, 0.0, 1.0]  # pole: the rho = 0 branch
+    pts[0] = [0.0, 0.0, 1.0]  # the poles: the rho = 0 branch
+    pts = np.vstack([pts, [0.0, 0.0, -1.0]])
     got = real_sph_harm_matrix(pts, band_limit)
     monkeypatch.setattr(sphere, "_basis_block", _three_writer_basis_block)
     assert np.array_equal(got, real_sph_harm_matrix(pts, band_limit))
-
-
-@pytest.mark.parametrize("band_limit", [0, 1, 16, 32])
-def test_blocked_harmonics_are_bit_identical(band_limit, monkeypatch):
-    # 300 points in blocks of 128: a pole in the first block and in the partial last one
-    pts = np.random.default_rng(band_limit).normal(size=(300, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts[0] = [0.0, 0.0, 1.0]
-    pts[290] = [0.0, 0.0, -1.0]
-    whole = real_sph_harm_matrix(pts, band_limit)
-    monkeypatch.setattr(sphere, "_CHUNK", 128)
-    assert np.array_equal(real_sph_harm_matrix(pts, band_limit), whole)
 
 
 @pytest.mark.parametrize("band_limit", [0, 3])
