@@ -55,6 +55,21 @@ def test_criterion_1_counts_violating_deltas(monkeypatch):
     assert result.detail.startswith(f"violations={per_delta},")
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (-1, -1)], ids=["first", "last"])
+def test_criterion_4_compares_every_entry(monkeypatch, entry):
+    """An operator off by 1e-6 in its first or its last entry fails criterion 4's ring-by-ring comparison."""
+
+    def nudged(grid, delta, exact=acceptance.circle_average_operator):
+        operator = exact(grid, delta).copy()
+        operator[entry] += 1e-6
+        return operator
+
+    monkeypatch.setattr(acceptance, "circle_average_operator", nudged)
+    result = ALL_CRITERIA[4]()
+    assert not result.passed, result.line()
+    assert result.detail.startswith("sup error 1.000e-06"), result.line()
+
+
 @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
 @pytest.mark.parametrize("delta", [0.025, 0.05, 0.1, 0.2])
 def test_criterion_7_value_is_the_holder_head(delta, p):

@@ -489,6 +489,29 @@ def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
     assert np.array_equal(got, real_sph_harm_matrix(pts, band_limit))
 
 
+@pytest.mark.parametrize("band_limit", [0, 1, 16, 32])
+def test_blocked_harmonics_are_bit_identical(band_limit):
+    # the kernel works point by point, so 300 points in blocks of 128 give the bits of one call;
+    # a pole in the first block and in the partial last one
+    pts = np.random.default_rng(band_limit).normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] = [0.0, 0.0, 1.0]
+    pts[290] = [0.0, 0.0, -1.0]
+    blocks = [real_sph_harm_matrix(pts[lo : lo + 128], band_limit) for lo in range(0, 300, 128)]
+    assert np.array_equal(np.vstack(blocks), real_sph_harm_matrix(pts, band_limit))
+
+
+@pytest.mark.parametrize("band_limit, oversample", [(0, 1), (15, 1), (32, 1), (16, 2)])
+def test_grid_rings_are_leggauss_bit_for_bit(band_limit, oversample):
+    # ring r sits at height x_r of numpy's Gauss-Legendre rule and carries weight w_r / 2 over its nodes
+    g = SphereGrid.build(band_limit, oversample)
+    n_lat, n_lon = oversample * (band_limit + 1), oversample * (2 * band_limit + 1)
+    xg, wg = np.polynomial.legendre.leggauss(n_lat)
+    heights, weights = g.nodes[:, 2].reshape(n_lat, n_lon), g.weights.reshape(n_lat, n_lon)
+    assert np.array_equal(heights, np.repeat(xg[:, None], n_lon, axis=1))
+    assert np.array_equal(weights, np.repeat((wg / 2.0)[:, None], n_lon, axis=1) / n_lon)
+
+
 @pytest.mark.parametrize("band_limit", [0, 3])
 def test_synthesis_and_analysis_take_one_vector(band_limit):
     # synthesis takes only (n_coeff,), analysis only (n_nodes,): no column stacks
