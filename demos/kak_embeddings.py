@@ -32,7 +32,7 @@ gamma = 4.0
 print(f"\nembedding certificates at gamma = {gamma}:")
 for alpha in (gamma, 1.1 * gamma, 7 * gamma / 6):
     cert = embedding2_solve(gamma, alpha)
-    delta_bound, rotation_bound, held = embedding2_verdict(cert)
+    delta_bound, rotation_bound, _, held = embedding2_verdict(cert)
     k1_gap = np.linalg.norm(cert.k1 - np.eye(3), 2)
     print(f"  alpha = {alpha:.3f}: d1 = {cert.delta1:.2e}, d2 = {cert.delta2:.2e} "
           f"(<= e^-gamma = {delta_bound:.2e}), ||k1 - 1|| = {k1_gap:.3f} "

@@ -1,13 +1,13 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
-Each criterion is a self-contained check returning (passed, detail),
-declared once with its number, name and wall-clock gate by `_criterion`, so
-the CLI's check-all and the pytest acceptance module run one registry,
-ALL_CRITERIA.  A certificate that a CLI subcommand also checks has its
-bound, slack and verdict in the library, and both call it:
-spectral.holder_check (criterion 1), schatten.interpolation_check (7),
-sl3.KAKDecomposition.verdict (8), sl3.embedding2_verdict (9), zigzag.ledger_verdict (10),
-repsim.coefficient_decay (11) and repsim.certified_gaps (12).
+Each criterion is declared once with its number, name and wall-clock gate,
+so the CLI's check-all and the pytest acceptance module run one registry,
+ALL_CRITERIA.  Criteria 1, 7, 9, 11 and 12 are CLI subcommand runs at their
+parameters (`_subcommand`): legendre-bounds, mixed-norm over 3 p x 4 delta,
+embedding2 over 4 gammas, howe-moore and invariant-gap, each failing on its
+library verdict.  The others are checks returning (passed, detail) (`_criterion`);
+criteria 8 and 10 read the verdicts that kak and zigzag read,
+sl3.KAKDecomposition.verdict and zigzag.ledger_verdict.
 Criterion 2 checks completed Schatten norms, not raw truncations (criterion_2).
 """
 
@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cli import build_parser
 from .errors import NumericalDegeneracyError
 from .legendre import legendre_table
-from .repsim import certified_gaps, coefficient_decay, decay_ratio
-from .schatten import SingularProfile, dyadic_sum, interpolation_check
-from .sl3 import LambdaPoint, embedding2_solve, embedding2_verdict, j_alpha, kak, solve_delta_for_top
-from .spectral import DecayFit, completed_power_sums, divergence_probe_p4, holder_check, schatten_tail_bound
+from .schatten import SingularProfile, dyadic_sum
+from .sl3 import LambdaPoint, j_alpha, kak, solve_delta_for_top
+from .spectral import DecayFit, completed_power_sums, divergence_probe_p4, schatten_tail_bound
 from .sphere import SphereGrid, circle_average_operator, degree_of_column, mixing_profile
 from .zigzag import (
     ExponentProfile,
@@ -83,13 +83,26 @@ def _criterion(number: int, name: str, seconds: float | None = None):
     return register
 
 
-@_criterion(1, "pointwise defect bound", seconds=10.0)
-def criterion_1():
-    """Pointwise defect bound |P_n(0) - P_n(d)| <= 4 sqrt|d|, n <= 2000; violations count deltas."""
-    heads, bounds, violating = holder_check(np.linspace(-1.0, 1.0, 1000), 2000)
-    violations = int(np.sum(violating))
-    worst = float((heads / np.maximum(bounds, 1e-300)).max())
-    return violations == 0, f"violations={violations}, max ratio={worst:.6f}"
+def _subcommand(number: int, name: str, argvs: list[list[str]], seconds: float | None = None) -> None:
+    """Register criterion `number` as the CLI subcommand runs `argvs`, every other flag at its default.
+
+    Each run computes its outputs and reads its library verdict, but writes no file.  The
+    criterion passes when no run fails, and its detail is the runs' lines joined by "; ".
+    """
+
+    def check() -> tuple[bool, str]:
+        runs = [(args := build_parser().parse_args(argv)).func(args) for argv in argvs]
+        return all(failure is None for _, _, failure in runs), "; ".join(line for line, _, _ in runs)
+
+    _criterion(number, name, seconds)(check)
+
+
+_subcommand(1, "pointwise defect bound", [["legendre-bounds"]], seconds=10.0)
+_subcommand(7, "interpolation consistency",
+            [["mixed-norm", "--p", p, "--delta", d] for p in ("4", "6", "8") for d in ("0.025", "0.05", "0.1", "0.2")])
+_subcommand(9, "embedding certificates", [["embedding2", "--gamma", gamma] for gamma in ("2", "4", "8", "16")])
+_subcommand(11, "matrix coefficient decay", [["howe-moore"]])
+_subcommand(12, "invariant gap", [["invariant-gap"]])
 
 
 @_criterion(2, "Schatten truncation stability + decay fit", seconds=120.0)
@@ -197,19 +210,6 @@ def criterion_6():
     return violations == 0, f"violations={violations} over 100 profiles x 4 exponents"
 
 
-@_criterion(7, "interpolation consistency")
-def criterion_7():
-    """The exact mixed norm of the diagonal T_0 - T_delta never exceeds the interpolation bound."""
-    violations = 0
-    margin = np.inf
-    for p in (4.0, 6.0, 8.0):
-        for delta in (0.025, 0.05, 0.1, 0.2):
-            value, upper, held = interpolation_check(delta, p, 16)
-            violations += not held
-            margin = min(margin, upper - value)
-    return violations == 0, f"violations={violations}, smallest upper-lower margin {margin:.4f}"
-
-
 @_criterion(8, "KAK fidelity and slide geometry")
 def criterion_8():
     """KAK reconstruction, slide endpoints, and the solved-parameter contraction."""
@@ -247,23 +247,6 @@ def criterion_8():
     )
 
 
-@_criterion(9, "embedding certificates")
-def criterion_9():
-    """Embedding certificates across gamma in {2,4,8,16} x 20 alphas."""
-    rot90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    ok = True
-    worst_res, worst_edge = 0.0, 0.0
-    for gamma in (2.0, 4.0, 8.0, 16.0):
-        for alpha in np.linspace(gamma, 7 * gamma / 6, 20):
-            cert = embedding2_solve(gamma, alpha)
-            ok &= embedding2_verdict(cert)[2]
-            worst_res = max(worst_res, cert.residual1, cert.residual2)
-        ok &= cert.delta2 == 0.0  # the last alpha is the tangent edge 7 gamma / 6
-        worst_edge = max(worst_edge, float(np.abs(cert.k2 - rot90).max()))
-    ok &= worst_edge <= 1e-9
-    return ok, f"max residual {worst_res:.2e}, max edge-rotation error {worst_edge:.2e}"
-
-
 @_criterion(10, "tail constant and ledger bounds")
 def criterion_10():
     """Tail constant vs independent geometric sum; ledger totals within bounds."""
@@ -287,25 +270,6 @@ def criterion_10():
                 held += ledger_verdict(alpha, eps, prof, bound, ledger)
                 checked += 1
     return ok and held == checked, f"closed-form vs numeric sum gap {gap:.2e}; {held}/{checked} ledgers within bounds"
-
-
-@_criterion(11, "matrix coefficient decay")
-def criterion_11():
-    """Coefficient decay: c(n) strictly decreasing, c(n) <= 4 e^(-n/2), quadrature defect < 10%."""
-    rows, held = coefficient_decay(6)
-    shape = "c strictly decreasing" if held else "c NOT positive, decreasing and within 4 e^(-n/2)"
-    return held, f"{shape}, max c/bound={decay_ratio(rows):.3f}, max quadrature defect={rows[:, 3].max():.2e}"
-
-
-@_criterion(12, "invariant gap")
-def criterion_12():
-    """Invariant gap >= 1/3 for degrees 1..6: exact lower end, witnessed upper end."""
-    gaps, ok = certified_gaps(6)
-    lowers, uppers = np.array([gap[:2] for gap in gaps]).T
-    return ok, (
-        f"gaps >= {np.array2string(lowers, precision=4)}, witnessed <= "
-        f"{np.array2string(uppers, precision=4)}, widest interval {(uppers - lowers).max():.1e}"
-    )
 
 
 def run_criteria(numbers=None):

@@ -1,18 +1,20 @@
 """Command-line surface: reproducible experiment runs with manifests.
 
 Every subcommand computes all of its outputs (CSV with #-comment metadata,
-JSON for structured certificates) before `_finish` writes them into the
-output directory together with a run manifest recording the command, every
-flag except --outdir, the seed, and the produced files.  Identical manifests
-reproduce byte-identical outputs: floats print at 17 significant digits and
+JSON for structured certificates) and returns (line, files, failure); `main`
+alone prints "<command>: <line>" and has `_finish` write the files together
+with a run manifest recording the command, every flag except --outdir, the
+seed, and the produced files.  On one machine and OpenBLAS kernel, identical
+manifests reproduce byte-identical outputs: floats print at 17 significant digits and
 all randomness is seeded.  howe-moore runs the closed-form c(n) alone.  No
-subcommand types a pass rule: each exits 1 on the library verdict that the
-matching check-all criterion also reads (listed in the acceptance docstring).
+subcommand types a pass rule: each fails on its library verdict, and check-all's
+criteria 1, 7, 9, 11 and 12 are runs of the subcommands themselves (see acceptance).
+check-all alone prints its own lines (one per criterion) and writes no file.
 
 Exit codes: 0 success, 1 a failed certificate check (files still written), 2 flag
 errors (an unknown check-all --only number, an unusable --outdir or output name
-included), 3 numerical-degeneracy aborts.  A run that exits 2 or 3 writes no
-file.  check-all records a criterion that raises a degeneracy as FAIL.
+included) and runs that run out of memory, 3 numerical-degeneracy aborts.  A run
+that exits 2 or 3 writes no file.  check-all records a criterion that raises a degeneracy as FAIL.
 """
 
 from __future__ import annotations
@@ -106,84 +108,80 @@ def positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: compute every output, then hand them to _finish
+# subcommands: each computes every output and returns (line, files, failure);
+# main prints "<command>: <line>" and hands the files to _finish
 # ---------------------------------------------------------------------------
 
 
-def cmd_legendre_bounds(args) -> int:
+def cmd_legendre_bounds(args):
     deltas = np.linspace(-1.0, 1.0, args.grid)
     defects, bounds, violating = holder_check(deltas, args.nmax)
     violations = int(np.sum(violating))
-    print(f"legendre-bounds: {args.grid} deltas, degrees <= {args.nmax}, violations={violations}")
+    worst = float((defects / np.maximum(bounds, 1e-300)).max())
     csv = _csv("max_n |P_n(0)-P_n(delta)| <= 4*sqrt(|delta|)",
                ["delta", "max_defect", "bound"], zip(deltas, defects, bounds))
-    return _finish(args, {"legendre_bounds.csv": csv},
-                   "pointwise defect bound violated" if violations else None)
+    return (f"violations={violations}, max ratio={worst:.6f}", {"legendre_bounds.csv": csv},
+            "pointwise defect bound violated" if violations else None)
 
 
-def cmd_tdelta_norms(args) -> int:
+def cmd_tdelta_norms(args):
     fit = fit_decay(args.p, args.deltas, n_max=args.nmax)
-    print(f"tdelta-norms: fitted exponent {fit.exponent:.4f} "
-          f"(theory {fit.theory_exponent:.4f}), constant {fit.constant:.4f}")
-    return _finish(args, {
+    return f"fitted exponent {fit.exponent:.4f} (theory {fit.theory_exponent:.4f}), constant {fit.constant:.4f}", {
         "tdelta_norms.csv": _csv(
             "Schatten norm of the averaging difference decays like delta^(1/2-2/p)",
             ["delta", "p", "N", "value"],
             [(d, args.p, args.nmax, v) for d, v in fit.grid]),
         "tdelta_decay_fit.json": _json({"p": args.p, **dataclasses.asdict(fit)}),
-    })
+    }, None
 
 
-def cmd_schatten_probe(args) -> int:
+def cmd_schatten_probe(args):
     ns = [2**k for k in range(10, 17)]
     sums = divergence_probe_p4(args.delta, ns)
     inc = np.diff(sums)
-    print(f"schatten-probe: increments per dyadic window in "
-          f"[{inc.min():.6f}, {inc.max():.6f}] at delta={args.delta}")
-    return _finish(args, {"schatten_probe_p4.csv": _csv(
-        "fourth-power partial sums grow ~log N (boundary exponent p=4)",
-        ["N", "partial_sum"], zip(ns, sums))})
+    return (f"increments per dyadic window in [{inc.min():.6f}, {inc.max():.6f}] at delta={args.delta}",
+            {"schatten_probe_p4.csv": _csv("fourth-power partial sums grow ~log N (boundary exponent p=4)",
+                                           ["N", "partial_sum"], zip(ns, sums))}, None)
 
 
-def cmd_mixed_norm(args) -> int:
+def cmd_mixed_norm(args):
     value, interp, held = interpolation_check(args.delta, args.p, args.truncation)
-    print(f"mixed-norm: exact {value:.6f} <= interpolation {interp:.6f}")
     csv = _csv("exact norm of the diagonal difference <= interpolation upper bound",
                ["delta", "p", "exact_norm", "interp_bound"], [(args.delta, args.p, value, interp)])
-    return _finish(args, {"mixed_norm.csv": csv}, None if held else "exact norm exceeded the interpolation bound")
+    return (f"p={args.p:g}, delta={args.delta:g}: exact {value:.6f}, interpolation bound {interp:.6f}",
+            {"mixed_norm.csv": csv}, None if held else "exact norm exceeded the interpolation bound")
 
 
-def cmd_kak(args) -> int:
+def cmd_kak(args):
     g = np.array(args.matrix, dtype=float).reshape(3, 3)
     dec = kak(g)
     residual, held = dec.verdict(g)
-    print(f"kak: exponents {dec.a.as_array()}, residual {residual:.3e}")
-    return _finish(args, {"kak.json": _json({
+    return f"exponents {dec.a.as_array()}, residual {residual:.3e}", {"kak.json": _json({
         "input": g,
         "k1": dec.k1,
         "a": dec.a.as_array(),
         "k2": dec.k2,
         "residual": residual,
         "length": dec.a.ell(),
-    })}, None if held else "reconstruction residual above 1e-9")
+    })}, None if held else "reconstruction residual above 1e-9"
 
 
-def cmd_embedding2(args) -> int:
+def cmd_embedding2(args):
     embedding2_solve(args.gamma, args.gamma)  # the library refuses a bad gamma before numpy builds a grid from it
-    alphas = np.linspace(args.gamma, 7.0 * args.gamma / 6.0, args.alpha_grid)
-    certs, held = [], True
+    alphas = np.linspace(args.gamma, 7.0 * args.gamma / 6.0, args.alpha_grid)  # ends exactly on the tangent edge
+    certs, held, edge = [], True, 0.0
     for alpha in alphas:
         cert = embedding2_solve(args.gamma, float(alpha))
-        delta_bound, rotation_bound, ok = embedding2_verdict(cert)
+        delta_bound, rotation_bound, edge_error, ok = embedding2_verdict(cert)
         certs.append({**dataclasses.asdict(cert), "delta_bound": delta_bound, "rotation_bound": rotation_bound})
-        held &= ok
+        held, edge = held and ok, max(edge, edge_error)
     worst = max(max(c["residual1"], c["residual2"]) for c in certs)
-    print(f"embedding2: {len(certs)} certificates, max residual {worst:.3e}")
-    return _finish(args, {"embedding2.json": _json(certs)},
-                   None if held else "a certificate exceeds its residual, delta or rotation bound")
+    return (f"gamma={args.gamma:g}: {len(certs)} certificates, max residual {worst:.2e}, "
+            f"edge-rotation error {edge:.2e}", {"embedding2.json": _json(certs)},
+            None if held else "a certificate exceeds its residual, delta, rotation or tangent-edge bound")
 
 
-def cmd_zigzag(args) -> int:
+def cmd_zigzag(args):
     prof = ExponentProfile(holder_s=args.s, growth_t=args.t, hoelder_C=args.C, growth_L=args.L)
     cprime = cauchy_tail_constant(prof)
     diameter_decay_profile([args.alpha_min, args.alpha_max], prof)  # refuses a bad end before numpy builds the grid
@@ -210,52 +208,51 @@ def cmd_zigzag(args) -> int:
                 for seg in ledger.segments
             ],
         })
-    print(f"zigzag: tail constant C' = {cprime:.6g}; {len(ledgers)} ledgers, "
-          f"{'all totals within bounds' if held else 'NOT all within their bounds'}")
-    return _finish(args, {
+    return (f"tail constant C' = {cprime:.6g}; {len(ledgers)} ledgers, "
+            f"{'all totals within bounds' if held else 'NOT all within their bounds'}"), {
         "zigzag_decay.csv": _csv("tail-diameter bound C' * e^((2t-s) alpha)", ["alpha", "bound"], decay),
         "zigzag_ledgers.json": _json(ledgers),
-    }, None if held else "a ledger total or segment exceeds its bound")
+    }, None if held else "a ledger total or segment exceeds its bound"
 
 
-def cmd_markov(args) -> int:
+def cmd_markov(args):
     trace = markov_trace(args.delta, args.steps, args.seed)
     norms, sigmas = mixing_profile(args.delta, args.steps, args.replicas, args.seed)
     defect = np.abs(np.sum(trace[:-1] * trace[1:], axis=1) - args.delta).max(initial=0.0)
-    print(f"markov: {args.steps} steps, chain defect {defect:.2e}, "
-          f"final mean norm {norms[-1]:.6f} (theory {abs(args.delta) ** args.steps:.6f})")
-    return _finish(args, {
+    return (f"{args.steps} steps, chain defect {defect:.2e}, "
+            f"final mean norm {norms[-1]:.6f} (theory {abs(args.delta) ** args.steps:.6f})"), {
         "markov_trace.csv": _csv("consecutive positions have inner product delta",
                                  ["step", "x1", "x2", "x3"],
                                  [(k, *trace[k]) for k in range(args.steps + 1)]),
         "markov_profile.csv": _csv("mean-vector norm contracts like |delta|^step",
                                    ["step", "mean_norm", "mc_sigma"],
                                    [(k + 1, norms[k], sigmas[k]) for k in range(args.steps)]),
-    })
+    }, None
 
 
-def cmd_howe_moore(args) -> int:
+def cmd_howe_moore(args):
     rows, held = coefficient_decay(args.nmax)
-    print(f"howe-moore: c(n) for n <= {args.nmax}, "
-          f"max c/bound = {decay_ratio(rows):.4f}")
-    return _finish(args, {"howe_moore_decay.csv": _csv(
-        "matrix coefficient of the constant vector decays below 4*e^(-n/2)",
-        ["n", "c_n", "bound", "quadrature_defect"], rows)},
-        None if held else "c(n) not positive, strictly decreasing and within 4 e^(-n/2)")
+    shape = "c strictly decreasing" if held else "c NOT positive, decreasing and within 4 e^(-n/2)"
+    return (f"{shape}, max c/bound={decay_ratio(rows):.3f}, max quadrature defect={rows[:, 3].max():.2e}",
+            {"howe_moore_decay.csv": _csv("matrix coefficient of the constant vector decays below 4*e^(-n/2)",
+                                          ["n", "c_n", "bound", "quadrature_defect"], rows)},
+            None if held else "c(n) not positive, strictly decreasing and within 4 e^(-n/2)")
 
 
-def cmd_invariant_gap(args) -> int:
+def cmd_invariant_gap(args):
     gaps, held = certified_gaps(args.jmax)
+    lowers, uppers = np.array([gap[:2] for gap in gaps]).T
     rows = [(degree, lower, upper, GAP_FLOOR) for degree, (lower, upper, _) in enumerate(gaps, 1)]
-    print("invariant-gap: " + ", ".join(f"j={d}: [{lo:.4f}, {up:.4f}]" for d, lo, up, _ in rows))
-    return _finish(args, {
+    lower_text, upper_text = (np.array2string(ends, precision=4, max_line_width=10**6) for ends in (lowers, uppers))
+    return f"gaps >= {lower_text}, witnessed <= {upper_text}, widest interval {(uppers - lowers).max():.1e}", {
         "invariant_gap.csv": _csv("summed invariant defect over the two circle subgroups >= 1/3",
                                   ["degree", "lower", "witness_defect", "threshold"], rows),
         "invariant_gap_witnesses.json": _json({str(degree): vec for degree, (_, _, vec) in enumerate(gaps, 1)}),
-    }, None if held else "gap below 1/3 or above its witness")
+    }, None if held else "gap below 1/3 or above its witness"
 
 
 def cmd_check_all(args) -> int:
+    """The one subcommand that prints its own lines (one per criterion) and writes no file."""
     from .acceptance import run_criteria
 
     results = run_criteria({int(tok) for tok in args.only.split(",")} if args.only else None)
@@ -347,12 +344,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_check_all:
+            return cmd_check_all(args)
+        line, files, failure = args.func(args)
+        print(f"{args.command}: {line}")
+        return _finish(args, files, failure)
     except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy [{exc.invariant}]: {exc.detail}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # sizes past this machine's memory fail no certificate; outputs are computed before any write
+        print(f"out of memory: {args.command} needs more than this machine has; choose smaller sizes", file=sys.stderr)
         return 2
 
 

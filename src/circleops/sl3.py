@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _CONE_TOL = 1e-10
+_QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def x_delta(delta: float) -> np.ndarray:
@@ -256,17 +257,21 @@ def _solve_case(gamma: float, alpha: float, diag: np.ndarray):
     return delta, k, kp, residual
 
 
-def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, bool]:
-    """(e^-gamma, 2 e^(-gamma/4), held): held when both residuals are <= 1e-9 and delta1,
-    delta2 and ||k - 1||_2 for k1, k1p, k2p are within the two bounds.  Kept apart from
-    embedding2_solve, so that timing the solve times it alone."""
+def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, float, bool]:
+    """(e^-gamma, 2 e^(-gamma/4), edge error, held): held when both residuals are <= 1e-9, delta1,
+    delta2 and ||k - 1||_2 for k1, k1p, k2p are within the two bounds, and at the tangent edge
+    alpha = 7 gamma / 6 delta2 = 0 and k2 is the quarter turn to 1e-9 in every entry (the edge
+    error; 0 off the edge).  Kept apart from embedding2_solve, so that timing the solve times it alone."""
     delta_bound = float(np.exp(-cert.gamma))
     rotation_bound = float(2.0 * np.exp(-cert.gamma / 4.0))
+    edge = cert.alpha == 7.0 * cert.gamma / 6.0
+    edge_error = float(np.abs(cert.k2 - _QUARTER_TURN).max()) if edge else 0.0
     held = cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9  # a NaN residual fails
     held = held and max(cert.delta1, cert.delta2) <= delta_bound and all(
         np.linalg.norm(k - np.eye(3), 2) <= rotation_bound for k in (cert.k1, cert.k1p, cert.k2p)
     )
-    return delta_bound, rotation_bound, bool(held)
+    held = held and (not edge or (cert.delta2 == 0.0 and edge_error <= 1e-9))
+    return delta_bound, rotation_bound, edge_error, bool(held)
 
 
 def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:

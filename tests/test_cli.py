@@ -183,8 +183,7 @@ def test_embedding2_past_its_bound_writes_then_exits_1(tmp_path, monkeypatch, fa
     def faulty(gamma, alpha):
         return dataclasses.replace(sl3.embedding2_solve(gamma, alpha), **fault)
 
-    monkeypatch.setattr(cli, "embedding2_solve", faulty)
-    monkeypatch.setattr(acceptance, "embedding2_solve", faulty)
+    monkeypatch.setattr(cli, "embedding2_solve", faulty)  # criterion 9 runs embedding2, so this fails it too
     assert run(tmp_path, "embedding2", "--gamma", "2", "--alpha-grid", "3") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding2.json", "embedding2_manifest.json"]
     assert not acceptance.ALL_CRITERIA[9]().passed
@@ -400,6 +399,13 @@ def test_invariant_gap(tmp_path):
     assert all(1.0 / 3.0 <= lower <= upper for _, lower, upper, _ in rows)
 
 
+def test_invariant_gap_prints_one_line(tmp_path, capsys):
+    # twelve degrees pass numpy's 75-column array wrap; the summary stays one line
+    assert run(tmp_path, "invariant-gap", "--jmax", "12") == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("invariant-gap: gaps >= [") and "0.9742], widest interval " in line
+
+
 def test_invariant_gap_has_no_seed_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "invariant-gap", "--seed", "0")
@@ -429,19 +435,41 @@ def test_legendre_bounds_reports_criterion_1(tmp_path, capsys):
     _, defects, bounds = np.array(csv_rows(tmp_path / "legendre_bounds.csv")).T
     violations = int(np.sum(defects > bounds + 1e-14))
     ratio = float((defects / np.maximum(bounds, 1e-300)).max())
-    assert f"violations={violations}\n" in capsys.readouterr().out
-    assert acceptance.ALL_CRITERIA[1]().detail == f"violations={violations}, max ratio={ratio:.6f}"
+    detail = f"violations={violations}, max ratio={ratio:.6f}"
+    assert capsys.readouterr().out == f"legendre-bounds: {detail}\n"
+    assert acceptance.ALL_CRITERIA[1]().detail == detail
+
+
+@pytest.mark.parametrize(
+    "criterion, argvs",
+    [
+        (1, [["legendre-bounds"]]),
+        (7, [["mixed-norm", "--p", p, "--delta", d] for p in ("4", "6", "8") for d in ("0.025", "0.05", "0.1", "0.2")]),
+        (9, [["embedding2", "--gamma", gamma] for gamma in ("2", "4", "8", "16")]),
+        (11, [["howe-moore"]]),
+        (12, [["invariant-gap"]]),
+    ],
+)
+def test_criterion_detail_is_its_subcommand_lines(tmp_path, capsys, criterion, argvs):
+    """A criterion with a subcommand is that subcommand's runs: its detail is their printed lines."""
+    lines = []
+    for i, argv in enumerate(argvs):
+        assert main(["--outdir", str(tmp_path / str(i)), *argv]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        lines.append(line.removeprefix(f"{argv[0]}: "))
+    result = acceptance.ALL_CRITERIA[criterion]()
+    assert result.passed and result.detail == "; ".join(lines)
 
 
 def record_calls(monkeypatch, name, real):
-    """Wrap acceptance's `name` so that each call's (args, result) is recorded."""
+    """Wrap cli's `name` so that each call's (args, result) is recorded."""
     calls = []
 
     def recording(*args):
         calls.append((args, real(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(acceptance, name, recording)
+    monkeypatch.setattr(cli, name, recording)
     return calls
 
 
@@ -449,7 +477,7 @@ def test_mixed_norm_gives_criterion_7_values(tmp_path, monkeypatch):
     calls = record_calls(monkeypatch, "interpolation_check", schatten.interpolation_check)
     assert acceptance.ALL_CRITERIA[7]().passed
     assert len(calls) == 12
-    for (delta, p, truncation), (value, upper, _) in calls:
+    for (delta, p, truncation), (value, upper, _) in list(calls):  # the runs below record more calls
         out = tmp_path / f"{p}-{delta}"
         argv = ["mixed-norm", "--p", str(p), "--delta", str(delta), "--truncation", str(truncation)]
         assert main(["--outdir", str(out), *argv]) == 0
@@ -477,6 +505,13 @@ def _lopsided_segment(p, q, rule, prof, exact=zigzag._segment):
     return dataclasses.replace(seg, cost_bound=3.0 * seg.cost_bound if rule == zigzag.J_ALPHA_SLIDE else 0.0)
 
 
+def _edge_off_zero(gamma, alpha, exact=sl3.embedding2_solve):
+    """delta2 off 0 at the tangent edge alpha = 7 gamma / 6 only, by a thousandth of its bound e^-gamma:
+    every bound holds, and only the edge clause (delta2 = 0 there) fails."""
+    cert = exact(gamma, alpha)
+    return dataclasses.replace(cert, delta2=1e-3 * np.exp(-gamma)) if alpha == 7.0 * gamma / 6.0 else cert
+
+
 def _turned_rotation_svd(m, exact=sl3._rotation_svd):
     """The rotation SVD with k1 turned by x_delta(0.999): a decomposition that no longer rebuilds g."""
     u, s, vt = exact(m)
@@ -493,9 +528,11 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
         (zigzag, "_segment", _lopsided_segment, ["zigzag", "--alpha-grid", "2"], 10),
         (repsim, "DECAY_BOUND_CONSTANT", 0.1, ["howe-moore", "--nmax", "2"], 11),
         (sl3, "_rotation_svd", _turned_rotation_svd, ["kak", "--matrix", *"2 1 0 1 1 0 0 0 1".split()], 8),
+        (cli, "embedding2_solve", _edge_off_zero, ["embedding2", "--gamma", "2", "--alpha-grid", "3"], 9),
     ],
     ids=[
-        "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound", "kak-residual"
+        "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound", "kak-residual",
+        "tangent-edge",
     ],
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):
@@ -515,7 +552,7 @@ def test_check_all_degenerate_criterion_fails_and_the_rest_run(tmp_path, capsys,
     def raise_error(*args, **kwargs):
         raise NumericalDegeneracyError("coefficient_leakage", "leak 0.5")
 
-    monkeypatch.setattr(acceptance, "coefficient_decay", raise_error)
+    monkeypatch.setattr(cli, "coefficient_decay", raise_error)
     assert run(tmp_path, "check-all", "--only", "6,11,12") == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" [")[0] for line in lines[:3]] == [
@@ -533,6 +570,18 @@ def test_check_all_unknown_criterion_exits_2(tmp_path, capsys, only):
     captured = capsys.readouterr()
     assert captured.out == ""  # no criterion ran
     assert "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12" in captured.err
+
+
+def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # running out of memory is not a failed certificate (exit 1); the fake raises before allocating anything
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "mixing_profile", exhausted)
+    assert run(tmp_path, "markov", "--steps", "3") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("out of memory: markov ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_floats_roundtrip(tmp_path):

@@ -7,11 +7,13 @@ rewrite may reorder floating-point operations but may not change a result;
 text (headers, claims, rule names, manifest fields) must match exactly.
 The fields that are rounding noise themselves take an absolute floor instead
 (ROUNDING_FLOOR), so that the goldens hold under every BLAS kernel.
-check-all is not locked here: the acceptance tests cover it.
+check-all writes no file, so it has no golden: the acceptance tests cover it,
+and the runner at the bottom logs it for a diff of two trees.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +136,8 @@ def test_golden_under_the_haswell_kernel(tmp_path):
     subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, check=True)
     logs = {command: (tmp_path / f"{command}.log").read_text() for command in COMMANDS}
     assert all(log.endswith("exit 0\n") for log in logs.values()), logs
+    check_all = (tmp_path / "check-all.log").read_text()
+    assert check_all.endswith("\n12/12 criteria passed\nexit 0\n"), check_all
     errors = [e for command in sorted(COMMANDS) for e in _compare_dir(tmp_path / command, GOLDEN / command)]
     assert not errors, "\n".join(errors[:20])
 
@@ -147,12 +151,15 @@ def test_manifest_records_every_flag(command, outdir):
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden.py OUTDIR writes each run above into OUTDIR/<command>
-    # and its stdout, stderr and exit code into OUTDIR/<command>.log, for a diff -r of two trees' runs
+    # and its stdout, stderr and exit code into OUTDIR/<command>.log, for a diff -r of two trees' runs;
+    # check-all's log has its "(N.Ns)" times stripped
     import contextlib
-    import sys
+    import io
 
     Path(sys.argv[1]).mkdir(parents=True, exist_ok=True)
-    for command, flags in COMMANDS.items():
+    for command, flags in [*COMMANDS.items(), ("check-all", [])]:
         out = Path(sys.argv[1]) / command
-        with open(f"{out}.log", "w") as log, contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
-            print("exit", main(["--outdir", str(out), command, *flags]))
+        with io.StringIO() as log:
+            with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+                print("exit", main(["--outdir", str(out), command, *flags]))
+            Path(f"{out}.log").write_text(re.sub(r" \(\d+\.\ds\)", "", log.getvalue()))
