@@ -47,13 +47,23 @@ def test_circle_average_operator(benchmark):
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
 
 
+@pytest.mark.parametrize("points", ["grid", "ring-table"])
 @pytest.mark.parametrize("band", [12, 16, 24, 32])
-def test_real_sph_harm_matrix(benchmark, band):
-    # the grid basis kernel, called directly: SphereGrid.build caches grid.basis
+def test_real_sph_harm_matrix(benchmark, band, points):
+    # the kernel at the grid's (B+1)(2B+1) nodes (SphereGrid.build caches grid.basis) and at
+    # (B+1)^2 points, the circle points one circle_average or operator call evaluates
     grid = SphereGrid.build(band)
-    basis = benchmark.pedantic(real_sph_harm_matrix, args=(grid.nodes, band), rounds=20, warmup_rounds=1)
+    nodes = grid.nodes
+    if points == "ring-table":
+        nodes = np.random.default_rng(band).normal(size=((band + 1) ** 2, 3))
+        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    basis = benchmark.pedantic(real_sph_harm_matrix, args=(nodes, band), rounds=20, warmup_rounds=1)
     assert np.abs(basis[:, 0] - 1.0).max() <= 1e-10
-    assert np.abs(grid.weights @ basis**2 - 1.0).max() <= 1e-10
+    # addition theorem: at every point the squares of degree n's 2n+1 harmonics sum to 2n+1
+    degree_sums = np.add.reduceat(basis**2, np.arange(band + 1) ** 2, axis=1)
+    assert np.abs(degree_sums / (2 * np.arange(band + 1) + 1) - 1.0).max() <= 1e-10
+    if points == "grid":
+        assert np.abs(grid.weights @ basis**2 - 1.0).max() <= 1e-10
 
 
 @pytest.mark.parametrize("band", [12, 16, 24, 32])  # every band of the sphere-averaging frames jobs

@@ -4,7 +4,8 @@ The grid is a Gauss-Legendre (numpy's leggauss) x uniform-longitude product rule
 products of functions band-limited at the grid's band limit, so the eigenfunction identity
 average_over_circle(Y_nm, delta) = P_n(delta) Y_nm can be checked against the Legendre spectral
 model with no quadrature error beyond roundoff.  Real spherical harmonics throughout, orthonormal
-for the normalized surface measure, from one recurrence pass over all the points of a call.
+for the normalized surface measure, from one recurrence over all the points of a call that
+advances every order at once, one diagonal n - m per numpy step.
 circle_average contracts ring means with a function's coefficients, never forming
 circle_average_operator; SphereGrid.synthesize works on the grid only.
 """
@@ -37,43 +38,47 @@ def _basis_block(z, rho, cphi, sphi, band_limit, out):
     """Fill out (ncoef, npts) with real orthonormal harmonics: per degree n, m = 0 at row
     n*n, then the cos/sin pairs for m = 1..n.
 
-    By increasing order m, then degree n = m..B: q is the stable normalized associated
-    Legendre recurrence; Y_n^0 = q and the order-m pair is sqrt(2) q (cos m phi, sin m phi).
+    q_n^m is the stable normalized associated Legendre recurrence in n at fixed m.  The
+    sectoral q_m^m, cos m phi and sin m phi come first, one row per order; then one step per
+    diagonal k = n - m advances q_{m+k}^m for every order m <= B - k at once and writes those
+    rows.  Y_n^0 = q and the order-m pair is sqrt(2) q (cos m phi, sin m phi).  Each value
+    gets the operations of the per-(n, m) recurrence in the same order, so its bits do not
+    depend on the loop order, and the a, b tables hold that recurrence's float expressions.
     rho = hypot(x, y) is sin theta, accurate near the poles where 1 - z^2 loses its digits.
     """
-    npts = z.shape[0]
+    B, npts = band_limit, z.shape[0]
     sqrt2 = math.sqrt(2.0)
-    qmm, cm, sm = np.ones(npts), np.ones(npts), np.zeros(npts)
-    q_prev, q_cur, scaled = np.empty(npts), np.empty(npts), np.empty(npts)
-    for m in range(band_limit + 1):
-        if m > 0:
-            qmm *= rho
-            qmm *= math.sqrt((2 * m + 1) / (2.0 * m))
-            cm, sm = cm * cphi - sm * sphi, sm * cphi + cm * sphi
-        for n in range(m, band_limit + 1):
-            if n == m:
-                np.copyto(q_prev, qmm)
-                q = q_prev
-            elif n == m + 1:
-                q = np.multiply(z, qmm, out=q_cur)
-                q *= math.sqrt(2 * m + 3.0)
-            else:  # q_n = -b q_{n-2} + a z q_{n-1}
-                a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-                b = math.sqrt(
-                    ((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)) / ((2.0 * n - 3.0) * (n * n - m * m))
-                )
-                np.multiply(z, a, out=scaled)
-                scaled *= q_cur
-                q_prev *= -b
-                q_prev += scaled
-                q_prev, q_cur = q_cur, q_prev
-                q = q_cur
-            if m == 0:
-                out[n * n] = q
-            else:
-                np.multiply(q, sqrt2, out=scaled)
-                np.multiply(scaled, cm, out=out[n * n + 2 * m - 1])
-                np.multiply(scaled, sm, out=out[n * n + 2 * m])
+    q, c, s = np.ones((B + 1, npts)), np.ones((B + 1, npts)), np.zeros((B + 1, npts))
+    for m in range(1, B + 1):
+        np.multiply(q[m - 1], rho, out=q[m])
+        q[m] *= math.sqrt((2 * m + 1) / (2.0 * m))
+        np.subtract(c[m - 1] * cphi, s[m - 1] * sphi, out=c[m])
+        np.add(s[m - 1] * cphi, c[m - 1] * sphi, out=s[m])
+    k, m = np.ogrid[: B + 1, : B + 1]
+    cos_row = (k + m) ** 2 + 2 * m - 1  # Y_{m+k}^m's cos row; its sin row is the next one
+    n = k[2:] + m  # diagonals k >= 2: q_n = -b q_{n-2} + a z q_{n-1}
+    a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))[..., None]
+    b = np.sqrt(
+        ((2.0 * n + 1.0) * (n - 1.0 - m) * (n - 1.0 + m)) / ((2.0 * n - 3.0) * (n * n - m * m))
+    )[..., None]
+    q_prev, scaled, pair = np.empty((3, B, npts))
+    for k in range(B + 1):
+        rows = B + 1 - k
+        if k == 1:
+            np.multiply(z, q[:rows], out=q_prev)
+            q_prev *= np.sqrt(2 * m[0, :rows, None] + 3.0)
+            q_prev, q = q, q_prev
+        elif k > 1:
+            step = np.multiply(z, a[k - 2, :rows], out=scaled[:rows])
+            step *= q[:rows]
+            new = q_prev[:rows]
+            new *= -b[k - 2, :rows]
+            new += step
+            q_prev, q = q, q_prev
+        out[k * k] = q[0]
+        root2q = np.multiply(q[1:rows], sqrt2, out=scaled[: rows - 1])
+        out[cos_row[k, 1:rows]] = np.multiply(root2q, c[1:rows], out=pair[: rows - 1])
+        out[cos_row[k, 1:rows] + 1] = np.multiply(root2q, s[1:rows], out=pair[: rows - 1])
 
 
 def _is_count(value, least: int) -> bool:

@@ -478,7 +478,8 @@ def _three_writer_basis_block(z, u, cphi, sphi, band_limit, out):
                 out[n * n + 2 * m] = sqrt2 * q_cur * sm
 
 
-@pytest.mark.parametrize("band_limit", [0, 1, 2, 16, 32])
+# 3: the smallest band in which a diagonal k = n - m >= 2 spans two orders; 24: a benchmark band
+@pytest.mark.parametrize("band_limit", [0, 1, 2, 3, 16, 24, 32])
 def test_basis_bit_identical_to_three_writer_kernel(band_limit, monkeypatch):
     pts = np.random.default_rng(band_limit).normal(size=(300, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
