@@ -35,6 +35,7 @@ __all__ = [
     "completed_power_sums",
     "fit_decay",
     "divergence_probe_p4",
+    "probe_growth",
 ]
 
 # Difference of two averaging operators of norm one; a-priori certified bound.
@@ -356,6 +357,10 @@ class DecayFit:
             envelope_constant=float(np.max(np.exp(logv - theory_exponent * logd))),
         )
 
+    def meets_theory(self) -> bool:
+        """Fitted exponent >= theory_exponent - 0.05 (NaN fails)."""
+        return bool(self.exponent >= self.theory_exponent - 0.05)
+
 
 def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
     """Fit the delta-decay of the completed Schatten norms at n_max (certified sup norms at p = inf).
@@ -391,3 +396,10 @@ def divergence_probe_p4(delta, n_list) -> np.ndarray:
     blocks = _row_blocks(checkpoints[-1], deltas.ravel())
     sums = np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0], axis=-1)
     return sums.reshape(deltas.shape + sums.shape[-1:])
+
+
+def probe_growth(sums) -> tuple[np.ndarray, bool]:
+    """The increments of divergence_probe_p4's partial sums, and whether they grow steadily:
+    every increment positive and max/min < 1.5 (NaN fails)."""
+    inc = np.diff(sums)
+    return inc, bool(np.all(inc > 0.0) and inc.max() / inc.min() < 1.5)

@@ -31,6 +31,7 @@ __all__ = [
     "jump_cost",
     "annulus_diameter_bound",
     "ledger_verdict",
+    "annulus_pair",
     "cauchy_tail_constant",
     "covering_partial_sums",
     "diameter_decay_profile",
@@ -211,6 +212,18 @@ def ledger_verdict(alpha: float, epsilon: float, prof: ExponentProfile, bound: f
     """Total <= bound, no slack, and each segment <= slide_cap(alpha, epsilon) + 1e-12 (NaN fails)."""
     cap = prof.slide_cap(alpha, epsilon) + 1e-12
     return bool(ledger.total <= bound and all(seg.cost_bound <= cap for seg in ledger.segments))
+
+
+def annulus_pair(alpha: float, epsilon: float, rng: np.random.Generator) -> tuple[LambdaPoint, LambdaPoint]:
+    """Two random annulus points (a1, level - a1, -level): level uniform in [alpha, (1+eps) alpha],
+    a1 in [level, min(2 level, (1+eps) alpha)], each reflected when its third draw is >= 0.5."""
+    points = []
+    for _ in range(2):
+        level = rng.uniform(alpha, (1 + epsilon) * alpha)
+        top = rng.uniform(level, min(2 * level, (1 + epsilon) * alpha))
+        p = LambdaPoint(top, level - top, -level)
+        points.append(p if rng.random() < 0.5 else p.reflect())
+    return points[0], points[1]
 
 
 # ---------------------------------------------------------------------------

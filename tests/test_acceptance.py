@@ -70,6 +70,14 @@ def test_criterion_4_compares_every_entry(monkeypatch, entry):
     assert result.detail.startswith("sup error 1.000e-06"), result.line()
 
 
+def test_criterion_6_fails_a_halved_dyadic_sum(monkeypatch):
+    """A halved dyadic_sum keeps the upper side; the lower side ||lambda||_r^r <= dyadic_sum fails it."""
+    monkeypatch.setattr(acceptance, "dyadic_sum", lambda profile, r, exact=acceptance.dyadic_sum: exact(profile, r) / 2)
+    result = ALL_CRITERIA[6]()
+    assert not result.passed
+    assert result.detail.endswith("smallest dyadic_sum / ||lambda||_r^r = 0.581 (need >= 1)"), result.line()
+
+
 @pytest.mark.parametrize("p", [4.0, 6.0, 8.0])
 @pytest.mark.parametrize("delta", [0.025, 0.05, 0.1, 0.2])
 def test_criterion_7_value_is_the_holder_head(delta, p):

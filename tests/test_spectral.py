@@ -1,5 +1,6 @@
 """Tests for the diagonal spectral model and its norm/decay estimates."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -17,6 +18,7 @@ from circleops.spectral import (
     divergence_probe_p4,
     fit_decay,
     op_norm_diff_certificates,
+    probe_growth,
     schatten_tail_bound,
     schatten_tail_estimate,
 )
@@ -289,6 +291,14 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(8.0, [0.25, 0.25, 0.25])
 
+    def test_meets_theory_at_its_edge(self):
+        fit = fit_decay(8.0, self.GRID, n_max=2**10)
+        assert fit.meets_theory()
+        edge = fit.theory_exponent - 0.05
+        assert dataclasses.replace(fit, exponent=edge).meets_theory()
+        assert not dataclasses.replace(fit, exponent=np.nextafter(edge, -np.inf)).meets_theory()
+        assert not dataclasses.replace(fit, exponent=np.nan).meets_theory()
+
     @pytest.mark.parametrize("n_max", [2**13 + 1, 11913])
     def test_sup_norm_grid_matches_one_pass_per_delta(self, n_max):
         # one blocked pass over the grid against a one-block pass per delta, bit for bit;
@@ -318,6 +328,17 @@ class TestDivergenceProbe:
     def test_growth_at_delta_099(self):
         sums = divergence_probe_p4(0.99, [2**k for k in range(8, 13)])
         assert np.all(np.diff(sums) > 0.0)
+
+    @pytest.mark.parametrize(
+        "sums, held",
+        [([0.0, 1.0, 2.4], True), ([0.0, 1.0, 2.5], False), ([0.0, 1.0, 1.0], False), ([0.0, -1.0, -2.0], False),
+         ([0.0, np.nan, 2.0], False)],
+        ids=["ratio-1.4", "ratio-1.5", "flat", "falling", "nan"],
+    )
+    def test_growth_rule(self, sums, held):
+        """Steady growth: every increment positive and max/min below 1.5; NaN fails."""
+        inc, steady = probe_growth(sums)
+        assert steady is held and np.array_equal(inc, np.diff(sums), equal_nan=True)
 
     def test_rejects_unit_delta(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from circleops.sphere import (
     SphereGrid,
     circle_average,
     circle_average_operator,
+    contraction_verdict,
     degree_of_column,
     markov_steps,
     markov_trace,
@@ -392,6 +393,29 @@ class TestMarkov:
     def test_mixing_profile_null_at_zero(self):
         norms, sigmas = mixing_profile(0.0, steps=3, replicas=10**4, seed=6)
         assert np.all(norms <= 4.0 * sigmas)
+
+    def test_contraction_verdict_reads_the_pulls(self):
+        norms, sigmas = mixing_profile(0.3, steps=15, replicas=10**4, seed=0)
+        worst, held = contraction_verdict(0.3, norms, sigmas)
+        assert held and worst == float((np.abs(norms - 0.3 ** np.arange(1, 16)) / sigmas).max())
+        assert contraction_verdict(-0.3, norms, sigmas) == (worst, held)  # the theory is |delta|^k
+
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    def test_contraction_verdict_at_the_deterministic_ends(self, delta):
+        """At |delta| = 1 every replica follows one path, so sigma is 0 and the gap is 0: a zero pull."""
+        norms, sigmas = mixing_profile(delta, steps=4, replicas=10, seed=3)
+        assert np.all(sigmas == 0.0) and contraction_verdict(delta, norms, sigmas) == (0.0, True)
+
+    @pytest.mark.parametrize(
+        "norms, sigmas, worst, held",
+        [([0.5, 0.25], [0.125, 0.125], 0.0, True), ([0.875, 0.25], [0.125, 0.125], 3.0, True),
+         ([0.890625, 0.25], [0.125, 0.125], 3.125, False), ([0.625, 0.25], [0.0, 0.125], np.inf, False),
+         ([np.nan, 0.25], [0.125, 0.125], np.nan, False)],
+        ids=["exact", "three-sigma", "past-three-sigma", "gap-over-zero-sigma", "nan"],
+    )
+    def test_contraction_verdict_edges(self, norms, sigmas, worst, held):
+        """Pulls at delta = 0.5, theory (0.5, 0.25): at most 3 passes; NaN fails."""
+        assert contraction_verdict(0.5, np.array(norms), np.array(sigmas)) == pytest.approx((worst, held), nan_ok=True)
 
     @pytest.mark.parametrize("replicas", [0, 1])
     def test_mixing_profile_needs_two_replicas(self, replicas):
