@@ -114,7 +114,7 @@ def test_mixed_norm_diagonal_exact(benchmark):
 
 
 def test_completed_power_sums(benchmark):
-    # the tdelta-norms default shape: ten deltas, p = 8, N = 2^14
+    # the tdelta-norms default shape at its last checkpoint only: ten deltas, p = 8, N = 2^14 (the run adds 2^13)
     deltas, p, n = [2.0**-k for k in range(1, 11)], 8.0, 2**14
     windows, _, norms = benchmark.pedantic(completed_power_sums, args=(deltas, [p], [n]), rounds=5)
     partial = windows[0, :, 0] ** (1 / p)

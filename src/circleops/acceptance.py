@@ -2,13 +2,9 @@
 
 Each criterion is declared once with its number, name and wall-clock gate,
 so the CLI's check-all and the pytest acceptance module run one registry,
-ALL_CRITERIA.  Criteria 1, 5, 7, 9, 11 and 12 are CLI subcommand runs at their
-parameters (`_subcommand`): legendre-bounds, markov over 4 deltas, mixed-norm over
-3 p x 4 delta, embedding2 over 4 gammas, howe-moore and invariant-gap, each failing
-on its library verdict.  The others are checks returning (passed, detail) (`_criterion`);
-criteria 2, 3, 8 and 10 read the library rules that tdelta-norms, schatten-probe, kak
-and zigzag read, and criteria 4 and 6 have no subcommand.
-Criterion 2 checks completed Schatten norms, not raw truncations (criterion_2).
+ALL_CRITERIA.  A criterion is either CLI subcommand runs at its parameters
+(`_subcommand`), failing on the subcommand's library verdict, or a check
+returning (passed, detail) (`_criterion`) that reads the library's rules itself.
 """
 
 from __future__ import annotations
@@ -25,9 +21,10 @@ from .errors import NumericalDegeneracyError
 from .legendre import legendre_table
 from .schatten import SingularProfile, dyadic_sum
 from .sl3 import j_alpha, kak, solve_delta_for_top
-from .spectral import DecayFit, completed_power_sums, divergence_probe_p4, probe_growth, schatten_tail_bound
+from .spectral import divergence_probe_p4, probe_growth
 from .sphere import SphereGrid, circle_average_operator, degree_of_column
 from .zigzag import (
+    ANNULUS_SEED,
     ExponentProfile,
     annulus_diameter_bound,
     annulus_pair,
@@ -99,6 +96,8 @@ def _subcommand(number: int, name: str, argvs: list[list[str]], seconds: float |
 
 
 _subcommand(1, "pointwise defect bound", [["legendre-bounds"]], seconds=10.0)
+_subcommand(2, "Schatten truncation stability + decay fit",
+            [["tdelta-norms", "--p", "4.5,5,6,8", "--nmax", "262144"]], seconds=120.0)
 _subcommand(5, "Markov mean contraction",
             [["markov", "--delta", d, "--replicas", "100000", "--seed", str(100 + i)]
              for i, d in enumerate(("0.0", "0.3", "0.6", "0.9"))])
@@ -107,51 +106,6 @@ _subcommand(7, "interpolation consistency",
 _subcommand(9, "embedding certificates", [["embedding2", "--gamma", gamma] for gamma in ("2", "4", "8", "16")])
 _subcommand(11, "matrix coefficient decay", [["howe-moore"]])
 _subcommand(12, "invariant gap", [["invariant-gap"]])
-
-
-@_criterion(2, "Schatten truncation stability + decay fit", seconds=120.0)
-def criterion_2():
-    """Schatten decay: completed norms stable to 1e-6 by N=2^18, fit exponents.
-
-    completed_power_sums gives the partial sums at N = 2^17 and 2^18 and
-    their completions by schatten_tail_estimate from one recurrence pass.
-    Completed norms at N and 2N differ only by the estimate's error over the
-    window N < n <= 2N, so the 1e-6 stabilization clause is a consistency
-    check on the completion; the binding check is that the mass the estimate
-    predicts between 2^17 and 2^18 matches the recurrence's own mass there to
-    1e-6.  The completion must also lie between the partial sum and the
-    partial sum plus schatten_tail_bound.  The exponents are fitted to the
-    completed norms at 2^18.
-    """
-    ps = np.array([4.5, 5.0, 6.0, 8.0])
-    deltas = np.array([2.0**-k for k in range(1, 11)])
-    checkpoints = [2**17, 2**18]
-    roots = 1.0 / ps[:, None]
-    windows, tails, completed = completed_power_sums(deltas, ps, checkpoints)
-    sums = np.cumsum(windows, axis=-1)
-    partial = sums ** roots[..., None]
-    final_change = np.abs(completed[..., 1] - completed[..., 0]) / completed[..., 1]
-    raw_change = np.abs(partial[..., 1] - partial[..., 0]) / partial[..., 1]
-    stab_ok = bool(np.all(final_change < 1e-6))
-    fits = [DecayFit.from_grid(deltas, completed[i, :, 1], 0.5 - 2.0 / p) for i, p in enumerate(ps)]
-    exp_ok = all(fit.meets_theory() for fit in fits)
-    bounds = np.array([[schatten_tail_bound(d, p, checkpoints[-1]) for d in deltas] for p in ps])
-    ceiling = (sums[..., 1] + bounds) ** roots
-    bracket_ok = bool(np.all((partial[..., 1] <= completed[..., 1]) & (completed[..., 1] <= ceiling)))
-    masses = windows[..., -1]
-    window_err = np.abs(tails[..., 0] - tails[..., 1] - masses) / masses
-    window_ok = bool(np.all(window_err <= 1e-6))
-    detail = (
-        "max doubling change per p "
-        + np.array2string(final_change.max(axis=1), precision=2)
-        + " (need < 1e-6; raw truncation "
-        + np.array2string(raw_change.max(axis=1), precision=2)
-        + "); fitted exponents "
-        + np.array2string(np.array([fit.exponent for fit in fits]), precision=3)
-        + f"; tail window error {window_err.max():.1e} (need <= 1e-6); "
-        + f"partial <= completed <= partial + tail bound: {'yes' if bracket_ok else 'NO'}"
-    )
-    return stab_ok and exp_ok and bracket_ok and window_ok, detail
 
 
 @_criterion(3, "boundary-exponent growth probe")
@@ -249,7 +203,7 @@ def criterion_10():
     independent = float(covering_partial_sums(prof, 0.0, 2000)[-1])
     gap = abs(closed - independent) / closed
     ok = gap <= 1e-12
-    rng = np.random.default_rng(77)
+    rng = np.random.default_rng(ANNULUS_SEED)
     checked = held = 0
     for alpha in (1.0, 2.0, 4.0, 8.0):
         for eps in (0.2, 0.5, 0.8):

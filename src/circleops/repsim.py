@@ -33,7 +33,6 @@ __all__ = [
     "coefficient_decay",
     "invariant_gap",
     "certified_gaps",
-    "decay_ratio",
     "GAP_FLOOR",
     "DECAY_BOUND_CONSTANT",
     "DECAY_BOUND_RATE",
@@ -130,11 +129,6 @@ def coefficient_decay(n_max: int) -> tuple[np.ndarray, bool]:
     values = rows[:, 1]
     held = np.all(values > 0) and np.all(np.diff(values) < 0) and np.all(values[1:] <= rows[1:, 2])
     return rows, bool(held)
-
-
-def decay_ratio(rows: np.ndarray) -> float:
-    """Largest c(n) / bound over n >= 1 in coefficient_decay's rows."""
-    return float(np.max(rows[1:, 1] / rows[1:, 2]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ and the fourth-power divergence probe at the boundary exponent p = 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +33,8 @@ __all__ = [
     "diff_power_windows",
     "diff_power_sums",
     "completed_power_sums",
-    "fit_decay",
+    "SchattenDecay",
+    "schatten_decay",
     "divergence_probe_p4",
     "probe_growth",
 ]
@@ -307,17 +308,12 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
 
 
 def completed_power_sums(deltas, ps, checkpoints):
-    """Raw window masses, tail estimates and completed Schatten norms.
+    """(windows, tails, norms) in diff_power_windows' shape: its window masses, the tail estimates
+    tails[i, j, k] = schatten_tail_estimate(deltas[j], ps[i], checkpoints[k]), and the completed
+    Schatten p-norms (cumsum(windows) + tails)^(1/p) of the averaging difference; every p > 4.
 
-    Returns (windows, tails, norms), each in the shape of diff_power_windows:
-    windows are its window masses, tails[i, j, k] is
-    schatten_tail_estimate(deltas[j], ps[i], checkpoints[k]), and
-    norms = (cumsum(windows) + tails)^(1/p) are the completed Schatten
-    p-norms of the averaging difference.  Every p must exceed 4.
-
-    The windows take one recurrence pass, but not the whole run: a tail
-    estimate at N < min(max(256, ceil(256 / sin theta)), 2^16) sums its exact
-    head past N in a diff_power_windows pass of its own, from degree 0.
+    The windows take one recurrence pass; a tail estimate at N < min(max(256, ceil(256 / sin theta)),
+    2^16) sums its exact head past N in a diff_power_windows pass of its own, from degree 0.
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
@@ -362,22 +358,67 @@ class DecayFit:
         return bool(self.exponent >= self.theory_exponent - 0.05)
 
 
-def fit_decay(p: float, delta_grid, n_max: int = 2**18) -> DecayFit:
-    """Fit the delta-decay of the completed Schatten norms at n_max (certified sup norms at p = inf).
+@dataclass(frozen=True)
+class SchattenDecay:
+    """Criterion 2's claim at one p: the fit of the completed norms c at N, and its clause values.
 
-    For p <= 4 the norm is infinite: ValueError before any recurrence runs.
+    Each value is the max (the bracket: all) over the delta grid; NaN fails each clause.  c(N/2) and
+    c(N) differ only by the tail estimate's error over N/2 < n <= N, so the doubling clause
+    |c(N) - c(N/2)| / c(N) < 1e-6 checks consistency only (raw_change: the raw truncations').  The window
+    clause binds: the estimate's mass there, tail(N/2) - tail(N), matches the recurrence's to 1e-6
+    relative.  The estimate is no bound, so partial <= c(N) <= (partial^p + schatten_tail_bound)^(1/p)
+    must hold, and fit.meets_theory().  At p = inf (certified sup norms) only meets_theory applies.
     """
-    if not p > 4:
+
+    p: float
+    fit: DecayFit
+    doubling_change: float | None = None
+    raw_change: float | None = None
+    window_error: float | None = None
+    bracket: bool | None = None
+
+    def held(self) -> bool:
+        clauses = () if self.p == math.inf else (self.doubling_change < 1e-6, self.window_error <= 1e-6, self.bracket)
+        return all(clauses) and self.fit.meets_theory()
+
+    def record(self) -> dict:
+        """p, the fit's fields and the clause values in one flat dict."""
+        fields = asdict(self)
+        return {**fields.pop("fit"), **fields}
+
+
+def schatten_decay(ps, delta_grid, n_max: int = 2**18) -> list[SchattenDecay]:
+    """One SchattenDecay per p: finite p share one completed_power_sums call at n_max // 2 and n_max.
+
+    p = inf fits the certified sup norms at n_max, so it cannot share a list with finite p.  For
+    p <= 4 the norm is infinite: ValueError before any recurrence runs, as for n_max below 2.
+    """
+    ps = [float(p) for p in ps]
+    if not all(p > 4 for p in ps):  # NaN fails too
         raise ValueError("the Schatten p-norm of the difference is infinite for p <= 4")
+    if math.inf in ps and len(ps) > 1:
+        raise ValueError("p = inf takes the certified sup norms, which cannot share a run with finite p")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, so that n_max // 2 is a checkpoint, got {n_max}")
     deltas = np.asarray(sorted(set(float(d) for d in delta_grid)))
-    if deltas.size < 3:
-        raise ValueError("need at least 3 distinct deltas to fit")
-    if np.any(deltas <= 0) or np.any(deltas > 0.5):
-        raise ValueError("delta grid must lie in (0, 1/2]")
-    if np.isinf(p):
-        return DecayFit.from_grid(deltas, np.maximum(*op_norm_diff_certificates(deltas, n_max)), 0.5)
-    _, _, norms = completed_power_sums(deltas, [p], [n_max])
-    return DecayFit.from_grid(deltas, norms[0, :, 0], 0.5 - 2.0 / p)
+    if deltas.size < 3 or not np.all((deltas > 0) & (deltas <= 0.5)):  # NaN fails too
+        raise ValueError("the fit needs at least 3 distinct deltas, each in (0, 1/2]")
+    if ps == [math.inf]:
+        sup_norms = np.maximum(*op_norm_diff_certificates(deltas, n_max))
+        return [SchattenDecay(math.inf, DecayFit.from_grid(deltas, sup_norms, 0.5))]
+    roots = 1.0 / np.array(ps)[:, None]
+    windows, tails, completed = completed_power_sums(deltas, ps, [n_max // 2, n_max])
+    sums = np.cumsum(windows, axis=-1)
+    partial = sums ** roots[..., None]
+    doubling, raw = (np.abs(norms[..., 1] - norms[..., 0]) / norms[..., 1] for norms in (completed, partial))
+    window_error = np.abs(tails[..., 0] - tails[..., 1] - windows[..., 1]) / windows[..., 1]
+    bounds = np.array([[schatten_tail_bound(d, p, n_max) for d in deltas] for p in ps])
+    bracket = (partial[..., 1] <= completed[..., 1]) & (completed[..., 1] <= (sums[..., 1] + bounds) ** roots)
+    return [
+        SchattenDecay(p, DecayFit.from_grid(deltas, completed[i, :, 1], 0.5 - 2.0 / p), float(doubling[i].max()),
+                      float(raw[i].max()), float(window_error[i].max()), bool(bracket[i].all()))
+        for i, p in enumerate(ps)
+    ]
 
 
 def divergence_probe_p4(delta, n_list) -> np.ndarray:

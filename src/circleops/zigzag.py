@@ -32,6 +32,7 @@ __all__ = [
     "annulus_diameter_bound",
     "ledger_verdict",
     "annulus_pair",
+    "ANNULUS_SEED",
     "cauchy_tail_constant",
     "covering_partial_sums",
     "diameter_decay_profile",
@@ -39,6 +40,7 @@ __all__ = [
 
 J_ALPHA_SLIDE = "J_ALPHA_SLIDE"
 THETA_REFLECTED_SLIDE = "THETA_REFLECTED_SLIDE"
+ANNULUS_SEED = 77  # seeds annulus_pair's generator in zigzag runs and in criterion 10
 
 _GEOM_TOL = 1e-9
 

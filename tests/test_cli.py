@@ -84,8 +84,20 @@ def test_legendre_bounds_at_degree_one(tmp_path):
 
 def test_tdelta_norms_and_fit(tmp_path):
     assert run(tmp_path, "tdelta-norms", "--p", "8", "--nmax", "4096") == 0
-    fit = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())
-    assert fit["exponent"] >= 0.2
+    (fit,) = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())
+    assert fit["p"] == 8.0 and fit["exponent"] >= 0.2
+    assert fit["doubling_change"] < 1e-6 and fit["window_error"] <= 1e-6 and fit["bracket"] is True
+
+
+# the estimate's predicted mass over N/2 < n <= N misses the recurrence's by 3.0e-6 at N = 1024 and
+# by 7.5e-7 at 2048 (max over p = 4.5, 5, 6, 8 and the default deltas); doubling and bracket hold at both
+@pytest.mark.parametrize("nmax, code", [("1024", 1), ("2048", 0)])
+def test_tdelta_norms_window_clause_sets_the_exit_code(tmp_path, nmax, code):
+    assert run(tmp_path, "tdelta-norms", "--p", "4.5,5,6,8", "--nmax", nmax) == code
+    fits = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())
+    assert [fit["p"] for fit in fits] == [4.5, 5.0, 6.0, 8.0]
+    assert all(fit["doubling_change"] < 1e-6 and fit["bracket"] for fit in fits)
+    assert (max(fit["window_error"] for fit in fits) <= 1e-6) == (code == 0)
 
 
 def test_tdelta_norms_bad_grid_exits_2(tmp_path):
@@ -95,12 +107,31 @@ def test_tdelta_norms_bad_grid_exits_2(tmp_path):
 
 # at N = 256 the certified sup norms of the small deltas are their tail bounds, so their fitted
 # exponent (0.32) misses the theory 1/2 by more than 0.05: that run writes its files and exits 1
-@pytest.mark.parametrize("p, code", [("inf", 1), ("8", 0)], ids=["inf", "8"])
+@pytest.mark.parametrize("p, code", [("inf", 1), ("8", 0), ("8,5", 0)], ids=["inf", "8", "two-p"])
 def test_tdelta_norms_csv_matches_fit_grid(tmp_path, p, code):
     assert run(tmp_path, "tdelta-norms", "--p", p, "--nmax", "256") == code
     rows = [line.split(",") for line in (tmp_path / "tdelta_norms.csv").read_text().splitlines()[2:]]
-    grid = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())["grid"]
-    assert [(float(row[0]), float(row[3])) for row in rows] == [tuple(pair) for pair in grid]
+    fits = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())
+    want = [(delta, fit["p"], value) for fit in fits for delta, value in fit["grid"]]
+    assert [(float(row[0]), float(row[1]), float(row[3])) for row in rows] == want
+    assert [fit["p"] for fit in fits] == sorted(float(tok) for tok in p.split(","))
+
+
+def test_tdelta_norms_inf_checks_the_exponent_alone(tmp_path):
+    assert run(tmp_path, "tdelta-norms", "--p", "inf", "--nmax", "2048") == 0
+    (fit,) = json.loads((tmp_path / "tdelta_decay_fit.json").read_text())
+    assert [fit[key] for key in ("doubling_change", "raw_change", "window_error", "bracket")] == [None] * 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "8,inf"], "cannot share a run with finite p"),
+    (["--nmax", "1"], "n_max must be at least 2"),
+    (["--p", "inf", "--nmax", "1"], "n_max must be at least 2"),
+], ids=["inf-with-finite", "nmax-1", "inf-nmax-1"])
+def test_tdelta_norms_refused_runs_exit_2(tmp_path, capsys, argv, message):
+    assert run(tmp_path, "tdelta-norms", *argv) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tdelta_norms_p_at_most_four_exits_2(tmp_path):
@@ -447,6 +478,7 @@ def test_legendre_bounds_reports_criterion_1(tmp_path, capsys):
     "criterion, argvs",
     [
         (1, [["legendre-bounds"]]),
+        (2, [["tdelta-norms", "--p", "4.5,5,6,8", "--nmax", "262144"]]),
         (5, [["markov", "--delta", d, "--replicas", "100000", "--seed", str(100 + i)]
              for i, d in enumerate(("0.0", "0.3", "0.6", "0.9"))]),
         (7, [["mixed-norm", "--p", p, "--delta", d] for p in ("4", "6", "8") for d in ("0.025", "0.05", "0.1", "0.2")]),
@@ -520,7 +552,7 @@ def test_criterion_10_ledgers_match_the_inline_sampler(monkeypatch):
     monkeypatch.setattr(acceptance, "annulus_diameter_bound", recording)
     assert acceptance.ALL_CRITERIA[10]().passed
     prof = zigzag.ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
-    rng = np.random.default_rng(77)
+    rng = np.random.default_rng(77)  # zigzag.ANNULUS_SEED, typed here so that a changed constant fails
     want = [
         ((alpha, eps, prof, *pair), zigzag.annulus_diameter_bound(alpha, eps, prof, *pair))
         for alpha in (1.0, 2.0, 4.0, 8.0)
@@ -572,6 +604,11 @@ def _fit_below_theory(deltas, values, theory_exponent, exact=spectral.DecayFit.f
     return dataclasses.replace(exact(deltas, values, theory_exponent), exponent=theory_exponent - 0.1)
 
 
+def _scaled_tail(delta, p, truncation, exact=spectral.schatten_tail_estimate):
+    """The tail estimate 1e-5 too large: the predicted window mass tail(N/2) - tail(N) is off by about 1e-5."""
+    return exact(delta, p, truncation) * (1 + 1e-5)
+
+
 def _turned_rotation_svd(m, exact=sl3._rotation_svd):
     """The rotation SVD with k1 turned by x_delta(0.999): a decomposition that no longer rebuilds g."""
     u, s, vt = exact(m)
@@ -592,11 +629,12 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
         (sphere, "markov_steps", _frozen_chain, ["markov", "--steps", "3", "--replicas", "10"], 5),
         # cli and acceptance each import the probe, so the fake replaces both names
         ((cli, acceptance), "divergence_probe_p4", _flat_probe, ["schatten-probe"], 3),
-        (spectral.DecayFit, "from_grid", _fit_below_theory, ["tdelta-norms", "--nmax", "1024"], 2),
+        (spectral.DecayFit, "from_grid", _fit_below_theory, ["tdelta-norms"], 2),
+        (spectral, "schatten_tail_estimate", _scaled_tail, ["tdelta-norms"], 2),
     ],
     ids=[
         "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound", "kak-residual",
-        "tangent-edge", "frozen-chain", "flat-probe", "fit-below-theory",
+        "tangent-edge", "frozen-chain", "flat-probe", "fit-below-theory", "tail-scaled",
     ],
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):

@@ -9,6 +9,7 @@ import pytest
 
 from circleops.legendre import bernstein_envelope, legendre_at_zero, legendre_table
 from circleops.spectral import (
+    SchattenDecay,
     SpectralOperator,
     _lerch_abel_plana,
     _power_windows,
@@ -16,9 +17,9 @@ from circleops.spectral import (
     diff_power_sums,
     diff_power_windows,
     divergence_probe_p4,
-    fit_decay,
     op_norm_diff_certificates,
     probe_growth,
+    schatten_decay,
     schatten_tail_bound,
     schatten_tail_estimate,
 )
@@ -272,6 +273,12 @@ class TestSchattenTailEstimate:
                 schatten_tail_estimate(0.3, p, 1024)
 
 
+def fit_decay(p, grid, n_max):
+    """The fit of a one-p schatten_decay run."""
+    (decay,) = schatten_decay([p], grid, n_max)
+    return decay.fit
+
+
 class TestFitDecay:
     GRID = [2.0**-k for k in range(1, 11)]
 
@@ -289,7 +296,52 @@ class TestFitDecay:
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
-            fit_decay(8.0, [0.25, 0.25, 0.25])
+            fit_decay(8.0, [0.25, 0.25, 0.25], n_max=2**10)
+
+    @pytest.mark.parametrize(
+        "ps, n_max, message",
+        [([8.0, np.inf], 2**10, "cannot share"), ([4.0, 8.0], 2**10, "infinite"), ([np.nan], 2**10, "infinite"),
+         ([8.0], 1, "n_max must be at least 2"), ([np.inf], 0, "n_max must be at least 2")],
+        ids=["inf-with-finite", "p-four", "p-nan", "n_max-1", "inf-n_max-0"],
+    )
+    def test_refused_before_any_pass(self, monkeypatch, ps, n_max, message):
+        monkeypatch.setattr("circleops.spectral.completed_power_sums", None)
+        monkeypatch.setattr("circleops.spectral.op_norm_diff_certificates", None)
+        with pytest.raises(ValueError, match=message):
+            schatten_decay(ps, self.GRID, n_max)
+
+    def test_one_pass_gives_each_p_its_own_values(self):
+        # a window mass is one dot product per exponent, so a p's values do not depend on the others
+        together = schatten_decay([5.0, 8.0], self.GRID, 2**10)
+        alone = [schatten_decay([p], self.GRID, 2**10)[0] for p in (5.0, 8.0)]
+        assert together == alone
+
+    def test_clauses_at_the_default_run(self):
+        (decay,) = schatten_decay([8.0], self.GRID, 2**14)
+        assert decay.held() and decay.bracket
+        assert decay.doubling_change < 1e-6 and decay.window_error <= 1e-6 < decay.raw_change
+        record = decay.record()
+        assert record["p"] == 8.0 and record["grid"] == decay.fit.grid and "fit" not in record
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("doubling_change", 1e-6), ("doubling_change", np.nan), ("window_error", np.nextafter(1e-6, 1.0)),
+         ("window_error", np.nan), ("bracket", False), ("exponent", 0.19), ("exponent", np.nan)],
+    )
+    def test_each_clause_fails_the_verdict(self, field, value):
+        decay = SchattenDecay(8.0, fit_decay(8.0, self.GRID, n_max=2**11), 0.0, 0.5, 0.0, True)
+        assert decay.held()
+        if field == "exponent":
+            decay = dataclasses.replace(decay, fit=dataclasses.replace(decay.fit, exponent=value))
+        else:
+            decay = dataclasses.replace(decay, **{field: value})
+        assert not decay.held()
+
+    def test_nan_tail_fails_every_clause(self, monkeypatch):
+        monkeypatch.setattr("circleops.spectral.schatten_tail_estimate", lambda delta, p, truncation: np.nan)
+        (decay,) = schatten_decay([8.0], self.GRID, 2**10)
+        assert decay.bracket is False and not decay.held()
+        assert np.isnan([decay.doubling_change, decay.window_error, decay.fit.exponent]).all()
 
     def test_meets_theory_at_its_edge(self):
         fit = fit_decay(8.0, self.GRID, n_max=2**10)
