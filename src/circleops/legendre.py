@@ -6,17 +6,18 @@ evaluation here is deliberately plain: the forward three-term recurrence in
 double precision, which is stable on the interval.  There is one recurrence
 with two solvers, chosen by depth and width: a deep and narrow pass (more
 than _BLOCK_VALUES rows, at most _BANDED_WIDTH abscissae) solves it as a
-banded lower-triangular system, one compiled BLAS solve per abscissa, and
-every other pass runs it row by row over all abscissae at once, in place in
-the output rows.  The row loop keeps the plain expression's operations in
-their order, so its bits are those of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n.
+banded lower-triangular system, one compiled BLAS solve per abscissa down
+a contiguous column (scipy.linalg is imported by the first such pass, not
+by this module), and every other pass runs it row by row over all abscissae
+at once, in place in the output rows.  The row loop keeps the plain
+expression's operations in their order, so its bits are those of
+((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n.
 Gauss-Legendre rules are not built here: their callers take numpy's leggauss.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 __all__ = [
     "legendre_table",
@@ -77,8 +78,12 @@ def _banded_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     column holds the diagonal max(j, 1) and its coefficients -(2j+1) x and j+1
     in the recurrences for degrees j+1 and j+2; the right-hand side is e_0.
     The first two unknowns are unit rows holding the carried values, with no
-    coupling between them, so every block size gives the same bits.
+    coupling between them, so every block size gives the same bits.  rows is
+    the transpose of a (width, len(rows)) buffer, so each abscissa's unknowns
+    are one contiguous vector.
     """
+    from scipy.linalg.blas import dtbsv  # imported on first use: importing circleops loads no scipy
+
     degrees = np.arange(first - 2, first + len(rows) - 2)
     band = np.empty((3, len(rows)), order="F")
     band[0] = np.maximum(degrees, 1)
@@ -89,10 +94,9 @@ def _banded_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     rows[2:] = 0.0
     if first == 0:
         rows[2] = 1.0  # P_0 = 1: the right-hand side e_0
-    flat = rows.reshape(-1)
-    for i, xi in enumerate(x.tolist()):
+    for xi, column in zip(x.tolist(), rows.T):
         np.multiply(coupling, xi, out=band[1])
-        dtbsv(2, band, flat, incx=x.size, offx=i, lower=1, overwrite_x=1)
+        dtbsv(2, band, column, lower=1, overwrite_x=1)
 
 
 def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
@@ -106,7 +110,9 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     solver's bits depend on the block size or on the other abscissae, but the
     two solvers round differently, so a column's bits can change when the
     width crosses _BANDED_WIDTH.  Each block continues from the last two rows
-    of the one before.
+    of the one before.  A banded block is the transpose of a (width, rows)
+    buffer, so its columns, one per abscissa, are contiguous; a row-loop
+    block is C-ordered.
     """
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -116,7 +122,8 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
     carried = np.zeros((2, x.size))
     for start in range(0, max_degree + 1, block_rows):
-        rows = np.empty((min(block_rows, max_degree + 1 - start) + 2, x.size))
+        shape = (min(block_rows, max_degree + 1 - start) + 2, x.size)
+        rows = np.empty(shape[::-1]).T if deep_and_narrow else np.empty(shape)
         rows[:2] = carried
         solve(start, rows, x)
         carried = rows[-2:]
@@ -124,7 +131,11 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
 
 
 def _defect_blocks(max_degree: int, x):
-    """Yield blocks of (P_n(x) - P_n(0), P_n(0)) from one pass with 0.0 as an extra abscissa."""
+    """Yield blocks of (P_n(x) - P_n(0), P_n(0)) from one pass with 0.0 as an extra abscissa.
+
+    numpy's elementwise steps follow the block's memory order, so a banded
+    block's defects are subtracted, and come out, column by contiguous column.
+    """
     xs = np.append(_clamp_abscissa(x), 0.0)
     for rows in _row_blocks(max_degree, xs):
         yield rows[:, :-1] - rows[:, -1:], rows[:, -1]
@@ -135,7 +146,8 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
 
     Returns shape (N+1,) + x.shape: (N+1,) for scalar x, (N+1, len(x)) for a
     1-D x.  The table satisfies values[0] = 1, |values[n]| <= 1, and
-    values[:, x=1] = 1.
+    values[:, x=1] = 1.  A deep and narrow table (_row_blocks) is a view
+    whose columns are contiguous.
     """
     xc = _clamp_abscissa(x)
     (table,) = _row_blocks(max_degree, xc.ravel(), max_degree + 1)

@@ -1,10 +1,11 @@
 """Export consistency: each module's __all__ resolves, and the package itself re-exports nothing.
 
 Callers import names from their modules, so importing the bare package loads
-no submodule.  Also an import-cost guard: importing the package or its CLI
-loads no `scipy.special`, `scipy.integrate` or `scipy.optimize` (the CLI does
-load `scipy.linalg`, for legendre's `dtbsv`; `zeta` and `hyp2f1` are imported
-inside the two functions that call them).  A
+no submodule.  Also a start-up guard: importing the package or its CLI loads
+no `scipy` module and no `numpy.polynomial`, and the light subcommands run
+without scipy (legendre imports `dtbsv` in its first deep pass, `zeta` and
+`hyp2f1` are imported inside the two functions that call them, and
+spectral builds its Gauss-Legendre panel on first use).  A
 signature guard pins the parameter names of callables whose settings are fixed
 constants, so a setting cannot come back without a visible test change.  A
 guard keeps the names the frozen perfbench harness calls.  And a caller census: every exported
@@ -43,11 +44,36 @@ def _fresh_import(module: str, probe: str) -> str:
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
+# what start-up leaves unloaded, as an expression the probe prints: the first call that needs
+# scipy or numpy.polynomial imports it
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial'))"
+
+
 @pytest.mark.parametrize("module", ["circleops", "circleops.cli"])
-def test_import_loads_no_scipy_special(module):
-    heavy = ("scipy.special", "scipy.integrate", "scipy.optimize")
-    probe = f"print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
-    assert _fresh_import(module, probe).strip() == "[]"
+def test_import_loads_no_scipy(module):
+    assert _fresh_import(module, f"print({LOADED})").strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy",
+    [
+        (["kak", "--matrix", "2", "1", "0", "1", "1", "0", "0", "0", "1"], False),
+        (["embedding2"], False),
+        (["zigzag"], False),
+        (["legendre-bounds"], False),
+        # 2^16 + 1 rows over one abscissa: the banded solver, whose first pass imports dtbsv
+        (["schatten-probe"], True),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_subcommand_loads_scipy_only_for_a_deep_pass(tmp_path, argv, loads_scipy):
+    run = f"code = circleops.cli.main({['--outdir', str(tmp_path), *argv]!r})"
+    code, loaded = _fresh_import("circleops.cli", f"{run}; print(code, {LOADED})").splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    if loads_scipy:
+        assert "'scipy.linalg'" in loaded
+    else:
+        assert loaded == "[]"
 
 
 def test_package_import_loads_no_submodule():

@@ -147,6 +147,35 @@ def test_deep_pass_against_200_bit_recurrence(deep_reference, monkeypatch):
     assert np.all(banded <= looped + np.finfo(float).eps)
 
 
+def test_deep_columns_keep_the_bits_of_the_strided_solve():
+    """The banded solver runs down each abscissa's contiguous column (incx=1).  The oracle is the
+    same dtbsv striding through a row-major (rows, width) buffer (incx=width, offx=i), in one block.
+
+    The values' bits do not depend on the layout, but sums over a deep pass do, since BLAS reads
+    the columns in another order: spectral._power_windows' masses may differ between the two
+    layouts by up to 1e-14 relative (4.2e-15 over criterion 2's ten deltas at 2^18, where the
+    contiguous columns are the closer to math.fsum: 2.1e-15 against 4.9e-15).
+    """
+    from scipy.linalg.blas import dtbsv
+
+    width = DEEP_POINTS.size
+    degrees = np.arange(-2, DEEP + 1)
+    band = np.empty((3, degrees.size), order="F")
+    band[0] = np.maximum(degrees, 1)
+    band[0, :2] = 1.0
+    band[2] = degrees + 1
+    coupling = -(2.0 * degrees + 1.0)
+    coupling[0] = 0.0
+    flat = np.zeros(degrees.size * width)
+    flat[2 * width : 3 * width] = 1.0  # P_0 = 1: the right-hand side e_0 of every abscissa
+    for i, x in enumerate(DEEP_POINTS.tolist()):
+        np.multiply(coupling, x, out=band[1])
+        flat = dtbsv(2, band, flat, incx=width, offx=i, lower=1)
+    want = flat.reshape(-1, width)[2:]
+    assert np.array_equal(legendre_table(DEEP, DEEP_POINTS), want)
+    assert np.array_equal(np.concatenate(list(_row_blocks(DEEP, DEEP_POINTS))), want)
+
+
 def test_deep_pass_is_exact_at_integer_points():
     x = np.array([1.0, -1.0, 0.0])
     table = np.concatenate(list(_row_blocks(DEEP, x)))  # default blocks: 21845 rows each

@@ -223,6 +223,18 @@ class TestSchattenNormDiff:
                 np.testing.assert_allclose(windows[i, j], want, rtol=1e-13, atol=0)
         assert np.all(windows[..., 2] == 0.0)
 
+    @pytest.mark.parametrize("n_max", [2**14, 2**18])
+    def test_window_masses_barely_depend_on_the_other_deltas(self, n_max):
+        # BLAS sums a window in an order set by the block's layout and a column's position, so a
+        # delta's mass moves with the other deltas of its run: up to 1.4e-14 relative at 2^14
+        # (row loop) and 2.9e-15 at 2^18 (banded, contiguous columns) on these sub-grids
+        grid = np.array([2.0**-k for k in range(1, 11)])  # criterion 2's deltas
+        ps, checkpoints = [4.5, 5.0, 6.0, 8.0], [n_max // 2, n_max]
+        full = diff_power_windows(grid, ps, checkpoints)
+        for columns in (slice(None, None, -1), slice(0, 5), slice(5, None), slice(0, None, 2), slice(0, 3)):
+            windows = diff_power_windows(grid[columns], ps, checkpoints)
+            np.testing.assert_allclose(windows, full[:, columns], rtol=2e-14, atol=0)
+
 
 class TestSchattenTailEstimate:
     N = 4096
