@@ -35,12 +35,13 @@ __all__ = [
     "ANNULUS_SEED",
     "cauchy_tail_constant",
     "covering_partial_sums",
+    "tail_constant_gap",
     "diameter_decay_profile",
 ]
 
 J_ALPHA_SLIDE = "J_ALPHA_SLIDE"
 THETA_REFLECTED_SLIDE = "THETA_REFLECTED_SLIDE"
-ANNULUS_SEED = 77  # seeds annulus_pair's generator in zigzag runs and in criterion 10
+ANNULUS_SEED = 77  # seeds annulus_pair's generator afresh in each zigzag run (criterion 10 is three)
 
 _GEOM_TOL = 1e-9
 
@@ -77,10 +78,13 @@ class ExponentProfile:
                 f"t = {self.growth_t}, C = {self.hoelder_C}, L = {self.growth_L}"
             )
 
+    def gamma(self, epsilon: float) -> float:
+        """gamma = s - eps s - 2t, the rate at which the annulus bound decays in alpha."""
+        return self.holder_s - epsilon * self.holder_s - 2.0 * self.growth_t
+
     def slide_cap(self, alpha: float, epsilon: float) -> float:
-        """2 C L^2 e^(-gamma alpha), gamma = s - eps s - 2t: the cap on one slide's cost across the annulus."""
-        gamma = self.holder_s - epsilon * self.holder_s - 2.0 * self.growth_t
-        return 2.0 * self.hoelder_C * self.growth_L**2 * np.exp(-gamma * alpha)
+        """2 C L^2 e^(-gamma alpha): the cap on one slide's cost across the annulus."""
+        return 2.0 * self.hoelder_C * self.growth_L**2 * np.exp(-self.gamma(epsilon) * alpha)
 
 
 def jump_cost(alpha: float, delta: float, prof: ExponentProfile) -> float:
@@ -183,7 +187,7 @@ def annulus_diameter_bound(
         raise ValueError("alpha must be positive and finite")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    gamma = prof.holder_s - epsilon * prof.holder_s - 2.0 * prof.growth_t
+    gamma = prof.gamma(epsilon)
     log_bound = np.log(6.0) + np.log(prof.hoelder_C) + 2.0 * np.log(prof.growth_L) - gamma * alpha
     if not all(x <= 709.0 for x in (-gamma * alpha, log_bound)):
         raise ValueError(f"the bound 6 C L^2 e^(-gamma alpha) is not a finite float at alpha = {alpha}")
@@ -259,6 +263,18 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
         * np.exp((2.0 * prof.growth_t - prof.holder_s) * (alpha + n) + prof.holder_s)
     )
     return np.cumsum(terms)
+
+
+def tail_constant_gap(prof: ExponentProfile) -> tuple[float, bool]:
+    """The relative gap between covering_partial_sums(prof, 0, 2000)[-1] and its closed form, the finite
+    geometric sum C' (1 - e^((2t-s) 2000)), and whether it is at most 1e-12 (NaN fails).
+
+    The finite sum keeps the gap a rounding error on every accepted profile, also where e^(2t-s) is
+    so near 1 that 2000 terms fall far short of C'; where e^((2t-s) 2000) underflows it is C' itself.
+    """
+    closed = cauchy_tail_constant(prof) * -np.expm1((2.0 * prof.growth_t - prof.holder_s) * 2000)
+    gap = abs(float(covering_partial_sums(prof, 0.0, 2000)[-1]) - closed) / closed
+    return gap, bool(gap <= 1e-12)
 
 
 def diameter_decay_profile(alpha_grid, prof: ExponentProfile) -> np.ndarray:

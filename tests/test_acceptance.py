@@ -35,12 +35,15 @@ def test_criterion(number):
     [(1, 11.0, False), (1, 9.0, True), (1, 10.0, False), (2, 121.0, False), (2, 119.0, True), (6, 1e6, True)],
 )
 def test_wall_clock_gate(monkeypatch, number, seconds, passed):
-    """Criterion 1 is gated at 10 s and criterion 2 at 120 s; criterion 6 has no gate however long it takes."""
+    """Criterion 1 is gated at 10 s and criterion 2 at 120 s; criterion 6 has no gate however long it takes.
+    A tripped gate says so at the end of the detail, so its FAIL line does not read like a pass."""
     clock = itertools.chain([0.0], itertools.repeat(seconds))
     monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
     result = ALL_CRITERIA[number]()
     assert result.elapsed == seconds
     assert result.passed == passed, result.line()
+    gate = {1: 10, 2: 120}.get(number)
+    assert result.detail.endswith(f"; took {seconds:.1f} s, gate {gate} s") != passed, result.line()
 
 
 def test_criterion_1_counts_violating_deltas(monkeypatch):

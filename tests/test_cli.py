@@ -479,10 +479,12 @@ def test_legendre_bounds_reports_criterion_1(tmp_path, capsys):
     [
         (1, [["legendre-bounds"]]),
         (2, [["tdelta-norms", "--p", "4.5,5,6,8", "--nmax", "262144"]]),
+        (3, [["schatten-probe", "--delta", d] for d in ("0.3", "0.99")]),
         (5, [["markov", "--delta", d, "--replicas", "100000", "--seed", str(100 + i)]
              for i, d in enumerate(("0.0", "0.3", "0.6", "0.9"))]),
         (7, [["mixed-norm", "--p", p, "--delta", d] for p in ("4", "6", "8") for d in ("0.025", "0.05", "0.1", "0.2")]),
         (9, [["embedding2", "--gamma", gamma] for gamma in ("2", "4", "8", "16")]),
+        (10, [["zigzag", "--alpha-grid", "20", "--epsilon", eps] for eps in ("0.2", "0.5", "0.8")]),
         (11, [["howe-moore"]]),
         (12, [["invariant-gap"]]),
     ],
@@ -541,26 +543,33 @@ def _inline_pair(rng, alpha, eps):
     return pts
 
 
-def test_criterion_10_ledgers_match_the_inline_sampler(monkeypatch):
-    """Criterion 10's 60 pairs, bounds and ledgers are the inline sampler's, bit for bit."""
+def test_criterion_10_ledgers_match_the_inline_sampler(tmp_path, monkeypatch):
+    """Criterion 10 is three zigzag runs of 20 alphas each, every run drawing its pairs afresh from
+    seed 77: its 60 pairs, bounds and ledgers are the inline sampler's bit for bit, and each run's
+    written ledgers are the ones the criterion checked."""
     calls = []
 
     def recording(*args, exact=zigzag.annulus_diameter_bound):
         calls.append((args, exact(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(acceptance, "annulus_diameter_bound", recording)
+    monkeypatch.setattr(cli, "annulus_diameter_bound", recording)
     assert acceptance.ALL_CRITERIA[10]().passed
     prof = zigzag.ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
-    rng = np.random.default_rng(77)  # zigzag.ANNULUS_SEED, typed here so that a changed constant fails
-    want = [
-        ((alpha, eps, prof, *pair), zigzag.annulus_diameter_bound(alpha, eps, prof, *pair))
-        for alpha in (1.0, 2.0, 4.0, 8.0)
-        for eps in (0.2, 0.5, 0.8)
-        for pair in (_inline_pair(rng, alpha, eps) for _ in range(5))
-    ]
+    want = []
+    for eps in (0.2, 0.5, 0.8):
+        rng = np.random.default_rng(77)  # zigzag.ANNULUS_SEED, typed here so that a changed constant fails
+        for alpha in np.linspace(1.0, 8.0, 20):
+            args = (float(alpha), eps, prof, *_inline_pair(rng, float(alpha), eps))
+            want.append((args, zigzag.annulus_diameter_bound(*args)))
     assert len(calls) == 60 and calls == want
     assert {len(ledger.segments) for _, (_, ledger) in calls} == {2, 3}
+    written = []
+    for eps in ("0.2", "0.5", "0.8"):
+        assert run(tmp_path / eps, "zigzag", "--alpha-grid", "20", "--epsilon", eps) == 0
+        written += json.loads((tmp_path / eps / "zigzag_ledgers.json").read_text())
+    got = [(ledger["bound"], ledger["total"], [seg["cost_bound"] for seg in ledger["segments"]]) for ledger in written]
+    assert got == [(bound, ledger.total, [seg.cost_bound for seg in ledger.segments]) for _, (bound, ledger) in want]
 
 
 def test_zigzag_default_run_takes_both_routes(tmp_path):
@@ -599,6 +608,22 @@ def _flat_probe(delta, n_list):
     return np.ones(np.shape(delta) + (len(n_list),))
 
 
+def _probe_below_floor(delta, n_list):
+    """Partial sums that grow steadily by A(delta)/3 = ln 2 / (pi^2 (1 - delta^2)) per dyadic window:
+    max/min is 1, and every increment is below the floor A(delta)/2."""
+    return np.arange(len(n_list)) * np.log(2.0) / (np.pi**2 * (1.0 - delta**2))
+
+
+def _nudged_tail_constant(prof, exact=zigzag.cauchy_tail_constant):
+    """C' 1e-9 too large: every ledger holds, and only the gap to the 2000-term covering sum fails."""
+    return exact(prof) * (1 + 1e-9)
+
+
+def _scaled_jump_cost(alpha, delta, prof, exact=zigzag.jump_cost):
+    """Every slide jump at 1.4 times its cost: at epsilon = 0.2 a segment passes its slide cap."""
+    return 1.4 * exact(alpha, delta, prof)
+
+
 def _fit_below_theory(deltas, values, theory_exponent, exact=spectral.DecayFit.from_grid):
     """The least-squares fit with its exponent 0.1 below the theory exponent."""
     return dataclasses.replace(exact(deltas, values, theory_exponent), exponent=theory_exponent - 0.1)
@@ -623,23 +648,25 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
         (repsim, "GAP_FLOOR", 0.9, ["invariant-gap", "--jmax", "2"], 12),
         (repsim, "invariant_gap", _swapped_gap, ["invariant-gap", "--jmax", "2"], 12),
         (zigzag, "_segment", _lopsided_segment, ["zigzag", "--alpha-grid", "2"], 10),
+        (zigzag, "jump_cost", _scaled_jump_cost, ["zigzag", "--alpha-grid", "2", "--epsilon", "0.2"], 10),
+        (zigzag, "cauchy_tail_constant", _nudged_tail_constant, ["zigzag", "--alpha-grid", "2"], 10),
         (repsim, "DECAY_BOUND_CONSTANT", 0.1, ["howe-moore", "--nmax", "2"], 11),
         (sl3, "_rotation_svd", _turned_rotation_svd, ["kak", "--matrix", *"2 1 0 1 1 0 0 0 1".split()], 8),
         (cli, "embedding2_solve", _edge_off_zero, ["embedding2", "--gamma", "2", "--alpha-grid", "3"], 9),
         (sphere, "markov_steps", _frozen_chain, ["markov", "--steps", "3", "--replicas", "10"], 5),
-        # cli and acceptance each import the probe, so the fake replaces both names
-        ((cli, acceptance), "divergence_probe_p4", _flat_probe, ["schatten-probe"], 3),
+        (cli, "divergence_probe_p4", _flat_probe, ["schatten-probe"], 3),
+        (cli, "divergence_probe_p4", _probe_below_floor, ["schatten-probe"], 3),
         (spectral.DecayFit, "from_grid", _fit_below_theory, ["tdelta-norms"], 2),
         (spectral, "schatten_tail_estimate", _scaled_tail, ["tdelta-norms"], 2),
     ],
     ids=[
-        "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "decay-bound", "kak-residual",
-        "tangent-edge", "frozen-chain", "flat-probe", "fit-below-theory", "tail-scaled",
+        "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "jump-cost-1.4", "tail-constant",
+        "decay-bound", "kak-residual", "tangent-edge", "frozen-chain", "flat-probe", "probe-below-floor",
+        "fit-below-theory", "tail-scaled",
     ],
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):
-    for target in module if isinstance(module, tuple) else (module,):
-        monkeypatch.setattr(target, name, fake)
+    monkeypatch.setattr(module, name, fake)
     assert not acceptance.ALL_CRITERIA[criterion]().passed
     assert run(tmp_path, *argv) == 1
     manifest_name = f"{argv[0].replace('-', '_')}_manifest.json"

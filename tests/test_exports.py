@@ -8,7 +8,8 @@ without scipy (legendre imports `dtbsv` in its first deep pass, `zeta` and
 spectral builds its Gauss-Legendre panel on first use).  A
 signature guard pins the parameter names of callables whose settings are fixed
 constants, so a setting cannot come back without a visible test change.  A
-guard keeps the names the frozen perfbench harness calls.  And a caller census: every exported
+guard keeps the names the frozen perfbench harness calls.  A front-end guard keeps acceptance's
+own checks to the claims no subcommand makes.  And a caller census: every exported
 name is used by the library or a benchmark, not only by tests or demos.
 """
 
@@ -131,6 +132,23 @@ def test_front_ends_import_no_private_name(module):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_acceptance_keeps_custom_checks_only_for_claims_without_a_subcommand():
+    """Criteria 3 and 10 are schatten-probe and zigzag runs, so acceptance reads neither the probe
+    nor anything of zigzag; the checks it defines itself are criteria 4, 6 and 8 alone."""
+    tree = ast.parse((REPO / "src" / "circleops" / "acceptance.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names]
+    assert [name for module, name in imports if module == "zigzag"] == []
+    assert {name for _, name in imports} & {"divergence_probe_p4", "probe_growth"} == set()
+    custom = {
+        decorator.args[0].value
+        for node in tree.body if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+        if isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "_criterion"
+    }
+    assert custom == {4, 6, 8}
 
 
 def test_every_public_name_has_a_caller_outside_tests():

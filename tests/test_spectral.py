@@ -394,15 +394,27 @@ class TestDivergenceProbe:
         assert np.all(np.diff(sums) > 0.0)
 
     @pytest.mark.parametrize(
-        "sums, held",
-        [([0.0, 1.0, 2.4], True), ([0.0, 1.0, 2.5], False), ([0.0, 1.0, 1.0], False), ([0.0, -1.0, -2.0], False),
-         ([0.0, np.nan, 2.0], False)],
-        ids=["ratio-1.4", "ratio-1.5", "flat", "falling", "nan"],
+        "delta, sums, held",
+        [(0.3, [0.0, 1.0, 2.4], True), (0.3, [0.0, 1.0, 2.5], False), (0.3, [0.0, 1.0, 1.0], False),
+         (0.3, [0.0, -1.0, -2.0], False), (0.3, [0.0, np.nan, 2.0], False),
+         (0.0, [0.0, 0.106, 0.212], True), (0.0, [0.0, 0.105, 0.210], False), (0.99, [0.0, 5.3, 10.6], True),
+         (0.99, [0.0, 5.2, 10.4], False)],
+        ids=["ratio-1.4", "ratio-1.5", "flat", "falling", "nan", "above-floor-0", "below-floor-0",
+             "above-floor-0.99", "below-floor-0.99"],
     )
-    def test_growth_rule(self, sums, held):
-        """Steady growth: every increment positive and max/min below 1.5; NaN fails."""
-        inc, steady = probe_growth(sums)
+    def test_growth_rule(self, delta, sums, held):
+        """Steady growth: every increment at least A(delta)/2 = 3 ln 2 / (2 pi^2 (1 - delta^2)) and
+        max/min below 1.5; NaN fails.  A/2 is 0.10536 at delta = 0 and 5.2938 at delta = 0.99."""
+        inc, steady = probe_growth(delta, sums)
         assert steady is held and np.array_equal(inc, np.diff(sums), equal_nan=True)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.3, 0.7, 0.99, 0.9999])
+    def test_increments_approach_their_closed_form(self, delta):
+        """Off the resonant delta = 0, each increment over 2^10..2^16 lies within 6 % of
+        A(delta) = 3 ln 2 / (pi^2 (1 - delta^2)), far above probe_growth's floor A/2."""
+        inc, steady = probe_growth(delta, divergence_probe_p4(delta, [2**k for k in range(10, 17)]))
+        ratio = inc / (3.0 * np.log(2.0) / (np.pi**2 * (1.0 - delta**2)))
+        assert steady and np.all(np.abs(ratio - 1.0) <= 0.06)
 
     def test_rejects_unit_delta(self):
         with pytest.raises(ValueError):

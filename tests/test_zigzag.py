@@ -18,6 +18,7 @@ from circleops.zigzag import (
     diameter_decay_profile,
     jump_cost,
     ledger_verdict,
+    tail_constant_gap,
 )
 
 HILBERT = ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
@@ -145,6 +146,15 @@ class TestAnnulus:
         bound, ledger = annulus_diameter_bound(2.0, 0.5, HILBERT, slide_point(2.1, 1.4), slide_point(2.8, 2.0))
         assert np.isnan(ledger.total) and np.isfinite(bound)
         assert not ledger_verdict(2.0, 0.5, HILBERT, bound, ledger)
+
+    @pytest.mark.parametrize("prof", [HILBERT, SLOW, ExponentProfile(0.3, 0.1, 2.0, 3.0)],
+                             ids=["hilbert", "slow", "mixed"])
+    @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
+    def test_gamma_is_the_one_rate(self, prof, eps):
+        """gamma(eps) is s - eps s - 2t bit for bit, and slide_cap (like annulus_diameter_bound) reads it."""
+        gamma = prof.holder_s - eps * prof.holder_s - 2.0 * prof.growth_t
+        assert prof.gamma(eps) == gamma
+        assert prof.slide_cap(3.0, eps) == 2.0 * prof.hoelder_C * prof.growth_L**2 * np.exp(-gamma * 3.0)
 
     def test_verdict_edges(self):
         """The total may equal the bound but not pass it; a segment may pass the cap by 1e-12, not more."""
@@ -419,6 +429,30 @@ class TestTailConstant:
         rel_gap = (limit - sums[-1]) / limit
         assert rel_gap == pytest.approx(ratio**51, rel=1e-9)
         assert rel_gap <= ratio**51 / (1.0 - ratio)
+
+    @pytest.mark.parametrize(
+        "prof",
+        [HILBERT, SLOW, ExponentProfile(1e-300, 0.0, 4.0, 1.0), ExponentProfile(0.5, 0.0, 1e-300, 1.0),
+         ExponentProfile(0.5, 0.0, 4.0, 9e152), ExponentProfile(0.5, 0.2499, 4.0, 1.0),
+         ExponentProfile(1e-6, 0.0, 4.0, 1.0)],
+        ids=["hilbert", "slow", "s-1e-300", "C-1e-300", "L-9e152", "t-0.2499", "s-1e-6"],
+    )
+    def test_gap_to_the_covering_sum_holds_on_every_profile(self, prof):
+        """2000 terms against the finite geometric sum: a rounding error on every accepted profile, also
+        where e^(2t-s) is so near 1 that they fall far short of C' (at s = 1e-6 they reach 0.2 % of it)."""
+        gap, held = tail_constant_gap(prof)
+        assert held and gap <= 1e-14
+
+    def test_gap_at_the_hilbert_profile_is_the_gap_to_c_prime(self):
+        # e^(-1000) underflows, so the finite sum is C' itself
+        closed = cauchy_tail_constant(HILBERT)
+        assert tail_constant_gap(HILBERT)[0] == abs(closed - covering_partial_sums(HILBERT, 0.0, 2000)[-1]) / closed
+
+    @pytest.mark.parametrize("scale, held", [(1 + 1e-9, False), (1 + 1e-13, True), (np.nan, False)])
+    def test_gap_verdict(self, monkeypatch, scale, held):
+        exact = zigzag.cauchy_tail_constant
+        monkeypatch.setattr(zigzag, "cauchy_tail_constant", lambda prof: scale * exact(prof))
+        assert tail_constant_gap(HILBERT)[1] is held
 
 
 class TestDecayProfile:
