@@ -4,7 +4,9 @@
 
 Each benchmark also checks its result, so a fast wrong answer fails.  The sphere rows
 time the circle-average operator, the ring contraction of circle_average and the Markov
-step, the last at a perfbench Markov job's shape and at one step of criterion 5.
+step, the last at a perfbench Markov job's shape and at one step of criterion 5.  The sl3
+rows time embedding2_solve at criterion 9's gammas and kak on perfbench's four
+singular-value patterns.
 """
 
 import numpy as np
@@ -157,6 +159,37 @@ def test_solve_delta_for_top(benchmark):
     alpha, target = 3.0, 4.5
     delta = benchmark.pedantic(solve_delta_for_top, args=(alpha, target), rounds=30)
     assert abs(sl3.j_alpha(alpha, delta).a1 - target) <= 1e-9
+
+
+@pytest.mark.parametrize("place", ["interior", "tangent-edge"])
+@pytest.mark.parametrize("gamma", [2.0, 4.0, 8.0, 16.0])  # criterion 9's gammas
+def test_embedding2_solve(benchmark, gamma, place):
+    alpha = 7.0 * gamma / 6.0 if place == "tangent-edge" else 13.0 * gamma / 12.0
+    cert = benchmark.pedantic(sl3.embedding2_solve, args=(gamma, alpha), rounds=200, warmup_rounds=1)
+    assert sl3.embedding2_verdict(cert)[-1]
+    assert (cert.delta2 == 0.0) == (place == "tangent-edge")
+
+
+def _kak_matrix(pattern, rng):
+    """A unimodular matrix with perfbench's KAK singular-value patterns: generic Gaussian, a
+    repeated top pair, a repeated bottom pair, or a rotation."""
+    if pattern == "generic":
+        g = rng.normal(size=(3, 3))
+        return g * np.sign(np.linalg.det(g)) / np.cbrt(abs(np.linalg.det(g)))
+    s = rng.uniform(0.1, 1.5)
+    exps = {"top_pair": [s, s, -2 * s], "bottom_pair": [2 * s, -s, -s], "rotation": [0.0, 0.0, 0.0]}[pattern]
+    rotations = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2)]
+    k1, k2 = (q * np.sign(np.linalg.det(q)) for q in rotations)
+    return k1 @ np.diag(np.exp(exps)) @ k2
+
+
+@pytest.mark.parametrize("pattern", ["generic", "top_pair", "bottom_pair", "rotation"])
+def test_kak(benchmark, pattern):
+    g = _kak_matrix(pattern, np.random.default_rng(3))
+    dec = benchmark.pedantic(sl3.kak, args=(g,), rounds=200, warmup_rounds=1)
+    assert dec.verdict(g)[1]
+    for k in (dec.k1, dec.k2):
+        assert np.abs(k.T @ k - np.eye(3)).max() <= 1e-12 and abs(np.linalg.det(k) - 1.0) <= 1e-12
 
 
 SLIDE_A = LambdaPoint(1.4, 0.7, -2.1)  # a2 > 0, slice level 2.1

@@ -45,8 +45,11 @@ def _clamp_abscissa(x):
 
 
 def _clamp_delta(delta: float) -> float:
-    """_clamp_abscissa of one delta, as a float."""
-    return float(_clamp_abscissa(delta))
+    """_clamp_abscissa of one delta, as a float, by float comparisons: same bits (-0.0 kept), same error."""
+    d = float(delta)
+    if not abs(d) <= 1.0 + _ABSCISSA_SLACK:
+        raise ValueError(f"delta must lie in [-1, 1]: |delta| = {abs(d)}")
+    return min(1.0, max(-1.0, d))
 
 
 def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:

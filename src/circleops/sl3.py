@@ -12,6 +12,14 @@ F1 - F0 = e^(-a-b)(e^(3a)-1)(e^(3b)-1) > 0, so the top singular value t grows
 with d and gives d^2 = (t^2 - a12^2)(t^2 - a21^2) / (t^2 (F1 - F0)) exactly.
 A non-finite log(F1 - F0) raises NumericalDegeneracyError("block_frobenius_gap");
 an embedding target needing d > 1 beyond rounding raises ("embedding_range").
+
+embedding2_solve runs its two cases as one (2, 3, 3) stack: one np.exp call for
+every exponential and the scalar delta solve per case, then one stacked product
+for the pair matrices, one SVD call for their (1,2)-blocks and one for the
+residuals' spectral norms.  The bits are those of solving the cases one by one:
+numpy's gufuncs run each matrix of a stack through the same LAPACK or matmul
+kernel, a norm is the max of the same singular values, and the sign fixes
+multiply by exact +-1.
 """
 
 from __future__ import annotations
@@ -91,7 +99,7 @@ class KAKDecomposition:
 
     def residual(self, g: np.ndarray) -> float:
         """Spectral norm of g - k1 diag(e^a) k2."""
-        return float(np.linalg.norm(g - self.k1 @ np.diag(np.exp(self.a.as_array())) @ self.k2, 2))
+        return float(_spectral_norms(g - self.k1 @ np.diag(np.exp(self.a.as_array())) @ self.k2))
 
     def verdict(self, g: np.ndarray) -> tuple[float, bool]:
         """(residual, held): criterion 8's and circleops kak's rule, residual <= 1e-9 (NaN fails)."""
@@ -99,15 +107,22 @@ class KAKDecomposition:
         return residual, residual <= 1e-9
 
 
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """||.||_2 of each matrix of a stack from one SVD call: np.linalg.norm(., 2)'s bits, as it takes the same max."""
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+
+
 def _rotation_svd(m: np.ndarray):
-    """SVD of a positive-determinant matrix with both factors rotations.
+    """SVD of a positive-determinant 3x3 with both factors rotations.
 
     det m > 0 forces det(U) = det(V^T), so when both are -1 a simultaneous
     sign flip of the last singular pair repairs them without changing the
-    product.
+    product.  |det U| = 1 to rounding, so the triple product of U's rows
+    decides its sign.
     """
     u, s, vt = np.linalg.svd(m)
-    if np.linalg.det(u) < 0:
+    (a, b, c), (d, e, f), (g, h, i) = u.tolist()
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0:
         u[:, -1] *= -1.0
         vt[-1, :] *= -1.0
     return u, s, vt
@@ -209,52 +224,36 @@ class Embedding2Certificate:
     residual2: float
 
 
-def _case_diagonals(gamma: float):
-    """Targets of case 1 and case 2; each case matches its top entry."""
-    return (
-        np.diag([np.exp(gamma), 1.0, np.exp(-gamma)]),
-        np.diag([np.exp(0.75 * gamma), np.exp(0.25 * gamma), np.exp(-gamma)]),
-    )
+def _solve_cases(gamma: float, alpha: float, targets: np.ndarray, pair: np.ndarray):
+    """(deltas, rotations, residuals) of D_b x_delta D_a = k diag(t) k' for each row t of targets.
 
-
-def _pair_matrix(gamma: float, alpha: float, delta: float) -> np.ndarray:
-    return d_alpha(2.0 * gamma - alpha) @ x_delta(delta) @ d_alpha(alpha)
-
-
-def _rotation_svd_2x2(b: np.ndarray):
-    """SVD of a positive-determinant 2x2 with both factors rotations.
-
-    Sign convention: the right factor has nonnegative (1,1) entry (flip both
-    factors together otherwise).
+    pair holds the diagonals of D_b and D_a.  rotations[0] stacks the k and
+    rotations[1] the k'; each residual is ||M - k diag k'|| / max(1, ||M||).
     """
-    u, s, vt = _rotation_svd(b)
-    if vt[0, 0] < 0:
-        u = -u
-        vt = -vt
-    return u, s, vt
-
-
-def _embed_rotation(r2: np.ndarray) -> np.ndarray:
-    out = np.eye(3)
-    out[:2, :2] = r2
-    return out
-
-
-def _solve_case(gamma: float, alpha: float, diag: np.ndarray):
-    """(delta, k, k', relative residual) for the case with this target diagonal."""
+    deltas = []
     # relative slack: at the tangent edge alpha = 7 gamma / 6 the top singular
     # value at delta = 0 meets the target quadratically, so exact comparison is fp-noise
-    delta = _solve_delta(gamma, alpha, float(np.log(diag[0, 0])), 1e-13)
-    if delta > 1.0 + 1e-12:
-        raise NumericalDegeneracyError(
-            "embedding_range", f"target singular value needs delta = {delta} > 1"
-        )
-    delta = min(1.0, delta)
-    m = _pair_matrix(gamma, alpha, delta)
-    u, _, vt = _rotation_svd_2x2(m[:2, :2])
-    k, kp = _embed_rotation(u), _embed_rotation(vt)
-    residual = np.linalg.norm(m - k @ diag @ kp, 2) / max(1.0, np.linalg.norm(m, 2))
-    return delta, k, kp, residual
+    for log_top in np.log(targets[:, 0]).tolist():
+        delta = _solve_delta(gamma, alpha, log_top, 1e-13)
+        if delta > 1.0 + 1e-12:
+            raise NumericalDegeneracyError("embedding_range", f"target singular value needs delta = {delta} > 1")
+        deltas.append(min(1.0, delta))
+    n = len(deltas)
+    diags = np.zeros((n + 2, 9))  # diag(t) per case, then D_b and D_a
+    diags[:, ::4] = np.concatenate((targets, pair))
+    diags = diags.reshape(n + 2, 3, 3)
+    m = diags[n] @ np.array([x_delta(delta) for delta in deltas]) @ diags[n + 1]
+    # Both factors rotations: the last singular pair flips with u when det u < 0 (det vt
+    # follows, as det > 0), then the whole pair flips when vt[0, 0] < 0.  Each sign is exact.
+    u, _, vt = np.linalg.svd(m[:, :2, :2])
+    signs = np.empty((n, 2))
+    signs[:, 0] = np.where(vt[:, 0, 0] < 0, -1.0, 1.0)
+    signs[:, 1] = np.where(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0] < 0, -signs[:, 0], signs[:, 0])
+    rotations = np.zeros((2, n, 3, 3))
+    rotations[..., 2, 2] = 1.0
+    rotations[0, :, :2, :2], rotations[1, :, :2, :2] = u * signs[:, None, :], vt * signs[:, :, None]
+    norms = _spectral_norms(np.concatenate((m - rotations[0] @ diags[:n] @ rotations[1], m)))
+    return deltas, rotations, norms[:n] / np.fmax(1.0, norms[n:])
 
 
 def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, float, bool]:
@@ -267,31 +266,29 @@ def embedding2_verdict(cert: Embedding2Certificate) -> tuple[float, float, float
     edge = cert.alpha == 7.0 * cert.gamma / 6.0
     edge_error = float(np.abs(cert.k2 - _QUARTER_TURN).max()) if edge else 0.0
     held = cert.residual1 <= 1e-9 and cert.residual2 <= 1e-9  # a NaN residual fails
-    held = held and max(cert.delta1, cert.delta2) <= delta_bound and all(
-        np.linalg.norm(k - np.eye(3), 2) <= rotation_bound for k in (cert.k1, cert.k1p, cert.k2p)
-    )
+    held = held and max(cert.delta1, cert.delta2) <= delta_bound
+    held = held and bool(np.all(_spectral_norms(np.stack((cert.k1, cert.k1p, cert.k2p)) - np.eye(3)) <= rotation_bound))
     held = held and (not edge or (cert.delta2 == 0.0 and edge_error <= 1e-9))
     return delta_bound, rotation_bound, edge_error, bool(held)
 
 
 def embedding2_solve(gamma: float, alpha: float) -> Embedding2Certificate:
-    """Solve both embedding cases for gamma in [0.5, 600], alpha in [gamma, 7 gamma/6]."""
+    """Solve both embedding cases for gamma in [0.5, 600], alpha in [gamma, 7 gamma/6].
+
+    One stacked pass (module docstring): one np.exp call, a scalar _solve_delta per
+    case, one SVD call for both blocks and one for all four spectral norms.
+    """
     if not 0.5 <= gamma <= 600.0:  # NaN fails too; e^alpha overflows past alpha = 7 * 608.4 / 6
         raise ValueError(f"gamma must be finite and lie in [0.5, 600] (degenerate regime excluded): gamma = {gamma}")
     if not gamma - 1e-12 <= alpha <= 7.0 * gamma / 6.0 + 1e-12:
         raise ValueError("alpha must lie in [gamma, 7 gamma / 6]")
-    (d1, k1, k1p, res1), (d2, k2, k2p, res2) = (
-        _solve_case(gamma, alpha, diag) for diag in _case_diagonals(gamma)
-    )
+    b = 2.0 * gamma - alpha
+    e = np.exp([gamma, 0.75 * gamma, 0.25 * gamma, -gamma, b, -b / 2.0, alpha, -alpha / 2.0]).tolist()
+    # case 1 targets diag(e^g, 1, e^-g), case 2 diag(e^(3g/4), e^(g/4), e^-g); each matches its top entry
+    targets = np.array([[e[0], 1.0, e[3]], [e[1], e[2], e[3]]])
+    pair = np.array([[e[4], e[5], e[5]], [e[6], e[7], e[7]]])
+    (d1, d2), ((k1, k2), (k1p, k2p)), (res1, res2) = _solve_cases(gamma, alpha, targets, pair)
     return Embedding2Certificate(
-        gamma=float(gamma),
-        alpha=float(alpha),
-        delta1=float(d1),
-        delta2=float(d2),
-        k1=k1,
-        k1p=k1p,
-        k2=k2,
-        k2p=k2p,
-        residual1=float(res1),
-        residual2=float(res2),
+        gamma=float(gamma), alpha=float(alpha), delta1=d1, delta2=d2, k1=k1, k1p=k1p, k2=k2, k2p=k2p,
+        residual1=float(res1), residual2=float(res2),
     )

@@ -1,5 +1,7 @@
 """Unit tests for Legendre evaluation and the defect bounds."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from circleops import legendre
 from circleops.legendre import (
     HOLDER_CONSTANT,
+    _clamp_abscissa,
     _clamp_delta,
     _row_blocks,
     bernstein_envelope,
@@ -349,3 +352,20 @@ def test_delta_range_edge(entry, sign, size):
 def test_clamp_delta_clips_to_the_interval():
     assert _clamp_delta(RANGE_EDGE) == 1.0 and _clamp_delta(-RANGE_EDGE) == -1.0
     assert _clamp_delta(-0.25) == -0.25
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [sign * (1.0 + off) for sign in (1.0, -1.0) for off in (0.0, 1e-12, -1e-12, 2e-12, -2e-12)]
+    + [0.0, -0.0, np.float64(-0.0), -0.25, 1, np.nan, np.inf, -np.inf],
+)
+def test_clamp_delta_is_clamp_abscissa_of_one_float(delta):
+    """The scalar path returns _clamp_abscissa's float, bit for bit (-0.0 kept), or raises its error."""
+    try:
+        want = float(_clamp_abscissa(delta))
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            _clamp_delta(delta)
+    else:
+        got = _clamp_delta(delta)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()

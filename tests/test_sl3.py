@@ -121,10 +121,11 @@ class TestDegeneracyChecks:
     def test_unattainable_embedding_target_raises(self):
         gamma = 2.0
         top_at_one = np.exp(2 * gamma)  # largest top singular value, at delta = 1
-        delta, *_ = sl3._solve_case(gamma, gamma, np.diag([top_at_one, 1.0, np.exp(-gamma)]))
+        pair = np.diag(d_alpha(gamma))[None, :].repeat(2, axis=0)  # b = 2 gamma - alpha = gamma
+        (delta,), *_ = sl3._solve_cases(gamma, gamma, np.array([[top_at_one, 1.0, np.exp(-gamma)]]), pair)
         assert delta == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(NumericalDegeneracyError) as err:
-            sl3._solve_case(gamma, gamma, np.diag([1.01 * top_at_one, 1.0, np.exp(-gamma)]))
+            sl3._solve_cases(gamma, gamma, np.array([[1.01 * top_at_one, 1.0, np.exp(-gamma)]]), pair)
         assert err.value.invariant == "embedding_range"
 
 
@@ -263,6 +264,29 @@ def test_kak_repeated_singular_values_both_sign_branches(a, seeds):
         assert dec.residual(g) <= 1e-9
 
 
+def _det_rotation_svd(m):
+    """kak's sign rule as it was, with det(U) from np.linalg.det: the oracle for the triple product."""
+    u, s, vt = np.linalg.svd(m)
+    if np.linalg.det(u) < 0:
+        u[:, -1] *= -1.0
+        vt[-1, :] *= -1.0
+    return u, s, vt
+
+
+def test_triple_product_sign_keeps_kaks_bits():
+    rng = np.random.default_rng(13)
+    for i in range(600):
+        if i % 2:
+            g = rng.normal(size=(3, 3))
+            g *= np.sign(np.linalg.det(g)) / np.cbrt(abs(np.linalg.det(g)))
+        else:  # a repeated top or bottom pair, or a rotation
+            t = rng.uniform(0.1, 1.5)
+            exps = [(t, t, -2 * t), (2 * t, -t, -t), (0.0, 0.0, 0.0)][i // 2 % 3]
+            g = random_rotation(rng) @ np.diag(np.exp(exps)) @ random_rotation(rng)
+        for got, want in zip(sl3._rotation_svd(g), _det_rotation_svd(g)):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestSlideFamily:
     def test_endpoints(self):
         for alpha in (0.5, 1.0, 3.0):
@@ -363,6 +387,94 @@ class TestEmbedding:
             embedding2_solve(0.2, 0.2)
         with pytest.raises(ValueError):
             embedding2_solve(2.0, 2.5)
+
+
+def _reference_embedding2_solve(gamma, alpha):
+    """The per-case solve that embedding2_solve's stacked pass replaced, kept as its oracle:
+    each case's delta, pair matrix, 2x2 rotation SVD (signs by np.linalg.det) and
+    np.linalg.norm residual, one case after the other."""
+    fields = {"gamma": float(gamma), "alpha": float(alpha)}
+    diags = (
+        np.diag([np.exp(gamma), 1.0, np.exp(-gamma)]),
+        np.diag([np.exp(0.75 * gamma), np.exp(0.25 * gamma), np.exp(-gamma)]),
+    )
+    for case, diag in zip("12", diags):
+        delta = sl3._solve_delta(gamma, alpha, float(np.log(diag[0, 0])), 1e-13)
+        assert delta <= 1.0 + 1e-12
+        delta = min(1.0, delta)
+        m = d_alpha(2.0 * gamma - alpha) @ x_delta(delta) @ d_alpha(alpha)
+        u, _, vt = np.linalg.svd(m[:2, :2])
+        if np.linalg.det(u) < 0:
+            u[:, -1] *= -1.0
+            vt[-1, :] *= -1.0
+        if vt[0, 0] < 0:
+            u, vt = -u, -vt
+        k, kp = np.eye(3), np.eye(3)
+        k[:2, :2], kp[:2, :2] = u, vt
+        residual = np.linalg.norm(m - k @ diag @ kp, 2) / max(1.0, np.linalg.norm(m, 2))
+        fields.update({f"delta{case}": float(delta), f"k{case}": k, f"k{case}p": kp, f"residual{case}": float(residual)})
+    return fields
+
+
+def _cone_pass_pairs(count, seed):
+    """(gamma, alpha) drawn as perfbench's cone pass draws its embedding jobs: gamma uniform in
+    [2, 16], ten interior alphas uniform in [gamma, 7 gamma / 6], then two on the tangent edge."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(count):
+        gamma = rng.uniform(2.0, 16.0)
+        pairs.append((gamma, 7.0 * gamma / 6.0 if i % 12 >= 10 else rng.uniform(gamma, 7.0 * gamma / 6.0)))
+    return pairs
+
+
+EMBEDDING_GRID = [
+    (gamma, alpha)
+    for gamma in (0.5, 2.0, 4.0, 8.0, 16.0, 600.0)
+    for alpha in (gamma, (gamma + 7.0 * gamma / 6.0) / 2.0, 7.0 * gamma / 6.0)
+]
+
+
+def test_stacked_solve_matches_the_per_case_oracle_bit_for_bit():
+    for gamma, alpha in EMBEDDING_GRID + _cone_pass_pairs(2000, seed=9):
+        cert, want = embedding2_solve(gamma, alpha), _reference_embedding2_solve(gamma, alpha)
+        for name, value in want.items():
+            got = getattr(cert, name)
+            assert type(got) is type(value), (gamma, alpha, name)
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), (gamma, alpha, name)
+            assert np.shape(got) == np.shape(value), (gamma, alpha, name)
+
+
+def test_embedding_solve_makes_two_svd_calls_and_no_det_or_norm():
+    counts = {"svd": 0, "det": 0, "norm": 0}
+
+    def counting(name, exact):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return exact(*args, **kwargs)
+
+        return call
+
+    with mock.patch.multiple(sl3.np.linalg, **{name: counting(name, getattr(np.linalg, name)) for name in counts}):
+        for gamma, alpha in EMBEDDING_GRID:
+            embedding2_solve(gamma, alpha)
+    assert counts == {"svd": 2 * len(EMBEDDING_GRID), "det": 0, "norm": 0}
+
+
+def test_spectral_norms_are_numpys_two_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    stack = np.concatenate(
+        (
+            rng.normal(size=(200, 3, 3)) * np.exp(rng.uniform(-30.0, 30.0, size=(200, 1, 1))),
+            [np.zeros((3, 3)), np.eye(3), ROT90 - np.eye(3), np.diag([1e300, 1.0, 1e-300])],
+        )
+    )
+    norms = sl3._spectral_norms(stack)
+    assert norms.shape == (len(stack),)
+    assert norms.tobytes() == np.array([np.linalg.norm(a, 2) for a in stack]).tobytes()
+    g = stack[0] / np.cbrt(np.linalg.det(stack[0]))
+    dec = kak(g)
+    want = np.linalg.norm(g - dec.k1 @ np.diag(np.exp(dec.a.as_array())) @ dec.k2, 2)
+    assert np.float64(dec.residual(g)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
