@@ -136,8 +136,8 @@ def kak(g: np.ndarray) -> KAKDecomposition:
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if not abs(np.linalg.det(g) - 1.0) <= 1e-8:
-        raise ValueError(f"determinant {np.linalg.det(g)} too far from 1")
+    if not abs((det := np.linalg.det(g)) - 1.0) <= 1e-8:
+        raise ValueError(f"determinant {det} too far from 1")
     u, s, vt = _rotation_svd(g)
     if s[-1] < 1e-14:
         raise NumericalDegeneracyError(

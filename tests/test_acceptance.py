@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per exit criterion, at the stated tolerances.
+"""Acceptance suite: one test per row of cli.CRITERIA, run by cli.run_criterion at the stated tolerances.
 
 Criterion 2 is the run `tdelta-norms --p 4.5,5,6,8 --nmax 262144`.  Its
 stabilization clause is out of reach of raw truncations (the p-th power
@@ -15,16 +15,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circleops import acceptance, spectral
-from circleops.acceptance import ALL_CRITERIA
+from circleops import cli, spectral
 from circleops.legendre import legendre_at_zero, legendre_table
 from circleops.schatten import MixedNormSpace, interpolation_check, mixed_norm_lower_bound
 from circleops.spectral import holder_check
 
 
-@pytest.mark.parametrize("number", sorted(ALL_CRITERIA))
+@pytest.mark.parametrize("number", sorted(cli.CRITERIA))
 def test_criterion(number):
-    result = ALL_CRITERIA[number]()
+    result = cli.run_criterion(number)
     print(result.line())
     assert result.number == number
     assert result.passed, result.line()
@@ -32,18 +31,26 @@ def test_criterion(number):
 
 @pytest.mark.parametrize(
     "number, seconds, passed",
-    [(1, 11.0, False), (1, 9.0, True), (1, 10.0, False), (2, 121.0, False), (2, 119.0, True), (6, 1e6, True)],
+    [(1, 11.0, False), (1, 9.0, True), (1, 10.0, False), (2, 121.0, False), (2, 119.0, True),
+     (4, 60.0, False), (4, 59.0, True), (6, 1e6, True)],
 )
 def test_wall_clock_gate(monkeypatch, number, seconds, passed):
-    """Criterion 1 is gated at 10 s and criterion 2 at 120 s; criterion 6 has no gate however long it takes.
-    A tripped gate says so at the end of the detail, so its FAIL line does not read like a pass."""
+    """Criterion 1 is gated at 10 s, criterion 2 at 120 s and criterion 4 at 60 s; criterion 6 has no gate
+    however long it takes.  A tripped gate says so at the end of the detail, so its FAIL line does not read
+    like a pass."""
     clock = itertools.chain([0.0], itertools.repeat(seconds))
-    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
-    result = ALL_CRITERIA[number]()
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    result = cli.run_criterion(number)
     assert result.elapsed == seconds
     assert result.passed == passed, result.line()
-    gate = {1: 10, 2: 120}.get(number)
+    gate = {1: 10, 2: 120, 4: 60}.get(number)
     assert result.detail.endswith(f"; took {seconds:.1f} s, gate {gate} s") != passed, result.line()
+
+
+def test_gates():
+    """Only criteria 1, 2 and 4 have a wall-clock gate, read from the table alone."""
+    gates = {number: gate for number, (_, gate, _) in cli.CRITERIA.items()}
+    assert gates == {1: 10.0, 2: 120.0, 3: None, 4: 60.0, **dict.fromkeys(range(5, 13))}
 
 
 def test_criterion_1_counts_violating_deltas(monkeypatch):
@@ -54,7 +61,7 @@ def test_criterion_1_counts_violating_deltas(monkeypatch):
     over = defects > np.sqrt(np.abs(deltas)) + 1e-14
     per_delta = int(np.sum(over.any(axis=0)))
     assert 0 < per_delta < int(np.sum(over))  # 316 deltas, 1336 (degree, delta) pairs
-    result = ALL_CRITERIA[1]()
+    result = cli.run_criterion(1)
     assert not result.passed
     assert result.detail.startswith(f"violations={per_delta},")
 
@@ -63,21 +70,21 @@ def test_criterion_1_counts_violating_deltas(monkeypatch):
 def test_criterion_4_compares_every_entry(monkeypatch, entry):
     """An operator off by 1e-6 in its first or its last entry fails criterion 4's ring-by-ring comparison."""
 
-    def nudged(grid, delta, exact=acceptance.circle_average_operator):
+    def nudged(grid, delta, exact=cli.circle_average_operator):
         operator = exact(grid, delta).copy()
         operator[entry] += 1e-6
         return operator
 
-    monkeypatch.setattr(acceptance, "circle_average_operator", nudged)
-    result = ALL_CRITERIA[4]()
+    monkeypatch.setattr(cli, "circle_average_operator", nudged)
+    result = cli.run_criterion(4)
     assert not result.passed, result.line()
     assert result.detail.startswith("sup error 1.000e-06"), result.line()
 
 
 def test_criterion_6_fails_a_halved_dyadic_sum(monkeypatch):
     """A halved dyadic_sum keeps the upper side; the lower side ||lambda||_r^r <= dyadic_sum fails it."""
-    monkeypatch.setattr(acceptance, "dyadic_sum", lambda profile, r, exact=acceptance.dyadic_sum: exact(profile, r) / 2)
-    result = ALL_CRITERIA[6]()
+    monkeypatch.setattr(cli, "dyadic_sum", lambda profile, r, exact=cli.dyadic_sum: exact(profile, r) / 2)
+    result = cli.run_criterion(6)
     assert not result.passed
     assert result.detail.endswith("smallest dyadic_sum / ||lambda||_r^r = 0.581 (need >= 1)"), result.line()
 

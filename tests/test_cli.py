@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from circleops import acceptance, cli, repsim, schatten, sl3, spectral, sphere, zigzag
+from circleops import cli, repsim, schatten, sl3, spectral, sphere, zigzag
 from circleops.cli import main
 from circleops.errors import NumericalDegeneracyError
 from circleops.legendre import legendre_table
@@ -220,7 +220,7 @@ def test_embedding2_past_its_bound_writes_then_exits_1(tmp_path, monkeypatch, fa
     monkeypatch.setattr(cli, "embedding2_solve", faulty)  # criterion 9 runs embedding2, so this fails it too
     assert run(tmp_path, "embedding2", "--gamma", "2", "--alpha-grid", "3") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["embedding2.json", "embedding2_manifest.json"]
-    assert not acceptance.ALL_CRITERIA[9]().passed
+    assert not cli.run_criterion(9).passed
 
 
 def test_zigzag_summary_constant(tmp_path, capsys):
@@ -471,7 +471,7 @@ def test_legendre_bounds_reports_criterion_1(tmp_path, capsys):
     ratio = float((defects / np.maximum(bounds, 1e-300)).max())
     detail = f"violations={violations}, max ratio={ratio:.6f}"
     assert capsys.readouterr().out == f"legendre-bounds: {detail}\n"
-    assert acceptance.ALL_CRITERIA[1]().detail == detail
+    assert cli.run_criterion(1).detail == detail
 
 
 @pytest.mark.parametrize(
@@ -496,8 +496,16 @@ def test_criterion_detail_is_its_subcommand_lines(tmp_path, capsys, criterion, a
         assert main(["--outdir", str(tmp_path / str(i)), *argv]) == 0
         (line,) = capsys.readouterr().out.splitlines()
         lines.append(line.removeprefix(f"{argv[0]}: "))
-    result = acceptance.ALL_CRITERIA[criterion]()
-    assert result.passed and result.detail == "; ".join(lines)
+    result = cli.run_criterion(criterion)
+    fragments = [fragment for line in lines for fragment in line.split("; ")]
+    assert result.passed and result.detail == "; ".join(dict.fromkeys(fragments))
+
+
+def test_criterion_10_prints_its_tail_constant_once():
+    """Each zigzag run checks the same C' and covering-sum gap; the detail prints them once, then the three ledgers."""
+    fragments = cli.run_criterion(10).detail.split("; ")
+    assert fragments[:2] == ["tail constant C' = 100.565", "closed-form vs numeric sum gap 9.89e-16"]
+    assert fragments[2:] == [f"20 ledgers at epsilon={eps}, all totals within bounds" for eps in ("0.2", "0.5", "0.8")]
 
 
 def record_calls(monkeypatch, name, real):
@@ -514,7 +522,7 @@ def record_calls(monkeypatch, name, real):
 
 def test_mixed_norm_gives_criterion_7_values(tmp_path, monkeypatch):
     calls = record_calls(monkeypatch, "interpolation_check", schatten.interpolation_check)
-    assert acceptance.ALL_CRITERIA[7]().passed
+    assert cli.run_criterion(7).passed
     assert len(calls) == 12
     for (delta, p, truncation), (value, upper, _) in list(calls):  # the runs below record more calls
         out = tmp_path / f"{p}-{delta}"
@@ -525,7 +533,7 @@ def test_mixed_norm_gives_criterion_7_values(tmp_path, monkeypatch):
 
 def test_invariant_gap_writes_criterion_12_intervals(tmp_path, monkeypatch):
     calls = record_calls(monkeypatch, "certified_gaps", repsim.certified_gaps)
-    assert acceptance.ALL_CRITERIA[12]().passed
+    assert cli.run_criterion(12).passed
     (((j_max,), (gaps, _)),) = calls
     assert run(tmp_path, "invariant-gap", "--jmax", str(j_max)) == 0
     want = [[j, lower, upper, 1.0 / 3.0] for j, (lower, upper, _) in enumerate(gaps, 1)]
@@ -554,7 +562,7 @@ def test_criterion_10_ledgers_match_the_inline_sampler(tmp_path, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(cli, "annulus_diameter_bound", recording)
-    assert acceptance.ALL_CRITERIA[10]().passed
+    assert cli.run_criterion(10).passed
     prof = zigzag.ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
     want = []
     for eps in (0.2, 0.5, 0.8):
@@ -667,7 +675,7 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):
     monkeypatch.setattr(module, name, fake)
-    assert not acceptance.ALL_CRITERIA[criterion]().passed
+    assert not cli.run_criterion(criterion).passed
     assert run(tmp_path, *argv) == 1
     manifest_name = f"{argv[0].replace('-', '_')}_manifest.json"
     outputs = json.loads((tmp_path / manifest_name).read_text())["outputs"]
@@ -700,6 +708,21 @@ def test_check_all_unknown_criterion_exits_2(tmp_path, capsys, only):
     captured = capsys.readouterr()
     assert captured.out == ""  # no criterion ran
     assert "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12" in captured.err
+
+
+@pytest.mark.parametrize("only", ["", "6,", "a"])
+def test_check_all_malformed_only_exits_2(tmp_path, capsys, only):
+    """Only an absent --only means every criterion; an empty or malformed list is a flag error that names it."""
+    assert run(tmp_path, "check-all", "--only", only) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert captured.err == f"invalid parameters: --only takes comma-separated criterion numbers, got {only!r}\n"
+
+
+def test_kak_not_unimodular_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "kak", "--matrix", *"1 0 0 0 1 0 0 0 2".split()) == 2
+    assert capsys.readouterr().err == "invalid parameters: determinant 2.0 too far from 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -8,9 +8,10 @@ without scipy (legendre imports `dtbsv` in its first deep pass, `zeta` and
 spectral builds its Gauss-Legendre panel on first use).  A
 signature guard pins the parameter names of callables whose settings are fixed
 constants, so a setting cannot come back without a visible test change.  A
-guard keeps the names the frozen perfbench harness calls.  A front-end guard keeps acceptance's
-own checks to the claims no subcommand makes.  And a caller census: every exported
-name is used by the library or a benchmark, not only by tests or demos.
+guard keeps the names the frozen perfbench harness calls.  A front-end guard keeps check-all's
+own checks (cli.CRITERIA rows with a check function) to the claims no subcommand makes, and
+an import guard keeps the modules' relative imports acyclic.  And a caller census: every
+exported name is used by the library or a benchmark, not only by tests or demos.
 """
 
 import ast
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import circleops
-from circleops import acceptance, repsim, schatten, spectral, sphere, zigzag
+from circleops import cli, repsim, schatten, spectral, sphere, zigzag
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -95,7 +96,7 @@ SIGNATURES = {
     sphere.markov_trace: ["delta", "steps", "seed"],
     schatten.interpolation_check: ["delta", "p", "truncation"],
     schatten.dyadic_sum: ["profile", "r"],
-    acceptance.run_criteria: ["numbers"],
+    cli.run_criterion: ["number"],
     # perfbench calls it positionally
     zigzag.annulus_diameter_bound: ["alpha", "epsilon", "prof", "a", "b"],
 }
@@ -120,10 +121,9 @@ REPO = Path(__file__).resolve().parents[1]
 CALLER_TREES = [REPO / "src" / "circleops", REPO / "perfbench", REPO / "benchmarks"]
 
 
-@pytest.mark.parametrize("module", ["acceptance", "cli"])
-def test_front_ends_import_no_private_name(module):
+def test_front_ends_import_no_private_name():
     """check-all and the CLI read each pass rule through a public name, never a module's private helper."""
-    tree = ast.parse((REPO / "src" / "circleops" / f"{module}.py").read_text())
+    tree = ast.parse((REPO / "src" / "circleops" / "cli.py").read_text())
     private = [
         f"{node.module}.{alias.name}"
         for node in ast.walk(tree)
@@ -135,20 +135,40 @@ def test_front_ends_import_no_private_name(module):
 
 
 def test_acceptance_keeps_custom_checks_only_for_claims_without_a_subcommand():
-    """Criteria 3 and 10 are schatten-probe and zigzag runs, so acceptance reads neither the probe
-    nor anything of zigzag; the checks it defines itself are criteria 4, 6 and 8 alone."""
-    tree = ast.parse((REPO / "src" / "circleops" / "acceptance.py").read_text())
-    imports = [(node.module, alias.name) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-               for alias in node.names]
-    assert [name for module, name in imports if module == "zigzag"] == []
-    assert {name for _, name in imports} & {"divergence_probe_p4", "probe_growth"} == set()
-    custom = {
-        decorator.args[0].value
-        for node in tree.body if isinstance(node, ast.FunctionDef)
-        for decorator in node.decorator_list
-        if isinstance(decorator, ast.Call) and getattr(decorator.func, "id", None) == "_criterion"
+    """Criteria 3 and 10 are schatten-probe and zigzag runs, so check-all's own checks read neither the
+    probe nor anything of zigzag; the rows with a check function are criteria 4, 6 and 8 alone."""
+    custom = {number: runs for number, (_, _, runs) in cli.CRITERIA.items() if callable(runs)}
+    assert set(custom) == {4, 6, 8}
+    names = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for check in custom.values()
+        for node in ast.walk(ast.parse(inspect.getsource(check)))
+        if isinstance(node, (ast.Name, ast.Attribute))
     }
-    assert custom == {4, 6, 8}
+    assert names & {"zigzag", *zigzag.__all__, "divergence_probe_p4", "probe_growth"} == set()
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """The modules that `from .x import ...` and `from . import ...` name anywhere in a file, functions included."""
+    return {node.module or "__init__" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_src_modules_import_no_cycle():
+    graph = {path.stem: _relative_imports(path) for path in (REPO / "src" / "circleops").glob("*.py")}
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, f"import cycle {' -> '.join(path[path.index(module):] + [module])}"
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph.get(module, ())):
+                visit(target)
+            done.add(path.pop())
+
+    for module in sorted(graph):
+        visit(module)
+    assert done >= graph.keys() and "legendre" in graph["cli"]
 
 
 def test_every_public_name_has_a_caller_outside_tests():

@@ -495,8 +495,16 @@ def test_nan_and_inf_parameters_are_named(call, text, bad):
 
 
 def test_kak_rejects_non_unimodular():
-    with pytest.raises(ValueError):
-        kak(np.diag([2.0, 1.0, 1.0]))
+    """One determinant serves both the check and the error text."""
+    calls = []
+
+    def counting(g, exact=np.linalg.det):
+        calls.append(g)
+        return exact(g)
+
+    with mock.patch.object(sl3.np.linalg, "det", counting), pytest.raises(ValueError) as exc:
+        kak(np.diag([1.0, 1.0, 2.0]))
+    assert str(exc.value) == "determinant 2.0 too far from 1" and len(calls) == 1
 
 
 def test_length_degenerate_matrix_aborts():
