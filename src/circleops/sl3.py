@@ -2,7 +2,11 @@
 
 The KAK decomposition is an SVD with both orthogonal factors sign-corrected
 into the rotation group; the Weyl-cone point (a1 >= a2 >= a3, sum 0) of the
-log singular values identifies the double coset.
+log singular values identifies the double coset.  kak's bookkeeping around its
+one SVD call is in Python floats: det g is _det3's cofactor expansion (it rounds
+apart from LU, so a decision can move only a few ulps from the 1e-8 gate), and the
+exponents np.log(s).tolist() less (l1 + l2 + l3) / 3 keep numpy's bits, whose
+3-element sum adds in the same order.
 
 The slide D_a x_d D_a and the embedding D_b x_d D_a (b = 2g - a) act on the
 (1,2)-block [[a11 d, -a12 s], [a21 s, a22 d]], s = sqrt(1 - d^2), with
@@ -24,6 +28,7 @@ multiply by exact +-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +117,12 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
 
 
+def _det3(m: np.ndarray) -> float:
+    """Determinant of a 3x3 by cofactor expansion along the first row, in Python floats."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _rotation_svd(m: np.ndarray):
     """SVD of a positive-determinant 3x3 with both factors rotations.
 
@@ -121,8 +132,7 @@ def _rotation_svd(m: np.ndarray):
     decides its sign.
     """
     u, s, vt = np.linalg.svd(m)
-    (a, b, c), (d, e, f), (g, h, i) = u.tolist()
-    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) < 0:
+    if _det3(u) < 0:
         u[:, -1] *= -1.0
         vt[-1, :] *= -1.0
     return u, s, vt
@@ -132,27 +142,30 @@ def kak(g: np.ndarray) -> KAKDecomposition:
     """SVD-based decomposition with both orthogonal factors in the rotation group.
 
     g must be 3x3 with det g = 1 within 1e-8; a singular value below 1e-14 is a degeneracy.
+    Around the one SVD call the bookkeeping is in Python floats (module docstring).
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if not abs((det := np.linalg.det(g)) - 1.0) <= 1e-8:
-        raise ValueError(f"determinant {det} too far from 1")
+    if not abs((det := _det3(g)) - 1.0) <= 1e-8:
+        bad = ", ".join(f"{g[i, j]} at ({i}, {j})" for i, j in np.argwhere(~np.isfinite(g)))
+        raise ValueError(f"matrix entries must be finite: {bad}" if bad else f"determinant {det} too far from 1")
     u, s, vt = _rotation_svd(g)
     if s[-1] < 1e-14:
         raise NumericalDegeneracyError(
             "kak_singularity", f"smallest singular value {s[-1]} below 1e-14"
         )
-    logs = np.log(s)
-    logs -= logs.sum() / 3.0  # exact unimodularity for the reported exponents
-    a = LambdaPoint(*logs)
-    return KAKDecomposition(k1=u, a=a, k2=vt)
+    l1, l2, l3 = np.log(s).tolist()
+    mean = (l1 + l2 + l3) / 3.0  # exact unimodularity for the reported exponents
+    return KAKDecomposition(k1=u, a=LambdaPoint(l1 - mean, l2 - mean, l3 - mean), k2=vt)
 
 
 def j_alpha(alpha: float, delta: float) -> LambdaPoint:
     """Cone point of D_alpha x_delta D_alpha; even in delta, a3 = -alpha."""
     if not 0.0 <= alpha < np.inf:  # NaN fails too
         raise ValueError("alpha must be nonnegative and finite")
+    if (bottom := math.exp(-alpha)) < 1e-14:  # kak's singularity test, decided before D_alpha can overflow
+        raise NumericalDegeneracyError("kak_singularity", f"smallest singular value e^-alpha = {bottom} below 1e-14")
     da = d_alpha(alpha)
     return kak(da @ x_delta(delta) @ da).a
 

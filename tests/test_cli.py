@@ -725,6 +725,14 @@ def test_kak_not_unimodular_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_kak_non_finite_entry_exits_2_naming_it(tmp_path, capsys, bad):
+    # warnings are errors here: the determinant prints no RuntimeWarning before the refusal
+    assert run(tmp_path, "kak", "--matrix", *f"1 0 0 0 {bad} 0 0 0 1".split()) == 2
+    assert capsys.readouterr().err == f"invalid parameters: matrix entries must be finite: {bad} at (1, 1)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_of_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # running out of memory is not a failed certificate (exit 1); the fake raises before allocating anything
     def exhausted(*args):

@@ -1,11 +1,16 @@
 """Tests for the 3x3 geometry: KAK, length, slide family, embedding certificates."""
 
+import contextlib
+import itertools
+import math
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circleops import sl3
@@ -287,6 +292,167 @@ def test_triple_product_sign_keeps_kaks_bits():
             assert got.tobytes() == want.tobytes()
 
 
+def _reference_kak(g):
+    """kak as it was, with numpy-scalar bookkeeping around the SVD: LU det, np.log and a numpy
+    sum; the oracle for the float bookkeeping."""
+    g = np.asarray(g, dtype=float)
+    if not abs((det := np.linalg.det(g)) - 1.0) <= 1e-8:
+        raise ValueError(f"determinant {det} too far from 1")
+    u, s, vt = sl3._rotation_svd(g)
+    if s[-1] < 1e-14:
+        raise NumericalDegeneracyError("kak_singularity", f"smallest singular value {s[-1]} below 1e-14")
+    logs = np.log(s)
+    logs -= logs.sum() / 3.0
+    return sl3.KAKDecomposition(k1=u, a=LambdaPoint(*logs), k2=vt)
+
+
+def _perfbench_matrix(rng, pattern):
+    """A unimodular matrix as perfbench's KAK batches draw one: generic Gaussian, a repeated
+    top pair, a repeated bottom pair, or a rotation."""
+    if pattern == "generic":
+        while abs(det := np.linalg.det(g := rng.normal(size=(3, 3)))) < 0.05:
+            pass
+        if det < 0:
+            g[0] *= -1.0
+        return g / abs(det) ** (1.0 / 3.0)
+    s = rng.uniform(0.1, 1.5)
+    exps = {"top_pair": [s, s, -2 * s], "bottom_pair": [2 * s, -s, -s], "rotation": [0.0, 0.0, 0.0]}[pattern]
+    return random_rotation(rng) @ np.diag(np.exp(exps)) @ random_rotation(rng)
+
+
+def _criterion_8_matrices():
+    """The unimodular matrices that check-all's criterion 8 decomposes (seed 11)."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(1000):
+        g = rng.normal(size=(3, 3))
+        det = np.linalg.det(g)
+        if abs(det) < 0.05:
+            continue
+        if det < 0:
+            g[0] *= -1.0
+            det = -det
+        out.append(g / det ** (1.0 / 3.0))
+    return out
+
+
+def _kak_samples():
+    rng = np.random.default_rng(23)
+    patterns = ["generic", "top_pair", "bottom_pair", "rotation"] * 400
+    return [_perfbench_matrix(rng, pattern) for pattern in patterns] + _criterion_8_matrices()
+
+
+def _outcome(decompose, g):
+    """The bytes of k1, k2 and the exponents, or the error's type and text."""
+    try:
+        dec = decompose(g)
+    except (ValueError, NumericalDegeneracyError) as exc:
+        return type(exc), str(exc)
+    return dec.k1.tobytes(), dec.k2.tobytes(), dec.a.as_array().tobytes()
+
+
+def test_float_kak_matches_the_reference_bit_for_bit():
+    for g in _kak_samples():
+        assert _outcome(kak, g) == _outcome(_reference_kak, g)
+        assert type(kak(g).a.a1) is float
+
+
+UNIMODULAR = st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9).map(lambda v: np.reshape(v, (3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=UNIMODULAR)
+def test_float_kak_matches_the_reference_on_drawn_matrices(m):
+    det = np.linalg.det(m)
+    assume(abs(det) >= 1e-3)
+    g = m * np.sign(det) / np.cbrt(abs(det))
+    assert _outcome(kak, g) == _outcome(_reference_kak, g)
+    assert _exact_det_error(g, sl3._det3(g)) <= _cofactor_bound(g)
+
+
+@contextlib.contextmanager
+def _counting_linalg(*names):
+    """Count the calls sl3 makes to the named np.linalg functions; yields the counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, exact):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return exact(*args, **kwargs)
+
+        return call
+
+    with mock.patch.multiple(sl3.np.linalg, **{name: counting(name, getattr(np.linalg, name)) for name in names}):
+        yield counts
+
+
+def test_kak_makes_one_svd_call_and_no_det():
+    samples = _kak_samples()[::40]
+    with _counting_linalg("svd", "det") as counts:
+        for g in samples:
+            kak(g)
+    assert counts == {"svd": len(samples), "det": 0}
+
+
+def _gamma(k):
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def _permanent(m):
+    m = np.abs(m)
+    return sum(m[0, i] * m[1, j] * m[2, k] for i, j, k in itertools.permutations(range(3)))
+
+
+def _exact_det_error(g, det):
+    """|det - det g| with det g in exact rational arithmetic, as a float."""
+    (a, b, c), (d, e, f), (p, q, r) = ([Fraction(x) for x in row] for row in g.tolist())
+    return float(abs(Fraction(det) - (a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p))))
+
+
+def _cofactor_bound(g):
+    """Each of the six products in _det3 takes two roundings for its factors, one for the inner
+    difference and at most two in the outer sum: |error| <= gamma_5 perm|g|."""
+    return _gamma(5) * _permanent(g)
+
+
+def _lu_bound(g):
+    """LU with partial pivoting gives L U = P g + E, |E| <= gamma_3 M, M = |L| |U| (so |P g| <=
+    (1 + gamma_3) M), and the product of U's diagonal adds gamma_2.  The permanent is monotone, so
+    |error| <= gamma_2 perm((1 + 2 gamma_3) M) + perm((1 + 2 gamma_3) M) - perm((1 + gamma_3) M)."""
+    _, lower, upper = scipy.linalg.lu(g)
+    perm = _permanent(np.abs(lower) @ np.abs(upper))
+    wide, narrow = (1.0 + 2.0 * _gamma(3)) ** 3, (1.0 + _gamma(3)) ** 3
+    return (_gamma(2) * wide + wide - narrow) * perm
+
+
+def test_cofactor_and_lu_determinants_agree_within_their_rounding_bounds():
+    for g in _kak_samples():
+        cofactor, lu = sl3._det3(g), float(np.linalg.det(g))
+        assert _exact_det_error(g, cofactor) <= _cofactor_bound(g)
+        assert _exact_det_error(g, lu) <= _lu_bound(g)
+        assert abs(cofactor - lu) <= _cofactor_bound(g) + _lu_bound(g)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below-1", "above-1"])
+@pytest.mark.parametrize("edge", [1.0 - 1e-6, 1.0 + 1e-6], ids=["inside", "outside"])
+def test_the_gate_decides_as_lu_did_at_its_edge(side, edge):
+    """At |det g - 1| = 1e-8 (1 -+ 1e-6) both determinants fall on the exact side of the gate."""
+    rng = np.random.default_rng(29)
+    inside = edge < 1.0
+    for _ in range(100):
+        g = random_rotation(rng) @ np.diag([1.0 + side * 1e-8 * edge, 1.0, 1.0]) @ random_rotation(rng)
+        distance = abs(_exact_det_error(g, 1.0) - 1e-8)  # from the gate, exactly up to one rounding
+        assert distance > 2.0 * max(_cofactor_bound(g), _lu_bound(g))  # the sample tests the edge
+        assert (abs(sl3._det3(g) - 1.0) <= 1e-8) is inside
+        assert bool(abs(np.linalg.det(g) - 1.0) <= 1e-8) is inside
+        if inside:
+            kak(g)
+        else:
+            with pytest.raises(ValueError, match="too far from 1"):
+                kak(g)
+
+
 class TestSlideFamily:
     def test_endpoints(self):
         for alpha in (0.5, 1.0, 3.0):
@@ -445,16 +611,7 @@ def test_stacked_solve_matches_the_per_case_oracle_bit_for_bit():
 
 
 def test_embedding_solve_makes_two_svd_calls_and_no_det_or_norm():
-    counts = {"svd": 0, "det": 0, "norm": 0}
-
-    def counting(name, exact):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return exact(*args, **kwargs)
-
-        return call
-
-    with mock.patch.multiple(sl3.np.linalg, **{name: counting(name, getattr(np.linalg, name)) for name in counts}):
+    with _counting_linalg("svd", "det", "norm") as counts:
         for gamma, alpha in EMBEDDING_GRID:
             embedding2_solve(gamma, alpha)
     assert counts == {"svd": 2 * len(EMBEDDING_GRID), "det": 0, "norm": 0}
@@ -495,16 +652,59 @@ def test_nan_and_inf_parameters_are_named(call, text, bad):
 
 
 def test_kak_rejects_non_unimodular():
-    """One determinant serves both the check and the error text."""
-    calls = []
-
-    def counting(g, exact=np.linalg.det):
-        calls.append(g)
-        return exact(g)
-
-    with mock.patch.object(sl3.np.linalg, "det", counting), pytest.raises(ValueError) as exc:
+    """The cofactor determinant serves both the check and the error text; LU's det is not called."""
+    with _counting_linalg("det") as counts, pytest.raises(ValueError) as exc:
         kak(np.diag([1.0, 1.0, 2.0]))
-    assert str(exc.value) == "determinant 2.0 too far from 1" and len(calls) == 1
+    assert str(exc.value) == "determinant 2.0 too far from 1" and counts == {"det": 0}
+
+
+@pytest.mark.parametrize(
+    "entries, text",
+    [
+        ({(0, 0): np.nan}, "nan at (0, 0)"),
+        ({(1, 2): np.inf}, "inf at (1, 2)"),
+        ({(2, 0): -np.inf, (2, 2): np.nan}, "-inf at (2, 0), nan at (2, 2)"),
+    ],
+)
+def test_kak_names_non_finite_entries(entries, text):
+    # under warnings-as-errors: the float determinant warns of nothing, and an inf entry is
+    # named rather than reported as the NaN determinant that 0 * inf makes of it
+    g = np.eye(3)
+    for place, value in entries.items():
+        g[place] = value
+    with pytest.raises(ValueError) as exc:
+        kak(g)
+    assert str(exc.value) == f"matrix entries must be finite: {text}"
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("alpha", [356.0, 1e308])
+def test_j_alpha_past_overflow_is_the_kak_singularity(alpha, delta):
+    # under warnings-as-errors: D_alpha x_delta D_alpha would overflow from alpha near 355, and
+    # e^alpha itself past 709.8, so the degeneracy is decided before any numpy call
+    with pytest.raises(NumericalDegeneracyError) as exc:
+        j_alpha(alpha, delta)
+    assert exc.value.invariant == "kak_singularity"
+
+
+def test_j_alpha_singularity_edge_is_kaks():
+    """Around e^-alpha = 1e-14, j_alpha's guard decides as kak did on the product itself."""
+    edge = 14.0 * math.log(10.0)
+    rng = np.random.default_rng(31)
+    for k in range(-200, 200):
+        alpha, delta = edge + 4 * k * math.ulp(edge), rng.uniform(0.0, 1.0)
+        da = d_alpha(alpha)
+        try:
+            kak(da @ x_delta(delta) @ da)
+            singular = False
+        except NumericalDegeneracyError:
+            singular = True
+        assert singular == (math.exp(-alpha) < 1e-14), alpha
+        if singular:
+            with pytest.raises(NumericalDegeneracyError):
+                j_alpha(alpha, delta)
+        else:
+            j_alpha(alpha, delta)
 
 
 def test_length_degenerate_matrix_aborts():
