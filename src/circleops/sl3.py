@@ -2,11 +2,7 @@
 
 The KAK decomposition is an SVD with both orthogonal factors sign-corrected
 into the rotation group; the Weyl-cone point (a1 >= a2 >= a3, sum 0) of the
-log singular values identifies the double coset.  kak's bookkeeping around its
-one SVD call is in Python floats: det g is _det3's cofactor expansion (it rounds
-apart from LU, so a decision can move only a few ulps from the 1e-8 gate), and the
-exponents np.log(s).tolist() less (l1 + l2 + l3) / 3 keep numpy's bits, whose
-3-element sum adds in the same order.
+log singular values identifies the double coset.
 
 The slide D_a x_d D_a and the embedding D_b x_d D_a (b = 2g - a) act on the
 (1,2)-block [[a11 d, -a12 s], [a21 s, a22 d]], s = sqrt(1 - d^2), with
@@ -50,6 +46,7 @@ __all__ = [
 ]
 
 _CONE_TOL = 1e-10
+_SINGULAR_TOL = 1e-14
 _QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -129,7 +126,7 @@ def _rotation_svd(m: np.ndarray):
     det m > 0 forces det(U) = det(V^T), so when both are -1 a simultaneous
     sign flip of the last singular pair repairs them without changing the
     product.  |det U| = 1 to rounding, so the triple product of U's rows
-    decides its sign.
+    decides its sign; U ends a rotation whatever the sign of det m.
     """
     u, s, vt = np.linalg.svd(m)
     if _det3(u) < 0:
@@ -142,19 +139,22 @@ def kak(g: np.ndarray) -> KAKDecomposition:
     """SVD-based decomposition with both orthogonal factors in the rotation group.
 
     g must be 3x3 with det g = 1 within 1e-8; a singular value below 1e-14 is a degeneracy.
-    Around the one SVD call the bookkeeping is in Python floats (module docstring).
+    Bookkeeping around the one SVD is in floats: det g = s1 s2 s3 det V^T errs by about eps s1^2 s2, as LU does
+    (a cofactor expansion: eps s1^3); the exponents keep numpy's bits, as its 3-element sum adds in this order.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    if not abs((det := _det3(g)) - 1.0) <= 1e-8:
+    try:
+        u, s, vt = _rotation_svd(g)
+        det = math.copysign(math.prod(s.tolist()), _det3(vt))
+    except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
+        det = math.nan
+    if not abs(det - 1.0) <= 1e-8:
         bad = ", ".join(f"{g[i, j]} at ({i}, {j})" for i, j in np.argwhere(~np.isfinite(g)))
         raise ValueError(f"matrix entries must be finite: {bad}" if bad else f"determinant {det} too far from 1")
-    u, s, vt = _rotation_svd(g)
-    if s[-1] < 1e-14:
-        raise NumericalDegeneracyError(
-            "kak_singularity", f"smallest singular value {s[-1]} below 1e-14"
-        )
+    if s[-1] < _SINGULAR_TOL:
+        raise NumericalDegeneracyError("kak_singularity", f"smallest singular value {s[-1]} below {_SINGULAR_TOL}")
     l1, l2, l3 = np.log(s).tolist()
     mean = (l1 + l2 + l3) / 3.0  # exact unimodularity for the reported exponents
     return KAKDecomposition(k1=u, a=LambdaPoint(l1 - mean, l2 - mean, l3 - mean), k2=vt)
@@ -164,8 +164,8 @@ def j_alpha(alpha: float, delta: float) -> LambdaPoint:
     """Cone point of D_alpha x_delta D_alpha; even in delta, a3 = -alpha."""
     if not 0.0 <= alpha < np.inf:  # NaN fails too
         raise ValueError("alpha must be nonnegative and finite")
-    if (bottom := math.exp(-alpha)) < 1e-14:  # kak's singularity test, decided before D_alpha can overflow
-        raise NumericalDegeneracyError("kak_singularity", f"smallest singular value e^-alpha = {bottom} below 1e-14")
+    if (bottom := math.exp(-alpha)) < _SINGULAR_TOL:  # kak's degeneracy, before D_alpha can overflow
+        raise NumericalDegeneracyError("kak_singularity", f"smallest singular value e^-alpha = {bottom} below {_SINGULAR_TOL}")
     da = d_alpha(alpha)
     return kak(da @ x_delta(delta) @ da).a
 

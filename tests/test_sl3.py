@@ -1,7 +1,6 @@
 """Tests for the 3x3 geometry: KAK, length, slide family, embedding certificates."""
 
 import contextlib
-import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -336,10 +335,25 @@ def _criterion_8_matrices():
     return out
 
 
+def _wide_spread_matrices():
+    """Rotations around diag(e^a) out to where a determinant's rounding nears the 1e-8 gate:
+    2 a1 + a2 = 3t for t up to 5, from top pairs (t, t, -2t) through generic spreads to bottom
+    pairs (2t, -t, -t), so a1 reaches 10 while eps s1^2 s2, the error scale of the LU and SVD
+    determinants, stays below 1e-9 (past it LU's own decisions turn to noise).  A cofactor
+    expansion errs by eps s1^3: past 1e-8 by a1 = 8 on bottom pairs."""
+    rng = np.random.default_rng(37)
+    out = []
+    for t in np.linspace(0.5, 5.0, 40):
+        for a1 in (t, 2.0 * t, t * rng.uniform(1.0, 2.0)):
+            exps = [a1, 3.0 * t - 2.0 * a1, a1 - 3.0 * t]
+            out.append(random_rotation(rng) @ np.diag(np.exp(exps)) @ random_rotation(rng))
+    return out
+
+
 def _kak_samples():
     rng = np.random.default_rng(23)
     patterns = ["generic", "top_pair", "bottom_pair", "rotation"] * 400
-    return [_perfbench_matrix(rng, pattern) for pattern in patterns] + _criterion_8_matrices()
+    return [_perfbench_matrix(rng, pattern) for pattern in patterns] + _criterion_8_matrices() + _wide_spread_matrices()
 
 
 def _outcome(decompose, g):
@@ -357,6 +371,12 @@ def test_float_kak_matches_the_reference_bit_for_bit():
         assert type(kak(g).a.a1) is float
 
 
+def test_wide_spreads_pass_the_gate():
+    # the bit-for-bit samples above reach a1 = 10 and are all accepted, not refused alike
+    samples = _wide_spread_matrices()
+    assert max(kak(g).a.a1 for g in samples) > 9.9
+
+
 UNIMODULAR = st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9).map(lambda v: np.reshape(v, (3, 3)))
 
 
@@ -367,7 +387,7 @@ def test_float_kak_matches_the_reference_on_drawn_matrices(m):
     assume(abs(det) >= 1e-3)
     g = m * np.sign(det) / np.cbrt(abs(det))
     assert _outcome(kak, g) == _outcome(_reference_kak, g)
-    assert _exact_det_error(g, sl3._det3(g)) <= _cofactor_bound(g)
+    assert _exact_det_error(g, _svd_det(g)) <= _svd_bound(g)
 
 
 @contextlib.contextmanager
@@ -399,39 +419,59 @@ def _gamma(k):
     return k * u / (1.0 - k * u)
 
 
-def _permanent(m):
-    m = np.abs(m)
-    return sum(m[0, i] * m[1, j] * m[2, k] for i, j, k in itertools.permutations(range(3)))
-
-
 def _exact_det_error(g, det):
     """|det - det g| with det g in exact rational arithmetic, as a float."""
     (a, b, c), (d, e, f), (p, q, r) = ([Fraction(x) for x in row] for row in g.tolist())
     return float(abs(Fraction(det) - (a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p))))
 
 
-def _cofactor_bound(g):
-    """Each of the six products in _det3 takes two roundings for its factors, one for the inner
-    difference and at most two in the outer sum: |error| <= gamma_5 perm|g|."""
-    return _gamma(5) * _permanent(g)
+def _svd_det(g):
+    """kak's determinant: s1 s2 s3 with the sign of det V^T, U being a rotation."""
+    _, s, vt = sl3._rotation_svd(g)
+    return math.copysign(math.prod(s.tolist()), sl3._det3(vt))
+
+
+def _backward_bound(g, e, roundings):
+    """|computed - det g| for the determinant of g + E, ||E||_2 <= e, taken as a product with
+    `roundings` roundings: each singular value moves by at most e (Weyl), so |det(g + E)| lies
+    within prod(s + e) - prod(s) of |det g|, and the product adds gamma_roundings."""
+    s = np.linalg.svd(g, compute_uv=False).tolist()
+    wide = math.prod(x + e for x in s)
+    return wide - math.prod(s) + _gamma(roundings) * wide
+
+
+def _svd_bound(g):
+    """LAPACK's SVD is backward stable, ||E||_2 <= p(3) eps ||g||_2; p(3) is taken as 16 (the
+    worst seen on 3000 draws is under 4).  The product s1 s2 s3 rounds twice."""
+    return _backward_bound(g, 16.0 * 2.0**-53 * np.linalg.norm(g, 2), 2)
 
 
 def _lu_bound(g):
-    """LU with partial pivoting gives L U = P g + E, |E| <= gamma_3 M, M = |L| |U| (so |P g| <=
-    (1 + gamma_3) M), and the product of U's diagonal adds gamma_2.  The permanent is monotone, so
-    |error| <= gamma_2 perm((1 + 2 gamma_3) M) + perm((1 + 2 gamma_3) M) - perm((1 + gamma_3) M)."""
+    """LU with partial pivoting: L U = P g + E with |E| <= gamma_3 |L| |U| componentwise, so
+    ||E||_2 <= gamma_3 || |L| |U| ||_2; the product of U's diagonal rounds twice."""
     _, lower, upper = scipy.linalg.lu(g)
-    perm = _permanent(np.abs(lower) @ np.abs(upper))
-    wide, narrow = (1.0 + 2.0 * _gamma(3)) ** 3, (1.0 + _gamma(3)) ** 3
-    return (_gamma(2) * wide + wide - narrow) * perm
+    return _backward_bound(g, _gamma(3) * np.linalg.norm(np.abs(lower) @ np.abs(upper), 2), 2)
 
 
-def test_cofactor_and_lu_determinants_agree_within_their_rounding_bounds():
+def test_svd_and_lu_determinants_agree_within_their_rounding_bounds():
     for g in _kak_samples():
-        cofactor, lu = sl3._det3(g), float(np.linalg.det(g))
-        assert _exact_det_error(g, cofactor) <= _cofactor_bound(g)
+        svd, lu = _svd_det(g), float(np.linalg.det(g))
+        assert _exact_det_error(g, svd) <= _svd_bound(g)
         assert _exact_det_error(g, lu) <= _lu_bound(g)
-        assert abs(cofactor - lu) <= _cofactor_bound(g) + _lu_bound(g)
+        assert abs(svd - lu) <= _svd_bound(g) + _lu_bound(g)
+
+
+def test_the_cofactor_determinant_is_no_gate_for_wide_spreads():
+    # why kak does not take det g from _det3: on a rotated diag(e^8, e^-4, e^-4) it errs by up to
+    # about eps e^24 ~ 1e-7, past the gate, where kak's determinant errs below 1e-9
+    rng = np.random.default_rng(41)
+    errors = []
+    for _ in range(20):
+        g = random_rotation(rng) @ np.diag(np.exp([8.0, -4.0, -4.0])) @ random_rotation(rng)
+        errors.append(_exact_det_error(g, sl3._det3(g)))
+        assert _exact_det_error(g, _svd_det(g)) <= 1e-9
+        kak(g)
+    assert max(errors) > 1e-8
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below-1", "above-1"])
@@ -443,8 +483,8 @@ def test_the_gate_decides_as_lu_did_at_its_edge(side, edge):
     for _ in range(100):
         g = random_rotation(rng) @ np.diag([1.0 + side * 1e-8 * edge, 1.0, 1.0]) @ random_rotation(rng)
         distance = abs(_exact_det_error(g, 1.0) - 1e-8)  # from the gate, exactly up to one rounding
-        assert distance > 2.0 * max(_cofactor_bound(g), _lu_bound(g))  # the sample tests the edge
-        assert (abs(sl3._det3(g) - 1.0) <= 1e-8) is inside
+        assert distance > max(_svd_bound(g), _lu_bound(g))  # the sample tests the edge
+        assert (abs(_svd_det(g) - 1.0) <= 1e-8) is inside
         assert bool(abs(np.linalg.det(g) - 1.0) <= 1e-8) is inside
         if inside:
             kak(g)
@@ -651,11 +691,12 @@ def test_nan_and_inf_parameters_are_named(call, text, bad):
         call(bad)
 
 
-def test_kak_rejects_non_unimodular():
-    """The cofactor determinant serves both the check and the error text; LU's det is not called."""
+@pytest.mark.parametrize("diagonal, det", [([1.0, 1.0, 2.0], "2.0"), ([-1.0, 1.0, 1.0], "-1.0")], ids=["det-2", "reflection"])
+def test_kak_rejects_non_unimodular(diagonal, det):
+    """The SVD's determinant, signed by det V^T, serves both the check and the error text; LU's det is not called."""
     with _counting_linalg("det") as counts, pytest.raises(ValueError) as exc:
-        kak(np.diag([1.0, 1.0, 2.0]))
-    assert str(exc.value) == "determinant 2.0 too far from 1" and counts == {"det": 0}
+        kak(np.diag(diagonal))
+    assert str(exc.value) == f"determinant {det} too far from 1" and counts == {"det": 0}
 
 
 @pytest.mark.parametrize(
