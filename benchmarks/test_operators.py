@@ -42,10 +42,11 @@ def test_matrix_coefficient(benchmark):
     assert 0.0 < value <= DECAY_BOUND_CONSTANT * np.exp(-DECAY_BOUND_RATE * 6)
 
 
-def test_circle_average_operator(benchmark):
-    grid = SphereGrid.build(32)
+@pytest.mark.parametrize("band", [12, 16, 24, 32])  # every band of the sphere-averaging operator jobs
+def test_circle_average_operator(benchmark, band):
+    grid = SphereGrid.build(band)
     averaged = benchmark.pedantic(circle_average_operator, args=(grid, 0.3), rounds=20, warmup_rounds=1)
-    eigs = legendre_table(32, 0.3)[degree_of_column(32)]
+    eigs = legendre_table(band, 0.3)[degree_of_column(band)]
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
 
 

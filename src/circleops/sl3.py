@@ -47,6 +47,7 @@ __all__ = [
 
 _CONE_TOL = 1e-10
 _SINGULAR_TOL = 1e-14
+_LOG_MAX = math.log(np.finfo(float).max)  # 709.78...: np.exp overflows past it
 _QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -59,6 +60,8 @@ def x_delta(delta: float) -> np.ndarray:
 
 def d_alpha(alpha: float) -> np.ndarray:
     """diag(e^alpha, e^(-alpha/2), e^(-alpha/2)); commutes with rotations about e1."""
+    if not -2.0 * _LOG_MAX <= alpha <= _LOG_MAX:  # both exponentials finite; NaN fails too
+        raise ValueError(f"d_alpha needs e^alpha and e^(-alpha/2) finite: alpha = {alpha}")
     return np.diag([np.exp(alpha), np.exp(-alpha / 2.0), np.exp(-alpha / 2.0)])
 
 

@@ -7,7 +7,8 @@ model with no quadrature error beyond roundoff.  Real spherical harmonics throug
 for the normalized surface measure, from one recurrence over all the points of a call that
 advances every order at once, one diagonal n - m per numpy step.
 circle_average contracts ring means with a function's coefficients, never forming
-circle_average_operator; SphereGrid.synthesize works on the grid only.
+circle_average_operator; both read the ring geometry each grid caches on first use, so per delta
+only the circles' harmonics and means are computed.  SphereGrid.synthesize works on the grid only.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ class SphereGrid:
 
         Every caller of a key shares one grid, so its nodes, weights and basis are read-only.
         The cache keeps the 8 most recently used grids; a basis takes 8 (B+1)^2 bytes per
-        node, 75 MB for the B = 32, oversample 2 grid of repsim.build_grid(32).
+        node, 75 MB for the B = 32, oversample 2 grid of repsim.build_grid(32), and circle
+        averaging caches 16 n_lon (B+1)^2 bytes of ring tables on it, 1.1 MB at B = 32.
         """
         _check_band_limit(band_limit)
         if not _is_count(oversample, 1):
@@ -147,6 +149,30 @@ class SphereGrid:
     @property
     def n_coeff(self) -> int:
         return (self.band_limit + 1) ** 2
+
+    @functools.cached_property
+    def _ring_geometry(self):
+        """(first, e_phi, e_theta, partner, c, s), read-only, cached once the ring check passes.
+
+        Node l of a ring is R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point
+        rule runs on the first nodes' circles only (frame e_phi, e_theta); at node l the order-m
+        pair (cos, sin) = (a, b) becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
+        """
+        n_lon = np.count_nonzero(self.nodes[:, 2] == self.nodes[0, 2])  # a ring shares one height
+        rings = self.nodes.reshape(-1, n_lon, 3)  # ValueError unless n_lon divides the node count
+        first, beta = rings[:, 0], 2.0 * np.pi * np.arange(n_lon) / n_lon
+        w = rings[..., 0] + 1j * rings[..., 1]  # node l: w_0 exp(i beta_l) at one height
+        if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
+            raise ValueError("circle averaging needs the longitude rings of SphereGrid.build")
+        e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
+        offset = np.arange(self.n_coeff) - degree_of_column(self.band_limit) ** 2  # 2m-1: cos, 2m: sin
+        partner = np.arange(self.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
+        turn, order = np.outer(beta, np.arange(self.band_limit + 1)), (offset + 1) // 2  # B + 1 orders
+        c, s = np.cos(turn).take(order, 1), np.where(offset % 2, -1.0, 1.0) * np.sin(turn).take(order, 1)
+        geometry = (first, e_phi, np.cross(e_phi, first), partner, c, s)
+        for table in geometry:
+            table.flags.writeable = False
+        return geometry
 
     def analyze(self, samples: np.ndarray) -> np.ndarray:
         """Samples (n_nodes,) on the grid -> harmonic coefficients (n_coeff,) up to the band limit."""
@@ -227,25 +253,18 @@ def _ring_tables(grid: SphereGrid, delta: float):
     """(means, partner, c, s): the circle average of harmonic k at node l of ring r is
     means[r, k] c[l, k] + means[r, partner[k]] s[l, k]; means is (rings, n_coeff), c, s (n_lon, n_coeff).
 
-    Node l of a ring is R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point
-    rule runs on the first nodes' circles only (frame e_phi, e_theta); at node l the order-m
-    pair (cos, sin) = (a, b) becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
+    Per delta: the M-point rule on the circles of the grid's _ring_geometry and its means,
+    summed point by point in np.mean's order, so with its bits.
     """
-    n_lon = np.count_nonzero(grid.nodes[:, 2] == grid.nodes[0, 2])  # a ring shares one height
-    rings = grid.nodes.reshape(-1, n_lon, 3)  # ValueError unless n_lon divides the node count
-    first, beta = rings[:, 0], 2.0 * np.pi * np.arange(n_lon) / n_lon
-    w = rings[..., 0] + 1j * rings[..., 1]  # node l: w_0 exp(i beta_l) at one height
-    if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
-        raise ValueError("circle_average_operator needs the longitude rings of SphereGrid.build")
-    e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
-    circles = _circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
+    first, e_phi, e_theta, partner, c, s = grid._ring_geometry
+    circles = _circle_points(grid, delta, first, e_phi, e_theta)
     values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T  # (coeffs, M * rings)
-    means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T  # (rings, coeffs)
-    offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2  # 2m-1: cos, 2m: sin
-    partner = np.arange(grid.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
-    turn, order = np.outer(beta, np.arange(grid.band_limit + 1)), (offset + 1) // 2  # B + 1 orders
-    c, s = np.cos(turn).take(order, 1), np.where(offset % 2, -1.0, 1.0) * np.sin(turn).take(order, 1)
-    return means, partner, c, s
+    per_point = values.reshape(grid.n_coeff, len(circles), -1)
+    total = per_point[:, 0] + 0.0  # add.reduce starts from +0.0: a sum of -0.0s is +0.0
+    for j in range(1, len(circles)):
+        total += per_point[:, j]
+    total /= len(circles)
+    return total.T, partner, c, s  # means (rings, coeffs)
 
 
 def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:

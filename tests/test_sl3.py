@@ -748,6 +748,29 @@ def test_j_alpha_singularity_edge_is_kaks():
             j_alpha(alpha, delta)
 
 
+@pytest.mark.parametrize("alpha", [710.0, -1420.0, math.inf, -math.inf, math.nan])
+def test_d_alpha_refuses_alphas_past_the_float_range(alpha):
+    # under warnings-as-errors: np.exp would overflow, so alpha is checked before any numpy call
+    with pytest.raises(ValueError) as exc:
+        d_alpha(alpha)
+    assert str(exc.value) == f"d_alpha needs e^alpha and e^(-alpha/2) finite: alpha = {alpha}"
+
+
+def test_d_alpha_range_is_np_exps_own():
+    """The accepted range ends where np.exp overflows, and inside it the entries are np.exp's."""
+    top = math.log(np.finfo(float).max)
+    inside = [top, -2.0 * top, 0.0, -0.0, 1e-300, *np.random.default_rng(5).uniform(-1400, 700, 50)]
+    for alpha in inside:
+        exps = [np.exp(alpha), np.exp(-alpha / 2.0), np.exp(-alpha / 2.0)]
+        assert d_alpha(alpha).tobytes() == np.diag(exps).tobytes()
+    assert np.isfinite(d_alpha(top)).all() and np.isfinite(d_alpha(-2.0 * top)).all()
+    for alpha in (math.nextafter(top, math.inf), math.nextafter(-2.0 * top, -math.inf)):
+        with pytest.raises(ValueError, match="d_alpha needs"):
+            d_alpha(alpha)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.exp([alpha, -alpha / 2.0])).all()
+
+
 def test_length_degenerate_matrix_aborts():
     tiny = np.diag([1e20, 1.0, 1e-20])
     with pytest.raises(NumericalDegeneracyError):

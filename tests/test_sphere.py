@@ -242,7 +242,7 @@ def test_in_place_rings_are_bit_identical(band, oversample):
     for delta in (-1.0, -0.3, 0.0, 0.41, 0.97):
         got = circle_average_operator(g, delta)
         assert got.shape == (g.nodes.shape[0], g.n_coeff)
-        assert np.array_equal(got, _concatenated_ring_operator(g, delta))
+        assert _same_bits(got, _concatenated_ring_operator(g, delta))
 
 
 @pytest.mark.parametrize("band", [4, 12, 32])
@@ -250,7 +250,7 @@ def test_order_tables_and_reused_scratch_are_bit_identical(band):
     # trig tables from the B + 1 distinct orders, one scratch buffer for every ring
     g = SphereGrid.build(band)
     for delta in (-0.95, 0.0, 0.3, 0.97):
-        assert np.array_equal(circle_average_operator(g, delta), _fresh_temporary_ring_operator(g, delta))
+        assert _same_bits(circle_average_operator(g, delta), _fresh_temporary_ring_operator(g, delta))
 
 
 def _grid_by_hand(nodes, weights):
@@ -267,8 +267,57 @@ def test_operator_rejects_non_ring_grid():
     turned[15, :2] = turned[15, 1::-1] * [-1.0, 1.0]  # one node turned by a quarter about the axis
     shuffled = g.nodes[np.random.default_rng(2).permutation(g.nodes.shape[0])]
     for nodes in (flipped, turned, shuffled, g.nodes[:-1]):  # the last: 90 nodes, rings of 13
-        with pytest.raises(ValueError):
-            circle_average_operator(_grid_by_hand(nodes, g.weights[: len(nodes)]), 0.3)
+        bad = _grid_by_hand(nodes, g.weights[: len(nodes)])
+        # the text for ring grids of the wrong shape; 90 nodes fail numpy's reshape first
+        text = "circle averaging needs the longitude rings" if len(nodes) == len(g.nodes) else "reshape"
+        for _ in range(2):  # a failed check caches nothing, so every call checks again
+            with pytest.raises(ValueError, match=text):
+                circle_average_operator(bad, 0.3)
+            with pytest.raises(ValueError, match=text):
+                circle_average(bad, np.zeros(len(nodes)), 0.3)
+        assert "_ring_geometry" not in vars(bad)
+
+
+def test_ring_geometry_is_computed_once_per_grid(monkeypatch):
+    geometry = vars(SphereGrid)["_ring_geometry"]
+    calls = []
+
+    def counted(grid):
+        calls.append(grid is fresh)
+        return ring_geometry(grid)
+
+    ring_geometry = geometry.func
+    monkeypatch.setattr(geometry, "func", counted)
+    g = SphereGrid.build(6)
+    fresh = _grid_by_hand(g.nodes, g.weights)  # a hand-built grid fills its own cache on first use
+    assert "_ring_geometry" not in vars(fresh)
+    samples = fresh.synthesize(np.random.default_rng(3).normal(size=fresh.n_coeff))
+    for delta in (0.3, -0.5):
+        assert _same_bits(circle_average_operator(fresh, delta), circle_average_operator(g, delta))
+        assert _same_bits(circle_average(fresh, samples, delta), circle_average(g, samples, delta))
+    assert calls.count(True) == 1 and len(calls) <= 2  # g's cache may be filled already
+    assert fresh._ring_geometry is vars(fresh)["_ring_geometry"]
+
+
+def test_ring_geometry_is_read_only():
+    g = SphereGrid.build(6)
+    for grid in (g, _grid_by_hand(g.nodes.copy(), g.weights)):  # the second grid's nodes are writable
+        for table in grid._ring_geometry:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[0]
+
+
+@pytest.mark.parametrize("band", [0, 1, 7, 8, 16, 32])  # M = B + 1 circle points: 1, 2, 8, 9, 17, 33
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_running_sum_means_are_mean_bit_for_bit(band, oversample):
+    # signs of zero included: np.mean's mean of -0.0s is +0.0
+    g = SphereGrid.build(band, oversample=oversample)
+    for delta in (-1.0, -0.3, 0.0, 0.41, 1.0):
+        means, partner, c, s = sphere._ring_tables(g, delta)
+        expected = _full_table_ring_terms(g, delta)
+        assert means.strides == expected[0].strides
+        for got, want in zip((means, partner, c, s), expected):
+            assert _same_bits(got, want)
 
 
 def test_self_adjoint_on_grid():
