@@ -3,16 +3,16 @@
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 
 Each benchmark also checks its result, so a fast wrong answer fails.  The sphere rows
-time the circle-average operator, the ring contraction of circle_average and the Markov
-step, the last at a perfbench Markov job's shape and at one step of criterion 5.  The sl3
-rows time embedding2_solve at criterion 9's gammas and kak on perfbench's four
-singular-value patterns.
+time the circle-average operator, the ring means behind it, the ring contraction of
+circle_average and the Markov step, the last at a perfbench Markov job's shape and at one
+step of criterion 5.  The sl3 rows time embedding2_solve at criterion 9's gammas and kak on
+perfbench's four singular-value patterns.
 """
 
 import numpy as np
 import pytest
 
-from circleops import sl3
+from circleops import sl3, sphere
 from circleops.repsim import DECAY_BOUND_CONSTANT, DECAY_BOUND_RATE, matrix_coefficient
 from circleops.legendre import HOLDER_CONSTANT, legendre_at_zero, legendre_table
 from circleops.schatten import MixedNormSpace, mixed_norm_lower_bound
@@ -48,6 +48,16 @@ def test_circle_average_operator(benchmark, band):
     averaged = benchmark.pedantic(circle_average_operator, args=(grid, 0.3), rounds=20, warmup_rounds=1)
     eigs = legendre_table(band, 0.3)[degree_of_column(band)]
     assert np.abs(averaged - grid.basis * eigs[None, :]).max() <= 1e-8
+
+
+@pytest.mark.parametrize("band", [12, 16, 24, 32])
+def test_ring_tables(benchmark, band):
+    # the per-delta ring means behind both the operator and circle_average: one ring-order kernel call
+    grid = SphereGrid.build(band)
+    means, partner, c, s = benchmark.pedantic(sphere._ring_tables, args=(grid, 0.3), rounds=20, warmup_rounds=1)
+    # at a ring's first node (c = 1, s = 0) the average of Y_n^m is P_n(0.3) Y_n^m there
+    eigs = legendre_table(band, 0.3)[degree_of_column(band)]
+    assert np.abs(means - grid.basis[:: len(c)] * eigs).max() <= 1e-8
 
 
 @pytest.mark.parametrize("points", ["grid", "ring-table"])

@@ -260,12 +260,12 @@ def cmd_markov(args):
 
 def cmd_howe_moore(args):
     rows, held = coefficient_decay(args.nmax)
-    shape = "c strictly decreasing" if held else "c NOT positive, decreasing and within 4 e^(-n/2)"
+    shape = "c strictly decreasing" if held else "c(0) NOT 1, or c NOT positive, decreasing and within 4 e^(-n/2)"
     ratio = (rows[1:, 1] / rows[1:, 2]).max()
     return (f"{shape}, max c/bound={ratio:.3f}, max quadrature defect={rows[:, 3].max():.2e}",
             {"howe_moore_decay.csv": _csv("matrix coefficient of the constant vector decays below 4*e^(-n/2)",
                                           ["n", "c_n", "bound", "quadrature_defect"], rows)},
-            None if held else "c(n) not positive, strictly decreasing and within 4 e^(-n/2)")
+            None if held else "c(0) not 1, or c(n) not positive, strictly decreasing and within 4 e^(-n/2)")
 
 
 def cmd_invariant_gap(args):

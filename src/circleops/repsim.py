@@ -107,7 +107,9 @@ _LEAKAGE_FRACTION = 0.1  # largest relative quadrature defect coefficient_decay 
 
 def coefficient_decay(n_max: int) -> tuple[np.ndarray, bool]:
     """(rows, held): rows (n, c_n, bound, quadrature_defect) for n = 0..n_max, and
-    whether c is positive, strictly decreasing and c(n) <= 4 e^(-n/2) for n >= 1.
+    whether c(0) = <1, 1> = 1 exactly, c is positive, strictly decreasing and
+    c(n) <= 4 e^(-n/2) for n >= 1.  c(0) is the closed form of _trapezoid_sums, so a
+    fault that scales every c(n) up fails it even where the decay bound still holds.
 
     The integrand is evaluated once per degree.  The quadrature defect is the
     relative change of c(n) when the _TRAPEZOID_STEPS-step sum drops every other
@@ -127,7 +129,8 @@ def coefficient_decay(n_max: int) -> tuple[np.ndarray, bool]:
             raise NumericalDegeneracyError("coefficient_leakage", f"quadrature defect {defect} vs c({n}) = {fine}")
         rows[n] = (n, fine, DECAY_BOUND_CONSTANT * np.exp(-DECAY_BOUND_RATE * n), defect / fine)
     values = rows[:, 1]
-    held = np.all(values > 0) and np.all(np.diff(values) < 0) and np.all(values[1:] <= rows[1:, 2])
+    decays = np.all(values > 0) and np.all(np.diff(values) < 0) and np.all(values[1:] <= rows[1:, 2])
+    held = values[0] == 1.0 and decays
     return rows, bool(held)
 
 

@@ -648,6 +648,12 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
     return u @ sl3.x_delta(0.999), s, vt
 
 
+def _tripled_trapezoid_sums(n, exact=repsim._trapezoid_sums):
+    """c(n) and its half-step sum tripled: c(n) stays below 4 e^(-n/2) up to n = 2 and the defect
+    stays relative, so only c(0) = 1 fails."""
+    return tuple(3.0 * value for value in exact(n))
+
+
 @pytest.mark.parametrize(
     "module, name, fake, argv, criterion",
     [
@@ -659,6 +665,7 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
         (zigzag, "jump_cost", _scaled_jump_cost, ["zigzag", "--alpha-grid", "2", "--epsilon", "0.2"], 10),
         (zigzag, "cauchy_tail_constant", _nudged_tail_constant, ["zigzag", "--alpha-grid", "2"], 10),
         (repsim, "DECAY_BOUND_CONSTANT", 0.1, ["howe-moore", "--nmax", "2"], 11),
+        (repsim, "_trapezoid_sums", _tripled_trapezoid_sums, ["howe-moore", "--nmax", "2"], 11),
         (sl3, "_rotation_svd", _turned_rotation_svd, ["kak", "--matrix", *"2 1 0 1 1 0 0 0 1".split()], 8),
         (cli, "embedding2_solve", _edge_off_zero, ["embedding2", "--gamma", "2", "--alpha-grid", "3"], 9),
         (sphere, "markov_steps", _frozen_chain, ["markov", "--steps", "3", "--replicas", "10"], 5),
@@ -669,8 +676,8 @@ def _turned_rotation_svd(m, exact=sl3._rotation_svd):
     ],
     ids=[
         "holder", "interpolation", "gap-floor", "gap-above-witness", "ledger-segment", "jump-cost-1.4", "tail-constant",
-        "decay-bound", "kak-residual", "tangent-edge", "frozen-chain", "flat-probe", "probe-below-floor",
-        "fit-below-theory", "tail-scaled",
+        "decay-bound", "tripled-coefficient", "kak-residual", "tangent-edge", "frozen-chain", "flat-probe",
+        "probe-below-floor", "fit-below-theory", "tail-scaled",
     ],
 )
 def test_faked_fault_fails_both_front_ends(tmp_path, monkeypatch, module, name, fake, argv, criterion):

@@ -1,6 +1,7 @@
 """Tests for the sphere grid, circle averaging, and the Markov chain."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -268,8 +269,7 @@ def test_operator_rejects_non_ring_grid():
     shuffled = g.nodes[np.random.default_rng(2).permutation(g.nodes.shape[0])]
     for nodes in (flipped, turned, shuffled, g.nodes[:-1]):  # the last: 90 nodes, rings of 13
         bad = _grid_by_hand(nodes, g.weights[: len(nodes)])
-        # the text for ring grids of the wrong shape; 90 nodes fail numpy's reshape first
-        text = "circle averaging needs the longitude rings" if len(nodes) == len(g.nodes) else "reshape"
+        text = "circle averaging needs the longitude rings"
         for _ in range(2):  # a failed check caches nothing, so every call checks again
             with pytest.raises(ValueError, match=text):
                 circle_average_operator(bad, 0.3)
@@ -305,6 +305,71 @@ def test_ring_geometry_is_read_only():
         for table in grid._ring_geometry:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[0]
+
+
+def test_band_tables_are_read_only_and_built_once_per_band_limit(monkeypatch):
+    built = []
+
+    def counted(band_limit):
+        built.append(band_limit)
+        return exact(band_limit)
+
+    exact = sphere._band_tables.__wrapped__
+    monkeypatch.setattr(sphere, "_band_tables", functools.lru_cache(maxsize=16)(counted))
+    g = SphereGrid.build(6)
+    fresh = _grid_by_hand(g.nodes, g.weights)  # a grid basis and ring tables, B = 6 both
+    samples = fresh.synthesize(np.random.default_rng(4).normal(size=fresh.n_coeff))
+    for delta in (0.3, -0.5):
+        circle_average_operator(fresh, delta)
+        circle_average(fresh, samples, delta)
+    real_sph_harm_matrix(fresh.nodes[:5], 3)
+    real_sph_harm_matrix(fresh.nodes[5:], 3)
+    assert built == [6, 3]
+    tables = sphere._band_tables(6)
+    for table in (tables.root, tables.a, tables.neg_b, tables.ring_to_degree, *tables.degree_rows[1][1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]
+
+
+@pytest.mark.parametrize("band_limit", [0, 1, 2, 3, 16, 24, 32])
+def test_ring_order_rows_are_degree_rows_permuted(band_limit):
+    pts = np.random.default_rng(band_limit).normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts[0] = [0.0, 0.0, 1.0]  # the poles: the rho = 0 branch
+    pts = np.vstack([pts, [0.0, 0.0, -1.0]])
+    tables = sphere._band_tables(band_limit)
+    ring = np.empty(((band_limit + 1) ** 2, len(pts)))
+    sphere._basis_block(*sphere._polar(pts), band_limit, ring, tables.ring_rows)
+    assert _same_bits(ring[tables.ring_to_degree], real_sph_harm_matrix(pts, band_limit).T)
+    # ring order runs diagonal by diagonal: n - m never decreases, and each diagonal
+    # holds Y_k^0, then its cos rows, then its sin rows
+    degree_row = np.argsort(tables.ring_to_degree)
+    n = degree_of_column(band_limit)[degree_row]
+    offset = degree_row - n * n  # 0: m = 0; 2m - 1: cos; 2m: sin
+    m = (offset + 1) // 2
+    assert np.all(np.diff(n - m) >= 0)
+    for k in range(band_limit + 1):
+        kind = np.where(offset == 0, 0, 2 - offset % 2)[n - m == k]  # 0, then 1s (cos), then 2s (sin)
+        assert kind.tolist() == [0] + [1] * (band_limit - k) + [2] * (band_limit - k)
+        assert m[n - m == k].tolist() == [0, *range(1, band_limit - k + 1), *range(1, band_limit - k + 1)]
+
+
+def test_ring_tables_make_one_kernel_call_per_delta(monkeypatch):
+    g = SphereGrid.build(8)
+    samples = g.synthesize(np.random.default_rng(5).normal(size=g.n_coeff))
+    circle_average_operator(g, 0.0)  # fills the grid's ring geometry before counting
+    calls, exact = [], sphere._basis_block
+
+    def counted(*args):
+        calls.append(args[-1] is sphere._band_tables(8).ring_rows)
+        return exact(*args)
+
+    monkeypatch.setattr(sphere, "_basis_block", counted)
+    for delta in (-1.0, 0.3, 0.97):
+        sphere._ring_tables(g, delta)
+        circle_average_operator(g, delta)
+        circle_average(g, samples, delta)
+    assert calls == [True] * 9  # one ring-order call each, none through real_sph_harm_matrix
 
 
 @pytest.mark.parametrize("band", [0, 1, 7, 8, 16, 32])  # M = B + 1 circle points: 1, 2, 8, 9, 17, 33
