@@ -6,7 +6,9 @@ Each benchmark also checks its result, so a fast wrong answer fails.  The sphere
 time the circle-average operator, the ring means behind it, the ring contraction of
 circle_average and the Markov step, the last at a perfbench Markov job's shape and at one
 step of criterion 5.  The sl3 rows time embedding2_solve at criterion 9's gammas and kak on
-perfbench's four singular-value patterns.
+perfbench's four singular-value patterns.  The two legendre_table rows are row-loop passes: a
+wide one (degree 2000 on 1000 abscissae) and a narrow one (65535 rows on 2 abscissae), whose
+time is almost all numpy's per-call cost.
 """
 
 import numpy as np
@@ -155,6 +157,14 @@ def test_legendre_table(benchmark):
     for n, tol in ((7, 1e-14), (300, 1e-12), (2000, 1e-10)):
         want = np.polynomial.legendre.legval(xs, np.eye(n + 1)[n])
         assert np.abs(table[n] - want).max() <= tol
+
+
+def test_legendre_table_narrow(benchmark):
+    # the row loop at almost pure per-call cost: 65535 rows over 2 abscissae, one row short of
+    # a banded pass; schatten_tail_estimate's exact heads near |delta| = 1 run at this shape
+    table = benchmark.pedantic(legendre_table, args=(65534, [0.999, 0.0]), rounds=5, warmup_rounds=1)
+    assert table.shape == (65535, 2) and np.abs(table).max() <= 1.0
+    assert np.all(table[1::2, 1] == 0.0)  # P_n(0) at odd n
 
 
 def test_op_norm_heads_deep_wide(benchmark):

@@ -42,6 +42,8 @@ __all__ = [
 
 # Difference of two averaging operators of norm one; a-priori certified bound.
 _APRIORI_BOUND = 2.0
+# The finite-p entry points refuse p = inf and name its path.
+_SUP_NORM_PATH = "the sup norm (p = inf) is op_norm_diff_certificates or schatten_decay([inf], ...)"
 
 # Completion of the Schatten tails (schatten_tail_estimate).
 _TAIL_MODES = 100  # Fourier modes 0..K kept of each phase function
@@ -158,8 +160,8 @@ def diff_power_windows(deltas, ps, checkpoints) -> np.ndarray:
     checkpoints = sorted(int(c) for c in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("need at least one checkpoint, each >= 1")
-    if not np.all(ps > 0):  # NaN fails too
-        raise ValueError("p must be positive")
+    if not np.all((ps > 0) & (ps < math.inf)):  # NaN fails too
+        raise ValueError(f"p must be positive and finite: {_SUP_NORM_PATH}")
     # the n = 0 term vanishes: both eigenvalues are 1
     blocks = (defects for defects, _ in _defect_blocks(checkpoints[-1], deltas))
     return _power_windows(blocks, ps, checkpoints)
@@ -182,8 +184,8 @@ def schatten_tail_bound(delta: float, p: float, truncation: int) -> float:
     Valid for p > 4 and N >= 1 via the Bernstein envelope: terms are <= 3 amp^p n^(1-p/2).  Infinite
     at |delta| = 1, where they grow like 2n+1; NaN or |delta| > 1 + 1e-12 raises ValueError.
     """
-    if not p > 4:  # NaN fails too
-        raise ValueError("tail bound requires p > 4")
+    if not 4 < p < math.inf:  # NaN fails too
+        raise ValueError(f"tail bound requires finite p > 4: {_SUP_NORM_PATH}")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     if delta == 0.0:
@@ -268,8 +270,8 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     """
     from scipy.special import zeta  # imported on first use, so the CLI's import loads no scipy.special
 
-    if not p > 4:  # NaN fails too
-        raise ValueError("tail estimate requires p > 4")
+    if not 4 < p < math.inf:  # NaN fails too
+        raise ValueError(f"tail estimate requires finite p > 4: {_SUP_NORM_PATH}")
     delta = _clamp_delta(delta)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")

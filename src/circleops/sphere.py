@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 # nothing here calls legendre_table: the import stays because perfbench's selftest reads it from this module
-from .legendre import _clamp_delta, legendre_table
+from .legendre import _clamp_delta, _is_count, legendre_table
 
 __all__ = [
     "real_sph_harm_matrix",
@@ -144,11 +143,6 @@ def _basis_block(z, rho, cphi, sphi, band_limit, out, row_map=None):
         else:
             out[cos] = np.multiply(root2q, c[1:rows], out=pair[: rows - 1])
             out[sin] = np.multiply(root2q, s[1:rows], out=pair[: rows - 1])
-
-
-def _is_count(value, least: int) -> bool:
-    """An integer (numpy's too, but not a bool) that is at least `least`."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
 
 
 def _check_band_limit(band_limit) -> None:

@@ -96,13 +96,74 @@ def _plain_recurrence(max_degree, x):
     return table
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# signed zeros, the ends, and the overshoots that clamp to them
+EDGE_ABSCISSAE = [-0.0, 0.0, 1.0, -1.0, 1.0 + 1e-12, -(1.0 + 1e-12)]
+
+
 @pytest.mark.parametrize("width", [1, 11, 1000, 1001])
 def test_row_loop_bits_match_the_plain_recurrence(width):
-    # the row loop works in place but keeps the plain expression's operations and order
-    xs = np.random.default_rng(width).uniform(-1.0, 1.0, width)
-    want = _plain_recurrence(2000, xs)
-    assert np.array_equal(legendre_table(2000, xs), want)
-    assert np.array_equal(np.concatenate(list(_row_blocks(2000, xs, block_rows=7))), want)
+    # the row loop works in place but keeps the plain expression's operations and order,
+    # so its bits are the expression's, signs of zero included
+    xs = np.append(EDGE_ABSCISSAE, np.random.default_rng(width).uniform(-1.0, 1.0, width))
+    clamped = np.clip(xs, -1.0, 1.0)
+    want = _plain_recurrence(2000, clamped)
+    assert _same_bits(legendre_table(2000, xs), want)
+    assert _same_bits(np.concatenate(list(_row_blocks(2000, clamped, block_rows=7))), want)
+
+
+class _RecordingNumpy:
+    """numpy, except that multiply, subtract and divide record the types of their operands."""
+
+    def __init__(self, names):
+        self.calls = {name: [] for name in names}
+
+    def __getattr__(self, name):
+        exact = getattr(np, name)
+        if name not in self.calls:
+            return exact
+
+        def call(*args, **kwargs):
+            self.calls[name].append([type(arg) for arg in args])
+            return exact(*args, **kwargs)
+
+        return call
+
+
+def test_row_loop_passes_no_python_or_numpy_scalar_to_its_ufuncs(monkeypatch):
+    # a Python float or numpy scalar operand costs numpy a conversion on every call; the loop's
+    # scalars are reused 0-d arrays, and its five calls per row all go through these names
+    xs = np.linspace(-1.0, 1.0, 9)
+    want = legendre_table(50, xs)
+    recording = _RecordingNumpy(["multiply", "subtract", "divide"])
+    monkeypatch.setattr(legendre, "np", recording)
+    got = np.concatenate(list(_row_blocks(50, xs, block_rows=7)))
+    assert _same_bits(got, want)
+    # degrees 1..50 come from the loop (P_0 is set, not computed)
+    assert {name: len(calls) for name, calls in recording.calls.items()} == {
+        "multiply": 3 * 50,
+        "subtract": 50,
+        "divide": 50,
+    }
+    operand_types = {t for calls in recording.calls.values() for types in calls for t in types}
+    assert operand_types == {np.ndarray}
+
+
+@pytest.mark.parametrize("degree", [True, False, 2.0, np.float64(3.0), -1, np.int64(-2), "3", None])
+def test_degree_must_be_an_integer_at_least_zero(degree):
+    # the package's count rule: a bool is not a degree, a float is not one either
+    with pytest.raises(ValueError, match=r"degree must be an integer >= 0"):
+        legendre_table(degree, 0.3)
+    with pytest.raises(ValueError, match=r"degree must be an integer >= 0"):
+        next(_row_blocks(degree, np.array([0.3])))
+
+
+def test_numpy_integer_degrees_are_degrees():
+    assert _same_bits(legendre_table(np.int64(7), [0.3, -0.0]), legendre_table(7, [0.3, -0.0]))
+    assert _same_bits(legendre_at_zero(np.uint8(5)), legendre_at_zero(5))
 
 
 def test_nd_abscissae_keep_their_shape():

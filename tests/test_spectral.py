@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -467,3 +468,22 @@ def test_bad_input_raises_value_error(call):
     # a NaN exponent fails every check written "not p > bound", as p <= bound does
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: diff_power_windows([0.3], [np.inf], [10]),
+        lambda: diff_power_sums([0.3], [np.inf], [10]),
+        lambda: completed_power_sums([0.3], [np.inf], [1024]),
+        lambda: schatten_tail_bound(0.3, np.inf, 1024),
+        lambda: schatten_tail_estimate(0.3, np.inf, 1024),
+    ],
+    ids=["windows", "sums", "completed", "tail-bound", "tail-estimate"],
+)
+def test_finite_p_entry_points_refuse_p_inf_and_name_the_sup_norm_path(call):
+    # p = inf once read 1.0 from diff_power_sums and NaN, after RuntimeWarnings, from the tails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"op_norm_diff_certificates or schatten_decay\(\[inf\]"):
+            call()
