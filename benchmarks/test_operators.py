@@ -6,9 +6,10 @@ Each benchmark also checks its result, so a fast wrong answer fails.  The sphere
 time the circle-average operator, the ring means behind it, the ring contraction of
 circle_average and the Markov step, the last at a perfbench Markov job's shape and at one
 step of criterion 5.  The sl3 rows time embedding2_solve at criterion 9's gammas and kak on
-perfbench's four singular-value patterns.  The two legendre_table rows are row-loop passes: a
-wide one (degree 2000 on 1000 abscissae) and a narrow one (65535 rows on 2 abscissae), whose
-time is almost all numpy's per-call cost.
+perfbench's four singular-value patterns.  The legendre rows time each shallow route: the row
+loop on a wide pass (degree 2000 on 1000 abscissae), and the float route of passes over one or
+two abscissae, at criterion 4's one-delta table, the zeros P_n(0) to degree 2000 and 65535
+rows on 2 abscissae, one row short of a banded pass.
 """
 
 import numpy as np
@@ -159,9 +160,26 @@ def test_legendre_table(benchmark):
         assert np.abs(table[n] - want).max() <= tol
 
 
+def test_legendre_table_one_delta(benchmark):
+    # criterion 4's eigenvalue table at one delta, and an operator job's: the float route
+    table = benchmark.pedantic(legendre_table, args=(32, 0.41), rounds=200, warmup_rounds=1)
+    assert table.shape == (33,) and table[0] == 1.0 and table[1] == 0.41
+    want = np.polynomial.legendre.legval(0.41, np.eye(33))
+    assert np.abs(table - want).max() <= 1e-14
+
+
+def test_legendre_at_zero(benchmark):
+    # P_n(0) to degree 2000, the float route; P_2k(0) = -P_(2k-2)(0) (2k-1) / (2k)
+    zeros = benchmark.pedantic(legendre_at_zero, args=(2000,), rounds=50, warmup_rounds=1)
+    assert zeros.shape == (2001,) and np.all(zeros[1::2] == 0.0)
+    k = np.arange(1, 1001)
+    want = np.cumprod(np.append(1.0, -(2 * k - 1) / (2 * k)))
+    assert np.abs(zeros[::2] - want).max() <= 1e-14
+
+
 def test_legendre_table_narrow(benchmark):
-    # the row loop at almost pure per-call cost: 65535 rows over 2 abscissae, one row short of
-    # a banded pass; schatten_tail_estimate's exact heads near |delta| = 1 run at this shape
+    # the float route at its deepest: 65535 rows over 2 abscissae, one row short of a banded
+    # pass; schatten_tail_estimate's exact heads near |delta| = 1 run at this shape
     table = benchmark.pedantic(legendre_table, args=(65534, [0.999, 0.0]), rounds=5, warmup_rounds=1)
     assert table.shape == (65535, 2) and np.abs(table).max() <= 1.0
     assert np.all(table[1::2, 1] == 0.0)  # P_n(0) at odd n

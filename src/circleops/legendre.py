@@ -4,16 +4,18 @@ Everything downstream (operator norms, Schatten sums, quadrature eigenvalue
 checks) reduces to values of P_n on [-1, 1], normalized by P_n(1) = 1, so the
 evaluation here is deliberately plain: the forward three-term recurrence in
 double precision, which is stable on the interval.  There is one recurrence
-with two solvers, chosen by depth and width: a deep and narrow pass (more
+with three routes, chosen by depth and width.  A deep and narrow pass (more
 than _BLOCK_VALUES rows, at most _BANDED_WIDTH abscissae) solves it as a
 banded lower-triangular system, one compiled BLAS solve per abscissa down
 a contiguous column (scipy.linalg is imported by the first such pass, not
-by this module), and every other pass runs it row by row over all abscissae
-at once, in place in the output rows.  The row loop keeps the plain
-expression's operations in their order, so its bits are those of
-((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n; its scalars 2n-1, n-1 and n are
-reused 0-d arrays, which numpy takes faster than Python floats.
-Gauss-Legendre rules are not built here: their callers take numpy's leggauss.
+by this module).  A shallow pass over at most _FLOAT_WIDTH abscissae (one
+delta, or one delta and a zero column) runs it in Python floats, one
+abscissa at a time, and every other pass runs it row by row over all
+abscissae at once, in place in the output rows.  The float route and the
+row loop keep the plain expression's operations in their order, so both
+give the bits of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n; the banded solver
+rounds differently.  Gauss-Legendre rules are not built here: their callers
+take numpy's leggauss.
 """
 
 from __future__ import annotations
@@ -38,11 +40,17 @@ _BLOCK_VALUES = 2**16  # values in one block of a recurrence pass: keeps memory 
 # Most abscissae a deep pass solves as banded systems: a block holds 2^16 / width rows, so
 # the solves per row grow like width^2 / 2^16; past about 200 abscissae the row loop is faster.
 _BANDED_WIDTH = 192
+# Most abscissae a shallow pass runs in Python floats (_float_rows): one delta, or one delta and
+# _defect_blocks' zero column.
+_FLOAT_WIDTH = 2
 
 
-def _is_count(value, least: int) -> bool:
-    """An integer (numpy's too, but not a bool) that is at least `least`."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+def _require_count(value, name: str, least: int) -> int:
+    """The package's count rule: int(value) for an integer (numpy's too, but not a bool) that is at
+    least `least`, else ValueError "<name> must be an integer >= <least>, got <value>"."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _clamp_abscissa(x):
@@ -64,7 +72,8 @@ def _clamp_delta(delta: float) -> float:
 def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     """Fill rows[2:] with P_first, .. row by row from rows[:2] = P_(first-2), P_(first-1).
 
-    Works in place, with no temporary per row: each row takes the five steps
+    The solver of shallow passes over more than _FLOAT_WIDTH abscissae.  Works
+    in place, with no temporary per row: each row takes the five steps
     (2n-1) x, *= P_(n-1), -= (n-1) P_(n-2) (one scratch row), /= n.  These are
     the operations of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n in their order, so
     the bits are those of the plain expression.  A row costs five ufunc calls,
@@ -89,6 +98,27 @@ def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
         subtract(row, multiply(older, weight, scratch), row)
         divide(row, degree, row)
         older, last = last, row
+
+
+def _float_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
+    """Fill rows[2:] like _loop_rows in Python floats, one abscissa at a time.
+
+    Each value takes the row loop's five steps in their order, and a float rounds
+    each as a float64 array does (n + n - 1 and n - 1 are exact), so the bits are
+    the row loop's, whose columns do not depend on each other.  A step is one
+    interpreter operation, not one ufunc call on a row: the faster route up to
+    about 10 abscissae.
+    """
+    degrees = np.arange(max(first, 1), first + len(rows) - 2, dtype=float).tolist()
+    for column, xj, (older, last) in zip(rows.T, x.tolist(), rows[:2].T.tolist()):
+        values = []
+        if first == 0:  # P_0 = 1; the recurrence runs from P_1
+            values, older, last = [1.0], last, 1.0
+        append = values.append
+        for n in degrees:
+            older, last = last, ((n + n - 1.0) * xj * last - older * (n - 1.0)) / n
+            append(last)
+        column[2:] = values
 
 
 def _banded_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
@@ -123,23 +153,24 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     """Yield P_n(x), n = 0..max_degree, for 1-D clamped x in consecutive blocks of rows.
 
     The package's one copy of the recurrence n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2),
-    with two solvers chosen by depth and width: a pass of more than
+    with three solvers chosen by depth and width: a pass of more than
     _BLOCK_VALUES rows over at most _BANDED_WIDTH abscissae is solved as a
-    banded system per abscissa (_banded_rows), any other row by row, in place
-    (_loop_rows, with the bits of the recurrence evaluated as written).  Neither
-    solver's bits depend on the block size or on the other abscissae, but the
-    two solvers round differently, so a column's bits can change when the
-    width crosses _BANDED_WIDTH.  Each block continues from the last two rows
-    of the one before.  A banded block is the transpose of a (width, rows)
-    buffer, so its columns, one per abscissa, are contiguous; a row-loop
-    block is C-ordered.  max_degree is an integer >= 0, numpy's too but not a
-    bool; anything else is a ValueError.
+    banded system per abscissa (_banded_rows); any other pass over at most
+    _FLOAT_WIDTH abscissae runs in Python floats (_float_rows), and the rest
+    row by row, in place (_loop_rows).  The float route and the row loop both
+    give the bits of the recurrence evaluated as written.  No solver's bits
+    depend on the block size or on the other abscissae, but the banded solver
+    rounds differently, so a column's bits can change when the pass crosses
+    into or out of the deep and narrow corner.  Each block continues from the
+    last two rows of the one before.  A banded block is the transpose of a
+    (width, rows) buffer, so its columns, one per abscissa, are contiguous;
+    any other block is C-ordered.  max_degree is an integer >= 0, numpy's too
+    but not a bool; anything else is a ValueError.
     """
-    if not _is_count(max_degree, 0):
-        raise ValueError("degree must be an integer >= 0")
+    _require_count(max_degree, "degree", 0)
     block_rows = block_rows or max(1, _BLOCK_VALUES // max(x.size, 1))
     deep_and_narrow = max_degree + 1 > _BLOCK_VALUES and x.size <= _BANDED_WIDTH
-    solve = _banded_rows if deep_and_narrow else _loop_rows
+    solve = _banded_rows if deep_and_narrow else _float_rows if x.size <= _FLOAT_WIDTH else _loop_rows
     # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
     carried = np.zeros((2, x.size))
     for start in range(0, max_degree + 1, block_rows):
@@ -170,7 +201,8 @@ def legendre_table(max_degree: int, x) -> np.ndarray:
     values[:, x=1] = 1.  A deep and narrow table (_row_blocks) is a view
     whose columns are contiguous.
     """
-    xc = _clamp_abscissa(x)
+    # one delta takes the float clamp, with the array clamp's bits and error
+    xc = np.array(_clamp_delta(x)) if np.ndim(x) == 0 else _clamp_abscissa(x)
     # one block; max_degree is first used, and checked, inside _row_blocks
     (table,) = _row_blocks(max_degree, xc.ravel(), sys.maxsize)
     return table.reshape(table.shape[:1] + xc.shape)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalDegeneracyError
-from .legendre import legendre_table
+from .legendre import _require_count, legendre_table
 # nothing here calls real_sph_harm_matrix: the import stays because perfbench's selftest and the
 # frozen-benchmark guard in tests/test_exports.py read it from this module
 from .sphere import SphereGrid, real_sph_harm_matrix
@@ -119,7 +119,8 @@ def coefficient_decay(n_max: int) -> tuple[np.ndarray, bool]:
     c(n) is within 3.9e-15 relative of both the 1024-step rule and an adaptive
     longitude rule over a 40-digit inner integral.
     """
-    if not 0 <= n_max <= 36:
+    _require_count(n_max, "n_max", 0)
+    if n_max > 36:
         raise ValueError("n_max must lie in [0, 36], the range where the quadrature was measured")
     rows = np.empty((n_max + 1, 4))
     for n in range(n_max + 1):
@@ -170,8 +171,7 @@ def invariant_gap(degree: int):
     the upper end is the measured defect ||u - c w / ||w|| || of the witness
     u, plus A.  The certified claim is lower >= 1/3.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    _require_count(degree, "degree", 1)
     grid = build_grid(degree)
     block = grid.basis[:, degree * degree : (degree + 1) ** 2]
     zonal = np.sqrt(2 * degree + 1) * legendre_table(degree, grid.nodes[:, 0])[degree]
@@ -191,8 +191,7 @@ def certified_gaps(j_max: int):
     """(gaps, held): invariant_gap(j) for j = 1..j_max, and whether every gap has
     GAP_FLOOR <= lower <= witness_defect and a witness of norm 1 within 1e-9; j_max >= 1,
     since an empty run certifies nothing."""
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
+    _require_count(j_max, "j_max", 1)
     gaps = [invariant_gap(degree) for degree in range(1, j_max + 1)]
     held = all(GAP_FLOOR <= lo <= up and abs(np.linalg.norm(vec) - 1.0) < 1e-9 for lo, up, vec in gaps)
     return gaps, held

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .legendre import HOLDER_CONSTANT
+from .legendre import HOLDER_CONSTANT, _require_count
 from .spectral import op_norm_diff_certificates
 
 __all__ = [
@@ -82,8 +82,8 @@ class MixedNormSpace:
     inner_exponent: float
 
     def __post_init__(self):
-        if self.outer_dim < 1 or self.inner_dim < 1:
-            raise ValueError("dimensions must be >= 1")
+        _require_count(self.outer_dim, "outer_dim", 1)
+        _require_count(self.inner_dim, "inner_dim", 1)
         if not self.inner_exponent >= 1:  # NaN fails too
             raise ValueError("inner exponent must be >= 1")
 
@@ -165,8 +165,8 @@ def mixed_norm_lower_bound(
         raise ValueError("operator must be square of size outer_dim")
     if not np.isfinite(T).all():
         raise ValueError("operator must be finite")
-    if restarts < 1 or iters < 0:
-        raise ValueError("need restarts >= 1 and iters >= 0")
+    _require_count(restarts, "restarts", 1)
+    _require_count(iters, "iters", 0)
     diagonal = np.diagonal(T)
     if np.count_nonzero(T) != np.count_nonzero(diagonal):
         raise ValueError("operator must be diagonal: the search for a general T was retired")

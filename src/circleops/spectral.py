@@ -19,6 +19,7 @@ from .legendre import (
     HOLDER_CONSTANT,
     _clamp_delta,
     _defect_blocks,
+    _require_count,
     _row_blocks,
     bernstein_envelope,
     legendre_table,
@@ -72,8 +73,7 @@ class SpectralOperator:
 
     def __post_init__(self):
         _clamp_delta(self.delta)
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
+        _require_count(self.truncation, "truncation", 0)
 
     def eigenvalues(self) -> np.ndarray:
         return legendre_table(self.truncation, self.delta)
@@ -89,8 +89,7 @@ def op_norm_diff_certificates(deltas, truncation: int) -> tuple[np.ndarray, np.n
     computation of it.  tails: a bound on the sup over n > N (Bernstein envelope, capped at the
     a-priori bound 2).  The norm is <= max(heads, tails), with equality where the head dominates.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
+    _require_count(truncation, "truncation", 0)
     # One pass to the first even degree m past N checks the deltas, gives the heads and
     # |P_m(0)|, which bounds |P_n(0)| for every n > N.
     m = truncation + 1 if truncation % 2 else truncation + 2
@@ -112,6 +111,13 @@ def holder_check(deltas, truncation: int) -> tuple[np.ndarray, np.ndarray, np.nd
     heads, _ = op_norm_diff_certificates(deltas, truncation)
     bounds = HOLDER_CONSTANT * np.sqrt(np.abs(deltas))
     return heads, bounds, heads > bounds + 1e-14
+
+
+def _checkpoints(values, name: str, least: int) -> list[int]:
+    """values sorted ascending, each checked by the count rule; ValueError if there are none."""
+    if not (checked := sorted(_require_count(value, name, least) for value in values)):
+        raise ValueError(f"need at least one {name}")
+    return checked
 
 
 def _power_windows(blocks, ps, checkpoints) -> np.ndarray:
@@ -157,9 +163,7 @@ def diff_power_windows(deltas, ps, checkpoints) -> np.ndarray:
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    checkpoints = sorted(int(c) for c in checkpoints)
-    if not checkpoints or checkpoints[0] < 1:
-        raise ValueError("need at least one checkpoint, each >= 1")
+    checkpoints = _checkpoints(checkpoints, "checkpoint", 1)
     if not np.all((ps > 0) & (ps < math.inf)):  # NaN fails too
         raise ValueError(f"p must be positive and finite: {_SUP_NORM_PATH}")
     # the n = 0 term vanishes: both eigenvalues are 1
@@ -186,8 +190,7 @@ def schatten_tail_bound(delta: float, p: float, truncation: int) -> float:
     """
     if not 4 < p < math.inf:  # NaN fails too
         raise ValueError(f"tail bound requires finite p > 4: {_SUP_NORM_PATH}")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    _require_count(truncation, "truncation", 1)
     if delta == 0.0:
         return 0.0
     amp = bernstein_envelope(1, delta) + bernstein_envelope(1, 0.0)  # sqrt(2/pi) (sin^-1/2 + 1)
@@ -273,8 +276,7 @@ def schatten_tail_estimate(delta: float, p: float, truncation: int) -> float:
     if not 4 < p < math.inf:  # NaN fails too
         raise ValueError(f"tail estimate requires finite p > 4: {_SUP_NORM_PATH}")
     delta = _clamp_delta(delta)
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    _require_count(truncation, "truncation", 1)
     if delta == 0.0:
         return 0.0
     if abs(delta) == 1.0:
@@ -332,7 +334,7 @@ def completed_power_sums(deltas, ps, checkpoints):
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
-    checkpoints = sorted(int(c) for c in checkpoints)
+    checkpoints = _checkpoints(checkpoints, "checkpoint", 1)
     windows = diff_power_windows(deltas, ps, checkpoints)
     tails = np.array([[[schatten_tail_estimate(d, p, n) for n in checkpoints] for d in deltas] for p in ps])
     norms = (np.cumsum(windows, axis=-1) + tails) ** (1.0 / ps[:, None, None])
@@ -413,8 +415,7 @@ def schatten_decay(ps, delta_grid, n_max: int = 2**18) -> list[SchattenDecay]:
         raise ValueError("the Schatten p-norm of the difference is infinite for p <= 4")
     if math.inf in ps and len(ps) > 1:
         raise ValueError("p = inf takes the certified sup norms, which cannot share a run with finite p")
-    if n_max < 2:
-        raise ValueError(f"n_max must be at least 2, so that n_max // 2 is a checkpoint, got {n_max}")
+    _require_count(n_max, "n_max", 2)  # so that n_max // 2 is a checkpoint
     deltas = np.asarray(sorted(set(float(d) for d in delta_grid)))
     if deltas.size < 3 or not np.all((deltas > 0) & (deltas <= 0.5)):  # NaN fails too
         raise ValueError("the fit needs at least 3 distinct deltas, each in (0, 1/2]")
@@ -446,9 +447,7 @@ def divergence_probe_p4(delta, n_list) -> np.ndarray:
     deltas = np.asarray(delta, dtype=float)
     if not np.all(np.abs(deltas) < 1.0):
         raise ValueError("probe requires |delta| < 1")
-    checkpoints = sorted(int(n) for n in n_list)
-    if not checkpoints or checkpoints[0] < 0:
-        raise ValueError("need at least one degree, each nonnegative")
+    checkpoints = _checkpoints(n_list, "degree", 0)
     blocks = _row_blocks(checkpoints[-1], deltas.ravel())
     sums = np.cumsum(_power_windows(blocks, np.array([4.0]), checkpoints)[0], axis=-1)
     return sums.reshape(deltas.shape + sums.shape[-1:])

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 # nothing here calls legendre_table: the import stays because perfbench's selftest reads it from this module
-from .legendre import _clamp_delta, _is_count, legendre_table
+from .legendre import _clamp_delta, _require_count, legendre_table
 
 __all__ = [
     "real_sph_harm_matrix",
@@ -145,18 +145,13 @@ def _basis_block(z, rho, cphi, sphi, band_limit, out, row_map=None):
             out[sin] = np.multiply(root2q, s[1:rows], out=pair[: rows - 1])
 
 
-def _check_band_limit(band_limit) -> None:
-    if not _is_count(band_limit, 0):
-        raise ValueError("band limit must be an integer >= 0")
-
-
 def real_sph_harm_matrix(points: np.ndarray, band_limit: int) -> np.ndarray:
     """Real orthonormal spherical harmonics at unit vectors, shape (npts, (B+1)^2).
 
     Normalized against the probability measure on S2: the constant harmonic
     is identically 1 and the degree-n block has 2n+1 columns.
     """
-    _check_band_limit(band_limit)
+    _require_count(band_limit, "band limit", 0)
     z, rho, cphi, sphi = _polar(points)
     out = np.empty(((band_limit + 1) ** 2, z.shape[0]))
     _basis_block(z, rho, cphi, sphi, band_limit, out)
@@ -207,10 +202,8 @@ class SphereGrid:
         node, 75 MB for the B = 32, oversample 2 grid of repsim.build_grid(32), and circle
         averaging caches about 16 n_lon (B+1)^2 bytes of ring tables on it, 1.1 MB at B = 32.
         """
-        _check_band_limit(band_limit)
-        if not _is_count(oversample, 1):
-            raise ValueError("oversample factor must be an integer >= 1")
-        return _built_grid(int(band_limit), int(oversample))
+        band_limit = _require_count(band_limit, "band limit", 0)
+        return _built_grid(band_limit, _require_count(oversample, "oversample factor", 1))
 
     @property
     def n_coeff(self) -> int:
@@ -395,8 +388,7 @@ def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) 
 
 def markov_trace(delta: float, steps: int, seed: int) -> np.ndarray:
     """One chain's (steps + 1, 3) path from e3; consecutive positions have inner product delta."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _require_count(steps, "steps", 0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pos = np.empty((steps + 1, 3))
     pos[0] = (0.0, 0.0, 1.0)
@@ -416,8 +408,8 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int):
     Replicas are batched under one seeded generator that draws a row of
     angles per step (deterministic given the seed).
     """
-    if steps < 1 or replicas < 2:
-        raise ValueError("need steps >= 1 and replicas >= 2 (one replica has no Monte-Carlo error)")
+    _require_count(steps, "steps", 1)
+    _require_count(replicas, "replicas", 2)  # one replica has no Monte-Carlo error
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = np.tile([0.0, 0.0, 1.0], (replicas, 1))
     norms = np.empty(steps)

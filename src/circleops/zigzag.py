@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .legendre import _require_count
 from .sl3 import LambdaPoint, solve_delta_for_top
 
 __all__ = [
@@ -253,8 +254,7 @@ def covering_partial_sums(prof: ExponentProfile, alpha: float, n_terms: int) -> 
     """
     if not alpha >= 0:  # NaN fails too
         raise ValueError("alpha must be nonnegative")
-    if n_terms < 1:
-        raise ValueError("need at least one term")
+    _require_count(n_terms, "n_terms", 1)
     n = np.arange(n_terms)
     terms = (
         6.0

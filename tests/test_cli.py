@@ -125,8 +125,8 @@ def test_tdelta_norms_inf_checks_the_exponent_alone(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["--p", "8,inf"], "cannot share a run with finite p"),
-    (["--nmax", "1"], "n_max must be at least 2"),
-    (["--p", "inf", "--nmax", "1"], "n_max must be at least 2"),
+    (["--nmax", "1"], "n_max must be an integer >= 2, got 1"),
+    (["--p", "inf", "--nmax", "1"], "n_max must be an integer >= 2, got 1"),
 ], ids=["inf-with-finite", "nmax-1", "inf-nmax-1"])
 def test_tdelta_norms_refused_runs_exit_2(tmp_path, capsys, argv, message):
     assert run(tmp_path, "tdelta-norms", *argv) == 2

@@ -19,14 +19,17 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import circleops
-from circleops import cli, repsim, schatten, spectral, sphere, zigzag
+from circleops import cli, legendre, repsim, schatten, spectral, sphere, zigzag
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(circleops.__path__))
 
@@ -105,6 +108,95 @@ SIGNATURES = {
 @pytest.mark.parametrize("func", SIGNATURES, ids=lambda func: func.__qualname__)
 def test_public_signatures(func):
     assert list(inspect.signature(func).parameters) == SIGNATURES[func]
+
+
+_PROFILE = zigzag.ExponentProfile(holder_s=0.5, growth_t=0.0, hoelder_C=4.0, growth_L=1.0)
+_DIAGONAL_SPACE = schatten.MixedNormSpace(2, 2, 3.0)
+_POLE = np.array([[0.0, 0.0, 1.0]])
+
+# Every public integer parameter, as (callable, parameter) -> (a call passing the value there, least
+# value).  A checkpoint list gets the value next to a valid checkpoint, so each element is checked.
+COUNTS = {
+    (legendre.legendre_table, "max_degree"): (lambda n: legendre.legendre_table(n, 0.3), 0),
+    (legendre.legendre_at_zero, "max_degree"): (legendre.legendre_at_zero, 0),
+    (repsim.build_grid, "band_limit"): (repsim.build_grid, 0),
+    (repsim.coefficient_decay, "n_max"): (repsim.coefficient_decay, 0),
+    (repsim.invariant_gap, "degree"): (repsim.invariant_gap, 1),
+    (repsim.certified_gaps, "j_max"): (repsim.certified_gaps, 1),
+    (schatten.MixedNormSpace, "outer_dim"): (lambda n: schatten.MixedNormSpace(n, 1, 3.0), 1),
+    (schatten.MixedNormSpace, "inner_dim"): (lambda n: schatten.MixedNormSpace(1, n, 3.0), 1),
+    (schatten.mixed_norm_lower_bound, "restarts"): (
+        lambda n: schatten.mixed_norm_lower_bound(np.eye(2), _DIAGONAL_SPACE, restarts=n), 1),
+    (schatten.mixed_norm_lower_bound, "iters"): (
+        lambda n: schatten.mixed_norm_lower_bound(np.eye(2), _DIAGONAL_SPACE, iters=n), 0),
+    (schatten.interpolation_check, "truncation"): (lambda n: schatten.interpolation_check(0.3, 3.0, n), 0),
+    (spectral.SpectralOperator, "truncation"): (lambda n: spectral.SpectralOperator(0.3, n), 0),
+    (spectral.op_norm_diff_certificates, "truncation"): (
+        lambda n: spectral.op_norm_diff_certificates([0.3], n), 0),
+    (spectral.holder_check, "truncation"): (lambda n: spectral.holder_check([0.3], n), 0),
+    (spectral.schatten_tail_bound, "truncation"): (lambda n: spectral.schatten_tail_bound(0.3, 5.0, n), 1),
+    (spectral.schatten_tail_estimate, "truncation"): (lambda n: spectral.schatten_tail_estimate(0.3, 5.0, n), 1),
+    (spectral.schatten_decay, "n_max"): (lambda n: spectral.schatten_decay([8.0], [0.1, 0.2, 0.3], n), 2),
+    (spectral.diff_power_windows, "checkpoints"): (lambda n: spectral.diff_power_windows([0.3], [5.0], [4, n]), 1),
+    (spectral.diff_power_sums, "checkpoints"): (lambda n: spectral.diff_power_sums([0.3], [5.0], [4, n]), 1),
+    (spectral.completed_power_sums, "checkpoints"): (
+        lambda n: spectral.completed_power_sums([0.3], [5.0], [4, n]), 1),
+    (spectral.divergence_probe_p4, "n_list"): (lambda n: spectral.divergence_probe_p4(0.3, [4, n]), 0),
+    (sphere.real_sph_harm_matrix, "band_limit"): (lambda n: sphere.real_sph_harm_matrix(_POLE, n), 0),
+    (sphere.SphereGrid.build, "band_limit"): (sphere.SphereGrid.build, 0),
+    (sphere.SphereGrid.build, "oversample"): (lambda n: sphere.SphereGrid.build(2, n), 1),
+    (sphere.markov_trace, "steps"): (lambda n: sphere.markov_trace(0.3, n, 0), 0),
+    (sphere.mixing_profile, "steps"): (lambda n: sphere.mixing_profile(0.3, n, 4, 0), 1),
+    (sphere.mixing_profile, "replicas"): (lambda n: sphere.mixing_profile(0.3, 2, n, 0), 2),
+    (zigzag.covering_partial_sums, "n_terms"): (lambda n: zigzag.covering_partial_sums(_PROFILE, 0.0, n), 1),
+}
+# integer-annotated parameters outside the count rule
+NOT_COUNTS = {
+    (legendre.bernstein_envelope, "n"),  # a real parameter of Bernstein's formula
+    (repsim.matrix_coefficient, "inner_nodes"),  # accepted and unused
+    (schatten.mixed_norm_lower_bound, "seed"),  # accepted and unused
+    (sphere.markov_trace, "seed"),  # numpy's SeedSequence rule
+    (sphere.mixing_profile, "seed"),
+    (sphere.SphereGrid, "band_limit"),  # a field: SphereGrid.build checks it
+    (cli.run_criterion, "number"),  # a key of cli.CRITERIA
+}
+
+
+def _int_parameters(func):
+    return {(func, name) for name, param in inspect.signature(func).parameters.items() if param.annotation == "int"}
+
+
+def test_counts_name_every_integer_parameter():
+    """The count table covers every parameter annotated int of SIGNATURES and of each public
+    callable (a class's constructor and public methods too), and the checkpoint lists besides."""
+    public = []
+    for module in MODULES:
+        mod = importlib.import_module(f"circleops.{module}")
+        for obj in (getattr(mod, name) for name in getattr(mod, "__all__", [])):
+            members = [getattr(obj, name) for name in vars(obj) if not name.startswith("_")] if inspect.isclass(obj) else []
+            public += [func for func in (obj, *members) if callable(func)]
+    annotated = set().union(*map(_int_parameters, public))
+    assert set().union(*map(_int_parameters, SIGNATURES)) <= COUNTS.keys() | NOT_COUNTS
+    assert annotated - NOT_COUNTS == {key for key in COUNTS if key[1] not in ("checkpoints", "n_list")}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.7, -1], ids=repr)
+@pytest.mark.parametrize("key", COUNTS, ids=lambda key: f"{key[0].__qualname__}:{key[1]}")
+def test_integer_parameters_follow_the_count_rule(key, bad):
+    """True, 2.0, 2.7 and -1 are not counts: each is the same ValueError, raised before any numpy warning."""
+    call, least = COUNTS[key]
+    name = {"checkpoints": "checkpoint", "n_list": "degree", "max_degree": "degree",
+            "band_limit": "band limit", "oversample": "oversample factor"}.get(key[1], key[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {least}, got {bad!r}")):
+            call(bad)
+
+
+@pytest.mark.parametrize("key", COUNTS, ids=lambda key: f"{key[0].__qualname__}:{key[1]}")
+def test_numpy_integers_are_counts(key):
+    call, _ = COUNTS[key]
+    call(np.int64(2))
 
 
 # perfbench is frozen with the benchmark: its tracer patches these two methods out of

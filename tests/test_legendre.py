@@ -22,6 +22,7 @@ from circleops.sl3 import x_delta
 from circleops.spectral import (
     SpectralOperator,
     divergence_probe_p4,
+    op_norm_diff_certificates,
     schatten_tail_estimate,
 )
 from circleops.sphere import SphereGrid, circle_average_operator, markov_steps
@@ -152,6 +153,46 @@ def test_row_loop_passes_no_python_or_numpy_scalar_to_its_ufuncs(monkeypatch):
     assert operand_types == {np.ndarray}
 
 
+# Shallow passes over at most two abscissae run the row loop's steps in Python floats (_float_rows),
+# one column at a time; a row-loop column's bits do not depend on its neighbours, so a narrow
+# pass must equal its columns inside a wider one, signs of zero included.
+FLOAT_ABSCISSAE = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-13, -(1.0 + 1e-13), 1e-300, 0.41, -0.83, 0.999]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 17, 2000, 65534])
+def test_narrow_passes_keep_the_row_loop_bits(degree):
+    wide = legendre_table(degree, FLOAT_ABSCISSAE)  # shallow and 10 wide: the row loop
+    clamped = np.clip(FLOAT_ABSCISSAE, -1.0, 1.0)
+    for k, x in enumerate(FLOAT_ABSCISSAE):
+        assert _same_bits(legendre_table(degree, x), wide[:, k])
+        assert _same_bits(legendre_table(degree, [x]), wide[:, [k]])
+        # one delta and _defect_blocks' zero column
+        assert _same_bits(legendre_table(degree, [x, 0.0]), wide[:, [k, 0]])
+    block_rows = 3 if degree <= 2000 else 1024  # continuation blocks, 64 at the deepest degree
+    for columns in ([7], [7, 0], [4, 5]):
+        blocks = list(_row_blocks(degree, clamped[columns], block_rows))
+        assert len(blocks) == degree // block_rows + 1
+        assert _same_bits(np.concatenate(blocks), wide[:, columns])
+
+
+def test_odd_degrees_at_zero_are_exactly_zero():
+    # ((2n-1) 0) P_(n-1) is a zero with the sign of P_(n-1), and subtracting (n-1) P_(n-2) = (n-1) 0
+    # keeps it: +0.0 at n = 1 mod 4 and -0.0 at n = 3 mod 4, as in the row loop
+    values = legendre_at_zero(2001)
+    assert np.all(values[1::2] == 0.0)
+    assert np.array_equal(np.signbit(values[1::2]), values[0::2] < 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -1.5])
+def test_scalar_delta_raises_as_a_one_element_array(bad):
+    with pytest.raises(Exception) as as_array:
+        legendre_table(4, np.array([bad]))
+    with pytest.raises(Exception) as as_scalar:
+        legendre_table(4, bad)
+    assert as_scalar.type is as_array.type is ValueError
+    assert str(as_scalar.value) == str(as_array.value)
+
+
 @pytest.mark.parametrize("degree", [True, False, 2.0, np.float64(3.0), -1, np.int64(-2), "3", None])
 def test_degree_must_be_an_integer_at_least_zero(degree):
     # the package's count rule: a bool is not a degree, a float is not one either
@@ -274,6 +315,13 @@ EDGE_ROWS, EDGE_WIDTH = legendre._BLOCK_VALUES, legendre._BANDED_WIDTH
 @pytest.mark.parametrize(
     "rows, width, solver",
     [
+        (1, 1, "_float_rows"),
+        (18, 2, "_float_rows"),
+        (18, 3, "_loop_rows"),
+        (EDGE_ROWS, 1, "_float_rows"),
+        (EDGE_ROWS, 2, "_float_rows"),
+        (EDGE_ROWS + 1, 1, "_banded_rows"),
+        (EDGE_ROWS + 1, 2, "_banded_rows"),
         (EDGE_ROWS, 3, "_loop_rows"),
         (EDGE_ROWS + 1, 3, "_banded_rows"),
         (EDGE_ROWS + 1, EDGE_WIDTH, "_banded_rows"),
@@ -282,14 +330,31 @@ EDGE_ROWS, EDGE_WIDTH = legendre._BLOCK_VALUES, legendre._BANDED_WIDTH
     ],
 )
 def test_solver_follows_depth_and_width(monkeypatch, rows, width, solver):
+    used = _spy_on_solvers(monkeypatch)
+    next(_row_blocks(rows - 1, np.linspace(-1.0, 1.0, width)))  # the first block only
+    assert used == [solver]
+
+
+def _spy_on_solvers(monkeypatch) -> list:
+    """The names of the solvers called from now on, one entry per block."""
     used = []
-    for name in ("_loop_rows", "_banded_rows"):
+    for name in ("_float_rows", "_loop_rows", "_banded_rows"):
         def spy(*args, name=name, solve=getattr(legendre, name)):
             used.append(name)
             solve(*args)
         monkeypatch.setattr(legendre, name, spy)
-    next(_row_blocks(rows - 1, np.linspace(-1.0, 1.0, width)))  # the first block only
-    assert used == [solver]
+    return used
+
+
+def test_one_delta_tables_take_the_float_route(monkeypatch):
+    # criterion 4's per-delta table, the zeros, an operator's eigenvalues and a one-delta defect pass
+    used = _spy_on_solvers(monkeypatch)
+    legendre_table(32, 0.41)
+    legendre_at_zero(2000)
+    SpectralOperator(0.3, 16).eigenvalues()
+    op_norm_diff_certificates([0.3], 16)
+    divergence_probe_p4(0.3, [16])
+    assert used == ["_float_rows"] * 5
 
 
 def test_two_sides_of_the_width_test_agree(deep_reference):

@@ -272,5 +272,5 @@ class TestInvariantGap:
     @pytest.mark.parametrize("j_max", [0, -1])
     def test_empty_run_is_refused(self, j_max):
         # no degree would be checked, so ([], True) would certify nothing
-        with pytest.raises(ValueError, match="j_max must be >= 1"):
+        with pytest.raises(ValueError, match="j_max must be an integer >= 1"):
             certified_gaps(j_max)

@@ -314,7 +314,7 @@ class TestFitDecay:
     @pytest.mark.parametrize(
         "ps, n_max, message",
         [([8.0, np.inf], 2**10, "cannot share"), ([4.0, 8.0], 2**10, "infinite"), ([np.nan], 2**10, "infinite"),
-         ([8.0], 1, "n_max must be at least 2"), ([np.inf], 0, "n_max must be at least 2")],
+         ([8.0], 1, "n_max must be an integer >= 2"), ([np.inf], 0, "n_max must be an integer >= 2")],
         ids=["inf-with-finite", "p-four", "p-nan", "n_max-1", "inf-n_max-0"],
     )
     def test_refused_before_any_pass(self, monkeypatch, ps, n_max, message):
