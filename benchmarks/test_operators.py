@@ -4,8 +4,8 @@
 
 Each benchmark also checks its result, so a fast wrong answer fails.  The sphere rows
 time the circle-average operator, the ring means behind it, the ring contraction of
-circle_average and the Markov step, the last at a perfbench Markov job's shape and at one
-step of criterion 5.  The sl3 rows time embedding2_solve at criterion 9's gammas and kak on
+circle_average and 16 chained Markov steps, at a perfbench Markov job's 2000 replicas and at
+criterion 5's 10^5.  The sl3 rows time embedding2_solve at criterion 9's gammas and kak on
 perfbench's four singular-value patterns.  The legendre rows time each shallow route: the row
 loop on a wide pass (degree 2000 on 1000 abscissae), and the float route of passes over one or
 two abscissae, at criterion 4's one-delta table, the zeros P_n(0) to degree 2000 and 65535
@@ -106,9 +106,10 @@ def _markov_path(start, steps, delta, seed):
     return np.stack(path)
 
 
-# a perfbench Markov job (2000 replicas x 16 steps) and one step of criterion 5 (10^5 replicas)
-@pytest.mark.parametrize("replicas, steps", [(2000, 16), (10**5, 1)], ids=["perfbench-job", "criterion-5-step"])
-def test_markov_steps(benchmark, replicas, steps):
+# 16 chained steps at a perfbench Markov job's 2000 replicas and at criterion 5's 10^5
+@pytest.mark.parametrize("replicas", [2000, 10**5])
+def test_markov_steps(benchmark, replicas):
+    steps = 16
     start = np.random.default_rng(replicas).normal(size=(replicas, 3))
     start /= np.linalg.norm(start, axis=1, keepdims=True)
     path = benchmark.pedantic(_markov_path, args=(start, steps, 0.6, 7), rounds=20, warmup_rounds=1)

@@ -13,6 +13,10 @@ circle_average_operator; both read the ring geometry each grid caches on first u
 circles' delta-free term), so per delta only the circles' harmonics, in ring order, and their
 means are computed, and one take puts the means into degree order, into an array allocated
 before the kernel's buffer.  SphereGrid.synthesize works on the grid only.
+The Markov chain steps its replicas as (3, R) rows, a block at a time, in place in the frames'
+buffers, with cross products as slices of doubled row stacks; its uniform point on a circle
+needs no trigonometry: a pair uniform in the unit disk, by rejection from the square, is
+scaled to unit length for (cos phi, sin phi).
 """
 
 from __future__ import annotations
@@ -272,15 +276,36 @@ def _built_grid(band_limit: int, oversample: int) -> SphereGrid:
     return SphereGrid(band_limit=band_limit, nodes=nodes, weights=weights, basis=basis)
 
 
-def _frame_rows(p):
-    """tangent_frames on (3, R) rows, with np.cross's operations written out in its order."""
-    a = np.abs(p)
+def _cross_rows(a, b, out, scratch):
+    """out = a x b from doubled (5, R) stacks, rows 0, 1, 2, 0, 1 of a and of b, so that every
+    row i's a_(i+1) b_(i+2) - a_(i+2) b_(i+1) comes from slices [1:4] and [2:5]: np.cross's
+    products and subtraction in its order, one (3, R) product each."""
+    np.multiply(a[1:4], b[2:5], out=out)
+    out -= np.multiply(a[2:5], b[1:4], out=scratch)
+    return out
+
+
+def _frame_rows(rows):
+    """tangent_frames on (3, R) rows, as (u, v): u doubled (see _cross_rows), v (3, R)."""
+    p = np.empty((5, rows.shape[1]))  # the rows doubled, C-contiguous whatever their layout
+    p[:3] = rows
+    p[3:] = rows[:2]
+    a = np.abs(p[:3])
+    e = np.empty_like(p)
     first = (a[0] <= a[1]) & (a[0] <= a[2])  # e = (argmin |p| == axis): ties go to the first axis
-    e = (first, ~first & (a[1] <= a[2]), ~first & (a[1] > a[2]))
-    u = np.array([e[j] * p[k] - e[k] * p[j] for j, k in ((1, 2), (2, 0), (0, 1))])
-    u /= np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    v = np.array([p[j] * u[k] - p[k] * u[j] for j, k in ((1, 2), (2, 0), (0, 1))])
-    return u, v
+    e[0] = first
+    first = ~first
+    e[1] = first & (a[1] <= a[2])
+    e[2] = first & (a[1] > a[2])
+    e[3:] = e[:2]
+    u = np.empty_like(p)
+    _cross_rows(e, p, u[:3], a)
+    square = np.multiply(u[:3], u[:3], out=a)
+    norm = square[0] + square[1]
+    norm += square[2]
+    u[:3] /= np.sqrt(norm, out=norm)
+    u[3:] = u[:2]
+    return u, _cross_rows(p, u, e[:3], a)
 
 
 def tangent_frames(points: np.ndarray):
@@ -289,21 +314,19 @@ def tangent_frames(points: np.ndarray):
     u = normalize(e_k x point) where e_k is the coordinate axis least aligned
     with the point; v = point x u.  Fixed so that runs are reproducible.
     """
-    return tuple(w.T for w in _frame_rows(np.atleast_2d(np.asarray(points, dtype=float)).T))
+    u, v = _frame_rows(np.atleast_2d(np.asarray(points, dtype=float)).T)
+    return u[:3].T, v.T
 
 
-def _circle_step(delta: float, centres, u, v, psi):
-    """delta centres + r (cos psi u + sin psi v), r = sqrt(1 - delta^2): the points at
-    inner product delta from centres at angles psi (broadcast against u) from u towards v."""
-    return _on_circles(delta, centres, np.cos(psi) * u + np.sin(psi) * v)
-
-
-def _on_circles(delta: float, centres, frame):
-    """r frame + delta centres, r = sqrt(1 - delta^2): _circle_step from its delta-free frame term."""
+def _on_circles(delta: float, centres, frame, out=None, scratch=None):
+    """r frame + delta centres, r = sqrt(1 - delta^2): the points at inner product delta from
+    centres, given their delta-free frame term cos psi u + sin psi v; into out (frame itself may
+    be out) with scratch for delta centres, new arrays by default."""
     delta = _clamp_delta(delta)
     radius = np.sqrt(max(0.0, 1.0 - delta * delta))
-    # the frame term first: the sum takes its layout, so markov_steps' (3, R) rows stay rows
-    return radius * frame + delta * centres
+    out = np.multiply(radius, frame, out=out)
+    out += np.multiply(delta, centres, out=scratch)
+    return out
 
 
 def _rule_angles(band_limit: int):
@@ -320,7 +343,8 @@ def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
     is a trigonometric polynomial of degree <= B in psi, so the M-point trapezoid mean is
     exact once M >= B+1; at M = B the frequency-B terms in psi alias onto the constant.
     """
-    return _circle_step(delta, centres, u, v, _rule_angles(grid.band_limit))
+    psi = _rule_angles(grid.band_limit)
+    return _on_circles(delta, centres, np.cos(psi) * u + np.sin(psi) * v)
 
 
 def _ring_tables(grid: SphereGrid, delta: float):
@@ -352,6 +376,7 @@ def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
     """Matrix (n_nodes, n_coeff) whose column (n, m) holds the average of Y_n^m over the
     circles at inner product delta around each grid node, filled ring by ring."""
     means, partner, c, s = _ring_tables(grid, delta)
+    means = np.ascontiguousarray(means)  # one copy with contiguous ring rows: the table's are strided
     out = np.empty((len(means), len(c), grid.n_coeff))
     turned = np.empty_like(c)  # the partner term, reused by every ring
     for a, ring in zip(means, out):
@@ -378,12 +403,58 @@ def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=N
 # ---------------------------------------------------------------------------
 
 
+# replicas per block of markov_steps and _circle_draw: a block's buffers, about 200 bytes a
+# replica, stay in a 2 MiB L2, and no temporary is large enough to come and go as fresh pages
+_STEP_BLOCK = 8192
+
+
+def _circle_draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    """(2, size): rows cos phi and sin phi of size angles uniform on the circle, with no
+    trigonometry: pairs uniform in the square [-1, 1)^2 are kept inside the unit disk and
+    scaled to unit length (von Neumann 1951; Marsaglia 1972).  The pair (0, 0) is refused with
+    the outside ones.  The rows are filled _STEP_BLOCK at a time, so a block's temporaries stay
+    small and a draw of size R equals the draws of its blocks in turn.  Each round draws 4/3 of
+    the block's missing pairs plus 32 against an acceptance rate of pi/4, so a second round is
+    rare; the rows depend on the generator's state only."""
+    rows = np.empty((2, size))
+    for start in range(0, size, _STEP_BLOCK):
+        block = rows[:, start : start + _STEP_BLOCK]
+        filled = 0
+        while filled < block.shape[1]:
+            need = block.shape[1] - filled
+            xy = rng.uniform(-1.0, 1.0, size=(2, need * 4 // 3 + 32))
+            r2 = xy[0] * xy[0]
+            r2 += xy[1] * xy[1]
+            inside = np.flatnonzero((r2 <= 1.0) & (r2 > 0.0))[:need]
+            kept = np.take(xy, inside, axis=1, out=block[:, filled : filled + len(inside)], mode="clip")
+            kept /= np.sqrt(np.take(r2, inside, mode="clip"))
+            filled += len(inside)
+    return rows
+
+
+def _markov_rows(pts, delta: float, cphi, sphi, out=None):
+    """The chain step on (3, R) rows at given angles: delta pts + r (cphi u + sphi v), with
+    tangent_frames' (u, v), in place in the frames' buffers; into out, a new (3, R) array by default."""
+    u, v = _frame_rows(pts)
+    frame = u[:3]
+    frame *= cphi
+    v *= sphi
+    v += frame  # sphi v + cphi u: the bits of cphi u + sphi v
+    return _on_circles(delta, pts, v, out=np.empty(pts.shape) if out is None else out, scratch=frame)
+
+
 def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """One chain step for a batch of unit vectors, shape (R, 3): the transpose of a (3, R)
-    result, so a chain fed its own output stays in row layout from step to step."""
+    result, so a chain fed its own output stays in row layout from step to step.  Replicas go
+    _STEP_BLOCK at a time, each block's angles drawn just before its step; the angles are
+    those of one _circle_draw of all R."""
     pts = np.atleast_2d(np.asarray(positions, dtype=float)).T
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[1])
-    return _circle_step(delta, pts, *_frame_rows(pts), phi).T
+    delta = _clamp_delta(delta)  # checked here too: no block runs at zero replicas
+    out = np.empty(pts.shape)
+    for i in range(0, pts.shape[1], _STEP_BLOCK):
+        block = pts[:, i : i + _STEP_BLOCK]
+        _markov_rows(block, delta, *_circle_draw(rng, block.shape[1]), out=out[:, i : i + _STEP_BLOCK])
+    return out.T
 
 
 def markov_trace(delta: float, steps: int, seed: int) -> np.ndarray:
@@ -405,8 +476,9 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int):
     arrays of length steps, where sigmas[k] is the RMS radius
     sqrt(sum_i Var(x_k,i) / replicas) of the mean estimator.
 
-    Replicas are batched under one seeded generator that draws a row of
-    angles per step (deterministic given the seed).
+    Replicas are batched under one seeded generator that draws each
+    step's (cos phi, sin phi) rows by _circle_draw's rejection pairs, no
+    angle and no trigonometry (deterministic given the seed).
     """
     _require_count(steps, "steps", 1)
     _require_count(replicas, "replicas", 2)  # one replica has no Monte-Carlo error
@@ -425,8 +497,9 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int):
 def contraction_verdict(delta: float, norms: np.ndarray, sigmas: np.ndarray) -> tuple[float, bool]:
     """The largest pull |norms[k] - |delta|^(k+1)| / sigmas[k] of mixing_profile's output, and
     whether every pull is <= 3 (NaN fails).  A zero gap is a zero pull, as at |delta| = 1 where
-    sigmas is 0.  False alarms over seeds 0-299: none at 15 steps and 10^4 replicas for delta in
-    {0, 0.3, 0.6, 0.9, -0.5}, 1 at 3 steps and 10 replicas for delta = 0.3."""
+    sigmas is 0.  False alarms over seeds 0-299, on the rejection-pair draw: none at 15 steps and
+    10^4 replicas for delta in {0, 0.3, 0.6, 0.9, -0.5}, none at 3 steps and 10 replicas for
+    delta = 0.3 (the uniform-angle draw before it had 1 there, at seed 249)."""
     gaps = np.abs(norms - abs(delta) ** np.arange(1, len(norms) + 1))
     with np.errstate(divide="ignore"):
         pulls = np.divide(gaps, sigmas, out=np.zeros_like(gaps), where=gaps != 0.0)

@@ -8,7 +8,7 @@ import pytest
 from scipy import special, stats
 
 from circleops import sphere
-from circleops.legendre import legendre_table
+from circleops.legendre import _clamp_delta, legendre_table
 from circleops.sphere import (
     SphereGrid,
     circle_average,
@@ -418,15 +418,43 @@ def _cross_tangent_frames(points):
 
 
 def _cross_markov_steps(positions, delta, rng):
-    """markov_steps as it was in the (R, 3) layout, on _cross_tangent_frames."""
+    """markov_steps as it was in the (R, 3) layout, on _cross_tangent_frames, at the angles of
+    sphere._circle_draw."""
     pts = np.atleast_2d(positions)
     u, v = _cross_tangent_frames(pts)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[0])[:, None]
-    return delta * pts + np.sqrt(1.0 - delta * delta) * (np.cos(phi) * u + np.sin(phi) * v)
+    cphi, sphi = sphere._circle_draw(rng, pts.shape[0])[:, :, None]
+    return delta * pts + np.sqrt(1.0 - delta * delta) * (cphi * u + sphi * v)
+
+
+def _trig_frame_rows(p):
+    """tangent_frames on (3, R) rows as the trig step had them: list comprehensions stacked by np.array."""
+    a = np.abs(p)
+    first = (a[0] <= a[1]) & (a[0] <= a[2])
+    e = (first, ~first & (a[1] <= a[2]), ~first & (a[1] > a[2]))
+    u = np.array([e[j] * p[k] - e[k] * p[j] for j, k in ((1, 2), (2, 0), (0, 1))])
+    u /= np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    v = np.array([p[j] * u[k] - p[k] * u[j] for j, k in ((1, 2), (2, 0), (0, 1))])
+    return u, v
+
+
+def _trig_markov_steps(positions, delta, rng):
+    """markov_steps as it was before the trig-free draw: a row of uniform angles and their cos
+    and sin, fresh arrays for every term; the oracle of the in-place step."""
+    pts = np.atleast_2d(np.asarray(positions, dtype=float)).T
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=pts.shape[1])
+    u, v = _trig_frame_rows(pts)
+    delta = _clamp_delta(delta)
+    radius = np.sqrt(max(0.0, 1.0 - delta * delta))
+    return (radius * (np.cos(phi) * u + np.sin(phi) * v) + delta * pts).T
 
 
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _unit_rows(count, seed):
+    x = np.random.default_rng(seed).normal(size=(count, 3))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def _oracle_points():
@@ -453,14 +481,29 @@ class TestMarkov:
 
     def test_chain_fed_its_own_output_keeps_the_bits(self):
         # from the second step on, markov_steps is fed its own (3, R) result's transposed view;
-        # at 2 x 10^4 replicas numpy lays a sum out like its first term, so a column-layout
-        # first term would drop the chain out of row layout
-        x = np.random.default_rng(9).normal(size=(20000, 3))
-        x = y = x / np.linalg.norm(x, axis=1, keepdims=True)
+        # 2 x 10^4 replicas take three blocks of the step and of the draw
+        x = y = _unit_rows(20000, 9)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(16):
             x, y = markov_steps(x, 0.6, rng), _cross_markov_steps(y, 0.6, ref_rng)
             assert x.T.flags.c_contiguous and _same_bits(x, y)
+
+    @pytest.mark.parametrize("delta", [1.0, -1.0, 0.0, -0.0, 0.3, -0.6, 0.9, 1.0 + 1e-13])
+    @pytest.mark.parametrize("which", range(6))
+    def test_in_place_step_keeps_the_bits_of_the_trig_step(self, which, delta):
+        # the step at the trig step's angles, chained 16 times; set 5 is 2 x 10^4 replicas
+        x = y = [*_oracle_points(), _unit_rows(20000, 9)][which]
+        rng, ref_rng = np.random.default_rng(which), np.random.default_rng(which)
+        for _ in range(16):
+            phi = rng.uniform(0.0, 2.0 * np.pi, size=len(x))
+            x = sphere._markov_rows(x.T, delta, np.cos(phi), np.sin(phi)).T
+            y = _trig_markov_steps(y, delta, ref_rng)
+            assert _same_bits(x, y)
+
+    @pytest.mark.parametrize("replicas", [0, 3])
+    def test_bad_delta_is_refused(self, replicas):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            markov_steps(np.tile([0.0, 0.0, 1.0], (replicas, 1)), 1.5, np.random.default_rng(0))
 
     def test_integer_positions_step_as_floats(self):
         x = np.array([[0, 0, 1], [-1, 0, 0]])
@@ -550,6 +593,60 @@ class TestMarkov:
         assert counts.sum() == 10**6
         stat = stats.chisquare(counts).statistic
         assert stat < stats.chi2.ppf(1 - 1e-3, counts.size - 1)
+
+
+class _ZeroFirstPair:
+    """A generator whose first pair in the square is exactly (0, 0); the rest are default_rng(seed)'s."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def uniform(self, low, high, size):
+        xy = self.rng.uniform(low, high, size)
+        if not self.calls:
+            xy[:, 0] = 0.0
+        self.calls += 1
+        return xy
+
+
+class TestCircleDraw:
+    def test_unit_norm_within_two_ulp(self):
+        rng = np.random.default_rng(21)
+        for size in (1, 7, 2000, 10**6):
+            cphi, sphi = sphere._circle_draw(rng, size)
+            assert cphi.shape == sphi.shape == (size,)
+            assert np.abs(np.hypot(cphi, sphi) - 1.0).max() <= 2 * np.spacing(1.0)
+
+    def test_harmonics_of_the_angle_have_mean_zero(self):
+        # E cos k phi = E sin k phi = 0 for k = 1..4 over 4 x 10^6 angles; each of the 8 means has
+        # variance 1/(2N) under the uniform law, and the family's false-alarm rate is 1e-3 (Bonferroni)
+        rng, draws, sums = np.random.default_rng(22), 4 * 10**6, np.zeros(4, dtype=complex)
+        for _ in range(4):
+            cphi, sphi = sphere._circle_draw(rng, draws // 4)
+            z = cphi + 1j * sphi
+            sums += [np.sum(z**k) for k in range(1, 5)]
+        means = sums / draws
+        pulls = np.abs(np.concatenate([means.real, means.imag])) / np.sqrt(0.5 / draws)
+        assert pulls.max() <= stats.norm.isf(1e-3 / 16)
+
+    def test_same_seed_same_stream(self):
+        draws = [[sphere._circle_draw(rng, size) for size in (1, 7, 9000)] for rng in
+                 (np.random.default_rng(5), np.random.default_rng(5), np.random.default_rng(6))]
+        assert all(_same_bits(a, b) for a, b in zip(draws[0], draws[1]))
+        assert not any(np.array_equal(a, b) for a, b in zip(draws[0], draws[2]))
+
+    def test_a_draw_is_its_blocks_in_turn(self):
+        block = sphere._STEP_BLOCK
+        whole = sphere._circle_draw(np.random.default_rng(4), 2 * block + 5)
+        rng = np.random.default_rng(4)
+        parts = [sphere._circle_draw(rng, size) for size in (block, block, 5)]
+        assert _same_bits(whole, np.concatenate(parts, axis=1))
+
+    def test_a_zero_pair_is_refused(self):
+        rows = sphere._circle_draw(_ZeroFirstPair(3), 50)
+        assert np.isfinite(rows).all() and np.abs(np.hypot(*rows) - 1.0).max() <= 2 * np.spacing(1.0)
+        steps = markov_steps(np.tile([0.0, 0.6, 0.8], (50, 1)), 0.3, _ZeroFirstPair(3))
+        assert np.isfinite(steps).all()
 
 
 def test_basis_matches_scipy_on_zonal():
