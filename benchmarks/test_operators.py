@@ -4,9 +4,10 @@
 
 Each benchmark also checks its result, so a fast wrong answer fails.  The sphere rows
 time the circle-average operator, the ring means behind it, the ring contraction of
-circle_average and 16 chained Markov steps, at a perfbench Markov job's 2000 replicas and at
-criterion 5's 10^5.  The sl3 rows time embedding2_solve at criterion 9's gammas and kak on
-perfbench's four singular-value patterns.  The legendre rows time each shallow route: the row
+circle_average, 16 chained Markov steps, at a perfbench Markov job's 2000 replicas and at
+criterion 5's 10^5, and the one-replica trace of 15 steps that each criterion 5 run writes.
+The sl3 rows time embedding2_solve at criterion 9's gammas and kak on perfbench's four
+singular-value patterns.  The legendre rows time each shallow route: the row
 loop on a wide pass (degree 2000 on 1000 abscissae), and the float route of passes over one or
 two abscissae, at criterion 4's one-delta table, the zeros P_n(0) to degree 2000 and 65535
 rows on 2 abscissae, one row short of a banded pass.
@@ -32,6 +33,7 @@ from circleops.sphere import (
     circle_average_operator,
     degree_of_column,
     markov_steps,
+    markov_trace,
     real_sph_harm_matrix,
     tangent_frames,
 )
@@ -116,6 +118,14 @@ def test_markov_steps(benchmark, replicas):
     assert path.shape == (steps + 1, replicas, 3)
     assert np.abs(np.linalg.norm(path, axis=2) - 1.0).max() <= 1e-12
     assert np.abs(np.sum(path[:-1] * path[1:], axis=2) - 0.6).max() <= 1e-12
+
+
+def test_markov_trace(benchmark):
+    # criterion 5's trace: one replica, 15 steps at delta = 0.3, one markov_steps call a step
+    path = benchmark.pedantic(markov_trace, args=(0.3, 15, 100), rounds=50, warmup_rounds=1)
+    assert path.shape == (16, 3) and np.array_equal(path[0], [0.0, 0.0, 1.0])
+    assert np.abs(np.linalg.norm(path, axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(np.sum(path[:-1] * path[1:], axis=1) - 0.3).max() <= 1e-12
 
 
 def test_mixed_norm_diagonal_exact(benchmark):

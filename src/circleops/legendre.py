@@ -15,7 +15,8 @@ abscissae at once, in place in the output rows.  The float route and the
 row loop keep the plain expression's operations in their order, so both
 give the bits of ((2n-1) x P_(n-1) - (n-1) P_(n-2)) / n; the banded solver
 rounds differently.  Gauss-Legendre rules are not built here: their callers
-take numpy's leggauss.
+take numpy's leggauss.  _row_blocks seeds P_0 = 1 for all three solvers, so
+each of them starts its pass at P_1.
 """
 
 from __future__ import annotations
@@ -84,9 +85,6 @@ def _loop_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     x86-64 machine) a multiply took 0.77 us with a float and 0.62 us with the
     0-d array, its setting included; a divide 1.45 us and 1.23 us.
     """
-    if first == 0:  # P_0 = 1; the recurrence runs from P_1
-        rows[2] = 1.0
-        first, rows = 1, rows[1:]
     scratch = np.empty_like(x)
     slope, weight, degree = np.empty(()), np.empty(()), np.empty(())  # 2n-1, n-1, n
     multiply, subtract, divide = np.multiply, np.subtract, np.divide
@@ -109,11 +107,9 @@ def _float_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     interpreter operation, not one ufunc call on a row: the faster route up to
     about 10 abscissae.
     """
-    degrees = np.arange(max(first, 1), first + len(rows) - 2, dtype=float).tolist()
+    degrees = np.arange(first, first + len(rows) - 2, dtype=float).tolist()
     for column, xj, (older, last) in zip(rows.T, x.tolist(), rows[:2].T.tolist()):
         values = []
-        if first == 0:  # P_0 = 1; the recurrence runs from P_1
-            values, older, last = [1.0], last, 1.0
         append = values.append
         for n in degrees:
             older, last = last, ((n + n - 1.0) * xj * last - older * (n - 1.0)) / n
@@ -125,25 +121,23 @@ def _banded_rows(first: int, rows: np.ndarray, x: np.ndarray) -> None:
     """Fill rows[2:] like _loop_rows by one banded triangular solve (BLAS dtbsv) per abscissa.
 
     Unknown k is P_j, j = first - 2 + k.  In LAPACK lower band storage its
-    column holds the diagonal max(j, 1) and its coefficients -(2j+1) x and j+1
-    in the recurrences for degrees j+1 and j+2; the right-hand side is e_0.
-    The first two unknowns are unit rows holding the carried values, with no
-    coupling between them, so every block size gives the same bits.  rows is
-    the transpose of a (width, len(rows)) buffer, so each abscissa's unknowns
-    are one contiguous vector.
+    column holds the diagonal j and its coefficients -(2j+1) x and j+1 in the
+    recurrences for degrees j+1 and j+2.  The first two unknowns are unit rows
+    whose right-hand sides are the carried values, with no coupling between
+    them, and the rest of the right-hand side is zero, so every block size
+    gives the same bits.  rows is the transpose of a (width, len(rows))
+    buffer, so each abscissa's unknowns are one contiguous vector.
     """
     from scipy.linalg.blas import dtbsv  # imported on first use: importing circleops loads no scipy
 
     degrees = np.arange(first - 2, first + len(rows) - 2)
     band = np.empty((3, len(rows)), order="F")
-    band[0] = np.maximum(degrees, 1)
+    band[0] = degrees
     band[0, :2] = 1.0
     band[2] = degrees + 1
     coupling = -(2.0 * degrees + 1.0)
     coupling[0] = 0.0
     rows[2:] = 0.0
-    if first == 0:
-        rows[2] = 1.0  # P_0 = 1: the right-hand side e_0
     for xi, column in zip(x.tolist(), rows.T):
         np.multiply(coupling, xi, out=band[1])
         dtbsv(2, band, column, lower=1, overwrite_x=1)
@@ -171,15 +165,17 @@ def _row_blocks(max_degree: int, x: np.ndarray, block_rows: int | None = None):
     block_rows = block_rows or max(1, _BLOCK_VALUES // max(x.size, 1))
     deep_and_narrow = max_degree + 1 > _BLOCK_VALUES and x.size <= _BANDED_WIDTH
     solve = _banded_rows if deep_and_narrow else _float_rows if x.size <= _FLOAT_WIDTH else _loop_rows
-    # P_(-2), P_(-1): with P_(-1) = 0 the recurrence gives P_1 = x exactly
-    carried = np.zeros((2, x.size))
+    # P_0 = 1 is seeded here once: the first block's buffer starts at the rows P_(-1) = 0 and
+    # P_0 = 1, so every solver starts at P_1 (= x exactly)
+    carried = ((0.0,), (1.0,))
     for start in range(0, max_degree + 1, block_rows):
-        shape = (min(block_rows, max_degree + 1 - start) + 2, x.size)
+        head = 2 if start else 1  # buffer rows before the block's own
+        shape = (min(block_rows, max_degree + 1 - start) + head, x.size)
         rows = np.empty(shape[::-1]).T if deep_and_narrow else np.empty(shape)
         rows[:2] = carried
-        solve(start, rows, x)
+        solve(start or 1, rows, x)
         carried = rows[-2:]
-        yield rows[2:]
+        yield rows[head:]
 
 
 def _defect_blocks(max_degree: int, x):

@@ -219,7 +219,10 @@ class SphereGrid:
 
         Node l of a ring is R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point
         rule runs on the first nodes' circles only: frame (M, rings, 3) is their delta-free term
-        cos psi_j e_phi + sin psi_j e_theta.  At node l the order-m pair (cos, sin) = (a, b)
+        cos psi_j e_phi + sin psi_j e_theta, psi_j = 2 pi j / M.  A harmonic of degree <= B on the
+        circle delta x + r (cos psi e_phi + sin psi e_theta) is a trigonometric polynomial of
+        degree <= B in psi, so the trapezoid mean of M = B + 1 points is exact; at M = B the
+        frequency-B terms alias onto the constant.  At node l the order-m pair (cos, sin) = (a, b)
         becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
         """
         n_lon = np.count_nonzero(self.nodes[:, 2] == self.nodes[0, 2])  # a ring shares one height
@@ -231,7 +234,7 @@ class SphereGrid:
         if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
             raise ValueError(_RING_CHECK)
         e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
-        psi = _rule_angles(self.band_limit)
+        psi = 2.0 * np.pi * np.arange(self.band_limit + 1)[:, None, None] / (self.band_limit + 1)
         frame = np.cos(psi) * e_phi + np.sin(psi) * np.cross(e_phi, first)
         offset = np.arange(self.n_coeff) - degree_of_column(self.band_limit) ** 2  # 2m-1: cos, 2m: sin
         partner = np.arange(self.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
@@ -329,24 +332,6 @@ def _on_circles(delta: float, centres, frame, out=None, scratch=None):
     return out
 
 
-def _rule_angles(band_limit: int):
-    """(M, 1, 1): the M = B+1 angles 2 pi j / M of the circle rule."""
-    M = band_limit + 1
-    return 2.0 * np.pi * np.arange(M)[:, None, None] / M
-
-
-def _circle_points(grid: SphereGrid, delta: float, centres, u, v):
-    """(M, len(centres), 3): the M = B+1 point rule on the circles at inner product
-    delta around centres, angle 0 along u and pi/2 along v.
-
-    A harmonic of degree <= B restricted to the circle delta x + r (cos psi u + sin psi v)
-    is a trigonometric polynomial of degree <= B in psi, so the M-point trapezoid mean is
-    exact once M >= B+1; at M = B the frequency-B terms in psi alias onto the constant.
-    """
-    psi = _rule_angles(grid.band_limit)
-    return _on_circles(delta, centres, np.cos(psi) * u + np.sin(psi) * v)
-
-
 def _ring_tables(grid: SphereGrid, delta: float):
     """(means, partner, c, s): the circle average of harmonic k at node l of ring r is
     means[r, k] c[l, k] + means[r, partner[k]] s[l, k]; means is (rings, n_coeff), c, s (n_lon, n_coeff).
@@ -403,8 +388,8 @@ def circle_average(grid: SphereGrid, samples: np.ndarray, delta: float, frames=N
 # ---------------------------------------------------------------------------
 
 
-# replicas per block of markov_steps and _circle_draw: a block's buffers, about 200 bytes a
-# replica, stay in a 2 MiB L2, and no temporary is large enough to come and go as fresh pages
+# replicas per block of markov_steps: a block's buffers and its draw, about 200 bytes a replica,
+# stay in a 2 MiB L2, and no temporary is large enough to come and go as fresh pages
 _STEP_BLOCK = 8192
 
 
@@ -412,42 +397,37 @@ def _circle_draw(rng: np.random.Generator, size: int) -> np.ndarray:
     """(2, size): rows cos phi and sin phi of size angles uniform on the circle, with no
     trigonometry: pairs uniform in the square [-1, 1)^2 are kept inside the unit disk and
     scaled to unit length (von Neumann 1951; Marsaglia 1972).  The pair (0, 0) is refused with
-    the outside ones.  The rows are filled _STEP_BLOCK at a time, so a block's temporaries stay
-    small and a draw of size R equals the draws of its blocks in turn.  Each round draws 4/3 of
-    the block's missing pairs plus 32 against an acceptance rate of pi/4, so a second round is
-    rare; the rows depend on the generator's state only."""
+    the outside ones.  Each round draws 4/3 of the missing pairs plus 32 against an acceptance
+    rate of pi/4, so a second round is rare; the rows depend on the generator's state only."""
     rows = np.empty((2, size))
-    for start in range(0, size, _STEP_BLOCK):
-        block = rows[:, start : start + _STEP_BLOCK]
-        filled = 0
-        while filled < block.shape[1]:
-            need = block.shape[1] - filled
-            xy = rng.uniform(-1.0, 1.0, size=(2, need * 4 // 3 + 32))
-            r2 = xy[0] * xy[0]
-            r2 += xy[1] * xy[1]
-            inside = np.flatnonzero((r2 <= 1.0) & (r2 > 0.0))[:need]
-            kept = np.take(xy, inside, axis=1, out=block[:, filled : filled + len(inside)], mode="clip")
-            kept /= np.sqrt(np.take(r2, inside, mode="clip"))
-            filled += len(inside)
+    filled = 0
+    while filled < size:
+        need = size - filled
+        xy = rng.uniform(-1.0, 1.0, size=(2, need * 4 // 3 + 32))
+        r2 = xy[0] * xy[0]
+        r2 += xy[1] * xy[1]
+        inside = np.flatnonzero((r2 <= 1.0) & (r2 > 0.0))[:need]
+        kept = np.take(xy, inside, axis=1, out=rows[:, filled : filled + len(inside)], mode="clip")
+        kept /= np.sqrt(np.take(r2, inside, mode="clip"))
+        filled += len(inside)
     return rows
 
 
-def _markov_rows(pts, delta: float, cphi, sphi, out=None):
-    """The chain step on (3, R) rows at given angles: delta pts + r (cphi u + sphi v), with
-    tangent_frames' (u, v), in place in the frames' buffers; into out, a new (3, R) array by default."""
+def _markov_rows(pts, delta: float, cphi, sphi, out):
+    """The chain step on (3, R) rows at given angles into out: delta pts + r (cphi u + sphi v),
+    with tangent_frames' (u, v), in place in the frames' buffers."""
     u, v = _frame_rows(pts)
     frame = u[:3]
     frame *= cphi
     v *= sphi
     v += frame  # sphi v + cphi u: the bits of cphi u + sphi v
-    return _on_circles(delta, pts, v, out=np.empty(pts.shape) if out is None else out, scratch=frame)
+    return _on_circles(delta, pts, v, out=out, scratch=frame)
 
 
 def markov_steps(positions: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
     """One chain step for a batch of unit vectors, shape (R, 3): the transpose of a (3, R)
     result, so a chain fed its own output stays in row layout from step to step.  Replicas go
-    _STEP_BLOCK at a time, each block's angles drawn just before its step; the angles are
-    those of one _circle_draw of all R."""
+    _STEP_BLOCK at a time, each block's angles drawn by one _circle_draw just before its step."""
     pts = np.atleast_2d(np.asarray(positions, dtype=float)).T
     delta = _clamp_delta(delta)  # checked here too: no block runs at zero replicas
     out = np.empty(pts.shape)
@@ -497,9 +477,8 @@ def mixing_profile(delta: float, steps: int, replicas: int, seed: int):
 def contraction_verdict(delta: float, norms: np.ndarray, sigmas: np.ndarray) -> tuple[float, bool]:
     """The largest pull |norms[k] - |delta|^(k+1)| / sigmas[k] of mixing_profile's output, and
     whether every pull is <= 3 (NaN fails).  A zero gap is a zero pull, as at |delta| = 1 where
-    sigmas is 0.  False alarms over seeds 0-299, on the rejection-pair draw: none at 15 steps and
-    10^4 replicas for delta in {0, 0.3, 0.6, 0.9, -0.5}, none at 3 steps and 10 replicas for
-    delta = 0.3 (the uniform-angle draw before it had 1 there, at seed 249)."""
+    sigmas is 0.  False alarms over seeds 0-299: none at 15 steps and 10^4 replicas for delta in
+    {0, 0.3, 0.6, 0.9, -0.5}, none at 3 steps and 10 replicas for delta = 0.3."""
     gaps = np.abs(norms - abs(delta) ** np.arange(1, len(norms) + 1))
     with np.errstate(divide="ignore"):
         pulls = np.divide(gaps, sigmas, out=np.zeros_like(gaps), where=gaps != 0.0)

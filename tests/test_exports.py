@@ -11,7 +11,8 @@ constants, so a setting cannot come back without a visible test change.  A
 guard keeps the names the frozen perfbench harness calls.  A front-end guard keeps check-all's
 own checks (cli.CRITERIA rows with a check function) to the claims no subcommand makes, and
 an import guard keeps the modules' relative imports acyclic.  And a caller census: every
-exported name is used by the library or a benchmark, not only by tests or demos.
+exported name is used by the library or a benchmark, not only by tests or demos, and every
+module-level function or class that no __all__ names is used by the library itself.
 """
 
 import ast
@@ -292,3 +293,24 @@ def test_no_module_fails_by_assertion():
         if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "AssertionError")
     ]
     assert found == []
+
+
+def test_every_private_definition_has_a_caller_in_the_library():
+    """A module-level function or class of src/ that no __all__ names is used in src/ outside its own
+    definition (exported names face the caller census above): code that only tests call lives in the tests."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted((REPO / "src" / "circleops").glob("*.py"))}
+    references = [
+        (node.id if isinstance(node, ast.Name) else node.attr, id(node))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = []
+    for module, tree in trees.items():
+        exported = getattr(importlib.import_module(f"circleops.{module}"), "__all__", [])
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported:
+                inside = {id(child) for child in ast.walk(node)}
+                if not any(name == node.name and key not in inside for name, key in references):
+                    unused.append(f"{module}.{node.name}")
+    assert unused == []

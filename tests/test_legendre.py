@@ -75,12 +75,14 @@ def test_table_matches_single_evaluations():
 
 
 def test_blocks_continue_the_recurrence():
-    # each block starts from the last two rows of the one before, so any block
-    # size reproduces the one-block table bit for bit
-    xs = np.linspace(-1.0, 1.0, 9)
-    blocks = list(_row_blocks(100, xs, block_rows=7))
-    assert [len(b) for b in blocks] == [7] * 14 + [3]
-    assert np.array_equal(np.concatenate(blocks), legendre_table(100, xs))
+    # each block starts from the last two rows of the one before, so any block size reproduces
+    # the one-block table bit for bit, signs of zero included; at block_rows=1 the first block
+    # holds the seeded P_0 alone.  Nine abscissae take the row loop, one or two the float route.
+    for xs in (np.linspace(-1.0, 1.0, 9), np.array([-0.0]), np.array([0.3, 0.0])):
+        for block_rows, sizes in ((1, [1] * 101), (7, [7] * 14 + [3])):
+            blocks = list(_row_blocks(100, xs, block_rows))
+            assert [len(b) for b in blocks] == sizes
+            assert _same_bits(np.concatenate(blocks), legendre_table(100, xs))
     # one abscissa gives default blocks of 2^16 rows: degree 70000 is in the second
     *_, last = _row_blocks(70000, np.array([0.3]))
     assert last[-1, 0] == legendre_table(70000, 0.3)[-1]

@@ -203,6 +203,13 @@ def test_circle_average_matches_pointwise_quadrature(band, oversample, rule):
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(coeffs).sum())
 
 
+def _circle_points(grid, delta, centres, u, v):
+    """(B + 1, len(centres), 3): the B + 1 point circle rule at inner product delta around
+    centres, angle 0 along u and pi/2 along v."""
+    psi = 2.0 * np.pi * np.arange(grid.band_limit + 1)[:, None, None] / (grid.band_limit + 1)
+    return sphere._on_circles(delta, centres, np.cos(psi) * u + np.sin(psi) * v)
+
+
 def _full_table_ring_terms(grid, delta):
     """The ring means, partners and trig tables, with cos and sin evaluated over all
     n_lon x n_coeff entries rather than over the B + 1 distinct orders."""
@@ -210,7 +217,7 @@ def _full_table_ring_terms(grid, delta):
     first = grid.nodes.reshape(-1, n_lon, 3)[:, 0]
     beta = 2.0 * np.pi * np.arange(n_lon) / n_lon
     e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
-    circles = sphere._circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
+    circles = _circle_points(grid, delta, first, e_phi, np.cross(e_phi, first))
     values = real_sph_harm_matrix(circles.reshape(-1, 3), grid.band_limit).T
     means = values.reshape(grid.n_coeff, len(circles), -1).mean(axis=1).T
     offset = np.arange(grid.n_coeff) - degree_of_column(grid.band_limit) ** 2
@@ -419,10 +426,12 @@ def _cross_tangent_frames(points):
 
 def _cross_markov_steps(positions, delta, rng):
     """markov_steps as it was in the (R, 3) layout, on _cross_tangent_frames, at the angles of
-    sphere._circle_draw."""
+    sphere._circle_draw, drawn one _STEP_BLOCK block of replicas at a time."""
     pts = np.atleast_2d(positions)
     u, v = _cross_tangent_frames(pts)
-    cphi, sphi = sphere._circle_draw(rng, pts.shape[0])[:, :, None]
+    block = sphere._STEP_BLOCK
+    draws = [sphere._circle_draw(rng, min(block, len(pts) - i)) for i in range(0, len(pts), block)]
+    cphi, sphi = np.concatenate(draws, axis=1)[:, :, None]
     return delta * pts + np.sqrt(1.0 - delta * delta) * (cphi * u + sphi * v)
 
 
@@ -481,7 +490,7 @@ class TestMarkov:
 
     def test_chain_fed_its_own_output_keeps_the_bits(self):
         # from the second step on, markov_steps is fed its own (3, R) result's transposed view;
-        # 2 x 10^4 replicas take three blocks of the step and of the draw
+        # 2 x 10^4 replicas take three blocks of the step, each with its own draw
         x = y = _unit_rows(20000, 9)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(16):
@@ -496,7 +505,7 @@ class TestMarkov:
         rng, ref_rng = np.random.default_rng(which), np.random.default_rng(which)
         for _ in range(16):
             phi = rng.uniform(0.0, 2.0 * np.pi, size=len(x))
-            x = sphere._markov_rows(x.T, delta, np.cos(phi), np.sin(phi)).T
+            x = sphere._markov_rows(x.T, delta, np.cos(phi), np.sin(phi), np.empty(x.T.shape)).T
             y = _trig_markov_steps(y, delta, ref_rng)
             assert _same_bits(x, y)
 
@@ -634,13 +643,6 @@ class TestCircleDraw:
                  (np.random.default_rng(5), np.random.default_rng(5), np.random.default_rng(6))]
         assert all(_same_bits(a, b) for a, b in zip(draws[0], draws[1]))
         assert not any(np.array_equal(a, b) for a, b in zip(draws[0], draws[2]))
-
-    def test_a_draw_is_its_blocks_in_turn(self):
-        block = sphere._STEP_BLOCK
-        whole = sphere._circle_draw(np.random.default_rng(4), 2 * block + 5)
-        rng = np.random.default_rng(4)
-        parts = [sphere._circle_draw(rng, size) for size in (block, block, 5)]
-        assert _same_bits(whole, np.concatenate(parts, axis=1))
 
     def test_a_zero_pair_is_refused(self):
         rows = sphere._circle_draw(_ZeroFirstPair(3), 50)
