@@ -12,7 +12,10 @@ circle_average contracts ring means with a function's coefficients, never formin
 circle_average_operator; both read the ring geometry each grid caches on first use (with the
 circles' delta-free term), so per delta only the circles' harmonics, in ring order, and their
 means are computed, and one take puts the means into degree order, into an array allocated
-before the kernel's buffer.  SphereGrid.synthesize works on the grid only.
+before the kernel's buffer.  Only the lower half of the rings is computed: sigma(x, y, z) =
+(x, y, -z) maps each upper ring's circles onto a lower ring's and Y_nm to (-1)^(n+m) Y_nm, so
+an upper ring's means and operator rows are its mirror's times that sign.  SphereGrid.synthesize
+works on the grid only.
 The Markov chain steps its replicas as (3, R) rows, a block at a time, in place in the frames'
 buffers, with cross products as slices of doubled row stacks; its uniform point on a circle
 needs no trigonometry: a pair uniform in the unit disk, by rejection from the square, is
@@ -204,7 +207,7 @@ class SphereGrid:
         Every caller of a key shares one grid, so its nodes, weights and basis are read-only.
         The cache keeps the 8 most recently used grids; a basis takes 8 (B+1)^2 bytes per
         node, 75 MB for the B = 32, oversample 2 grid of repsim.build_grid(32), and circle
-        averaging caches about 16 n_lon (B+1)^2 bytes of ring tables on it, 1.1 MB at B = 32.
+        averaging caches about 16 (n_lon + 1) (B+1)^2 bytes of ring tables on it, 1.2 MB at B = 32.
         """
         band_limit = _require_count(band_limit, "band limit", 0)
         return _built_grid(band_limit, _require_count(oversample, "oversample factor", 1))
@@ -215,15 +218,19 @@ class SphereGrid:
 
     @functools.cached_property
     def _ring_geometry(self):
-        """(first, frame, partner, c, s), read-only, cached once the ring check passes.
+        """(first, frame, partner, c, s, sign), read-only, cached once the ring checks pass.
 
         Node l of a ring is R_z(beta_l) of its first node, beta_l = 2 pi l / n_lon, so the M-point
-        rule runs on the first nodes' circles only: frame (M, rings, 3) is their delta-free term
+        rule runs on the first nodes' circles only: frame (M, lower rings, 3) is their delta-free term
         cos psi_j e_phi + sin psi_j e_theta, psi_j = 2 pi j / M.  A harmonic of degree <= B on the
         circle delta x + r (cos psi e_phi + sin psi e_theta) is a trigonometric polynomial of
         degree <= B in psi, so the trapezoid mean of M = B + 1 points is exact; at M = B the
         frequency-B terms alias onto the constant.  At node l the order-m pair (cos, sin) = (a, b)
-        becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.
+        becomes (c a - s b, s a + c b), c, s = cos m beta_l, sin m beta_l.  Ring rings-1-r must be
+        ring r under sigma(x, y, z) = (x, y, -z), bit for bit (leggauss symmetrises its nodes), so
+        first and frame cover the lower ceil(rings / 2) rings: sigma keeps e_phi and negates the
+        mirror's e_theta, mapping ring r's rule onto its mirror's with psi -> -psi, and
+        Y_nm o sigma = (-1)^(n+m) Y_nm (q_n^m has parity n - m in z; rho, phi stay), the row sign.
         """
         n_lon = np.count_nonzero(self.nodes[:, 2] == self.nodes[0, 2])  # a ring shares one height
         if len(self.nodes) % n_lon:
@@ -231,8 +238,10 @@ class SphereGrid:
         rings = self.nodes.reshape(-1, n_lon, 3)
         first, beta = rings[:, 0], 2.0 * np.pi * np.arange(n_lon) / n_lon
         w = rings[..., 0] + 1j * rings[..., 1]  # node l: w_0 exp(i beta_l) at one height
-        if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any():
+        mirrored = np.array_equal(first[::-1], first * [1.0, 1.0, -1.0])
+        if np.abs(w - w[:, :1] * np.exp(1j * beta)).max() > 1e-12 or np.ptp(rings[..., 2], 1).any() or not mirrored:
             raise ValueError(_RING_CHECK)
+        first = first[: (len(first) + 1) // 2]
         e_phi = np.cross([0.0, 0.0, 1.0], first) / np.hypot(first[:, 0], first[:, 1])[:, None]
         psi = 2.0 * np.pi * np.arange(self.band_limit + 1)[:, None, None] / (self.band_limit + 1)
         frame = np.cos(psi) * e_phi + np.sin(psi) * np.cross(e_phi, first)
@@ -240,7 +249,7 @@ class SphereGrid:
         partner = np.arange(self.n_coeff) + np.where(offset % 2, 1, np.where(offset > 0, -1, 0))
         turn, order = np.outer(beta, np.arange(self.band_limit + 1)), (offset + 1) // 2  # B + 1 orders
         c, s = np.cos(turn).take(order, 1), np.where(offset % 2, -1.0, 1.0) * np.sin(turn).take(order, 1)
-        geometry = (first, frame, partner, c, s)
+        geometry = (first, frame, partner, c, s, np.where((degree_of_column(self.band_limit) + order) % 2, -1.0, 1.0))
         for table in geometry:
             table.flags.writeable = False
         return geometry
@@ -338,35 +347,40 @@ def _ring_tables(grid: SphereGrid, delta: float):
 
     Per delta: the M-point rule on the circles of the grid's _ring_geometry, one harmonic
     kernel call in ring order, and the means, summed point by point in np.mean's order, so
-    with its bits; one take puts them into degree order.  means is allocated before the
-    kernel's buffer: a long-lived array allocated after it would pin the heap above it.
+    with its bits; one take puts them into degree order.  Only for the lower rings: ring
+    rings-1-r's means are ring r's times sign (see _ring_geometry).  means is allocated before
+    the kernel's buffer: a long-lived array allocated after it would pin the heap above it.
     """
-    first, frame, partner, c, s = grid._ring_geometry
+    first, frame, partner, c, s, sign = grid._ring_geometry
     tables = _band_tables(grid.band_limit)
-    M, rings = frame.shape[:2]
+    M, lower = frame.shape[:2]
+    rings = len(grid.nodes) // len(c)
     means = np.empty((grid.n_coeff, rings))
     z, rho, cphi, sphi = _polar(_on_circles(delta, first, frame).reshape(-1, 3))
-    values = np.empty((grid.n_coeff, M * rings))
+    values = np.empty((grid.n_coeff, M * lower))
     _basis_block(z, rho, cphi, sphi, grid.band_limit, values, tables.ring_rows)
-    per_point = values.reshape(grid.n_coeff, M, rings)
+    per_point = values.reshape(grid.n_coeff, M, lower)
     total = per_point[:, 0] + 0.0  # add.reduce starts from +0.0: a sum of -0.0s is +0.0
     for j in range(1, M):
         total += per_point[:, j]
     total /= M
-    np.take(total, tables.ring_to_degree, axis=0, out=means, mode="clip")
+    np.take(total, tables.ring_to_degree, axis=0, out=means[:, :lower], mode="clip")
+    np.multiply(means[:, : rings - lower][:, ::-1], sign[:, None], out=means[:, lower:])
     return means.T, partner, c, s  # means (rings, coeffs)
 
 
 def circle_average_operator(grid: SphereGrid, delta: float) -> np.ndarray:
     """Matrix (n_nodes, n_coeff) whose column (n, m) holds the average of Y_n^m over the
-    circles at inner product delta around each grid node, filled ring by ring."""
+    circles at inner product delta around each grid node, filled ring by ring for the lower
+    rings; a column's partner has its sign, so ring rings-1-r is ring r times sign (_ring_tables)."""
     means, partner, c, s = _ring_tables(grid, delta)
-    means = np.ascontiguousarray(means)  # one copy with contiguous ring rows: the table's are strided
-    out = np.empty((len(means), len(c), grid.n_coeff))
+    out, upper = np.empty((len(means), len(c), grid.n_coeff)), len(means) // 2
+    means = np.ascontiguousarray(means[: len(means) - upper])  # contiguous ring rows: the table's are strided
     turned = np.empty_like(c)  # the partner term, reused by every ring
     for a, ring in zip(means, out):
         np.multiply(a, c, out=ring)
         ring += np.multiply(a[partner], s, out=turned)  # a[partner] is contiguous; means[:, partner] is not
+    np.multiply(out[:upper][::-1], grid._ring_geometry[-1], out=out[len(means) :])
     return out.reshape(-1, grid.n_coeff)
 
 

@@ -227,20 +227,39 @@ def _full_table_ring_terms(grid, delta):
     return means, partner, c, s
 
 
+def _mirror_sign(band_limit):
+    """(-1)^(n + m) per column of real_sph_harm_matrix's layout: Y_nm(x, y, -z) is this times Y_nm(x, y, z)."""
+    n = degree_of_column(band_limit)
+    m = (np.arange(len(n)) - n * n + 1) // 2
+    return np.where((n + m) % 2, -1.0, 1.0)
+
+
+def _mirrored(per_ring, band_limit):
+    """per_ring (rings, ..., n_coeff) with each upper ring rings-1-r replaced by ring r times
+    _mirror_sign, r < rings // 2: the equator mirror that the library applies."""
+    out = per_ring.copy(order="K")
+    upper = len(out) // 2
+    out[len(out) - upper :] = _mirror_sign(band_limit) * out[:upper][::-1]
+    return out
+
+
 def _concatenated_ring_operator(grid, delta):
-    """circle_average_operator with its rings joined by np.concatenate, not filled in place."""
+    """circle_average_operator with its rings joined by np.concatenate, not filled in place,
+    and the upper rings mirrored."""
     means, partner, c, s = _full_table_ring_terms(grid, delta)
-    return np.concatenate([a * c + a[partner] * s for a in means])
+    joined = np.concatenate([a * c + a[partner] * s for a in means])
+    return _mirrored(joined.reshape(len(means), len(c), -1), grid.band_limit).reshape(joined.shape)
 
 
 def _fresh_temporary_ring_operator(grid, delta):
-    """circle_average_operator's per-ring fill with a new temporary for every ring's partner term."""
+    """circle_average_operator's per-ring fill with a new temporary for every ring's partner term,
+    and the upper rings mirrored."""
     means, partner, c, s = _full_table_ring_terms(grid, delta)
     out = np.empty((len(means), len(c), grid.n_coeff))
     for a, ring in zip(means, out):
         np.multiply(a, c, out=ring)
         ring += a[partner] * s
-    return out.reshape(-1, grid.n_coeff)
+    return _mirrored(out, grid.band_limit).reshape(-1, grid.n_coeff)
 
 
 @pytest.mark.parametrize("band", [0, 1, 4, 12, 16])
@@ -261,6 +280,29 @@ def test_order_tables_and_reused_scratch_are_bit_identical(band):
         assert _same_bits(circle_average_operator(g, delta), _fresh_temporary_ring_operator(g, delta))
 
 
+@pytest.mark.parametrize("band", [0, 1, 7, 8, 16, 24, 32])
+@pytest.mark.parametrize("oversample", [1, 2])
+def test_mirrored_rings_are_the_direct_evaluation_to_rounding(band, oversample):
+    # The mirror is exact in exact arithmetic; in floats the upper rings' direct circle points
+    # differ from the mirrored ones in their last bits (cos and sin of psi_(M-j), not of -psi_j),
+    # and a harmonic mean moves by its rounding.  Allowance, typed: eps (B + 1) sqrt(2B + 1),
+    # B + 1 recurrence steps with a relative rounding each on values of size at most
+    # sqrt(2B + 1) (the addition theorem).  An operator entry adds two means times |c|, |s| <= 1,
+    # and circle_average adds entries times coefficients.  The largest readings over this grid
+    # were 0.42, 0.23 and 0.13 of these three allowances; the largest mean error, 1.3e-14 at B = 32.
+    g = SphereGrid.build(band, oversample=oversample)
+    allowance = np.finfo(float).eps * (band + 1) * np.sqrt(2 * band + 1)
+    samples = g.synthesize(np.random.default_rng(band + 100 * oversample).normal(size=g.n_coeff))
+    coeffs = g.analyze(samples)
+    for delta in (-1.0, 1.0, -0.3, 0.0, 0.41, 0.97):
+        means, partner, c, s = _full_table_ring_terms(g, delta)  # every ring evaluated directly
+        assert np.abs(sphere._ring_tables(g, delta)[0] - means).max() <= allowance
+        direct = np.concatenate([a * c + a[partner] * s for a in means])
+        assert np.abs(circle_average_operator(g, delta) - direct).max() <= 2.0 * allowance
+        averaged = ((means * coeffs) @ c.T + (means[:, partner] * coeffs) @ s.T).ravel()
+        assert np.abs(circle_average(g, samples, delta) - averaged).max() <= 2.0 * allowance * np.abs(coeffs).sum()
+
+
 def _grid_by_hand(nodes, weights):
     return SphereGrid(6, nodes, weights, real_sph_harm_matrix(nodes, 6))
 
@@ -274,7 +316,12 @@ def test_operator_rejects_non_ring_grid():
     turned = g.nodes.copy()
     turned[15, :2] = turned[15, 1::-1] * [-1.0, 1.0]  # one node turned by a quarter about the axis
     shuffled = g.nodes[np.random.default_rng(2).permutation(g.nodes.shape[0])]
-    for nodes in (flipped, turned, shuffled, g.nodes[:-1]):  # the last: 90 nodes, rings of 13
+    # longitude rings with no mirror pairs: the grid without its last ring, and the last ring
+    # turned by half a longitude step, at its mirror's height
+    half_turn = np.exp(1j * np.pi / 13) * (g.nodes[-13:, 0] + 1j * g.nodes[-13:, 1])
+    last_turned = g.nodes.copy()
+    last_turned[-13:, 0], last_turned[-13:, 1] = half_turn.real, half_turn.imag
+    for nodes in (flipped, turned, shuffled, g.nodes[:-1], g.nodes[:-13], last_turned):  # g.nodes[:-1]: rings of 13
         bad = _grid_by_hand(nodes, g.weights[: len(nodes)])
         text = "circle averaging needs the longitude rings"
         for _ in range(2):  # a failed check caches nothing, so every call checks again
@@ -382,13 +429,15 @@ def test_ring_tables_make_one_kernel_call_per_delta(monkeypatch):
 @pytest.mark.parametrize("band", [0, 1, 7, 8, 16, 32])  # M = B + 1 circle points: 1, 2, 8, 9, 17, 33
 @pytest.mark.parametrize("oversample", [1, 2])
 def test_running_sum_means_are_mean_bit_for_bit(band, oversample):
-    # signs of zero included: np.mean's mean of -0.0s is +0.0
+    # the lower rings: np.mean's bits, signs of zero included (a mean of -0.0s is +0.0);
+    # the upper rings: their mirror rings' times (-1)^(n + m), bit for bit
     g = SphereGrid.build(band, oversample=oversample)
     for delta in (-1.0, -0.3, 0.0, 0.41, 1.0):
         means, partner, c, s = sphere._ring_tables(g, delta)
         expected = _full_table_ring_terms(g, delta)
         assert means.strides == expected[0].strides
-        for got, want in zip((means, partner, c, s), expected):
+        assert _same_bits(means, _mirrored(expected[0], band))
+        for got, want in zip((partner, c, s), expected[1:]):
             assert _same_bits(got, want)
 
 
@@ -748,6 +797,23 @@ def test_grid_rings_are_leggauss_bit_for_bit(band_limit, oversample):
     heights, weights = g.nodes[:, 2].reshape(n_lat, n_lon), g.weights.reshape(n_lat, n_lon)
     assert np.array_equal(heights, np.repeat(xg[:, None], n_lon, axis=1))
     assert np.array_equal(weights, np.repeat((wg / 2.0)[:, None], n_lon, axis=1) / n_lon)
+
+
+@pytest.mark.parametrize("oversample", [1, 2, 3])
+def test_grid_rings_are_mirror_pairs_bit_for_bit(oversample):
+    # circle averaging computes the lower rings only and mirrors the rest: numpy's leggauss
+    # symmetrises its nodes, so ring rings-1-r is ring r with z negated, bit for bit
+    for band_limit in range(41):
+        xg = np.polynomial.legendre.leggauss(oversample * (band_limit + 1))[0]
+        assert np.array_equal(xg[::-1], -xg)
+    for band_limit in range(13):  # built uncached: a grid's basis grows as B^4
+        g = sphere._built_grid.__wrapped__(band_limit, oversample)
+        rings = g.nodes.reshape(oversample * (band_limit + 1), -1, 3)
+        assert np.array_equal(rings[::-1], rings * [1.0, 1.0, -1.0])
+        # and the harmonics turn by (-1)^(n + m) under the mirror, to the bit
+        basis = g.basis.reshape(len(rings), -1, g.n_coeff)
+        assert np.array_equal(basis[::-1], _mirror_sign(band_limit) * basis)
+        assert _same_bits(g._ring_geometry[-1], _mirror_sign(band_limit))
 
 
 @pytest.mark.parametrize("band_limit", [0, 3])
